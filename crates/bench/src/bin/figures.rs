@@ -7,7 +7,9 @@
 //! cargo run --release -p sphinx-bench --bin figures -- --trials 5 fig3
 //! ```
 //!
-//! Results are printed as tables and written to `results/<id>.json`.
+//! Results are printed as tables and written to `results/<id>.json`; the
+//! gated sweeps (`scale`, `planner`, `shard`, `ops`) write one artifact
+//! each, `BENCH_<id>.json` at the repo root, and nothing under `results/`.
 
 use sphinx_bench::{
     aggregate, jobs_vs_speed_correlation, planner, render_site_table, render_svg_value_bars,
@@ -26,7 +28,7 @@ use sphinx_workloads::experiments::{
     recovery, ExperimentParams, SeriesPoint,
 };
 use sphinx_workloads::{FaultPlan, Scenario};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Options {
     quick: bool,
@@ -95,6 +97,13 @@ fn params(opts: &Options, seed: u64) -> ExperimentParams {
 
 fn seeds(opts: &Options) -> Vec<u64> {
     (0..opts.trials as u64).map(|i| 1000 + 7 * i).collect()
+}
+
+/// A gated sweep's one artifact: `BENCH_<id>.json` at the repo root, where
+/// CI diffs it against the committed baseline.
+fn write_bench<T: serde::Serialize>(id: &str, value: &T) {
+    write_json(Path::new("."), &format!("BENCH_{id}"), value).expect("write sweep artifact");
+    println!("{id} sweep written to BENCH_{id}.json");
 }
 
 fn emit(opts: &Options, id: &str, title: &str, rows: &[Aggregate]) {
@@ -531,12 +540,7 @@ fn main() {
                     })
                     .collect();
                 print!("{}", scale::render_scale_table(&points));
-                write_json(&opts.results_dir, "scale", &points).expect("write results");
-                // The committed before/after artifact lives at the repo
-                // root so CI can diff it without digging into results/.
-                let json = serde_json::to_string_pretty(&points).expect("scale serialize");
-                std::fs::write("BENCH_scale.json", json).expect("write BENCH_scale.json");
-                println!("scale sweep written to BENCH_scale.json");
+                write_bench("scale", &points);
             }
             "planner" => {
                 // Planner hot-path sweep: site scoring with the per-cycle
@@ -566,10 +570,7 @@ fn main() {
                 // Regression gate: compare against the committed baseline
                 // before overwriting it.
                 let regressions = planner_regressions(&bench);
-                write_json(&opts.results_dir, "planner", &bench).expect("write results");
-                let json = serde_json::to_string_pretty(&bench).expect("planner serialize");
-                std::fs::write("BENCH_planner.json", json).expect("write BENCH_planner.json");
-                println!("planner sweep written to BENCH_planner.json");
+                write_bench("planner", &bench);
                 if !regressions.is_empty() {
                     for r in &regressions {
                         eprintln!("regression: {r}");
@@ -588,10 +589,7 @@ fn main() {
                 let bench = shard::run_sweep(sizes, seeds(&opts)[0]);
                 print!("{}", shard::render_shard_table(&bench));
                 let regressions = shard_regressions(&bench);
-                write_json(&opts.results_dir, "shard", &bench).expect("write results");
-                let json = serde_json::to_string_pretty(&bench).expect("shard serialize");
-                std::fs::write("BENCH_shard.json", json).expect("write BENCH_shard.json");
-                println!("shard sweep written to BENCH_shard.json");
+                write_bench("shard", &bench);
                 if bench.mean_spread > 2.0 {
                     eprintln!(
                         "regression: per-shard plan-cycle mean spread {:.2}x exceeds the 2x flat-scaling budget",
@@ -657,15 +655,11 @@ fn main() {
                             head_start_ms: head_start.as_millis(),
                         };
                         regressions.extend(ops_regressions(&bench));
-                        write_json(&opts.results_dir, "ops", &bench).expect("write results");
+                        write_bench("ops", &bench);
                         std::fs::create_dir_all(&opts.results_dir).expect("results dir");
                         std::fs::write(opts.results_dir.join("ops_alerts.jsonl"), &stream_a)
                             .expect("write alert stream");
-                        let json = serde_json::to_string_pretty(&bench).expect("ops serialize");
-                        std::fs::write("BENCH_ops.json", json).expect("write BENCH_ops.json");
-                        println!(
-                            "ops lead-time written to BENCH_ops.json ({alerts_total} alerts in results/ops_alerts.jsonl)"
-                        );
+                        println!("{alerts_total} alerts in results/ops_alerts.jsonl");
                     }
                     (Some(_), None) => regressions
                         .push("no post-hoc SiteFlagged event for the alerted site".to_owned()),

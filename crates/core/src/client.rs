@@ -181,10 +181,10 @@ impl SphinxClient {
         self.by_handle.len()
     }
 
-    /// The tracked jobs and the site each was submitted to. The sharded
-    /// coordinator uses this as the survivor-side truth when reconciling
-    /// an adopted shard's torn WAL tail: the tracker outlives any single
-    /// scheduler shard.
+    /// The tracked jobs and the site each was submitted to. The
+    /// coordination plane uses this as the survivor-side truth when
+    /// reconciling an adopted shard's torn WAL tail: the tracker outlives
+    /// any single scheduler shard.
     pub fn tracked_jobs(&self) -> BTreeMap<JobId, SiteId> {
         self.by_handle.values().map(|t| (t.job, t.site)).collect()
     }

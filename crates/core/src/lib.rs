@@ -20,12 +20,15 @@
 //! * [`reliability`] — the feedback ledger: sites with more cancelled
 //!   than completed jobs are flagged unreliable (§4, *Importance of
 //!   feedback information*).
-//! * [`runtime`] — the composition driving a whole experiment: grid
-//!   simulator + monitor + server + client, with planner/monitor/timeout
+//! * [`driver`] — the one event loop driving a whole experiment: grid
+//!   simulator + monitor + servers + client, with planner/monitor/timeout
 //!   cycles, producing the [`report::RunReport`] every figure is built
-//!   from.
+//!   from. [`runtime`] names its single-scheduler deployment; [`shard`] is
+//!   the coordination plane (leases, epochs, ledger, adoption) that turns
+//!   it into N schedulers over a partitioned DAG space.
 
 pub mod client;
+pub mod driver;
 pub mod error;
 pub mod messages;
 pub mod prediction;
@@ -39,6 +42,7 @@ pub mod state;
 pub mod strategy;
 
 pub use client::SphinxClient;
+pub use driver::Driver;
 pub use error::{CoreError, CoreResult};
 pub use report::RunReport;
 pub use rpc::ServerHandle;

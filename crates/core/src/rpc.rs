@@ -76,6 +76,13 @@ enum Response {
     Stats(ServerStats),
 }
 
+impl Response {
+    /// `Some` for the bare acknowledgement.
+    fn done(self) -> Option<()> {
+        matches!(self, Response::Done).then_some(())
+    }
+}
+
 /// Client-side stub for a server running in its own thread.
 pub struct ServerHandle {
     tx: crossbeam::channel::Sender<Request>,
@@ -149,30 +156,28 @@ impl ServerHandle {
         }
     }
 
-    fn call(&self, request: Request) -> Response {
+    /// One blocking round trip. `open` unwraps the one response kind the
+    /// request yields; any other kind is a protocol bug.
+    fn call<T>(&self, request: Request, open: impl FnOnce(Response) -> Option<T>) -> T {
         self.tx.send(request).expect("server thread alive");
-        self.rx.recv().expect("server thread alive")
+        let response = self.rx.recv().expect("server thread alive");
+        open(response).expect("protocol: response kind matches its request")
     }
 
     /// Submit a DAG (optionally with a QoS deadline).
     pub fn submit_dag(&self, dag: &Dag, user: UserId, now: SimTime, deadline: Option<SimTime>) {
-        match self.call(Request::SubmitDag {
+        let request = Request::SubmitDag {
             dag: Box::new(dag.clone()),
             user,
             now,
             deadline,
-        }) {
-            Response::Done => {}
-            _ => unreachable!("protocol: SubmitDag yields Done"),
-        }
+        };
+        self.call(request, Response::done)
     }
 
     /// Deliver a tracker report.
     pub fn report(&self, report: StatusReport, now: SimTime) {
-        match self.call(Request::Report { report, now }) {
-            Response::Done => {}
-            _ => unreachable!("protocol: Report yields Done"),
-        }
+        self.call(Request::Report { report, now }, Response::done)
     }
 
     /// Run one planning pass, lending the replica service across the
@@ -184,51 +189,47 @@ impl ServerHandle {
         reports: BTreeMap<SiteId, Report>,
         transfers: &TransferModel,
     ) -> (Vec<PlanNotice>, ReplicaService) {
-        match self.call(Request::PlanCycle {
+        let request = Request::PlanCycle {
             now,
             rls: Box::new(rls),
             reports,
             transfers: Box::new(transfers.clone()),
-        }) {
-            Response::Plans { plans, rls } => (plans, *rls),
-            _ => unreachable!("protocol: PlanCycle yields Plans"),
-        }
+        };
+        self.call(request, |response| match response {
+            Response::Plans { plans, rls } => Some((plans, *rls)),
+            _ => None,
+        })
     }
 
     /// Register a user (policy administration RPC).
     pub fn add_user(&self, user: UserId, vo: VoId, priority: u32) {
-        match self.call(Request::AddUser { user, vo, priority }) {
-            Response::Done => {}
-            _ => unreachable!("protocol: AddUser yields Done"),
-        }
+        self.call(Request::AddUser { user, vo, priority }, Response::done)
     }
 
     /// Grant quota (policy administration RPC).
     pub fn grant(&self, user: UserId, site: SiteId, granted: Requirement) {
-        match self.call(Request::Grant {
+        let request = Request::Grant {
             user,
             site,
             granted,
-        }) {
-            Response::Done => {}
-            _ => unreachable!("protocol: Grant yields Done"),
-        }
+        };
+        self.call(request, Response::done)
     }
 
     /// True when every submitted DAG finished.
     pub fn all_finished(&self) -> bool {
-        match self.call(Request::AllFinished) {
-            Response::Bool(b) => b,
-            _ => unreachable!("protocol: AllFinished yields Bool"),
-        }
+        self.call(Request::AllFinished, |response| match response {
+            Response::Bool(b) => Some(b),
+            _ => None,
+        })
     }
 
     /// Server statistics.
     pub fn stats(&self) -> ServerStats {
-        match self.call(Request::Stats) {
-            Response::Stats(s) => s,
-            _ => unreachable!("protocol: Stats yields Stats"),
-        }
+        self.call(Request::Stats, |response| match response {
+            Response::Stats(s) => Some(s),
+            _ => None,
+        })
     }
 
     /// Shut the server thread down (also done on drop).

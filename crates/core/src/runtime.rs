@@ -1,45 +1,28 @@
-//! The composed system: grid + monitor + server + client.
+//! The single-scheduler deployment: grid + monitor + one server + client.
 //!
-//! [`SphinxRuntime`] is the experiment driver. It steps the grid's event
-//! loop and multiplexes three periodic activities over wakeup events,
-//! mirroring how the real deployment's processes ran concurrently:
-//!
-//! * **Planner cycle** — drain tracker reports from the inbox table,
-//!   advance the server automaton, plan ready jobs, hand plans to the
-//!   client for submission.
-//! * **Monitor cycle** — the monitoring system's query jobs sample the
-//!   sites.
-//! * **Timeout scan** — the tracker cancels overdue submissions.
-//!
-//! All client ↔ server traffic goes through the database message queues
-//! ([`crate::messages::INBOX`] / [`crate::messages::OUTBOX`]), exactly as
-//! §3.2's message-handling module describes — which is also what makes the
-//! mid-run server-crash experiment possible: the queues are part of the
-//! WAL-protected state.
+//! [`SphinxRuntime`] is the [`Driver`] event loop with one server and no
+//! coordination plane. Its caller-supplied database carries the server's
+//! tables and the INBOX / OUTBOX queues alike, which is what makes the
+//! mid-run crash experiment possible: the queues are WAL-protected state
+//! ([`SphinxRuntime::with_recovered_database`]). The loop itself lives in
+//! [`crate::driver`]; this module holds the run configuration.
 
-use crate::client::{ClientConfig, SphinxClient};
+use crate::driver::{catalog, Driver};
 use crate::error::CoreResult;
-use crate::messages::{PlanNotice, StatusReport, INBOX, OUTBOX};
-use crate::report::{RunReport, SiteOutcome};
+use crate::report::RunReport;
 use crate::server::{ServerConfig, SphinxServer};
-use crate::state::{DagRow, JobRow, SiteStatsRow};
-use crate::strategy::{SiteInfo, StrategyKind};
-use parking_lot::Mutex;
+use crate::strategy::StrategyKind;
 use sphinx_dag::Dag;
-use sphinx_data::{SiteId, TransferModel};
-use sphinx_db::{Database, Queue};
-use sphinx_grid::{GridSim, Notification};
-use sphinx_monitor::{Monitor, MonitorConfig};
-use sphinx_ops::{OpsAggregator, OpsConfig, OpsDetector, OpsSnapshot};
+use sphinx_data::SiteId;
+use sphinx_db::Database;
+use sphinx_grid::GridSim;
+use sphinx_monitor::MonitorConfig;
+use sphinx_ops::OpsConfig;
 use sphinx_policy::UserId;
 use sphinx_sim::{Duration, SimTime};
-use sphinx_telemetry::{Telemetry, TelemetryConfig, TraceKind};
-use std::collections::BTreeMap;
+use sphinx_telemetry::TelemetryConfig;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-const TOKEN_PLANNER: u64 = 1;
-const TOKEN_MONITOR: u64 = 2;
-const TOKEN_TIMEOUT: u64 = 3;
 
 /// Everything configurable about a run.
 #[derive(Debug, Clone)]
@@ -98,20 +81,38 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// The composed SPHINX deployment.
-pub struct SphinxRuntime {
-    grid: GridSim,
-    monitor: Monitor,
-    server: SphinxServer,
-    client: SphinxClient,
-    db: Arc<Database>,
-    config: RuntimeConfig,
-    transfer_model: TransferModel,
-    started: bool,
-    ops: Option<OpsAggregator>,
-    /// Snapshot handle shared with the HTTP ops endpoint; rebuilt by the
-    /// aggregator after every planner cycle.
-    ops_shared: Option<Arc<Mutex<OpsSnapshot>>>,
+// The server's share of a run configuration; every server of a deployment
+// gets the same one.
+impl From<&RuntimeConfig> for ServerConfig {
+    fn from(config: &RuntimeConfig) -> Self {
+        ServerConfig {
+            strategy: config.strategy,
+            feedback: config.feedback,
+            policy_enabled: config.policy_enabled,
+            archive_site: config.archive_site,
+            score_cache: config.score_cache,
+            ops_fast_path: config.ops_fast_path,
+        }
+    }
+}
+
+/// The single-scheduler deployment: a [`Driver`] with one server and no
+/// coordination plane. Dereferences to the driver for everything the two
+/// deployments share (running, reporting, telemetry, the ops plane).
+#[derive(Debug)]
+pub struct SphinxRuntime(Driver);
+
+impl Deref for SphinxRuntime {
+    type Target = Driver;
+    fn deref(&self) -> &Driver {
+        &self.0
+    }
+}
+
+impl DerefMut for SphinxRuntime {
+    fn deref_mut(&mut self) -> &mut Driver {
+        &mut self.0
+    }
 }
 
 impl SphinxRuntime {
@@ -122,442 +123,69 @@ impl SphinxRuntime {
 
     /// Assemble a runtime over a grid with an explicit database (use a
     /// WAL-backed one to run the crash-recovery experiment).
-    pub fn with_database(mut grid: GridSim, config: RuntimeConfig, db: Arc<Database>) -> Self {
-        let catalog: Vec<SiteInfo> = grid
-            .site_specs()
-            .iter()
-            .map(|s| SiteInfo {
-                id: s.id,
-                name: s.name.clone(),
-                cpus: s.cpus,
-            })
-            .collect();
-        let transfer_model = grid.transfer_model().clone();
-        // One shared hub for every module: server FSA transitions, grid
-        // lifecycle events, monitor sampling, and WAL activity all land in
-        // the same trace, ordered by the single simulation clock.
-        let telemetry = Arc::new(Telemetry::with_config(config.telemetry.clone()));
-        grid.set_telemetry(Arc::clone(&telemetry));
-        db.attach_telemetry(Arc::clone(&telemetry));
-        let mut server = SphinxServer::new(
-            Arc::clone(&db),
-            catalog,
-            ServerConfig {
-                strategy: config.strategy,
-                feedback: config.feedback,
-                policy_enabled: config.policy_enabled,
-                archive_site: config.archive_site,
-                score_cache: config.score_cache,
-                ops_fast_path: config.ops_fast_path,
-            },
-        );
-        server.set_telemetry(Arc::clone(&telemetry));
-        let client = SphinxClient::new(ClientConfig {
-            timeout: config.timeout,
-        });
-        let mut monitor = Monitor::new(config.monitor.clone(), config.seed);
-        monitor.set_telemetry(telemetry);
-        let ops = config.ops.clone().map(OpsAggregator::new);
-        let ops_shared = ops
-            .is_some()
-            .then(|| Arc::new(Mutex::new(OpsSnapshot::default())));
-        SphinxRuntime {
-            grid,
-            monitor,
-            server,
-            client,
-            db,
-            config,
-            transfer_model,
-            started: false,
-            ops,
-            ops_shared,
-        }
-    }
-
-    /// The underlying grid (e.g. to pre-seed replicas before submitting).
-    pub fn grid_mut(&mut self) -> &mut GridSim {
-        &mut self.grid
-    }
-
-    /// The server (e.g. to configure policy quotas).
-    pub fn server_mut(&mut self) -> &mut SphinxServer {
-        &mut self.server
-    }
-
-    /// Immutable server access.
-    pub fn server(&self) -> &SphinxServer {
-        &self.server
-    }
-
-    /// The tracker.
-    pub fn client(&self) -> &SphinxClient {
-        &self.client
-    }
-
-    /// The configuration this runtime was built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The telemetry hub shared by every module of this runtime.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.server.telemetry()
-    }
-
-    /// The live-ops snapshot handle (for the HTTP endpoint or a harness);
-    /// `None` unless [`RuntimeConfig::ops`] is set. The aggregator
-    /// republishes into it after every planner cycle.
-    pub fn ops_snapshot_handle(&self) -> Option<Arc<Mutex<OpsSnapshot>>> {
-        self.ops_shared.clone()
-    }
-
-    /// The live-ops aggregator, when enabled.
-    pub fn ops_aggregator(&self) -> Option<&OpsAggregator> {
-        self.ops.as_ref()
-    }
-
-    /// Submit a DAG on behalf of a user. Panics on an invalid DAG or a
-    /// database failure — use [`SphinxServer::submit_dag`] directly for a
-    /// typed error.
-    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) {
-        self.server
-            .submit_dag(dag, user, self.grid.now())
-            .expect("dag submission");
-    }
-
-    /// Submit a DAG with a QoS deadline relative to now (the §6
-    /// future-work extension): its ready jobs are planned
-    /// earliest-deadline-first ahead of deadline-free work.
-    pub fn submit_dag_with_deadline(&mut self, dag: &Dag, user: UserId, within: Duration) {
-        let now = self.grid.now();
-        self.server
-            .submit_dag_with_deadline(dag, user, now, Some(now + within))
-            .expect("dag submission");
-    }
-
-    fn schedule_initial_wakeups(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let now = self.grid.now();
-        self.grid
-            .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
-        self.grid.schedule_wakeup(now, TOKEN_MONITOR);
-        self.grid
-            .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
-    }
-
-    fn planner_tick(&mut self) -> CoreResult<()> {
-        let now = self.grid.now();
-        // 1. Message handling: drain tracker reports from the inbox.
-        let track_span = self.server.telemetry().span_start("phase:track", now);
-        let inbox: Queue<StatusReport> = Queue::new(&self.db, INBOX);
-        for report in inbox.drain()? {
-            self.server.handle_report(report, now)?;
-        }
-        self.server.telemetry().span_end(track_span, now);
-        // 2. Planning: advance the automaton, write plans to the outbox.
-        let reports: BTreeMap<SiteId, sphinx_monitor::Report> = self
-            .monitor
-            .reports(now)
-            .into_iter()
-            .map(|r| (r.site, r))
-            .collect();
-        // Wall-clock timing is opt-in: reading `Instant` inside the sim
-        // path would not change the trace, but keeping it off by default
-        // guarantees the deterministic profile never touches the host
-        // clock at all.
-        let wall_start = self
-            .server
-            .telemetry()
-            .wall_clock_enabled()
-            .then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
-        let plans =
-            self.server
-                .plan_cycle(now, self.grid.rls_mut(), &reports, &self.transfer_model)?;
-        if let Some(start) = wall_start {
-            self.server
-                .telemetry()
-                .observe("wall.plan_cycle_us", start.elapsed().as_micros() as f64);
-        }
-        let submit_span = self.server.telemetry().span_start("phase:submit", now);
-        let outbox: Queue<PlanNotice> = Queue::new(&self.db, OUTBOX);
-        for plan in &plans {
-            outbox.push(plan)?;
-        }
-        // 3. The client consumes the outbox and submits.
-        for plan in outbox.drain()? {
-            self.client.submit_plan(&mut self.grid, &plan, now);
-        }
-        self.server.telemetry().span_end(submit_span, now);
-        // 4. Live ops plane: fold this cycle's trace and metrics into the
-        // rolling windows, run the online detectors, publish the snapshot
-        // for the HTTP endpoint, and (fast path only) feed black-hole
-        // verdicts into the reliability index.
-        if let Some(ops) = self.ops.as_mut() {
-            let telemetry = Arc::clone(self.server.telemetry());
-            let alerts: &[sphinx_ops::OpsAlert] = ops.tick(now, &telemetry);
-            for alert in alerts {
-                if alert.detector == OpsDetector::BlackHole {
-                    self.server.apply_ops_flag(SiteId(alert.site), now);
-                }
-            }
-            if let Some(shared) = &self.ops_shared {
-                ops.publish_into(now, &mut shared.lock());
-            }
-        }
-        self.grid
-            .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
-        Ok(())
-    }
-
-    fn monitor_tick(&mut self) {
-        let now = self.grid.now();
-        let truth = self.grid.snapshots();
-        self.monitor.sample(now, &truth);
-        self.grid
-            .schedule_wakeup(now + self.config.monitor.update_period, TOKEN_MONITOR);
-    }
-
-    fn timeout_tick(&mut self) -> CoreResult<()> {
-        let now = self.grid.now();
-        let reports = self.client.scan_timeouts(&mut self.grid, now);
-        let inbox: Queue<StatusReport> = Queue::new(&self.db, INBOX);
-        for report in reports {
-            inbox.push(&report)?;
-        }
-        self.grid
-            .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
-        Ok(())
+    pub fn with_database(grid: GridSim, config: RuntimeConfig, db: Arc<Database>) -> Self {
+        let server = SphinxServer::new(Arc::clone(&db), catalog(&grid), (&config).into());
+        let driver = Driver::assemble(grid, config, Arc::clone(&db), vec![server], None);
+        // No plane: the one database reports to the run's own hub, so
+        // server FSA transitions, grid lifecycle events, monitor sampling
+        // and WAL activity all land in the same trace.
+        db.attach_telemetry(Arc::clone(driver.telemetry()));
+        SphinxRuntime(driver)
     }
 
     /// Assemble a runtime whose server is **recovered** from an existing
-    /// database (the mid-run crash experiment). The grid — with whatever
-    /// jobs are still in flight — survives; the server conservatively
-    /// replans everything that was in flight, and the fresh client simply
-    /// ignores notifications for attempts it never made.
-    ///
-    /// The surviving grid's pending wakeup chains keep driving the
-    /// periodic cycles, so none are rescheduled here.
+    /// database (the mid-run crash experiment; see
+    /// [`Driver::recover_server`]).
     pub fn with_recovered_database(
         grid: GridSim,
         config: RuntimeConfig,
         db: Arc<Database>,
     ) -> CoreResult<Self> {
         let mut rt = Self::with_database(grid, config, db);
-        let catalog: Vec<SiteInfo> = rt
-            .grid
-            .site_specs()
-            .iter()
-            .map(|s| SiteInfo {
-                id: s.id,
-                name: s.name.clone(),
-                cpus: s.cpus,
-            })
-            .collect();
-        // The recovered server replaces the one `with_database` built; keep
-        // the shared hub so grid/monitor/db events stay on the same trace.
-        let telemetry = Arc::clone(rt.server.telemetry());
-        rt.server = SphinxServer::recover(
-            Arc::clone(&rt.db),
-            catalog,
-            ServerConfig {
-                strategy: rt.config.strategy,
-                feedback: rt.config.feedback,
-                policy_enabled: rt.config.policy_enabled,
-                archive_site: rt.config.archive_site,
-                score_cache: rt.config.score_cache,
-                ops_fast_path: rt.config.ops_fast_path,
-            },
-        )?;
-        telemetry.trace(
-            TraceKind::Recovery,
-            rt.grid.now(),
-            None,
-            None,
-            format!("replayed={}", rt.db.replayed()),
-        );
-        rt.server.set_telemetry(telemetry);
-        rt.started = true; // reuse the surviving wakeup chains
+        rt.0.recover_server()?;
         Ok(rt)
     }
 
-    /// The shared event loop behind [`Self::run`] and [`Self::run_until`]:
-    /// step the grid and dispatch notifications until every DAG finishes,
-    /// the grid drains, or `stop` passes on the simulation clock.
-    fn drive(&mut self, stop: SimTime) -> CoreResult<()> {
-        self.schedule_initial_wakeups();
-        let horizon = SimTime::ZERO + self.config.horizon;
-        let stop = stop.min(horizon);
-        while !self.server.all_finished() && self.grid.now() < stop {
-            if !self.grid.step() {
-                break; // grid drained (no recurring processes configured)
-            }
-            let now = self.grid.now();
-            let notifications = self.grid.poll();
-            let db = Arc::clone(&self.db);
-            let inbox: Queue<StatusReport> = Queue::new(&db, INBOX);
-            for n in notifications {
-                match n {
-                    Notification::Wakeup {
-                        token: TOKEN_PLANNER,
-                    } => self.planner_tick()?,
-                    Notification::Wakeup {
-                        token: TOKEN_MONITOR,
-                    } => self.monitor_tick(),
-                    Notification::Wakeup {
-                        token: TOKEN_TIMEOUT,
-                    } => self.timeout_tick()?,
-                    Notification::Wakeup { .. } => {}
-                    other => {
-                        if let Some(report) = self.client.on_notification(&other, now) {
-                            inbox.push(&report)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// The server (e.g. to configure policy quotas).
+    pub fn server_mut(&mut self) -> &mut SphinxServer {
+        self.0.first_server_mut()
     }
 
-    /// Run until every DAG finishes, the horizon is hit, or `stop_at`
-    /// passes on the simulation clock. Returns whether everything
-    /// finished; a database failure surfaces as a typed error.
-    pub fn try_run_until(&mut self, stop_at: SimTime) -> CoreResult<bool> {
-        self.drive(stop_at)?;
-        Ok(self.server.all_finished())
+    /// Immutable server access.
+    pub fn server(&self) -> &SphinxServer {
+        self.0.first_server()
     }
 
-    /// Like [`Self::try_run_until`], panicking on database failure (the
+    /// Submit a DAG on behalf of a user. Panics on an invalid DAG or a
+    /// database failure — use [`Driver::submit`] for a typed error.
+    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) {
+        self.0.submit(dag, user, None).expect("dag submission");
+    }
+
+    /// Submit a DAG with a QoS deadline relative to now (see
+    /// [`Driver::submit`]). Panics like [`Self::submit_dag`].
+    pub fn submit_dag_with_deadline(&mut self, dag: &Dag, user: UserId, within: Duration) {
+        self.0
+            .submit(dag, user, Some(within))
+            .expect("dag submission");
+    }
+
+    /// Like [`Driver::try_run_until`], panicking on database failure (the
     /// in-memory experiment configurations cannot fail).
     pub fn run_until(&mut self, stop_at: SimTime) -> bool {
-        self.try_run_until(stop_at).expect("runtime drive")
+        self.0.try_run_until(stop_at).expect("runtime drive")
     }
 
     /// Tear the runtime down to its surviving grid ("the server process
     /// died; the grid did not notice").
     pub fn into_grid(self) -> GridSim {
-        self.grid
+        self.0.into_grid()
     }
 
-    /// Run until every DAG finishes or the horizon is hit, then build the
-    /// report. A database failure surfaces as a typed error.
-    pub fn try_run(&mut self) -> CoreResult<RunReport> {
-        self.drive(SimTime::MAX)?;
-        self.build_report()
-    }
-
-    /// Like [`Self::try_run`], panicking on database failure (the
+    /// Like [`Driver::try_run`], panicking on database failure (the
     /// in-memory experiment configurations cannot fail).
     pub fn run(&mut self) -> RunReport {
-        self.try_run().expect("runtime drive")
-    }
-
-    /// Assemble the [`RunReport`] from the database and module state.
-    ///
-    /// Job tallies come from the `/state` secondary index (registered by
-    /// the server), so report assembly reads the finished/eliminated rows
-    /// rather than decoding the whole job table.
-    pub fn build_report(&self) -> CoreResult<RunReport> {
-        let dags = self.db.scan::<DagRow>()?;
-        let mut dag_completion_secs = Vec::new();
-        let mut deadlines_met = 0usize;
-        let mut deadlines_missed = 0usize;
-        for d in &dags {
-            if let Some(fin) = d.finished_at {
-                dag_completion_secs.push(fin.since(d.submitted_at).as_secs_f64());
-            }
-            if let Some(deadline) = d.deadline {
-                match d.finished_at {
-                    Some(fin) if fin <= deadline => deadlines_met += 1,
-                    _ => deadlines_missed += 1,
-                }
-            }
-        }
-        let avg_dag = if dag_completion_secs.is_empty() {
-            0.0
-        } else {
-            dag_completion_secs.iter().sum::<f64>() / dag_completion_secs.len() as f64
-        };
-        let finished = self
-            .db
-            .scan_where::<JobRow>("/state", &serde_json::json!("Finished"))?;
-        let mut exec_sum = 0.0;
-        let mut idle_sum = 0.0;
-        let completed = finished.len();
-        for j in &finished {
-            exec_sum += j.exec_secs.unwrap_or(0.0);
-            idle_sum += j.idle_secs.unwrap_or(0.0);
-        }
-        let eliminated = self
-            .db
-            .scan_where::<JobRow>("/state", &serde_json::json!("Eliminated"))?
-            .len();
-        let catalog: BTreeMap<SiteId, String> = self
-            .grid
-            .site_specs()
-            .iter()
-            .map(|s| (s.id, s.name.clone()))
-            .collect();
-        let sites = self
-            .db
-            .scan::<SiteStatsRow>()?
-            .into_iter()
-            .map(|row| SiteOutcome {
-                site: SiteId(row.site),
-                name: catalog
-                    .get(&SiteId(row.site))
-                    .cloned()
-                    .unwrap_or_else(|| format!("site{}", row.site)),
-                completed: row.completed,
-                cancelled: row.cancelled,
-                avg_completion_secs: (row.completion_samples > 0)
-                    .then(|| row.completion_secs_sum / row.completion_samples as f64),
-            })
-            .collect();
-        let stats = self.server.stats();
-        Ok(RunReport {
-            strategy: self.config.strategy.label().to_owned(),
-            feedback: self.config.feedback || self.config.strategy.implies_feedback(),
-            policy: self.config.policy_enabled,
-            seed: self.config.seed,
-            finished: self.server.all_finished(),
-            makespan_secs: self.grid.now().as_secs_f64(),
-            dags: dags.len(),
-            avg_dag_completion_secs: avg_dag,
-            dag_completion_secs,
-            jobs_completed: completed,
-            jobs_eliminated: eliminated,
-            avg_exec_secs: if completed > 0 {
-                exec_sum / completed as f64
-            } else {
-                0.0
-            },
-            avg_idle_secs: if completed > 0 {
-                idle_sum / completed as f64
-            } else {
-                0.0
-            },
-            plans: stats.plans,
-            timeouts: stats.reschedules_timeout,
-            holds: stats.reschedules_held,
-            deadlines_met,
-            deadlines_missed,
-            sites,
-            telemetry: self.server.telemetry_snapshot(),
-            analysis: self.server.telemetry().analyze(10),
-        })
-    }
-}
-
-impl std::fmt::Debug for SphinxRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SphinxRuntime")
-            .field("strategy", &self.config.strategy)
-            .field("now", &self.grid.now())
-            .finish()
+        self.0.try_run().expect("runtime drive")
     }
 }
 
@@ -565,6 +193,7 @@ impl std::fmt::Debug for SphinxRuntime {
 mod tests {
     use super::*;
     use sphinx_dag::WorkloadSpec;
+    use sphinx_data::TransferModel;
     use sphinx_grid::{FaultProfile, SiteSpec};
     use sphinx_sim::SimRng;
 

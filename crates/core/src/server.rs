@@ -26,7 +26,8 @@ use sphinx_grid::StagedInput;
 use sphinx_monitor::Report;
 use sphinx_policy::{PolicyEngine, Requirement, UserId};
 use sphinx_sim::SimTime;
-use sphinx_telemetry::{Telemetry, TelemetrySnapshot, TraceKind};
+use sphinx_telemetry::{Telemetry, TraceKind};
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -101,9 +102,9 @@ impl ServerStats {
 /// while planning against one global view: per-site outstanding counts,
 /// prediction/reliability ledgers, quota accounts and the score cache all
 /// describe shared grid resources, so splitting them per shard would change
-/// placement decisions. The unsharded server simply owns one instance; the
-/// sharded coordinator owns one instance and threads it through every
-/// shard's `*_shared` calls in a deterministic global order.
+/// placement decisions. A lone server owns the instance; a coordination
+/// plane owns it on behalf of its shards. Either way the driver checks it
+/// out for a planner tick and threads it through the `*_shared` calls.
 pub struct SchedulerState {
     pub(crate) policy: PolicyEngine,
     pub(crate) prediction: Prediction,
@@ -150,17 +151,16 @@ impl SchedulerState {
 /// priority for §5 ordering), as produced by
 /// [`SphinxServer::ready_entries`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ReadyEntry {
-    pub(crate) job: JobId,
-    pub(crate) deadline: Option<SimTime>,
-    pub(crate) priority: u32,
+struct ReadyEntry {
+    job: JobId,
+    deadline: Option<SimTime>,
+    priority: u32,
 }
 
-/// Per-cycle bookkeeping emitted once per plan cycle, before any per-DAG
-/// work: cycle counters, monitoring staleness, the `PlanCycle` trace line.
-/// Free function so the sharded coordinator can emit it exactly once per
-/// *global* cycle rather than once per shard.
-pub(crate) fn cycle_prolog(
+/// Per-cycle bookkeeping emitted once per *global* plan cycle — not once
+/// per server — before any per-DAG work: cycle counters, monitoring
+/// staleness, the `PlanCycle` trace line.
+fn cycle_prolog(
     telemetry: &Telemetry,
     sched: &mut SchedulerState,
     now: SimTime,
@@ -187,7 +187,7 @@ pub(crate) fn cycle_prolog(
 }
 
 /// Per-cycle epilogue: flush the score-cache and scratch-reuse counters.
-pub(crate) fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
+fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
     let (cache_hits, cache_misses) = sched.score_cache.take_counters();
     if cache_hits > 0 {
         telemetry.counter_add("plan.score_cache.hits", cache_hits);
@@ -219,10 +219,10 @@ pub struct SphinxServer {
     db: Arc<Database>,
     config: ServerConfig,
     catalog: Vec<SiteInfo>,
-    /// Grid-wide scheduling state (see [`SchedulerState`]). The unsharded
-    /// server owns its own; a sharded coordinator substitutes a shared one
-    /// through the `*_shared` entry points.
-    sched: SchedulerState,
+    /// Grid-wide scheduling state (see [`SchedulerState`]): live when this
+    /// is a deployment's only server, dormant when a coordination plane
+    /// holds the shared one and passes it to the `*_shared` entry points.
+    pub(crate) sched: SchedulerState,
     frontiers: BTreeMap<DagId, Frontier>,
     /// Planner-side mirror of active DAG rows (see [`DagMeta`]).
     dag_meta: BTreeMap<DagId, DagMeta>,
@@ -290,30 +290,15 @@ impl SphinxServer {
         &self.telemetry
     }
 
-    /// Snapshot of every metric recorded so far.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
-    }
-
     fn note_flag_transition(&self, transition: FlagTransition, site: SiteId, now: SimTime) {
-        match transition {
-            FlagTransition::Flagged => {
-                self.telemetry.counter_add("reliability.flagged", 1);
-                self.telemetry
-                    .trace(TraceKind::SiteFlagged, now, None, Some(site), String::new());
-            }
-            FlagTransition::Unflagged => {
-                self.telemetry.counter_add("reliability.unflagged", 1);
-                self.telemetry.trace(
-                    TraceKind::SiteUnflagged,
-                    now,
-                    None,
-                    Some(site),
-                    String::new(),
-                );
-            }
-            FlagTransition::Unchanged => {}
-        }
+        let (counter, kind) = match transition {
+            FlagTransition::Flagged => ("reliability.flagged", TraceKind::SiteFlagged),
+            FlagTransition::Unflagged => ("reliability.unflagged", TraceKind::SiteUnflagged),
+            FlagTransition::Unchanged => return,
+        };
+        self.telemetry.counter_add(counter, 1);
+        self.telemetry
+            .trace(kind, now, None, Some(site), String::new());
     }
 
     /// Rebuild a server from a recovered database (crash recovery).
@@ -380,7 +365,7 @@ impl SphinxServer {
     }
 
     /// Adopt every DAG of a crashed peer from its recovered database
-    /// (the sharded failover path; see DESIGN.md "Sharded scheduling").
+    /// (the sharded failover path; see DESIGN.md "Driver and coordination plane").
     ///
     /// Rows are copied verbatim — DAG and job state is exactly what the
     /// dead shard's WAL committed — and per-site statistics are
@@ -572,10 +557,20 @@ impl SphinxServer {
     /// post-hoc tally catches up. Gated on [`ServerConfig::ops_fast_path`]
     /// — a no-op (and thus trace-invariant) when the flag is off.
     pub fn apply_ops_flag(&mut self, site: SiteId, now: SimTime) {
+        self.with_own_sched(|server, sched| server.apply_ops_flag_shared(sched, site, now));
+    }
+
+    /// [`Self::apply_ops_flag`] against an external [`SchedulerState`].
+    pub(crate) fn apply_ops_flag_shared(
+        &self,
+        sched: &mut SchedulerState,
+        site: SiteId,
+        now: SimTime,
+    ) {
         if !self.config.ops_fast_path || !self.config.effective_feedback() {
             return;
         }
-        let transition = self.sched.reliability.ops_flag(site, now);
+        let transition = sched.reliability.ops_flag(site, now);
         self.note_flag_transition(transition, site, now);
     }
 
@@ -592,6 +587,15 @@ impl SphinxServer {
     /// The shared database handle.
     pub fn database(&self) -> &Arc<Database> {
         &self.db
+    }
+
+    /// Run `f` with this server's own [`SchedulerState`] checked out, so
+    /// the `*_shared` entry points can borrow it beside `self`.
+    fn with_own_sched<R>(&mut self, f: impl FnOnce(&mut Self, &mut SchedulerState) -> R) -> R {
+        let mut sched = std::mem::take(&mut self.sched);
+        let out = f(self, &mut sched);
+        self.sched = sched;
+        out
     }
 
     /// Accept a DAG scheduling request from a client.
@@ -691,14 +695,11 @@ impl SphinxServer {
     /// job that was never planned); each arm guards on the automaton's
     /// current state and ignores reports the transition table forbids.
     pub fn handle_report(&mut self, report: StatusReport, now: SimTime) -> CoreResult<()> {
-        let mut sched = std::mem::take(&mut self.sched);
-        let result = self.handle_report_shared(&mut sched, report, now);
-        self.sched = sched;
-        result
+        self.with_own_sched(|server, sched| server.handle_report_shared(sched, report, now))
     }
 
     /// [`Self::handle_report`] against an external [`SchedulerState`] (the
-    /// sharded coordinator's shared one).
+    /// one the driver checked out for this tick).
     pub(crate) fn handle_report_shared(
         &mut self,
         sched: &mut SchedulerState,
@@ -875,26 +876,18 @@ impl SphinxServer {
         Ok(())
     }
 
-    /// Reduce newly received DAGs against the replica catalog (the DAG
-    /// reducer module).
-    fn reduce_received(&mut self, rls: &mut ReplicaService, now: SimTime) -> CoreResult<()> {
-        for dag_row in self.received_dags()? {
-            self.reduce_dag_row(&dag_row, rls, now)?;
-        }
-        Ok(())
-    }
-
-    /// This server's `Received` DAG rows, in DAG-id order. The sharded
-    /// coordinator merges these across shards and reduces in global id
-    /// order so the trace is invariant to the shard count.
-    pub(crate) fn received_dags(&self) -> CoreResult<Vec<DagRow>> {
+    /// This server's `Received` DAG rows, in DAG-id order. The plan cycle
+    /// merges these across servers and reduces in global id order so the
+    /// trace is invariant to the shard count.
+    fn received_dags(&self) -> CoreResult<Vec<DagRow>> {
         Ok(self
             .db
             .scan_where::<DagRow>("/state", &serde_json::json!("Received"))?)
     }
 
-    /// Reduce one newly received DAG (one iteration of the reducer loop).
-    pub(crate) fn reduce_dag_row(
+    /// Reduce one newly received DAG against the replica catalog (the DAG
+    /// reducer module).
+    fn reduce_dag_row(
         &mut self,
         dag_row: &DagRow,
         rls: &mut ReplicaService,
@@ -1009,7 +1002,9 @@ impl SphinxServer {
     }
 
     /// One planner pass: reduce received DAGs, then plan every ready job.
-    /// Returns the plans for the client to submit.
+    /// Returns the plans for the client to submit. This is
+    /// [`plan_cycle_over`] on a slice of one server, so driving a server by
+    /// hand and driving it through the runtime are the same cycle.
     // sphinx-hot
     pub fn plan_cycle(
         &mut self,
@@ -1018,76 +1013,21 @@ impl SphinxServer {
         reports: &BTreeMap<SiteId, Report>,
         transfers: &TransferModel,
     ) -> CoreResult<Vec<PlanNotice>> {
-        let mut sched = std::mem::take(&mut self.sched);
-        let result = self.plan_cycle_shared(&mut sched, now, rls, reports, transfers);
-        self.sched = sched;
-        result
-    }
-
-    /// [`Self::plan_cycle`] against an external [`SchedulerState`].
-    fn plan_cycle_shared(
-        &mut self,
-        sched: &mut SchedulerState,
-        now: SimTime,
-        rls: &mut ReplicaService,
-        reports: &BTreeMap<SiteId, Report>,
-        transfers: &TransferModel,
-    ) -> CoreResult<Vec<PlanNotice>> {
-        cycle_prolog(&self.telemetry, sched, now, reports);
-        // Phase spans mark the FSA pipeline stages inside one plan
-        // cycle; instantaneous in sim time (the cycle itself consumes no
-        // simulated duration) but causally ordered by span id.
-        let reduce_span = self.telemetry.span_start("phase:reduce", now);
-        self.reduce_received(rls, now)?;
-        self.telemetry.span_end(reduce_span, now);
-        let predict_span = self.telemetry.span_start("phase:predict", now);
-        // The frontiers' ready sets mirror the `Ready` rows exactly and
-        // avoid deserializing the whole job table every cycle.
-        let mut entries = self.ready_entries(sched);
-        // Planning order (QoS + §5 "policy and priorities of these jobs"):
-        // earliest deadline first, then higher user priority, then stable
-        // (dag, index) order. Deadlines and priorities come from the
-        // in-memory DAG metadata — no row decode — and the sort runs only
-        // when it can change the order (most cycles have neither deadlines
-        // nor differentiated priorities).
-        let any_deadline = entries.iter().any(|e| e.deadline.is_some());
-        let distinct_priorities = entries
-            .iter()
-            .zip(entries.iter().skip(1))
-            .any(|(a, b)| a.priority != b.priority);
-        if any_deadline || distinct_priorities {
-            sort_entries(&mut entries);
-        }
-        // QoS fast lane: while deadline work is pending, reserve the
-        // fastest-predicted site for it by steering deadline-free jobs
-        // elsewhere (soft reservation — it is released the moment no
-        // deadline DAG has ready work).
-        let fast_lane: Option<SiteId> = if any_deadline {
-            self.fast_lane_site(sched)
-        } else {
-            None
-        };
-        self.telemetry.span_end(predict_span, now);
-        let plan_span = self.telemetry.span_start("phase:plan", now);
-        // The monotonicity argument that makes the lazy ranking exact only
-        // holds within one plan phase; start every cycle cold.
-        sched.score_cache.begin_cycle();
-        let mut plans = Vec::new();
-        for entry in entries {
-            if let Some(plan) =
-                self.plan_one(sched, entry.job, fast_lane, now, rls, reports, transfers)?
-            {
-                plans.push(plan);
-            }
-        }
-        cycle_epilog(&self.telemetry, sched);
-        self.telemetry.span_end(plan_span, now);
-        Ok(plans)
+        let plans = self.with_own_sched(|server, sched| {
+            let telemetry = Arc::clone(&server.telemetry);
+            // One slot, which owns every DAG and never crashes.
+            let servers = &mut [Some(server)];
+            let (owner_of, dies_after) = (|_| 0, |_, _| false);
+            plan_cycle_over(
+                servers, &telemetry, sched, now, rls, reports, transfers, owner_of, dies_after,
+            )
+        })?;
+        Ok(plans.into_iter().map(|(_, plan)| plan).collect())
     }
 
     /// Every ready job across this server's frontiers, in (dag, index)
     /// order, annotated with its planning-order keys.
-    pub(crate) fn ready_entries(&self, sched: &SchedulerState) -> Vec<ReadyEntry> {
+    fn ready_entries(&self, sched: &SchedulerState) -> Vec<ReadyEntry> {
         let mut entries = Vec::new();
         for (&dag, frontier) in &self.frontiers {
             let meta = self.dag_meta.get(&dag);
@@ -1106,7 +1046,7 @@ impl SphinxServer {
 
     /// The fastest-predicted site with at least one completion sample —
     /// the QoS fast lane's soft reservation target.
-    pub(crate) fn fast_lane_site(&self, sched: &SchedulerState) -> Option<SiteId> {
+    fn fast_lane_site(&self, sched: &SchedulerState) -> Option<SiteId> {
         self.all_site_ids
             .iter()
             .copied()
@@ -1124,7 +1064,7 @@ impl SphinxServer {
     /// Returns `None` when the job must stay `Ready`: no feasible site, an
     /// input without a replica, or a quota race.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn plan_one(
+    fn plan_one(
         &mut self,
         sched: &mut SchedulerState,
         job_id: JobId,
@@ -1266,19 +1206,122 @@ impl SphinxServer {
     }
 }
 
-/// Sort ready entries into planning order: earliest deadline first, then
-/// higher user priority, then stable (dag, index) order. Shared with the
-/// sharded coordinator, whose concatenated per-shard entries are not in
-/// (dag, index) order to begin with.
-pub(crate) fn sort_entries(entries: &mut [ReadyEntry]) {
-    entries.sort_by_key(|e| {
+/// The live server in slot `i`, if that slot exists and is not a crash gap.
+fn live<S: BorrowMut<SphinxServer>>(
+    servers: &mut [Option<S>],
+    i: usize,
+) -> Option<&mut SphinxServer> {
+    servers.get_mut(i)?.as_mut().map(S::borrow_mut)
+}
+
+/// One global planner cycle over `servers` (each slot a server, a borrow
+/// of one, or the `None` a crashed shard left) against the one grid-wide
+/// `sched`. Every stage runs in an order that is a pure function of global
+/// state, never of how DAGs are partitioned, and cycle telemetry is
+/// emitted exactly once. `owner_of` maps a DAG to its server's slot.
+/// `dies_after(owner, k)` is the crash-injection hook, asked after
+/// `owner`'s `k`-th `plan_one` call: on `true` the slot is emptied with
+/// that server's plan rows committed but none of its plans returned — the
+/// planned-but-never-submitted torn shape adoption must repair.
+///
+/// Returns the plans in planning order, each with its owner's slot.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_cycle_over<S: BorrowMut<SphinxServer>>(
+    servers: &mut [Option<S>],
+    telemetry: &Telemetry,
+    sched: &mut SchedulerState,
+    now: SimTime,
+    rls: &mut ReplicaService,
+    reports: &BTreeMap<SiteId, Report>,
+    transfers: &TransferModel,
+    owner_of: impl Fn(DagId) -> usize,
+    dies_after: impl Fn(usize, usize) -> bool,
+) -> CoreResult<Vec<(usize, PlanNotice)>> {
+    cycle_prolog(telemetry, sched, now, reports);
+    // Phase spans mark the FSA pipeline stages inside one plan cycle;
+    // instantaneous in sim time (the cycle itself consumes no simulated
+    // duration) but causally ordered by span id.
+    let reduce_span = telemetry.span_start("phase:reduce", now);
+    let mut received: Vec<(usize, DagRow)> = Vec::new();
+    for (i, slot) in servers.iter().enumerate() {
+        if let Some(slot) = slot {
+            let server: &SphinxServer = slot.borrow();
+            let rows = server.received_dags()?;
+            received.extend(rows.into_iter().map(|row| (i, row)));
+        }
+    }
+    received.sort_by_key(|(_, row)| row.id);
+    for (i, row) in &received {
+        if let Some(server) = live(servers, *i) {
+            server.reduce_dag_row(row, rls, now)?;
+        }
+    }
+    telemetry.span_end(reduce_span, now);
+    let predict_span = telemetry.span_start("phase:predict", now);
+    // The frontiers' ready sets mirror the `Ready` rows exactly and avoid
+    // deserializing the whole job table every cycle.
+    let mut entries = Vec::new();
+    for slot in servers.iter().flatten() {
+        let server: &SphinxServer = slot.borrow();
+        entries.extend(server.ready_entries(sched));
+    }
+    // Planning order (QoS + §5 "policy and priorities of these jobs"):
+    // earliest deadline first, then higher user priority, then (dag,
+    // index). The key is total, so the order is the same whichever
+    // servers the entries came from. One server's entries arrive in (dag,
+    // index) order, which already is the planning order whenever no
+    // deadline or priority differs — most cycles — so check before sorting.
+    let planning_order = |e: &ReadyEntry| {
         (
             e.deadline.unwrap_or(SimTime::MAX),
             std::cmp::Reverse(e.priority),
             e.job.dag,
             e.job.index,
         )
-    });
+    };
+    if !entries.is_sorted_by_key(planning_order) {
+        entries.sort_by_key(planning_order);
+    }
+    // QoS fast lane: while deadline work is pending, reserve the
+    // fastest-predicted site for it by steering deadline-free jobs
+    // elsewhere (soft reservation — it is released the moment no deadline
+    // DAG has ready work).
+    let fast_lane: Option<SiteId> = if entries.iter().any(|e| e.deadline.is_some()) {
+        servers.iter().flatten().next().and_then(|slot| {
+            let server: &SphinxServer = slot.borrow();
+            server.fast_lane_site(sched)
+        })
+    } else {
+        None
+    };
+    telemetry.span_end(predict_span, now);
+    let plan_span = telemetry.span_start("phase:plan", now);
+    // The monotonicity argument that makes the lazy ranking exact only
+    // holds within one plan phase; start every cycle cold.
+    sched.score_cache.begin_cycle();
+    let mut plans: Vec<(usize, PlanNotice)> = Vec::new();
+    let mut planned = vec![0usize; servers.len()];
+    for entry in &entries {
+        let owner = owner_of(entry.job.dag);
+        let (Some(server), Some(count)) = (live(servers, owner), planned.get_mut(owner)) else {
+            continue; // owner crashed mid-cycle; replanned after adoption
+        };
+        if let Some(plan) =
+            server.plan_one(sched, entry.job, fast_lane, now, rls, reports, transfers)?
+        {
+            plans.push((owner, plan));
+        }
+        *count += 1;
+        if dies_after(owner, *count) {
+            if let Some(slot) = servers.get_mut(owner) {
+                *slot = None;
+            }
+            plans.retain(|(o, _)| *o != owner);
+        }
+    }
+    cycle_epilog(telemetry, sched);
+    telemetry.span_end(plan_span, now);
+    Ok(plans)
 }
 
 impl std::fmt::Debug for SphinxServer {
