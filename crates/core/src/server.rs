@@ -208,6 +208,7 @@ fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
 struct DagMeta {
     dag: Arc<Dag>,
     user: UserId,
+    submitted_at: SimTime,
     deadline: Option<SimTime>,
     /// `sinks[i]`: job `i` has no children (its output is final and gets
     /// archived). Precomputed once — `Dag::children()` allocates O(V+E).
@@ -265,14 +266,15 @@ impl SphinxServer {
     }
 
     /// Mirror one active DAG into the planner's in-memory metadata.
-    fn remember_dag(&mut self, id: DagId, dag: Arc<Dag>, user: UserId, deadline: Option<SimTime>) {
-        let sinks = dag.children().iter().map(|c| c.is_empty()).collect();
+    fn remember_dag(&mut self, row: &DagRow) {
+        let sinks = row.dag.children().iter().map(|c| c.is_empty()).collect();
         self.dag_meta.insert(
-            id,
+            row.id,
             DagMeta {
-                dag,
-                user,
-                deadline,
+                dag: Arc::clone(&row.dag),
+                user: row.user,
+                submitted_at: row.submitted_at,
+                deadline: row.deadline,
                 sinks,
             },
         );
@@ -281,8 +283,17 @@ impl SphinxServer {
     /// Replace the server's private telemetry hub with a shared one (the
     /// runtime hands every layer the same hub). Call before submitting
     /// work; events recorded earlier stay on the old hub.
+    ///
+    /// A [recovered](Self::recover) server arrives holding unfinished
+    /// DAGs whose root spans died with the crashed process's hub; each is
+    /// re-opened here, from its submission time, so the job spans of the
+    /// rest of the run stay rooted and the DAG gets a critical path.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = telemetry;
+        for (id, meta) in &self.dag_meta {
+            self.telemetry
+                .dag_span_start(id.0, meta.dag.jobs.len(), meta.submitted_at);
+        }
     }
 
     /// The telemetry hub in use.
@@ -354,12 +365,7 @@ impl SphinxServer {
                 );
             }
             // `Received` DAGs will be reduced by the next plan cycle.
-            server.remember_dag(
-                dag_row.id,
-                Arc::clone(&dag_row.dag),
-                dag_row.user,
-                dag_row.deadline,
-            );
+            server.remember_dag(&dag_row);
         }
         Ok(server)
     }
@@ -435,12 +441,7 @@ impl SphinxServer {
                 self.frontiers.insert(dag_row.id, frontier);
             }
             // `Received` DAGs will be reduced by the adopter's next cycle.
-            self.remember_dag(
-                dag_row.id,
-                Arc::clone(&dag_row.dag),
-                dag_row.user,
-                dag_row.deadline,
-            );
+            self.remember_dag(&dag_row);
             self.maybe_finish_dag(dag_row.id, now)?;
         }
         // Fold the donor's per-site tallies into ours: site keys collide
@@ -614,22 +615,22 @@ impl SphinxServer {
         deadline: Option<SimTime>,
     ) -> CoreResult<()> {
         dag.validate()?;
-        let dag_shared = Arc::new(dag.clone());
-        let mut txn = self.db.txn();
-        txn.put(&DagRow {
+        let row = DagRow {
             id: dag.id,
-            dag: Arc::clone(&dag_shared),
+            dag: Arc::new(dag.clone()),
             user,
             state: DagState::Received, // sphinx-fsa: init Received
             submitted_at: now,
             finished_at: None,
             deadline,
-        })?;
+        };
+        let mut txn = self.db.txn();
+        txn.put(&row)?;
         for job in &dag.jobs {
             txn.put(&JobRow::new(job.id))?;
         }
         txn.commit()?;
-        self.remember_dag(dag.id, dag_shared, user, deadline);
+        self.remember_dag(&row);
         self.dags_total += 1;
         self.telemetry.counter_add("dag.submitted", 1);
         self.telemetry.trace(

@@ -17,10 +17,17 @@
 //! Everything here is pure post-processing over an immutable span list:
 //! deterministic input (same seed) gives identical [`TraceAnalysis`]
 //! output, which `RunReport` carries and the determinism suite asserts.
+//!
+//! The list is indexed **once**, in [`SpanGraph::new`]: id → position,
+//! the spans of each job and the `dag` / `job` spans of each DAG, every
+//! group in list order. Each query then reads only the groups of the
+//! jobs it chains, so a whole [`SpanGraph::analyze`] costs
+//! O(spans · log spans) to index plus O(Σ chained jobs' spans) to walk,
+//! where a scan per query cost O(DAGs × chain × spans). The scanning
+//! implementation survives as the test oracle at the bottom of this file.
 
 use crate::span::{Span, SpanId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// DAG id component of a dense job key (see `sphinx_dag::JobId::as_key`).
 pub fn job_key_dag(key: u64) -> u64 {
@@ -49,16 +56,6 @@ pub struct DwellBreakdown {
 }
 
 impl DwellBreakdown {
-    fn add(&mut self, category: &'static str, ms: u64) {
-        match category {
-            "dependencies" => self.dependency_ms += ms,
-            "planner" => self.planner_ms += ms,
-            "queue" => self.queue_ms += ms,
-            "execution" => self.execution_ms += ms,
-            _ => self.fault_ms += ms,
-        }
-    }
-
     /// The dominant category name ("execution", "queue", "planner",
     /// "fault-recovery" or "dependencies"); ties break toward the
     /// earlier pipeline stage.
@@ -153,17 +150,61 @@ pub struct TraceAnalysis {
     pub spans_dropped: u64,
 }
 
+/// Positions into a span list grouped by a `u64` key (span id, job key
+/// or DAG id), sorted by `(key, position)`: one key's group is a
+/// contiguous run that keeps list order, which is what every tie-break
+/// below relies on.
+struct Groups(Vec<(u64, usize)>);
+
+impl Groups {
+    fn new(mut entries: Vec<(u64, usize)>) -> Self {
+        entries.sort_unstable();
+        Groups(entries)
+    }
+
+    /// Positions filed under `key`, ascending.
+    fn of(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.0.partition_point(|e| e.0 < key);
+        self.0
+            .iter()
+            .skip(lo)
+            .take_while(move |e| e.0 == key)
+            .map(|e| e.1)
+    }
+}
+
 /// An indexed, immutable view over a span forest.
 pub struct SpanGraph {
     spans: Vec<Span>,
-    by_id: BTreeMap<SpanId, usize>,
+    /// Every span, under its id.
+    by_id: Groups,
+    /// Every span that names a job, grouped by job key.
+    by_job: Groups,
+    /// The `dag` and `job` spans of each DAG, grouped by DAG id.
+    by_dag: Groups,
 }
 
 impl SpanGraph {
     /// Index a span list (as returned by `Telemetry::spans`).
     pub fn new(spans: Vec<Span>) -> Self {
-        let by_id = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-        SpanGraph { spans, by_id }
+        let mut by_id = Vec::with_capacity(spans.len());
+        let mut by_job = Vec::new();
+        let mut by_dag = Vec::new();
+        for (i, span) in spans.iter().enumerate() {
+            by_id.push((span.id.0, i));
+            if let Some(job) = span.job {
+                by_job.push((job, i));
+            }
+            if let (Some(dag), "dag" | "job") = (span.dag, span.name) {
+                by_dag.push((dag, i));
+            }
+        }
+        SpanGraph {
+            spans,
+            by_id: Groups::new(by_id),
+            by_job: Groups::new(by_job),
+            by_dag: Groups::new(by_dag),
+        }
     }
 
     /// The underlying spans.
@@ -171,9 +212,30 @@ impl SpanGraph {
         &self.spans
     }
 
+    /// The spans `groups` files under `key`, in list order.
+    fn group<'a>(&'a self, groups: &'a Groups, key: u64) -> impl Iterator<Item = &'a Span> + 'a {
+        groups.of(key).map(|i| &self.spans[i])
+    }
+
     /// Lookup by id.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.by_id.get(&id).map(|&i| &self.spans[i])
+        self.group(&self.by_id, id.0).next()
+    }
+
+    /// Every span naming `job`, in list order.
+    fn job_spans(&self, job: u64) -> impl Iterator<Item = &Span> + '_ {
+        self.group(&self.by_job, job)
+    }
+
+    /// The finished `state:*` spans of `job`, in list order.
+    fn dwell_spans(&self, job: u64) -> impl Iterator<Item = &Span> + '_ {
+        self.job_spans(job)
+            .filter(|s| s.end.is_some() && s.name.starts_with("state:"))
+    }
+
+    /// The `dag` and `job` spans of `dag`, in list order.
+    fn dag_spans(&self, dag: u64) -> impl Iterator<Item = &Span> + '_ {
+        self.group(&self.by_dag, dag)
     }
 
     /// Structural invariant check. Returns one message per violation:
@@ -183,16 +245,14 @@ impl SpanGraph {
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for span in &self.spans {
-            if let (Some(start), Some(end)) = (Some(span.start), span.end) {
-                if end < start {
-                    problems.push(format!(
-                        "span {} ({}) ends at {}ms before it starts at {}ms",
-                        span.id.0,
-                        span.name,
-                        end.as_millis(),
-                        start.as_millis()
-                    ));
-                }
+            if let Some(end) = span.end.filter(|&end| end < span.start) {
+                problems.push(format!(
+                    "span {} ({}) ends at {}ms before it starts at {}ms",
+                    span.id.0,
+                    span.name,
+                    end.as_millis(),
+                    span.start.as_millis()
+                ));
             }
             if let Some(pid) = span.parent {
                 match self.get(pid) {
@@ -236,17 +296,14 @@ impl SpanGraph {
     }
 
     fn first_ready_span(&self, job: u64) -> Option<&Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.name == "state:ready" && s.job == Some(job))
+        self.job_spans(job)
+            .filter(|s| s.name == "state:ready")
             .min_by_key(|s| s.id)
     }
 
     fn state_steps(&self, job: u64) -> Vec<CriticalStep> {
         let mut steps: Vec<CriticalStep> = self
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("state:") && s.job == Some(job) && s.end.is_some())
+            .dwell_spans(job)
             .map(|s| CriticalStep {
                 name: s.name.to_owned(),
                 job,
@@ -265,14 +322,10 @@ impl SpanGraph {
     /// link upstream to a root job. `None` when the DAG has no finished
     /// job spans in the graph.
     pub fn critical_path(&self, dag: u64) -> Option<CriticalPath> {
-        let dag_span = self
-            .spans
-            .iter()
-            .find(|s| s.name == "dag" && s.dag == Some(dag));
+        let dag_span = self.dag_spans(dag).find(|s| s.name == "dag");
         let last = self
-            .spans
-            .iter()
-            .filter(|s| s.name == "job" && s.dag == Some(dag) && s.end.is_some())
+            .dag_spans(dag)
+            .filter(|s| s.name == "job" && s.end.is_some())
             .max_by(|a, b| a.end.cmp(&b.end).then(b.id.cmp(&a.id)))?;
         let mut chain = vec![last];
         let mut cur = last;
@@ -318,9 +371,8 @@ impl SpanGraph {
     }
 
     fn final_attempt(&self, job: u64) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == "attempt" && s.job == Some(job))
+        self.job_spans(job)
+            .filter(|s| s.name == "attempt")
             .filter_map(|s| s.attempt)
             .max()
             .unwrap_or(0)
@@ -331,20 +383,18 @@ impl SpanGraph {
     pub fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
         let final_attempt = self.final_attempt(job);
         let mut dwell = DwellBreakdown::default();
-        for s in &self.spans {
-            if s.job != Some(job) || s.end.is_none() || !s.name.starts_with("state:") {
-                continue;
-            }
-            let ms = s.duration_ms();
+        for s in self.dwell_spans(job) {
             let attempt = s.attempt.unwrap_or(0);
-            let category = match s.name {
-                "state:unready" => "dependencies",
-                "state:ready" if attempt == 0 => "planner",
-                "state:submitted" | "state:queued" if attempt == final_attempt => "queue",
-                "state:running" if attempt == final_attempt => "execution",
-                _ => "fault-recovery",
+            let bucket = match s.name {
+                "state:unready" => &mut dwell.dependency_ms,
+                "state:ready" if attempt == 0 => &mut dwell.planner_ms,
+                "state:submitted" | "state:queued" if attempt == final_attempt => {
+                    &mut dwell.queue_ms
+                }
+                "state:running" if attempt == final_attempt => &mut dwell.execution_ms,
+                _ => &mut dwell.fault_ms,
             };
-            dwell.add(category, ms);
+            *bucket += s.duration_ms();
         }
         (dwell, final_attempt)
     }
@@ -404,10 +454,182 @@ impl SpanGraph {
     }
 }
 
+/// The scan-per-query implementation [`SpanGraph`] replaced, kept as the
+/// oracle the indexed one is compared against: every query walks the
+/// whole span list, O(DAGs × chain × spans) for a full analysis.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub struct ScanGraph<'a>(pub &'a [Span]);
+
+    impl ScanGraph<'_> {
+        fn get(&self, id: SpanId) -> Option<&Span> {
+            self.0.iter().find(|s| s.id == id)
+        }
+
+        fn first_ready_span(&self, job: u64) -> Option<&Span> {
+            self.0
+                .iter()
+                .filter(|s| s.name == "state:ready" && s.job == Some(job))
+                .min_by_key(|s| s.id)
+        }
+
+        fn state_steps(&self, job: u64) -> Vec<CriticalStep> {
+            let mut steps: Vec<CriticalStep> = self
+                .0
+                .iter()
+                .filter(|s| s.name.starts_with("state:") && s.job == Some(job) && s.end.is_some())
+                .map(|s| CriticalStep {
+                    name: s.name.to_owned(),
+                    job,
+                    site: s.site,
+                    attempt: s.attempt.unwrap_or(0),
+                    start_ms: s.start.as_millis(),
+                    end_ms: s.end.map(|e| e.as_millis()).unwrap_or(0),
+                })
+                .collect();
+            steps.sort_by_key(|s| (s.start_ms, s.end_ms));
+            steps
+        }
+
+        pub fn critical_path(&self, dag: u64) -> Option<CriticalPath> {
+            let dag_span = self
+                .0
+                .iter()
+                .find(|s| s.name == "dag" && s.dag == Some(dag));
+            let last = self
+                .0
+                .iter()
+                .filter(|s| s.name == "job" && s.dag == Some(dag) && s.end.is_some())
+                .max_by(|a, b| a.end.cmp(&b.end).then(b.id.cmp(&a.id)))?;
+            let mut chain = vec![last];
+            let mut cur = last;
+            for _ in 0..self.0.len() {
+                let link = self
+                    .first_ready_span(cur.job.unwrap_or(u64::MAX))
+                    .and_then(|s| s.link);
+                let Some(parent) = link.and_then(|id| self.get(id)) else {
+                    break;
+                };
+                chain.push(parent);
+                cur = parent;
+            }
+            chain.reverse();
+            let jobs: Vec<u64> = chain.iter().filter_map(|s| s.job).collect();
+            let mut steps = Vec::new();
+            for (pos, job) in jobs.iter().enumerate() {
+                steps.extend(
+                    self.state_steps(*job)
+                        .into_iter()
+                        .filter(|s| pos == 0 || s.name != "state:unready"),
+                );
+            }
+            let path_ms = steps.iter().map(CriticalStep::duration_ms).sum();
+            let dag_start = dag_span.map(|s| s.start).unwrap_or(chain[0].start);
+            let dag_end = dag_span
+                .and_then(|s| s.end)
+                .or(last.end)
+                .unwrap_or(dag_start);
+            Some(CriticalPath {
+                dag,
+                makespan_ms: dag_end.as_millis().saturating_sub(dag_start.as_millis()),
+                path_ms,
+                jobs,
+                steps,
+            })
+        }
+
+        fn final_attempt(&self, job: u64) -> u64 {
+            self.0
+                .iter()
+                .filter(|s| s.name == "attempt" && s.job == Some(job))
+                .filter_map(|s| s.attempt)
+                .max()
+                .unwrap_or(0)
+        }
+
+        pub fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
+            let final_attempt = self.final_attempt(job);
+            let mut dwell = DwellBreakdown::default();
+            for s in self.0 {
+                if s.job != Some(job) || s.end.is_none() || !s.name.starts_with("state:") {
+                    continue;
+                }
+                let ms = s.duration_ms();
+                let attempt = s.attempt.unwrap_or(0);
+                match s.name {
+                    "state:unready" => dwell.dependency_ms += ms,
+                    "state:ready" if attempt == 0 => dwell.planner_ms += ms,
+                    "state:submitted" | "state:queued" if attempt == final_attempt => {
+                        dwell.queue_ms += ms
+                    }
+                    "state:running" if attempt == final_attempt => dwell.execution_ms += ms,
+                    _ => dwell.fault_ms += ms,
+                }
+            }
+            (dwell, final_attempt)
+        }
+
+        pub fn slowest_jobs(&self, n: usize) -> Vec<JobBlame> {
+            let mut jobs: Vec<&Span> = self
+                .0
+                .iter()
+                .filter(|s| s.name == "job" && s.end.is_some())
+                .collect();
+            jobs.sort_by(|a, b| {
+                b.duration_ms()
+                    .cmp(&a.duration_ms())
+                    .then(a.job.cmp(&b.job))
+            });
+            jobs.truncate(n);
+            jobs.into_iter()
+                .map(|s| {
+                    let key = s.job.unwrap_or(0);
+                    let (dwell, attempts) = self.job_dwell(key);
+                    JobBlame {
+                        job: key,
+                        dag: s.dag.unwrap_or_else(|| job_key_dag(key)),
+                        total_ms: s.duration_ms(),
+                        attempts,
+                        dwell,
+                        blame: dwell.blame().to_owned(),
+                    }
+                })
+                .collect()
+        }
+
+        pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
+            let mut dag_ids: Vec<u64> = self
+                .0
+                .iter()
+                .filter(|s| s.name == "dag")
+                .filter_map(|s| s.dag)
+                .collect();
+            dag_ids.sort_unstable();
+            dag_ids.dedup();
+            TraceAnalysis {
+                critical_paths: dag_ids
+                    .into_iter()
+                    .filter_map(|d| self.critical_path(d))
+                    .collect(),
+                slowest_jobs: self.slowest_jobs(top_n),
+                spans_total: 0,
+                spans_live: 0,
+                spans_dropped: 0,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::ScanGraph;
     use super::*;
     use crate::span::{SpanAttrs, SpanStore};
+    use crate::{Telemetry, TelemetryConfig};
+    use proptest::prelude::*;
+    use sphinx_data::SiteId;
     use sphinx_sim::SimTime;
 
     fn t(secs: u64) -> SimTime {
@@ -607,5 +829,94 @@ mod tests {
         let key = (17u64 << 24) | 42;
         assert_eq!(job_key_dag(key), 17);
         assert_eq!(job_key_index(key), 42);
+    }
+
+    const LIFECYCLE: [&str; 6] = [
+        "unready",
+        "ready",
+        "submitted",
+        "queued",
+        "running",
+        "finished",
+    ];
+
+    /// Drive the hub's own span bookkeeping (so the forest is built
+    /// through `SpanStore` with the real taxonomy and links) with a random
+    /// walk: each op moves one job of one DAG. Mostly a job advances along
+    /// its lifecycle, readied by a random lower-numbered sibling; sometimes
+    /// it faults back to `ready` (a replan, so `attempt` spans chain),
+    /// jumps to an arbitrary state, or its DAG's root span closes or
+    /// reopens. Time moves 0–1 s per op, so end times collide; whatever is
+    /// open at the end stays live; `capacity` is small enough to evict
+    /// `dag` spans, first `state:ready` spans and chain heads.
+    fn random_forest(
+        capacity: usize,
+        dags: u64,
+        jobs: u64,
+        ops: &[(u8, u64, u64, u64)],
+    ) -> Vec<Span> {
+        let tel = Telemetry::with_config(TelemetryConfig {
+            span_capacity: capacity,
+            ..TelemetryConfig::default()
+        });
+        for dag in 0..dags {
+            tel.dag_span_start(dag, jobs as usize, t(0));
+        }
+        let mut stage = std::collections::BTreeMap::new();
+        let mut now = 0;
+        for &(kind, pick, aux, dt) in ops {
+            now += dt;
+            let dag = pick % dags;
+            let index = pick / dags % jobs;
+            let job = (dag << 24) | index;
+            let at = stage.entry(job).or_insert(0usize);
+            match kind {
+                0..=6 => *at = (*at + 1) % LIFECYCLE.len(),
+                7 => *at = 1,
+                8 => *at = aux as usize % LIFECYCLE.len(),
+                _ if aux % 3 == 0 => {
+                    tel.dag_span_start(dag, jobs as usize, t(now));
+                    continue;
+                }
+                _ => {
+                    tel.dag_span_end(dag, t(now));
+                    continue;
+                }
+            }
+            // Causes point at lower indices, as a DAG's edges do.
+            let cause = (index > 0 && aux % 4 != 0).then(|| (dag << 24) | (aux % index));
+            let site = Some(SiteId((aux % 5) as u32));
+            tel.note_job_state(job, dag, LIFECYCLE[*at], site, cause, t(now));
+        }
+        tel.spans()
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_queries_equal_the_scan_oracle(
+            capacity in 4usize..200,
+            dags in 1u64..5,
+            jobs in 2u64..7,
+            ops in proptest::collection::vec((0u8..10, 0u64..1000, 0u64..1000, 0u64..2), 40..500),
+        ) {
+            let spans = random_forest(capacity, dags, jobs, &ops);
+            let graph = SpanGraph::new(spans.clone());
+            let oracle = ScanGraph(&spans);
+            for n in [0, 3, usize::MAX] {
+                prop_assert_eq!(graph.analyze(n), oracle.analyze(n));
+                prop_assert_eq!(graph.slowest_jobs(n), oracle.slowest_jobs(n));
+            }
+            // One DAG and one job past the generated range: absent keys.
+            for dag in 0..=dags {
+                prop_assert_eq!(graph.critical_path(dag), oracle.critical_path(dag));
+                for index in 0..=jobs {
+                    let job = (dag << 24) | index;
+                    prop_assert_eq!(graph.job_dwell(job), oracle.job_dwell(job));
+                }
+            }
+            for span in &spans {
+                prop_assert_eq!(graph.get(span.id), Some(span));
+            }
+        }
     }
 }

@@ -877,10 +877,16 @@ impl Telemetry {
 
     // ---- DAG / phase / WAL spans ----
 
-    /// Open the root span for DAG `dag` (`jobs` jobs) at `now`.
+    /// Open the root span for DAG `dag` (`jobs` jobs) at `now`. A no-op
+    /// while the hub already holds a live root span for `dag`: a recovered
+    /// server re-opens the roots of its unfinished DAGs on whatever hub it
+    /// is handed, and a hub that survived the crash still has them.
     pub fn dag_span_start(&self, dag: u64, jobs: usize, now: SimTime) {
         let inner = &mut *self.inner.lock();
         inner.last_sim = inner.last_sim.max(now);
+        if inner.dag_spans.contains_key(&dag) {
+            return;
+        }
         let id = inner.spans.start(
             "dag",
             now,

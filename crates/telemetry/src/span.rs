@@ -144,6 +144,12 @@ impl SpanStore {
                 self.finished.pop_front();
                 self.dropped += 1;
             }
+            // Grow by a quarter rather than by `VecDeque`'s doubling: at
+            // 10^5 spans the doubling step reallocates tens of MB in one
+            // go, and that transient lands on the run's peak RSS.
+            if self.finished.len() == self.finished.capacity() {
+                self.finished.reserve_exact(self.finished.len() / 4 + 16);
+            }
             self.finished.push_back(span);
         }
     }

@@ -21,6 +21,15 @@ use sphinx_sim::{Duration, SimRng};
 use std::ops::DerefMut;
 use std::sync::Arc;
 
+/// Spans one admitted job is budgeted in the hub's finished-span store. A
+/// clean job leaves 9 (`job`, five `state:*`, `attempt`, two `slot:*`) and
+/// every replan about 7 more; the reference workloads measure 9.1–9.7 per
+/// job with everything else included.
+const SPANS_PER_JOB: usize = 16;
+/// Headroom for the spans no job owns: one `dag` root per workflow, five
+/// `phase:*` per planner cycle, `wal:*` instants.
+const SPAN_SLACK: usize = 8_192;
+
 /// Which sites misbehave, and how.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultPlan {
@@ -103,9 +112,10 @@ pub struct Scenario {
     /// Record `wall.*` host-clock metrics (planner-cycle latency). Off by
     /// default: the deterministic profile never touches the host clock.
     pub wall_clock_telemetry: bool,
-    /// Override the telemetry trace-ring / finished-span capacities
-    /// (`None` keeps the defaults); tests use tiny values to exercise
-    /// the overflow accounting.
+    /// Override the telemetry trace-ring / finished-span capacities;
+    /// tests use tiny values to exercise the overflow accounting. `None`
+    /// keeps the default ring and lets the span store follow the admitted
+    /// job count (never below its default).
     pub telemetry_capacities: Option<(usize, usize)>,
     /// Disable the planner's per-cycle score cache (the reference path
     /// for `tests/planner_equivalence.rs` and the planner benchmark's
@@ -208,9 +218,21 @@ impl Scenario {
             ..RuntimeConfig::default()
         };
         config.telemetry.wall_clock = self.wall_clock_telemetry;
-        if let Some((trace, span)) = self.telemetry_capacities {
-            config.telemetry.trace_capacity = trace;
-            config.telemetry.span_capacity = span;
+        match self.telemetry_capacities {
+            Some((trace, span)) => {
+                config.telemetry.trace_capacity = trace;
+                config.telemetry.span_capacity = span;
+            }
+            // Size the span store from what is about to be admitted, so
+            // the oldest-first eviction never eats the head of a critical
+            // path: the post-run analysis wants every job's whole history.
+            None => {
+                let jobs: usize = dags.iter().map(|d| d.jobs.len()).sum();
+                config.telemetry.span_capacity = config
+                    .telemetry
+                    .span_capacity
+                    .max(SPANS_PER_JOB * jobs + SPAN_SLACK);
+            }
         }
         let mut rt = deploy(grid, config);
         if let Some(quota) = self.quota {
