@@ -72,14 +72,7 @@ fn bench_plan_cycle(c: &mut Criterion) {
                     let mut server = SphinxServer::new(
                         Arc::new(Database::in_memory()),
                         catalog(),
-                        ServerConfig {
-                            strategy: StrategyKind::CompletionTime,
-                            feedback: true,
-                            policy_enabled: false,
-                            archive_site: None,
-                            score_cache: true,
-                            ops_fast_path: false,
-                        },
+                        ServerConfig::default(),
                     );
                     let dag = WorkloadSpec {
                         shape: sphinx_dag::DagShape::FanOutFanIn { width: jobs - 2 },

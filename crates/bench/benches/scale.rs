@@ -1,12 +1,13 @@
 //! Storage hot-path scaling: the planner's by-state query over a large
-//! job table, with and without secondary indexes + the decoded-row cache.
+//! job table, answered from the secondary index (`scan_where`) and by
+//! filtering a full-table scan (`scan_filter`) of the same database.
 //!
 //! This is the micro-benchmark twin of `figures -- scale` (which sweeps
 //! whole simulated runs): here only the storage layer is on the bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use serde::{Deserialize, Serialize};
-use sphinx_db::{Database, DbConfig, MemWal, Record};
+use sphinx_db::{CheckpointPolicy, Database, MemWal, Record};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Job {
@@ -46,27 +47,15 @@ fn bench_by_state_query(c: &mut Criterion) {
     for &rows in &[1_000u64, 10_000] {
         group.throughput(Throughput::Elements(rows));
 
-        let baseline =
-            Database::with_wal_and_config(Box::new(MemWal::shared()), DbConfig::baseline());
-        populate(&baseline, rows);
-        group.bench_with_input(
-            BenchmarkId::new("baseline_full_decode", rows),
-            &baseline,
-            |b, db| {
-                b.iter(|| db.scan_where::<Job>("/state", &ready).unwrap().len());
-            },
-        );
-
-        let indexed = Database::in_memory();
-        indexed.create_index::<Job>("/state");
-        populate(&indexed, rows);
-        group.bench_with_input(
-            BenchmarkId::new("indexed_cached", rows),
-            &indexed,
-            |b, db| {
-                b.iter(|| db.scan_where::<Job>("/state", &ready).unwrap().len());
-            },
-        );
+        let db = Database::in_memory();
+        db.create_index::<Job>("/state");
+        populate(&db, rows);
+        group.bench_with_input(BenchmarkId::new("full_scan_filter", rows), &db, |b, db| {
+            b.iter(|| db.scan_filter::<Job>(|j| j.state == "Ready").unwrap().len());
+        });
+        group.bench_with_input(BenchmarkId::new("indexed", rows), &db, |b, db| {
+            b.iter(|| db.scan_where::<Job>("/state", &ready).unwrap().len());
+        });
     }
     group.finish();
 }
@@ -75,8 +64,8 @@ fn bench_recovery_with_auto_checkpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_recovery");
     group.sample_size(10);
     for (label, config) in [
-        ("unbounded_log", DbConfig::baseline()),
-        ("auto_checkpointed", DbConfig::default()),
+        ("unbounded_log", CheckpointPolicy::disabled()),
+        ("auto_checkpointed", CheckpointPolicy::default()),
     ] {
         // Churn: every row rewritten through the five states, so the raw
         // log is ~5× the live set unless auto-checkpointing compacts it.

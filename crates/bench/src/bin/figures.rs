@@ -8,12 +8,13 @@
 //! ```
 //!
 //! Results are printed as tables and written to `results/<id>.json`; the
-//! gated sweeps (`scale`, `planner`, `shard`, `ops`) write one artifact
-//! each, `BENCH_<id>.json` at the repo root, and nothing under `results/`.
+//! gated sweeps (`scale`, `shard`, `ops`) write one artifact each,
+//! `BENCH_<id>.json` at the repo root, and nothing under `results/`.
 
+use sphinx_bench::sweep::{self, ShardBench, SweepPoint};
 use sphinx_bench::{
-    aggregate, jobs_vs_speed_correlation, planner, render_site_table, render_svg_value_bars,
-    render_table, run_trials, scale, shard, write_json, write_svg, Aggregate,
+    aggregate, jobs_vs_speed_correlation, render_site_table, render_svg_value_bars, render_table,
+    run_trials, write_json, write_svg, Aggregate,
 };
 use sphinx_core::StrategyKind;
 use sphinx_ops::OpsConfig;
@@ -112,27 +113,81 @@ fn emit(opts: &Options, id: &str, title: &str, rows: &[Aggregate]) {
     write_svg(&opts.results_dir, id, title, rows).expect("write charts");
 }
 
-/// Compare a fresh planner sweep against the committed
-/// `BENCH_planner.json` baseline: any size whose cached
-/// `plan_cycle_mean_us` regressed by more than 25% fails the run.
-fn planner_regressions(bench: &planner::PlannerBench) -> Vec<String> {
-    let Ok(old) = std::fs::read_to_string("BENCH_planner.json") else {
+type TrialRunner = fn(ExperimentParams) -> Vec<SeriesPoint>;
+
+/// The multi-trial figures: `(id, title, one seeded run of every
+/// configuration)`. Each is run once per seed, aggregated per label and
+/// emitted as a table, `results/<id>.json` and two bar charts.
+const TRIAL_FIGURES: [(&str, &str, TrialRunner); 9] = [
+    (
+        "fig2",
+        "Figure 2: effect of feedback (3 DAGs, faulty grid)",
+        fig2,
+    ),
+    ("fig3", "Figure 3: strategy comparison (3 DAGs)", |p| {
+        fig345(p, 3)
+    }),
+    ("fig4", "Figure 4: strategy comparison (6 DAGs)", |p| {
+        fig345(p, 6)
+    }),
+    ("fig5", "Figure 5: strategy comparison (12 DAGs)", |p| {
+        fig345(p, 12)
+    }),
+    (
+        "fig7",
+        "Figure 7: policy-constrained scheduling (12 DAGs, per-user quotas)",
+        // Tight enough to actually steer placement: each site can host
+        // roughly 130 of the 1200 jobs' CPU-seconds.
+        |p| fig7(p, Requirement::new(8_000, 40_000)),
+    ),
+    (
+        "fig8",
+        "Figure 8: timeouts / reschedules per strategy (12 DAGs, faulty grid)",
+        fig8,
+    ),
+    (
+        "ablate-staleness",
+        "Ablation: queue-length strategy vs monitoring staleness (6 DAGs)",
+        ablate_staleness,
+    ),
+    (
+        "ablate-fault",
+        "Ablation: completion vs number of black-hole sites (3 DAGs)",
+        |p| ablate_fault_density(p, 4),
+    ),
+    (
+        "ablate-burst",
+        "Ablation: strategies under bursty (campaign-wave) background load (6 DAGs)",
+        ablate_burst,
+    ),
+];
+
+/// Compare a fresh sweep with the committed `BENCH_<id>.json` it is about
+/// to overwrite: for each of `labels`, `cost` is read off both, and a
+/// fresh value more than 25 % above the committed one is a regression.
+/// A label either side cannot price is skipped; so is a missing artifact.
+fn regressions_vs_committed<B: serde::de::DeserializeOwned>(
+    id: &str,
+    fresh: &B,
+    labels: &[&str],
+    what: &str,
+    cost: impl Fn(&B, &str) -> Option<f64>,
+) -> Vec<String> {
+    let path = format!("BENCH_{id}.json");
+    let Ok(old) = std::fs::read_to_string(&path) else {
         return Vec::new(); // no committed baseline yet
     };
-    let Ok(baseline) = serde_json::from_str::<planner::PlannerBench>(&old) else {
-        return vec!["BENCH_planner.json exists but does not parse".to_owned()];
+    let Ok(committed) = serde_json::from_str::<B>(&old) else {
+        return vec![format!("{path} exists but does not parse")];
     };
     let mut out = Vec::new();
-    for point in &bench.points {
-        let Some(base) = baseline.points.iter().find(|p| p.label == point.label) else {
+    for label in labels {
+        let (Some(new), Some(old)) = (cost(fresh, label), cost(&committed, label)) else {
             continue;
         };
-        let new = point.cached.plan_cycle_mean_us;
-        let old = base.cached.plan_cycle_mean_us;
         if old > 0.0 && new > old * 1.25 {
             out.push(format!(
-                "{}: plan_cycle_mean_us {new:.1}us vs baseline {old:.1}us (+{:.0}%, limit 25%)",
-                point.label,
+                "{label}: {what} {new:.2} vs {old:.2} committed (+{:.0}%, limit 25%)",
                 (new / old - 1.0) * 100.0
             ));
         }
@@ -140,46 +195,34 @@ fn planner_regressions(bench: &planner::PlannerBench) -> Vec<String> {
     out
 }
 
-/// Compare a fresh shard sweep against the committed `BENCH_shard.json`
-/// baseline. Absolute microsecond means are machine- and load-dependent
-/// (the plan cycles here are well under a millisecond), so the gate
-/// compares the machine-independent shape instead: each 4-shard point's
+/// Print regressions and fail the run if there are any.
+fn exit_on(regressions: &[String]) {
+    for r in regressions {
+        eprintln!("regression: {r}");
+    }
+    if !regressions.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// The shard gate's cost. Absolute microsecond means are machine- and
+/// load-dependent (the plan cycles here are well under a millisecond), so
+/// the gate compares the machine-independent shape instead: a point's
 /// per-shard plan-cycle mean *relative to the run's own single-shard
-/// baseline*. A >25% regression of that ratio fails the run.
-fn shard_regressions(bench: &shard::ShardBench) -> Vec<String> {
-    let Ok(old) = std::fs::read_to_string("BENCH_shard.json") else {
-        return Vec::new(); // no committed baseline yet
-    };
-    let Ok(baseline) = serde_json::from_str::<shard::ShardBench>(&old) else {
-        return vec!["BENCH_shard.json exists but does not parse".to_owned()];
-    };
-    let relative_cost = |b: &shard::ShardBench, label: &str| -> Option<f64> {
-        let single = b
+/// baseline*.
+fn per_shard_cost_vs_single(bench: &ShardBench, label: &str) -> Option<f64> {
+    let planes = || {
+        bench
             .points
             .iter()
-            .filter(|p| p.shards == 1)
-            .map(|p| p.plan_cycle_mean_us_per_shard)
-            .find(|&m| m > 0.0)?;
-        let point = b.points.iter().find(|p| p.label == label)?;
-        Some(point.plan_cycle_mean_us_per_shard / single)
+            .filter_map(|p| Some((p, p.plane.as_ref()?)))
     };
-    let mut out = Vec::new();
-    for point in bench.points.iter().filter(|p| p.shards == 4) {
-        let (Some(new), Some(old)) = (
-            relative_cost(bench, &point.label),
-            relative_cost(&baseline, &point.label),
-        ) else {
-            continue;
-        };
-        if old > 0.0 && new > old * 1.25 {
-            out.push(format!(
-                "{}: per-shard cost {new:.2}x of single-shard vs {old:.2}x committed (+{:.0}%, limit 25%)",
-                point.label,
-                (new / old - 1.0) * 100.0
-            ));
-        }
-    }
-    out
+    let single = planes()
+        .filter(|(_, m)| m.shards == 1)
+        .map(|(_, m)| m.plan_cycle_mean_us_per_shard)
+        .find(|&m| m > 0.0)?;
+    let (_, point) = planes().find(|(p, _)| p.label == label)?;
+    Some(point.plan_cycle_mean_us_per_shard / single)
 }
 
 /// Committed artifact of the `ops` arm: how far ahead of the post-hoc
@@ -262,30 +305,12 @@ fn main() {
     let opts = parse_args();
     let t0 = std::time::Instant::now(); // sphinx-lint: allow(wall-clock)
     for id in opts.ids.clone() {
+        if let Some((_, title, runner)) = TRIAL_FIGURES.iter().find(|(i, ..)| *i == id) {
+            let rows = run_trials(&seeds(&opts), |s| runner(params(&opts, s)));
+            emit(&opts, &id, title, &rows);
+            continue;
+        }
         match id.as_str() {
-            "fig2" => {
-                let rows = run_trials(&seeds(&opts), |s| fig2(params(&opts, s)));
-                emit(
-                    &opts,
-                    "fig2",
-                    "Figure 2: effect of feedback (3 DAGs, faulty grid)",
-                    &rows,
-                );
-            }
-            "fig3" | "fig4" | "fig5" => {
-                let dags = match id.as_str() {
-                    "fig3" => 3,
-                    "fig4" => 6,
-                    _ => 12,
-                };
-                let rows = run_trials(&seeds(&opts), |s| fig345(params(&opts, s), dags));
-                emit(
-                    &opts,
-                    &id,
-                    &format!("Figure {}: strategy comparison ({dags} DAGs)", &id[3..]),
-                    &rows,
-                );
-            }
             "fig6" => {
                 // Figure 6 is per-site structure: single representative
                 // trial, plus the correlation statistic over all trials.
@@ -312,54 +337,6 @@ fn main() {
                     );
                 }
                 write_json(&opts.results_dir, "fig6", &representative).expect("write results");
-            }
-            "fig7" => {
-                // Tight enough to actually steer placement: each site can
-                // host roughly 130 of the 1200 jobs' CPU-seconds.
-                let quota = Requirement::new(8_000, 40_000);
-                let rows = run_trials(&seeds(&opts), |s| fig7(params(&opts, s), quota));
-                emit(
-                    &opts,
-                    "fig7",
-                    "Figure 7: policy-constrained scheduling (12 DAGs, per-user quotas)",
-                    &rows,
-                );
-            }
-            "fig8" => {
-                let rows = run_trials(&seeds(&opts), |s| fig8(params(&opts, s)));
-                emit(
-                    &opts,
-                    "fig8",
-                    "Figure 8: timeouts / reschedules per strategy (12 DAGs, faulty grid)",
-                    &rows,
-                );
-            }
-            "ablate-staleness" => {
-                let rows = run_trials(&seeds(&opts), |s| ablate_staleness(params(&opts, s)));
-                emit(
-                    &opts,
-                    "ablate-staleness",
-                    "Ablation: queue-length strategy vs monitoring staleness (6 DAGs)",
-                    &rows,
-                );
-            }
-            "ablate-fault" => {
-                let rows = run_trials(&seeds(&opts), |s| ablate_fault_density(params(&opts, s), 4));
-                emit(
-                    &opts,
-                    "ablate-fault",
-                    "Ablation: completion vs number of black-hole sites (3 DAGs)",
-                    &rows,
-                );
-            }
-            "ablate-burst" => {
-                let rows = run_trials(&seeds(&opts), |s| ablate_burst(params(&opts, s)));
-                emit(
-                    &opts,
-                    "ablate-burst",
-                    "Ablation: strategies under bursty (campaign-wave) background load (6 DAGs)",
-                    &rows,
-                );
             }
             "qos" => {
                 let rows = run_trials(&seeds(&opts), |s| qos(params(&opts, s)));
@@ -525,88 +502,84 @@ fn main() {
                 }
             }
             "scale" => {
-                // Storage hot-path sweep: baseline (full-table decode) vs
-                // indexed + cached + auto-checkpointed, 15→120 sites.
-                let sizes: &[scale::SizeSpec] = if opts.quick {
-                    &scale::SIZES[..1]
+                // One scheduler, 15→120 sites: planner-cycle latency with
+                // the storage, score-cache and WAL counters of the same
+                // runs. Fails if a size's plan-cycle mean regresses >25%
+                // against the committed artifact.
+                let sizes: &[sweep::SizeSpec] = if opts.quick {
+                    &sweep::SCALE_SIZES[..1]
                 } else {
-                    &scale::SIZES
+                    &sweep::SCALE_SIZES
                 };
-                let points: Vec<scale::SizePoint> = sizes
-                    .iter()
-                    .map(|size| {
-                        eprintln!("[scale] running {} ...", size.label);
-                        scale::run_size(size, seeds(&opts)[0])
-                    })
-                    .collect();
-                print!("{}", scale::render_scale_table(&points));
+                let points = sweep::run_sweep("scale", sizes, seeds(&opts)[0]);
+                print!(
+                    "{}",
+                    sweep::render_sweep_table("scale — one scheduler, 15→120 sites", &points)
+                );
+                let labels: Vec<&str> = sizes.iter().map(|s| s.label).collect();
+                let regressions = regressions_vs_committed(
+                    "scale",
+                    &points,
+                    &labels,
+                    "plan_cycle_mean_us",
+                    |points, label| {
+                        let point = points.iter().find(|p| p.label == label)?;
+                        Some(point.plan_cycle_mean_us)
+                    },
+                );
                 write_bench("scale", &points);
-            }
-            "planner" => {
-                // Planner hot-path sweep: site scoring with the per-cycle
-                // cache off (reference) vs on (default), plus the
-                // deterministic multi-seed parallel runner timing.
-                let sizes: &[scale::SizeSpec] = if opts.quick {
-                    &scale::SIZES[..1]
-                } else {
-                    &scale::SIZES
-                };
-                let points: Vec<planner::PlannerSizePoint> = sizes
-                    .iter()
-                    .map(|size| {
-                        eprintln!("[planner] running {} ...", size.label);
-                        planner::run_size(size, seeds(&opts)[0])
-                    })
-                    .collect();
-                // The wall-clock speedup criterion needs enough seeds to
-                // keep every worker busy; sweep at least 4.
-                let sweep_seeds: Vec<u64> = (0..opts.trials.max(4) as u64)
-                    .map(|i| 1000 + 7 * i)
-                    .collect();
-                eprintln!("[planner] timing {}-seed sweep ...", sweep_seeds.len());
-                let sweep = planner::run_sweep_timing(&scale::SIZES[0], &sweep_seeds);
-                let bench = planner::PlannerBench { points, sweep };
-                print!("{}", planner::render_planner_table(&bench));
-                // Regression gate: compare against the committed baseline
-                // before overwriting it.
-                let regressions = planner_regressions(&bench);
-                write_bench("planner", &bench);
-                if !regressions.is_empty() {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    std::process::exit(1);
-                }
+                exit_on(&regressions);
             }
             "shard" => {
                 // Sharded-runtime sweep: planner-cycle cost as the DAG
                 // count grows 10× across 1→8 shards on a fixed grid.
-                let sizes: &[shard::ShardSizeSpec] = if opts.quick {
-                    &[shard::SIZES[0], shard::SIZES[2]]
+                let sizes: &[sweep::SizeSpec] = if opts.quick {
+                    &[sweep::SHARD_SIZES[0], sweep::SHARD_SIZES[2]]
                 } else {
-                    &shard::SIZES
+                    &sweep::SHARD_SIZES
                 };
-                let bench = shard::run_sweep(sizes, seeds(&opts)[0]);
-                print!("{}", shard::render_shard_table(&bench));
-                let regressions = shard_regressions(&bench);
+                let points = sweep::run_sweep("shard", sizes, seeds(&opts)[0]);
+                let bench = ShardBench {
+                    mean_spread: sweep::mean_spread(&points),
+                    points,
+                };
+                print!(
+                    "{}",
+                    sweep::render_sweep_table(
+                        "shard — planner cycle vs shard count (15 sites, 25 jobs/DAG)",
+                        &bench.points
+                    )
+                );
+                println!(
+                    "per-shard plan-cycle mean vs single-shard baseline: {:.2}x worst growth (budget 2x)",
+                    bench.mean_spread
+                );
+                let four_shard: Vec<&str> = sizes
+                    .iter()
+                    .filter(|s| s.shards == Some(4))
+                    .map(|s| s.label)
+                    .collect();
+                let mut regressions = regressions_vs_committed(
+                    "shard",
+                    &bench,
+                    &four_shard,
+                    "per-shard cost as a multiple of single-shard",
+                    per_shard_cost_vs_single,
+                );
                 write_bench("shard", &bench);
                 if bench.mean_spread > 2.0 {
-                    eprintln!(
-                        "regression: per-shard plan-cycle mean spread {:.2}x exceeds the 2x flat-scaling budget",
+                    regressions.push(format!(
+                        "per-shard plan-cycle mean spread {:.2}x exceeds the 2x flat-scaling budget",
                         bench.mean_spread
-                    );
-                    std::process::exit(1);
+                    ));
                 }
-                if bench.points.iter().any(|p| !p.matches_unsharded) {
-                    eprintln!("regression: sharded schedule diverged from the unsharded runtime");
-                    std::process::exit(1);
+                let diverged =
+                    |p: &SweepPoint| p.plane.as_ref().is_some_and(|m| !m.matches_unsharded);
+                if bench.points.iter().any(diverged) {
+                    regressions
+                        .push("sharded schedule diverged from the unsharded runtime".to_owned());
                 }
-                if !regressions.is_empty() {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    std::process::exit(1);
-                }
+                exit_on(&regressions);
             }
             "ops" => {
                 // Live ops plane: the online black-hole detector vs the
@@ -666,12 +639,7 @@ fn main() {
                     (None, _) => regressions
                         .push("no black_hole OpsAlert on the black-hole scenario".to_owned()),
                 }
-                if !regressions.is_empty() {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    std::process::exit(1);
-                }
+                exit_on(&regressions);
             }
             "ops-smoke" => {
                 // End-to-end check of the HTTP ops endpoint: run the
@@ -757,12 +725,7 @@ fn main() {
                     Err(e) => failures.push(format!("/metrics fetch failed: {e}")),
                 }
                 server.stop();
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
+                exit_on(&failures);
             }
             other => eprintln!("unknown experiment id `{other}` (skipped)"),
         }

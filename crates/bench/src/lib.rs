@@ -10,9 +10,7 @@ use serde::{Deserialize, Serialize};
 use sphinx_workloads::experiments::SeriesPoint;
 use std::path::Path;
 
-pub mod planner;
-pub mod scale;
-pub mod shard;
+pub mod sweep;
 
 /// Map `f` over `items` on `available_parallelism` scoped worker threads,
 /// returning results in **input order** regardless of which worker finished

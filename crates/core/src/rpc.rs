@@ -324,9 +324,7 @@ mod tests {
                 policy_enabled: true,
                 feedback: false,
                 strategy: crate::strategy::StrategyKind::RoundRobin,
-                archive_site: None,
-                score_cache: true,
-                ops_fast_path: false,
+                ..ServerConfig::default()
             },
         );
         let dag = WorkloadSpec::small(1, 4)

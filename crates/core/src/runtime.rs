@@ -49,9 +49,6 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Telemetry hub behaviour (trace capacity, wall-clock opt-in).
     pub telemetry: TelemetryConfig,
-    /// Per-cycle planner score cache (decision-invariant; off = reference
-    /// path for the equivalence suite).
-    pub score_cache: bool,
     /// Live ops plane: run the streaming aggregator and online anomaly
     /// detectors each planner cycle. `None` disables the plane entirely.
     pub ops: Option<OpsConfig>,
@@ -74,7 +71,6 @@ impl Default for RuntimeConfig {
             horizon: Duration::from_secs(7 * 24 * 3600),
             seed: 0,
             telemetry: TelemetryConfig::default(),
-            score_cache: true,
             ops: None,
             ops_fast_path: false,
         }
@@ -90,7 +86,6 @@ impl From<&RuntimeConfig> for ServerConfig {
             feedback: config.feedback,
             policy_enabled: config.policy_enabled,
             archive_site: config.archive_site,
-            score_cache: config.score_cache,
             ops_fast_path: config.ops_fast_path,
         }
     }

@@ -46,10 +46,6 @@ pub struct ServerConfig {
     /// step 4 ("decide whether the output files must be copied to
     /// persistent storage"). `None` disables archival.
     pub archive_site: Option<SiteId>,
-    /// Use the per-cycle site scoring cache ([`ScoreCache`]). Off runs
-    /// the full-rescore reference path; decisions are identical either
-    /// way (asserted by `tests/planner_equivalence.rs`).
-    pub score_cache: bool,
     /// Let live-ops black-hole alerts exclude a site from planning
     /// immediately ([`Reliability::ops_flag`]) instead of waiting for the
     /// post-hoc cancelled-vs-completed tally. Off by default so the
@@ -64,7 +60,6 @@ impl Default for ServerConfig {
             feedback: true,
             policy_enabled: false,
             archive_site: None,
-            score_cache: true,
             ops_fast_path: false,
         }
     }
@@ -1131,25 +1126,22 @@ impl SphinxServer {
             reports,
             prediction: &sched.prediction,
         };
-        let chosen = if self.config.score_cache {
-            self.config.strategy.choose_cached(
-                &view,
-                &mut sched.strategy_state,
-                &mut sched.score_cache,
-            )
-        } else {
-            // Reference path: identical decisions by full rescoring;
-            // still count would-be hits/misses so telemetry snapshots
-            // match the optimized path bit for bit.
-            if !sched.candidates_scratch.is_empty() {
-                sched
-                    .score_cache
-                    .note_reference(self.config.strategy, &sched.candidates_scratch);
-            }
-            self.config
-                .strategy
-                .choose(&view, &mut sched.strategy_state)
-        };
+        let mut reference_state = sched.strategy_state;
+        let chosen = self.config.strategy.choose_cached(
+            &view,
+            &mut sched.strategy_state,
+            &mut sched.score_cache,
+        );
+        // Debug builds rescore every candidate for every placement, so
+        // each test run checks the cache against eq. 1-3 as written.
+        debug_assert_eq!(
+            (chosen, &sched.strategy_state),
+            (
+                self.config.strategy.choose(&view, &mut reference_state),
+                &reference_state
+            ),
+            "score cache diverged from full rescoring for job {job_id:?}"
+        );
         let Some(site) = chosen else {
             return Ok(None); // no feasible site now; stays Ready
         };
@@ -1371,11 +1363,7 @@ mod tests {
             catalog(3, 4),
             ServerConfig {
                 strategy,
-                feedback: true,
-                policy_enabled: false,
-                archive_site: None,
-                score_cache: true,
-                ops_fast_path: false,
+                ..ServerConfig::default()
             },
         )
     }
@@ -1511,9 +1499,7 @@ mod tests {
                 strategy: StrategyKind::RoundRobin,
                 feedback: false,
                 policy_enabled: true,
-                archive_site: None,
-                score_cache: true,
-                ops_fast_path: false,
+                ..ServerConfig::default()
             },
         );
         s.policy_mut()
@@ -1546,9 +1532,7 @@ mod tests {
                 strategy: StrategyKind::RoundRobin,
                 feedback: false,
                 policy_enabled: true,
-                archive_site: None,
-                score_cache: true,
-                ops_fast_path: false,
+                ..ServerConfig::default()
             },
         );
         s.submit_dag(&dag, UserId(9), SimTime::ZERO).unwrap();

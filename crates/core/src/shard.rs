@@ -53,7 +53,7 @@ use crate::server::{SchedulerState, ServerConfig, SphinxServer};
 use crate::strategy::SiteInfo;
 use serde::{Deserialize, Serialize};
 use sphinx_dag::{Dag, DagId};
-use sphinx_db::{Database, DbConfig, MemWal, Queue, Record};
+use sphinx_db::{CheckpointPolicy, Database, MemWal, Queue, Record};
 use sphinx_grid::GridSim;
 use sphinx_policy::UserId;
 use sphinx_sim::{Duration, SimTime};
@@ -90,9 +90,9 @@ pub struct ShardConfig {
     pub lease_ttl: Duration,
     /// Crash schedule for fault-injection experiments.
     pub crashes: Vec<ShardCrash>,
-    /// Database behaviour of every per-shard store (checkpoint policy
-    /// bounds adoption replay length).
-    pub db_config: DbConfig,
+    /// Checkpoint policy of every per-shard store (bounds adoption
+    /// replay length).
+    pub checkpoint: CheckpointPolicy,
 }
 
 impl Default for ShardConfig {
@@ -103,7 +103,7 @@ impl Default for ShardConfig {
             assignments: None,
             lease_ttl: Duration::from_secs(60),
             crashes: Vec::new(),
-            db_config: DbConfig::default(),
+            checkpoint: CheckpointPolicy::default(),
         }
     }
 }
@@ -291,7 +291,7 @@ impl Plane {
         let servers = segments
             .iter()
             .map(|wal| {
-                let db = Database::with_wal_and_config(Box::new(wal.clone()), config.db_config);
+                let db = Database::with_wal_and_config(Box::new(wal.clone()), config.checkpoint);
                 db.attach_telemetry(Arc::clone(&hub));
                 SphinxServer::new(Arc::new(db), catalog.clone(), ServerConfig::from(runtime))
             })
@@ -496,7 +496,7 @@ impl Plane {
         let Some(segment) = self.wals.segment_of(dead) else {
             return Ok(());
         };
-        let donor = Database::recover_with_config(Box::new(segment), self.config.db_config)?;
+        let donor = Database::recover_with_config(Box::new(segment), self.config.checkpoint)?;
         let replayed = donor.replayed();
         self.epoch += 1;
         let epoch = self.epoch;

@@ -69,47 +69,12 @@ impl CheckpointPolicy {
     }
 }
 
-/// Tunables for the storage hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DbConfig {
-    /// Keep decoded rows cached so a row is deserialized once per
-    /// mutation, not once per read.
-    pub cache: bool,
-    /// Honor registered secondary indexes in [`Database::scan_where`]
-    /// (`false` also makes [`Database::create_index`] a no-op).
-    pub indexes: bool,
-    /// Automatic log compaction.
-    pub checkpoint: CheckpointPolicy,
-}
-
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            cache: true,
-            indexes: true,
-            checkpoint: CheckpointPolicy::default(),
-        }
-    }
-}
-
-impl DbConfig {
-    /// Everything off: full-table decode scans, no cache, explicit-only
-    /// checkpoints. The scale benchmark's "before" configuration.
-    pub fn baseline() -> Self {
-        DbConfig {
-            cache: false,
-            indexes: false,
-            checkpoint: CheckpointPolicy::disabled(),
-        }
-    }
-}
-
 /// Read-path counters (see also `db.*` telemetry counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Rows materialized by `get`/`scan*` calls.
     pub rows_read: u64,
-    /// Rows that required a serde decode (cache misses + uncached reads).
+    /// Rows that required a serde decode (cache misses).
     pub rows_decoded: u64,
     /// Reads served from the decoded-row cache.
     pub cache_hits: u64,
@@ -142,7 +107,7 @@ pub struct Database {
     pub(crate) wal: Mutex<Box<dyn Wal>>,
     indexes: Mutex<Indexes>,
     cache: Mutex<RowCache>,
-    config: DbConfig,
+    checkpoint: CheckpointPolicy,
     commits: AtomicU64,
     /// Lines currently in the log (replayed + appended − compacted away).
     log_lines: AtomicU64,
@@ -181,6 +146,22 @@ fn decode<R: Record>(table: &str, value: &serde_json::Value) -> Result<R, DbErro
     })
 }
 
+/// The decoded rows of `table`, with an empty entry made on first use so
+/// the steady state allocates no table name.
+fn table_cache<'c>(
+    cache: &'c mut RowCache,
+    table: &str,
+) -> Option<&'c mut BTreeMap<u64, Box<dyn Any + Send>>> {
+    if !cache.contains_key(table) {
+        cache.insert(table.to_owned(), BTreeMap::new());
+    }
+    cache.get_mut(table)
+}
+
+fn live_rows_of(tables: &Tables) -> u64 {
+    tables.values().map(|t| t.len() as u64).sum()
+}
+
 /// The full table name for record type `R` inside namespace `ns`.
 fn ns_table<R: Record>(ns: &str) -> String {
     format!("{ns}/{}", R::TABLE)
@@ -195,19 +176,19 @@ fn encode_entry(entry: &LogEntry) -> Result<String, DbError> {
 
 impl Database {
     /// A database backed by the given (possibly pre-existing, here empty)
-    /// write-ahead log, with the default [`DbConfig`].
+    /// write-ahead log, with the default [`CheckpointPolicy`].
     pub fn with_wal(wal: Box<dyn Wal>) -> Self {
-        Self::with_wal_and_config(wal, DbConfig::default())
+        Self::with_wal_and_config(wal, CheckpointPolicy::default())
     }
 
-    /// A database over an empty log with explicit hot-path tunables.
-    pub fn with_wal_and_config(wal: Box<dyn Wal>, config: DbConfig) -> Self {
+    /// A database over an empty log with an explicit checkpoint policy.
+    pub fn with_wal_and_config(wal: Box<dyn Wal>, checkpoint: CheckpointPolicy) -> Self {
         Database {
             tables: Mutex::new(BTreeMap::new()),
             wal: Mutex::new(wal),
             indexes: Mutex::new(Indexes::default()),
             cache: Mutex::new(BTreeMap::new()),
-            config,
+            checkpoint,
             commits: AtomicU64::new(0),
             log_lines: AtomicU64::new(0),
             replayed: 0,
@@ -227,18 +208,21 @@ impl Database {
     }
 
     /// Rebuild the committed state from an existing log, with the default
-    /// [`DbConfig`].
+    /// [`CheckpointPolicy`].
     ///
     /// A torn *final* line is treated as an interrupted commit: it is
     /// dropped AND truncated out of the log (otherwise the next append
     /// would merge with the torn bytes and corrupt a later recovery). A
     /// malformed line anywhere else is corruption and fails recovery.
     pub fn recover(wal: Box<dyn Wal>) -> Result<Self, DbError> {
-        Self::recover_with_config(wal, DbConfig::default())
+        Self::recover_with_config(wal, CheckpointPolicy::default())
     }
 
-    /// [`Database::recover`] with explicit hot-path tunables.
-    pub fn recover_with_config(mut wal: Box<dyn Wal>, config: DbConfig) -> Result<Self, DbError> {
+    /// [`Database::recover`] with an explicit checkpoint policy.
+    pub fn recover_with_config(
+        mut wal: Box<dyn Wal>,
+        checkpoint: CheckpointPolicy,
+    ) -> Result<Self, DbError> {
         let lines = wal.read_all()?;
         let mut tables: Tables = BTreeMap::new();
         let last = lines.len().saturating_sub(1);
@@ -269,7 +253,7 @@ impl Database {
             wal: Mutex::new(wal),
             indexes: Mutex::new(Indexes::default()),
             cache: Mutex::new(BTreeMap::new()),
-            config,
+            checkpoint,
             commits: AtomicU64::new(0),
             log_lines: AtomicU64::new(valid as u64),
             replayed: valid as u64,
@@ -280,11 +264,6 @@ impl Database {
             cache_misses: AtomicU64::new(0),
             telemetry: Mutex::new(None),
         })
-    }
-
-    /// The hot-path tunables this database was built with.
-    pub fn config(&self) -> &DbConfig {
-        &self.config
     }
 
     /// Log lines replayed when this database was built by [`Database::recover`].
@@ -299,7 +278,7 @@ impl Database {
 
     /// Live rows across every table.
     pub fn live_rows(&self) -> u64 {
-        self.tables.lock().values().map(|t| t.len() as u64).sum()
+        live_rows_of(&self.tables.lock())
     }
 
     /// Rows that failed to decode on the `Option`-returning read path.
@@ -337,17 +316,13 @@ impl Database {
         }
         self.rows_read.fetch_add(hits + decoded, Ordering::Relaxed);
         self.rows_decoded.fetch_add(decoded, Ordering::Relaxed);
-        if self.config.cache {
-            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-            self.cache_misses.fetch_add(decoded, Ordering::Relaxed);
-        }
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(decoded, Ordering::Relaxed);
         if let Some(t) = self.telemetry.lock().as_ref() {
             t.counter_add("db.rows.read", hits + decoded);
             t.counter_add("db.rows.decoded", decoded);
-            if self.config.cache {
-                t.counter_add("db.cache.hits", hits);
-                t.counter_add("db.cache.misses", decoded);
-            }
+            t.counter_add("db.cache.hits", hits);
+            t.counter_add("db.cache.misses", decoded);
         }
     }
 
@@ -362,6 +337,11 @@ impl Database {
 
     /// Commit `ops` as one WAL line; `primed` carries already-decoded rows
     /// for the touched keys so the cache can be refreshed for free.
+    ///
+    /// Append, apply and the policy's checkpoint are one critical section
+    /// under `tables`: `Database` is `Sync`, and two committers that
+    /// logged in one order and applied in the other would leave live
+    /// tables that differ from what [`Database::recover`] rebuilds.
     // sphinx-hot
     pub(crate) fn commit_ops_primed(
         &self,
@@ -373,6 +353,7 @@ impl Database {
         }
         let entry = LogEntry::Txn { ops };
         let line = encode_entry(&entry)?;
+        let mut tables = self.tables.lock();
         // WAL first, then tables: the log is the source of truth.
         self.wal.lock().append(&line)?;
         self.log_lines.fetch_add(1, Ordering::Relaxed);
@@ -380,7 +361,6 @@ impl Database {
             t.counter_add("wal.appends", 1);
         }
         {
-            let mut tables = self.tables.lock();
             let mut indexes = self.indexes.lock();
             let mut cache = self.cache.lock();
             if let LogEntry::Txn { ops } = entry {
@@ -412,20 +392,19 @@ impl Database {
                     }
                 }
             }
-            if self.config.cache {
-                for p in primed {
-                    cache.entry(p.table).or_default().insert(p.key, p.row);
-                }
+            for p in primed {
+                cache.entry(p.table).or_default().insert(p.key, p.row);
             }
         }
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.maybe_checkpoint()
+        self.maybe_checkpoint(&tables)
     }
 
-    /// Apply the [`CheckpointPolicy`] after a commit. Deterministic: the
-    /// decision depends only on log length and live-row count.
-    fn maybe_checkpoint(&self) -> Result<(), DbError> {
-        let policy = self.config.checkpoint;
+    /// Apply the [`CheckpointPolicy`] after a commit, inside that commit's
+    /// critical section. Deterministic: the decision depends only on log
+    /// length and live-row count.
+    fn maybe_checkpoint(&self, tables: &Tables) -> Result<(), DbError> {
+        let policy = self.checkpoint;
         if !policy.enabled {
             return Ok(());
         }
@@ -433,8 +412,8 @@ impl Database {
         if log < policy.min_log_lines {
             return Ok(());
         }
-        if log > policy.ratio.saturating_mul(self.live_rows().max(1)) {
-            self.checkpoint()?;
+        if log > policy.ratio.saturating_mul(live_rows_of(tables).max(1)) {
+            self.checkpoint_locked(tables)?;
         }
         Ok(())
     }
@@ -466,16 +445,12 @@ impl Database {
             key: row.key(),
             row: value,
         };
-        let primed = if self.config.cache {
-            vec![Primed {
-                table: table.to_owned(),
-                key: row.key(),
-                row: Box::new(row.clone()),
-            }]
-        } else {
-            Vec::new()
+        let primed = Primed {
+            table: table.to_owned(),
+            key: row.key(),
+            row: Box::new(row.clone()),
         };
-        self.commit_ops_primed(vec![op], primed)
+        self.commit_ops_primed(vec![op], vec![primed])
     }
 
     /// Fetch a row by key. A row that exists but fails to decode reads as
@@ -488,40 +463,24 @@ impl Database {
     pub(crate) fn get_at<R: Record>(&self, table: &str, key: u64) -> Option<R> {
         let tables = self.tables.lock();
         let value = tables.get(table)?.get(&key)?;
-        if self.config.cache {
-            let mut cache = self.cache.lock();
-            if !cache.contains_key(table) {
-                cache.insert(table.to_owned(), BTreeMap::new());
-            }
-            let tc = cache.get_mut(table)?;
-            if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
-                let row = row.clone();
+        let mut cache = self.cache.lock();
+        let tc = table_cache(&mut cache, table)?;
+        if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
+            let row = row.clone();
+            drop(cache);
+            self.note_reads(1, 0);
+            return Some(row);
+        }
+        match decode::<R>(table, value) {
+            Ok(row) => {
+                tc.insert(key, Box::new(row.clone()));
                 drop(cache);
-                self.note_reads(1, 0);
-                return Some(row);
+                self.note_reads(0, 1);
+                Some(row)
             }
-            match decode::<R>(table, value) {
-                Ok(row) => {
-                    tc.insert(key, Box::new(row.clone()));
-                    drop(cache);
-                    self.note_reads(0, 1);
-                    Some(row)
-                }
-                Err(_) => {
-                    self.decode_failures.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-        } else {
-            match decode::<R>(table, value) {
-                Ok(row) => {
-                    self.note_reads(0, 1);
-                    Some(row)
-                }
-                Err(_) => {
-                    self.decode_failures.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
+            Err(_) => {
+                self.decode_failures.fetch_add(1, Ordering::Relaxed);
+                None
             }
         }
     }
@@ -575,10 +534,9 @@ impl Database {
         Ok(true)
     }
 
-    /// Decode every `(key, value)` pair, in order, through the row cache
-    /// when it is enabled. The first undecodable row aborts with
-    /// [`DbError::Codec`] — silent row loss is exactly what the fallible
-    /// scans exist to prevent.
+    /// Decode every `(key, value)` pair, in order, through the row cache.
+    /// The first undecodable row aborts with [`DbError::Codec`] — silent
+    /// row loss is exactly what the fallible scans exist to prevent.
     fn materialize<'v, R: Record>(
         &self,
         table: &str,
@@ -588,34 +546,24 @@ impl Database {
         let mut hits = 0u64;
         let mut decoded = 0u64;
         let result = (|| {
-            if self.config.cache {
-                let mut cache = self.cache.lock();
-                if !cache.contains_key(table) {
-                    cache.insert(table.to_owned(), BTreeMap::new());
-                }
-                let Some(tc) = cache.get_mut(table) else {
-                    for (_, value) in rows {
-                        out.push(decode(table, value)?);
-                        decoded += 1;
-                    }
-                    return Ok(());
-                };
-                for (key, value) in rows {
-                    if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
-                        hits += 1;
-                        out.push(row.clone());
-                        continue;
-                    }
-                    let row: R = decode(table, value)?;
-                    decoded += 1;
-                    tc.insert(key, Box::new(row.clone()));
-                    out.push(row);
-                }
-            } else {
+            let mut cache = self.cache.lock();
+            let Some(tc) = table_cache(&mut cache, table) else {
                 for (_, value) in rows {
                     out.push(decode(table, value)?);
                     decoded += 1;
                 }
+                return Ok(());
+            };
+            for (key, value) in rows {
+                if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
+                    hits += 1;
+                    out.push(row.clone());
+                    continue;
+                }
+                let row: R = decode(table, value)?;
+                decoded += 1;
+                tc.insert(key, Box::new(row.clone()));
+                out.push(row);
             }
             Ok(())
         })();
@@ -682,12 +630,8 @@ impl Database {
 
     /// Register a secondary index over `pointer` (a JSON pointer, e.g.
     /// `"/state"`) into `R`'s table, built from the current contents and
-    /// maintained on every subsequent commit. A no-op when
-    /// [`DbConfig::indexes`] is off (the benchmark baseline).
+    /// maintained on every subsequent commit.
     pub fn create_index<R: Record>(&self, pointer: &str) {
-        if !self.config.indexes {
-            return;
-        }
         let tables = self.tables.lock();
         self.indexes.lock().create(R::TABLE, pointer, &tables);
     }
@@ -703,7 +647,7 @@ impl Database {
     ) -> Result<Vec<R>, DbError> {
         let tables = self.tables.lock();
         let indexes = self.indexes.lock();
-        if self.config.indexes && indexes.exists(R::TABLE, pointer) {
+        if indexes.exists(R::TABLE, pointer) {
             let keys = indexes.lookup(R::TABLE, pointer, value).unwrap_or_default();
             let Some(t) = tables.get(R::TABLE) else {
                 return Ok(Vec::new());
@@ -726,7 +670,14 @@ impl Database {
 
     /// Compact the log to one snapshot entry describing the current state.
     pub fn checkpoint(&self) -> Result<(), DbError> {
-        let entry = LogEntry::snapshot_of(&self.tables.lock());
+        self.checkpoint_locked(&self.tables.lock())
+    }
+
+    /// Snapshot and rewrite as one critical section: the caller's `tables`
+    /// guard keeps every committer out until the log holds the snapshot,
+    /// so no line can land between the two and be erased by the rewrite.
+    fn checkpoint_locked(&self, tables: &Tables) -> Result<(), DbError> {
+        let entry = LogEntry::snapshot_of(tables);
         let line = encode_entry(&entry)?;
         self.wal.lock().rewrite(&[line])?;
         self.log_lines.store(1, Ordering::Relaxed);
@@ -988,24 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_decodes_every_read() {
-        let db = Database::with_wal_and_config(
-            Box::new(MemWal::shared()),
-            DbConfig {
-                cache: false,
-                ..DbConfig::default()
-            },
-        );
-        db.insert(&item(1, "cold", 1)).unwrap();
-        db.get::<Item>(1).unwrap();
-        db.get::<Item>(1).unwrap();
-        let stats = db.read_stats();
-        assert_eq!(stats.rows_decoded, 2);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-    }
-
-    #[test]
     fn scan_surfaces_undecodable_rows_as_codec_errors() {
         let db = Database::in_memory();
         db.insert(&item(1, "fine", 1)).unwrap();
@@ -1132,13 +1065,7 @@ mod tests {
             ratio: 4,
             min_log_lines: 16,
         };
-        let db = Database::with_wal_and_config(
-            Box::new(wal.clone()),
-            DbConfig {
-                checkpoint: policy,
-                ..DbConfig::default()
-            },
-        );
+        let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
         // One live row rewritten repeatedly: the log grows while live
         // rows stay at 1, so the ratio trigger must fire.
         for i in 0..64u32 {
@@ -1165,13 +1092,10 @@ mod tests {
         let wal = MemWal::shared();
         let db = Database::with_wal_and_config(
             Box::new(wal.clone()),
-            DbConfig {
-                checkpoint: CheckpointPolicy {
-                    enabled: true,
-                    ratio: 1,
-                    min_log_lines: 1000,
-                },
-                ..DbConfig::default()
+            CheckpointPolicy {
+                enabled: true,
+                ratio: 1,
+                min_log_lines: 1000,
             },
         );
         for i in 0..50u32 {
@@ -1186,13 +1110,10 @@ mod tests {
             let wal = MemWal::shared();
             let db = Database::with_wal_and_config(
                 Box::new(wal.clone()),
-                DbConfig {
-                    checkpoint: CheckpointPolicy {
-                        enabled: true,
-                        ratio: 2,
-                        min_log_lines: 8,
-                    },
-                    ..DbConfig::default()
+                CheckpointPolicy {
+                    enabled: true,
+                    ratio: 2,
+                    min_log_lines: 8,
                 },
             );
             for i in 0..40u64 {

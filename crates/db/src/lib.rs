@@ -47,7 +47,7 @@ mod queue;
 mod txn;
 mod wal;
 
-pub use database::{CheckpointPolicy, Database, DbConfig, Ns, ReadStats, Record, TableStats};
+pub use database::{CheckpointPolicy, Database, Ns, ReadStats, Record, TableStats};
 pub use error::DbError;
 pub use queue::Queue;
 pub use txn::Txn;

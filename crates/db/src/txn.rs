@@ -118,13 +118,11 @@ impl<'a> Txn<'a> {
             key: row.key(),
             row: value,
         });
-        if self.db.config().cache {
-            self.primed.push(Primed {
-                table: R::TABLE.to_owned(),
-                key: row.key(),
-                row: Box::new(row.clone()),
-            });
-        }
+        self.primed.push(Primed {
+            table: R::TABLE.to_owned(),
+            key: row.key(),
+            row: Box::new(row.clone()),
+        });
         Ok(self)
     }
 

@@ -117,11 +117,6 @@ pub struct Scenario {
     /// keeps the default ring and lets the span store follow the admitted
     /// job count (never below its default).
     pub telemetry_capacities: Option<(usize, usize)>,
-    /// Disable the planner's per-cycle score cache (the reference path
-    /// for `tests/planner_equivalence.rs` and the planner benchmark's
-    /// before/after comparison). Defaults to `false`: cache on.
-    #[serde(default)]
-    pub no_score_cache: bool,
     /// Live ops plane: run the streaming aggregator + online anomaly
     /// detectors each planner cycle (`None` = off).
     #[serde(default)]
@@ -212,7 +207,6 @@ impl Scenario {
             monitor: self.monitor.clone(),
             horizon: self.horizon,
             seed: self.seed,
-            score_cache: !self.no_score_cache,
             ops: self.ops.clone(),
             ops_fast_path: self.ops_fast_path,
             ..RuntimeConfig::default()
@@ -309,7 +303,6 @@ impl Default for ScenarioBuilder {
                 deadline_last: None,
                 wall_clock_telemetry: false,
                 telemetry_capacities: None,
-                no_score_cache: false,
                 ops: None,
                 ops_fast_path: false,
             },
@@ -409,13 +402,6 @@ impl ScenarioBuilder {
     /// tiny values to force overflow and check the drop accounting).
     pub fn telemetry_capacities(mut self, trace: usize, span: usize) -> Self {
         self.scenario.telemetry_capacities = Some((trace, span));
-        self
-    }
-
-    /// Run the planner without its per-cycle score cache (the reference
-    /// path the equivalence suite compares against).
-    pub fn no_score_cache(mut self, disabled: bool) -> Self {
-        self.scenario.no_score_cache = disabled;
         self
     }
 

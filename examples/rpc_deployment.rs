@@ -15,7 +15,7 @@
 use sphinx::core::client::{ClientConfig, SphinxClient};
 use sphinx::core::rpc::ServerHandle;
 use sphinx::core::server::ServerConfig;
-use sphinx::core::strategy::{SiteInfo, StrategyKind};
+use sphinx::core::strategy::SiteInfo;
 use sphinx::dag::WorkloadSpec;
 use sphinx::data::{SiteId, TransferModel};
 use sphinx::db::Database;
@@ -43,14 +43,7 @@ fn main() {
     let server = ServerHandle::spawn(
         Arc::new(Database::in_memory()),
         catalog,
-        ServerConfig {
-            strategy: StrategyKind::CompletionTime,
-            feedback: true,
-            policy_enabled: false,
-            archive_site: None,
-            score_cache: true,
-            ops_fast_path: false,
-        },
+        ServerConfig::default(),
     );
     println!("server thread booted; submitting a 30-job DAG over RPC…");
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sphinx::core::messages::{CancelCause, StatusReport};
 use sphinx::core::server::{ServerConfig, SphinxServer};
 use sphinx::core::state::{DagRow, DagState, JobRow};
-use sphinx::core::strategy::{SiteInfo, StrategyKind};
+use sphinx::core::strategy::SiteInfo;
 use sphinx::dag::{JobId, WorkloadSpec};
 use sphinx::data::{ReplicaService, SiteId, TransferModel};
 use sphinx::db::Database;
@@ -65,14 +65,7 @@ proptest! {
         let mut server = SphinxServer::new(
             Arc::new(Database::in_memory()),
             catalog(3),
-            ServerConfig {
-                strategy: StrategyKind::CompletionTime,
-                feedback: true,
-                policy_enabled: false,
-                archive_site: None,
-                score_cache: true,
-                ops_fast_path: false,
-            },
+            ServerConfig::default(),
         );
         let mut rls = ReplicaService::new();
         for f in dag.external_inputs() {

@@ -3,7 +3,7 @@
 
 use sphinx::core::runtime::SphinxRuntime;
 use sphinx::core::strategy::StrategyKind;
-use sphinx::db::{CheckpointPolicy, Database, DbConfig, MemWal};
+use sphinx::db::{CheckpointPolicy, Database, MemWal};
 use sphinx::sim::{Duration, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
@@ -139,20 +139,21 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
         ratio: 2,
         min_log_lines: 8,
     };
-    let run = |db_config: DbConfig| {
+    let run = |checkpoint: CheckpointPolicy| {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
         let wal = MemWal::shared();
         let db = Arc::new(Database::with_wal_and_config(
             Box::new(wal.clone()),
-            db_config,
+            checkpoint,
         ));
         let mut rt = scenario.build_runtime_with_db(Arc::clone(&db));
         rt.run_until(SimTime::ZERO + Duration::from_mins(4));
         let config = rt.config().clone();
         let grid = rt.into_grid(); // crash
 
-        let recovered =
-            Arc::new(Database::recover_with_config(Box::new(wal), db_config).expect("log replays"));
+        let recovered = Arc::new(
+            Database::recover_with_config(Box::new(wal), checkpoint).expect("log replays"),
+        );
         let replayed = recovered.replayed();
         let live = recovered.live_rows();
         let mut rt2 = SphinxRuntime::with_recovered_database(grid, config, recovered).unwrap();
@@ -167,14 +168,8 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
         (report, replayed, live)
     };
 
-    let (base_report, base_replayed, _) = run(DbConfig {
-        checkpoint: CheckpointPolicy::disabled(),
-        ..DbConfig::default()
-    });
-    let (auto_report, auto_replayed, auto_live) = run(DbConfig {
-        checkpoint: aggressive,
-        ..DbConfig::default()
-    });
+    let (base_report, base_replayed, _) = run(CheckpointPolicy::disabled());
+    let (auto_report, auto_replayed, auto_live) = run(aggressive);
 
     assert!(auto_report.finished, "{}", auto_report.summary());
     assert_eq!(

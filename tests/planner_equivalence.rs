@@ -1,13 +1,14 @@
 //! Planner hot-path equivalence suite.
 //!
 //! The per-cycle score cache (`ScoreCache` + `StrategyKind::choose_cached`)
-//! and the zero-copy planning inputs are pure optimizations: for every
-//! strategy, a run with the cache on must produce the **identical**
-//! [`RunReport`] and a **byte-identical** telemetry trace as the
-//! `no_score_cache` reference path, which still evaluates every candidate
-//! per ready job with `StrategyKind::choose`. Property tests additionally
-//! drive the cache directly against full rescoring under randomized
-//! catalogs, monitor reports, prediction samples and placement sequences.
+//! is a pure optimization of `StrategyKind::choose`, which rescores every
+//! candidate per ready job and is kept as the reference. Two layers check
+//! that: the property tests below drive the cache directly against full
+//! rescoring under randomized catalogs, monitor reports, prediction
+//! samples and placement sequences; and in debug builds (how `cargo test`
+//! builds) the server's one placement call site asserts, for every job it
+//! places, that the cached choice and cursor equal `choose`'s — so the
+//! whole-run tests here only have to reach the cache's paths and finish.
 
 use proptest::prelude::*;
 use sphinx::core::prediction::Prediction;
@@ -19,72 +20,49 @@ use sphinx::sim::{Duration, SimRng, SimTime};
 use sphinx::workloads::{FaultPlan, Scenario};
 use std::collections::BTreeMap;
 
-/// One faulty-grid run, returning the canonical JSONL trace and the report.
-fn run_grid3(strategy: StrategyKind, no_score_cache: bool) -> (String, RunReport) {
-    let scenario = Scenario::builder()
-        .seed(7)
-        .faults(FaultPlan::grid3_typical())
-        .dags(2, 8)
-        .strategy(strategy)
-        .no_score_cache(no_score_cache)
-        .build();
-    let mut rt = scenario.build_runtime();
-    let report = rt.run();
-    assert!(
-        report.finished,
-        "{strategy} scenario must finish: {}",
-        report.summary()
-    );
-    (rt.telemetry().trace_jsonl(), report)
-}
-
-#[test]
-fn every_strategy_is_equivalent_with_and_without_the_score_cache() {
-    for strategy in StrategyKind::ALL {
-        let (trace_ref, report_ref) = run_grid3(strategy, true);
-        let (trace_opt, report_opt) = run_grid3(strategy, false);
-        assert_eq!(
-            report_ref, report_opt,
-            "{strategy}: score cache changed the run report"
-        );
-        assert_eq!(
-            trace_ref, trace_opt,
-            "{strategy}: score cache changed the telemetry trace"
-        );
-        // The cache actually engaged: placements hit it, and the
-        // reference path counted the identical would-be hits.
+/// The run finished with the cache engaged: placements hit it, some
+/// rebuilt it, and the candidate scratch buffer was reused.
+fn assert_cache_engaged(what: &str, report: &RunReport) {
+    assert!(report.finished, "{what} must finish: {}", report.summary());
+    for counter in [
+        "plan.score_cache.hits",
+        "plan.score_cache.misses",
+        "plan.scratch.reused",
+    ] {
         assert!(
-            report_opt.telemetry.counter("plan.score_cache.hits") > 0,
-            "{strategy}: cache never hit"
-        );
-        assert!(
-            report_opt.telemetry.counter("plan.scratch.reused") > 0,
-            "{strategy}: candidate scratch never reused"
+            report.telemetry.counter(counter) > 0,
+            "{what}: {counter} = 0"
         );
     }
 }
 
 #[test]
-fn deadline_and_policy_paths_are_equivalent_too() {
-    // EDF sorting and policy filtering change the candidate lists per job
-    // (the cache-miss path); both must stay decision-invariant.
-    let run = |no_cache: bool| -> (String, RunReport) {
-        let scenario = Scenario::builder()
-            .seed(11)
+fn every_strategy_plans_a_faulty_grid_through_the_score_cache() {
+    for strategy in StrategyKind::ALL {
+        let report = Scenario::builder()
+            .seed(7)
             .faults(FaultPlan::grid3_typical())
-            .dags(3, 6)
-            .deadline_last(1, Duration::from_secs(24 * 3600))
-            .quota(sphinx::policy::Requirement::new(10_000_000, 10_000_000))
-            .no_score_cache(no_cache)
-            .build();
-        let mut rt = scenario.build_runtime();
-        let report = rt.run();
-        (rt.telemetry().trace_jsonl(), report)
-    };
-    let (trace_ref, report_ref) = run(true);
-    let (trace_opt, report_opt) = run(false);
-    assert_eq!(report_ref, report_opt);
-    assert_eq!(trace_ref, trace_opt);
+            .dags(2, 8)
+            .strategy(strategy)
+            .build()
+            .run();
+        assert_cache_engaged(strategy.label(), &report);
+    }
+}
+
+#[test]
+fn deadline_and_policy_paths_go_through_the_score_cache_too() {
+    // EDF sorting and policy filtering change the candidate lists per job,
+    // which is the cache's rebuild path.
+    let report = Scenario::builder()
+        .seed(11)
+        .faults(FaultPlan::grid3_typical())
+        .dags(3, 6)
+        .deadline_last(1, Duration::from_secs(24 * 3600))
+        .quota(sphinx::policy::Requirement::new(10_000_000, 10_000_000))
+        .build()
+        .run();
+    assert_cache_engaged("EDF + quotas", &report);
 }
 
 /// Random scoring inputs, all derived from one seed (the vendored

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sphinx::core::shard::{CrashPoint, ShardConfig, ShardCrash, ShardedRuntime};
 use sphinx::core::RunReport;
 use sphinx::dag::DagId;
-use sphinx::db::{CheckpointPolicy, DbConfig};
+use sphinx::db::CheckpointPolicy;
 use sphinx::sim::Duration;
 use sphinx::workloads::{grid3, Scenario, ScenarioBuilder};
 
@@ -179,10 +179,7 @@ fn checkpoint_policy_bounds_adoption_replay() {
     // an identical schedule either way.
     let with_policy = |checkpoint: CheckpointPolicy| {
         let config = ShardConfig {
-            db_config: DbConfig {
-                checkpoint,
-                ..DbConfig::default()
-            },
+            checkpoint,
             ..crash(1, 20, CrashPoint::BeforeTick)
         };
         run_with(config)
