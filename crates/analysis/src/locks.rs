@@ -2,7 +2,7 @@
 //!
 //! `parking_lot` mutexes do not detect recursion or ordering cycles —
 //! a `Database` method that re-locks `tables`, or two paths that nest
-//! `cache` and `tables` in opposite orders, deadlocks the server at
+//! `wal` and `tables` in opposite orders, deadlocks the server at
 //! runtime with no diagnostics. This pass knows the workspace's named
 //! lock fields ([`default_spec`]), finds every `self.<field>.lock()` /
 //! `.read()` / `.write()` acquisition, models the guard's scope from
@@ -60,18 +60,6 @@ pub fn default_spec() -> LockSpec {
                 rank: 10,
                 owner: "Database",
                 field: "tables",
-            },
-            LockClass {
-                name: "db.indexes",
-                rank: 20,
-                owner: "Database",
-                field: "indexes",
-            },
-            LockClass {
-                name: "db.cache",
-                rank: 30,
-                owner: "Database",
-                field: "cache",
             },
             LockClass {
                 name: "db.wal",

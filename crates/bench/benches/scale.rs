@@ -1,6 +1,7 @@
-//! Storage hot-path scaling: the planner's by-state query over a large
-//! job table, answered from the secondary index (`scan_where`) and by
-//! filtering a full-table scan (`scan_filter`) of the same database.
+//! Storage hot-path scaling: "the jobs of one DAG" out of a large job
+//! table, answered as a primary-key range (`scan_range` — a job's key
+//! leads with its DAG id) and by filtering a full-table scan
+//! (`scan_filter`) of the same database.
 //!
 //! This is the micro-benchmark twin of `figures -- scale` (which sweeps
 //! whole simulated runs): here only the storage layer is on the bench.
@@ -26,6 +27,9 @@ impl Record for Job {
 
 const STATES: [&str; 5] = ["Unsubmitted", "Ready", "Planned", "Running", "Finished"];
 
+/// Rows per owner: `id / JOBS_PER_DAG` plays the DAG id.
+const JOBS_PER_DAG: u64 = 50;
+
 fn populate(db: &Database, rows: u64) {
     let mut txn = db.txn();
     for i in 0..rows {
@@ -40,21 +44,28 @@ fn populate(db: &Database, rows: u64) {
     txn.commit().unwrap();
 }
 
-fn bench_by_state_query(c: &mut Criterion) {
-    let ready = serde_json::to_value("Ready").unwrap();
-    let mut group = c.benchmark_group("scale_by_state_query");
+fn bench_jobs_of_one_dag(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scale_jobs_of_one_dag");
     group.sample_size(20);
     for &rows in &[1_000u64, 10_000] {
         group.throughput(Throughput::Elements(rows));
 
         let db = Database::in_memory();
-        db.create_index::<Job>("/state");
         populate(&db, rows);
+        // The middle owner's rows.
+        let lo = rows / 2 / JOBS_PER_DAG * JOBS_PER_DAG;
+        let keys = lo..lo + JOBS_PER_DAG;
         group.bench_with_input(BenchmarkId::new("full_scan_filter", rows), &db, |b, db| {
-            b.iter(|| db.scan_filter::<Job>(|j| j.state == "Ready").unwrap().len());
+            b.iter(|| {
+                let rows = db.scan_filter::<Job>(|j| keys.contains(&j.id)).unwrap();
+                assert_eq!(rows.len() as u64, JOBS_PER_DAG);
+            });
         });
-        group.bench_with_input(BenchmarkId::new("indexed", rows), &db, |b, db| {
-            b.iter(|| db.scan_where::<Job>("/state", &ready).unwrap().len());
+        group.bench_with_input(BenchmarkId::new("key_range", rows), &db, |b, db| {
+            b.iter(|| {
+                let rows = db.scan_range::<Job>(keys.clone()).unwrap();
+                assert_eq!(rows.len() as u64, JOBS_PER_DAG);
+            });
         });
     }
     group.finish();
@@ -98,7 +109,7 @@ fn bench_recovery_with_auto_checkpoint(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_by_state_query,
+    bench_jobs_of_one_dag,
     bench_recovery_with_auto_checkpoint
 );
 criterion_main!(benches);

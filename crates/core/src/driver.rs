@@ -30,7 +30,7 @@ use crate::report::{RunReport, SiteOutcome};
 use crate::runtime::RuntimeConfig;
 use crate::server::{plan_cycle_over, SchedulerState, SphinxServer};
 use crate::shard::{AdoptionRecord, CrashPoint, Plane, SiteLeaseRow};
-use crate::state::{DagRow, JobRow, SiteStatsRow};
+use crate::state::{DagRow, JobRow, JobState, SiteStatsRow};
 use crate::strategy::SiteInfo;
 use parking_lot::Mutex;
 use sphinx_dag::{Dag, DagId};
@@ -515,8 +515,8 @@ impl Driver {
     /// id before any floating-point accumulation, per-site tallies merge
     /// integers, and per-site completion averages come from the grid-wide
     /// prediction ledger (global report order; the number eq. 3 planned
-    /// with), never from per-server float sums. Job tallies read the
-    /// `/state` index rather than decoding the whole job table.
+    /// with), never from per-server float sums. Job tallies are one
+    /// filtered pass over each job table that clones only terminal rows.
     pub fn build_report(&self) -> CoreResult<RunReport> {
         let mut dags: Vec<DagRow> = Vec::new();
         let mut finished_jobs: Vec<JobRow> = Vec::new();
@@ -525,11 +525,12 @@ impl Driver {
         for server in self.servers.iter().flatten() {
             let db = server.database();
             dags.extend(db.scan::<DagRow>()?);
-            finished_jobs
-                .extend(db.scan_where::<JobRow>("/state", &serde_json::json!("Finished"))?);
-            eliminated += db
-                .scan_where::<JobRow>("/state", &serde_json::json!("Eliminated"))?
-                .len();
+            for job in db.scan_filter::<JobRow>(|j| j.state.is_terminal())? {
+                match job.state {
+                    JobState::Finished => finished_jobs.push(job),
+                    _ => eliminated += 1,
+                }
+            }
             for row in db.scan::<SiteStatsRow>()? {
                 let tally = tallies.entry(row.site).or_default();
                 tally.0 += row.completed;
@@ -556,16 +557,20 @@ impl Driver {
         let completed = finished_jobs.len();
         let exec_sum: f64 = finished_jobs.iter().filter_map(|j| j.exec_secs).sum();
         let idle_sum: f64 = finished_jobs.iter().filter_map(|j| j.idle_secs).sum();
-        let specs = self.grid.site_specs();
+        let names: BTreeMap<SiteId, &str> = self
+            .grid
+            .site_specs()
+            .iter()
+            .map(|s| (s.id, s.name.as_str()))
+            .collect();
         let sched = self.sched();
         let sites = tallies
             .iter()
             .map(|(&site, &(completed, cancelled))| SiteOutcome {
                 site: SiteId(site),
-                name: specs
-                    .iter()
-                    .find(|s| s.id == SiteId(site))
-                    .map_or_else(|| format!("site{site}"), |s| s.name.clone()),
+                name: names
+                    .get(&SiteId(site))
+                    .map_or_else(|| format!("site{site}"), |&name| name.to_owned()),
                 completed,
                 cancelled,
                 avg_completion_secs: sched.prediction.average(SiteId(site)),

@@ -229,22 +229,9 @@ pub struct SphinxServer {
     all_site_ids: Vec<SiteId>,
 }
 
-/// The JSON value a [`DagId`] takes at the `/id/dag` pointer of a `JobRow`
-/// (a bare number — `DagId` is a serde newtype), i.e. the lookup key for
-/// the "all jobs of this DAG" secondary index.
-fn dag_key(id: DagId) -> CoreResult<serde_json::Value> {
-    serde_json::to_value(id).map_err(|_| CoreError::Invariant("dag id must serialize"))
-}
-
 impl SphinxServer {
     /// A fresh server over an (empty) database.
     pub fn new(db: Arc<Database>, catalog: Vec<SiteInfo>, config: ServerConfig) -> Self {
-        // The control process finds entities by state (and a DAG's jobs by
-        // owner); index the tables the way the original's SQL schema would
-        // have.
-        db.create_index::<DagRow>("/state");
-        db.create_index::<JobRow>("/state");
-        db.create_index::<JobRow>("/id/dag");
         let all_site_ids = catalog.iter().map(|s| s.id).collect();
         SphinxServer {
             db,
@@ -339,10 +326,7 @@ impl SphinxServer {
                 continue;
             }
             let mut completed = Vec::new();
-            for job in server
-                .db
-                .scan_where::<JobRow>("/id/dag", &dag_key(dag_row.id)?)?
-            {
+            for job in server.db.scan_range::<JobRow>(dag_row.id.job_keys())? {
                 match job.state {
                     s if s.is_terminal() => completed.push(job.id.index),
                     s if s.is_outstanding() => {
@@ -379,8 +363,7 @@ impl SphinxServer {
     ///
     /// Returns the adopted DAG ids, in id order.
     pub(crate) fn adopt_from(&mut self, donor: &Database, now: SimTime) -> CoreResult<Vec<DagId>> {
-        // Group the donor's job rows by owning DAG (full scan, no reliance
-        // on secondary indexes existing in the bare recovered database).
+        // Group the donor's job rows by owning DAG (one full scan).
         let mut jobs_of: BTreeMap<DagId, Vec<JobRow>> = BTreeMap::new();
         for job in donor.scan::<JobRow>()? {
             jobs_of.entry(job.id.dag).or_default().push(job);
@@ -477,7 +460,7 @@ impl SphinxServer {
         let mut reset = 0u64;
         let mut repaired = 0u64;
         for &dag_id in adopted {
-            for job in self.db.scan_where::<JobRow>("/id/dag", &dag_key(dag_id)?)? {
+            for job in self.db.scan_range::<JobRow>(dag_id.job_keys())? {
                 if job.state.is_outstanding() && !tracked.contains_key(&job.id) {
                     if let Some(res) = job.reservation {
                         let _ = sched.policy.release(res);
@@ -754,19 +737,23 @@ impl SphinxServer {
                 idle,
                 ..
             } => {
-                let Some(row) = self.db.get::<JobRow>(key) else {
-                    return Ok(());
-                };
-                if !row.state.is_outstanding() {
-                    return Ok(()); // duplicate, stale (post-replan) or bogus
-                }
-                self.db.update::<JobRow>(key, |j| {
+                // One look at the row: a report for a job that is not in
+                // flight — duplicate, stale (post-replan) or bogus — is
+                // declined without a commit.
+                let Some(reservation) = self.db.update_if::<JobRow, _>(key, |j| {
+                    if !j.state.is_outstanding() {
+                        return None;
+                    }
                     // sphinx-fsa: Submitted|Queued|Running -> Finished
                     j.advance(JobState::Finished);
                     j.exec_secs = Some(exec.as_secs_f64());
                     j.idle_secs = Some(idle.as_secs_f64());
-                })?;
-                if let Some(res) = row.reservation {
+                    Some(j.reservation)
+                })?
+                else {
+                    return Ok(());
+                };
+                if let Some(res) = reservation {
                     let actual = Requirement::new(exec.as_secs_f64() as u64, 0);
                     let _ = sched.policy.commit(res, actual);
                 }
@@ -828,17 +815,23 @@ impl SphinxServer {
                 self.maybe_finish_dag(job.dag, now)?;
             }
             StatusReport::Cancelled { site, cause, .. } => {
-                let Some(row) = self.db.get::<JobRow>(key) else {
+                // Declined (no commit) when the job raced with completion,
+                // was already replanned, or the report is bogus.
+                let Some(reservation) = self.db.update_if::<JobRow, _>(key, |j| {
+                    if !j.state.is_outstanding() {
+                        return None;
+                    }
+                    let reservation = j.reservation;
+                    // reset_for_replan is the Submitted|Queued|Running -> Ready edge.
+                    j.reset_for_replan();
+                    Some(reservation)
+                })?
+                else {
                     return Ok(());
                 };
-                if !row.state.is_outstanding() {
-                    return Ok(()); // raced with completion, already replanned, or bogus
-                }
-                if let Some(res) = row.reservation {
+                if let Some(res) = reservation {
                     let _ = sched.policy.release(res);
                 }
-                // reset_for_replan is the Submitted|Queued|Running -> Ready edge.
-                self.db.update::<JobRow>(key, |j| j.reset_for_replan())?;
                 let transition = sched.reliability.record_cancelled_at(site, now);
                 self.note_flag_transition(transition, site, now);
                 self.telemetry
@@ -878,7 +871,7 @@ impl SphinxServer {
     fn received_dags(&self) -> CoreResult<Vec<DagRow>> {
         Ok(self
             .db
-            .scan_where::<DagRow>("/state", &serde_json::json!("Received"))?)
+            .scan_filter::<DagRow>(|d| d.state == DagState::Received)?)
     }
 
     /// Reduce one newly received DAG against the replica catalog (the DAG

@@ -11,6 +11,15 @@ use std::fmt;
 )]
 pub struct DagId(pub u64);
 
+impl DagId {
+    /// The [`JobId::as_key`] keys of every job of this DAG: one contiguous
+    /// range, because the key leads with the DAG id.
+    pub fn job_keys(self) -> std::ops::RangeInclusive<u64> {
+        let first = JobId::new(self, 0).as_key();
+        first..=first | JobId::INDEX_MASK
+    }
+}
+
 impl fmt::Display for DagId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dag{}", self.0)
@@ -29,6 +38,10 @@ pub struct JobId {
 }
 
 impl JobId {
+    /// Bits of [`JobId::as_key`] that hold the job index.
+    const INDEX_BITS: u32 = 24;
+    const INDEX_MASK: u64 = (1 << Self::INDEX_BITS) - 1;
+
     /// Job `index` of DAG `dag`.
     pub fn new(dag: DagId, index: u32) -> Self {
         JobId { dag, index }
@@ -36,7 +49,7 @@ impl JobId {
 
     /// A dense `u64` encoding usable as a database primary key.
     pub fn as_key(self) -> u64 {
-        (self.dag.0 << 24) | self.index as u64
+        (self.dag.0 << Self::INDEX_BITS) | self.index as u64
     }
 }
 
@@ -429,6 +442,15 @@ mod tests {
         let c = JobId::new(DagId(2), 2).as_key();
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn job_keys_cover_exactly_one_dag() {
+        let keys = DagId(7).job_keys();
+        assert!(keys.contains(&JobId::new(DagId(7), 0).as_key()));
+        assert!(keys.contains(&JobId::new(DagId(7), (1 << 24) - 1).as_key()));
+        assert!(!keys.contains(&JobId::new(DagId(6), (1 << 24) - 1).as_key()));
+        assert!(!keys.contains(&JobId::new(DagId(8), 0).as_key()));
     }
 
     #[test]

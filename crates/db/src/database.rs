@@ -1,16 +1,16 @@
 //! The table store proper.
 
 use crate::error::DbError;
-use crate::index::Indexes;
-use crate::txn::{LogEntry, Op, Txn};
+use crate::table::{Row, Store, Table};
+use crate::txn::{snapshot_line, LogEntry, Txn, TxnLine};
 use crate::wal::Wal;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use sphinx_telemetry::Telemetry;
-use std::any::Any;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::ops::{ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,44 +69,16 @@ impl CheckpointPolicy {
     }
 }
 
-/// Read-path counters (see also `db.*` telemetry counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Rows materialized by `get`/`scan*` calls.
-    pub rows_read: u64,
-    /// Rows that required a serde decode (cache misses).
-    pub rows_decoded: u64,
-    /// Reads served from the decoded-row cache.
-    pub cache_hits: u64,
-    /// Reads that populated the cache.
-    pub cache_misses: u64,
-}
-
-pub(crate) type Tables = BTreeMap<String, BTreeMap<u64, serde_json::Value>>;
-
-/// Decoded rows, keyed by table then primary key. Entries are erased to
-/// `Any`; the typed read path downcasts back to `R`. Keyed by the full
-/// (possibly namespaced) table name, never by `R::TABLE` alone — two
-/// namespaces sharing one database must not serve each other's decodes.
-type RowCache = BTreeMap<String, BTreeMap<u64, Box<dyn Any + Send>>>;
-
-/// A decoded row handed to the commit path so the cache can be primed
-/// without ever re-deserializing what the caller just serialized.
-pub(crate) struct Primed {
-    pub(crate) table: String,
-    pub(crate) key: u64,
-    pub(crate) row: Box<dyn Any + Send>,
-}
-
 /// A database: named tables + write-ahead log.
 ///
 /// All mutation goes through the WAL before touching the tables, so any
-/// state observable after a crash is replayable from the log.
+/// state observable after a crash is replayable from the log. Every
+/// operation is one critical section under `tables`; closures handed to
+/// [`Database::update`] and friends run inside it and must not call back
+/// into the database.
 pub struct Database {
-    pub(crate) tables: Mutex<Tables>,
-    pub(crate) wal: Mutex<Box<dyn Wal>>,
-    indexes: Mutex<Indexes>,
-    cache: Mutex<RowCache>,
+    tables: Mutex<Store>,
+    wal: Mutex<Box<dyn Wal>>,
     checkpoint: CheckpointPolicy,
     commits: AtomicU64,
     /// Lines currently in the log (replayed + appended − compacted away).
@@ -116,62 +88,24 @@ pub struct Database {
     /// Rows that failed to decode on the `Option`-returning read path
     /// (`get`); scans surface the same failures as [`DbError::Codec`].
     decode_failures: AtomicU64,
-    rows_read: AtomicU64,
-    rows_decoded: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     telemetry: Mutex<Option<Arc<Telemetry>>>,
 }
 
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("tables", &self.tables.lock().len())
+            .field("tables", &self.tables.lock().tables().len())
             .field("commits", &self.commits.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-fn encode<R: Record>(table: &str, row: &R) -> Result<serde_json::Value, DbError> {
-    serde_json::to_value(row).map_err(|e| DbError::Codec {
-        table: table.to_owned(),
-        message: e.to_string(),
-    })
-}
-
-fn decode<R: Record>(table: &str, value: &serde_json::Value) -> Result<R, DbError> {
-    serde_json::from_value(value.clone()).map_err(|e| DbError::Codec {
-        table: table.to_owned(),
-        message: e.to_string(),
-    })
-}
-
-/// The decoded rows of `table`, with an empty entry made on first use so
-/// the steady state allocates no table name.
-fn table_cache<'c>(
-    cache: &'c mut RowCache,
-    table: &str,
-) -> Option<&'c mut BTreeMap<u64, Box<dyn Any + Send>>> {
-    if !cache.contains_key(table) {
-        cache.insert(table.to_owned(), BTreeMap::new());
+/// `f` as an [`Database::update_if`] closure that always commits.
+fn always<R>(f: impl FnOnce(&mut R)) -> impl FnOnce(&mut R) -> Option<()> {
+    |row| {
+        f(row);
+        Some(())
     }
-    cache.get_mut(table)
-}
-
-fn live_rows_of(tables: &Tables) -> u64 {
-    tables.values().map(|t| t.len() as u64).sum()
-}
-
-/// The full table name for record type `R` inside namespace `ns`.
-fn ns_table<R: Record>(ns: &str) -> String {
-    format!("{ns}/{}", R::TABLE)
-}
-
-fn encode_entry(entry: &LogEntry) -> Result<String, DbError> {
-    serde_json::to_string(entry).map_err(|e| DbError::Codec {
-        table: "<wal>".to_owned(),
-        message: e.to_string(),
-    })
 }
 
 impl Database {
@@ -183,20 +117,18 @@ impl Database {
 
     /// A database over an empty log with an explicit checkpoint policy.
     pub fn with_wal_and_config(wal: Box<dyn Wal>, checkpoint: CheckpointPolicy) -> Self {
+        Self::over(Store::default(), wal, checkpoint, 0)
+    }
+
+    fn over(store: Store, wal: Box<dyn Wal>, checkpoint: CheckpointPolicy, replayed: u64) -> Self {
         Database {
-            tables: Mutex::new(BTreeMap::new()),
+            tables: Mutex::new(store),
             wal: Mutex::new(wal),
-            indexes: Mutex::new(Indexes::default()),
-            cache: Mutex::new(BTreeMap::new()),
             checkpoint,
             commits: AtomicU64::new(0),
-            log_lines: AtomicU64::new(0),
-            replayed: 0,
+            log_lines: AtomicU64::new(replayed),
+            replayed,
             decode_failures: AtomicU64::new(0),
-            rows_read: AtomicU64::new(0),
-            rows_decoded: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             telemetry: Mutex::new(None),
         }
     }
@@ -223,18 +155,15 @@ impl Database {
         mut wal: Box<dyn Wal>,
         checkpoint: CheckpointPolicy,
     ) -> Result<Self, DbError> {
-        let lines = wal.read_all()?;
-        let mut tables: Tables = BTreeMap::new();
+        let mut lines = wal.read_all()?;
+        let mut store = Store::default();
         let last = lines.len().saturating_sub(1);
         let mut valid = 0usize;
         for (i, line) in lines.iter().enumerate() {
             let entry: LogEntry = match serde_json::from_str(line) {
                 Ok(e) => e,
-                Err(err) if i == last => {
-                    // Interrupted final commit: discard, recovery succeeds.
-                    let _ = err;
-                    break;
-                }
+                // Interrupted final commit: discard, recovery succeeds.
+                Err(_) if i == last => break,
                 Err(err) => {
                     return Err(DbError::Corrupt {
                         line: i + 1,
@@ -242,28 +171,14 @@ impl Database {
                     })
                 }
             };
-            entry.apply(&mut tables);
+            store.replay(entry);
             valid = i + 1;
         }
         if valid < lines.len() {
-            wal.rewrite(&lines[..valid])?;
+            lines.truncate(valid);
+            wal.rewrite(&lines)?;
         }
-        Ok(Database {
-            tables: Mutex::new(tables),
-            wal: Mutex::new(wal),
-            indexes: Mutex::new(Indexes::default()),
-            cache: Mutex::new(BTreeMap::new()),
-            checkpoint,
-            commits: AtomicU64::new(0),
-            log_lines: AtomicU64::new(valid as u64),
-            replayed: valid as u64,
-            decode_failures: AtomicU64::new(0),
-            rows_read: AtomicU64::new(0),
-            rows_decoded: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            telemetry: Mutex::new(None),
-        })
+        Ok(Self::over(store, wal, checkpoint, valid as u64))
     }
 
     /// Log lines replayed when this database was built by [`Database::recover`].
@@ -278,7 +193,7 @@ impl Database {
 
     /// Live rows across every table.
     pub fn live_rows(&self) -> u64 {
-        live_rows_of(&self.tables.lock())
+        self.tables.lock().row_count()
     }
 
     /// Rows that failed to decode on the `Option`-returning read path.
@@ -286,20 +201,10 @@ impl Database {
         self.decode_failures.load(Ordering::Relaxed)
     }
 
-    /// Read-path counters accumulated since construction.
-    pub fn read_stats(&self) -> ReadStats {
-        ReadStats {
-            rows_read: self.rows_read.load(Ordering::Relaxed),
-            rows_decoded: self.rows_decoded.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-        }
-    }
-
     /// Attach a telemetry hub. Replay work already done by `recover` is
     /// credited immediately (recovery runs before any hub exists); every
     /// later commit and checkpoint bumps `wal.appends` / `wal.rewrites`,
-    /// and every read bumps the `db.*` counters.
+    /// and every read bumps `db.rows.read`.
     pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
         if self.replayed > 0 {
             telemetry.counter_add("wal.replays", self.replayed);
@@ -308,21 +213,18 @@ impl Database {
         *self.telemetry.lock() = Some(telemetry);
     }
 
-    /// Credit one batch of reads to the local counters and the telemetry
-    /// hub (one lock per call, not per row).
-    fn note_reads(&self, hits: u64, decoded: u64) {
-        if hits == 0 && decoded == 0 {
-            return;
-        }
-        self.rows_read.fetch_add(hits + decoded, Ordering::Relaxed);
-        self.rows_decoded.fetch_add(decoded, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(decoded, Ordering::Relaxed);
+    /// Run `f` on the attached telemetry hub, if there is one.
+    fn with_hub(&self, f: impl FnOnce(&Telemetry)) {
         if let Some(t) = self.telemetry.lock().as_ref() {
-            t.counter_add("db.rows.read", hits + decoded);
-            t.counter_add("db.rows.decoded", decoded);
-            t.counter_add("db.cache.hits", hits);
-            t.counter_add("db.cache.misses", decoded);
+            f(t);
+        }
+    }
+
+    /// Credit rows cloned out by `get` / `update` / `scan*` to the hub's
+    /// `db.rows.read` (once per call, not per row).
+    fn note_reads(&self, rows: u64) {
+        if rows > 0 {
+            self.with_hub(|t| t.counter_add("db.rows.read", rows));
         }
     }
 
@@ -331,126 +233,76 @@ impl Database {
         Txn::new(self)
     }
 
-    pub(crate) fn commit_ops(&self, ops: Vec<Op>) -> Result<(), DbError> {
-        self.commit_ops_primed(ops, Vec::new())
-    }
-
-    /// Commit `ops` as one WAL line; `primed` carries already-decoded rows
-    /// for the touched keys so the cache can be refreshed for free.
-    ///
-    /// Append, apply and the policy's checkpoint are one critical section
-    /// under `tables`: `Database` is `Sync`, and two committers that
-    /// logged in one order and applied in the other would leave live
-    /// tables that differ from what [`Database::recover`] rebuilds.
+    /// The one commit path: one critical section under `tables`, from the
+    /// commit's first read to its apply. `prepare` reads what it needs,
+    /// opens every table it will put to as its row type (so the apply
+    /// cannot fail on a type) and frames the line — or breaks with an
+    /// answer, and nothing is committed. The line goes to the WAL first
+    /// (the log is the source of truth), then `apply` touches the tables,
+    /// then the checkpoint policy runs: two committers can never log in
+    /// one order and apply in the other.
     // sphinx-hot
-    pub(crate) fn commit_ops_primed(
+    pub(crate) fn commit<P, T>(
         &self,
-        ops: Vec<Op>,
-        primed: Vec<Primed>,
-    ) -> Result<(), DbError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let entry = LogEntry::Txn { ops };
-        let line = encode_entry(&entry)?;
-        let mut tables = self.tables.lock();
-        // WAL first, then tables: the log is the source of truth.
-        self.wal.lock().append(&line)?;
+        prepare: impl FnOnce(&mut Store, &mut TxnLine) -> Result<ControlFlow<T, P>, DbError>,
+        apply: impl FnOnce(&mut Store, P) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let mut store = self.tables.lock();
+        let mut line = TxnLine::new();
+        let prepared = match prepare(&mut store, &mut line)? {
+            ControlFlow::Continue(prepared) => prepared,
+            ControlFlow::Break(answer) => return Ok(answer),
+        };
+        self.wal.lock().append(&line.finish())?;
         self.log_lines.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.lock().as_ref() {
-            t.counter_add("wal.appends", 1);
-        }
-        {
-            let mut indexes = self.indexes.lock();
-            let mut cache = self.cache.lock();
-            if let LogEntry::Txn { ops } = entry {
-                for op in ops {
-                    match op {
-                        Op::Put { table, key, row } => {
-                            let t = tables.entry(table.clone()).or_default();
-                            // Insert first so the displaced old row moves
-                            // out instead of being cloned for the index
-                            // delta; the new row is read back by key.
-                            let old = t.insert(key, row);
-                            if let Some(new) = t.get(&key) {
-                                indexes.on_put(&table, key, old.as_ref(), new);
-                            }
-                            // The cached decode (if any) is now stale.
-                            if let Some(tc) = cache.get_mut(table.as_str()) {
-                                tc.remove(&key);
-                            }
-                        }
-                        Op::Del { table, key } => {
-                            if let Some(t) = tables.get_mut(&table) {
-                                let old = t.remove(&key);
-                                indexes.on_delete(&table, key, old.as_ref());
-                            }
-                            if let Some(tc) = cache.get_mut(table.as_str()) {
-                                tc.remove(&key);
-                            }
-                        }
-                    }
-                }
-            }
-            for p in primed {
-                cache.entry(p.table).or_default().insert(p.key, p.row);
-            }
-        }
+        self.with_hub(|t| t.counter_add("wal.appends", 1));
+        let out = apply(&mut store, prepared)?;
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.maybe_checkpoint(&tables)
+        // Deterministic: the decision depends only on log length and
+        // live-row count.
+        let policy = self.checkpoint;
+        let log = self.log_lines.load(Ordering::Relaxed);
+        if policy.enabled
+            && log >= policy.min_log_lines
+            && log > policy.ratio.saturating_mul(store.row_count().max(1))
+        {
+            self.checkpoint_locked(&store)?;
+        }
+        Ok(out)
     }
 
-    /// Apply the [`CheckpointPolicy`] after a commit, inside that commit's
-    /// critical section. Deterministic: the decision depends only on log
-    /// length and live-row count.
-    fn maybe_checkpoint(&self, tables: &Tables) -> Result<(), DbError> {
-        let policy = self.checkpoint;
-        if !policy.enabled {
-            return Ok(());
-        }
-        let log = self.log_lines.load(Ordering::Relaxed);
-        if log < policy.min_log_lines {
-            return Ok(());
-        }
-        if log > policy.ratio.saturating_mul(live_rows_of(tables).max(1)) {
-            self.checkpoint_locked(tables)?;
-        }
-        Ok(())
+    /// A look at `table` that needs no row type. `None` if it does not exist.
+    fn peek<O>(&self, table: &str, f: impl FnOnce(&Table) -> O) -> Option<O> {
+        self.tables.lock().tables().get(table).map(f)
     }
 
     /// Insert a new row; fails on duplicate key.
     pub fn insert<R: Record>(&self, row: &R) -> Result<(), DbError> {
-        self.insert_at(R::TABLE, row)
-    }
-
-    pub(crate) fn insert_at<R: Record>(&self, table: &str, row: &R) -> Result<(), DbError> {
-        if self.contains_at(table, row.key()) {
-            return Err(DbError::DuplicateKey {
-                table: table.to_owned(),
-                key: row.key(),
-            });
-        }
-        self.put_at(table, row)
+        self.put_at(R::TABLE, row, true)
     }
 
     /// Insert or overwrite a row.
     pub fn put<R: Record>(&self, row: &R) -> Result<(), DbError> {
-        self.put_at(R::TABLE, row)
+        self.put_at(R::TABLE, row, false)
     }
 
-    pub(crate) fn put_at<R: Record>(&self, table: &str, row: &R) -> Result<(), DbError> {
-        let value = encode(table, row)?;
-        let op = Op::Put {
-            table: table.to_owned(),
-            key: row.key(),
-            row: value,
-        };
-        let primed = Primed {
-            table: table.to_owned(),
-            key: row.key(),
-            row: Box::new(row.clone()),
-        };
-        self.commit_ops_primed(vec![op], vec![primed])
+    fn put_at<R: Record>(&self, table: &str, row: &R, fresh_only: bool) -> Result<(), DbError> {
+        let key = row.key();
+        self.commit(
+            |store, line| {
+                store.typed::<R>(table)?;
+                // (A row that does not decode still owns its key.)
+                if fresh_only && store.tables().get(table).is_some_and(|t| t.contains(key)) {
+                    return Err(DbError::DuplicateKey {
+                        table: table.to_owned(),
+                        key,
+                    });
+                }
+                line.put(table, key, row);
+                Ok(ControlFlow::Continue(()))
+            },
+            |store, ()| store.apply_put(table, key, row.clone()),
+        )
     }
 
     /// Fetch a row by key. A row that exists but fails to decode reads as
@@ -461,23 +313,9 @@ impl Database {
     }
 
     pub(crate) fn get_at<R: Record>(&self, table: &str, key: u64) -> Option<R> {
-        let tables = self.tables.lock();
-        let value = tables.get(table)?.get(&key)?;
-        let mut cache = self.cache.lock();
-        let tc = table_cache(&mut cache, table)?;
-        if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
-            let row = row.clone();
-            drop(cache);
-            self.note_reads(1, 0);
-            return Some(row);
-        }
-        match decode::<R>(table, value) {
-            Ok(row) => {
-                tc.insert(key, Box::new(row.clone()));
-                drop(cache);
-                self.note_reads(0, 1);
-                Some(row)
-            }
+        match self.scan_at(table, key..=key, |_| true) {
+            Ok(mut rows) => rows.pop(),
+            // There is something at `key`, but not an `R`.
             Err(_) => {
                 self.decode_failures.fetch_add(1, Ordering::Relaxed);
                 None
@@ -491,10 +329,7 @@ impl Database {
     }
 
     pub(crate) fn contains_at(&self, table: &str, key: u64) -> bool {
-        self.tables
-            .lock()
-            .get(table)
-            .is_some_and(|t| t.contains_key(&key))
+        self.peek(table, |t| t.contains(key)).unwrap_or(false)
     }
 
     /// Delete a row; returns whether it existed.
@@ -503,95 +338,113 @@ impl Database {
     }
 
     pub(crate) fn delete_at(&self, table: &str, key: u64) -> Result<bool, DbError> {
-        let existed = self.contains_at(table, key);
-        if existed {
-            self.commit_ops(vec![Op::Del {
-                table: table.to_owned(),
-                key,
-            }])?;
-        }
-        Ok(existed)
+        self.commit(
+            |store, line| {
+                if !store.tables().get(table).is_some_and(|t| t.contains(key)) {
+                    return Ok(ControlFlow::Break(false));
+                }
+                line.del(table, key);
+                Ok(ControlFlow::Continue(()))
+            },
+            |store, ()| {
+                store.apply_del(table, key);
+                Ok(true)
+            },
+        )
     }
 
     /// Read-modify-write one row under a single commit. Returns `false` if
     /// the row does not exist.
     pub fn update<R: Record>(&self, key: u64, f: impl FnOnce(&mut R)) -> Result<bool, DbError> {
-        self.update_at(R::TABLE, key, f)
+        Ok(self.update_if(key, always(f))?.is_some())
     }
 
-    pub(crate) fn update_at<R: Record>(
+    /// [`Database::update`] for a caller that needs to look before it
+    /// writes: `f` sees the row once, and either declines (`None`: nothing
+    /// is committed) or returns what the caller wants to keep of the row
+    /// (`Some`: the row as `f` left it is committed). `None` is also the
+    /// answer when the row does not exist.
+    pub fn update_if<R: Record, T>(
+        &self,
+        key: u64,
+        f: impl FnOnce(&mut R) -> Option<T>,
+    ) -> Result<Option<T>, DbError> {
+        self.update_if_at(R::TABLE, key, f)
+    }
+
+    fn update_if_at<R: Record, T>(
         &self,
         table: &str,
         key: u64,
-        f: impl FnOnce(&mut R),
-    ) -> Result<bool, DbError> {
-        let Some(mut row) = self.get_at::<R>(table, key) else {
-            return Ok(false);
-        };
-        f(&mut row);
-        debug_assert_eq!(row.key(), key, "update must not change the key");
-        self.put_at(table, &row)?;
-        Ok(true)
+        f: impl FnOnce(&mut R) -> Option<T>,
+    ) -> Result<Option<T>, DbError> {
+        self.commit(
+            |store, line| {
+                let Some(t) = store.typed::<R>(table)? else {
+                    return Ok(ControlFlow::Break(None));
+                };
+                let Some(mut row) = t.rows().get(&key).cloned() else {
+                    if t.check_decodable(table, key..=key).is_err() {
+                        self.decode_failures.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(ControlFlow::Break(None));
+                };
+                self.note_reads(1);
+                // On a clone: the table changes only after the log has.
+                let Some(out) = f(&mut row) else {
+                    return Ok(ControlFlow::Break(None));
+                };
+                debug_assert_eq!(row.key(), key, "update must not change the key");
+                line.put(table, key, &row);
+                Ok(ControlFlow::Continue((row, out)))
+            },
+            |store, (row, out)| {
+                store.apply_put(table, key, row)?;
+                Ok(Some(out))
+            },
+        )
     }
 
-    /// Decode every `(key, value)` pair, in order, through the row cache.
-    /// The first undecodable row aborts with [`DbError::Codec`] — silent
-    /// row loss is exactly what the fallible scans exist to prevent.
-    fn materialize<'v, R: Record>(
+    /// The rows of `table` within `range` that `keep` accepts, in key
+    /// order; only those are cloned. A row in `range` that does not
+    /// decode aborts with [`DbError::Codec`] — silent row loss is exactly
+    /// what the fallible scans exist to prevent.
+    pub(crate) fn scan_at<T: Row>(
         &self,
         table: &str,
-        rows: impl Iterator<Item = (u64, &'v serde_json::Value)>,
-    ) -> Result<Vec<R>, DbError> {
-        let mut out = Vec::new();
-        let mut hits = 0u64;
-        let mut decoded = 0u64;
-        let result = (|| {
-            let mut cache = self.cache.lock();
-            let Some(tc) = table_cache(&mut cache, table) else {
-                for (_, value) in rows {
-                    out.push(decode(table, value)?);
-                    decoded += 1;
-                }
-                return Ok(());
+        range: impl RangeBounds<u64> + Clone,
+        mut keep: impl FnMut(&T) -> bool,
+    ) -> Result<Vec<T>, DbError> {
+        let rows: Vec<T> = {
+            let mut store = self.tables.lock();
+            let Some(t) = store.typed::<T>(table)? else {
+                return Ok(Vec::new());
             };
-            for (key, value) in rows {
-                if let Some(row) = tc.get(&key).and_then(|b| b.downcast_ref::<R>()) {
-                    hits += 1;
-                    out.push(row.clone());
-                    continue;
-                }
-                let row: R = decode(table, value)?;
-                decoded += 1;
-                tc.insert(key, Box::new(row.clone()));
-                out.push(row);
-            }
-            Ok(())
-        })();
-        self.note_reads(hits, decoded);
-        result.map(|()| out)
+            t.check_decodable(table, range.clone())?;
+            let rows = t.rows().range(range).filter(|(_, row)| keep(row));
+            rows.map(|(_, row)| row.clone()).collect()
+        };
+        self.note_reads(rows.len() as u64);
+        Ok(rows)
     }
 
     /// All rows of a table, in key order.
     pub fn scan<R: Record>(&self) -> Result<Vec<R>, DbError> {
-        self.scan_at(R::TABLE)
-    }
-
-    pub(crate) fn scan_at<R: Record>(&self, table: &str) -> Result<Vec<R>, DbError> {
-        let tables = self.tables.lock();
-        let Some(t) = tables.get(table) else {
-            return Ok(Vec::new());
-        };
-        self.materialize(table, t.iter().map(|(&k, v)| (k, v)))
+        self.scan_at(R::TABLE, .., |_| true)
     }
 
     /// Rows matching a predicate, in key order.
-    pub fn scan_filter<R: Record>(
+    pub fn scan_filter<R: Record>(&self, pred: impl FnMut(&R) -> bool) -> Result<Vec<R>, DbError> {
+        self.scan_at(R::TABLE, .., pred)
+    }
+
+    /// Rows whose key lies in `range`, in key order. Where a key leads with
+    /// its owner (a job's with its DAG id) this is "all rows of that owner".
+    pub fn scan_range<R: Record>(
         &self,
-        mut pred: impl FnMut(&R) -> bool,
+        range: impl RangeBounds<u64> + Clone,
     ) -> Result<Vec<R>, DbError> {
-        let mut rows = self.scan::<R>()?;
-        rows.retain(|r| pred(r));
-        Ok(rows)
+        self.scan_at(R::TABLE, range, |_| true)
     }
 
     /// Number of rows in a table.
@@ -600,21 +453,19 @@ impl Database {
     }
 
     pub(crate) fn count_at(&self, table: &str) -> usize {
-        self.tables.lock().get(table).map_or(0, |t| t.len())
+        self.peek(table, Table::len).unwrap_or(0)
     }
 
     /// Largest key present in the table, if any.
     pub fn max_key<R: Record>(&self) -> Option<u64> {
-        self.tables
-            .lock()
-            .get(R::TABLE)
-            .and_then(|t| t.keys().next_back().copied())
+        self.peek(R::TABLE, Table::max_key).flatten()
     }
 
-    /// Statistics for every non-empty table.
+    /// Statistics for every table.
     pub fn stats(&self) -> Vec<TableStats> {
         self.tables
             .lock()
+            .tables()
             .iter()
             .map(|(name, t)| TableStats {
                 name: name.clone(),
@@ -628,46 +479,6 @@ impl Database {
         self.commits.load(Ordering::Relaxed)
     }
 
-    /// Register a secondary index over `pointer` (a JSON pointer, e.g.
-    /// `"/state"`) into `R`'s table, built from the current contents and
-    /// maintained on every subsequent commit.
-    pub fn create_index<R: Record>(&self, pointer: &str) {
-        let tables = self.tables.lock();
-        self.indexes.lock().create(R::TABLE, pointer, &tables);
-    }
-
-    /// Rows whose value at `pointer` equals `value`. Uses the secondary
-    /// index when one is registered; otherwise falls back to a filtered
-    /// table scan (same result, O(table) instead of O(result)).
-    // sphinx-hot
-    pub fn scan_where<R: Record>(
-        &self,
-        pointer: &str,
-        value: &serde_json::Value,
-    ) -> Result<Vec<R>, DbError> {
-        let tables = self.tables.lock();
-        let indexes = self.indexes.lock();
-        if indexes.exists(R::TABLE, pointer) {
-            let keys = indexes.lookup(R::TABLE, pointer, value).unwrap_or_default();
-            let Some(t) = tables.get(R::TABLE) else {
-                return Ok(Vec::new());
-            };
-            return self.materialize(
-                R::TABLE,
-                keys.into_iter().filter_map(|k| t.get(&k).map(|v| (k, v))),
-            );
-        }
-        let Some(t) = tables.get(R::TABLE) else {
-            return Ok(Vec::new());
-        };
-        self.materialize(
-            R::TABLE,
-            t.iter()
-                .filter(|(_, v)| v.pointer(pointer).unwrap_or(&serde_json::Value::Null) == value)
-                .map(|(&k, v)| (k, v)),
-        )
-    }
-
     /// Compact the log to one snapshot entry describing the current state.
     pub fn checkpoint(&self) -> Result<(), DbError> {
         self.checkpoint_locked(&self.tables.lock())
@@ -676,84 +487,27 @@ impl Database {
     /// Snapshot and rewrite as one critical section: the caller's `tables`
     /// guard keeps every committer out until the log holds the snapshot,
     /// so no line can land between the two and be erased by the rewrite.
-    fn checkpoint_locked(&self, tables: &Tables) -> Result<(), DbError> {
-        let entry = LogEntry::snapshot_of(tables);
-        let line = encode_entry(&entry)?;
-        self.wal.lock().rewrite(&[line])?;
+    fn checkpoint_locked(&self, store: &Store) -> Result<(), DbError> {
+        self.wal.lock().rewrite(&[snapshot_line(store)])?;
         self.log_lines.store(1, Ordering::Relaxed);
-        if let Some(t) = self.telemetry.lock().as_ref() {
+        self.with_hub(|t| {
             t.counter_add("wal.rewrites", 1);
             t.span_instant("wal:checkpoint", "log compacted to snapshot".to_owned());
-        }
+        });
         Ok(())
-    }
-
-    // ---- raw (string-table) access, used by `Queue` ----
-
-    /// Commit several raw puts atomically (one WAL line).
-    pub(crate) fn raw_put_many(
-        &self,
-        puts: Vec<(String, u64, serde_json::Value)>,
-    ) -> Result<(), DbError> {
-        let ops = puts
-            .into_iter()
-            .map(|(table, key, row)| Op::Put { table, key, row })
-            .collect();
-        self.commit_ops(ops)
-    }
-
-    pub(crate) fn raw_get(&self, table: &str, key: u64) -> Option<serde_json::Value> {
-        self.tables.lock().get(table)?.get(&key).cloned()
-    }
-
-    pub(crate) fn raw_min_entry(&self, table: &str) -> Option<(u64, serde_json::Value)> {
-        let tables = self.tables.lock();
-        let t = tables.get(table)?;
-        let (&k, v) = t.iter().next()?;
-        Some((k, v.clone()))
-    }
-
-    pub(crate) fn raw_all(&self, table: &str) -> Vec<(u64, serde_json::Value)> {
-        let tables = self.tables.lock();
-        tables
-            .get(table)
-            .map(|t| t.iter().map(|(&k, v)| (k, v.clone())).collect())
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn raw_delete_many(&self, table: &str, keys: &[u64]) -> Result<(), DbError> {
-        let ops: Vec<Op> = keys
-            .iter()
-            .map(|&key| Op::Del {
-                table: table.to_owned(),
-                key,
-            })
-            .collect();
-        self.commit_ops(ops)
-    }
-
-    pub(crate) fn raw_len(&self, table: &str) -> usize {
-        self.tables.lock().get(table).map_or(0, |t| t.len())
-    }
-
-    pub(crate) fn raw_max_key(&self, table: &str) -> Option<u64> {
-        self.tables
-            .lock()
-            .get(table)
-            .and_then(|t| t.keys().next_back().copied())
     }
 
     /// A handle addressing every table through the prefix `"{ns}/"`.
     ///
-    /// Two namespaces on one shared database are fully isolated: rows,
-    /// decoded-row cache entries, and [`crate::Queue`] sequence counters
-    /// all live under the composed table name, so shard A can never read
-    /// shard B's rows (or, worse, B's stale cached decodes) through the
+    /// Two namespaces on one shared database are fully isolated: rows and
+    /// [`crate::Queue`] sequence counters all live under the composed
+    /// table name, so shard A can never read shard B's rows through the
     /// un-prefixed `R::TABLE` name.
     pub fn namespace(&self, ns: impl Into<String>) -> Ns<'_> {
         Ns {
             db: self,
             prefix: Cow::Owned(ns.into()),
+            name: RefCell::default(),
         }
     }
 
@@ -763,6 +517,7 @@ impl Database {
         Ns {
             db: self,
             prefix: Cow::Borrowed(ns),
+            name: RefCell::default(),
         }
     }
 }
@@ -774,6 +529,9 @@ impl Database {
 pub struct Ns<'a> {
     db: &'a Database,
     prefix: Cow<'a, str>,
+    /// The composed table name of the operation in progress, built in
+    /// place so a handle allocates once, not once per operation.
+    name: RefCell<String>,
 }
 
 impl<'a> Ns<'a> {
@@ -784,47 +542,58 @@ impl<'a> Ns<'a> {
 
     /// The full table name used for record type `R`.
     pub fn table_of<R: Record>(&self) -> String {
-        ns_table::<R>(&self.prefix)
+        self.at::<R, _>(|_, table| table.to_owned())
+    }
+
+    /// Run `f` against the database and `R`'s table name in this namespace.
+    fn at<R: Record, T>(&self, f: impl FnOnce(&Database, &str) -> T) -> T {
+        let mut name = self.name.borrow_mut();
+        name.clear();
+        name.push_str(&self.prefix);
+        name.push('/');
+        name.push_str(R::TABLE);
+        f(self.db, &name)
     }
 
     /// Namespaced [`Database::insert`].
     pub fn insert<R: Record>(&self, row: &R) -> Result<(), DbError> {
-        self.db.insert_at(&self.table_of::<R>(), row)
+        self.at::<R, _>(|db, table| db.put_at(table, row, true))
     }
 
     /// Namespaced [`Database::put`].
     pub fn put<R: Record>(&self, row: &R) -> Result<(), DbError> {
-        self.db.put_at(&self.table_of::<R>(), row)
+        self.at::<R, _>(|db, table| db.put_at(table, row, false))
     }
 
     /// Namespaced [`Database::get`].
     pub fn get<R: Record>(&self, key: u64) -> Option<R> {
-        self.db.get_at(&self.table_of::<R>(), key)
+        self.at::<R, _>(|db, table| db.get_at(table, key))
     }
 
     /// Namespaced [`Database::contains`].
     pub fn contains<R: Record>(&self, key: u64) -> bool {
-        self.db.contains_at(&self.table_of::<R>(), key)
+        self.at::<R, _>(|db, table| db.contains_at(table, key))
     }
 
     /// Namespaced [`Database::delete`].
     pub fn delete<R: Record>(&self, key: u64) -> Result<bool, DbError> {
-        self.db.delete_at(&self.table_of::<R>(), key)
+        self.at::<R, _>(|db, table| db.delete_at(table, key))
     }
 
     /// Namespaced [`Database::update`].
     pub fn update<R: Record>(&self, key: u64, f: impl FnOnce(&mut R)) -> Result<bool, DbError> {
-        self.db.update_at(&self.table_of::<R>(), key, f)
+        let updated = self.at::<R, _>(|db, table| db.update_if_at(table, key, always(f)))?;
+        Ok(updated.is_some())
     }
 
     /// Namespaced [`Database::scan`].
     pub fn scan<R: Record>(&self) -> Result<Vec<R>, DbError> {
-        self.db.scan_at(&self.table_of::<R>())
+        self.at::<R, _>(|db, table| db.scan_at(table, .., |_| true))
     }
 
     /// Namespaced [`Database::count`].
     pub fn count<R: Record>(&self) -> usize {
-        self.db.count_at(&self.table_of::<R>())
+        self.at::<R, _>(|db, table| db.count_at(table))
     }
 }
 
@@ -903,53 +672,30 @@ mod tests {
         assert_eq!(db.max_key::<Item>(), Some(3));
     }
 
-    #[test]
-    fn cache_serves_repeat_reads_without_decoding() {
-        let db = Database::in_memory();
-        db.insert(&item(1, "hot", 1)).unwrap();
-        // The put primed the cache: every read below is a hit.
-        for _ in 0..3 {
-            assert_eq!(db.get::<Item>(1).unwrap().label, "hot");
-        }
-        let stats = db.read_stats();
-        assert_eq!(stats.cache_hits, 3);
-        assert_eq!(stats.rows_decoded, 0, "put-primed row never re-decoded");
-        // A mutation invalidates, and the new value is primed in turn.
-        db.update::<Item>(1, |r| r.label = "hotter".into()).unwrap();
-        assert_eq!(db.get::<Item>(1).unwrap().label, "hotter");
-        assert_eq!(db.read_stats().rows_decoded, 0);
-    }
+    /// A log holding `items` row 1 (well-formed) and row 2 with a shape
+    /// that does not decode as `Item` — what a buggy or newer version of
+    /// the program would have left behind. The bad row can only arrive
+    /// this way: there is no untyped put.
+    const BAD_ROW: &str = r#"{"label":"x","wrong":"shape"}"#;
 
-    #[test]
-    fn cache_miss_decodes_once_then_hits() {
-        let wal = MemWal::shared();
+    fn log_with_undecodable_row() -> MemWal {
+        let mut wal = MemWal::shared();
         {
             let db = Database::with_wal(Box::new(wal.clone()));
-            db.insert(&item(7, "persisted", 1)).unwrap();
+            db.insert(&item(1, "fine", 1)).unwrap();
         }
-        // A recovered database has a cold cache: first read decodes,
-        // second is served from the cache.
-        let db = Database::recover(Box::new(wal)).unwrap();
-        assert!(db.get::<Item>(7).is_some());
-        assert!(db.get::<Item>(7).is_some());
-        let stats = db.read_stats();
-        assert_eq!(stats.rows_decoded, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.rows_read, 2);
+        wal.append(&format!(
+            r#"{{"kind":"txn","ops":[{{"key":2,"op":"put","row":{BAD_ROW},"table":"items"}}]}}"#
+        ))
+        .unwrap();
+        wal
     }
 
     #[test]
     fn scan_surfaces_undecodable_rows_as_codec_errors() {
-        let db = Database::in_memory();
-        db.insert(&item(1, "fine", 1)).unwrap();
-        // A row whose shape does not match `Item` (e.g. written by a
-        // buggy or newer version) must not silently vanish from scans.
-        db.raw_put_many(vec![(
-            "items".to_owned(),
-            2,
-            serde_json::from_str(r#"{"wrong":"shape"}"#).unwrap(),
-        )])
-        .unwrap();
+        let wal = log_with_undecodable_row();
+        let db = Database::recover(Box::new(wal.clone())).unwrap();
+        // The row must not silently vanish from scans.
         let err = db.scan::<Item>().unwrap_err();
         assert!(matches!(err, DbError::Codec { .. }), "{err}");
         let err = db.scan_filter::<Item>(|r| r.weight > 0).unwrap_err();
@@ -961,23 +707,189 @@ mod tests {
         assert!(db.get::<Item>(2).is_none());
         assert_eq!(db.decode_failures(), 1);
         assert_eq!(db.get::<Item>(1).unwrap().label, "fine");
+        // It still counts as a row, and its key is taken.
+        assert_eq!(db.count::<Item>(), 2);
+        assert!(db.contains::<Item>(2));
+        assert!(matches!(
+            db.insert(&item(2, "clash", 0)),
+            Err(DbError::DuplicateKey { key: 2, .. })
+        ));
+        assert!(!db.update::<Item>(2, |r| r.weight = 9).unwrap());
+
+        // A checkpoint taken after hydration re-emits the row verbatim:
+        // it is never dropped, whatever this version can make of it.
+        db.put(&item(3, "later", 3)).unwrap();
+        db.checkpoint().unwrap();
+        let snapshot = wal.read_all().unwrap().remove(0);
+        assert!(snapshot.contains(&format!("[2,{BAD_ROW}]")), "{snapshot}");
+        let again = Database::recover(Box::new(wal)).unwrap();
+        assert!(matches!(
+            again.scan::<Item>().unwrap_err(),
+            DbError::Codec { .. }
+        ));
+        assert_eq!(again.get::<Item>(3).unwrap().label, "later");
+        // Overwriting or deleting the row is how an operator repairs it.
+        again.put(&item(2, "repaired", 2)).unwrap();
+        assert_eq!(again.scan::<Item>().unwrap().len(), 3);
+        assert_eq!(again.live_rows(), 3);
     }
 
     #[test]
-    fn indexed_scan_where_surfaces_undecodable_rows() {
-        let db = Database::in_memory();
-        db.create_index::<Item>("/label");
-        db.insert(&item(1, "x", 1)).unwrap();
-        db.raw_put_many(vec![(
-            "items".to_owned(),
-            2,
-            serde_json::from_str(r#"{"label":"x"}"#).unwrap(),
-        )])
-        .unwrap();
-        let err = db
-            .scan_where::<Item>("/label", &serde_json::json!("x"))
-            .unwrap_err();
+    fn scan_range_surfaces_undecodable_rows_it_covers() {
+        let db = Database::recover(Box::new(log_with_undecodable_row())).unwrap();
+        let err = db.scan_range::<Item>(2..=2).unwrap_err();
         assert!(matches!(err, DbError::Codec { .. }), "{err}");
+        let err = db.scan_range::<Item>(0..10).unwrap_err();
+        assert!(matches!(err, DbError::Codec { .. }), "{err}");
+        // A range that does not cover the bad row is answered.
+        let rows = db.scan_range::<Item>(0..2).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].label, "fine");
+        assert!(db.delete::<Item>(2).unwrap());
+        assert_eq!(db.scan_range::<Item>(0..10).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn scan_range_is_a_key_range_in_key_order() {
+        let db = Database::in_memory();
+        for id in [40u64, 7, 19, 20, 3] {
+            db.insert(&item(id, "r", id as u32)).unwrap();
+        }
+        let ids = |rows: Vec<Item>| rows.iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(db.scan_range::<Item>(7..20).unwrap()), vec![7, 19]);
+        assert_eq!(ids(db.scan_range::<Item>(7..=20).unwrap()), vec![7, 19, 20]);
+        assert_eq!(ids(db.scan_range::<Item>(41..).unwrap()), Vec::<u64>::new());
+    }
+
+    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    struct Other {
+        id: u64,
+    }
+    impl Record for Other {
+        const TABLE: &'static str = "items";
+        fn key(&self) -> u64 {
+            self.id
+        }
+    }
+
+    #[test]
+    fn a_table_opened_as_a_second_type_is_a_typed_error() {
+        let wal = MemWal::shared();
+        let db = Database::with_wal(Box::new(wal.clone()));
+        db.insert(&item(1, "a", 1)).unwrap();
+        let lines = wal.len();
+        for err in [
+            db.put(&Other { id: 2 }).unwrap_err(),
+            db.scan::<Other>().unwrap_err(),
+            db.update::<Other>(1, |_| {}).unwrap_err(),
+        ] {
+            assert!(matches!(err, DbError::TableType { .. }), "{err}");
+        }
+        let mut txn = db.txn();
+        txn.put(&item(3, "c", 3)).unwrap();
+        txn.put(&Other { id: 4 }).unwrap();
+        assert!(matches!(
+            txn.commit().unwrap_err(),
+            DbError::TableType { .. }
+        ));
+        assert!(db.get::<Other>(1).is_none());
+        assert_eq!(db.decode_failures(), 1);
+        // Nothing of the refused writes reached the log or the table.
+        assert_eq!(wal.len(), lines);
+        assert_eq!(db.scan::<Item>().unwrap(), vec![item(1, "a", 1)]);
+    }
+
+    #[test]
+    fn update_if_commits_only_when_the_closure_says_so() {
+        let wal = MemWal::shared();
+        let db = Database::with_wal(Box::new(wal.clone()));
+        let tel = Telemetry::shared();
+        db.attach_telemetry(Arc::clone(&tel));
+        db.insert(&item(1, "a", 10)).unwrap();
+        // Declined: the row, the log and the commit count stay put.
+        let out = db
+            .update_if::<Item, u32>(1, |r| {
+                r.weight = 99;
+                None
+            })
+            .unwrap();
+        assert_eq!(out, None);
+        assert_eq!((wal.len(), db.commit_count()), (1, 1));
+        assert_eq!(db.get::<Item>(1).unwrap().weight, 10);
+        // Accepted: the closure's value comes back, the row is committed.
+        let prior = db
+            .update_if::<Item, u32>(1, |r| {
+                let prior = r.weight;
+                r.weight += 1;
+                Some(prior)
+            })
+            .unwrap();
+        assert_eq!(prior, Some(10));
+        assert_eq!(wal.len(), 2);
+        assert_eq!(db.get::<Item>(1).unwrap().weight, 11);
+        // A missing row is `None` as well, and the closure never runs.
+        let missing = db.update_if::<Item, ()>(9, |_| unreachable!("no such row"));
+        assert_eq!(missing.unwrap(), None);
+        // One read per `update_if` that found its row, one per `get`.
+        assert_eq!(tel.counter("db.rows.read"), 4);
+    }
+
+    #[test]
+    fn reads_do_not_create_tables() {
+        let wal = MemWal::shared();
+        let db = Database::with_wal(Box::new(wal.clone()));
+        assert!(db.get::<Item>(1).is_none());
+        assert!(db.scan::<Item>().unwrap().is_empty());
+        assert!(!db.delete::<Item>(1).unwrap());
+        assert!(db.stats().is_empty());
+        // A table emptied by deletes still exists, and a snapshot says so.
+        db.insert(&item(1, "a", 1)).unwrap();
+        db.delete::<Item>(1).unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(
+            wal.read_all().unwrap(),
+            vec![r#"{"kind":"snapshot","tables":[{"name":"items","rows":[]}]}"#]
+        );
+        assert_eq!(db.live_rows(), 0);
+    }
+
+    #[test]
+    fn telemetry_counts_rows_read() {
+        let db = Database::in_memory();
+        let tel = Telemetry::shared();
+        db.attach_telemetry(Arc::clone(&tel));
+        db.insert(&item(1, "a", 1)).unwrap();
+        db.insert(&item(2, "b", 2)).unwrap();
+        db.get::<Item>(1).unwrap();
+        assert!(db.get::<Item>(9).is_none());
+        db.scan::<Item>().unwrap();
+        db.scan_filter::<Item>(|r| r.weight == 2).unwrap();
+        assert_eq!(tel.counter("db.rows.read"), 4);
+    }
+
+    #[test]
+    fn namespaces_do_not_share_rows() {
+        let db = Database::in_memory();
+        let a = db.namespace("shard0");
+        let b = db.namespace("shard1");
+        a.put(&item(1, "from-a", 10)).unwrap();
+        b.put(&item(1, "from-b", 20)).unwrap();
+        // Same record type, same key — reads stay per-namespace.
+        assert_eq!(a.get::<Item>(1).unwrap().label, "from-a");
+        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
+        // Mutating one namespace leaves the other alone.
+        a.update::<Item>(1, |r| r.label = "a2".into()).unwrap();
+        assert_eq!(a.get::<Item>(1).unwrap().label, "a2");
+        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
+        // The un-prefixed table is a third, independent space.
+        assert!(db.get::<Item>(1).is_none());
+        assert_eq!(a.count::<Item>(), 1);
+        assert_eq!(b.count::<Item>(), 1);
+        assert_eq!(db.count::<Item>(), 0);
+        // Deletes are namespace-local too.
+        assert!(a.delete::<Item>(1).unwrap());
+        assert!(a.get::<Item>(1).is_none());
+        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
     }
 
     #[test]
@@ -1151,54 +1063,6 @@ mod tests {
         let tel = Telemetry::shared();
         db.attach_telemetry(Arc::clone(&tel));
         assert_eq!(tel.counter("wal.replays"), 2);
-    }
-
-    #[test]
-    fn telemetry_counts_cache_hits_and_misses() {
-        let wal = MemWal::shared();
-        {
-            let db = Database::with_wal(Box::new(wal.clone()));
-            db.insert(&item(1, "a", 1)).unwrap();
-        }
-        let db = Database::recover(Box::new(wal)).unwrap();
-        let tel = Telemetry::shared();
-        db.attach_telemetry(Arc::clone(&tel));
-        db.get::<Item>(1).unwrap(); // cold: decode + fill
-        db.get::<Item>(1).unwrap(); // hot: cache hit
-        assert_eq!(tel.counter("db.cache.misses"), 1);
-        assert_eq!(tel.counter("db.cache.hits"), 1);
-        assert_eq!(tel.counter("db.rows.read"), 2);
-        assert_eq!(tel.counter("db.rows.decoded"), 1);
-    }
-
-    #[test]
-    fn namespaces_do_not_share_rows_or_cached_decodes() {
-        // Regression test for the sharding latent bug: the decoded-row
-        // cache used to be keyed by `R::TABLE` alone, so two namespaces
-        // sharing one database could serve each other's stale decodes.
-        let db = Database::in_memory();
-        let a = db.namespace("shard0");
-        let b = db.namespace("shard1");
-        a.put(&item(1, "from-a", 10)).unwrap();
-        b.put(&item(1, "from-b", 20)).unwrap();
-        // Same record type, same key — reads must stay per-namespace even
-        // though both rows are primed in the cache.
-        assert_eq!(a.get::<Item>(1).unwrap().label, "from-a");
-        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
-        assert_eq!(db.read_stats().rows_decoded, 0, "served from cache");
-        // Mutating one namespace invalidates only that namespace.
-        a.update::<Item>(1, |r| r.label = "a2".into()).unwrap();
-        assert_eq!(a.get::<Item>(1).unwrap().label, "a2");
-        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
-        // The un-prefixed table is a third, independent space.
-        assert!(db.get::<Item>(1).is_none());
-        assert_eq!(a.count::<Item>(), 1);
-        assert_eq!(b.count::<Item>(), 1);
-        assert_eq!(db.count::<Item>(), 0);
-        // Deletes are namespace-local too.
-        assert!(a.delete::<Item>(1).unwrap());
-        assert!(a.get::<Item>(1).is_none());
-        assert_eq!(b.get::<Item>(1).unwrap().label, "from-b");
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum DbError {
     Corrupt { line: usize, message: String },
     /// A duplicate primary key on `insert` (use `put` to overwrite).
     DuplicateKey { table: String, key: u64 },
+    /// The table already holds rows of another type (two record types
+    /// sharing a table name, or a queue attached with a second message type).
+    TableType { table: String },
 }
 
 impl fmt::Display for DbError {
@@ -30,6 +33,9 @@ impl fmt::Display for DbError {
             }
             DbError::DuplicateKey { table, key } => {
                 write!(f, "duplicate key {key} in table `{table}`")
+            }
+            DbError::TableType { table } => {
+                write!(f, "table `{table}` is open as another row type")
             }
         }
     }

@@ -9,7 +9,8 @@
 //! module communication and crash recovery — as an embeddable store:
 //!
 //! * **Typed tables.** Any `Serialize + DeserializeOwned` type with a `u64`
-//!   primary key is a [`Record`]; one table per record type.
+//!   primary key is a [`Record`]; one table per record type, holding its
+//!   rows as that type (JSON exists only in the log).
 //! * **Atomic transactions.** A [`Txn`] batches writes across tables and
 //!   commits them as one write-ahead-log entry; a crash between commits
 //!   never exposes half a transaction.
@@ -42,12 +43,12 @@
 
 mod database;
 mod error;
-mod index;
 mod queue;
+mod table;
 mod txn;
 mod wal;
 
-pub use database::{CheckpointPolicy, Database, Ns, ReadStats, Record, TableStats};
+pub use database::{CheckpointPolicy, Database, Ns, Record, TableStats};
 pub use error::DbError;
 pub use queue::Queue;
 pub use txn::Txn;

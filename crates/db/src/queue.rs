@@ -12,6 +12,7 @@ use crate::error::DbError;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::marker::PhantomData;
+use std::ops::{Bound, ControlFlow};
 
 /// A durable FIFO queue of messages of type `M`, stored in its own table.
 ///
@@ -26,7 +27,7 @@ pub struct Queue<'a, M> {
     _marker: PhantomData<M>,
 }
 
-impl<'a, M: Serialize + DeserializeOwned> Queue<'a, M> {
+impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> {
     /// Attach to (or create) the queue stored in table `name`.
     pub fn new(db: &'a Database, name: impl Into<String>) -> Self {
         let table = name.into();
@@ -49,76 +50,91 @@ impl<'a, M: Serialize + DeserializeOwned> Queue<'a, M> {
         Queue::new(db, format!("{ns}/{name}"))
     }
 
-    fn codec_err(&self, e: impl std::fmt::Display) -> DbError {
-        DbError::Codec {
-            table: self.table.clone(),
-            message: e.to_string(),
-        }
-    }
-
-    /// The next sequence number to hand out.
-    fn next_seq(&self) -> u64 {
-        match self.db.raw_get(&self.seq_table, 0).and_then(|v| v.as_u64()) {
-            Some(n) => n,
-            // Logs written before the counter existed: resume after the
-            // highest sequence still in the table (best effort — the old
-            // scheme could not do better either).
-            None => self.db.raw_max_key(&self.table).map_or(0, |k| k + 1),
-        }
-    }
-
-    /// Append a message; returns its sequence number. The message and the
-    /// counter bump commit atomically (one WAL line).
+    /// Append a message; returns its sequence number. Reading the counter
+    /// and committing message and bump (one WAL line) are one critical
+    /// section, so concurrent pushes never share a sequence number.
     pub fn push(&self, msg: &M) -> Result<u64, DbError> {
-        let seq = self.next_seq();
-        let value = serde_json::to_value(msg).map_err(|e| self.codec_err(e))?;
-        let counter = serde_json::to_value(seq + 1).map_err(|e| self.codec_err(e))?;
-        self.db.raw_put_many(vec![
-            (self.table.clone(), seq, value),
-            (self.seq_table.clone(), 0, counter),
-        ])?;
-        Ok(seq)
+        self.db.commit(
+            |store, line| {
+                let counter = store.typed::<u64>(&self.seq_table)?;
+                let counter = counter.and_then(|t| t.rows().get(&0).copied());
+                store.typed::<M>(&self.table)?;
+                let seq = match counter {
+                    Some(n) => n,
+                    // Logs written before the counter existed: resume after
+                    // the highest sequence still in the table (best effort
+                    // — the old scheme could not do better either).
+                    None => {
+                        let messages = store.tables().get(&self.table);
+                        messages.and_then(|t| t.max_key()).map_or(0, |k| k + 1)
+                    }
+                };
+                line.put(&self.table, seq, msg);
+                line.put(&self.seq_table, 0, &(seq + 1));
+                Ok(ControlFlow::Continue(seq))
+            },
+            |store, seq| {
+                store.apply_put(&self.table, seq, msg.clone())?;
+                store.apply_put(&self.seq_table, 0, seq + 1)?;
+                Ok(seq)
+            },
+        )
     }
 
     /// Remove and return the oldest message, if any.
     pub fn pop(&self) -> Result<Option<M>, DbError> {
-        let Some((key, value)) = self.db.raw_min_entry(&self.table) else {
-            return Ok(None);
-        };
-        let msg: M = serde_json::from_value(value).map_err(|e| self.codec_err(e))?;
-        self.db.raw_delete_many(&self.table, &[key])?;
-        Ok(Some(msg))
+        self.db.commit(
+            |store, line| {
+                let Some(t) = store.typed::<M>(&self.table)? else {
+                    return Ok(ControlFlow::Break(None));
+                };
+                let head = t.rows().iter().next();
+                // An older message that does not decode blocks the queue
+                // rather than being skipped.
+                let older = head.map_or(Bound::Unbounded, |(&key, _)| Bound::Excluded(key));
+                t.check_decodable(&self.table, (Bound::Unbounded, older))?;
+                let Some((&key, msg)) = head else {
+                    return Ok(ControlFlow::Break(None));
+                };
+                line.del(&self.table, key);
+                Ok(ControlFlow::Continue((key, msg.clone())))
+            },
+            |store, (key, msg)| {
+                store.apply_del(&self.table, key);
+                Ok(Some(msg))
+            },
+        )
     }
 
     /// Remove and return every pending message, oldest first, in one
     /// transaction.
     pub fn drain(&self) -> Result<Vec<M>, DbError> {
-        let entries = self.db.raw_all(&self.table);
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut msgs = Vec::with_capacity(entries.len());
-        let mut keys = Vec::with_capacity(entries.len());
-        for (key, value) in entries {
-            msgs.push(serde_json::from_value(value).map_err(|e| self.codec_err(e))?);
-            keys.push(key);
-        }
-        self.db.raw_delete_many(&self.table, &keys)?;
-        Ok(msgs)
+        self.db.commit(
+            |store, line| {
+                let Some(t) = store.typed::<M>(&self.table)? else {
+                    return Ok(ControlFlow::Break(Vec::new()));
+                };
+                t.check_decodable(&self.table, ..)?;
+                if t.rows().is_empty() {
+                    return Ok(ControlFlow::Break(Vec::new()));
+                }
+                for &key in t.rows().keys() {
+                    line.del(&self.table, key);
+                }
+                Ok(ControlFlow::Continue(()))
+            },
+            |store, ()| store.take_rows(&self.table),
+        )
     }
 
     /// Read every pending message without removing them, oldest first.
     pub fn peek_all(&self) -> Result<Vec<M>, DbError> {
-        self.db
-            .raw_all(&self.table)
-            .into_iter()
-            .map(|(_, v)| serde_json::from_value(v).map_err(|e| self.codec_err(e)))
-            .collect()
+        self.db.scan_at(&self.table, .., |_| true)
     }
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        self.db.raw_len(&self.table)
+        self.db.count_at(&self.table)
     }
 
     /// True if no messages are pending.
@@ -298,5 +314,44 @@ mod tests {
         let refilled = q.drain().unwrap();
         assert_eq!(refilled[0].body, "c");
         assert_eq!(refilled[1].body, "d");
+    }
+
+    #[test]
+    fn undecodable_message_blocks_the_queue_instead_of_vanishing() {
+        use crate::wal::Wal;
+        // A message this version cannot decode (a log written by another
+        // one) sits at the head, with a good message behind it.
+        let mut wal = MemWal::shared();
+        wal.append(
+            r#"{"kind":"txn","ops":[{"key":0,"op":"put","row":{"text":7},"table":"inbox"},{"key":0,"op":"put","row":1,"table":"inbox.seq"}]}"#,
+        )
+        .unwrap();
+        let db = Database::recover(Box::new(wal.clone())).unwrap();
+        let q: Queue<Msg> = Queue::new(&db, "inbox");
+        assert_eq!(q.push(&m("behind")).unwrap(), 1);
+        let lines = wal.len();
+        for err in [
+            q.pop().unwrap_err(),
+            q.drain().unwrap_err(),
+            q.peek_all().unwrap_err(),
+        ] {
+            assert!(matches!(err, DbError::Codec { .. }), "{err}");
+        }
+        // Nothing was consumed or logged by the refused reads.
+        assert_eq!((q.len(), wal.len()), (2, lines));
+        // Deleting the bad row is the repair; the queue then flows again.
+        assert!(db.delete::<InboxRow>(0).unwrap());
+        assert_eq!(q.pop().unwrap(), Some(m("behind")));
+        assert!(q.is_empty());
+    }
+
+    /// Names the queue's table, for the repair above.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct InboxRow(u64);
+    impl crate::Record for InboxRow {
+        const TABLE: &'static str = "inbox";
+        fn key(&self) -> u64 {
+            self.0
+        }
     }
 }

@@ -4,9 +4,13 @@
 //! append and apply are one step (else two committers can apply in the
 //! opposite order to the one they logged), and a checkpoint's snapshot
 //! and rewrite are one step (else a line committed in between is erased).
+//! And a read-modify-write — `update`, `insert`, `Queue::push` — is one
+//! step from its read to its apply, else two of them read the same state
+//! and one overwrites the other.
 
 use serde::{Deserialize, Serialize};
-use sphinx_db::{Database, MemWal, Record};
+use sphinx_db::{Database, DbError, MemWal, Queue, Record};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
@@ -85,4 +89,94 @@ fn racing_round() {
         live,
         "the log must replay to the live tables"
     );
+}
+
+/// Run `work(writer)` on [`WRITERS`] threads released together.
+fn race<T: Send>(work: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let start = Barrier::new(WRITERS as usize);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..WRITERS)
+            .map(|writer| {
+                let (work, start) = (&work, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    work(writer)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+#[test]
+fn racing_updates_and_inserts_lose_nothing() {
+    let wal = MemWal::shared();
+    let db = Database::with_wal(Box::new(wal.clone()));
+    let counter = |seq| Cell {
+        id: 0,
+        writer: 0,
+        seq,
+    };
+    db.insert(&counter(0)).unwrap();
+    let wins = race(|writer| {
+        let mut wins = 0;
+        for seq in 0..OPS_PER_WRITER {
+            // Read-modify-write of one shared row: every increment lands.
+            assert!(db.update::<Cell>(0, |c| c.seq += 1).unwrap());
+            // Check-then-write of a contended key: exactly one insert wins.
+            let id = WITNESS_BASE + seq % 100;
+            match db.insert(&Cell { id, writer, seq }) {
+                Ok(()) => wins += 1,
+                Err(DbError::DuplicateKey { .. }) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        wins
+    });
+    assert_eq!(db.get::<Cell>(0), Some(counter(WRITERS * OPS_PER_WRITER)));
+    assert_eq!(
+        wins.iter().sum::<u64>(),
+        100,
+        "one winner per contended key"
+    );
+    let live = db.scan::<Cell>().unwrap();
+    assert_eq!(live.len(), 101);
+    let recovered = Database::recover(Box::new(wal)).unwrap();
+    assert_eq!(recovered.scan::<Cell>().unwrap(), live);
+}
+
+#[test]
+fn racing_pushes_get_distinct_sequence_numbers() {
+    let wal = MemWal::shared();
+    let db = Database::with_wal(Box::new(wal.clone()));
+    let seqs = race(|writer| {
+        let q: Queue<(u64, u64)> = Queue::new(&db, "inbox");
+        let seqs: Vec<u64> = (0..OPS_PER_WRITER)
+            .map(|i| q.push(&(writer, i)).unwrap())
+            .collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "monotonic per pusher");
+        seqs
+    });
+    let total = WRITERS * OPS_PER_WRITER;
+    let distinct: BTreeSet<u64> = seqs.into_iter().flatten().collect();
+    assert_eq!(distinct.len() as u64, total, "no two pushes share a number");
+    assert_eq!(distinct.last(), Some(&(total - 1)), "and none was skipped");
+
+    let q: Queue<(u64, u64)> = Queue::new(&db, "inbox");
+    let live = q.peek_all().unwrap();
+    assert_eq!(live.len() as u64, total, "no message overwrote another");
+    // FIFO per pusher: each writer's messages come out in its own order.
+    for writer in 0..WRITERS {
+        let mine = live.iter().filter(|m| m.0 == writer).map(|m| m.1);
+        assert!(mine.eq(0..OPS_PER_WRITER));
+    }
+    let recovered = Database::recover(Box::new(wal)).unwrap();
+    let rq: Queue<(u64, u64)> = Queue::new(&recovered, "inbox");
+    assert_eq!(rq.peek_all().unwrap(), live);
+    assert_eq!(
+        rq.push(&(9, 9)).unwrap(),
+        total,
+        "the counter recovered too"
+    );
+    assert_eq!(q.drain().unwrap(), live);
 }

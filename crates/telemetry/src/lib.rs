@@ -37,8 +37,7 @@
 //! | `plan.scratch.reused` | counter |
 //! | `reliability.flagged`, `reliability.unflagged` | counter |
 //! | `wal.appends`, `wal.replays`, `wal.rewrites` | counter |
-//! | `db.rows.read`, `db.rows.decoded` | counter |
-//! | `db.cache.hits`, `db.cache.misses` | counter |
+//! | `db.rows.read` | counter |
 //! | `monitor.samples`, `monitor.samples_lost` | counter |
 //! | `grid.submits`, `grid.queues`, `grid.starts`, `grid.completions`, `grid.holds`, `grid.cancels` | counter |
 //! | `monitor.staleness`, `monitor.queue_depth` | per-site gauge |

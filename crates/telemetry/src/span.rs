@@ -86,6 +86,10 @@ pub struct SpanAttrs {
     pub detail: String,
 }
 
+/// Finished spans per block of the store: a block is a small allocation,
+/// one of many of the same size.
+const BLOCK: usize = 512;
+
 /// Capacity-bounded span storage: live spans keyed by id, finished spans
 /// in end order, self-accounting `total`/`dropped` counters.
 #[derive(Debug)]
@@ -93,7 +97,13 @@ pub struct SpanStore {
     capacity: usize,
     next_id: u64,
     live: BTreeMap<SpanId, Span>,
-    finished: VecDeque<Span>,
+    /// In end order, in blocks of [`BLOCK`]. The store grows by one block
+    /// at a time and never moves what it holds: one deque growing by
+    /// reallocation leaves a trail of ever larger holes behind it (tens
+    /// of MB at 10^5 spans) that nothing else in the process fits, and
+    /// they land on the run's peak RSS.
+    finished: VecDeque<VecDeque<Span>>,
+    finished_len: usize,
     total: u64,
     dropped: u64,
 }
@@ -106,6 +116,7 @@ impl SpanStore {
             next_id: 0,
             live: BTreeMap::new(),
             finished: VecDeque::new(),
+            finished_len: 0,
             total: 0,
             dropped: 0,
         }
@@ -140,24 +151,33 @@ impl SpanStore {
     pub fn end(&mut self, id: SpanId, end: SimTime) {
         if let Some(mut span) = self.live.remove(&id) {
             span.end = Some(end.max(span.start));
-            if self.finished.len() >= self.capacity {
-                self.finished.pop_front();
+            if self.finished_len >= self.capacity {
+                if let Some(oldest) = self.finished.front_mut() {
+                    oldest.pop_front();
+                    self.finished_len -= 1;
+                    if oldest.is_empty() {
+                        self.finished.pop_front();
+                    }
+                }
                 self.dropped += 1;
             }
-            // Grow by a quarter rather than by `VecDeque`'s doubling: at
-            // 10^5 spans the doubling step reallocates tens of MB in one
-            // go, and that transient lands on the run's peak RSS.
-            if self.finished.len() == self.finished.capacity() {
-                self.finished.reserve_exact(self.finished.len() / 4 + 16);
+            match self.finished.back_mut() {
+                Some(block) if block.len() < BLOCK => block.push_back(span),
+                _ => {
+                    let mut block = VecDeque::with_capacity(BLOCK);
+                    block.push_back(span);
+                    self.finished.push_back(block);
+                }
             }
-            self.finished.push_back(span);
+            self.finished_len += 1;
         }
     }
 
     /// Every span: finished spans in end order, then live spans by id.
     /// The order is deterministic for a deterministic event sequence.
     pub fn spans(&self) -> Vec<Span> {
-        let mut out: Vec<Span> = self.finished.iter().cloned().collect();
+        let mut out = Vec::with_capacity(self.finished_len + self.live.len());
+        out.extend(self.finished.iter().flatten().cloned());
         out.extend(self.live.values().cloned());
         out
     }
@@ -245,6 +265,24 @@ mod tests {
         assert_eq!(store.total(), 5);
         // Oldest were evicted; the survivors are the two most recent.
         assert_eq!(store.spans()[0].start, t(3));
+    }
+
+    #[test]
+    fn eviction_and_order_hold_across_block_boundaries() {
+        let capacity = BLOCK + 3;
+        let mut store = SpanStore::new(capacity);
+        let n = 3 * BLOCK as u64 + 7;
+        for i in 0..n {
+            let id = store.start("phase:plan", t(i), SpanAttrs::default());
+            store.end(id, t(i));
+            let kept = store.spans();
+            assert_eq!(kept.len(), capacity.min(i as usize + 1));
+            assert_eq!(kept.last().map(|s| s.start), Some(t(i)));
+        }
+        assert_eq!(store.dropped(), n - capacity as u64);
+        let starts: Vec<SimTime> = store.spans().iter().map(|s| s.start).collect();
+        let expected: Vec<SimTime> = (n - capacity as u64..n).map(t).collect();
+        assert_eq!(starts, expected);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use sphinx::core::runtime::SphinxRuntime;
 use sphinx::core::strategy::StrategyKind;
-use sphinx::db::{CheckpointPolicy, Database, MemWal};
+use sphinx::db::{CheckpointPolicy, Database, MemWal, Wal};
 use sphinx::sim::{Duration, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
@@ -218,4 +218,62 @@ fn reliability_counts_survive_recovery() {
         cancelled_before,
         "lifetime cancellation counts must survive the crash"
     );
+}
+
+/// FNV-1a over `lines`, newline-terminated, continuing from `hash`.
+fn fnv1a(hash: u64, lines: &[String]) -> u64 {
+    let bytes = lines.iter().flat_map(|l| l.bytes().chain([b'\n']));
+    bytes.fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn seeded_run_writes_the_pinned_log() {
+    // The log format is a contract: a log written by an earlier version
+    // must replay, and a run's log must be reproducible to the byte. One
+    // seeded run with a black hole (timeouts, replans), automatic
+    // checkpoints (snapshot lines) and a torn-tail crash in the middle;
+    // the digest covers every line of the log as the crash left it and as
+    // the recovered run ended it. The constant was recorded from the last
+    // commit that stored rows as JSON values (PR 16): whatever the store
+    // holds in memory, it writes these bytes.
+    let policy = CheckpointPolicy {
+        enabled: true,
+        ratio: 4,
+        min_log_lines: 64,
+    };
+    let scenario = faulty()
+        .strategy(StrategyKind::CompletionTime)
+        .faults(FaultPlan {
+            black_holes: 1,
+            flaky: 0,
+            ..FaultPlan::default()
+        })
+        .build();
+    let wal = MemWal::shared();
+    let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
+    let mut rt = scenario.build_runtime_with_db(Arc::new(db));
+    rt.run_until(SimTime::ZERO + Duration::from_mins(12));
+    let config = rt.config().clone();
+    let grid = rt.into_grid(); // crash, mid-append
+
+    wal.tear_last_line();
+    let at_crash = wal.read_all().unwrap();
+    assert!(at_crash
+        .iter()
+        .any(|l| l.starts_with(r#"{"kind":"snapshot""#)));
+    assert!(at_crash.iter().any(|l| l.starts_with(r#"{"kind":"txn""#)));
+    let recovered = Database::recover_with_config(Box::new(wal.clone()), policy).unwrap();
+    let mut rt2 =
+        SphinxRuntime::with_recovered_database(grid, config, Arc::new(recovered)).unwrap();
+    let report = rt2.run();
+    assert!(report.finished, "{}", report.summary());
+    assert!(report.timeouts > 0, "the black hole must have cost replans");
+
+    let digest = fnv1a(
+        fnv1a(0xcbf2_9ce4_8422_2325, &at_crash),
+        &wal.read_all().unwrap(),
+    );
+    assert_eq!(digest, 0x4e1b_00d9_1004_bf75, "log digest {digest:#018x}");
 }
