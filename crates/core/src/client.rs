@@ -19,7 +19,7 @@
 use crate::messages::{CancelCause, PlanNotice, StatusReport};
 use sphinx_dag::JobId;
 use sphinx_data::SiteId;
-use sphinx_grid::{GridSim, HoldReason, JobHandle, JobRequest, Notification};
+use sphinx_grid::{GridSim, JobHandle, JobRequest, Notification};
 use sphinx_sim::{Duration, SimTime};
 use std::collections::BTreeMap;
 
@@ -136,9 +136,8 @@ impl SphinxClient {
                     idle: *queued_for,
                 })
             }
-            Notification::JobHeld { handle, reason, .. } => {
+            Notification::JobHeld { handle, .. } => {
                 let t = self.by_handle.remove(handle)?;
-                let _ = matches!(reason, HoldReason::SiteCrashed | HoldReason::KilledBySite);
                 Some(StatusReport::Cancelled {
                     job: t.job,
                     site: t.site,

@@ -28,7 +28,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::messages::{PlanNotice, StatusReport, INBOX, OUTBOX};
 use crate::report::{RunReport, SiteOutcome};
 use crate::runtime::RuntimeConfig;
-use crate::server::{plan_cycle_over, SchedulerState, SphinxServer};
+use crate::server::{plan_cycle_over, SchedulerState, ServerConfig, SphinxServer};
 use crate::shard::{AdoptionRecord, CrashPoint, Plane, SiteLeaseRow};
 use crate::state::{DagRow, JobRow, JobState, SiteStatsRow};
 use crate::strategy::SiteInfo;
@@ -150,7 +150,9 @@ impl Driver {
     /// from the mailbox database (the mid-run crash experiment). The grid
     /// survives with its jobs in flight and its wakeup chains pending (none
     /// are rescheduled); the server replans whatever was in flight, and the
-    /// fresh client ignores notifications for attempts it never made.
+    /// fresh client ignores notifications for attempts it never made. The
+    /// server is recovered *before* it joins the run's hub, so what its
+    /// restore repairs lands in the rows and the report, not the trace.
     pub(crate) fn recover_server(&mut self) -> CoreResult<()> {
         let mut server = SphinxServer::recover(
             Arc::clone(&self.mailbox),
@@ -578,7 +580,7 @@ impl Driver {
             .collect();
         Ok(RunReport {
             strategy: self.config.strategy.label().to_owned(),
-            feedback: self.config.feedback || self.config.strategy.implies_feedback(),
+            feedback: ServerConfig::from(&self.config).effective_feedback(),
             policy: self.config.policy_enabled,
             seed: self.config.seed,
             finished: self.all_finished(),

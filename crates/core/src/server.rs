@@ -11,7 +11,8 @@
 //! [`SiteStatsRow`]), so the server can be killed at any point and
 //! [`SphinxServer::recover`]ed from its write-ahead log: in-flight
 //! submissions are conservatively reset to `Ready` and replanned, which is
-//! the fault-tolerance property the paper's §3.1 claims.
+//! the fault-tolerance property the paper's §3.1 claims. Recovery and a
+//! sharded peer's adoption rebuild a DAG through the same restore step.
 
 use crate::error::{CoreError, CoreResult};
 use crate::messages::{CancelCause, PlanNotice, StatusReport};
@@ -66,7 +67,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn effective_feedback(&self) -> bool {
+    /// Whether planning uses tracker feedback (asked for, or implied).
+    pub(crate) fn effective_feedback(&self) -> bool {
         self.feedback || self.strategy.implies_feedback()
     }
 }
@@ -296,10 +298,13 @@ impl SphinxServer {
 
     /// Rebuild a server from a recovered database (crash recovery).
     ///
-    /// In-flight attempts (`Submitted`/`Queued`/`Running`) are reset to
-    /// `Ready`: the client-side tracker state died with the server, so the
-    /// safe move is to cancel-and-replan, exactly what the paper's tracker
-    /// does for held jobs.
+    /// Adoption's restore step, then its reconcile against an **empty**
+    /// tracker: the client-side tracker died with the server, so every
+    /// in-flight row is reset to `Ready` and replanned, exactly what the
+    /// paper's tracker does for held jobs. Recovery has no clock; a DAG
+    /// the restore finishes is stamped with the latest `submitted_at` /
+    /// `finished_at` the restored rows record, which never postdates the
+    /// crash. See DESIGN.md "Recovery and adoption: one restore path".
     pub fn recover(
         db: Arc<Database>,
         catalog: Vec<SiteInfo>,
@@ -318,112 +323,63 @@ impl SphinxServer {
                 .prediction
                 .restore(site, row.completion_secs_sum, row.completion_samples);
         }
-        // Reset in-flight jobs and rebuild frontiers.
+        // The job table is read once, for the unfinished DAGs only; the
+        // restore and the reconcile share the rows.
+        let (mut dags, mut jobs) = (Vec::new(), Vec::new());
         for dag_row in server.db.scan::<DagRow>()? {
-            server.dags_total += 1;
-            if dag_row.state == DagState::Finished {
-                server.dags_finished += 1;
-                continue;
+            let start = jobs.len();
+            if dag_row.state != DagState::Finished {
+                jobs.extend(server.db.scan_range::<JobRow>(dag_row.id.job_keys())?);
             }
-            let mut completed = Vec::new();
-            for job in server.db.scan_range::<JobRow>(dag_row.id.job_keys())? {
-                match job.state {
-                    s if s.is_terminal() => completed.push(job.id.index),
-                    s if s.is_outstanding() => {
-                        server
-                            .db
-                            .update::<JobRow>(job.id.as_key(), |j| j.reset_for_replan())?;
-                    }
-                    _ => {}
-                }
-            }
-            if dag_row.state == DagState::Running {
-                server.frontiers.insert(
-                    dag_row.id,
-                    Frontier::with_completed(&dag_row.dag, &completed),
-                );
-            }
-            // `Received` DAGs will be reduced by the next plan cycle.
-            server.remember_dag(&dag_row);
+            dags.push((dag_row, start..jobs.len()));
         }
+        let dag_stamps = dags
+            .iter()
+            .flat_map(|(d, _)| [Some(d.submitted_at), d.finished_at]);
+        let job_stamps = jobs.iter().map(|j| j.submitted_at);
+        let now = dag_stamps
+            .chain(job_stamps)
+            .flatten()
+            .max()
+            .unwrap_or_default();
+        for (dag_row, range) in &dags {
+            let rows = jobs.get(range.clone()).unwrap_or_default();
+            server.restore_dag(dag_row, rows, now)?;
+        }
+        server.with_own_sched(|server, sched| {
+            server.reconcile_inflight(sched, &jobs, &BTreeMap::new(), now)
+        })?;
         Ok(server)
     }
 
     /// Adopt every DAG of a crashed peer from its recovered database
-    /// (the sharded failover path; see DESIGN.md "Driver and coordination plane").
+    /// (the sharded failover path; see DESIGN.md "Recovery and adoption:
+    /// one restore path").
     ///
-    /// Rows are copied verbatim — DAG and job state is exactly what the
-    /// dead shard's WAL committed — and per-site statistics are
-    /// merge-added, because both shards planned onto the same grid sites.
-    /// Frontiers are rebuilt the way [`Self::recover`] does, except that
-    /// in-flight attempts are *kept* in flight: unlike a whole-server
-    /// crash, the grid and its tracker survived, so reports for those
-    /// attempts will still arrive. [`Self::reconcile_inflight`] then
-    /// repairs the torn tail against the client's tracking table.
+    /// Each DAG's rows are copied verbatim in one transaction — DAG and
+    /// job state is exactly what the dead shard's WAL committed — and then
+    /// restored by the step [`Self::recover`] uses, with in-flight
+    /// attempts *kept* in flight: unlike a whole-server crash, the grid
+    /// and its tracker survived, so reports for those attempts will still
+    /// arrive, and [`Self::reconcile_inflight`] checks them against the
+    /// tracker afterwards. Per-site statistics are merge-added last,
+    /// because both shards planned onto the same grid sites.
     ///
     /// Returns the adopted DAG ids, in id order.
     pub(crate) fn adopt_from(&mut self, donor: &Database, now: SimTime) -> CoreResult<Vec<DagId>> {
-        // Group the donor's job rows by owning DAG (one full scan).
-        let mut jobs_of: BTreeMap<DagId, Vec<JobRow>> = BTreeMap::new();
-        for job in donor.scan::<JobRow>()? {
-            jobs_of.entry(job.id.dag).or_default().push(job);
-        }
         let mut adopted = Vec::new();
         for dag_row in donor.scan::<DagRow>()? {
-            let jobs = jobs_of.remove(&dag_row.id).unwrap_or_default();
-            // Copy the rows verbatim, atomically per DAG.
+            let jobs = donor.scan_range::<JobRow>(dag_row.id.job_keys())?;
             let mut txn = self.db.txn();
             txn.put(&dag_row)?;
             for job in &jobs {
                 txn.put(job)?;
             }
             txn.commit()?;
-            self.dags_total += 1;
             adopted.push(dag_row.id);
-            if dag_row.state == DagState::Finished {
-                self.dags_finished += 1;
-                continue;
-            }
-            if dag_row.state == DagState::Running {
-                let terminal: Vec<u32> = jobs
-                    .iter()
-                    .filter(|j| j.state.is_terminal())
-                    .map(|j| j.id.index)
-                    .collect();
-                let mut frontier = Frontier::with_completed(&dag_row.dag, &terminal);
-                for job in &jobs {
-                    if job.state.is_outstanding() {
-                        // Still running on the grid under the old shard's
-                        // plan; keep it out of the ready set.
-                        frontier.take(job.id.index);
-                    } else if job.state == JobState::Unready && frontier.is_ready(job.id.index) {
-                        // Torn tail: the parent's completion committed but
-                        // the child's Unready -> Ready update was on the
-                        // WAL line the crash tore off. The frontier is
-                        // derived from the committed completions, so it is
-                        // the authority; repair the row.
-                        self.db.update::<JobRow>(job.id.as_key(), |j| {
-                            // sphinx-fsa: Unready -> Ready
-                            j.advance(JobState::Ready);
-                        })?;
-                        self.telemetry.note_job_state(
-                            job.id.as_key(),
-                            dag_row.id.0,
-                            "ready",
-                            None,
-                            None,
-                            now,
-                        );
-                    }
-                }
-                self.frontiers.insert(dag_row.id, frontier);
-            }
-            // `Received` DAGs will be reduced by the adopter's next cycle.
-            self.remember_dag(&dag_row);
-            self.maybe_finish_dag(dag_row.id, now)?;
+            self.restore_dag(&dag_row, &jobs, now)?;
         }
-        // Fold the donor's per-site tallies into ours: site keys collide
-        // across shards, so this must merge-add, never overwrite.
+        // Site keys collide across shards: merge-add, never overwrite.
         for stats in donor.scan::<SiteStatsRow>()? {
             self.bump_site_stats(SiteId(stats.site), |s| {
                 s.completed += stats.completed;
@@ -435,14 +391,60 @@ impl SphinxServer {
         Ok(adopted)
     }
 
-    /// Reconcile adopted in-flight attempts against the client tracker
-    /// (which survived the shard crash). Two torn-tail shapes exist:
+    /// Restore one DAG's planner state from its committed rows: the one
+    /// step recovery and adoption share.
     ///
-    /// * A row says `Submitted` but the client never tracked the job —
-    ///   the dead shard committed the plan row and crashed before the
-    ///   submit reached the grid. Release the reservation, rebalance the
-    ///   outstanding count, and put the job back in the ready set.
-    /// * A row says `Ready` but the client *is* tracking the job — the
+    /// The frontier is rebuilt from the terminal rows — the committed
+    /// completions are the authority — and in-flight rows are kept out of
+    /// its ready set until [`Self::reconcile_inflight`] decides them. Two
+    /// shapes a WAL torn between the commits of one report leaves are
+    /// repaired: an `Unready` row whose parents are all terminal (the
+    /// child's `Unready -> Ready` update was on the lost line) is advanced
+    /// to `Ready`, and a DAG whose every job is terminal (the DAG-finish
+    /// line was lost) is finished at `now`.
+    fn restore_dag(&mut self, dag_row: &DagRow, jobs: &[JobRow], now: SimTime) -> CoreResult<()> {
+        self.dags_total += 1;
+        if dag_row.state == DagState::Finished {
+            self.dags_finished += 1;
+            return Ok(());
+        }
+        if dag_row.state == DagState::Running {
+            let terminal: Vec<u32> = jobs
+                .iter()
+                .filter(|j| j.state.is_terminal())
+                .map(|j| j.id.index)
+                .collect();
+            let mut frontier = Frontier::with_completed(&dag_row.dag, &terminal);
+            for job in jobs {
+                if job.state.is_outstanding() {
+                    frontier.take(job.id.index);
+                } else if job.state == JobState::Unready && frontier.is_ready(job.id.index) {
+                    let key = job.id.as_key();
+                    self.db.update::<JobRow>(key, |j| {
+                        // sphinx-fsa: Unready -> Ready
+                        j.advance(JobState::Ready);
+                    })?;
+                    self.telemetry
+                        .note_job_state(key, dag_row.id.0, "ready", None, None, now);
+                }
+            }
+            self.frontiers.insert(dag_row.id, frontier);
+        }
+        // `Received` DAGs are reduced by the next plan cycle.
+        self.remember_dag(dag_row);
+        self.maybe_finish_dag(dag_row.id, now)
+    }
+
+    /// Reconcile restored in-flight rows against the client tracker, in
+    /// the order given. Two shapes exist:
+    ///
+    /// * A row says `Submitted`/`Queued`/`Running` but the tracker does
+    ///   not follow the job — a dead shard committed the plan row and
+    ///   crashed before the submit reached the grid, or (recovery, whose
+    ///   tracker is empty) the tracker itself died. Release the
+    ///   reservation, rebalance the outstanding count, reset the row to
+    ///   `Ready` and put the job back in the ready set.
+    /// * A row says `Ready` but the tracker *is* following the job — the
     ///   submit reached the grid but the crash tore the WAL line carrying
     ///   the row update. Re-advance the row so the eventual completion
     ///   report passes the FSA guards. (The reservation id died with the
@@ -453,15 +455,15 @@ impl SphinxServer {
     pub(crate) fn reconcile_inflight(
         &mut self,
         sched: &mut SchedulerState,
-        adopted: &[DagId],
+        jobs: &[JobRow],
         tracked: &BTreeMap<JobId, SiteId>,
         now: SimTime,
     ) -> CoreResult<(u64, u64)> {
-        let mut reset = 0u64;
-        let mut repaired = 0u64;
-        for &dag_id in adopted {
-            for job in self.db.scan_range::<JobRow>(dag_id.job_keys())? {
-                if job.state.is_outstanding() && !tracked.contains_key(&job.id) {
+        let (mut reset, mut repaired) = (0u64, 0u64);
+        for job in jobs {
+            let (key, dag) = (job.id.as_key(), job.id.dag);
+            match tracked.get(&job.id) {
+                None if job.state.is_outstanding() => {
                     if let Some(res) = job.reservation {
                         let _ = sched.policy.release(res);
                     }
@@ -469,43 +471,30 @@ impl SphinxServer {
                         sched.dec_outstanding(site);
                     }
                     // reset_for_replan is the Submitted|Queued|Running -> Ready edge.
-                    self.db
-                        .update::<JobRow>(job.id.as_key(), |j| j.reset_for_replan())?;
-                    if let Some(frontier) = self.frontiers.get_mut(&dag_id) {
+                    self.db.update::<JobRow>(key, |j| j.reset_for_replan())?;
+                    if let Some(frontier) = self.frontiers.get_mut(&dag) {
                         frontier.put_back(job.id.index);
                     }
-                    self.telemetry.note_job_state(
-                        job.id.as_key(),
-                        dag_id.0,
-                        "ready",
-                        None,
-                        None,
-                        now,
-                    );
+                    self.telemetry
+                        .note_job_state(key, dag.0, "ready", None, None, now);
                     reset += 1;
-                } else if job.state == JobState::Ready {
-                    if let Some(&site) = tracked.get(&job.id) {
-                        self.db.update::<JobRow>(job.id.as_key(), |j| {
-                            // sphinx-fsa: Ready -> Submitted
-                            j.advance(JobState::Submitted);
-                            j.site = Some(site);
-                            j.attempts += 1;
-                            j.submitted_at = Some(now);
-                        })?;
-                        if let Some(frontier) = self.frontiers.get_mut(&dag_id) {
-                            frontier.take(job.id.index);
-                        }
-                        self.telemetry.note_job_state(
-                            job.id.as_key(),
-                            dag_id.0,
-                            "submitted",
-                            Some(site),
-                            None,
-                            now,
-                        );
-                        repaired += 1;
-                    }
                 }
+                Some(&site) if job.state == JobState::Ready => {
+                    self.db.update::<JobRow>(key, |j| {
+                        // sphinx-fsa: Ready -> Submitted
+                        j.advance(JobState::Submitted);
+                        j.site = Some(site);
+                        j.attempts += 1;
+                        j.submitted_at = Some(now);
+                    })?;
+                    if let Some(frontier) = self.frontiers.get_mut(&dag) {
+                        frontier.take(job.id.index);
+                    }
+                    self.telemetry
+                        .note_job_state(key, dag.0, "submitted", Some(site), None, now);
+                    repaired += 1;
+                }
+                _ => {}
             }
         }
         Ok((reset, repaired))
@@ -1586,6 +1575,73 @@ mod tests {
         // Reliability stats survived the crash.
         assert_eq!(s2.reliability().total_completed(), 1);
         assert_eq!(s2.prediction().samples(done.site), 1);
+    }
+
+    #[test]
+    fn recovery_repairs_the_torn_shapes_of_a_report() {
+        // What a log cut between the commits of completion reports leaves,
+        // written by hand: one DAG's roots finished with their children
+        // still Unready (the Unready -> Ready line lost), another DAG's
+        // every job finished with the DAG still Running (its finish line
+        // lost).
+        let db = Arc::new(Database::in_memory());
+        let put_running = |dag: &Dag, finished: &[u32]| {
+            db.put(&DagRow {
+                id: dag.id,
+                dag: Arc::new(dag.clone()),
+                user: UserId(1),
+                state: DagState::Running,
+                submitted_at: SimTime::from_secs(5),
+                finished_at: None,
+                deadline: None,
+            })
+            .unwrap();
+            for job in &dag.jobs {
+                let mut row = JobRow::new(job.id);
+                if finished.contains(&job.id.index) {
+                    row.state = JobState::Finished;
+                    row.submitted_at = Some(SimTime::from_secs(40));
+                }
+                db.put(&row).unwrap();
+            }
+        };
+        let torn = small_dag(11);
+        let roots = Frontier::new(&torn).ready();
+        put_running(&torn, &roots);
+        let mut done = small_dag(12);
+        done.id = DagId(1);
+        for (i, j) in done.jobs.iter_mut().enumerate() {
+            j.id = JobId::new(done.id, i as u32);
+        }
+        put_running(&done, &(0..done.len() as u32).collect::<Vec<_>>());
+
+        let mut s = SphinxServer::recover(db, catalog(3, 4), ServerConfig::default()).unwrap();
+        // Finished at the latest instant the restored rows record.
+        let finished = s.db.get::<DagRow>(done.id.0).unwrap();
+        assert_eq!(finished.state, DagState::Finished);
+        assert_eq!(finished.finished_at, Some(SimTime::from_secs(40)));
+        assert_eq!(s.progress(), (2, 1));
+        // The released children are Ready, and plan past the FSA guard.
+        let children = Frontier::with_completed(&torn, &roots).ready();
+        assert!(!children.is_empty());
+        for &c in &children {
+            let row = s.db.get::<JobRow>(JobId::new(torn.id, c).as_key());
+            assert_eq!(row.unwrap().state, JobState::Ready);
+        }
+        let mut rls = seeded_rls(&torn);
+        for &r in &roots {
+            rls.register(torn.jobs[r as usize].output.file.clone(), SiteId(0));
+        }
+        let plans = s
+            .plan_cycle(
+                SimTime::from_secs(60),
+                &mut rls,
+                &BTreeMap::new(),
+                &TransferModel::default(),
+            )
+            .unwrap();
+        let planned: Vec<u32> = plans.iter().map(|p| p.job.index).collect();
+        assert_eq!(planned, children);
     }
 
     #[test]

@@ -35,7 +35,10 @@
 //! segment ([`SphinxServer::adopt_from`]), re-delivering its un-acked
 //! reports, and reconciling in-flight attempts against the client tracker
 //! — the one component the paper keeps *outside* the server precisely so
-//! it survives server deaths ([`SphinxServer::reconcile_inflight`]).
+//! it survives server deaths ([`SphinxServer::reconcile_inflight`]). The
+//! per-DAG restore and the reconcile are the ones a single scheduler's
+//! crash recovery ([`SphinxServer::recover`]) runs, against an empty
+//! tracker there; DESIGN.md "Recovery and adoption: one restore path".
 //!
 //! **Determinism.** A crash-free run is invariant to the shard count:
 //! DAG reduction, planning and report handling all happen in a global
@@ -50,6 +53,7 @@ use crate::error::CoreResult;
 use crate::messages::{PlanNotice, StatusReport};
 use crate::runtime::RuntimeConfig;
 use crate::server::{SchedulerState, ServerConfig, SphinxServer};
+use crate::state::JobRow;
 use crate::strategy::SiteInfo;
 use serde::{Deserialize, Serialize};
 use sphinx_dag::{Dag, DagId};
@@ -468,16 +472,16 @@ impl Plane {
     ///
     /// Order matters and is load-bearing:
     ///
-    /// 1. Recover the dead shard's WAL segment and copy its rows
-    ///    ([`SphinxServer::adopt_from`] — in-flight attempts stay in
-    ///    flight, because the grid and tracker survived).
+    /// 1. Recover the dead shard's WAL segment, copy its rows and restore
+    ///    each DAG ([`SphinxServer::adopt_from`] — in-flight attempts stay
+    ///    in flight, because the grid and tracker survived).
     /// 2. Re-deliver its un-acked local inbox, then the parked orphan
     ///    reports for the adopted DAGs. This must precede step 3: a
     ///    completion that arrived while the shard was dead removed the
     ///    job from the tracker, and reconciling first would misread that
     ///    as planned-but-never-submitted and double-submit the job.
-    /// 3. Reconcile remaining in-flight rows against the tracker
-    ///    ([`SphinxServer::reconcile_inflight`]).
+    /// 3. Re-read the adopted DAGs' job rows and reconcile them against
+    ///    the tracker ([`SphinxServer::reconcile_inflight`]).
     /// 4. Fold the dead shard's quota-lease ledger into the adopter's and
     ///    remap the dead partition slots.
     fn adopt(
@@ -520,8 +524,12 @@ impl Plane {
                 self.orphans.push(report);
             }
         }
+        let mut jobs = Vec::new();
+        for dag in &dags {
+            jobs.extend(server.database().scan_range::<JobRow>(dag.job_keys())?);
+        }
         let (reset, repaired) =
-            server.reconcile_inflight(sched, &dags, &client.tracked_jobs(), now)?;
+            server.reconcile_inflight(sched, &jobs, &client.tracked_jobs(), now)?;
         self.fold_ledger(dead, adopter)?;
         for slot in self.remap.iter_mut() {
             if *slot == dead {

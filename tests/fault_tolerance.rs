@@ -2,11 +2,13 @@
 //! the write-ahead-log recovery path, exercised through the whole stack.
 
 use sphinx::core::runtime::SphinxRuntime;
+use sphinx::core::state::DagRow;
 use sphinx::core::strategy::StrategyKind;
 use sphinx::db::{CheckpointPolicy, Database, MemWal, Wal};
 use sphinx::sim::{Duration, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn faulty() -> sphinx::workloads::ScenarioBuilder {
@@ -16,6 +18,52 @@ fn faulty() -> sphinx::workloads::ScenarioBuilder {
         .seed(21)
         .timeout(Duration::from_mins(10))
         .horizon(Duration::from_secs(24 * 3600))
+}
+
+/// The crash experiment every recovery test runs: a seeded scenario on a
+/// database over an in-memory WAL, whose server is killed mid-run while
+/// the grid survives with its attempts in flight, and recovered from a log.
+struct WalRun {
+    rt: SphinxRuntime,
+    wal: MemWal,
+    policy: CheckpointPolicy,
+}
+
+impl WalRun {
+    /// `scenario` over a fresh log checkpointed under `policy`.
+    fn start(scenario: &Scenario, policy: CheckpointPolicy) -> Self {
+        let wal = MemWal::shared();
+        let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
+        let rt = scenario.build_runtime_with_db(Arc::new(db));
+        WalRun { rt, wal, policy }
+    }
+
+    /// Drive the run to `mins` minutes of simulated time.
+    fn until(mut self, mins: u64) -> Self {
+        self.rt.run_until(SimTime::ZERO + Duration::from_mins(mins));
+        self
+    }
+
+    /// Kill the server and recover one from `log` onto the surviving grid.
+    fn crash_onto(self, log: MemWal) -> Self {
+        let config = self.rt.config().clone();
+        let grid = self.rt.into_grid();
+        let db =
+            Database::recover_with_config(Box::new(log.clone()), self.policy).expect("log replays");
+        let rt = SphinxRuntime::with_recovered_database(grid, config, Arc::new(db))
+            .expect("server recovers");
+        WalRun {
+            rt,
+            wal: log,
+            policy: self.policy,
+        }
+    }
+
+    /// Kill the server and recover one from the log it wrote.
+    fn crash(self) -> Self {
+        let log = self.wal.clone();
+        self.crash_onto(log)
+    }
 }
 
 #[test]
@@ -69,17 +117,9 @@ fn recovery_with_torn_final_wal_line_still_completes() {
     // losing at most that one transaction — which the conservative
     // replanning then redoes.
     let scenario = faulty().strategy(StrategyKind::NumCpus).build();
-    let wal = MemWal::shared();
-    let db = Arc::new(Database::with_wal(Box::new(wal.clone())));
-    let mut rt = scenario.build_runtime_with_db(Arc::clone(&db));
-    rt.run_until(SimTime::ZERO + Duration::from_mins(4));
-    let config = rt.config().clone();
-    let grid = rt.into_grid();
-
-    wal.tear_last_line();
-    let recovered = Arc::new(Database::recover(Box::new(wal)).expect("torn tail tolerated"));
-    let mut rt2 = SphinxRuntime::with_recovered_database(grid, config, recovered).unwrap();
-    let report = rt2.run();
+    let run = WalRun::start(&scenario, CheckpointPolicy::default()).until(4);
+    run.wal.tear_last_line();
+    let report = run.crash().rt.run();
     assert!(report.finished, "{}", report.summary());
     assert_eq!(report.jobs_completed + report.jobs_eliminated, 20);
 }
@@ -88,21 +128,8 @@ fn recovery_with_torn_final_wal_line_still_completes() {
 fn double_crash_recovery_still_completes() {
     // Crash, recover, crash again, recover again.
     let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
-    let wal = MemWal::shared();
-    let db = Arc::new(Database::with_wal(Box::new(wal.clone())));
-    let mut rt = scenario.build_runtime_with_db(db);
-    rt.run_until(SimTime::ZERO + Duration::from_mins(3));
-    let config = rt.config().clone();
-    let grid = rt.into_grid();
-
-    let db2 = Arc::new(Database::recover(Box::new(wal.clone())).unwrap());
-    let mut rt2 = SphinxRuntime::with_recovered_database(grid, config.clone(), db2).unwrap();
-    rt2.run_until(SimTime::ZERO + Duration::from_mins(6));
-    let grid2 = rt2.into_grid();
-
-    let db3 = Arc::new(Database::recover(Box::new(wal)).unwrap());
-    let mut rt3 = SphinxRuntime::with_recovered_database(grid2, config, db3).unwrap();
-    let report = rt3.run();
+    let run = WalRun::start(&scenario, CheckpointPolicy::default()).until(3);
+    let report = run.crash().until(6).crash().rt.run();
     assert!(report.finished, "{}", report.summary());
     assert_eq!(report.jobs_completed + report.jobs_eliminated, 20);
 }
@@ -110,21 +137,13 @@ fn double_crash_recovery_still_completes() {
 #[test]
 fn checkpoint_compaction_preserves_recoverability() {
     let scenario = faulty().build();
-    let wal = MemWal::shared();
-    let db = Arc::new(Database::with_wal(Box::new(wal.clone())));
-    let mut rt = scenario.build_runtime_with_db(Arc::clone(&db));
-    rt.run_until(SimTime::ZERO + Duration::from_mins(4));
+    let run = WalRun::start(&scenario, CheckpointPolicy::default()).until(4);
     // Compact the log mid-run, keep going a little, then crash.
+    let db = Arc::clone(run.rt.server().database());
     db.checkpoint().expect("checkpoint succeeds");
-    let entries_after_checkpoint = wal.len();
+    let entries_after_checkpoint = run.wal.len();
     assert_eq!(entries_after_checkpoint, 1, "compacted to one snapshot");
-    rt.run_until(SimTime::ZERO + Duration::from_mins(6));
-    let config = rt.config().clone();
-    let grid = rt.into_grid();
-
-    let recovered = Arc::new(Database::recover(Box::new(wal)).unwrap());
-    let mut rt2 = SphinxRuntime::with_recovered_database(grid, config, recovered).unwrap();
-    let report = rt2.run();
+    let report = run.until(6).crash().rt.run();
     assert!(report.finished, "{}", report.summary());
 }
 
@@ -141,23 +160,12 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
     };
     let run = |checkpoint: CheckpointPolicy| {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
-        let wal = MemWal::shared();
-        let db = Arc::new(Database::with_wal_and_config(
-            Box::new(wal.clone()),
-            checkpoint,
-        ));
-        let mut rt = scenario.build_runtime_with_db(Arc::clone(&db));
-        rt.run_until(SimTime::ZERO + Duration::from_mins(4));
-        let config = rt.config().clone();
-        let grid = rt.into_grid(); // crash
-
-        let recovered = Arc::new(
-            Database::recover_with_config(Box::new(wal), checkpoint).expect("log replays"),
-        );
-        let replayed = recovered.replayed();
-        let live = recovered.live_rows();
-        let mut rt2 = SphinxRuntime::with_recovered_database(grid, config, recovered).unwrap();
-        let mut report = rt2.run();
+        let mut recovered = WalRun::start(&scenario, checkpoint).until(4).crash();
+        // Recovery only updates rows, so the live-row count is the one
+        // the replay left.
+        let db = recovered.rt.server().database();
+        let (replayed, live) = (db.replayed(), db.live_rows());
+        let mut report = recovered.rt.run();
         // WAL/cache counter values legitimately differ between the two
         // configurations (auto-checkpointing emits extra `wal:*` spans);
         // the *outcome* — including critical paths and blame — must not.
@@ -202,22 +210,66 @@ fn reliability_counts_survive_recovery() {
         })
         .timeout(Duration::from_mins(5))
         .build();
-    let wal = MemWal::shared();
-    let db = Arc::new(Database::with_wal(Box::new(wal.clone())));
-    let mut rt = scenario.build_runtime_with_db(db);
     // Run long enough for timeouts on the black hole to be recorded.
-    rt.run_until(SimTime::ZERO + Duration::from_mins(20));
-    let cancelled_before = rt.server().reliability().total_cancelled();
-    let config = rt.config().clone();
-    let grid = rt.into_grid();
-
-    let recovered = Arc::new(Database::recover(Box::new(wal)).unwrap());
-    let rt2 = SphinxRuntime::with_recovered_database(grid, config, recovered).unwrap();
+    let run = WalRun::start(&scenario, CheckpointPolicy::default()).until(20);
+    let cancelled_before = run.rt.server().reliability().total_cancelled();
+    let recovered = run.crash();
     assert_eq!(
-        rt2.server().reliability().total_cancelled(),
+        recovered.rt.server().reliability().total_cancelled(),
         cancelled_before,
         "lifetime cancellation counts must survive the crash"
     );
+}
+
+#[test]
+fn every_line_boundary_of_a_crash_log_recovers() {
+    // A crash can stop the log after any committed line, including
+    // between the several commits one tracker report makes: a child's
+    // Unready -> Ready update, or a DAG's finish, can be lost while the
+    // completion that caused it survives. Recovery must finish the run
+    // from every such cut with every job of the DAGs the cut holds done.
+    // Debug builds arm the FSA guard, so an unrepaired torn row panics.
+    // With checkpoints off the crash-time log has 237 lines; with them on,
+    // 11, snapshot lines among them.
+    let aggressive = CheckpointPolicy {
+        enabled: true,
+        ratio: 2,
+        min_log_lines: 8,
+    };
+    for policy in [CheckpointPolicy::disabled(), aggressive] {
+        let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
+        // `GridSim` is not `Clone`: every cut re-runs the crash.
+        let crashed = || WalRun::start(&scenario, policy).until(12);
+        let lines = crashed().wal.read_all().unwrap();
+        let failed: Vec<String> = (1..=lines.len())
+            .filter_map(|k| {
+                let mut cut = MemWal::shared();
+                for line in &lines[..k] {
+                    cut.append(line).unwrap();
+                }
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut run = crashed().crash_onto(cut);
+                    let dags = run.rt.server().database().scan::<DagRow>().unwrap();
+                    let jobs: usize = dags.iter().map(|d| d.dag.len()).sum();
+                    (run.rt.run(), jobs)
+                }));
+                match outcome {
+                    Ok((r, jobs)) if r.finished && r.jobs_completed + r.jobs_eliminated == jobs => {
+                        None
+                    }
+                    Ok((r, jobs)) => Some(format!("cut {k}: {jobs} jobs; {}", r.summary())),
+                    Err(_) => Some(format!("cut {k}: panicked")),
+                }
+            })
+            .collect();
+        assert!(
+            failed.is_empty(),
+            "{policy:?}: {} of {} cuts fail to recover:\n{}",
+            failed.len(),
+            lines.len(),
+            failed.join("\n")
+        );
+    }
 }
 
 /// FNV-1a over `lines`, newline-terminated, continuing from `hash`.
@@ -251,29 +303,21 @@ fn seeded_run_writes_the_pinned_log() {
             ..FaultPlan::default()
         })
         .build();
-    let wal = MemWal::shared();
-    let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
-    let mut rt = scenario.build_runtime_with_db(Arc::new(db));
-    rt.run_until(SimTime::ZERO + Duration::from_mins(12));
-    let config = rt.config().clone();
-    let grid = rt.into_grid(); // crash, mid-append
-
-    wal.tear_last_line();
-    let at_crash = wal.read_all().unwrap();
+    let run = WalRun::start(&scenario, policy).until(12);
+    run.wal.tear_last_line(); // crash, mid-append
+    let at_crash = run.wal.read_all().unwrap();
     assert!(at_crash
         .iter()
         .any(|l| l.starts_with(r#"{"kind":"snapshot""#)));
     assert!(at_crash.iter().any(|l| l.starts_with(r#"{"kind":"txn""#)));
-    let recovered = Database::recover_with_config(Box::new(wal.clone()), policy).unwrap();
-    let mut rt2 =
-        SphinxRuntime::with_recovered_database(grid, config, Arc::new(recovered)).unwrap();
-    let report = rt2.run();
+    let mut recovered = run.crash();
+    let report = recovered.rt.run();
     assert!(report.finished, "{}", report.summary());
     assert!(report.timeouts > 0, "the black hole must have cost replans");
 
     let digest = fnv1a(
         fnv1a(0xcbf2_9ce4_8422_2325, &at_crash),
-        &wal.read_all().unwrap(),
+        &recovered.wal.read_all().unwrap(),
     );
     assert_eq!(digest, 0x4e1b_00d9_1004_bf75, "log digest {digest:#018x}");
 }
