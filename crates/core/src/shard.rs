@@ -673,6 +673,28 @@ mod tests {
         assert!(!rows[0].alive);
     }
 
+    /// The encoder oracle of `tests/json_encoder.rs`, for the rows private
+    /// to this module.
+    #[test]
+    fn lease_rows_print_their_tree() {
+        fn prints_its_tree(value: &impl Serialize) -> bool {
+            let mut out = String::new();
+            value.write_json(&mut out);
+            out == value.to_value().to_string()
+        }
+        for (shard, epoch, last_heartbeat) in [(0, 0, SimTime::ZERO), (7, u64::MAX, SimTime::MAX)] {
+            let alive = shard == 0;
+            let lease = LeaseRow {
+                shard,
+                epoch,
+                last_heartbeat,
+                alive,
+            };
+            assert!(prints_its_tree(&lease));
+            assert!(prints_its_tree(&EpochRow { id: shard, epoch }));
+        }
+    }
+
     #[test]
     fn ledger_rows_are_namespaced_per_shard() {
         let db = Database::in_memory();

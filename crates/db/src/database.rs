@@ -248,12 +248,14 @@ impl Database {
         apply: impl FnOnce(&mut Store, P) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
         let mut store = self.tables.lock();
-        let mut line = TxnLine::new();
-        let prepared = match prepare(&mut store, &mut line)? {
+        let mut line = TxnLine::reusing(std::mem::take(&mut store.line));
+        let flow = prepare(&mut store, &mut line);
+        store.line = line.finish();
+        let prepared = match flow? {
             ControlFlow::Continue(prepared) => prepared,
             ControlFlow::Break(answer) => return Ok(answer),
         };
-        self.wal.lock().append(&line.finish())?;
+        self.wal.lock().append(&store.line)?;
         self.log_lines.fetch_add(1, Ordering::Relaxed);
         self.with_hub(|t| t.counter_add("wal.appends", 1));
         let out = apply(&mut store, prepared)?;
@@ -905,6 +907,24 @@ mod tests {
         let db = Database::recover(Box::new(wal)).unwrap();
         assert_eq!(db.count::<Item>(), 1);
         assert_eq!(db.get::<Item>(1).unwrap().label, "kept");
+    }
+
+    /// A snapshot line holds every row's text, user-supplied names among
+    /// them, so reading a string back must stay linear in its length: no
+    /// multi-byte character may cost a pass over the rest of the line.
+    #[test]
+    fn a_mebibyte_of_mixed_text_recovers_from_txn_and_snapshot_lines() {
+        let piece = "é naïve \"quoted\" back\\slash \u{1}\u{1f}\n\t✓ 😀 ";
+        let label = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(label.len() >= 1 << 20);
+        let wal = MemWal::shared();
+        let db = Database::with_wal(Box::new(wal.clone()));
+        db.insert(&item(1, &label, 1)).unwrap();
+        let from_txn = Database::recover(Box::new(wal.clone())).unwrap();
+        assert_eq!(from_txn.get::<Item>(1).unwrap().label, label);
+        db.checkpoint().unwrap();
+        let from_snapshot = Database::recover(Box::new(wal)).unwrap();
+        assert_eq!(from_snapshot.get::<Item>(1).unwrap().label, label);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use serde::Serialize;
 use serde_json::Value;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use std::ops::RangeBounds;
 
 /// Anything a typed table can hold.
@@ -26,8 +25,9 @@ trait Rows: Any + Send {
     fn contains(&self, key: u64) -> bool;
     fn remove(&mut self, key: u64) -> bool;
     fn max_key(&self) -> Option<u64>;
-    /// Each row encoded for a snapshot, in key order.
-    fn pairs(&self) -> Box<dyn Iterator<Item = (u64, Value)> + '_>;
+    /// Print the snapshot's `[key,row]` pairs of these rows and the table's
+    /// `raw` ones, in key order across both (their key sets are disjoint).
+    fn write_rows(&self, raw: &BTreeMap<u64, Value>, out: &mut String);
 }
 
 impl<T: Row> Rows for BTreeMap<u64, T> {
@@ -47,33 +47,21 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
         self.keys().next_back().copied()
     }
 
-    fn pairs(&self) -> Box<dyn Iterator<Item = (u64, Value)> + '_> {
-        Box::new(self.iter().map(|(&k, row)| (k, row.to_value())))
-    }
-}
-
-/// Print a snapshot's `[key,row]` pairs, comma-separated and in key order
-/// across both sources (their key sets are disjoint). Each typed row is
-/// encoded, printed and dropped in turn.
-fn write_pairs(
-    raw: &BTreeMap<u64, Value>,
-    typed: impl Iterator<Item = (u64, Value)>,
-    out: &mut String,
-) {
-    let mut sep = "";
-    let mut pair = |key: u64, row: &Value| {
-        let _ = write!(out, "{sep}[{key},{row}]");
-        sep = ",";
-    };
-    let mut raw = raw.iter().peekable();
-    for (key, row) in typed {
-        while let Some((&k, v)) = raw.next_if(|(&k, _)| k < key) {
+    fn write_rows(&self, raw: &BTreeMap<u64, Value>, out: &mut String) {
+        let mut pair = |key: u64, row: &dyn Serialize| {
+            out.push_str(if out.ends_with('[') { "" } else { "," });
+            (key, row).write_json(out);
+        };
+        let mut raw = raw.iter().peekable();
+        for (&key, row) in self {
+            while let Some((&k, v)) = raw.next_if(|(&k, _)| k < key) {
+                pair(k, v);
+            }
+            pair(key, row);
+        }
+        for (&k, v) in raw {
             pair(k, v);
         }
-        pair(key, &row);
-    }
-    for (&k, v) in raw {
-        pair(k, v);
     }
 }
 
@@ -107,9 +95,11 @@ impl Table {
         self.raw.remove(&key).is_some() || self.typed.as_mut().is_some_and(|t| t.remove(key))
     }
 
-    /// The snapshot form of this table's rows (see [`write_pairs`]).
+    /// The snapshot form of this table's rows (see [`Rows::write_rows`]).
     pub(crate) fn write_rows(&self, out: &mut String) {
-        write_pairs(&self.raw, self.typed.iter().flat_map(|t| t.pairs()), out);
+        let untyped = BTreeMap::<u64, Value>::new();
+        let rows: &dyn Rows = self.typed.as_deref().unwrap_or(&untyped);
+        rows.write_rows(&self.raw, out);
     }
 
     /// The rows as `T`, hydrating them on first use. A table already
@@ -175,6 +165,8 @@ pub(crate) struct Store {
     /// Live rows across every table, kept current by each apply: the
     /// checkpoint policy reads it on every commit.
     live_rows: u64,
+    /// The last commit's line, its buffer kept for the next one's.
+    pub(crate) line: String,
 }
 
 impl Store {

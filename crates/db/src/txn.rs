@@ -1,20 +1,18 @@
 //! Transactions and log entries.
 //!
-//! The log is the one place rows exist as JSON. A commit prints each put
-//! row once, straight into a hand-framed line ([`TxnLine`],
-//! [`snapshot_line`]); recovery parses lines back through the derived
-//! [`LogEntry`] decoder, which moves each row out of the parsed line (a
-//! snapshot's rows are the whole store: a copy of them was recovery's
-//! peak). The bytes are what serializing a `LogEntry` gives (the test
-//! module holds that derive as the oracle), so logs written before rows
-//! were typed replay and any JSON tool can audit the log.
+//! The log is the one place rows exist as JSON. Each put row prints itself
+//! once, straight into a hand-framed line ([`TxnLine`], [`snapshot_line`]);
+//! recovery parses lines back through the derived [`LogEntry`] decoder,
+//! which moves each row out of the parsed line (a snapshot's rows are the
+//! whole store: a copy of them was recovery's peak). The bytes are what
+//! serializing a `LogEntry` gives (the test module holds that derive as
+//! the oracle), so logs written before rows were typed replay and any JSON
+//! tool can audit the log.
 
 use crate::database::{Database, Record};
 use crate::error::DbError;
 use crate::table::Store;
-use serde::value::write_escaped;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write;
 use std::ops::ControlFlow;
 
 /// One mutation inside a committed transaction, as replayed.
@@ -52,37 +50,42 @@ pub(crate) enum LogEntry {
     Snapshot { tables: Vec<SnapshotTable> },
 }
 
-const TXN_OPEN: &str = r#"{"kind":"txn","ops":["#;
-
 /// A `txn` log line under construction:
 /// `{"kind":"txn","ops":[{"key":K,"op":"put","row":…,"table":"T"},{"key":K,"op":"del","table":"T"}]}`
 /// (members in key order, as the canonical encoder prints them).
 pub(crate) struct TxnLine(String);
 
 impl TxnLine {
-    pub(crate) fn new() -> Self {
-        TxnLine(TXN_OPEN.to_owned())
+    /// A line framed in `buf`, a buffer earlier lines have grown to fit.
+    pub(crate) fn reusing(mut buf: String) -> Self {
+        buf.clear();
+        buf.push_str(r#"{"kind":"txn","ops":["#);
+        TxnLine(buf)
     }
 
-    /// Add `{"key":K,<middle>"table":"T"}`.
-    fn op(&mut self, table: &str, key: u64, middle: std::fmt::Arguments<'_>) {
-        if self.0.len() > TXN_OPEN.len() {
-            self.0.push(',');
+    /// Add `{"key":K,<op>,"table":"T"}`, a put's row printed after its op.
+    fn op(&mut self, table: &str, key: u64, op: &str, row: Option<&dyn Serialize>) {
+        let out = &mut self.0;
+        out.push_str(if out.ends_with('[') { "" } else { "," });
+        out.push_str(r#"{"key":"#);
+        key.write_json(out);
+        out.push_str(op);
+        if let Some(row) = row {
+            row.write_json(out);
         }
-        let _ = write!(self.0, r#"{{"key":{key},{middle}"table":"#);
-        let _ = write_escaped(&mut self.0, table);
-        self.0.push('}');
+        out.push_str(r#","table":"#);
+        table.write_json(out);
+        out.push('}');
     }
 
     /// Add a put: where a committed row is turned into JSON.
     pub(crate) fn put<T: Serialize>(&mut self, table: &str, key: u64, row: &T) {
-        let row = row.to_value();
-        self.op(table, key, format_args!(r#""op":"put","row":{row},"#));
+        self.op(table, key, r#","op":"put","row":"#, Some(row));
     }
 
     /// Add a delete.
     pub(crate) fn del(&mut self, table: &str, key: u64) {
-        self.op(table, key, format_args!(r#""op":"del","#));
+        self.op(table, key, r#","op":"del""#, None);
     }
 
     /// The finished line.
@@ -96,12 +99,10 @@ impl TxnLine {
 /// `{"kind":"snapshot","tables":[{"name":"T","rows":[[K,…],…]},…]}`.
 pub(crate) fn snapshot_line(store: &Store) -> String {
     let mut out = String::from(r#"{"kind":"snapshot","tables":["#);
-    for (i, (name, table)) in store.tables().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    for (name, table) in store.tables() {
+        out.push_str(if out.ends_with('[') { "" } else { "," });
         out.push_str(r#"{"name":"#);
-        let _ = write_escaped(&mut out, name);
+        name.write_json(&mut out);
         out.push_str(r#","rows":["#);
         table.write_rows(&mut out);
         out.push_str("]}");
@@ -312,6 +313,12 @@ mod tests {
     use proptest::prelude::*;
     use serde_json::Value;
     use std::collections::BTreeMap;
+
+    impl TxnLine {
+        fn new() -> Self {
+            TxnLine::reusing(String::new())
+        }
+    }
 
     #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
     struct Inner {

@@ -85,7 +85,10 @@ impl Wal for MemWal {
     }
 
     fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
-        *self.lines.lock() = lines.to_vec();
+        // Free the old log first: the copy can take its place in the heap.
+        let mut log = self.lines.lock();
+        log.clear();
+        log.extend_from_slice(lines);
         self.rewrites += 1;
         Ok(())
     }
