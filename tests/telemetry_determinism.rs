@@ -9,10 +9,16 @@
 
 use sphinx::core::report::RunReport;
 use sphinx::core::runtime::SphinxRuntime;
+use sphinx::core::shard::{CrashPoint, ShardConfig, ShardCrash};
+use sphinx::db::{CheckpointPolicy, Database, MemWal};
+use sphinx::ops::OpsConfig;
+use sphinx::sim::{Duration, SimTime};
 use sphinx::telemetry::{
-    chrome_trace_json, prometheus_text, validate_prometheus, SpanGraph, TelemetrySnapshot,
+    chrome_trace_json, prometheus_text, validate_prometheus, InMemorySink, SpanGraph, Telemetry,
+    TelemetrySnapshot, TraceEvent, TraceKind,
 };
-use sphinx::workloads::{FaultPlan, Scenario};
+use sphinx::workloads::{grid3, FaultPlan, Scenario};
+use std::sync::Arc;
 
 /// One full faulty-grid run, returning the runtime (for span access) and
 /// the report.
@@ -260,6 +266,175 @@ fn tiny_capacities_overflow_and_are_counted() {
         report.telemetry.counter("telemetry.trace.dropped"),
         report.telemetry.trace_dropped
     );
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The three exports of one hub, digested under `name`, nothing dropped.
+fn hub_digests(name: &str, hub: &Telemetry) -> Vec<(String, u64)> {
+    let snap = hub.snapshot();
+    assert_eq!((snap.trace_dropped, snap.spans_dropped), (0, 0), "{name}");
+    vec![
+        (format!("{name}.jsonl"), fnv1a(hub.trace_jsonl().as_bytes())),
+        (
+            format!("{name}.chrome"),
+            fnv1a(chrome_trace_json(&hub.spans()).as_bytes()),
+        ),
+        (
+            format!("{name}.prometheus"),
+            fnv1a(prometheus_text(&snap).as_bytes()),
+        ),
+    ]
+}
+
+/// The report's two telemetry fields, digested as JSON under `name`.
+fn report_digests(name: &str, report: &RunReport) -> Vec<(String, u64)> {
+    let telemetry = serde_json::to_string(&report.telemetry).unwrap();
+    let analysis = serde_json::to_string(&report.analysis).unwrap();
+    vec![
+        (format!("{name}.telemetry"), fnv1a(telemetry.as_bytes())),
+        (format!("{name}.analysis"), fnv1a(analysis.as_bytes())),
+    ]
+}
+
+/// (a) A faulty single-scheduler run over a WAL, killed mid-run and
+/// recovered from its log: both hubs (before and after the crash) and
+/// the recovered run's report.
+fn crashed_single_scheduler() -> Vec<(String, u64)> {
+    let scenario = Scenario::builder()
+        .sites(grid3::catalog_small())
+        .dags(3, 10)
+        .seed(21)
+        .timeout(Duration::from_mins(10))
+        .horizon(Duration::from_secs(24 * 3600))
+        .faults(FaultPlan {
+            black_holes: 1,
+            flaky: 2,
+            ..FaultPlan::default()
+        })
+        .build();
+    let policy = CheckpointPolicy {
+        enabled: true,
+        ratio: 4,
+        min_log_lines: 64,
+    };
+    let wal = MemWal::shared();
+    let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
+    let mut rt = scenario.build_runtime_with_db(Arc::new(db));
+    rt.run_until(SimTime::ZERO + Duration::from_mins(12));
+    let before = Arc::clone(rt.telemetry());
+    let config = rt.config().clone();
+    let db = Database::recover_with_config(Box::new(wal), policy).expect("log replays");
+    let mut rt = SphinxRuntime::with_recovered_database(rt.into_grid(), config, Arc::new(db))
+        .expect("server recovers");
+    let report = rt.run();
+    assert!(report.finished, "{}", report.summary());
+    assert!(report.timeouts > 0, "the black hole must cost timeouts");
+    let jsonl = rt.telemetry().trace_jsonl();
+    assert!(jsonl.contains("\"Recovery\""));
+    assert!(jsonl.contains("{\"detail\":\"timeout\""), "timeout cancels");
+    let spans = rt.telemetry().spans();
+    assert!(spans.iter().any(|s| s.name == "wal:replay"));
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.name == "attempt" && s.attempt >= Some(2)),
+        "replans"
+    );
+    let crash = SimTime::ZERO + Duration::from_mins(12);
+    assert!(
+        spans.iter().any(|s| s.name == "dag" && s.start < crash),
+        "re-opened DAG roots"
+    );
+    let mut digests = hub_digests("single.before", &before);
+    digests.extend(hub_digests("single.after", rt.telemetry()));
+    digests.extend(report_digests("single.report", &report));
+    digests
+}
+
+/// (b) A 4-shard run with the ops plane on and one shard crashing: the
+/// report hub, the coordination hub and the ops-alert stream.
+fn crashed_sharded() -> Vec<(String, u64)> {
+    let scenario = Scenario::builder()
+        .sites(grid3::catalog_small())
+        .dags(4, 8)
+        .seed(1905)
+        .timeout(Duration::from_mins(10))
+        .horizon(Duration::from_secs(24 * 3600))
+        .faults(FaultPlan {
+            black_holes: 1,
+            flaky: 1,
+            ..FaultPlan::default()
+        })
+        .ops(OpsConfig::default())
+        .build();
+    let mut rt = scenario.build_sharded_runtime(ShardConfig {
+        shards: 4,
+        crashes: vec![ShardCrash {
+            shard: 1,
+            at_cycle: 2,
+            point: CrashPoint::TornWal,
+        }],
+        ..ShardConfig::default()
+    });
+    let (sink, events) = InMemorySink::new();
+    rt.telemetry().add_sink(Box::new(sink));
+    let report = rt.try_run().expect("sharded run with a crash");
+    assert!(report.finished, "{}", report.summary());
+    assert_eq!(rt.adoptions().len(), 1);
+    let alerts: Vec<String> = events
+        .lock()
+        .iter()
+        .filter(|e| e.kind == TraceKind::OpsAlert)
+        .map(TraceEvent::to_json_line)
+        .collect();
+    assert!(!alerts.is_empty(), "the black hole must raise an alert");
+    let mut digests = hub_digests("sharded.report_hub", rt.telemetry());
+    digests.extend(hub_digests("sharded.coord_hub", rt.coord_telemetry()));
+    digests.extend(report_digests("sharded.report", &report));
+    digests.push((
+        "sharded.ops_alerts".to_owned(),
+        fnv1a(alerts.join("\n").as_bytes()),
+    ));
+    digests
+}
+
+#[test]
+fn seeded_runs_export_the_pinned_bytes() {
+    // Every export is a contract: the JSONL trace, the Chrome trace, the
+    // Prometheus text, the report's snapshot and analysis, on a crashed
+    // and recovered single scheduler and on a sharded deployment that
+    // fails over. The constants were recorded before telemetry hooks were
+    // folded into one typed event per fact; however the hub records a
+    // fact, it exports these bytes.
+    let mut got = crashed_single_scheduler();
+    got.extend(crashed_sharded());
+    let pinned = [
+        ("single.before.jsonl", 0xfbbf_c9d8_9edd_7933),
+        ("single.before.chrome", 0x1ac5_57d3_17b1_4710),
+        ("single.before.prometheus", 0xc3f3_43fc_9305_1eb2),
+        ("single.after.jsonl", 0x35f5_6a18_1eac_5aae),
+        ("single.after.chrome", 0x6bca_0fc0_6d37_6b1d),
+        ("single.after.prometheus", 0x06a4_0291_cb6a_5002),
+        ("single.report.telemetry", 0xf7da_bc20_01cf_8265),
+        ("single.report.analysis", 0xf509_2b50_4572_e776),
+        ("sharded.report_hub.jsonl", 0xe1dd_6f94_2729_8910),
+        ("sharded.report_hub.chrome", 0x5be5_d10f_2f80_5b9e),
+        ("sharded.report_hub.prometheus", 0x76fc_17db_43b2_0e5e),
+        ("sharded.coord_hub.jsonl", 0xc013_ea3a_6942_4418),
+        ("sharded.coord_hub.chrome", 0x2d25_b7e7_43f5_83e2),
+        ("sharded.coord_hub.prometheus", 0x0df8_a69b_a62e_0950),
+        ("sharded.report.telemetry", 0x8af9_cd7b_8fe0_7608),
+        ("sharded.report.analysis", 0x76a8_6af1_10a3_b0a0),
+        ("sharded.ops_alerts", 0xb8d4_a5c3_2262_e4d9),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    assert_eq!(got, pinned, "export digests moved");
 }
 
 #[test]
