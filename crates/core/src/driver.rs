@@ -376,11 +376,6 @@ impl Driver {
             .into_iter()
             .map(|r| (r.site, r))
             .collect();
-        // Wall-clock timing is opt-in: reading `Instant` inside the sim
-        // path would not change the trace, but keeping it off by default
-        // guarantees the deterministic profile never touches the host
-        // clock at all.
-        let wall_start = self.hub.wall_clock_enabled().then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
         let plans = {
             let plane = self.plane.as_ref();
             plan_cycle_over(
@@ -395,10 +390,6 @@ impl Driver {
                 |owner, k| plane.is_some_and(|p| p.crash_mid_plan(owner, cycle, k)),
             )?
         };
-        if let Some(start) = wall_start {
-            self.hub
-                .observe("wall.plan_cycle_us", start.elapsed().as_micros() as f64);
-        }
         // 4. Submission: plans travel through the outbox table in planning
         // order (debiting the quota-lease ledger on the way), and the
         // client consumes the outbox and submits.

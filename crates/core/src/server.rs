@@ -27,7 +27,7 @@ use sphinx_grid::StagedInput;
 use sphinx_monitor::Report;
 use sphinx_policy::{PolicyEngine, Requirement, UserId};
 use sphinx_sim::SimTime;
-use sphinx_telemetry::{Telemetry, TraceKind};
+use sphinx_telemetry::{Event, JobStep, Telemetry};
 use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,48 +154,38 @@ struct ReadyEntry {
     priority: u32,
 }
 
-/// Per-cycle bookkeeping emitted once per *global* plan cycle — not once
-/// per server — before any per-DAG work: cycle counters, monitoring
-/// staleness, the `PlanCycle` trace line.
+/// Per-cycle bookkeeping recorded once per *global* plan cycle — not once
+/// per server — before any per-DAG work.
 fn cycle_prolog(
     telemetry: &Telemetry,
     sched: &mut SchedulerState,
     now: SimTime,
     reports: &BTreeMap<SiteId, Report>,
 ) {
-    telemetry.counter_add("plan.cycles", 1);
-    if let Some(prev) = sched.last_plan_at {
-        telemetry.observe_ms("plan.cycle_gap_ms", now.since(prev));
-    }
+    let (reports, gap) = (reports.len(), sched.last_plan_at.map(|t| now.since(t)));
+    telemetry.record(now, Event::PlanCycle { reports, gap });
     sched.last_plan_at = Some(now);
-    // Staleness of the monitoring data this cycle plans against —
-    // "sample age at use", the paper's §2 imperfection made visible.
-    for report in reports.values() {
-        telemetry.observe_ms("monitor.sample_age_ms", report.age(now));
-    }
-    telemetry.trace(
-        TraceKind::PlanCycle,
-        now,
-        None,
-        None,
-        format!("reports={}", reports.len()),
-    );
     sched.scratch_reused = 0;
 }
 
-/// Per-cycle epilogue: flush the score-cache and scratch-reuse counters.
-fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
-    let (cache_hits, cache_misses) = sched.score_cache.take_counters();
-    if cache_hits > 0 {
-        telemetry.counter_add("plan.score_cache.hits", cache_hits);
-    }
-    if cache_misses > 0 {
-        telemetry.counter_add("plan.score_cache.misses", cache_misses);
-    }
-    if sched.scratch_reused > 0 {
-        telemetry.counter_add("plan.scratch.reused", sched.scratch_reused);
-    }
-    sched.scratch_reused = 0;
+/// Per-cycle epilogue: the score-cache and scratch-reuse tallies, and the
+/// cycle's host-clock length when `wall_start` was taken.
+fn cycle_epilog(
+    telemetry: &Telemetry,
+    sched: &mut SchedulerState,
+    now: SimTime,
+    wall_start: Option<std::time::Instant>, // sphinx-lint: allow(wall-clock)
+) {
+    let (hits, misses) = sched.score_cache.take_counters();
+    let reused = std::mem::take(&mut sched.scratch_reused);
+    let wall_us = wall_start.map(|start| start.elapsed().as_micros() as u64);
+    let done = Event::PlanCycleDone {
+        hits,
+        misses,
+        reused,
+        wall_us,
+    };
+    telemetry.record(now, done);
 }
 
 /// In-memory planner view of one active DAG — a mirror of its [`DagRow`]
@@ -275,8 +265,9 @@ impl SphinxServer {
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = telemetry;
         for (id, meta) in &self.dag_meta {
+            let (dag, jobs) = (id.0, meta.dag.jobs.len());
             self.telemetry
-                .dag_span_start(id.0, meta.dag.jobs.len(), meta.submitted_at);
+                .record(meta.submitted_at, Event::DagRestored { dag, jobs });
         }
     }
 
@@ -286,14 +277,19 @@ impl SphinxServer {
     }
 
     fn note_flag_transition(&self, transition: FlagTransition, site: SiteId, now: SimTime) {
-        let (counter, kind) = match transition {
-            FlagTransition::Flagged => ("reliability.flagged", TraceKind::SiteFlagged),
-            FlagTransition::Unflagged => ("reliability.unflagged", TraceKind::SiteUnflagged),
+        let flagged = match transition {
+            FlagTransition::Flagged => true,
+            FlagTransition::Unflagged => false,
             FlagTransition::Unchanged => return,
         };
-        self.telemetry.counter_add(counter, 1);
         self.telemetry
-            .trace(kind, now, None, Some(site), String::new());
+            .record(now, Event::SiteFlag { site, flagged });
+    }
+
+    /// Record one automaton transition of job `job`.
+    fn note_job(&self, job: JobId, step: JobStep, now: SimTime) {
+        let job = job.as_key();
+        self.telemetry.record(now, Event::Job { job, step });
     }
 
     /// Rebuild a server from a recovered database (crash recovery).
@@ -424,8 +420,7 @@ impl SphinxServer {
                         // sphinx-fsa: Unready -> Ready
                         j.advance(JobState::Ready);
                     })?;
-                    self.telemetry
-                        .note_job_state(key, dag_row.id.0, "ready", None, None, now);
+                    self.note_job(job.id, JobStep::Reset, now);
                 }
             }
             self.frontiers.insert(dag_row.id, frontier);
@@ -475,8 +470,7 @@ impl SphinxServer {
                     if let Some(frontier) = self.frontiers.get_mut(&dag) {
                         frontier.put_back(job.id.index);
                     }
-                    self.telemetry
-                        .note_job_state(key, dag.0, "ready", None, None, now);
+                    self.note_job(job.id, JobStep::Reset, now);
                     reset += 1;
                 }
                 Some(&site) if job.state == JobState::Ready => {
@@ -490,8 +484,7 @@ impl SphinxServer {
                     if let Some(frontier) = self.frontiers.get_mut(&dag) {
                         frontier.take(job.id.index);
                     }
-                    self.telemetry
-                        .note_job_state(key, dag.0, "submitted", Some(site), None, now);
+                    self.note_job(job.id, JobStep::Resumed { site }, now);
                     repaired += 1;
                 }
                 _ => {}
@@ -599,19 +592,9 @@ impl SphinxServer {
         txn.commit()?;
         self.remember_dag(&row);
         self.dags_total += 1;
-        self.telemetry.counter_add("dag.submitted", 1);
-        self.telemetry.trace(
-            TraceKind::DagSubmitted,
-            now,
-            None,
-            None,
-            format!("dag={} jobs={}", dag.id.0, dag.jobs.len()),
-        );
-        self.telemetry.dag_span_start(dag.id.0, dag.jobs.len(), now);
-        for job in &dag.jobs {
-            self.telemetry
-                .note_job_state(job.id.as_key(), dag.id.0, "unready", None, None, now);
-        }
+        let (dag, jobs) = (dag.id.0, dag.jobs.len());
+        self.telemetry
+            .record(now, Event::DagSubmitted { dag, jobs });
         Ok(())
     }
 
@@ -632,15 +615,8 @@ impl SphinxServer {
             self.frontiers.remove(&dag_id);
             self.dag_meta.remove(&dag_id);
             self.dags_finished += 1;
-            self.telemetry.counter_add("dag.finished", 1);
-            self.telemetry.trace(
-                TraceKind::DagFinished,
-                now,
-                None,
-                None,
-                format!("dag={}", dag_id.0),
-            );
-            self.telemetry.dag_span_end(dag_id.0, now);
+            let dag = dag_id.0;
+            self.telemetry.record(now, Event::DagFinished { dag });
         }
         Ok(())
     }
@@ -687,15 +663,7 @@ impl SphinxServer {
                     }
                 })?;
                 if advanced {
-                    self.telemetry
-                        .note_job_state(key, job.dag.0, "queued", Some(site), None, now);
-                    self.telemetry.trace(
-                        TraceKind::JobQueued,
-                        now,
-                        Some(key),
-                        Some(site),
-                        String::new(),
-                    );
+                    self.note_job(job, JobStep::Queued { site }, now);
                 }
             }
             StatusReport::Running { site, .. } => {
@@ -708,15 +676,7 @@ impl SphinxServer {
                     }
                 })?;
                 if advanced {
-                    self.telemetry
-                        .note_job_state(key, job.dag.0, "running", Some(site), None, now);
-                    self.telemetry.trace(
-                        TraceKind::JobRunning,
-                        now,
-                        Some(key),
-                        Some(site),
-                        String::new(),
-                    );
+                    self.note_job(job, JobStep::Running { site }, now);
                 }
             }
             StatusReport::Completed {
@@ -749,16 +709,7 @@ impl SphinxServer {
                 sched.prediction.record(site, total);
                 let transition = sched.reliability.record_completed_at(site, now);
                 self.note_flag_transition(transition, site, now);
-                self.telemetry
-                    .note_job_state(key, job.dag.0, "finished", Some(site), None, now);
-                self.telemetry.observe_ms("job.completion_ms", total);
-                self.telemetry.trace(
-                    TraceKind::JobCompleted,
-                    now,
-                    Some(key),
-                    Some(site),
-                    String::new(),
-                );
+                self.note_job(job, JobStep::Completed { site, total }, now);
                 self.bump_site_stats(site, |s| {
                     s.completed += 1;
                     s.completion_secs_sum += total.as_secs_f64();
@@ -783,21 +734,8 @@ impl SphinxServer {
                             // The completing job is the ready-cause: its
                             // span is what critical-path extraction links
                             // this child's readiness back to.
-                            self.telemetry.note_job_state(
-                                child.as_key(),
-                                job.dag.0,
-                                "ready",
-                                None,
-                                Some(key),
-                                now,
-                            );
-                            self.telemetry.trace(
-                                TraceKind::JobReady,
-                                now,
-                                Some(child.as_key()),
-                                None,
-                                String::new(),
-                            );
+                            let step = JobStep::Ready { cause: Some(key) };
+                            self.note_job(child, step, now);
                         }
                     }
                 }
@@ -823,29 +761,19 @@ impl SphinxServer {
                 }
                 let transition = sched.reliability.record_cancelled_at(site, now);
                 self.note_flag_transition(transition, site, now);
-                self.telemetry
-                    .note_job_state(key, job.dag.0, "ready", None, None, now);
-                self.bump_site_stats(site, |s| s.cancelled += 1)?;
-                sched.dec_outstanding(site);
-                let cause_label = match cause {
+                let step = match cause {
                     CancelCause::Held => {
                         sched.stats.reschedules_held += 1;
-                        self.telemetry.counter_add("plan.reschedules_held", 1);
-                        "held"
+                        JobStep::Held { site }
                     }
                     CancelCause::Timeout => {
                         sched.stats.reschedules_timeout += 1;
-                        self.telemetry.counter_add("plan.reschedules_timeout", 1);
-                        "timeout"
+                        JobStep::TimedOut { site }
                     }
                 };
-                self.telemetry.trace(
-                    TraceKind::JobCancelled,
-                    now,
-                    Some(key),
-                    Some(site),
-                    cause_label.to_owned(),
-                );
+                self.note_job(job, step, now);
+                self.bump_site_stats(site, |s| s.cancelled += 1)?;
+                sched.dec_outstanding(site);
                 if let Some(frontier) = self.frontiers.get_mut(&job.dag) {
                     frontier.put_back(job.index);
                 }
@@ -904,24 +832,11 @@ impl SphinxServer {
             txn.put(&updated)?;
             txn.commit()?;
             for &idx in &reduction.eliminated {
-                let jid = JobId::new(dag_row.id, idx).as_key();
-                self.telemetry.counter_add("job.eliminated", 1);
-                self.telemetry
-                    .note_job_state(jid, dag_row.id.0, "eliminated", None, None, now);
-                self.telemetry.trace(
-                    TraceKind::JobEliminated,
-                    now,
-                    Some(jid),
-                    None,
-                    String::new(),
-                );
+                self.note_job(JobId::new(dag_row.id, idx), JobStep::Eliminated, now);
             }
             for idx in frontier.ready() {
-                let jid = JobId::new(dag_row.id, idx).as_key();
-                self.telemetry
-                    .note_job_state(jid, dag_row.id.0, "ready", None, None, now);
-                self.telemetry
-                    .trace(TraceKind::JobReady, now, Some(jid), None, String::new());
+                let step = JobStep::Ready { cause: None };
+                self.note_job(JobId::new(dag_row.id, idx), step, now);
             }
             self.frontiers.insert(dag_row.id, frontier);
             self.maybe_finish_dag(dag_row.id, now)?;
@@ -1152,22 +1067,7 @@ impl SphinxServer {
         }
         *sched.outstanding.entry(site).or_default() += 1;
         sched.stats.plans += 1;
-        self.telemetry.counter_add("plan.jobs_submitted", 1);
-        self.telemetry.note_job_state(
-            job_id.as_key(),
-            job_id.dag.0,
-            "submitted",
-            Some(site),
-            None,
-            now,
-        );
-        self.telemetry.trace(
-            TraceKind::JobSubmitted,
-            now,
-            Some(job_id.as_key()),
-            Some(site),
-            String::new(),
-        );
+        self.note_job(job_id, JobStep::Submitted { site }, now);
         let archive_to = self.config.archive_site.filter(|_| is_sink);
         Ok(Some(PlanNotice {
             job: job_id,
@@ -1212,6 +1112,9 @@ pub(crate) fn plan_cycle_over<S: BorrowMut<SphinxServer>>(
     owner_of: impl Fn(DagId) -> usize,
     dies_after: impl Fn(usize, usize) -> bool,
 ) -> CoreResult<Vec<(usize, PlanNotice)>> {
+    // Host-clock timing is opt-in: keeping it off by default guarantees
+    // the deterministic profile never touches the host clock at all.
+    let wall_start = telemetry.wall_clock_enabled().then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
     cycle_prolog(telemetry, sched, now, reports);
     // Phase spans mark the FSA pipeline stages inside one plan cycle;
     // instantaneous in sim time (the cycle itself consumes no simulated
@@ -1294,7 +1197,7 @@ pub(crate) fn plan_cycle_over<S: BorrowMut<SphinxServer>>(
             plans.retain(|(o, _)| *o != owner);
         }
     }
-    cycle_epilog(telemetry, sched);
+    cycle_epilog(telemetry, sched, now, wall_start);
     telemetry.span_end(plan_span, now);
     Ok(plans)
 }

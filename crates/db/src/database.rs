@@ -7,7 +7,7 @@ use crate::wal::Wal;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use sphinx_telemetry::Telemetry;
+use sphinx_telemetry::{Event, Telemetry};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::{ControlFlow, RangeBounds};
@@ -203,12 +203,12 @@ impl Database {
 
     /// Attach a telemetry hub. Replay work already done by `recover` is
     /// credited immediately (recovery runs before any hub exists); every
-    /// later commit and checkpoint bumps `wal.appends` / `wal.rewrites`,
-    /// and every read bumps `db.rows.read`.
+    /// later commit, checkpoint and read is counted. The log keeps no sim
+    /// clock: the hub stamps its events with the latest time it has seen.
     pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
         if self.replayed > 0 {
-            telemetry.counter_add("wal.replays", self.replayed);
-            telemetry.span_instant("wal:replay", format!("{} lines replayed", self.replayed));
+            let lines = self.replayed;
+            telemetry.record(Default::default(), Event::WalReplay { lines });
         }
         *self.telemetry.lock() = Some(telemetry);
     }
@@ -492,10 +492,7 @@ impl Database {
     fn checkpoint_locked(&self, store: &Store) -> Result<(), DbError> {
         self.wal.lock().rewrite(&[snapshot_line(store)])?;
         self.log_lines.store(1, Ordering::Relaxed);
-        self.with_hub(|t| {
-            t.counter_add("wal.rewrites", 1);
-            t.span_instant("wal:checkpoint", "log compacted to snapshot".to_owned());
-        });
+        self.with_hub(|t| t.record(Default::default(), Event::WalCheckpoint));
         Ok(())
     }
 

@@ -14,7 +14,7 @@ use crate::site::SiteSpec;
 use serde::{Deserialize, Serialize};
 use sphinx_data::{FileSpec, ReplicaService, SiteId, SiteStore, TransferModel, TransferTracker};
 use sphinx_sim::{Duration, EventQueue, SimRng, SimTime};
-use sphinx_telemetry::Telemetry;
+use sphinx_telemetry::{GridStep, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -110,6 +110,13 @@ pub struct SiteCounters {
     pub background_completed: u64,
     /// Number of crash events.
     pub crashes: u64,
+}
+
+/// Report `step` of job `job`'s batch slot at `site`, if a hub is attached.
+fn note_slot(hub: &Option<Arc<Telemetry>>, site: SiteId, job: u64, step: GridStep, at: SimTime) {
+    if let Some(t) = hub {
+        t.record(at, sphinx_telemetry::Event::Grid { site, job, step });
+    }
 }
 
 #[derive(Debug)]
@@ -346,10 +353,9 @@ impl GridSim {
         let latency = self
             .submit_rng
             .jittered(self.sites[i].spec.faults.submit_latency, 0.5);
-        let at = self.now() + latency;
-        if let Some(t) = &self.telemetry {
-            t.grid_submit(site, request.tag, self.now());
-        }
+        let now = self.now();
+        let at = now + latency;
+        note_slot(&self.telemetry, site, request.tag, GridStep::Submit, now);
         self.sites[i].staging.insert(
             handle,
             Staging {
@@ -376,9 +382,8 @@ impl GridSim {
                     self.transfers.end(src, rt.spec.id);
                 }
             }
-            if let Some(t) = &self.telemetry {
-                t.grid_cancel(site, staging.request.tag, now);
-            }
+            let tag = staging.request.tag;
+            note_slot(&self.telemetry, site, tag, GridStep::Cancel, now);
             return true;
         }
         if let Some((batch_id, tag, _)) = rt.in_batch.remove(&handle) {
@@ -388,9 +393,7 @@ impl GridSim {
             rt.started_at.remove(&batch_id);
             let found = rt.batch.cancel(batch_id).is_some();
             let started = rt.batch.dispatch();
-            if let Some(t) = &self.telemetry {
-                t.grid_cancel(site, tag, now);
-            }
+            note_slot(&self.telemetry, site, tag, GridStep::Cancel, now);
             let site_idx = i;
             self.after_dispatch(site_idx, started);
             return found;
@@ -548,9 +551,7 @@ impl GridSim {
         rt.in_batch.insert(handle, (batch_id, req.tag, now));
         rt.by_batch.insert(batch_id, handle);
         rt.outputs.insert(handle, req.output.clone());
-        if let Some(t) = &self.telemetry {
-            t.grid_queued(site, req.tag, now);
-        }
+        note_slot(&self.telemetry, site, req.tag, GridStep::Queued, now);
         self.out.push(Notification::JobQueued {
             handle,
             tag: req.tag,
@@ -578,9 +579,7 @@ impl GridSim {
                 let rt = &mut self.sites[i];
                 if let Some(&(_, tag, _)) = rt.in_batch.get(&handle) {
                     let site = rt.spec.id;
-                    if let Some(t) = &self.telemetry {
-                        t.grid_start(site, tag, now);
-                    }
+                    note_slot(&self.telemetry, site, tag, GridStep::Start, now);
                     self.out
                         .push(Notification::JobRunning { handle, tag, site });
                 }
@@ -643,9 +642,7 @@ impl GridSim {
                         }
                     }
                     rt.counters.sphinx_completed += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.grid_complete(site, tag, now);
-                    }
+                    note_slot(&self.telemetry, site, tag, GridStep::Complete, now);
                     self.out.push(Notification::JobCompleted {
                         handle,
                         tag,
@@ -675,9 +672,8 @@ impl GridSim {
         let site = rt.spec.id;
         if let Some((_, tag, _)) = rt.in_batch.remove(&handle) {
             rt.counters.sphinx_held += 1;
-            if let Some(t) = &self.telemetry {
-                t.grid_hold(site, tag, self.events.now());
-            }
+            let now = self.events.now();
+            note_slot(&self.telemetry, site, tag, GridStep::Hold, now);
             self.out.push(Notification::JobHeld {
                 handle,
                 tag,
@@ -762,9 +758,7 @@ impl GridSim {
                     rt.outputs.remove(&handle);
                     if let Some((_, tag, _)) = rt.in_batch.remove(&handle) {
                         rt.counters.sphinx_held += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.grid_hold(site, tag, now);
-                        }
+                        note_slot(&self.telemetry, site, tag, GridStep::Hold, now);
                         self.out.push(Notification::JobHeld {
                             handle,
                             tag,

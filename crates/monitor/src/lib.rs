@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use sphinx_data::SiteId;
 use sphinx_grid::SiteSnapshot;
 use sphinx_sim::{Duration, SimRng, SimTime};
-use sphinx_telemetry::{Telemetry, TraceKind};
+use sphinx_telemetry::{Event, Telemetry, TraceKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -222,10 +222,9 @@ impl Monitor {
         self.visible.get(&site).cloned()
     }
 
-    /// All currently visible reports.
-    ///
-    /// Also refreshes the per-site `monitor.staleness` (report age in
-    /// sim-milliseconds) and `monitor.queue_depth` gauges, so every
+    /// All currently visible reports: what the planner reads. Each is
+    /// recorded as an [`Event::SiteReport`] (staleness and queue-depth
+    /// gauges, sample-age histogram), so every
     /// [`sphinx_telemetry::TelemetrySnapshot`] carries the staleness the
     /// scheduler was actually planning against — the imperfection §2 of
     /// the paper warns about, made visible.
@@ -233,12 +232,8 @@ impl Monitor {
         self.promote(now);
         if let Some(t) = &self.telemetry {
             for report in self.visible.values() {
-                t.site_gauge_set(
-                    "monitor.staleness",
-                    report.site,
-                    report.age(now).as_millis() as f64,
-                );
-                t.site_gauge_set("monitor.queue_depth", report.site, report.queued as f64);
+                let (site, age, queued) = (report.site, report.age(now), report.queued);
+                t.record(now, Event::SiteReport { site, age, queued });
             }
         }
         self.visible.values().cloned().collect()
@@ -407,21 +402,21 @@ mod tests {
         m.set_telemetry(Arc::clone(&tel));
         m.sample(SimTime::ZERO, &[snap(0, 4, 1, true), snap(1, 2, 0, true)]);
         m.reports(SimTime::from_secs(90));
-        assert_eq!(
-            tel.site_gauge("monitor.staleness", SiteId(0)),
-            Some(90_000.0)
-        );
-        assert_eq!(tel.site_gauge("monitor.queue_depth", SiteId(0)), Some(4.0));
+        let gauge = |family: &str| tel.snapshot().site_gauges[family][&0];
+        assert_eq!(gauge("monitor.staleness"), 90_000.0);
+        assert_eq!(gauge("monitor.queue_depth"), 4.0);
         // A lost sample leaves the old report in place; staleness grows.
         m.sample(SimTime::from_secs(120), &[snap(0, 0, 0, false)]);
         m.reports(SimTime::from_secs(180));
         assert_eq!(
-            tel.site_gauge("monitor.staleness", SiteId(0)),
-            Some(180_000.0),
+            gauge("monitor.staleness"),
+            180_000.0,
             "down site's visible report keeps ageing"
         );
         let snap = tel.snapshot();
         assert_eq!(snap.site_gauges["monitor.staleness"].len(), 2);
+        // Each report read is also one sample-age observation.
+        assert_eq!(snap.histograms["monitor.sample_age_ms"].count, 4);
     }
 
     #[test]

@@ -347,7 +347,12 @@ mod tests {
     fn metrics_serves_prometheus_text() {
         let (server, _shared, tel) = test_server();
         tel.counter_add("ops.alerts", 3);
-        tel.site_gauge_set("monitor.staleness", sphinx_data::SiteId(1), 1500.0);
+        let report = sphinx_telemetry::Event::SiteReport {
+            site: sphinx_data::SiteId(1),
+            age: sphinx_sim::Duration::from_millis(1500),
+            queued: 0,
+        };
+        tel.record(SimTime::ZERO, report);
         let (head, body) = get(server.addr(), "/metrics");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("sphinx_ops_alerts 3"), "{body}");

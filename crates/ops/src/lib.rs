@@ -8,9 +8,9 @@
 //! cancellation report arrives: tens of minutes of wasted submissions.
 //! This crate watches the run *while it happens*:
 //!
-//! * [`OpsAggregator`] consumes the telemetry trace ring and metrics
-//!   registry incrementally (cursor-based, one lock acquisition per
-//!   planner cycle, no full-snapshot rescans) and maintains rolling
+//! * [`OpsAggregator`] reads the telemetry trace ring and the few metrics
+//!   it needs in place, incrementally (cursor-based, one lock acquisition
+//!   per planner cycle, nothing copied out of the hub) and maintains rolling
 //!   sim-time-windowed per-site health views — queue depth, submit→start
 //!   latency, completion/cancel rates, monitor-report staleness — plus
 //!   per-scheduler health (plan-cycle cadence, WAL append rate, lease
@@ -42,7 +42,7 @@ pub mod http;
 
 use serde::{Deserialize, Serialize};
 use sphinx_sim::{Duration, SimTime};
-use sphinx_telemetry::{OpsPoll, Telemetry, TraceEventLite, TraceKind};
+use sphinx_telemetry::{OpsView, Telemetry, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 
 /// Window slots retained per site. Bounds both memory and how far back
@@ -310,7 +310,6 @@ pub struct OpsAggregator {
     missed_total: u64,
     ticks: u64,
     alerts_total: u64,
-    poll: OpsPoll,
     sites: BTreeMap<u32, SiteState>,
     /// Submit sim time per in-flight job key (latency pairing). Entries
     /// leave on start, completion or cancellation — bounded by in-flight
@@ -345,7 +344,6 @@ impl OpsAggregator {
             missed_total: 0,
             ticks: 0,
             alerts_total: 0,
-            poll: OpsPoll::default(),
             sites: BTreeMap::new(),
             submit_times: BTreeMap::new(),
             scheduler: SchedulerHealth::default(),
@@ -372,24 +370,11 @@ impl OpsAggregator {
     pub fn tick(&mut self, now: SimTime, telemetry: &Telemetry) -> &[OpsAlert] {
         self.ticks += 1;
         self.fired.clear();
-        let mut poll = std::mem::take(&mut self.poll);
-        self.cursor = telemetry.ops_poll(self.cursor, &mut poll);
-        if poll.missed > 0 {
-            self.missed_total += poll.missed;
-            telemetry.counter_add("ops.poll.missed", poll.missed);
+        let missed = telemetry.ops_poll(self.cursor, |view| self.ingest(view, now));
+        if missed > 0 {
+            self.missed_total += missed;
+            telemetry.counter_add("ops.poll.missed", missed);
         }
-        for event in poll.events.iter() {
-            self.ingest_trace_event(event);
-        }
-        for (name, site, value) in poll.site_gauges.iter() {
-            self.ingest_site_gauge(name, *site, *value, now);
-        }
-        for (name, value) in poll.counters.iter() {
-            if *name == "wal.appends" {
-                self.ingest_wal_counter(*value, now);
-            }
-        }
-        self.poll = poll;
         self.run_detectors(now, telemetry);
         telemetry.counter_add("ops.alerts", self.fired.len() as u64);
         self.alerts_total += self.fired.len() as u64;
@@ -406,7 +391,41 @@ impl OpsAggregator {
         t.as_millis() / self.window_ms
     }
 
-    fn ingest_trace_event(&mut self, event: &TraceEventLite) {
+    /// Fold what the hub lends into the windows; returns the events
+    /// missed since the last poll. Runs under the hub lock, so it must
+    /// not call back into the hub.
+    fn ingest(&mut self, view: OpsView<'_>, now: SimTime) -> u64 {
+        self.cursor = view.cursor;
+        for event in view.events {
+            self.ingest_trace_event(event);
+        }
+        let widx = self.window_of(now);
+        for (site, depth) in view.queue_depth.into_iter().flatten() {
+            let state = self.sites.entry(*site).or_default();
+            state.queue_depth = *depth;
+            state.gauges_seen = true;
+            if let Some(slot) = state.slot_entry(widx) {
+                slot.queue_depth = *depth;
+                slot.queue_seen = true;
+            }
+        }
+        for (site, staleness) in view.staleness.into_iter().flatten() {
+            let state = self.sites.entry(*site).or_default();
+            state.staleness_ms = *staleness;
+            state.gauges_seen = true;
+        }
+        if widx != self.wal_window {
+            self.scheduler.wal_appends_last_window = self.wal_window_count;
+            self.wal_window = widx;
+            self.wal_window_count = 0;
+        }
+        self.wal_window_count += view.wal_appends.saturating_sub(self.wal_prev);
+        self.wal_prev = view.wal_appends;
+        self.scheduler.wal_appends = view.wal_appends;
+        view.missed
+    }
+
+    fn ingest_trace_event(&mut self, event: &TraceEvent) {
         let widx = event.sim_time.as_millis() / self.window_ms;
         match event.kind {
             TraceKind::GridSubmit => {
@@ -480,38 +499,6 @@ impl OpsAggregator {
             // Never re-ingest our own alerts.
             _ => {}
         }
-    }
-
-    fn ingest_site_gauge(&mut self, name: &str, site: u32, value: f64, now: SimTime) {
-        let widx = self.window_of(now);
-        let state = self.sites.entry(site).or_default();
-        match name {
-            "monitor.queue_depth" => {
-                state.queue_depth = value;
-                state.gauges_seen = true;
-                if let Some(slot) = state.slot_entry(widx) {
-                    slot.queue_depth = value;
-                    slot.queue_seen = true;
-                }
-            }
-            "monitor.staleness" => {
-                state.staleness_ms = value;
-                state.gauges_seen = true;
-            }
-            _ => {}
-        }
-    }
-
-    fn ingest_wal_counter(&mut self, value: u64, now: SimTime) {
-        let widx = self.window_of(now);
-        if widx != self.wal_window {
-            self.scheduler.wal_appends_last_window = self.wal_window_count;
-            self.wal_window = widx;
-            self.wal_window_count = 0;
-        }
-        self.wal_window_count += value.saturating_sub(self.wal_prev);
-        self.wal_prev = value;
-        self.scheduler.wal_appends = value;
     }
 
     /// Evaluate every detector over closed windows. Each detector is
@@ -721,7 +708,18 @@ fn push_alert(
 mod tests {
     use super::*;
     use sphinx_data::SiteId;
-    use sphinx_telemetry::InMemorySink;
+    use sphinx_telemetry::{Event, GridStep, InMemorySink};
+
+    fn grid(tel: &Telemetry, step: GridStep, site: u32, job: u64, at: SimTime) {
+        let site = SiteId(site);
+        tel.record(at, Event::Grid { site, job, step });
+    }
+
+    /// A monitor report for `site`, `age_ms` old, showing `queued` jobs.
+    fn report(tel: &Telemetry, site: u32, age_ms: u64, queued: usize, at: SimTime) {
+        let (site, age) = (SiteId(site), Duration::from_millis(age_ms));
+        tel.record(at, Event::SiteReport { site, age, queued });
+    }
 
     fn mins(m: u64) -> SimTime {
         SimTime::from_secs(m * 60)
@@ -742,9 +740,9 @@ mod tests {
         let mut agg = OpsAggregator::new(quick_config());
         // Site 0: submits that never start. Site 1: healthy.
         for i in 0..4u64 {
-            tel.grid_submit(SiteId(0), i, mins(i));
-            tel.grid_submit(SiteId(1), 100 + i, mins(i));
-            tel.grid_start(SiteId(1), 100 + i, mins(i));
+            grid(&tel, GridStep::Submit, 0, i, mins(i));
+            grid(&tel, GridStep::Submit, 1, 100 + i, mins(i));
+            grid(&tel, GridStep::Start, 1, 100 + i, mins(i));
         }
         // Windows 0..2 are closed at t=8min (window 4).
         let fired: Vec<OpsAlert> = agg.tick(mins(8), &tel).to_vec();
@@ -766,17 +764,17 @@ mod tests {
         let mut agg = OpsAggregator::new(quick_config());
         // Windows are 2 min wide; at t=8min the lookback covers windows
         // 1..=3 (sim minutes 2..8).
-        tel.grid_submit(SiteId(0), 1, mins(2));
-        tel.grid_submit(SiteId(0), 2, mins(3));
+        grid(&tel, GridStep::Submit, 0, 1, mins(2));
+        grid(&tel, GridStep::Submit, 0, 2, mins(3));
         assert_eq!(agg.tick(mins(8), &tel).len(), 1);
         // The site starts running jobs → condition clears.
-        tel.grid_submit(SiteId(0), 3, mins(9));
-        tel.grid_start(SiteId(0), 3, mins(10));
+        grid(&tel, GridStep::Submit, 0, 3, mins(9));
+        grid(&tel, GridStep::Start, 0, 3, mins(10));
         assert!(agg.tick(mins(12), &tel).is_empty());
         assert!(!agg.snapshot_at(mins(12)).sites[0].black_hole);
         // Goes silent again → a new edge fires.
-        tel.grid_submit(SiteId(0), 4, mins(20));
-        tel.grid_submit(SiteId(0), 5, mins(21));
+        grid(&tel, GridStep::Submit, 0, 4, mins(20));
+        grid(&tel, GridStep::Submit, 0, 5, mins(21));
         let fired = agg.tick(mins(26), &tel).to_vec();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].detector, OpsDetector::BlackHole);
@@ -791,12 +789,12 @@ mod tests {
         });
         // Flat baseline: depth ~4 for 10 windows.
         for w in 0..10u64 {
-            tel.site_gauge_set("monitor.queue_depth", SiteId(0), 4.0);
+            report(&tel, 0, 0, 4, mins(w * 2));
             agg.tick(mins(w * 2), &tel);
         }
         assert!(agg.snapshot_at(mins(20)).alerts_total == 0);
         // Spike to 40 in window 10, evaluated once window 11 is current.
-        tel.site_gauge_set("monitor.queue_depth", SiteId(0), 40.0);
+        report(&tel, 0, 0, 40, mins(20));
         agg.tick(mins(20), &tel);
         let fired = agg.tick(mins(22), &tel).to_vec();
         assert_eq!(fired.len(), 1, "{fired:?}");
@@ -808,16 +806,16 @@ mod tests {
     fn staleness_detector_tracks_monitor_gauge() {
         let tel = Telemetry::new();
         let mut agg = OpsAggregator::new(quick_config());
-        tel.site_gauge_set("monitor.staleness", SiteId(3), 30_000.0);
+        report(&tel, 3, 30_000, 0, mins(1));
         assert!(agg.tick(mins(1), &tel).is_empty());
         // Update period 2min, factor 3 → limit 6min. 10min is stale.
-        tel.site_gauge_set("monitor.staleness", SiteId(3), 600_000.0);
+        report(&tel, 3, 600_000, 0, mins(2));
         let fired = agg.tick(mins(2), &tel).to_vec();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].detector, OpsDetector::Staleness);
         assert_eq!(fired[0].site, 3);
         // Fresh report clears and re-arms.
-        tel.site_gauge_set("monitor.staleness", SiteId(3), 1_000.0);
+        report(&tel, 3, 1_000, 0, mins(3));
         assert!(agg.tick(mins(3), &tel).is_empty());
         assert!(!agg.snapshot_at(mins(3)).sites[0].stale);
     }
@@ -826,11 +824,11 @@ mod tests {
     fn latency_and_rates_aggregate_per_window() {
         let tel = Telemetry::new();
         let mut agg = OpsAggregator::new(quick_config());
-        tel.grid_submit(SiteId(2), 7, mins(2));
-        tel.grid_start(SiteId(2), 7, mins(3));
-        tel.grid_complete(SiteId(2), 7, mins(4));
-        tel.grid_submit(SiteId(2), 8, mins(4));
-        tel.grid_cancel(SiteId(2), 8, mins(5));
+        grid(&tel, GridStep::Submit, 2, 7, mins(2));
+        grid(&tel, GridStep::Start, 2, 7, mins(3));
+        grid(&tel, GridStep::Complete, 2, 7, mins(4));
+        grid(&tel, GridStep::Submit, 2, 8, mins(4));
+        grid(&tel, GridStep::Cancel, 2, 8, mins(5));
         agg.tick(mins(8), &tel);
         let snap = agg.snapshot_at(mins(8));
         let s = snap.sites.iter().find(|s| s.site == 2).unwrap();
@@ -868,8 +866,8 @@ mod tests {
         let (sink, events) = InMemorySink::new();
         tel.add_sink(Box::new(sink));
         let mut agg = OpsAggregator::new(quick_config());
-        tel.grid_submit(SiteId(0), 1, mins(2));
-        tel.grid_submit(SiteId(0), 2, mins(3));
+        grid(&tel, GridStep::Submit, 0, 1, mins(2));
+        grid(&tel, GridStep::Submit, 0, 2, mins(3));
         agg.tick(mins(8), &tel);
         assert_eq!(tel.counter("ops.alerts"), 1);
         let traced: Vec<_> = events
@@ -894,10 +892,9 @@ mod tests {
             let mut alerts = Vec::new();
             for m in 0..30u64 {
                 if m % 3 == 0 {
-                    tel.grid_submit(SiteId(0), m, mins(m));
+                    grid(&tel, GridStep::Submit, 0, m, mins(m));
                 }
-                tel.site_gauge_set("monitor.queue_depth", SiteId(0), (m % 5) as f64);
-                tel.site_gauge_set("monitor.staleness", SiteId(0), (m * 30_000) as f64);
+                report(&tel, 0, m * 30_000, (m % 5) as usize, mins(m));
                 alerts.extend_from_slice(agg.tick(mins(m), &tel));
             }
             let json = serde_json::to_string(&alerts).unwrap();
@@ -921,7 +918,7 @@ mod tests {
         });
         let mut agg = OpsAggregator::new(quick_config());
         for i in 0..10u64 {
-            tel.grid_submit(SiteId(0), i, mins(0));
+            grid(&tel, GridStep::Submit, 0, i, mins(0));
         }
         agg.tick(mins(1), &tel);
         assert_eq!(agg.snapshot_at(mins(1)).events_missed, 6);
@@ -938,11 +935,12 @@ mod tests {
             ..quick_config()
         });
         // Alternate stale / fresh on three sites to generate >2 alerts.
-        for (i, site) in [0u32, 1, 2, 0, 1].iter().enumerate() {
-            tel.site_gauge_set("monitor.staleness", SiteId(*site), 1e9);
-            agg.tick(mins(i as u64 + 1), &tel);
-            tel.site_gauge_set("monitor.staleness", SiteId(*site), 0.0);
-            agg.tick(mins(i as u64 + 1), &tel);
+        for (i, site) in [0u32, 1, 2, 0, 1].into_iter().enumerate() {
+            let at = mins(i as u64 + 1);
+            report(&tel, site, 1_000_000_000, 0, at);
+            agg.tick(at, &tel);
+            report(&tel, site, 0, 0, at);
+            agg.tick(at, &tel);
         }
         let snap = agg.snapshot_at(mins(10));
         assert!(snap.alerts_total >= 3);

@@ -18,9 +18,11 @@
 //! deterministic input (same seed) gives identical [`TraceAnalysis`]
 //! output, which `RunReport` carries and the determinism suite asserts.
 //!
-//! The list is indexed **once**, in [`SpanGraph::new`]: id → position,
-//! the spans of each job and the `dag` / `job` spans of each DAG, every
-//! group in list order. Each query then reads only the groups of the
+//! The list is indexed **once**, in [`SpanGraph::new`], whether the graph
+//! owns its spans or borrows them where they are stored
+//! (`Telemetry::analyze` indexes the hub's span store in place): id →
+//! position, the spans of each job and the `dag` / `job` spans of each
+//! DAG, every group in list order. Each query then reads only the groups of the
 //! jobs it chains, so a whole [`SpanGraph::analyze`] costs
 //! O(spans · log spans) to index plus O(Σ chained jobs' spans) to walk,
 //! where a scan per query cost O(DAGs × chain × spans). The scanning
@@ -28,15 +30,16 @@
 
 use crate::span::{Span, SpanId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+
+/// The dense key of job `index` of DAG `dag` (`sphinx_dag::JobId::as_key`).
+pub fn job_key(dag: u64, index: u64) -> u64 {
+    (dag << 24) | index
+}
 
 /// DAG id component of a dense job key (see `sphinx_dag::JobId::as_key`).
 pub fn job_key_dag(key: u64) -> u64 {
     key >> 24
-}
-
-/// Index component of a dense job key.
-pub fn job_key_index(key: u64) -> u64 {
-    key & 0x00FF_FFFF
 }
 
 /// Where one job's lifetime went, in sim-milliseconds.
@@ -173,9 +176,11 @@ impl Groups {
     }
 }
 
-/// An indexed, immutable view over a span forest.
-pub struct SpanGraph {
-    spans: Vec<Span>,
+/// An indexed, immutable view over a span forest: over owned spans
+/// (`SpanGraph<Span>`) or spans borrowed from where they are stored
+/// (`SpanGraph<&Span>`).
+pub struct SpanGraph<S = Span> {
+    spans: Vec<S>,
     /// Every span, under its id.
     by_id: Groups,
     /// Every span that names a job, grouped by job key.
@@ -184,13 +189,15 @@ pub struct SpanGraph {
     by_dag: Groups,
 }
 
-impl SpanGraph {
-    /// Index a span list (as returned by `Telemetry::spans`).
-    pub fn new(spans: Vec<Span>) -> Self {
+impl<S: Borrow<Span>> SpanGraph<S> {
+    /// Index a span list (as returned by `Telemetry::spans`, or borrowed
+    /// from a [`crate::SpanStore`]).
+    pub fn new(spans: impl IntoIterator<Item = S>) -> Self {
+        let spans: Vec<S> = spans.into_iter().collect();
         let mut by_id = Vec::with_capacity(spans.len());
         let mut by_job = Vec::new();
         let mut by_dag = Vec::new();
-        for (i, span) in spans.iter().enumerate() {
+        for (i, span) in spans.iter().map(Borrow::borrow).enumerate() {
             by_id.push((span.id.0, i));
             if let Some(job) = span.job {
                 by_job.push((job, i));
@@ -207,14 +214,9 @@ impl SpanGraph {
         }
     }
 
-    /// The underlying spans.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
     /// The spans `groups` files under `key`, in list order.
     fn group<'a>(&'a self, groups: &'a Groups, key: u64) -> impl Iterator<Item = &'a Span> + 'a {
-        groups.of(key).map(|i| &self.spans[i])
+        groups.of(key).map(|i| self.spans[i].borrow())
     }
 
     /// Lookup by id.
@@ -244,7 +246,7 @@ impl SpanGraph {
     /// not rooted at its DAG's span. Empty means the graph is sound.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        for span in &self.spans {
+        for span in self.spans.iter().map(Borrow::borrow) {
             if let Some(end) = span.end.filter(|&end| end < span.start) {
                 problems.push(format!(
                     "span {} ({}) ends at {}ms before it starts at {}ms",
@@ -405,6 +407,7 @@ impl SpanGraph {
         let mut jobs: Vec<&Span> = self
             .spans
             .iter()
+            .map(Borrow::borrow)
             .filter(|s| s.name == "job" && s.end.is_some())
             .collect();
         jobs.sort_by(|a, b| {
@@ -436,6 +439,7 @@ impl SpanGraph {
         let mut dag_ids: Vec<u64> = self
             .spans
             .iter()
+            .map(Borrow::borrow)
             .filter(|s| s.name == "dag")
             .filter_map(|s| s.dag)
             .collect();
@@ -627,10 +631,10 @@ mod tests {
     use super::oracle::ScanGraph;
     use super::*;
     use crate::span::{SpanAttrs, SpanStore};
-    use crate::{Telemetry, TelemetryConfig};
+    use crate::{Event, JobStep, Telemetry, TelemetryConfig};
     use proptest::prelude::*;
     use sphinx_data::SiteId;
-    use sphinx_sim::SimTime;
+    use sphinx_sim::{Duration, SimTime};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -826,29 +830,22 @@ mod tests {
 
     #[test]
     fn job_key_split_round_trips() {
-        let key = (17u64 << 24) | 42;
+        let key = job_key(17, 42);
+        assert_eq!(key, (17u64 << 24) | 42);
         assert_eq!(job_key_dag(key), 17);
-        assert_eq!(job_key_index(key), 42);
     }
-
-    const LIFECYCLE: [&str; 6] = [
-        "unready",
-        "ready",
-        "submitted",
-        "queued",
-        "running",
-        "finished",
-    ];
 
     /// Drive the hub's own span bookkeeping (so the forest is built
     /// through `SpanStore` with the real taxonomy and links) with a random
     /// walk: each op moves one job of one DAG. Mostly a job advances along
-    /// its lifecycle, readied by a random lower-numbered sibling; sometimes
-    /// it faults back to `ready` (a replan, so `attempt` spans chain),
-    /// jumps to an arbitrary state, or its DAG's root span closes or
-    /// reopens. Time moves 0–1 s per op, so end times collide; whatever is
-    /// open at the end stays live; `capacity` is small enough to evict
-    /// `dag` spans, first `state:ready` spans and chain heads.
+    /// its lifecycle (unready, ready, submitted, queued, running,
+    /// finished), readied by a random lower-numbered sibling; sometimes it
+    /// faults back to `ready` (a replan, so `attempt` spans chain), jumps
+    /// to an arbitrary stage — `unready` re-submits its whole DAG — or its
+    /// DAG's root span closes or reopens. Time moves 0–1 s per op, so end
+    /// times collide; whatever is open at the end stays live; `capacity`
+    /// is small enough to evict `dag` spans, first `state:ready` spans and
+    /// chain heads.
     fn random_forest(
         capacity: usize,
         dags: u64,
@@ -859,8 +856,15 @@ mod tests {
             span_capacity: capacity,
             ..TelemetryConfig::default()
         });
+        let jobs_per_dag = jobs as usize;
         for dag in 0..dags {
-            tel.dag_span_start(dag, jobs as usize, t(0));
+            tel.record(
+                t(0),
+                Event::DagRestored {
+                    dag,
+                    jobs: jobs_per_dag,
+                },
+            );
         }
         let mut stage = std::collections::BTreeMap::new();
         let mut now = 0;
@@ -868,25 +872,51 @@ mod tests {
             now += dt;
             let dag = pick % dags;
             let index = pick / dags % jobs;
-            let job = (dag << 24) | index;
-            let at = stage.entry(job).or_insert(0usize);
+            let job = job_key(dag, index);
+            let at = stage.entry(job).or_insert(0u64);
             match kind {
-                0..=6 => *at = (*at + 1) % LIFECYCLE.len(),
+                0..=6 => *at = (*at + 1) % 6,
                 7 => *at = 1,
-                8 => *at = aux as usize % LIFECYCLE.len(),
+                8 => *at = aux % 6,
                 _ if aux % 3 == 0 => {
-                    tel.dag_span_start(dag, jobs as usize, t(now));
+                    tel.record(
+                        t(now),
+                        Event::DagRestored {
+                            dag,
+                            jobs: jobs_per_dag,
+                        },
+                    );
                     continue;
                 }
                 _ => {
-                    tel.dag_span_end(dag, t(now));
+                    tel.record(t(now), Event::DagFinished { dag });
                     continue;
                 }
             }
             // Causes point at lower indices, as a DAG's edges do.
-            let cause = (index > 0 && aux % 4 != 0).then(|| (dag << 24) | (aux % index));
-            let site = Some(SiteId((aux % 5) as u32));
-            tel.note_job_state(job, dag, LIFECYCLE[*at], site, cause, t(now));
+            let cause = (index > 0 && aux % 4 != 0).then(|| job_key(dag, aux % index));
+            let site = SiteId((aux % 5) as u32);
+            let step = match *at {
+                0 => {
+                    tel.record(
+                        t(now),
+                        Event::DagSubmitted {
+                            dag,
+                            jobs: jobs_per_dag,
+                        },
+                    );
+                    continue;
+                }
+                1 => JobStep::Ready { cause },
+                2 => JobStep::Submitted { site },
+                3 => JobStep::Queued { site },
+                4 => JobStep::Running { site },
+                _ => JobStep::Completed {
+                    site,
+                    total: Duration::ZERO,
+                },
+            };
+            tel.record(t(now), Event::Job { job, step });
         }
         tel.spans()
     }

@@ -461,9 +461,13 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::span::{SpanAttrs, SpanStore};
-    use crate::{Telemetry, TraceKind};
+    use crate::{Event, GridStep, JobStep, Telemetry, TraceKind};
     use sphinx_data::SiteId;
     use sphinx_sim::{Duration, SimTime};
+
+    fn job(tel: &Telemetry, at: SimTime, job: u64, step: JobStep) {
+        tel.record(at, Event::Job { job, step });
+    }
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -529,10 +533,15 @@ mod tests {
         let tel = Telemetry::new();
         tel.counter_add("plan.cycles", 3);
         tel.gauge_set("monitor.visible_sites", 4.0);
-        tel.observe_ms("fsa.dwell_ms.ready", Duration::from_secs(2));
-        tel.observe_ms("fsa.dwell_ms.ready", Duration::from_secs(200));
-        tel.grid_submit(SiteId(1), 7, t(0));
-        tel.trace(TraceKind::PlanCycle, t(1), None, None, String::new());
+        // Two stays in `ready`: 2 s, then 200 s after a hold.
+        let site = SiteId(1);
+        job(&tel, t(0), 7, JobStep::Ready { cause: None });
+        job(&tel, t(2), 7, JobStep::Submitted { site });
+        job(&tel, t(10), 7, JobStep::Held { site });
+        job(&tel, t(210), 7, JobStep::Submitted { site });
+        let step = GridStep::Submit;
+        tel.record(t(210), Event::Grid { site, job: 7, step });
+        tel.trace(TraceKind::PlanCycle, t(211), None, None, String::new());
         let text = prometheus_text(&tel.snapshot());
         assert!(text.contains("# TYPE sphinx_plan_cycles counter\nsphinx_plan_cycles 3\n"));
         assert!(text.contains("# TYPE sphinx_fsa_dwell_ms_ready histogram"));
@@ -545,13 +554,16 @@ mod tests {
     #[test]
     fn prometheus_renders_site_gauge_families() {
         let tel = Telemetry::new();
-        tel.site_gauge_set("monitor.staleness", SiteId(0), 120_000.0);
-        tel.site_gauge_set("monitor.staleness", SiteId(3), 0.5);
-        tel.site_gauge_set("monitor.queue_depth", SiteId(3), 12.0);
+        for (site, age, queued) in [(0, 120_000, 0), (3, 1_500, 12)] {
+            let (site, age) = (SiteId(site), Duration::from_millis(age));
+            tel.record(t(0), Event::SiteReport { site, age, queued });
+        }
+        tel.gauge_set("monitor.visible_share", 0.5);
         let text = prometheus_text(&tel.snapshot());
+        assert!(text.contains("sphinx_monitor_visible_share 0.5\n"));
         assert!(text.contains("# TYPE sphinx_monitor_staleness gauge"));
         assert!(text.contains("sphinx_monitor_staleness{site=\"0\"} 120000"));
-        assert!(text.contains("sphinx_monitor_staleness{site=\"3\"} 0.5"));
+        assert!(text.contains("sphinx_monitor_staleness{site=\"3\"} 1500"));
         assert!(text.contains("sphinx_monitor_queue_depth{site=\"3\"} 12"));
         validate_prometheus(&text).expect("own output validates");
     }
@@ -559,9 +571,19 @@ mod tests {
     #[test]
     fn prometheus_buckets_are_cumulative() {
         let tel = Telemetry::new();
-        tel.observe("job.completion_ms", 5.0); // <=10
-        tel.observe("job.completion_ms", 50.0); // <=100
-        tel.observe("job.completion_ms", 60.0); // <=100
+        // One <=10 ms completion, two <=100 ms.
+        for (key, ms) in [(1, 5), (2, 50), (3, 60)] {
+            let total = Duration::from_millis(ms);
+            job(
+                &tel,
+                t(1),
+                key,
+                JobStep::Completed {
+                    site: SiteId(0),
+                    total,
+                },
+            );
+        }
         let text = prometheus_text(&tel.snapshot());
         assert!(text.contains("sphinx_job_completion_ms_bucket{le=\"10\"} 1"));
         assert!(text.contains("sphinx_job_completion_ms_bucket{le=\"100\"} 3"));

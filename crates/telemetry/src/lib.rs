@@ -1,52 +1,45 @@
 //! Scheduler telemetry: structured tracing + metrics across the FSA
 //! pipeline.
 //!
-//! Every layer of the SPHINX stack (server automaton, runtime cycles,
-//! reliability ledger, grid substrate, WAL, monitor) reports into one
-//! shared [`Telemetry`] instance:
+//! Every layer of the SPHINX stack reports into one shared [`Telemetry`]
+//! hub, and what it reports is a *fact*: [`Telemetry::record`] takes one
+//! typed [`Event`] and, under one acquisition of the hub lock, does all the
+//! fact implies — counter, per-site tally, histogram, span and ring line.
+//! Only this crate knows which metric, span and [`TraceKind`] a fact means.
 //!
-//! * **Metrics** — monotonic counters, gauges and fixed-bucket
-//!   [`Histogram`]s keyed by `&'static str` names (no per-observation
-//!   allocation), plus per-site submit/start/complete/hold/cancel tallies.
-//! * **Trace events** — a bounded ring buffer of [`TraceEvent`]s stamped
-//!   with **simulation time only**, optionally fanned out to pluggable
-//!   [`TraceSink`]s (in-memory for tests, JSONL for the figure harness).
+//! * **Metrics** — counters, gauges and fixed-bucket [`Histogram`]s keyed
+//!   by `&'static str` names, plus per-site grid tallies.
+//! * **Trace events** — a bounded ring of [`TraceEvent`]s stamped with
+//!   **simulation time only**, fanned out to pluggable [`TraceSink`]s.
+//!   Free-text infrastructure lines (monitor rounds, leases, adoption, ops
+//!   alerts, recovery) go to the ring through [`Telemetry::trace`].
+//! * **Causal spans** (see [`span`]) — sim-time intervals for DAGs, jobs,
+//!   attempts, dwell states, batch slots, planner phases and the WAL, with
+//!   parent and cause links. A job's open `state:*` span is also its dwell
+//!   clock. [`analysis`] turns the graph into critical paths and dwell
+//!   blame; [`export`] renders Chrome trace JSON and Prometheus text.
 //!
 //! Determinism is a hard requirement: nothing here reads the wall clock,
-//! so two runs with the same seed produce byte-identical traces and
-//! [`TelemetrySnapshot`]s. The only wall-clock metrics in the system
-//! (`wall.*`, recorded by the runtime around the planner) are gated by
-//! [`TelemetryConfig::wall_clock`], which defaults to **off**.
-//!
-//! Alongside the flat streams, the hub maintains a **causal span
-//! graph** (see [`span`]): sim-time intervals for DAGs, jobs, planning
-//! attempts, dwell states, batch-slot occupancy, planner phases and WAL
-//! activity, connected by parent and cause links. The [`analysis`]
-//! module turns the graph into critical paths and dwell blame, and
-//! [`export`] renders Chrome trace-event JSON and Prometheus text.
+//! so same-seed runs produce byte-identical traces and snapshots. The one
+//! wall-clock metric (`wall.plan_cycle_us`) is gated by
+//! [`TelemetryConfig::wall_clock`], **off** by default.
 //!
 //! Metric name inventory (see DESIGN.md §Telemetry for semantics):
 //!
-//! | name | type |
-//! |------|------|
-//! | `dag.submitted`, `dag.finished` | counter |
-//! | `job.eliminated` | counter |
-//! | `plan.cycles`, `plan.jobs_submitted` | counter |
-//! | `plan.reschedules_held`, `plan.reschedules_timeout` | counter |
-//! | `plan.score_cache.{hits,misses}` | counter |
-//! | `plan.scratch.reused` | counter |
-//! | `reliability.flagged`, `reliability.unflagged` | counter |
-//! | `wal.appends`, `wal.replays`, `wal.rewrites` | counter |
-//! | `db.rows.read` | counter |
-//! | `monitor.samples`, `monitor.samples_lost` | counter |
-//! | `grid.submits`, `grid.queues`, `grid.starts`, `grid.completions`, `grid.holds`, `grid.cancels` | counter |
-//! | `monitor.staleness`, `monitor.queue_depth` | per-site gauge |
-//! | `ops.alerts`, `ops.poll.missed` | counter |
-//! | `telemetry.trace.{recorded,dropped}` | counter (snapshot-synthesized) |
-//! | `telemetry.spans.{total,live,dropped}` | counter (snapshot-synthesized) |
-//! | `fsa.dwell_ms.{ready,submitted,queued,running,unready}` | histogram |
-//! | `plan.cycle_gap_ms`, `job.completion_ms`, `monitor.sample_age_ms` | histogram |
-//! | `wall.plan_cycle_us` | histogram (opt-in) |
+//! | name | type | fed by |
+//! |------|------|--------|
+//! | `dag.submitted`, `dag.finished` | counter | [`Event::DagSubmitted`], [`Event::DagFinished`] |
+//! | `job.eliminated`, `plan.jobs_submitted`, `plan.reschedules_{held,timeout}` | counter | [`Event::Job`] |
+//! | `plan.cycles`, `plan.score_cache.{hits,misses}`, `plan.scratch.reused` | counter | [`Event::PlanCycle`], [`Event::PlanCycleDone`] |
+//! | `reliability.flagged`, `reliability.unflagged` | counter | [`Event::SiteFlag`] |
+//! | `grid.{submits,queues,starts,completions,holds,cancels}` | counter | [`Event::Grid`] |
+//! | `wal.replays`, `wal.rewrites` | counter | [`Event::WalReplay`], [`Event::WalCheckpoint`] |
+//! | `wal.appends`, `db.rows.read`, `monitor.samples{,_lost}`, `ops.alerts`, `ops.poll.missed` | counter | [`Telemetry::counter_add`] |
+//! | `telemetry.trace.{recorded,dropped}`, `telemetry.spans.{total,live,dropped}` | counter | snapshot-synthesized |
+//! | `monitor.staleness`, `monitor.queue_depth` | per-site gauge | [`Event::SiteReport`] |
+//! | `fsa.dwell_ms.{unready,ready,submitted,queued,running}`, `job.completion_ms` | histogram | [`Event::Job`] |
+//! | `monitor.sample_age_ms` | histogram | [`Event::SiteReport`] |
+//! | `plan.cycle_gap_ms`, `wall.plan_cycle_us` (opt-in) | histogram | [`Event::PlanCycle`], [`Event::PlanCycleDone`] |
 
 pub mod analysis;
 pub mod export;
@@ -62,7 +55,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sphinx_data::SiteId;
 use sphinx_sim::{Duration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{vec_deque, BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -125,70 +118,114 @@ pub enum TraceKind {
     OpsAlert,
 }
 
-impl TraceKind {
-    /// Stable lower-case label (used in JSONL output headers and tests).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceKind::DagSubmitted => "dag_submitted",
-            TraceKind::DagFinished => "dag_finished",
-            TraceKind::JobReady => "job_ready",
-            TraceKind::JobEliminated => "job_eliminated",
-            TraceKind::JobSubmitted => "job_submitted",
-            TraceKind::JobQueued => "job_queued",
-            TraceKind::JobRunning => "job_running",
-            TraceKind::JobCompleted => "job_completed",
-            TraceKind::JobCancelled => "job_cancelled",
-            TraceKind::PlanCycle => "plan_cycle",
-            TraceKind::SiteFlagged => "site_flagged",
-            TraceKind::SiteUnflagged => "site_unflagged",
-            TraceKind::WalReplay => "wal_replay",
-            TraceKind::MonitorSample => "monitor_sample",
-            TraceKind::GridSubmit => "grid_submit",
-            TraceKind::GridStart => "grid_start",
-            TraceKind::GridComplete => "grid_complete",
-            TraceKind::GridHold => "grid_hold",
-            TraceKind::GridCancel => "grid_cancel",
-            TraceKind::Recovery => "recovery",
-            TraceKind::LeaseGranted => "lease_granted",
-            TraceKind::LeaseExpired => "lease_expired",
-            TraceKind::ShardAdoption => "shard_adoption",
-            TraceKind::OpsAlert => "ops_alert",
-        }
-    }
+/// One fact a layer reports, for [`Telemetry::record`]. Jobs are named by
+/// their dense key (`dag << 24 | index`, [`analysis::job_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event {
+    /// A DAG of `jobs` jobs entered the `dags` table, every job `Unready`.
+    DagSubmitted { dag: u64, jobs: usize },
+    /// A recovered server holds unfinished DAG `dag`: its root span is
+    /// re-opened from its submission time, unless the hub holds it live.
+    DagRestored { dag: u64, jobs: usize },
+    /// Every job of `dag` reached a terminal state.
+    DagFinished { dag: u64 },
+    /// Job `job` took one automaton transition.
+    Job { job: u64, step: JobStep },
+    /// A grid site moved job `job` through its batch slot.
+    Grid {
+        site: SiteId,
+        job: u64,
+        step: GridStep,
+    },
+    /// The reliability ledger flagged `site` (`true`) or cleared it.
+    SiteFlag { site: SiteId, flagged: bool },
+    /// The planner read `site`'s monitor report: `age` old, `queued` deep.
+    SiteReport {
+        site: SiteId,
+        age: Duration,
+        queued: usize,
+    },
+    /// A plan cycle began over `reports` monitor reports, `gap` after the
+    /// previous cycle.
+    PlanCycle {
+        reports: usize,
+        gap: Option<Duration>,
+    },
+    /// A plan cycle ended: score-cache hits and misses, jobs that reused
+    /// the candidate buffer, and its host-clock µs when
+    /// [`TelemetryConfig::wall_clock`] is on.
+    PlanCycleDone {
+        hits: u64,
+        misses: u64,
+        reused: u64,
+        wall_us: Option<u64>,
+    },
+    /// A recovered database replayed `lines` committed WAL lines.
+    WalReplay { lines: u64 },
+    /// The WAL was compacted to one snapshot line.
+    WalCheckpoint,
 }
 
-/// Allocation-free projection of a [`TraceEvent`]: everything but the
-/// `detail` string. This is what the live ops aggregator consumes each
-/// planner cycle via [`Telemetry::ops_poll`] — copying `detail` for
-/// every event would put a per-event allocation on the hot path.
+/// An automaton transition, with what it knows: its site, and why the
+/// job became ready.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum JobStep {
+    /// `Unready → Ready`; `cause` is the upstream job whose completion
+    /// made it ready (the critical path's link), if any.
+    Ready { cause: Option<u64> },
+    /// The reducer eliminated the job: its outputs already exist.
+    Eliminated,
+    /// The planner placed the job at `site`.
+    Submitted { site: SiteId },
+    /// Tracker: the job entered `site`'s batch queue.
+    Queued { site: SiteId },
+    /// Tracker: the job was dispatched onto a CPU at `site`.
+    Running { site: SiteId },
+    /// Tracker: the job finished at `site`, `total` after its submission.
+    Completed { site: SiteId, total: Duration },
+    /// Tracker: `site` held or killed the job; back to `Ready`.
+    Held { site: SiteId },
+    /// Tracker: the submission to `site` timed out; back to `Ready`.
+    TimedOut { site: SiteId },
+    /// The restore path put the row back to `Ready` (no ring line).
+    Reset,
+    /// The restore path re-advanced a row the tracker follows at `site`
+    /// to `Submitted` (no ring line).
+    Resumed { site: SiteId },
+}
+
+/// What a grid site did with a job's batch slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEventLite {
-    /// Simulation time of the event.
-    pub sim_time: SimTime,
-    /// Event kind.
-    pub kind: TraceKind,
-    /// Dense job key, if the event concerns one job.
-    pub job: Option<u64>,
-    /// Site involved, if any.
-    pub site: Option<u32>,
+pub enum GridStep {
+    /// The execution plan reached the gatekeeper.
+    Submit,
+    /// The job entered the batch queue: `slot:queued` opens.
+    Queued,
+    /// The job was dispatched onto a CPU: `slot:run` replaces `slot:queued`.
+    Start,
+    /// The job completed; its slot closes.
+    Complete,
+    /// The site held or killed the job; its slot closes.
+    Hold,
+    /// The client cancelled the submission; its slot closes.
+    Cancel,
 }
 
-/// Reusable buffer filled by [`Telemetry::ops_poll`]. Owning the vectors
-/// on the caller side means a steady-state poll performs no allocation
-/// at all: `clear` + `push` into already-grown buffers.
-#[derive(Debug, Default)]
-pub struct OpsPoll {
+/// What [`Telemetry::ops_poll`] lends the live ops aggregator for one
+/// tick, in place under the hub lock.
+pub struct OpsView<'a> {
     /// Ring events at sequence ≥ the poll cursor, oldest first.
-    pub events: Vec<TraceEventLite>,
-    /// Events that fell off the ring (or were drained) before this poll
-    /// could see them; the aggregator surfaces this as data loss.
+    pub events: vec_deque::Iter<'a, TraceEvent>,
+    /// Events that left the ring before this poll could see them.
     pub missed: u64,
-    /// Every counter, name-sorted (`&'static str` keys are copied, not
-    /// allocated).
-    pub counters: Vec<(&'static str, u64)>,
-    /// Every per-site gauge as `(family, site, value)`, sorted by family
-    /// then site.
-    pub site_gauges: Vec<(&'static str, u32, f64)>,
+    /// The cursor for the next poll: every event recorded so far.
+    pub cursor: u64,
+    /// Lifetime `wal.appends`.
+    pub wal_appends: u64,
+    /// Latest `monitor.queue_depth` per site.
+    pub queue_depth: Option<&'a BTreeMap<u32, f64>>,
+    /// Latest `monitor.staleness` (ms) per site.
+    pub staleness: Option<&'a BTreeMap<u32, f64>>,
 }
 
 /// One structured trace record, stamped with simulation time only.
@@ -428,14 +465,45 @@ impl Default for TelemetryConfig {
     }
 }
 
+/// A job's live automaton state, with what entering it knows: the site
+/// of a placed job, the upstream job whose completion made it ready.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Unready,
+    Ready(Option<u64>),
+    Submitted(SiteId),
+    Queued(SiteId),
+    Running(SiteId),
+}
+
+impl Stage {
+    /// The `state:*` span a job holds open in this stage, and the
+    /// histogram that span's length feeds when it closes.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Stage::Unready => ("state:unready", "fsa.dwell_ms.unready"),
+            Stage::Ready(_) => ("state:ready", "fsa.dwell_ms.ready"),
+            Stage::Submitted(_) => ("state:submitted", "fsa.dwell_ms.submitted"),
+            Stage::Queued(_) => ("state:queued", "fsa.dwell_ms.queued"),
+            Stage::Running(_) => ("state:running", "fsa.dwell_ms.running"),
+        }
+    }
+}
+
+/// The free-text detail of a ring line or span: per DAG, plan cycle or WAL
+/// event, never per job transition, so it stays off the per-job path.
+fn detail(args: std::fmt::Arguments<'_>) -> String {
+    // sphinx-lint: allow(hot-alloc)
+    format!("{args}")
+}
+
 /// Live span bookkeeping for one in-flight job.
+#[derive(Default)]
 struct JobTrack {
-    /// Owning DAG id.
-    dag: u64,
     /// The job's whole-lifetime span.
     job_span: SpanId,
-    /// The currently open `state:*` dwell span.
-    state_span: Option<SpanId>,
+    /// Its stage and open `state:*` span, whose start is the dwell clock.
+    state: Option<(Stage, SpanId)>,
     /// The currently open `attempt` span (submit → finish/replanned).
     attempt_span: Option<SpanId>,
     /// The most recent closed attempt (linked from the next one).
@@ -444,6 +512,7 @@ struct JobTrack {
     attempts: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
@@ -452,9 +521,8 @@ struct Inner {
     site_gauges: BTreeMap<&'static str, BTreeMap<u32, f64>>,
     histograms: BTreeMap<&'static str, Histogram>,
     sites: BTreeMap<u32, SiteTally>,
-    /// Last-known FSA state and entry time per job key (dwell tracking).
-    job_states: BTreeMap<u64, (&'static str, SimTime)>,
     ring: VecDeque<TraceEvent>,
+    ring_capacity: usize,
     recorded: u64,
     dropped: u64,
     sinks: Vec<Box<dyn TraceSink>>,
@@ -469,9 +537,350 @@ struct Inner {
     job_span_ids: BTreeMap<u64, SpanId>,
     /// Open `slot:queued`/`slot:run` span per job key (grid substrate).
     slot_spans: BTreeMap<u64, SpanId>,
-    /// Latest sim time seen by any hook — the clockless layers (WAL)
-    /// stamp their spans with this.
+    /// Latest sim time of any event: what the clockless WAL is stamped with.
     last_sim: SimTime,
+}
+
+impl Inner {
+    fn count(&mut self, name: &'static str, n: u64) {
+        *self.counters.entry(name).or_insert(0) += n;
+    }
+
+    fn observe(&mut self, name: &'static str, value: f64) {
+        self.histograms.entry(name).or_default().record(value);
+    }
+
+    /// Append one line to the ring (every sink sees it first), evicting
+    /// the oldest past capacity.
+    fn line(
+        &mut self,
+        kind: TraceKind,
+        at: SimTime,
+        job: Option<u64>,
+        site: Option<SiteId>,
+        detail: String,
+    ) {
+        let site = site.map(|s| s.0);
+        let event = TraceEvent {
+            sim_time: at,
+            kind,
+            job,
+            site,
+            detail,
+        };
+        self.recorded += 1;
+        for sink in self.sinks.iter_mut() {
+            sink.record(&event);
+        }
+        self.ring.push_back(event);
+        if self.ring.len() > self.ring_capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+    }
+
+    /// Everything one fact implies.
+    fn record(&mut self, at: SimTime, event: Event) {
+        match event {
+            Event::DagSubmitted { dag, jobs } => {
+                let text = detail(format_args!("dag={dag} jobs={jobs}"));
+                self.count("dag.submitted", 1);
+                self.line(TraceKind::DagSubmitted, at, None, None, text);
+                self.open_dag(dag, jobs, at);
+                for index in 0..jobs as u64 {
+                    self.enter(analysis::job_key(dag, index), Stage::Unready, at);
+                }
+            }
+            Event::DagRestored { dag, jobs } => self.open_dag(dag, jobs, at),
+            Event::DagFinished { dag } => {
+                let text = detail(format_args!("dag={dag}"));
+                self.count("dag.finished", 1);
+                self.line(TraceKind::DagFinished, at, None, None, text);
+                if let Some(id) = self.dag_spans.remove(&dag) {
+                    self.spans.end(id, at);
+                }
+            }
+            Event::Job { job, step } => self.job(at, job, step),
+            Event::Grid { site, job, step } => self.grid(at, site, job, step),
+            Event::SiteFlag { site, flagged } => {
+                let (counter, kind) = if flagged {
+                    ("reliability.flagged", TraceKind::SiteFlagged)
+                } else {
+                    ("reliability.unflagged", TraceKind::SiteUnflagged)
+                };
+                self.count(counter, 1);
+                self.line(kind, at, None, Some(site), String::new());
+            }
+            Event::SiteReport { site, age, queued } => {
+                let (age, gauges) = (age.as_millis() as f64, &mut self.site_gauges);
+                gauges
+                    .entry("monitor.staleness")
+                    .or_default()
+                    .insert(site.0, age);
+                let depth = gauges.entry("monitor.queue_depth").or_default();
+                depth.insert(site.0, queued as f64);
+                self.observe("monitor.sample_age_ms", age);
+            }
+            Event::PlanCycle { reports, gap } => {
+                if let Some(gap) = gap {
+                    self.observe("plan.cycle_gap_ms", gap.as_millis() as f64);
+                }
+                let text = detail(format_args!("reports={reports}"));
+                self.count("plan.cycles", 1);
+                self.line(TraceKind::PlanCycle, at, None, None, text);
+            }
+            Event::PlanCycleDone {
+                hits,
+                misses,
+                reused,
+                wall_us,
+            } => {
+                let tallies = [
+                    ("plan.score_cache.hits", hits),
+                    ("plan.score_cache.misses", misses),
+                    ("plan.scratch.reused", reused),
+                ];
+                for (counter, n) in tallies {
+                    if n > 0 {
+                        self.count(counter, n);
+                    }
+                }
+                if let Some(us) = wall_us {
+                    self.observe("wall.plan_cycle_us", us as f64);
+                }
+            }
+            Event::WalReplay { lines } => {
+                self.count("wal.replays", lines);
+                self.instant("wal:replay", detail(format_args!("{lines} lines replayed")));
+            }
+            Event::WalCheckpoint => {
+                self.count("wal.rewrites", 1);
+                let text = detail(format_args!("log compacted to snapshot"));
+                self.instant("wal:checkpoint", text);
+            }
+        }
+    }
+
+    fn job(&mut self, at: SimTime, job: u64, step: JobStep) {
+        let (kind, site, cause) = match step {
+            JobStep::Ready { cause } => {
+                self.enter(job, Stage::Ready(cause), at);
+                (TraceKind::JobReady, None, "")
+            }
+            JobStep::Eliminated => {
+                self.count("job.eliminated", 1);
+                self.finish(job, at);
+                (TraceKind::JobEliminated, None, "")
+            }
+            JobStep::Submitted { site } => {
+                self.count("plan.jobs_submitted", 1);
+                self.enter(job, Stage::Submitted(site), at);
+                (TraceKind::JobSubmitted, Some(site), "")
+            }
+            JobStep::Queued { site } => {
+                self.enter(job, Stage::Queued(site), at);
+                (TraceKind::JobQueued, Some(site), "")
+            }
+            JobStep::Running { site } => {
+                self.enter(job, Stage::Running(site), at);
+                (TraceKind::JobRunning, Some(site), "")
+            }
+            JobStep::Completed { site, total } => {
+                self.finish(job, at);
+                self.observe("job.completion_ms", total.as_millis() as f64);
+                (TraceKind::JobCompleted, Some(site), "")
+            }
+            JobStep::Held { site } => {
+                self.enter(job, Stage::Ready(None), at);
+                self.count("plan.reschedules_held", 1);
+                (TraceKind::JobCancelled, Some(site), "held")
+            }
+            JobStep::TimedOut { site } => {
+                self.enter(job, Stage::Ready(None), at);
+                self.count("plan.reschedules_timeout", 1);
+                (TraceKind::JobCancelled, Some(site), "timeout")
+            }
+            JobStep::Reset => return self.enter(job, Stage::Ready(None), at),
+            JobStep::Resumed { site } => return self.enter(job, Stage::Submitted(site), at),
+        };
+        // Allocates only for a cancellation's cause; every other step's
+        // line has an empty detail.
+        // sphinx-lint: allow(hot-alloc)
+        self.line(kind, at, Some(job), site, cause.to_owned());
+    }
+
+    /// The span machine of the job lifecycle. The first stage opens the
+    /// job span (under its DAG root); every stage closes the previous
+    /// `state:*` span (its length is that stage's dwell) and opens its
+    /// own; `Submitted` opens an `attempt` span linked to the previous
+    /// failed attempt; a `Ready` caused by an upstream completion links to
+    /// the cause's job span (the edge critical-path extraction walks).
+    fn enter(&mut self, job: u64, stage: Stage, now: SimTime) {
+        let dag = analysis::job_key_dag(job);
+        let track = self.job_tracks.entry(job).or_insert_with(|| {
+            let parent = self.dag_spans.get(&dag).copied();
+            let attrs = SpanAttrs {
+                parent,
+                job: Some(job),
+                dag: Some(dag),
+                ..SpanAttrs::default()
+            };
+            let job_span = self.spans.start("job", now, attrs);
+            self.job_span_ids.insert(job, job_span);
+            JobTrack {
+                job_span,
+                ..JobTrack::default()
+            }
+        });
+        let closed = close_state(&mut self.spans, track, now);
+        // The job's other spans also carry its site; they differ in
+        // parent, attempt number and causal link.
+        let site = match stage {
+            Stage::Submitted(site) | Stage::Queued(site) | Stage::Running(site) => Some(site.0),
+            Stage::Unready | Stage::Ready(_) => None,
+        };
+        let attrs = |parent, attempt, link| SpanAttrs {
+            parent: Some(parent),
+            job: Some(job),
+            dag: Some(dag),
+            site,
+            attempt,
+            link,
+            detail: String::new(),
+        };
+        let attrs = match stage {
+            Stage::Unready => attrs(track.job_span, None, None),
+            Stage::Ready(cause) => {
+                // A live attempt span here means the attempt failed and
+                // the job came back for replanning.
+                if let Some(a) = track.attempt_span.take() {
+                    self.spans.end(a, now);
+                    track.last_attempt = Some(a);
+                }
+                let link = cause.and_then(|c| self.job_span_ids.get(&c).copied());
+                attrs(track.job_span, Some(track.attempts), link)
+            }
+            Stage::Submitted(_) => {
+                track.attempts += 1;
+                let attempt = Some(track.attempts);
+                let opened = attrs(track.job_span, attempt, track.last_attempt);
+                let id = self.spans.start("attempt", now, opened);
+                track.attempt_span = Some(id);
+                attrs(id, attempt, None)
+            }
+            Stage::Queued(_) | Stage::Running(_) => {
+                let parent = track.attempt_span.unwrap_or(track.job_span);
+                attrs(parent, Some(track.attempts), None)
+            }
+        };
+        track.state = Some((stage, self.spans.start(stage.names().0, now, attrs)));
+        if let Some((was, ms)) = closed {
+            self.observe(was.names().1, ms as f64);
+        }
+    }
+
+    /// The job finished or was eliminated: close every span it holds and
+    /// drop its bookkeeping.
+    fn finish(&mut self, job: u64, now: SimTime) {
+        if let Some(mut track) = self.job_tracks.remove(&job) {
+            if let Some((stage, ms)) = close_state(&mut self.spans, &mut track, now) {
+                self.observe(stage.names().1, ms as f64);
+            }
+            for id in track.attempt_span.into_iter().chain([track.job_span]) {
+                self.spans.end(id, now);
+            }
+        }
+        self.move_slot(job, None, now);
+    }
+
+    fn grid(&mut self, at: SimTime, site: SiteId, job: u64, step: GridStep) {
+        type Column = fn(&mut SiteTally) -> &mut u64;
+        let (counter, kind, column): (&'static str, TraceKind, Column) = match step {
+            GridStep::Queued => {
+                self.count("grid.queues", 1);
+                return self.move_slot(job, Some(("slot:queued", site)), at);
+            }
+            GridStep::Submit => ("grid.submits", TraceKind::GridSubmit, |t| &mut t.submits),
+            GridStep::Start => {
+                self.move_slot(job, Some(("slot:run", site)), at);
+                ("grid.starts", TraceKind::GridStart, |t| &mut t.starts)
+            }
+            GridStep::Complete => ("grid.completions", TraceKind::GridComplete, |t| {
+                &mut t.completions
+            }),
+            GridStep::Hold => ("grid.holds", TraceKind::GridHold, |t| &mut t.holds),
+            GridStep::Cancel => ("grid.cancels", TraceKind::GridCancel, |t| &mut t.cancels),
+        };
+        // Leaving the batch system closes the slot.
+        if matches!(step, GridStep::Complete | GridStep::Hold | GridStep::Cancel) {
+            self.move_slot(job, None, at);
+        }
+        self.count(counter, 1);
+        *column(self.sites.entry(site.0).or_default()) += 1;
+        self.line(kind, at, Some(job), Some(site), String::new());
+    }
+
+    /// Close `job`'s open batch-slot span, if any, and open `next` (a slot
+    /// name and its site) in its place, under the job's live attempt span
+    /// when it has one (a tag the server never planned — grid unit tests
+    /// feed those — gets a root slot span).
+    fn move_slot(&mut self, job: u64, next: Option<(&'static str, SiteId)>, now: SimTime) {
+        if let Some(id) = self.slot_spans.remove(&job) {
+            self.spans.end(id, now);
+        }
+        let Some((name, site)) = next else { return };
+        let track = self.job_tracks.get(&job);
+        let attrs = SpanAttrs {
+            parent: track.map(|t| t.attempt_span.unwrap_or(t.job_span)),
+            job: Some(job),
+            dag: track.map(|_| analysis::job_key_dag(job)),
+            site: Some(site.0),
+            attempt: track.map(|t| t.attempts),
+            ..SpanAttrs::default()
+        };
+        let id = self.spans.start(name, now, attrs);
+        self.slot_spans.insert(job, id);
+    }
+
+    /// Open DAG `dag`'s root span, unless one is live already: a hub that
+    /// survived a crash (the sharded adopter's) keeps its original.
+    fn open_dag(&mut self, dag: u64, jobs: usize, now: SimTime) {
+        if !self.dag_spans.contains_key(&dag) {
+            let text = detail(format_args!("jobs={jobs}"));
+            let id = self.spans.start(
+                "dag",
+                now,
+                SpanAttrs {
+                    dag: Some(dag),
+                    detail: text,
+                    ..SpanAttrs::default()
+                },
+            );
+            self.dag_spans.insert(dag, id);
+        }
+    }
+
+    /// A zero-duration root span at the latest sim time the hub has seen,
+    /// for the WAL, which keeps no sim clock.
+    fn instant(&mut self, name: &'static str, detail: String) {
+        let now = self.last_sim;
+        let id = self.spans.start(
+            name,
+            now,
+            SpanAttrs {
+                detail,
+                ..SpanAttrs::default()
+            },
+        );
+        self.spans.end(id, now);
+    }
+}
+
+/// Close `track`'s open `state:*` span: the stage it timed and its length
+/// in ms, the stage's dwell.
+fn close_state(spans: &mut SpanStore, track: &mut JobTrack, now: SimTime) -> Option<(Stage, u64)> {
+    let (stage, id) = track.state.take()?;
+    Some((stage, spans.end(id, now)?))
 }
 
 /// The shared telemetry hub. Cheap to clone behind an [`Arc`]; every
@@ -505,27 +914,14 @@ impl Telemetry {
 
     /// Hub with explicit tuning.
     pub fn with_config(config: TelemetryConfig) -> Self {
-        let spans = SpanStore::new(config.span_capacity);
+        let inner = Inner {
+            ring_capacity: config.trace_capacity,
+            spans: SpanStore::new(config.span_capacity),
+            ..Inner::default()
+        };
         Telemetry {
             config,
-            inner: Mutex::new(Inner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                site_gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                sites: BTreeMap::new(),
-                job_states: BTreeMap::new(),
-                ring: VecDeque::new(),
-                recorded: 0,
-                dropped: 0,
-                sinks: Vec::new(),
-                spans,
-                dag_spans: BTreeMap::new(),
-                job_tracks: BTreeMap::new(),
-                job_span_ids: BTreeMap::new(),
-                slot_spans: BTreeMap::new(),
-                last_sim: SimTime::default(),
-            }),
+            inner: Mutex::new(inner),
         }
     }
 
@@ -551,51 +947,27 @@ impl Telemetry {
         }
     }
 
+    // ---- facts ----
+
+    /// Record one fact at sim time `at`, and everything it implies, under
+    /// one lock acquisition. The WAL keeps no sim clock: it passes
+    /// `SimTime::default()` and is stamped with the latest time seen.
+    pub fn record(&self, at: SimTime, event: Event) {
+        let inner = &mut *self.inner.lock();
+        inner.last_sim = inner.last_sim.max(at);
+        inner.record(at, event);
+    }
+
     // ---- metrics ----
 
     /// Add to a monotonic counter.
     pub fn counter_add(&self, name: &'static str, n: u64) {
-        *self.inner.lock().counters.entry(name).or_insert(0) += n;
+        self.inner.lock().count(name, n);
     }
 
     /// Set a gauge.
     pub fn gauge_set(&self, name: &'static str, value: f64) {
         self.inner.lock().gauges.insert(name, value);
-    }
-
-    /// Set one site's value in a per-site labelled gauge family
-    /// (`name{site="<id>"}` in the Prometheus export).
-    pub fn site_gauge_set(&self, name: &'static str, site: SiteId, value: f64) {
-        self.inner
-            .lock()
-            .site_gauges
-            .entry(name)
-            .or_default()
-            .insert(site.0, value);
-    }
-
-    /// One site's current value in a per-site gauge family, if set.
-    pub fn site_gauge(&self, name: &str, site: SiteId) -> Option<f64> {
-        self.inner
-            .lock()
-            .site_gauges
-            .get(name)
-            .and_then(|per_site| per_site.get(&site.0).copied())
-    }
-
-    /// Record one value into a fixed-bucket histogram.
-    pub fn observe(&self, name: &'static str, value: f64) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-
-    /// Record a simulated duration (in ms) into a histogram.
-    pub fn observe_ms(&self, name: &'static str, d: Duration) {
-        self.observe(name, d.as_millis() as f64);
     }
 
     /// Current value of a counter (0 if never touched).
@@ -605,7 +977,8 @@ impl Telemetry {
 
     // ---- tracing ----
 
-    /// Record one trace event.
+    /// Record one free-text trace line: the infrastructure events that are
+    /// no [`Event`] (monitor rounds, leases, adoption, ops alerts, recovery).
     pub fn trace(
         &self,
         kind: TraceKind,
@@ -614,62 +987,28 @@ impl Telemetry {
         site: Option<SiteId>,
         detail: String,
     ) {
-        let event = TraceEvent {
-            sim_time,
-            kind,
-            job,
-            site: site.map(|s| s.0),
-            detail,
-        };
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         inner.last_sim = inner.last_sim.max(sim_time);
-        inner.recorded += 1;
-        for sink in inner.sinks.iter_mut() {
-            sink.record(&event);
-        }
-        if inner.ring.len() >= self.config.trace_capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(event);
+        inner.line(kind, sim_time, job, site, detail);
     }
 
     /// Incremental poll for the live ops aggregator: under **one** lock
-    /// acquisition, copy every ring event at sequence ≥ `cursor` plus
-    /// the current counters and per-site gauges into `poll`'s reusable
-    /// buffers, and return the new cursor (the total recorded count).
-    ///
-    /// The cursor is an absolute event sequence number; events that fell
-    /// off the ring (capacity overflow or `drain_trace`) before the poll
-    /// are reported in [`OpsPoll::missed`] rather than silently skipped.
-    /// Steady-state polls allocate nothing: the buffers are cleared and
-    /// refilled in place.
-    pub fn ops_poll(&self, cursor: u64, poll: &mut OpsPoll) -> u64 {
-        poll.events.clear();
-        poll.counters.clear();
-        poll.site_gauges.clear();
+    /// acquisition, lend `read` the ring events from absolute sequence
+    /// `cursor` on, `wal.appends` and the monitor gauges, in place (see
+    /// [`OpsView`]; events already gone are counted, not skipped).
+    pub fn ops_poll<R>(&self, cursor: u64, read: impl FnOnce(OpsView<'_>) -> R) -> R {
         let inner = self.inner.lock();
         // Sequence number of the oldest event still in the ring.
         let start = inner.recorded - inner.ring.len() as u64;
-        poll.missed = start.saturating_sub(cursor);
-        let skip = cursor.saturating_sub(start) as usize;
-        for event in inner.ring.iter().skip(skip) {
-            poll.events.push(TraceEventLite {
-                sim_time: event.sim_time,
-                kind: event.kind,
-                job: event.job,
-                site: event.site,
-            });
-        }
-        for (name, value) in inner.counters.iter() {
-            poll.counters.push((*name, *value));
-        }
-        for (name, per_site) in inner.site_gauges.iter() {
-            for (site, value) in per_site.iter() {
-                poll.site_gauges.push((*name, *site, *value));
-            }
-        }
-        inner.recorded
+        let skip = (cursor.saturating_sub(start) as usize).min(inner.ring.len());
+        read(OpsView {
+            events: inner.ring.range(skip..),
+            missed: start.saturating_sub(cursor),
+            cursor: inner.recorded,
+            wal_appends: inner.counters.get("wal.appends").copied().unwrap_or(0),
+            queue_depth: inner.site_gauges.get("monitor.queue_depth"),
+            staleness: inner.site_gauges.get("monitor.staleness"),
+        })
     }
 
     /// Number of events currently buffered.
@@ -693,220 +1032,7 @@ impl Telemetry {
         out
     }
 
-    // ---- FSA dwell tracking + job span lifecycle ----
-
-    /// Note that job `job` (of DAG `dag`) entered FSA state `state` at
-    /// `now`, recording the dwell time of the state it left into
-    /// `fsa.dwell_ms.<prev-state>`. Terminal states drop the tracking
-    /// entry (bounded memory across long campaigns).
-    ///
-    /// This is also the span choke point for the job lifecycle: the
-    /// first non-terminal state opens the job span (under its DAG root),
-    /// every state opens a `state:<name>` dwell span, `submitted` opens
-    /// an `attempt` span linked to the previous failed attempt, and a
-    /// `ready` caused by an upstream completion carries a `link` to
-    /// `cause`'s job span (the edge critical-path extraction walks).
-    /// `site` tags site-bound states; `cause` is the job key whose
-    /// completion made this job ready, if any.
-    pub fn note_job_state(
-        &self,
-        job: u64,
-        dag: u64,
-        state: &'static str,
-        site: Option<SiteId>,
-        cause: Option<u64>,
-        now: SimTime,
-    ) {
-        let terminal = matches!(state, "finished" | "eliminated");
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        let prev = if terminal {
-            inner.job_states.remove(&job)
-        } else {
-            inner.job_states.insert(job, (state, now))
-        };
-        if let Some((prev_state, since)) = prev {
-            let dwell = now.since(since).as_millis() as f64;
-            inner
-                .histograms
-                .entry(dwell_metric(prev_state))
-                .or_default()
-                .record(dwell);
-        }
-
-        if terminal {
-            if let Some(mut track) = inner.job_tracks.remove(&job) {
-                if let Some(s) = track.state_span.take() {
-                    inner.spans.end(s, now);
-                }
-                if let Some(a) = track.attempt_span.take() {
-                    inner.spans.end(a, now);
-                }
-                inner.spans.end(track.job_span, now);
-            }
-            if let Some(s) = inner.slot_spans.remove(&job) {
-                inner.spans.end(s, now);
-            }
-            return;
-        }
-
-        if !inner.job_tracks.contains_key(&job) {
-            let parent = inner.dag_spans.get(&dag).copied();
-            let id = inner.spans.start(
-                "job",
-                now,
-                SpanAttrs {
-                    parent,
-                    job: Some(job),
-                    dag: Some(dag),
-                    ..SpanAttrs::default()
-                },
-            );
-            inner.job_span_ids.insert(job, id);
-            inner.job_tracks.insert(
-                job,
-                JobTrack {
-                    dag,
-                    job_span: id,
-                    state_span: None,
-                    attempt_span: None,
-                    last_attempt: None,
-                    attempts: 0,
-                },
-            );
-        }
-        let Inner {
-            spans,
-            job_tracks,
-            job_span_ids,
-            ..
-        } = inner;
-        let cause_link = cause.and_then(|c| job_span_ids.get(&c).copied());
-        let Some(track) = job_tracks.get_mut(&job) else {
-            return;
-        };
-        if let Some(s) = track.state_span.take() {
-            spans.end(s, now);
-        }
-        let site = site.map(|s| s.0);
-        match state {
-            "unready" => {
-                track.state_span = Some(spans.start(
-                    "state:unready",
-                    now,
-                    SpanAttrs {
-                        parent: Some(track.job_span),
-                        job: Some(job),
-                        dag: Some(dag),
-                        ..SpanAttrs::default()
-                    },
-                ));
-            }
-            "ready" => {
-                // A live attempt span here means the attempt failed and
-                // the job came back for replanning.
-                if let Some(a) = track.attempt_span.take() {
-                    spans.end(a, now);
-                    track.last_attempt = Some(a);
-                }
-                track.state_span = Some(spans.start(
-                    "state:ready",
-                    now,
-                    SpanAttrs {
-                        parent: Some(track.job_span),
-                        job: Some(job),
-                        dag: Some(dag),
-                        attempt: Some(track.attempts),
-                        link: cause_link,
-                        ..SpanAttrs::default()
-                    },
-                ));
-            }
-            "submitted" => {
-                track.attempts += 1;
-                let attempt = spans.start(
-                    "attempt",
-                    now,
-                    SpanAttrs {
-                        parent: Some(track.job_span),
-                        job: Some(job),
-                        dag: Some(dag),
-                        site,
-                        attempt: Some(track.attempts),
-                        link: track.last_attempt,
-                        ..SpanAttrs::default()
-                    },
-                );
-                track.attempt_span = Some(attempt);
-                track.state_span = Some(spans.start(
-                    "state:submitted",
-                    now,
-                    SpanAttrs {
-                        parent: Some(attempt),
-                        job: Some(job),
-                        dag: Some(dag),
-                        site,
-                        attempt: Some(track.attempts),
-                        ..SpanAttrs::default()
-                    },
-                ));
-            }
-            "queued" | "running" => {
-                let name = if state == "queued" {
-                    "state:queued"
-                } else {
-                    "state:running"
-                };
-                track.state_span = Some(spans.start(
-                    name,
-                    now,
-                    SpanAttrs {
-                        parent: Some(track.attempt_span.unwrap_or(track.job_span)),
-                        job: Some(job),
-                        dag: Some(dag),
-                        site,
-                        attempt: Some(track.attempts),
-                        ..SpanAttrs::default()
-                    },
-                ));
-            }
-            _ => {}
-        }
-    }
-
-    // ---- DAG / phase / WAL spans ----
-
-    /// Open the root span for DAG `dag` (`jobs` jobs) at `now`. A no-op
-    /// while the hub already holds a live root span for `dag`: a recovered
-    /// server re-opens the roots of its unfinished DAGs on whatever hub it
-    /// is handed, and a hub that survived the crash still has them.
-    pub fn dag_span_start(&self, dag: u64, jobs: usize, now: SimTime) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        if inner.dag_spans.contains_key(&dag) {
-            return;
-        }
-        let id = inner.spans.start(
-            "dag",
-            now,
-            SpanAttrs {
-                dag: Some(dag),
-                detail: format!("jobs={jobs}"),
-                ..SpanAttrs::default()
-            },
-        );
-        inner.dag_spans.insert(dag, id);
-    }
-
-    /// Close DAG `dag`'s root span at `now` (every job reached a
-    /// terminal state).
-    pub fn dag_span_end(&self, dag: u64, now: SimTime) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        if let Some(id) = inner.dag_spans.remove(&dag) {
-            inner.spans.end(id, now);
-        }
-    }
+    // ---- phase spans ----
 
     /// Open a root span (planner phases: `phase:reduce`, `phase:plan`,
     /// …) at `now`.
@@ -923,169 +1049,26 @@ impl Telemetry {
         inner.spans.end(id, now);
     }
 
-    /// Record a zero-duration root span stamped with the latest sim time
-    /// the hub has seen. For layers without a sim clock of their own
-    /// (WAL replay/checkpoint in `sphinx-db`).
-    pub fn span_instant(&self, name: &'static str, detail: String) -> SpanId {
-        let inner = &mut *self.inner.lock();
-        let now = inner.last_sim;
-        let id = inner.spans.start(
-            name,
-            now,
-            SpanAttrs {
-                detail,
-                ..SpanAttrs::default()
-            },
-        );
-        inner.spans.end(id, now);
-        id
-    }
-
     /// Every span recorded so far: finished spans in end order, then
     /// live spans by id (deterministic for a deterministic run).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.lock().spans.spans()
+        self.inner.lock().spans.iter().cloned().collect()
     }
 
-    /// Run the post-run analyzer over the current span graph: one
-    /// critical path per DAG plus the `top_n` slowest jobs, with the
-    /// span-store self-accounting counters filled in.
+    /// Analyze the span graph where the store holds it (nothing copied):
+    /// a critical path per DAG, the `top_n` slowest jobs, and the store's
+    /// self-accounting counters.
     pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
-        let (spans, total, live, dropped) = {
-            let inner = self.inner.lock();
-            (
-                // The receiver is the `SpanStore` field, not the hub:
-                // `SpanStore::spans` takes no lock. The lint's name-based
-                // fan-out cannot see the receiver type and also wires
-                // this call to `Telemetry::spans`, which does.
-                // sphinx-lint: allow(lock-reentry)
-                inner.spans.spans(),
-                inner.spans.total(),
-                inner.spans.live(),
-                inner.spans.dropped(),
-            )
-        };
-        let mut out = SpanGraph::new(spans).analyze(top_n);
-        out.spans_total = total;
-        out.spans_live = live;
-        out.spans_dropped = dropped;
+        let inner = self.inner.lock();
+        let store = &inner.spans;
+        let graph = SpanGraph::new(store.iter());
+        // Qualified, so the lock lint's name-based call graph does not
+        // also wire this call to `Telemetry::analyze`.
+        let mut out = SpanGraph::analyze(&graph, top_n);
+        out.spans_total = store.total();
+        out.spans_live = store.live();
+        out.spans_dropped = store.dropped();
         out
-    }
-
-    // ---- grid per-site hooks ----
-
-    /// Execution plan submitted to `site` for job `job`.
-    pub fn grid_submit(&self, site: SiteId, job: u64, now: SimTime) {
-        self.site_event(TraceKind::GridSubmit, "grid.submits", site, job, now, |t| {
-            t.submits += 1
-        });
-    }
-
-    /// SPHINX job entered `site`'s batch queue (after staging). Opens
-    /// the `slot:queued` span — queue-wait within the batch system.
-    pub fn grid_queued(&self, site: SiteId, job: u64, now: SimTime) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        *inner.counters.entry("grid.queues").or_insert(0) += 1;
-        Telemetry::slot_open(inner, "slot:queued", site, job, now);
-    }
-
-    /// SPHINX job dispatched onto a CPU at `site`. Closes `slot:queued`
-    /// and opens `slot:run` — one span per batch-slot occupancy.
-    pub fn grid_start(&self, site: SiteId, job: u64, now: SimTime) {
-        {
-            let inner = &mut *self.inner.lock();
-            Telemetry::slot_open(inner, "slot:run", site, job, now);
-        }
-        self.site_event(TraceKind::GridStart, "grid.starts", site, job, now, |t| {
-            t.starts += 1
-        });
-    }
-
-    /// SPHINX job completed at `site`.
-    pub fn grid_complete(&self, site: SiteId, job: u64, now: SimTime) {
-        self.slot_close(job, now);
-        self.site_event(
-            TraceKind::GridComplete,
-            "grid.completions",
-            site,
-            job,
-            now,
-            |t| t.completions += 1,
-        );
-    }
-
-    /// SPHINX job held or killed at `site`.
-    pub fn grid_hold(&self, site: SiteId, job: u64, now: SimTime) {
-        self.slot_close(job, now);
-        self.site_event(TraceKind::GridHold, "grid.holds", site, job, now, |t| {
-            t.holds += 1
-        });
-    }
-
-    /// Client cancelled a submission at `site`.
-    pub fn grid_cancel(&self, site: SiteId, job: u64, now: SimTime) {
-        self.slot_close(job, now);
-        self.site_event(TraceKind::GridCancel, "grid.cancels", site, job, now, |t| {
-            t.cancels += 1
-        });
-    }
-
-    /// Close any open slot span for `job` and open `name` in its place,
-    /// parented under the job's live attempt span when one exists (grid
-    /// unit tests feed tags the server never planned — those become
-    /// root slot spans).
-    fn slot_open(inner: &mut Inner, name: &'static str, site: SiteId, job: u64, now: SimTime) {
-        inner.last_sim = inner.last_sim.max(now);
-        let Inner {
-            spans,
-            job_tracks,
-            slot_spans,
-            ..
-        } = inner;
-        if let Some(prev) = slot_spans.remove(&job) {
-            spans.end(prev, now);
-        }
-        let track = job_tracks.get(&job);
-        let id = spans.start(
-            name,
-            now,
-            SpanAttrs {
-                parent: track.map(|t| t.attempt_span.unwrap_or(t.job_span)),
-                job: Some(job),
-                dag: track.map(|t| t.dag),
-                site: Some(site.0),
-                attempt: track.map(|t| t.attempts),
-                ..SpanAttrs::default()
-            },
-        );
-        slot_spans.insert(job, id);
-    }
-
-    /// Close the open slot span for `job`, if any.
-    fn slot_close(&self, job: u64, now: SimTime) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        if let Some(id) = inner.slot_spans.remove(&job) {
-            inner.spans.end(id, now);
-        }
-    }
-
-    fn site_event(
-        &self,
-        kind: TraceKind,
-        counter: &'static str,
-        site: SiteId,
-        job: u64,
-        now: SimTime,
-        bump: impl FnOnce(&mut SiteTally),
-    ) {
-        {
-            let mut inner = self.inner.lock();
-            *inner.counters.entry(counter).or_insert(0) += 1;
-            bump(inner.sites.entry(site.0).or_default());
-        }
-        self.trace(kind, now, Some(job), Some(site), String::new());
     }
 
     // ---- snapshot ----
@@ -1133,18 +1116,6 @@ impl Telemetry {
     }
 }
 
-/// Histogram name for dwell time in a given FSA state.
-fn dwell_metric(state: &str) -> &'static str {
-    match state {
-        "unready" => "fsa.dwell_ms.unready",
-        "ready" => "fsa.dwell_ms.ready",
-        "submitted" => "fsa.dwell_ms.submitted",
-        "queued" => "fsa.dwell_ms.queued",
-        "running" => "fsa.dwell_ms.running",
-        _ => "fsa.dwell_ms.other",
-    }
-}
-
 /// Point-in-time copy of every metric in a [`Telemetry`] hub. Attached to
 /// the run report; byte-identical across same-seed runs.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -1178,8 +1149,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Number of distinct metric series (counters + gauges + histograms +
-    /// non-empty site tally columns).
+    /// Number of distinct named metric series: counters + gauges +
+    /// histograms. Per-site gauge families and site tallies are not
+    /// counted.
     pub fn distinct_metrics(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
@@ -1198,15 +1170,26 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    fn job(tel: &Telemetry, at: SimTime, job: u64, step: JobStep) {
+        tel.record(at, Event::Job { job, step });
+    }
+
+    fn grid(tel: &Telemetry, at: SimTime, site: u32, job: u64, step: GridStep) {
+        let site = SiteId(site);
+        tel.record(at, Event::Grid { site, job, step });
+    }
+
     #[test]
     fn counters_gauges_histograms_round_trip_snapshot() {
         let tel = Telemetry::new();
-        tel.counter_add("plan.cycles", 2);
-        tel.counter_add("plan.cycles", 1);
+        tel.counter_add("wal.appends", 2);
+        tel.counter_add("wal.appends", 1);
         tel.gauge_set("monitor.visible_sites", 4.0);
-        tel.observe_ms("plan.cycle_gap_ms", Duration::from_secs(15));
+        let (reports, gap) = (0, Some(Duration::from_secs(15)));
+        tel.record(t(15), Event::PlanCycle { reports, gap });
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("plan.cycles"), 3);
+        assert_eq!(snap.counter("wal.appends"), 3);
+        assert_eq!(snap.counter("plan.cycles"), 1);
         assert_eq!(snap.gauges["monitor.visible_sites"], 4.0);
         let h = &snap.histograms["plan.cycle_gap_ms"];
         assert_eq!(h.count, 1);
@@ -1234,36 +1217,73 @@ mod tests {
     #[test]
     fn dwell_tracking_measures_previous_state() {
         let tel = Telemetry::new();
-        tel.note_job_state(7, 0, "ready", None, None, t(0));
-        tel.note_job_state(7, 0, "submitted", Some(SiteId(2)), None, t(10));
-        tel.note_job_state(7, 0, "queued", Some(SiteId(2)), None, t(12));
-        tel.note_job_state(7, 0, "running", Some(SiteId(2)), None, t(40));
-        tel.note_job_state(7, 0, "finished", Some(SiteId(2)), None, t(100));
+        let site = SiteId(2);
+        job(&tel, t(0), 7, JobStep::Ready { cause: None });
+        job(&tel, t(10), 7, JobStep::Submitted { site });
+        job(&tel, t(12), 7, JobStep::Queued { site });
+        job(&tel, t(40), 7, JobStep::Running { site });
+        let total = Duration::from_secs(90);
+        job(&tel, t(100), 7, JobStep::Completed { site, total });
         let snap = tel.snapshot();
         assert_eq!(snap.histograms["fsa.dwell_ms.ready"].sum, 10_000.0);
         assert_eq!(snap.histograms["fsa.dwell_ms.submitted"].sum, 2_000.0);
         assert_eq!(snap.histograms["fsa.dwell_ms.queued"].sum, 28_000.0);
         assert_eq!(snap.histograms["fsa.dwell_ms.running"].sum, 60_000.0);
-        // Terminal state dropped the tracking entries (dwell and spans).
-        assert_eq!(tel.inner.lock().job_states.len(), 0);
+        assert_eq!(snap.histograms["job.completion_ms"].sum, 90_000.0);
+        // The terminal state dropped the job's bookkeeping.
         assert_eq!(tel.inner.lock().job_tracks.len(), 0);
+    }
+
+    #[test]
+    fn dag_submission_opens_every_job_unready_in_one_record() {
+        let tel = Telemetry::new();
+        tel.record(t(1), Event::DagSubmitted { dag: 4, jobs: 3 });
+        let spans = tel.spans();
+        let unready = spans.iter().filter(|s| s.name == "state:unready");
+        let keys: Vec<u64> = unready.filter_map(|s| s.job).collect();
+        let expected: Vec<u64> = (0..3).map(|i| analysis::job_key(4, i)).collect();
+        assert_eq!(keys, expected);
+        let dag = spans.iter().find(|s| s.name == "dag").unwrap();
+        assert_eq!((dag.dag, dag.detail.as_str()), (Some(4), "jobs=3"));
+        assert_eq!(tel.counter("dag.submitted"), 1);
+        assert!(tel.trace_jsonl().contains("\"detail\":\"dag=4 jobs=3\""));
+        // Restoring a DAG whose root is live is a no-op.
+        tel.record(t(0), Event::DagRestored { dag: 4, jobs: 3 });
+        assert_eq!(tel.spans().len(), spans.len());
+    }
+
+    #[test]
+    fn restore_steps_move_spans_but_leave_no_line() {
+        let tel = Telemetry::new();
+        let site = SiteId(1);
+        job(&tel, t(0), 9, JobStep::Ready { cause: None });
+        job(&tel, t(1), 9, JobStep::Submitted { site });
+        let lines = tel.trace_len();
+        job(&tel, t(2), 9, JobStep::Reset);
+        job(&tel, t(3), 9, JobStep::Resumed { site });
+        assert_eq!(tel.trace_len(), lines);
+        let spans = tel.spans();
+        let attempts = spans.iter().filter(|s| s.name == "attempt").count();
+        assert_eq!(attempts, 2, "a resumed job gets a new attempt");
+        assert_eq!(tel.counter("plan.jobs_submitted"), 1);
     }
 
     #[test]
     fn job_lifecycle_builds_a_connected_span_tree() {
         let tel = Telemetry::new();
-        tel.dag_span_start(3, 1, t(0));
-        let job = (3u64 << 24) | 1;
-        tel.note_job_state(job, 3, "unready", None, None, t(0));
-        tel.note_job_state(job, 3, "ready", None, Some(999), t(5));
-        tel.note_job_state(job, 3, "submitted", Some(SiteId(1)), None, t(6));
-        tel.grid_queued(SiteId(1), job, t(7));
-        tel.grid_start(SiteId(1), job, t(8));
-        tel.note_job_state(job, 3, "queued", Some(SiteId(1)), None, t(7));
-        tel.note_job_state(job, 3, "running", Some(SiteId(1)), None, t(8));
-        tel.grid_complete(SiteId(1), job, t(20));
-        tel.note_job_state(job, 3, "finished", Some(SiteId(1)), None, t(21));
-        tel.dag_span_end(3, t(21));
+        tel.record(t(0), Event::DagSubmitted { dag: 3, jobs: 1 });
+        let key = analysis::job_key(3, 0);
+        let site = SiteId(1);
+        job(&tel, t(5), key, JobStep::Ready { cause: Some(999) });
+        job(&tel, t(6), key, JobStep::Submitted { site });
+        grid(&tel, t(7), 1, key, GridStep::Queued);
+        grid(&tel, t(8), 1, key, GridStep::Start);
+        job(&tel, t(7), key, JobStep::Queued { site });
+        job(&tel, t(8), key, JobStep::Running { site });
+        grid(&tel, t(20), 1, key, GridStep::Complete);
+        let total = Duration::from_secs(15);
+        job(&tel, t(21), key, JobStep::Completed { site, total });
+        tel.record(t(21), Event::DagFinished { dag: 3 });
         let spans = tel.spans();
         let graph = SpanGraph::new(spans.clone());
         assert!(graph.validate().is_empty(), "{:?}", graph.validate());
@@ -1283,15 +1303,25 @@ mod tests {
     #[test]
     fn replanned_job_gets_new_attempt_linked_to_old() {
         let tel = Telemetry::new();
-        tel.dag_span_start(0, 1, t(0));
-        tel.note_job_state(8, 0, "ready", None, None, t(0));
-        tel.note_job_state(8, 0, "submitted", Some(SiteId(4)), None, t(1));
-        tel.note_job_state(8, 0, "queued", Some(SiteId(4)), None, t(2));
-        // Site dies; job goes back to ready, then is replanned elsewhere.
-        tel.note_job_state(8, 0, "ready", None, None, t(10));
-        tel.note_job_state(8, 0, "submitted", Some(SiteId(5)), None, t(11));
-        tel.note_job_state(8, 0, "running", Some(SiteId(5)), None, t(12));
-        tel.note_job_state(8, 0, "finished", Some(SiteId(5)), None, t(30));
+        tel.record(t(0), Event::DagRestored { dag: 0, jobs: 1 });
+        let (first, second) = (SiteId(4), SiteId(5));
+        job(&tel, t(0), 8, JobStep::Ready { cause: None });
+        job(&tel, t(1), 8, JobStep::Submitted { site: first });
+        job(&tel, t(2), 8, JobStep::Queued { site: first });
+        // The site holds the job: back to ready, replanned elsewhere.
+        job(&tel, t(10), 8, JobStep::Held { site: first });
+        job(&tel, t(11), 8, JobStep::Submitted { site: second });
+        job(&tel, t(12), 8, JobStep::Running { site: second });
+        let total = Duration::from_secs(19);
+        job(
+            &tel,
+            t(30),
+            8,
+            JobStep::Completed {
+                site: second,
+                total,
+            },
+        );
         let spans = tel.spans();
         let attempts: Vec<&Span> = spans.iter().filter(|s| s.name == "attempt").collect();
         assert_eq!(attempts.len(), 2);
@@ -1306,6 +1336,8 @@ mod tests {
             .find(|s| s.name == "state:ready" && s.attempt == Some(1))
             .unwrap();
         assert_eq!(re_ready.duration_ms(), 1_000);
+        assert_eq!(tel.counter("plan.reschedules_held"), 1);
+        assert!(tel.trace_jsonl().contains("{\"detail\":\"held\""));
     }
 
     #[test]
@@ -1332,15 +1364,23 @@ mod tests {
     }
 
     #[test]
-    fn span_instant_uses_latest_sim_time() {
+    fn wal_events_are_stamped_with_the_latest_sim_time() {
         let tel = Telemetry::new();
         tel.trace(TraceKind::PlanCycle, t(33), None, None, String::new());
-        tel.span_instant("wal:checkpoint", "lines=12".to_owned());
+        tel.record(SimTime::default(), Event::WalCheckpoint);
+        tel.record(SimTime::default(), Event::WalReplay { lines: 12 });
         let spans = tel.spans();
         let wal = spans.iter().find(|s| s.name == "wal:checkpoint").unwrap();
         assert_eq!(wal.start, t(33));
         assert_eq!(wal.end, Some(t(33)));
-        assert_eq!(wal.detail, "lines=12");
+        assert_eq!(wal.detail, "log compacted to snapshot");
+        let replay = spans.iter().find(|s| s.name == "wal:replay").unwrap();
+        assert_eq!(
+            (replay.start, replay.detail.as_str()),
+            (t(33), "12 lines replayed")
+        );
+        assert_eq!(tel.counter("wal.rewrites"), 1);
+        assert_eq!(tel.counter("wal.replays"), 12);
     }
 
     #[test]
@@ -1360,6 +1400,28 @@ mod tests {
         assert_eq!(events[0].sim_time, t(3));
         assert_eq!(events[1].sim_time, t(4));
         assert_eq!(tel.trace_len(), 0);
+    }
+
+    #[test]
+    fn ring_capacity_zero_retains_nothing_and_counts_every_drop() {
+        let tel = Telemetry::with_config(TelemetryConfig {
+            trace_capacity: 0,
+            ..TelemetryConfig::default()
+        });
+        let (sink, handle) = InMemorySink::new();
+        tel.add_sink(Box::new(sink));
+        for i in 0..3u64 {
+            tel.trace(TraceKind::PlanCycle, t(i), None, None, String::new());
+        }
+        let snap = tel.snapshot();
+        assert_eq!(tel.trace_len(), 0);
+        assert_eq!(snap.trace_dropped, 3);
+        // Recorded = retained + dropped.
+        assert_eq!(
+            snap.trace_recorded,
+            tel.trace_len() as u64 + snap.trace_dropped
+        );
+        assert_eq!(handle.lock().len(), 3, "sinks still see every event");
     }
 
     #[test]
@@ -1423,12 +1485,12 @@ mod tests {
     #[test]
     fn site_tallies_accumulate_per_site() {
         let tel = Telemetry::new();
-        tel.grid_submit(SiteId(0), 1, t(0));
-        tel.grid_start(SiteId(0), 1, t(1));
-        tel.grid_complete(SiteId(0), 1, t(2));
-        tel.grid_submit(SiteId(1), 2, t(0));
-        tel.grid_hold(SiteId(1), 2, t(3));
-        tel.grid_cancel(SiteId(1), 2, t(4));
+        grid(&tel, t(0), 0, 1, GridStep::Submit);
+        grid(&tel, t(1), 0, 1, GridStep::Start);
+        grid(&tel, t(2), 0, 1, GridStep::Complete);
+        grid(&tel, t(0), 1, 2, GridStep::Submit);
+        grid(&tel, t(3), 1, 2, GridStep::Hold);
+        grid(&tel, t(4), 1, 2, GridStep::Cancel);
         let snap = tel.snapshot();
         assert_eq!(
             snap.sites[&0],
@@ -1458,7 +1520,6 @@ mod tests {
         let line = event.to_json_line();
         let back: TraceEvent = serde_json::from_str(&line).unwrap();
         assert_eq!(back, event);
-        assert_eq!(TraceKind::SiteFlagged.label(), "site_flagged");
     }
 
     #[test]
@@ -1466,8 +1527,9 @@ mod tests {
         let run = || {
             let tel = Telemetry::new();
             for i in 0..50u64 {
-                tel.note_job_state(i % 7, 0, "queued", Some(SiteId((i % 3) as u32)), None, t(i));
-                tel.grid_submit(SiteId((i % 3) as u32), i, t(i));
+                let site = SiteId((i % 3) as u32);
+                job(&tel, t(i), i % 7, JobStep::Queued { site });
+                grid(&tel, t(i), site.0, i, GridStep::Submit);
             }
             (tel.trace_jsonl(), tel.snapshot())
         };
@@ -1505,20 +1567,21 @@ mod tests {
     }
 
     #[test]
-    fn site_gauges_round_trip_snapshot() {
+    fn site_reports_round_trip_snapshot() {
         let tel = Telemetry::new();
-        tel.site_gauge_set("monitor.staleness", SiteId(2), 120_000.0);
-        tel.site_gauge_set("monitor.staleness", SiteId(0), 0.0);
-        tel.site_gauge_set("monitor.staleness", SiteId(2), 240_000.0);
-        tel.site_gauge_set("monitor.queue_depth", SiteId(0), 7.0);
-        assert_eq!(
-            tel.site_gauge("monitor.staleness", SiteId(2)),
-            Some(240_000.0)
-        );
-        assert_eq!(tel.site_gauge("monitor.staleness", SiteId(9)), None);
+        let report = |site: u32, age_secs: u64, queued: usize| {
+            let (site, age) = (SiteId(site), Duration::from_secs(age_secs));
+            tel.record(t(300), Event::SiteReport { site, age, queued });
+        };
+        report(2, 120, 0);
+        report(0, 0, 7);
+        report(2, 240, 1);
         let snap = tel.snapshot();
+        assert_eq!(snap.site_gauges["monitor.staleness"].get(&9), None);
         assert_eq!(snap.site_gauges["monitor.staleness"][&2], 240_000.0);
         assert_eq!(snap.site_gauges["monitor.queue_depth"][&0], 7.0);
+        let ages = &snap.histograms["monitor.sample_age_ms"];
+        assert_eq!((ages.count, ages.sum), (3, 360_000.0));
         let json = serde_json::to_string(&snap).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
@@ -1531,45 +1594,52 @@ mod tests {
         assert!(legacy.site_gauges.is_empty());
     }
 
+    /// The lent view, copied out so assertions can run after the lock.
+    fn poll(tel: &Telemetry, cursor: u64) -> (Vec<TraceEvent>, u64, u64, u64, Vec<(u32, f64)>) {
+        tel.ops_poll(cursor, |view| {
+            let depth = view.queue_depth.into_iter().flatten();
+            (
+                view.events.cloned().collect(),
+                view.missed,
+                view.cursor,
+                view.wal_appends,
+                depth.map(|(s, v)| (*s, *v)).collect(),
+            )
+        })
+    }
+
     #[test]
     fn ops_poll_is_cursor_incremental() {
         let tel = Telemetry::new();
-        tel.counter_add("plan.cycles", 1);
-        tel.site_gauge_set("monitor.queue_depth", SiteId(1), 3.0);
-        for i in 0..3u64 {
-            tel.trace(
-                TraceKind::GridSubmit,
-                t(i),
-                Some(i),
-                Some(SiteId(1)),
-                String::new(),
-            );
-        }
-        let mut poll = OpsPoll::default();
-        let cursor = tel.ops_poll(0, &mut poll);
-        assert_eq!(cursor, 3);
-        assert_eq!(poll.missed, 0);
-        assert_eq!(poll.events.len(), 3);
-        assert_eq!(poll.events[0].kind, TraceKind::GridSubmit);
-        assert_eq!(poll.events[2].job, Some(2));
-        assert!(poll.counters.contains(&("plan.cycles", 1)));
-        assert_eq!(poll.site_gauges, vec![("monitor.queue_depth", 1, 3.0)]);
-        // Nothing new → empty poll, same cursor.
-        let cursor2 = tel.ops_poll(cursor, &mut poll);
-        assert_eq!(cursor2, 3);
-        assert!(poll.events.is_empty());
-        // New events since the cursor are picked up exactly once.
-        tel.trace(
-            TraceKind::GridStart,
-            t(5),
-            Some(0),
-            Some(SiteId(1)),
-            String::new(),
+        tel.counter_add("wal.appends", 4);
+        let (site, age) = (SiteId(1), Duration::ZERO);
+        tel.record(
+            t(0),
+            Event::SiteReport {
+                site,
+                age,
+                queued: 3,
+            },
         );
-        let cursor3 = tel.ops_poll(cursor2, &mut poll);
+        for i in 0..3u64 {
+            grid(&tel, t(i), 1, i, GridStep::Submit);
+        }
+        let (events, missed, cursor, wal, depth) = poll(&tel, 0);
+        assert_eq!((cursor, missed, wal), (3, 0, 4));
+        assert_eq!(events.len(), 3);
+        assert_eq!(events[0].kind, TraceKind::GridSubmit);
+        assert_eq!(events[2].job, Some(2));
+        assert_eq!(depth, vec![(1, 3.0)]);
+        // Nothing new → empty poll, same cursor.
+        let (events, _, cursor2, _, _) = poll(&tel, cursor);
+        assert_eq!(cursor2, 3);
+        assert!(events.is_empty());
+        // New events since the cursor are seen exactly once.
+        grid(&tel, t(5), 1, 0, GridStep::Start);
+        let (events, _, cursor3, _, _) = poll(&tel, cursor2);
         assert_eq!(cursor3, 4);
-        assert_eq!(poll.events.len(), 1);
-        assert_eq!(poll.events[0].kind, TraceKind::GridStart);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, TraceKind::GridStart);
     }
 
     #[test]
@@ -1581,13 +1651,11 @@ mod tests {
         for i in 0..5u64 {
             tel.trace(TraceKind::PlanCycle, t(i), None, None, String::new());
         }
-        let mut poll = OpsPoll::default();
         // Cursor 1, but the ring only holds sequences 3..5 → 2 missed.
-        let cursor = tel.ops_poll(1, &mut poll);
-        assert_eq!(cursor, 5);
-        assert_eq!(poll.missed, 2);
-        assert_eq!(poll.events.len(), 2);
-        assert_eq!(poll.events[0].sim_time, t(3));
+        let (events, missed, cursor, _, _) = poll(&tel, 1);
+        assert_eq!((cursor, missed), (5, 2));
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].sim_time, t(3));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of one span, unique within a [`super::Telemetry`] hub and
 /// monotonically increasing in creation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 /// One causal span: a named sim-time interval with optional structural
@@ -92,7 +92,7 @@ const BLOCK: usize = 512;
 
 /// Capacity-bounded span storage: live spans keyed by id, finished spans
 /// in end order, self-accounting `total`/`dropped` counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SpanStore {
     capacity: usize,
     next_id: u64,
@@ -146,40 +146,43 @@ impl SpanStore {
         id
     }
 
-    /// Close a live span at `end`, moving it to the finished store. A
-    /// no-op for unknown or already-closed ids.
-    pub fn end(&mut self, id: SpanId, end: SimTime) {
-        if let Some(mut span) = self.live.remove(&id) {
-            span.end = Some(end.max(span.start));
-            if self.finished_len >= self.capacity {
-                if let Some(oldest) = self.finished.front_mut() {
-                    oldest.pop_front();
-                    self.finished_len -= 1;
-                    if oldest.is_empty() {
-                        self.finished.pop_front();
-                    }
-                }
-                self.dropped += 1;
+    /// Close a live span at `end`, moving it to the finished store; its
+    /// length in sim-ms, or `None` (a no-op) for an unknown or closed id.
+    pub fn end(&mut self, id: SpanId, end: SimTime) -> Option<u64> {
+        let mut span = self.live.remove(&id)?;
+        span.end = Some(end.max(span.start));
+        let duration_ms = span.duration_ms();
+        match self.finished.back_mut() {
+            Some(block) if block.len() < BLOCK => block.push_back(span),
+            _ => {
+                let mut block = VecDeque::with_capacity(BLOCK);
+                block.push_back(span);
+                self.finished.push_back(block);
             }
-            match self.finished.back_mut() {
-                Some(block) if block.len() < BLOCK => block.push_back(span),
-                _ => {
-                    let mut block = VecDeque::with_capacity(BLOCK);
-                    block.push_back(span);
-                    self.finished.push_back(block);
-                }
-            }
-            self.finished_len += 1;
         }
+        self.finished_len += 1;
+        if self.finished_len > self.capacity {
+            if let Some(oldest) = self.finished.front_mut() {
+                oldest.pop_front();
+                if oldest.is_empty() {
+                    self.finished.pop_front();
+                }
+            }
+            self.finished_len -= 1;
+            self.dropped += 1;
+        }
+        Some(duration_ms)
     }
 
     /// Every span: finished spans in end order, then live spans by id.
     /// The order is deterministic for a deterministic event sequence.
+    pub fn iter(&self) -> impl Iterator<Item = &Span> {
+        self.finished.iter().flatten().chain(self.live.values())
+    }
+
+    /// [`Self::iter`], cloned out.
     pub fn spans(&self) -> Vec<Span> {
-        let mut out = Vec::with_capacity(self.finished_len + self.live.len());
-        out.extend(self.finished.iter().flatten().cloned());
-        out.extend(self.live.values().cloned());
-        out
+        self.iter().cloned().collect()
     }
 
     /// Spans ever started.
@@ -283,6 +286,19 @@ mod tests {
         let starts: Vec<SimTime> = store.spans().iter().map(|s| s.start).collect();
         let expected: Vec<SimTime> = (n - capacity as u64..n).map(t).collect();
         assert_eq!(starts, expected);
+    }
+
+    #[test]
+    fn capacity_zero_retains_nothing_and_counts_every_drop() {
+        let mut store = SpanStore::new(0);
+        for i in 0..3u64 {
+            let id = store.start("phase:plan", t(i), SpanAttrs::default());
+            store.end(id, t(i + 1));
+        }
+        assert!(store.spans().is_empty());
+        assert_eq!(store.dropped(), 3);
+        // Started = retained (finished or live) + dropped.
+        assert_eq!(store.total(), store.spans().len() as u64 + store.dropped());
     }
 
     #[test]

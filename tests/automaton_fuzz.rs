@@ -52,7 +52,7 @@ fn arb_action() -> impl Strategy<Value = Action> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     #[test]
     fn prop_automaton_survives_adversarial_reports(

@@ -13,10 +13,7 @@ fn strategy_from(pick: u8) -> StrategyKind {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// Every job ends in exactly one terminal state, and the report's
     /// accounting matches the database's.

@@ -273,7 +273,7 @@ fn two_crashes_cascade_through_two_adoptions() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 10 })]
 
     /// Whatever the crash schedule — any shard, any cycle, any crash
     /// point — the run converges with every job completed exactly once,

@@ -133,7 +133,7 @@ fn partition_salt_does_not_change_the_report() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Any explicit DAG → shard assignment produces the same aggregate
     /// report and trace as the default hash partition.
