@@ -1,16 +1,18 @@
 //! Tables: typed rows, type-erased at the table map.
 //!
-//! [`crate::Database::recover`] cannot know a schema, so it replays JSON
-//! values. The first typed access to a table names the row type and moves
-//! every row that decodes into a `BTreeMap<u64, T>`; from then on reads
-//! clone typed rows out, writes move them in, and JSON exists only in the
-//! log line a commit prints.
+//! [`crate::Database::recover`] cannot know a schema, so replay keeps each
+//! put row as its JSON text, checked but not decoded ([`Store::replay`]):
+//! a row that a later line replaces or deletes is never decoded at all.
+//! The first typed access to a table names the row type and decodes the
+//! text of every row that decodes, straight into a `BTreeMap<u64, T>`;
+//! from then on reads clone typed rows out, writes move them in, and JSON
+//! exists only in the log line a commit prints.
 
 use crate::error::DbError;
-use crate::txn::{LogEntry, Op, SnapshotTable};
+use crate::txn::{read_line, OpAt, Replayed};
 use serde::de::DeserializeOwned;
+use serde::read::{write_canonical, Reader};
 use serde::Serialize;
-use serde_json::Value;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
@@ -27,7 +29,16 @@ trait Rows: Any + Send {
     fn max_key(&self) -> Option<u64>;
     /// Print the snapshot's `[key,row]` pairs of these rows and the table's
     /// `raw` ones, in key order across both (their key sets are disjoint).
-    fn write_rows(&self, raw: &BTreeMap<u64, Value>, out: &mut String);
+    fn write_rows(&self, raw: &BTreeMap<u64, Box<str>>, out: &mut String);
+}
+
+/// Print one `[key,row]` pair of a snapshot.
+fn pair(out: &mut String, key: u64, row: impl FnOnce(&mut String)) {
+    out.push_str(if out.ends_with('[') { "[" } else { ",[" });
+    key.write_json(out);
+    out.push(',');
+    row(out);
+    out.push(']');
 }
 
 impl<T: Row> Rows for BTreeMap<u64, T> {
@@ -47,20 +58,19 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
         self.keys().next_back().copied()
     }
 
-    fn write_rows(&self, raw: &BTreeMap<u64, Value>, out: &mut String) {
-        let mut pair = |key: u64, row: &dyn Serialize| {
-            out.push_str(if out.ends_with('[') { "" } else { "," });
-            (key, row).write_json(out);
-        };
+    fn write_rows(&self, raw: &BTreeMap<u64, Box<str>>, out: &mut String) {
+        // A row never typed prints as its tree would: the log holds only
+        // canonical text, so that is a copy unless the line came from
+        // elsewhere.
         let mut raw = raw.iter().peekable();
         for (&key, row) in self {
-            while let Some((&k, v)) = raw.next_if(|(&k, _)| k < key) {
-                pair(k, v);
+            while let Some((&k, text)) = raw.next_if(|(&k, _)| k < key) {
+                pair(out, k, |out| write_canonical(text, out));
             }
-            pair(key, row);
+            pair(out, key, |out| row.write_json(out));
         }
-        for (&k, v) in raw {
-            pair(k, v);
+        for (&k, text) in raw {
+            pair(out, k, |out| write_canonical(text, out));
         }
     }
 }
@@ -68,16 +78,21 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
 /// One table of the store.
 #[derive(Default)]
 pub(crate) struct Table {
-    /// Rows as replayed, until the first typed access moves each one that
-    /// decodes into `typed`. A row that does not (a log written by another
-    /// version) stays here verbatim: it fails the scans that cover it, and
-    /// a checkpoint re-emits it.
-    raw: BTreeMap<u64, Value>,
+    /// Rows as replayed, as their JSON text, until the first typed access
+    /// decodes each one that decodes into `typed`. A row that does not (a
+    /// log written by another version) stays here: it fails the scans
+    /// that cover it, and a checkpoint re-emits it (canonically).
+    raw: BTreeMap<u64, Box<str>>,
     /// The typed rows, once a typed access has named the row type.
     typed: Option<Box<dyn Rows>>,
 }
 
 impl Table {
+    /// A table of rows as replayed, each as its text.
+    pub(crate) fn replayed(raw: BTreeMap<u64, Box<str>>) -> Self {
+        Table { raw, typed: None }
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.raw.len() + self.typed.as_ref().map_or(0, |t| t.len())
     }
@@ -97,9 +112,14 @@ impl Table {
 
     /// The snapshot form of this table's rows (see [`Rows::write_rows`]).
     pub(crate) fn write_rows(&self, out: &mut String) {
-        let untyped = BTreeMap::<u64, Value>::new();
-        let rows: &dyn Rows = self.typed.as_deref().unwrap_or(&untyped);
-        rows.write_rows(&self.raw, out);
+        match &self.typed {
+            Some(rows) => rows.write_rows(&self.raw, out),
+            None => {
+                for (&key, text) in &self.raw {
+                    pair(out, key, |out| write_canonical(text, out));
+                }
+            }
+        }
     }
 
     /// The rows as `T`, hydrating them on first use. A table already
@@ -107,13 +127,14 @@ impl Table {
     fn open<T: Row>(&mut self, name: &str) -> Result<Typed<'_, T>, DbError> {
         let typed = self.typed.get_or_insert_with(|| {
             let mut rows = BTreeMap::<u64, T>::new();
-            self.raw.retain(|&key, value| match T::from_value(value) {
-                Ok(row) => {
-                    rows.insert(key, row);
-                    false
-                }
-                Err(_) => true,
-            });
+            self.raw
+                .retain(|&key, text| match T::read_json(&mut Reader::new(text)) {
+                    Ok(row) => {
+                        rows.insert(key, row);
+                        false
+                    }
+                    Err(_) => true,
+                });
             Box::new(rows) // sphinx-lint: allow(hot-alloc)
         });
         let any: &mut dyn Any = &mut **typed;
@@ -133,7 +154,7 @@ impl Table {
 pub(crate) struct Typed<'s, T> {
     rows: &'s mut BTreeMap<u64, T>,
     /// What hydration could not decode as `T`.
-    undecodable: &'s mut BTreeMap<u64, Value>,
+    undecodable: &'s mut BTreeMap<u64, Box<str>>,
 }
 
 impl<T: Row> Typed<'_, T> {
@@ -148,13 +169,15 @@ impl<T: Row> Typed<'_, T> {
         table: &str,
         range: impl RangeBounds<u64>,
     ) -> Result<(), DbError> {
-        let Some((_, value)) = self.undecodable.range(range).next() else {
+        let Some((_, text)) = self.undecodable.range(range).next() else {
             return Ok(());
         };
-        T::from_value(value).map(drop).map_err(|e| DbError::Codec {
-            table: table.to_owned(), // sphinx-lint: allow(hot-alloc)
-            message: e.to_string(),
-        })
+        T::read_json(&mut Reader::new(text))
+            .map(drop)
+            .map_err(|e| DbError::Codec {
+                table: table.to_owned(), // sphinx-lint: allow(hot-alloc)
+                message: e.to_string(),
+            })
     }
 }
 
@@ -167,32 +190,49 @@ pub(crate) struct Store {
     live_rows: u64,
     /// The last commit's line, its buffer kept for the next one's.
     pub(crate) line: String,
+    /// The ops of the line being replayed, kept for the next line's.
+    replay_ops: Vec<OpAt>,
 }
 
 impl Store {
-    /// Replay one log line, moving its rows in (nothing is typed yet).
-    pub(crate) fn replay(&mut self, entry: LogEntry) {
-        match entry {
-            LogEntry::Txn { ops } => {
-                for op in ops {
-                    match op {
-                        Op::Put { table, key, row } => {
-                            let fresh = self.tables.entry(table).or_default().raw.insert(key, row);
-                            self.live_rows += u64::from(fresh.is_none());
-                        }
-                        Op::Del { table, key } => self.apply_del(&table, key),
-                    }
-                }
+    /// Replay one log line (nothing is typed yet), keeping each put row as
+    /// its text. The whole line is read before the store changes, so a
+    /// line that does not read (`Err`) leaves the store as it was.
+    pub(crate) fn replay(&mut self, line: &str) -> Result<(), serde::de::Error> {
+        match read_line(line, &mut self.replay_ops)? {
+            Replayed::Txn => {
+                let ops = std::mem::take(&mut self.replay_ops);
+                let applied = ops.iter().try_for_each(|op| self.replay_op(line, op));
+                self.replay_ops = ops;
+                applied?;
             }
-            LogEntry::Snapshot { tables } => {
-                let table = |SnapshotTable { name, rows }| {
-                    let raw = rows.into_iter().collect();
-                    (name, Table { raw, typed: None })
-                };
-                self.tables = tables.into_iter().map(table).collect();
-                self.live_rows = self.tables.values().map(|t| t.len() as u64).sum();
+            Replayed::Snapshot(tables) => {
+                self.live_rows = tables.values().map(|t| t.len() as u64).sum();
+                self.tables = tables;
             }
         }
+        Ok(())
+    }
+
+    /// Apply one op of a `txn` line that has been read whole (so reading
+    /// its table name again cannot fail).
+    fn replay_op(&mut self, line: &str, op: &OpAt) -> Result<(), serde::de::Error> {
+        let name = Reader::at(line, op.table).string()?;
+        let Some((from, to)) = op.row else {
+            self.apply_del(&name, op.key);
+            return Ok(());
+        };
+        let text = Box::from(line.get(from..to).unwrap_or_default());
+        let fresh = match self.tables.get_mut(&*name) {
+            Some(table) => table.raw.insert(op.key, text).is_none(),
+            None => {
+                let table = Table::replayed(BTreeMap::from([(op.key, text)]));
+                self.tables.insert(name.into_owned(), table);
+                true
+            }
+        };
+        self.live_rows += u64::from(fresh);
+        Ok(())
     }
 
     pub(crate) fn row_count(&self) -> u64 {
