@@ -3,9 +3,9 @@
 //! `Deserialize::read_json`; parsing the text into a `Value` tree and
 //! decoding that (`from_value`, which hands the tree to
 //! `from_owned_value`) is its oracle. On any text, canonical or not, the
-//! two must accept exactly the same documents and give equal values, for
-//! every shape the derive supports and every row and message the log
-//! holds.
+//! two must accept exactly the same documents, give equal values and word
+//! their errors alike, for every shape the derive supports and every row
+//! and message the log holds.
 
 use proptest::prelude::*;
 use serde::de::DeserializeOwned;
@@ -22,7 +22,8 @@ use sphinx_sim::{Duration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Decode `text` both ways; they must agree. Returns whether it decoded.
+/// Decode `text` both ways; they must agree, down to the words of an
+/// error. Returns whether it decoded.
 fn agrees<T: DeserializeOwned + Serialize>(text: &str) -> bool {
     let read = from_str::<T>(text);
     let tree = from_str::<Value>(text).and_then(from_value::<T>);
@@ -35,7 +36,10 @@ fn agrees<T: DeserializeOwned + Serialize>(text: &str) -> bool {
             );
             true
         }
-        (Err(_), Err(_)) => false,
+        (Err(read), Err(tree)) => {
+            assert_eq!(read.to_string(), tree.to_string(), "{text}");
+            false
+        }
         (Ok(_), Err(e)) => panic!("read {text}, which the tree decoder refuses: {e}"),
         (Err(e), Ok(_)) => panic!("refused {text} ({e}), which the tree decoder reads"),
     }

@@ -1373,7 +1373,7 @@ mod byte_offsets {
             assert_eq!(
                 log.read_all().unwrap(),
                 kept,
-                "cut at {at}: the torn line stays"
+                "cut at {at}: the torn line is truncated out of the log"
             );
         }
     }
