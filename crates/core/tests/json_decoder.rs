@@ -45,6 +45,173 @@ fn agrees<T: DeserializeOwned + Serialize>(text: &str) -> bool {
     }
 }
 
+/// What decoding `text` as a `T` gives: the value's canonical re-encoding,
+/// or the words of the error.
+type Verdict = fn(&str) -> Result<String, String>;
+
+fn verdict<T: DeserializeOwned + Serialize>(text: &str) -> Result<String, String> {
+    from_str::<T>(text)
+        .map(|value| to_string(&value).unwrap())
+        .map_err(|e| e.to_string())
+}
+
+fn tree_verdict<T: DeserializeOwned + Serialize>(text: &str) -> Result<String, String> {
+    from_str::<Value>(text)
+        .and_then(from_value::<T>)
+        .map(|value| value.to_value().to_string())
+        .map_err(|e| e.to_string())
+}
+
+/// The decoder of every type the golden table names, both ways.
+fn decoders(ty: &str) -> (Verdict, Verdict) {
+    macro_rules! by_name {
+        ($($t:ident),*) => {
+            match ty {
+                $(stringify!($t) => (verdict::<$t>, tree_verdict::<$t>),)*
+                other => panic!("no decoder for {other}"),
+            }
+        };
+    }
+    by_name!(
+        Doc,
+        Edge,
+        Mode,
+        Event,
+        JobRow,
+        SiteStatsRow,
+        SiteLeaseRow,
+        LeaseRow,
+        EpochRow,
+        StatusReport,
+        PlanNotice,
+        DagRow
+    )
+}
+
+/// [`agrees`] for a type named in the golden table.
+fn tree_agrees(ty: &str, text: &str) -> bool {
+    let (read, tree) = decoders(ty);
+    let tree = tree(text);
+    assert_eq!(read(text), tree, "{ty} {text}");
+    tree.is_ok()
+}
+
+/// One line of the golden table: a text, the type it is decoded as, and
+/// what the tree decoder made of it.
+#[derive(Debug, Serialize, Deserialize)]
+struct Frozen {
+    ty: String,
+    text: String,
+    canonical: Option<String>,
+    error: Option<String>,
+}
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/decoder.jsonl");
+
+/// The texts of the golden table: every derive shape and every log row
+/// and message, canonical and noisy, over fixed seeds.
+fn golden_texts() -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    let mut noise = Noise::new(0x5eed);
+    for seed in 0..48usize {
+        let n = (seed as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let doc = doc((seed, n, -(seed as i64) * 7919, seed * 37 % 1024));
+        let text = to_string(&doc).unwrap();
+        for _ in 0..6 {
+            out.push(("Doc", noise.variant(&text)));
+        }
+        out.push(("Doc", text));
+        for (ty, text) in [
+            ("Event", to_string(&doc.events[0]).unwrap()),
+            ("Mode", to_string(&doc.modes[0]).unwrap()),
+        ] {
+            for _ in 0..4 {
+                out.push((ty, noise.variant(&text)));
+            }
+            out.push((ty, text));
+        }
+        let edge = Edge {
+            n: n as u32,
+            i: -(n as i64 >> 3),
+            d: seed as u32,
+            o: (seed % 3 != 0).then_some(seed as u8),
+            f: FLOATS[seed % FLOATS.len()],
+        };
+        let text = to_string(&edge).unwrap();
+        for _ in 0..3 {
+            out.push(("Edge", noise.variant(&text)));
+        }
+    }
+    for seed in 0..40usize {
+        let n = (seed as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
+        for (text, ty) in log_rows((seed, n, seed * 211 % 8192)) {
+            for _ in 0..4 {
+                out.push((ty, noise.variant(&text)));
+            }
+            out.push((ty, text));
+        }
+    }
+    out.extend(
+        edge_cases()
+            .into_iter()
+            .map(|(t, _)| ("Edge", t.to_owned())),
+    );
+    out.extend(
+        mode_cases()
+            .into_iter()
+            .map(|(t, _)| ("Mode", t.to_owned())),
+    );
+    out
+}
+
+/// Writes the golden table from the tree decoder's verdicts.
+#[test]
+#[ignore]
+fn write_golden_table() {
+    let mut table = String::new();
+    for (ty, text) in golden_texts() {
+        tree_agrees(ty, &text);
+        let (canonical, error) = match decoders(ty).1(&text) {
+            Ok(canonical) => (Some(canonical), None),
+            Err(error) => (None, Some(error)),
+        };
+        let ty = ty.to_owned();
+        table += &to_string(&Frozen {
+            ty,
+            text,
+            canonical,
+            error,
+        })
+        .unwrap();
+        table.push('\n');
+    }
+    std::fs::write(GOLDEN, table).unwrap();
+}
+
+/// Every verdict of the golden table, reproduced byte for byte.
+#[test]
+fn the_golden_table_reproduces() {
+    let table = std::fs::read_to_string(GOLDEN).unwrap();
+    let (mut read, mut refused) = (0, 0);
+    for line in table.lines() {
+        let entry: Frozen = from_str(line).unwrap();
+        let want = match (entry.canonical, entry.error) {
+            (Some(canonical), None) => Ok(canonical),
+            (None, Some(error)) => Err(error),
+            _ => panic!("a verdict is a value or an error: {line}"),
+        };
+        match &want {
+            Ok(_) => read += 1,
+            Err(_) => refused += 1,
+        }
+        assert_eq!(decoders(&entry.ty).0(&entry.text), want, "{}", entry.text);
+    }
+    assert!(
+        read + refused >= 2000 && refused * 10 >= (read + refused) * 3,
+        "{read} read, {refused} refused"
+    );
+}
+
 // ---- every shape the derive supports ----
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -161,12 +328,9 @@ fn doc((s, n, i, bits): (usize, u64, i64, usize)) -> Doc {
     }
 }
 
-/// Checks one text both ways (an `agrees::<T>`); true if it decoded.
-type Decoder = fn(&str) -> bool;
-
-/// Every row and message the log holds, as canonical text and its
-/// decoder, for one seed.
-fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
+/// Every row and message the log holds, as canonical text and the name
+/// of its type, for one seed.
+fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, &'static str)> {
     let float = |j: usize| FLOATS[j % FLOATS.len()];
     let text = |j: usize| STRINGS[j % STRINGS.len()];
     let maybe = |bit: usize| bits >> bit & 1 == 1;
@@ -174,8 +338,8 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
     let site = SiteId(n as u32);
     let at = SimTime::from_millis(n);
     let span = Duration::from_millis(n >> 3);
-    let mut out: Vec<(String, Decoder)> = Vec::new();
-    let mut add = |text: String, decode: Decoder| out.push((text, decode));
+    let mut out = Vec::new();
+    let mut add = |text: String, ty: &'static str| out.push((text, ty));
     add(
         to_string(&JobRow {
             id: job,
@@ -189,7 +353,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             idle_secs: maybe(5).then_some(float(k + bits)),
         })
         .unwrap(),
-        agrees::<JobRow>,
+        "JobRow",
     );
     add(
         to_string(&SiteStatsRow {
@@ -200,7 +364,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             completion_samples: u64::MAX,
         })
         .unwrap(),
-        agrees::<SiteStatsRow>,
+        "SiteStatsRow",
     );
     add(
         to_string(&SiteLeaseRow {
@@ -209,7 +373,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             jobs: k as u64,
         })
         .unwrap(),
-        agrees::<SiteLeaseRow>,
+        "SiteLeaseRow",
     );
     add(
         to_string(&LeaseRow {
@@ -219,11 +383,11 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             alive: maybe(6),
         })
         .unwrap(),
-        agrees::<LeaseRow>,
+        "LeaseRow",
     );
     add(
         to_string(&EpochRow { id: 0, epoch: n }).unwrap(),
-        agrees::<EpochRow>,
+        "EpochRow",
     );
     let cause = [CancelCause::Held, CancelCause::Timeout][bits % 2];
     for report in [
@@ -238,7 +402,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
         },
         StatusReport::Cancelled { job, site, cause },
     ] {
-        add(to_string(&report).unwrap(), agrees::<StatusReport>);
+        add(to_string(&report).unwrap(), "StatusReport");
     }
     let staging = (0..k % 3).map(|i| StagedInput {
         file: LogicalFile(text(k + i).to_owned()),
@@ -256,7 +420,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             archive_to: maybe(10).then_some(site),
         })
         .unwrap(),
-        agrees::<PlanNotice>,
+        "PlanNotice",
     );
     let dag = WorkloadSpec::small(1, 1 + k as u32 % 6)
         .generate(&SimRng::new(n), 0)
@@ -272,7 +436,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<(String, Decoder)> {
             deadline: maybe(12).then_some(at),
         })
         .unwrap(),
-        agrees::<DagRow>,
+        "DagRow",
     );
     out
 }
@@ -488,10 +652,10 @@ proptest! {
         noise in any::<u64>(),
     ) {
         let mut noise = Noise::new(noise);
-        for (text, decodes) in log_rows(seed) {
-            prop_assert!(decodes(&text), "{}", text);
+        for (text, ty) in log_rows(seed) {
+            prop_assert!(tree_agrees(ty, &text), "{}", text);
             for _ in 0..4 {
-                decodes(&noise.variant(&text));
+                tree_agrees(ty, &noise.variant(&text));
             }
         }
     }
@@ -528,14 +692,10 @@ struct Edge {
     f: f64,
 }
 
-#[test]
-fn edge_cases_decode_as_their_tree() {
-    let edge = |text: &str| {
-        let decoded = agrees::<Edge>(text);
-        (decoded, from_str::<Edge>(text).ok())
-    };
+/// Texts at the edges of what an `Edge` accepts, and what each decodes to.
+fn edge_cases() -> Vec<(&'static str, Option<Edge>)> {
     let e = |n, i, d, o, f| Some(Edge { n, i, d, o, f });
-    for (text, want) in [
+    vec![
         (
             r#"{"n":4294967295,"i":0,"f":1}"#,
             e(u32::MAX, 0, 0, None, 1.0),
@@ -580,12 +740,13 @@ fn edge_cases_decode_as_their_tree() {
         (r#"{"n":1,"i":1,"f":1e999}"#, None),
         ("[1,1,0,null,1]", None),
         ("null", None),
-    ] {
-        assert_eq!(edge(text), (want.is_some(), want), "{text}");
-    }
-    // Externally tagged: a name, or an object naming a variant; the first
-    // declared variant named wins, by its last occurrence.
-    for (text, want) in [
+    ]
+}
+
+// Externally tagged: a name, or an object naming a variant; the first
+// declared variant named wins, by its last occurrence.
+fn mode_cases() -> [(&'static str, Option<&'static str>); 12] {
+    [
         (r#""Idle""#, Some("Idle")),
         (r#"{"Busy":{"since":-1,"note":""}}"#, Some("Busy")),
         (
@@ -610,7 +771,20 @@ fn edge_cases_decode_as_their_tree() {
         (r#"{}"#, None),
         (r#""Gone""#, None),
         ("7", None),
-    ] {
+    ]
+}
+
+#[test]
+fn edge_cases_decode_as_their_tree() {
+    for (text, want) in edge_cases() {
+        let decoded = agrees::<Edge>(text);
+        assert_eq!(
+            (decoded, from_str::<Edge>(text).ok()),
+            (want.is_some(), want),
+            "{text}"
+        );
+    }
+    for (text, want) in mode_cases() {
         let decoded = agrees::<Mode>(text);
         let name = from_str::<Mode>(text).ok().map(|m| match m {
             Mode::Idle => "Idle",

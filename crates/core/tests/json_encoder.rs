@@ -19,10 +19,12 @@ use sphinx_sim::{Duration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn prints_its_tree<T: Serialize + ?Sized>(value: &T) {
+/// The text `value` prints, checked against its tree.
+fn prints_its_tree<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     value.write_json(&mut out);
     assert_eq!(out, value.to_value().to_string());
+    out
 }
 
 const STRINGS: [&str; 6] = [
@@ -122,7 +124,8 @@ fn doc((s, n, i, bits): (usize, u64, i64, usize)) -> Doc {
 
 // ---- the rows and messages the log holds ----
 
-fn log_rows((k, n, bits): (usize, u64, usize)) {
+/// The text of every row and message the log holds, for one seed.
+fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
     let float = |j: usize| FLOATS[j % FLOATS.len()];
     let text = |j: usize| STRINGS[j % STRINGS.len()];
     let maybe = |bit: usize| bits >> bit & 1 == 1;
@@ -130,7 +133,8 @@ fn log_rows((k, n, bits): (usize, u64, usize)) {
     let site = SiteId(n as u32);
     let at = SimTime::from_millis(n);
     let span = Duration::from_millis(n >> 3);
-    prints_its_tree(&JobRow {
+    let mut out = Vec::new();
+    out.push(prints_its_tree(&JobRow {
         id: job,
         state: JobState::VARIANTS[k % JobState::VARIANTS.len()],
         site: maybe(0).then_some(site),
@@ -140,19 +144,19 @@ fn log_rows((k, n, bits): (usize, u64, usize)) {
         submitted_at: maybe(3).then_some(at),
         exec_secs: maybe(4).then_some(float(k)),
         idle_secs: maybe(5).then_some(float(k + bits)),
-    });
-    prints_its_tree(&SiteStatsRow {
+    }));
+    out.push(prints_its_tree(&SiteStatsRow {
         site: site.0,
         completed: n,
         cancelled: k as u64,
         completion_secs_sum: float(bits),
         completion_samples: u64::MAX,
-    });
-    prints_its_tree(&SiteLeaseRow {
+    }));
+    out.push(prints_its_tree(&SiteLeaseRow {
         site: site.0,
         cpu_seconds: n,
         jobs: k as u64,
-    });
+    }));
     let cause = [CancelCause::Held, CancelCause::Timeout][bits % 2];
     for report in [
         StatusReport::Queued { job, site },
@@ -166,14 +170,14 @@ fn log_rows((k, n, bits): (usize, u64, usize)) {
         },
         StatusReport::Cancelled { job, site, cause },
     ] {
-        prints_its_tree(&report);
+        out.push(prints_its_tree(&report));
     }
     let staging = (0..k % 3).map(|i| StagedInput {
         file: LogicalFile(text(k + i).to_owned()),
         size_mb: n,
         source: maybe(6 + i).then_some(site),
     });
-    prints_its_tree(&PlanNotice {
+    out.push(prints_its_tree(&PlanNotice {
         job,
         site,
         staging: staging.collect(),
@@ -181,11 +185,11 @@ fn log_rows((k, n, bits): (usize, u64, usize)) {
         output: FileSpec::new(text(k + 1), n),
         planned_at: at,
         archive_to: maybe(9).then_some(site),
-    });
+    }));
     let dag = WorkloadSpec::small(1, 1 + k as u32 % 6)
         .generate(&SimRng::new(n), 0)
         .remove(0);
-    prints_its_tree(&DagRow {
+    out.push(prints_its_tree(&DagRow {
         id: dag.id,
         dag: Arc::new(dag),
         user: UserId(k as u32),
@@ -193,7 +197,8 @@ fn log_rows((k, n, bits): (usize, u64, usize)) {
         submitted_at: at,
         finished_at: maybe(10).then_some(SimTime::MAX),
         deadline: maybe(11).then_some(at),
-    });
+    }));
+    out
 }
 
 proptest! {
@@ -212,6 +217,51 @@ proptest! {
     ) {
         log_rows(seed);
     }
+}
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/encoder.jsonl");
+
+/// The texts of the golden table: every derive shape and every log row
+/// and message, over fixed seeds, one text a line.
+fn golden_prints() -> Vec<String> {
+    let mut out = Vec::new();
+    for seed in 0..32usize {
+        let n = (seed as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        out.push(prints_its_tree(&doc((
+            seed,
+            n,
+            -(seed as i64) * 7919,
+            seed * 37 % 1024,
+        ))));
+        out.extend(log_rows((seed, n >> 7, seed * 211 % 4096)));
+    }
+    out
+}
+
+/// Writes the golden table from the tree's prints.
+#[test]
+#[ignore]
+fn write_golden_table() {
+    let mut table = golden_prints().join("\n");
+    table.push('\n');
+    std::fs::write(GOLDEN, table).unwrap();
+}
+
+#[test]
+fn the_golden_table_reproduces() {
+    let table = std::fs::read_to_string(GOLDEN).unwrap();
+    let prints = golden_prints();
+    assert_eq!(table.lines().count(), prints.len());
+    for (want, got) in table.lines().zip(&prints) {
+        assert_eq!(got, want);
+    }
+}
+
+/// FNV-1a over `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// What a real run leaves: every row of the server's tables, and the
@@ -233,11 +283,24 @@ fn a_run_prints_its_tree() {
     let report = rt.run();
     assert!(report.finished, "{}", report.summary());
     let db = rt.server().database();
-    prints_its_tree(&db.scan::<JobRow>().unwrap()[..]);
-    prints_its_tree(&db.scan::<DagRow>().unwrap()[..]);
-    prints_its_tree(&db.scan::<SiteStatsRow>().unwrap()[..]);
-    prints_its_tree(&report.telemetry);
-    prints_its_tree(&report);
+    let digests = [
+        fnv1a(&prints_its_tree(&db.scan::<JobRow>().unwrap()[..])),
+        fnv1a(&prints_its_tree(&db.scan::<DagRow>().unwrap()[..])),
+        fnv1a(&prints_its_tree(&db.scan::<SiteStatsRow>().unwrap()[..])),
+        fnv1a(&prints_its_tree(&report.telemetry)),
+        fnv1a(&prints_its_tree(&report)),
+    ];
+    // What the tree printed for this run.
+    assert_eq!(
+        digests,
+        [
+            0x367b_e175_d757_ef00,
+            0x77cb_828c_3ac6_9be5,
+            0x70ab_e74f_5a50_b33b,
+            0x8c2a_de6d_3df9_abcd,
+            0x40c4_5886_b57b_c2f2,
+        ]
+    );
 }
 
 #[test]
