@@ -1,11 +1,17 @@
-//! The encoder oracle. The WAL and `serde_json::to_string` print values
-//! through `Serialize::write_json`, straight from their fields; the
-//! `Value` tree (`to_value`, then `Display`) is its oracle, and every type
-//! the log or an export prints must give the same bytes both ways. Both
-//! ways end in the same number and string printers, so those are pinned
-//! as text as well.
+//! The encoder's checks. The WAL and `serde_json::to_string` print values
+//! through `Serialize::write_json`, straight from their fields. Every type
+//! the log or an export prints is held to three things:
+//!
+//! - the golden table (`golden/encoder.jsonl`) and the digests of a real
+//!   run: what the `Value`-tree encoder, since deleted, printed for the
+//!   same values, reproduced byte for byte;
+//! - the text is canonical: read as a `Value`, it prints the same bytes;
+//! - the text reads back as a value that prints it again.
+//!
+//! The number and string printers are pinned as text as well.
 
 use proptest::prelude::*;
+use serde::de::DeserializeOwned;
 use serde::Serialize;
 use serde_json::{from_str, to_string, Value};
 use sphinx_core::messages::{CancelCause, PlanNotice, StatusReport};
@@ -19,11 +25,20 @@ use sphinx_sim::{Duration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The text `value` prints, checked against its tree.
-fn prints_its_tree<T: Serialize + ?Sized>(value: &T) -> String {
+/// The text `value` prints, which is canonical: what it reads as a
+/// `Value` prints the same bytes.
+fn prints_canonically<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     value.write_json(&mut out);
-    assert_eq!(out, value.to_value().to_string());
+    assert_eq!(from_str::<Value>(&out).unwrap().to_string(), out);
+    out
+}
+
+/// [`prints_canonically`], and the text reads back as a `T` that prints
+/// it again.
+fn round_trips<T: Serialize + DeserializeOwned>(value: &T) -> String {
+    let out = prints_canonically(value);
+    assert_eq!(to_string(&from_str::<T>(&out).unwrap()).unwrap(), out);
     out
 }
 
@@ -134,7 +149,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
     let at = SimTime::from_millis(n);
     let span = Duration::from_millis(n >> 3);
     let mut out = Vec::new();
-    out.push(prints_its_tree(&JobRow {
+    out.push(round_trips(&JobRow {
         id: job,
         state: JobState::VARIANTS[k % JobState::VARIANTS.len()],
         site: maybe(0).then_some(site),
@@ -145,14 +160,19 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
         exec_secs: maybe(4).then_some(float(k)),
         idle_secs: maybe(5).then_some(float(k + bits)),
     }));
-    out.push(prints_its_tree(&SiteStatsRow {
+    let stats = SiteStatsRow {
         site: site.0,
         completed: n,
         cancelled: k as u64,
         completion_secs_sum: float(bits),
         completion_samples: u64::MAX,
-    }));
-    out.push(prints_its_tree(&SiteLeaseRow {
+    };
+    // A non-finite float prints as `null`, which no `f64` reads.
+    out.push(match float(bits).is_finite() {
+        true => round_trips(&stats),
+        false => prints_canonically(&stats),
+    });
+    out.push(round_trips(&SiteLeaseRow {
         site: site.0,
         cpu_seconds: n,
         jobs: k as u64,
@@ -170,14 +190,14 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
         },
         StatusReport::Cancelled { job, site, cause },
     ] {
-        out.push(prints_its_tree(&report));
+        out.push(round_trips(&report));
     }
     let staging = (0..k % 3).map(|i| StagedInput {
         file: LogicalFile(text(k + i).to_owned()),
         size_mb: n,
         source: maybe(6 + i).then_some(site),
     });
-    out.push(prints_its_tree(&PlanNotice {
+    out.push(round_trips(&PlanNotice {
         job,
         site,
         staging: staging.collect(),
@@ -189,7 +209,7 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
     let dag = WorkloadSpec::small(1, 1 + k as u32 % 6)
         .generate(&SimRng::new(n), 0)
         .remove(0);
-    out.push(prints_its_tree(&DagRow {
+    out.push(round_trips(&DagRow {
         id: dag.id,
         dag: Arc::new(dag),
         user: UserId(k as u32),
@@ -205,14 +225,14 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
     #[test]
-    fn derived_shapes_print_their_tree(
+    fn derived_shapes_print_canonically(
         seed in (0usize..64, any::<u64>(), any::<i64>(), 0usize..1024)
     ) {
-        prints_its_tree(&doc(seed));
+        prints_canonically(&doc(seed));
     }
 
     #[test]
-    fn log_rows_and_messages_print_their_tree(
+    fn log_rows_and_messages_print_canonically_and_round_trip(
         seed in (0usize..64, any::<u64>(), 0usize..4096)
     ) {
         log_rows(seed);
@@ -227,7 +247,7 @@ fn golden_prints() -> Vec<String> {
     let mut out = Vec::new();
     for seed in 0..32usize {
         let n = (seed as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        out.push(prints_its_tree(&doc((
+        out.push(prints_canonically(&doc((
             seed,
             n,
             -(seed as i64) * 7919,
@@ -238,15 +258,7 @@ fn golden_prints() -> Vec<String> {
     out
 }
 
-/// Writes the golden table from the tree's prints.
-#[test]
-#[ignore]
-fn write_golden_table() {
-    let mut table = golden_prints().join("\n");
-    table.push('\n');
-    std::fs::write(GOLDEN, table).unwrap();
-}
-
+/// Every print of the golden table, reproduced byte for byte.
 #[test]
 fn the_golden_table_reproduces() {
     let table = std::fs::read_to_string(GOLDEN).unwrap();
@@ -267,7 +279,7 @@ fn fnv1a(text: &str) -> u64 {
 /// What a real run leaves: every row of the server's tables, and the
 /// report with its telemetry snapshot and span analysis.
 #[test]
-fn a_run_prints_its_tree() {
+fn a_run_prints_what_the_tree_printed() {
     let specs = (0..3)
         .map(|i| SiteSpec::new(SiteId(i), format!("site{i}"), 4))
         .collect();
@@ -284,11 +296,11 @@ fn a_run_prints_its_tree() {
     assert!(report.finished, "{}", report.summary());
     let db = rt.server().database();
     let digests = [
-        fnv1a(&prints_its_tree(&db.scan::<JobRow>().unwrap()[..])),
-        fnv1a(&prints_its_tree(&db.scan::<DagRow>().unwrap()[..])),
-        fnv1a(&prints_its_tree(&db.scan::<SiteStatsRow>().unwrap()[..])),
-        fnv1a(&prints_its_tree(&report.telemetry)),
-        fnv1a(&prints_its_tree(&report)),
+        fnv1a(&round_trips(&db.scan::<JobRow>().unwrap())),
+        fnv1a(&round_trips(&db.scan::<DagRow>().unwrap())),
+        fnv1a(&round_trips(&db.scan::<SiteStatsRow>().unwrap())),
+        fnv1a(&round_trips(&report.telemetry)),
+        fnv1a(&round_trips(&report)),
     ];
     // What the tree printed for this run.
     assert_eq!(
@@ -306,9 +318,9 @@ fn a_run_prints_its_tree() {
 #[test]
 fn scalars_and_shapes_print_pinned_text() {
     for s in STRINGS {
-        prints_its_tree(s);
+        round_trips(&s.to_owned());
     }
-    prints_its_tree(&FLOATS[..]);
+    prints_canonically(&FLOATS[..]);
     assert_eq!(
         to_string(&FLOATS[..]).unwrap(),
         "[0.0,-0.0,1.0,-2.5,999999999999999.0,1000000000000000,10000000000000000,\

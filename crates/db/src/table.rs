@@ -59,7 +59,7 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
     }
 
     fn write_rows(&self, raw: &BTreeMap<u64, Box<str>>, out: &mut String) {
-        // A row never typed prints as its tree would.
+        // A row never typed prints canonically.
         let mut raw = raw.iter().peekable();
         for (&key, row) in self {
             while let Some((&k, text)) = raw.next_if(|(&k, _)| k < key) {
