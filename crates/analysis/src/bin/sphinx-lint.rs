@@ -1,4 +1,5 @@
-//! Command-line front end: `cargo run -p sphinx-analysis -- check`.
+//! Command-line front end: `cargo run -p sphinx-analysis -- check`, or
+//! `-- lines` for each crate's non-test line count.
 //!
 //! Exit status 0 means no errors (warnings are printed but tolerated);
 //! 1 means at least one error; 2 means the tool itself could not run.
@@ -8,6 +9,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: sphinx-lint check [--update-ratchet] [--json]");
+    eprintln!("       sphinx-lint lines");
     eprintln!("       sphinx-lint validate-prom <file>");
     eprintln!();
     eprintln!("Runs the workspace static-analysis pass:");
@@ -19,10 +21,14 @@ fn usage() -> ExitCode {
     eprintln!("  - FSA transition-table verification over crates/core");
     eprintln!("  - call-graph hot-path allocation lint (// sphinx-hot roots)");
     eprintln!("  - interprocedural lock-order / lock-reentry lint");
-    eprintln!("  - the ratchets.toml budgets (panics, hot-alloc, hot-lock-acquisitions)");
+    eprintln!("  - the ratchets.toml budgets (panics, hot-alloc, hot-lock-acquisitions, and the");
+    eprintln!("    non-test lines of the vendored stand-ins)");
     eprintln!();
     eprintln!("  --update-ratchet   re-record all budgets at the observed counts");
     eprintln!("  --json             emit a machine-readable report on stdout");
+    eprintln!();
+    eprintln!("`lines` prints each crate's non-test line count: lines of code under its");
+    eprintln!("src/, outside #[cfg(test)] items, comments and blank lines excluded.");
     eprintln!();
     eprintln!("`validate-prom` parses a Prometheus text-exposition file with the");
     eprintln!("telemetry exporter's own validator (CI runs it on results/metrics.prom).");
@@ -115,7 +121,7 @@ fn main() -> ExitCode {
     let mut command = None;
     for arg in &args {
         match arg.as_str() {
-            "check" if command.is_none() => command = Some("check"),
+            "check" | "lines" if command.is_none() => command = Some(arg.as_str()),
             "--update-ratchet" => update_ratchet = true,
             "--json" => json = true,
             "--help" | "-h" => return usage(),
@@ -125,7 +131,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    if command != Some("check") {
+    let Some(command) = command else {
+        return usage();
+    };
+    if command == "lines" && (update_ratchet || json) {
+        eprintln!("sphinx-lint: lines takes no flags");
         return usage();
     }
 
@@ -140,6 +150,19 @@ fn main() -> ExitCode {
         eprintln!("sphinx-lint: no workspace root (Cargo.toml with [workspace]) above {cwd:?}");
         return ExitCode::from(2);
     };
+
+    if command == "lines" {
+        return match sphinx_analysis::lines::report(&root) {
+            Ok(report) => {
+                print!("{report}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("sphinx-lint: cannot count lines: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
 
     let findings = match run_check(&root, update_ratchet) {
         Ok(f) => f,

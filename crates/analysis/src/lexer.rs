@@ -13,8 +13,9 @@
 //! - `// sphinx-fsa: <annotation>` — declares the intent of a state
 //!   assignment site for the FSA checker (see [`crate::fsa`]).
 //!
-//! Code under `#[cfg(test)] mod ... { ... }` is stripped from the token
-//! stream: tests may use wall clocks, unwraps and raw state pokes freely.
+//! Code under `#[cfg(test)]` (a `mod ... { ... }` or any other item) is
+//! stripped from the token stream: tests may use wall clocks, unwraps and
+//! raw state pokes freely.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +32,10 @@ pub enum TokenKind {
     Number,
     /// A lifetime such as `'a` or `'static`.
     Lifetime,
+    /// A string or char literal, one token (with empty text) per source
+    /// line it covers. Only [`code_lines`] sees them: a [`SourceFile`]
+    /// drops them, so the analyzers never match inside a literal.
+    Literal,
 }
 
 /// One lexed token with its 1-based source line.
@@ -72,7 +77,7 @@ pub struct Directive {
     pub line: u32,
 }
 
-/// A lexed source file: test modules stripped, directives captured.
+/// A lexed source file: test items stripped, directives captured.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, for reporting.
@@ -82,12 +87,14 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// Lex `src`, strip `#[cfg(test)] mod` bodies, capture directives.
+    /// Lex `src`, strip `#[cfg(test)]` items, capture directives.
     pub fn lex(path: &str, src: &str) -> SourceFile {
         let (tokens, directives) = tokenize(src);
+        let mut tokens = strip_test_items(split_turbofish_shifts(tokens));
+        tokens.retain(|t| t.kind != TokenKind::Literal);
         SourceFile {
             path: path.to_owned(),
-            tokens: strip_test_modules(split_turbofish_shifts(tokens)),
+            tokens,
             directives,
         }
     }
@@ -123,6 +130,29 @@ impl SourceFile {
             .filter(|d| d.kind == DirectiveKind::Fsa)
             .find(|d| d.line == line || d.line + 1 == line)
     }
+}
+
+/// The number of lines of `src` that hold code: a token or part of a
+/// literal, outside `#[cfg(test)]` items. Blank lines (a literal's too)
+/// and comments do not count.
+pub fn code_lines(src: &str) -> usize {
+    let (tokens, _) = tokenize(src);
+    let lines: BTreeSet<u32> = strip_test_items(tokens).iter().map(|t| t.line).collect();
+    let text: Vec<&str> = src.lines().collect();
+    let blank = |line: u32| {
+        text.get(line as usize - 1)
+            .is_none_or(|l| l.trim().is_empty())
+    };
+    lines.into_iter().filter(|&line| !blank(line)).count()
+}
+
+/// Push a [`TokenKind::Literal`] for each line from `first` to `last`.
+fn literal(tokens: &mut Vec<Token>, first: u32, last: u32) {
+    tokens.extend((first..=last).map(|line| Token {
+        kind: TokenKind::Literal,
+        text: String::new(),
+        line,
+    }));
 }
 
 /// Multi-char operators, longest first so greedy matching is correct.
@@ -173,8 +203,16 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<Directive>) {
                     }
                 }
             }
-            '"' => i = skip_string(bytes, i + 1, &mut line),
-            'r' | 'b' if is_raw_string_start(bytes, i) => i = skip_raw_string(bytes, i, &mut line),
+            '"' => {
+                let first = line;
+                i = skip_string(bytes, i + 1, &mut line);
+                literal(&mut tokens, first, line);
+            }
+            'r' | 'b' if is_raw_string_start(bytes, i) => {
+                let first = line;
+                i = skip_raw_string(bytes, i, &mut line);
+                literal(&mut tokens, first, line);
+            }
             // Raw identifier `r#ident`: one Ident token with the `r#`
             // stripped, so `r#type` and `type` match the same patterns.
             'r' if bytes.get(i + 1) == Some(&b'#')
@@ -194,8 +232,14 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<Directive>) {
                     line,
                 });
             }
-            'b' if bytes.get(i + 1) == Some(&b'"') => i = skip_string(bytes, i + 2, &mut line),
-            'b' if bytes.get(i + 1) == Some(&b'\'') => i = skip_char(bytes, i + 2, &mut line),
+            'b' if matches!(bytes.get(i + 1), Some(b'"' | b'\'')) => {
+                let first = line;
+                i = match bytes[i + 1] {
+                    b'"' => skip_string(bytes, i + 2, &mut line),
+                    _ => skip_char(bytes, i + 2, &mut line),
+                };
+                literal(&mut tokens, first, line);
+            }
             '\'' => {
                 // Lifetime (`'a`, `'static`) vs char literal (`'x'`, `'\n'`).
                 let mut j = i + 1;
@@ -211,7 +255,9 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<Directive>) {
                     });
                     i = j;
                 } else {
+                    let first = line;
                     i = skip_char(bytes, i + 1, &mut line);
+                    literal(&mut tokens, first, line);
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -377,7 +423,11 @@ fn skip_raw_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
 fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
     while i < bytes.len() {
         match bytes[i] {
-            b'\\' => i += 2,
+            // An escaped newline (a line continuation) is still a line.
+            b'\\' => {
+                *line += u32::from(bytes.get(i + 1) == Some(&b'\n'));
+                i += 2;
+            }
             b'\n' => {
                 *line += 1;
                 i += 1;
@@ -404,49 +454,51 @@ fn skip_char(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
     i
 }
 
-/// Drop every token inside a `#[cfg(test)] mod name { ... }` block.
-fn strip_test_modules(tokens: Vec<Token>) -> Vec<Token> {
+/// Drop every `#[cfg(test)]` item: the attribute, any attributes after
+/// it, and the item itself.
+fn strip_test_items(tokens: Vec<Token>) -> Vec<Token> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
     while i < tokens.len() {
         if is_cfg_test_attr(&tokens, i) {
-            // Skip the attribute itself, plus any further attributes,
-            // then — if a `mod` follows — its whole brace-balanced body.
             let mut j = i + 7; // past `# [ cfg ( test ) ]`
             while tokens.get(j).is_some_and(|t| t.is_punct("#")) {
                 j = skip_attr(&tokens, j);
             }
-            if tokens.get(j).is_some_and(|t| t.is_ident("mod")) {
-                // `mod name {` … matching `}`
-                while j < tokens.len() && !tokens[j].is_punct("{") {
-                    j += 1;
-                }
-                let mut depth = 0usize;
-                while j < tokens.len() {
-                    if tokens[j].is_punct("{") {
-                        depth += 1;
-                    } else if tokens[j].is_punct("}") {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                i = j;
-                continue;
-            }
-            // `#[cfg(test)]` on a non-mod item: drop just the attribute so
-            // the item itself is still visible (it is test-only code, but
-            // single items are rare and the guard keeps the lexer simple).
-            i = j;
+            i = skip_item(&tokens, j);
             continue;
         }
         out.push(tokens[i].clone());
         i += 1;
     }
     out
+}
+
+/// The index just past the item (or statement, field or arm) starting at
+/// `i`: through its first top-level `{ ... }` block and a `;` right after
+/// it, or through a top-level `;` or `,`, or up to the bracket that closes
+/// the group it is in.
+fn skip_item(tokens: &[Token], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while let Some(t) = tokens.get(i) {
+        i += 1;
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" if depth == 0 => return i - 1,
+            "}" | ")" | "]" => {
+                depth -= 1;
+                if depth == 0 && t.text == "}" {
+                    return i + usize::from(tokens.get(i).is_some_and(|t| t.is_punct(";")));
+                }
+            }
+            ";" | "," if depth == 0 => return i,
+            _ => {}
+        }
+    }
+    i
 }
 
 fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
@@ -518,6 +570,41 @@ fn f<'a>(s: &'a str) -> char {
         let f = SourceFile::lex("t.rs", src);
         let b = f.tokens.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b.line, 4);
+    }
+
+    #[test]
+    fn test_items_are_stripped() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(test)]\n    probe: Vec<u8>,\n    b: u8,\n}\n\
+                   #[cfg(test)]\n#[derive(Debug)]\nenum E { A { x: u8 }, B }\n\
+                   #[cfg(test)]\nuse m::{a, b};\n\
+                   #[cfg(test)]\nconst N: [u8; 2] = [1, 2];\nfn after() {}\n";
+        assert_eq!(
+            texts(src),
+            [
+                "struct", "S", "{", "a", ":", "u8", ",", "b", ":", "u8", ",", "}", "fn", "after",
+                "(", ")", "{", "}"
+            ]
+        );
+    }
+
+    #[test]
+    fn code_lines_count_code_and_literals_but_not_comments_or_tests() {
+        let src = "//! Docs.\n\nfn f() -> &'static str {\n    /* a\n       block */\n    \"multi\n\n     line\"\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        // `fn f`, the two non-blank lines of the literal, and the closing
+        // brace.
+        assert_eq!(code_lines(src), 4);
+    }
+
+    #[test]
+    fn continued_strings_keep_their_lines() {
+        let src = "let s = \"a \\\n   b\";\nfn after() {}\n";
+        let f = SourceFile::lex("t.rs", src);
+        assert_eq!(
+            f.tokens.iter().find(|t| t.is_ident("after")).unwrap().line,
+            3
+        );
+        assert_eq!(code_lines(src), 3);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!    rejects re-entry, interprocedurally.
 //!
 //! Panic, hot-alloc and hot-lock counts feed the one-way budget file
-//! `ratchets.toml` enforced by [`ratchet`].
+//! `ratchets.toml` enforced by [`ratchet`], and so do the non-test line
+//! counts ([`lines`]) of the vendored stand-ins.
 //!
 //! Run it as `cargo run -p sphinx-analysis -- check` (CI does).
 
@@ -26,6 +27,7 @@ pub mod determinism;
 pub mod fsa;
 pub mod hotpath;
 pub mod lexer;
+pub mod lines;
 pub mod locks;
 pub mod panics;
 pub mod ratchet;
@@ -121,7 +123,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// All `.rs` files under `dir`, recursively, in sorted (deterministic)
 /// order.
-fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+pub(crate) fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -205,7 +207,8 @@ pub fn run_check(root: &Path, update_ratchet: bool) -> io::Result<Vec<Finding>> 
     let lock_report = locks::check(&files, &graph, &locks::default_spec());
     findings.extend(lock_report.findings);
 
-    // 5. The unified ratchet: panics, hot-alloc, hot-lock-acquisitions.
+    // 5. The unified ratchet: panics, hot-alloc, hot-lock-acquisitions,
+    // and the size of the vendored stand-ins.
     // Every sim crate is recorded (zeros included) so the committed file
     // never churns on key presence.
     let mut observed = ratchet::Budgets::default();
@@ -233,6 +236,11 @@ pub fn run_check(root: &Path, update_ratchet: bool) -> io::Result<Vec<Finding>> 
             &crate_dir,
             lock_report.hot_counts.get(&crate_dir).copied().unwrap_or(0),
         );
+    }
+    for dir in lines::crate_dirs(root)? {
+        if dir.starts_with("crates/vendor/") {
+            observed.set("lines", &dir, lines::count_crate(root, &dir)?);
+        }
     }
     let ratchet_file = root.join(RATCHET_PATH);
     if update_ratchet {

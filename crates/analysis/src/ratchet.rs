@@ -1,7 +1,8 @@
 //! The generalized one-way ratchet: multi-budget `ratchets.toml`.
 //!
-//! Every interprocedural count the analyzers produce — panic-capable
-//! sites, hot-path allocations, lock acquisitions on hot paths — is
+//! Every count the analyzers produce — panic-capable sites, hot-path
+//! allocations, lock acquisitions on hot paths, the vendored stand-ins'
+//! non-test lines — is
 //! compared per crate against a committed baseline that may only go
 //! DOWN. Raising a count fails the build; lowering one produces a
 //! reminder to re-record with `sphinx-lint check --update-ratchet`.
@@ -67,7 +68,8 @@ pub fn render(budgets: &Budgets) -> String {
          #\n\
          # [panics]                panic-capable sites (unwrap/expect/panic!/indexing)\n\
          # [hot-alloc]             allocation sites reachable from a `// sphinx-hot` root\n\
-         # [hot-lock-acquisitions] lock acquisitions reachable from a hot root\n",
+         # [hot-lock-acquisitions] lock acquisitions reachable from a hot root\n\
+         # [lines]                 non-test lines of a vendored stand-in (`sphinx-lint lines`)\n",
     );
     for (section, counts) in &budgets.sections {
         out.push_str(&format!("\n[{section}]\n"));

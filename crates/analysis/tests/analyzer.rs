@@ -183,3 +183,29 @@ fn workspace_self_check_is_clean() {
             .join("\n")
     );
 }
+
+#[test]
+fn lines_lists_every_crate_and_their_sum() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .unwrap()
+        .to_path_buf();
+    let report = sphinx_analysis::lines::report(&root).unwrap();
+    let rows: Vec<(u64, &str)> = report
+        .lines()
+        .map(|row| {
+            let (count, name) = row.trim_start().split_once("  ").unwrap();
+            (count.parse().unwrap(), name)
+        })
+        .collect();
+    let (total, crates) = rows.split_last().unwrap();
+    assert_eq!(total.1, "total");
+    assert_eq!(total.0, crates.iter().map(|(count, _)| count).sum::<u64>());
+    for name in [".", "crates/core", "crates/vendor/serde", "benchmark"] {
+        assert!(
+            crates.iter().any(|(count, n)| *n == name && *count > 0),
+            "{name}"
+        );
+    }
+}
