@@ -241,10 +241,10 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<Directive>) {
                 literal(&mut tokens, first, line);
             }
             '\'' => {
-                // Lifetime (`'a`, `'static`) vs char literal (`'x'`, `'\n'`).
+                // Lifetime (`'a`, `'static`) vs char literal (`'x'`, `'\n'`,
+                // `'é'`: a non-ASCII char is never read as a lifetime).
                 let mut j = i + 1;
-                while j < bytes.len() && ((bytes[j] as char).is_alphanumeric() || bytes[j] == b'_')
-                {
+                while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                     j += 1;
                 }
                 if j > i + 1 && bytes.get(j) != Some(&b'\'') {
@@ -594,6 +594,14 @@ fn f<'a>(s: &'a str) -> char {
         // `fn f`, the two non-blank lines of the literal, and the closing
         // brace.
         assert_eq!(code_lines(src), 4);
+    }
+
+    #[test]
+    fn non_ascii_char_literals_are_literals() {
+        assert_eq!(
+            texts("let c = '😀'; let d = 'é';"),
+            ["let", "c", "=", ";", "let", "d", "=", ";"]
+        );
     }
 
     #[test]
