@@ -477,7 +477,8 @@ fn strip_test_items(tokens: Vec<Token>) -> Vec<Token> {
 /// The index just past the item (or statement, field or arm) starting at
 /// `i`: through its first top-level `{ ... }` block and a `;` right after
 /// it, or through a top-level `;` or `,`, or up to the bracket that closes
-/// the group it is in.
+/// the group it is in. Angle brackets are not counted (`<` may be a
+/// comparison), so a `,` between generic arguments ends the item early.
 fn skip_item(tokens: &[Token], mut i: usize) -> usize {
     let mut depth = 0usize;
     while let Some(t) = tokens.get(i) {
