@@ -77,7 +77,7 @@ fn decodes_as_known(ty: &str, text: &str, noise: &mut Noise) -> Result<String, S
 
 /// One line of the golden table: a text, the type it is decoded as, and
 /// what the tree decoder made of it.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct Frozen {
     ty: String,
     text: String,
