@@ -22,10 +22,10 @@ pub const UNSEEDED_RNG: &str = "unseeded-rng";
 pub const FS_READ: &str = "fs-read";
 /// Rule: environment-variable reads.
 pub const ENV_READ: &str = "env-read";
-/// Rule: OS-thread spawning (`thread::spawn`, `thread::scope`). Thread
-/// interleaving is nondeterministic; only the bench harness may fan out
-/// (its `parallel_map` merges results in input order), so the sim crates
-/// get this rule and the bench crate does not.
+/// Rule: OS-thread spawning (`thread::spawn`, `thread::scope`,
+/// `thread::Builder`). Thread interleaving is nondeterministic; only the
+/// bench harness may fan out (its `parallel_map` merges results in input
+/// order), so the sim crates get this rule and the bench crate does not.
 pub const THREAD: &str = "thread-spawn";
 /// Rule: cross-shard WAL reads (`segment_of`). A shard owns its WAL
 /// namespace exclusively; the only legitimate reader of *another* shard's
@@ -129,14 +129,19 @@ pub fn scan(file: &SourceFile, rules: &[&str]) -> Vec<Finding> {
                 "`read_to_string` is an ambient filesystem read inside a sim-facing crate"
                     .to_owned(),
             ),
-            "thread" if next_is(1, "::") && matches!(ident_at(2), Some("spawn" | "scope")) => emit(
-                THREAD,
-                t.line,
-                format!(
-                    "`thread::{}` introduces nondeterministic interleaving; fan out only in the bench harness",
-                    ident_at(2).unwrap_or_default()
-                ),
-            ),
+            "thread"
+                if next_is(1, "::")
+                    && matches!(ident_at(2), Some("spawn" | "scope" | "Builder")) =>
+            {
+                emit(
+                    THREAD,
+                    t.line,
+                    format!(
+                        "`thread::{}` introduces nondeterministic interleaving; fan out only in the bench harness",
+                        ident_at(2).unwrap_or_default()
+                    ),
+                )
+            }
             "segment_of" => emit(
                 SHARD_WAL_READ,
                 t.line,
@@ -186,6 +191,7 @@ mod tests {
             ("let v = std::env::var(\"X\");", ENV_READ),
             ("let h = thread::spawn(f);", THREAD),
             ("std::thread::scope(|s| run(s));", THREAD),
+            ("let t = std::thread::Builder::new().spawn(f);", THREAD),
             ("let w = wals.segment_of(peer);", SHARD_WAL_READ),
         ];
         for (src, rule) in cases {

@@ -249,11 +249,6 @@ impl Driver {
         self.ops_shared.clone()
     }
 
-    /// The live-ops aggregator, when enabled.
-    pub fn ops_aggregator(&self) -> Option<&OpsAggregator> {
-        self.ops.as_ref()
-    }
-
     /// The shard currently owning a DAG id: its partition slot, remapped
     /// through any completed failovers (always 0 without a plane).
     pub fn owner_of(&self, dag: DagId) -> usize {

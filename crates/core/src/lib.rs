@@ -11,6 +11,10 @@
 //!   to the grid resource management layer and hosts the **job tracker**,
 //!   which feeds completion times and failure reports back to the server
 //!   (§3.3).
+//! * [`messages`] — the tracker reports and plan notices the two
+//!   exchange, carried through the INBOX / OUTBOX tables of the mailbox
+//!   database: the in-process stand-in for the original's Clarens
+//!   XML-RPC.
 //! * [`strategy`] — the four §4.1 scheduling algorithms (round-robin,
 //!   number-of-CPUs, queue-length, completion-time hybrid), each usable
 //!   with or without tracker feedback and with or without policy
@@ -34,7 +38,6 @@ pub mod messages;
 pub mod prediction;
 pub mod reliability;
 pub mod report;
-pub mod rpc;
 pub mod runtime;
 pub mod server;
 pub mod shard;
@@ -45,7 +48,6 @@ pub use client::SphinxClient;
 pub use driver::Driver;
 pub use error::{CoreError, CoreResult};
 pub use report::RunReport;
-pub use rpc::ServerHandle;
 pub use runtime::{RuntimeConfig, SphinxRuntime};
 pub use server::{ServerConfig, SphinxServer};
 pub use shard::{

@@ -84,13 +84,6 @@ pub struct ServerStats {
     pub reschedules_timeout: u64,
 }
 
-impl ServerStats {
-    /// Total reschedules of either cause.
-    pub fn reschedules_total(&self) -> u64 {
-        self.reschedules_held + self.reschedules_timeout
-    }
-}
-
 /// Mutable scheduling state — the planner's view of the *grid*, as opposed
 /// to the per-server view of its own DAGs.
 ///

@@ -1,5 +1,5 @@
-//! `Database` is `Sync` and the RPC deployment hands an `Arc<Database>` to
-//! a second thread, so commits and checkpoints race. Whatever the
+//! `Database` is `Sync`, so a caller may hand an `Arc<Database>` to a
+//! second thread, and then commits and checkpoints race. Whatever the
 //! interleaving, the log must rebuild exactly the live tables: a commit's
 //! append and apply are one step (else two committers can apply in the
 //! opposite order to the one they logged), and a checkpoint's snapshot

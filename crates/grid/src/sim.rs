@@ -420,11 +420,6 @@ impl GridSim {
         std::mem::take(&mut self.out)
     }
 
-    /// True if any simulation events remain.
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// Fire time of the next pending event.
     ///
     /// Recurring processes (background load, crash/repair cycles) keep the
