@@ -21,8 +21,7 @@ use sphinx_ops::OpsConfig;
 use sphinx_policy::Requirement;
 use sphinx_sim::Duration;
 use sphinx_telemetry::{
-    chrome_trace_json, prometheus_text, validate_prometheus, InMemorySink, JsonlSink, TraceEvent,
-    TraceKind,
+    chrome_trace_json, prometheus_text, validate_prometheus, TraceEvent, TraceKind,
 };
 use sphinx_workloads::experiments::{
     ablate_burst, ablate_fault_density, ablate_staleness, fig2, fig345, fig6, fig7, fig8, qos,
@@ -263,16 +262,13 @@ fn ops_scenario(fast_path: bool) -> Scenario {
         .build()
 }
 
-/// Run a scenario with an in-memory trace sink attached, returning the
-/// serialised `OpsAlert` stream (one JSON line per alert) and the full
-/// event capture.
+/// Run a scenario, returning the serialised `OpsAlert` stream (one JSON
+/// line per alert) and every trace line of the run.
 fn run_ops_traced(scenario: &Scenario) -> (String, Vec<TraceEvent>) {
     let mut rt = scenario.build_runtime();
-    let (sink, events) = InMemorySink::new();
-    rt.telemetry().add_sink(Box::new(sink));
     let report = rt.run();
     assert!(report.finished, "{}", report.summary());
-    let captured = events.lock().clone();
+    let captured = rt.telemetry().trace_events();
     let stream: Vec<String> = captured
         .iter()
         .filter(|e| e.kind == TraceKind::OpsAlert)
@@ -381,8 +377,8 @@ fn main() {
                 write_json(&opts.results_dir, "recovery", &outcome).expect("write results");
             }
             "telemetry" => {
-                // One representative faulty-grid run with a JSONL trace
-                // sink attached, plus the FSA dwell-time figure built
+                // One representative faulty-grid run, its JSONL trace
+                // written after it, plus the FSA dwell-time figure built
                 // from the run report's TelemetrySnapshot.
                 let p = params(&opts, seeds(&opts)[0]);
                 let scenario = Scenario::builder()
@@ -391,17 +387,14 @@ fn main() {
                     .dags(3, p.jobs_per_dag)
                     .build();
                 let mut rt = scenario.build_runtime();
+                let report = rt.run();
                 std::fs::create_dir_all(&opts.results_dir).expect("results dir");
                 let trace_path = opts.results_dir.join("telemetry_trace.jsonl");
-                let file = std::fs::File::create(&trace_path).expect("trace file");
-                rt.telemetry()
-                    .add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
-                let report = rt.run();
-                rt.telemetry().flush_sinks();
+                std::fs::write(&trace_path, rt.telemetry().trace_jsonl()).expect("trace file");
                 let snap = &report.telemetry;
                 println!("\n== Telemetry: faulty-grid trace (seed {})", p.seed);
                 println!(
-                    "trace events: {} recorded, {} dropped from the ring (the sink saw all)",
+                    "trace events: {} recorded, {} dropped",
                     snap.trace_recorded, snap.trace_dropped
                 );
                 for (name, v) in &snap.counters {
@@ -443,18 +436,18 @@ fn main() {
                 // the span forest and a Prometheus text exposition of the
                 // snapshot (self-validated before it is written).
                 // Dropped telemetry is lost evidence: the live ops plane
-                // and the post-hoc analysis both read these buffers, so a
-                // smoke run that overflows them fails instead of warning.
+                // and the post-hoc analysis both read the event log, so a
+                // smoke run that reports a drop fails instead of warning.
                 if snap.trace_dropped > 0 {
                     eprintln!(
-                        "regression: {} trace events dropped from the ring (raise trace_capacity)",
+                        "regression: {} trace events dropped (the event log keeps every record)",
                         snap.trace_dropped
                     );
                     std::process::exit(1);
                 }
                 if snap.spans_dropped > 0 {
                     eprintln!(
-                        "regression: {} finished spans evicted (raise span_capacity)",
+                        "regression: {} spans dropped (the event log keeps every record)",
                         snap.spans_dropped
                     );
                     std::process::exit(1);

@@ -169,13 +169,15 @@ fn cycle_epilog(
     now: SimTime,
     wall_start: Option<std::time::Instant>, // sphinx-lint: allow(wall-clock)
 ) {
+    // One cycle's tallies fit 32 bits; saturate rather than wrap.
+    let tally = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
     let (hits, misses) = sched.score_cache.take_counters();
     let reused = std::mem::take(&mut sched.scratch_reused);
-    let wall_us = wall_start.map(|start| start.elapsed().as_micros() as u64);
+    let wall_us = wall_start.map(|start| tally(start.elapsed().as_micros() as u64));
     let done = Event::PlanCycleDone {
-        hits,
-        misses,
-        reused,
+        hits: tally(hits),
+        misses: tally(misses),
+        reused: tally(reused),
         wall_us,
     };
     telemetry.record(now, done);

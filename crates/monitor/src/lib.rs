@@ -392,7 +392,11 @@ mod tests {
         );
         assert_eq!(tel.counter("monitor.samples"), 2);
         assert_eq!(tel.counter("monitor.samples_lost"), 1);
-        assert_eq!(tel.trace_len(), 1, "one monitor_sample trace per round");
+        assert_eq!(
+            tel.trace_events().len(),
+            1,
+            "one monitor_sample trace per round"
+        );
     }
 
     #[test]

@@ -249,8 +249,7 @@ async function refresh() {
     const s = await r.json();
     document.getElementById("meta").textContent =
       "sim t=" + secs(s.now_ms) + "s · window " + secs(s.window_ms) + "s · " +
-      s.ticks + " ticks · " + s.events_seen + " events (" + s.events_missed +
-      " missed) · " + s.alerts_total + " alerts";
+      s.ticks + " ticks · " + s.events_seen + " records · " + s.alerts_total + " alerts";
     document.querySelector("#sites tbody").innerHTML = s.sites.map(x =>
       "<tr><td class=name>" + x.site + "</td><td>" + x.queue_depth.toFixed(0) +
       "</td><td>" + secs(x.staleness_ms) + "</td><td>" + x.submits_recent +

@@ -8,7 +8,7 @@
 //! cancellation report arrives: tens of minutes of wasted submissions.
 //! This crate watches the run *while it happens*:
 //!
-//! * [`OpsAggregator`] reads the telemetry trace ring and the few metrics
+//! * [`OpsAggregator`] reads the telemetry event log and the few metrics
 //!   it needs in place, incrementally (cursor-based, one lock acquisition
 //!   per planner cycle, nothing copied out of the hub) and maintains rolling
 //!   sim-time-windowed per-site health views — queue depth, submit→start
@@ -42,7 +42,7 @@ pub mod http;
 
 use serde::{Deserialize, Serialize};
 use sphinx_sim::{Duration, SimTime};
-use sphinx_telemetry::{OpsView, Telemetry, TraceEvent, TraceKind};
+use sphinx_telemetry::{OpsView, Telemetry, TraceKind, TraceLine};
 use std::collections::BTreeMap;
 
 /// Window slots retained per site. Bounds both memory and how far back
@@ -188,10 +188,8 @@ pub struct OpsSnapshot {
     pub window_ms: u64,
     /// Aggregator ticks so far.
     pub ticks: u64,
-    /// Trace events consumed (the poll cursor).
+    /// Telemetry log records consumed (the poll cursor).
     pub events_seen: u64,
-    /// Trace events lost to ring overflow before the aggregator saw them.
-    pub events_missed: u64,
     /// Alerts fired over the run.
     pub alerts_total: u64,
     /// Per-site health, site-ordered.
@@ -307,7 +305,6 @@ pub struct OpsAggregator {
     config: OpsConfig,
     window_ms: u64,
     cursor: u64,
-    missed_total: u64,
     ticks: u64,
     alerts_total: u64,
     sites: BTreeMap<u32, SiteState>,
@@ -341,7 +338,6 @@ impl OpsAggregator {
         OpsAggregator {
             window_ms,
             cursor: 0,
-            missed_total: 0,
             ticks: 0,
             alerts_total: 0,
             sites: BTreeMap::new(),
@@ -370,11 +366,7 @@ impl OpsAggregator {
     pub fn tick(&mut self, now: SimTime, telemetry: &Telemetry) -> &[OpsAlert] {
         self.ticks += 1;
         self.fired.clear();
-        let missed = telemetry.ops_poll(self.cursor, |view| self.ingest(view, now));
-        if missed > 0 {
-            self.missed_total += missed;
-            telemetry.counter_add("ops.poll.missed", missed);
-        }
+        telemetry.ops_poll(self.cursor, |view| self.ingest(view, now));
         self.run_detectors(now, telemetry);
         telemetry.counter_add("ops.alerts", self.fired.len() as u64);
         self.alerts_total += self.fired.len() as u64;
@@ -391,10 +383,9 @@ impl OpsAggregator {
         t.as_millis() / self.window_ms
     }
 
-    /// Fold what the hub lends into the windows; returns the events
-    /// missed since the last poll. Runs under the hub lock, so it must
-    /// not call back into the hub.
-    fn ingest(&mut self, view: OpsView<'_>, now: SimTime) -> u64 {
+    /// Fold what the hub lends into the windows. Runs under the hub
+    /// lock, so it must not call back into the hub.
+    fn ingest(&mut self, view: OpsView<'_>, now: SimTime) {
         self.cursor = view.cursor;
         for event in view.events {
             self.ingest_trace_event(event);
@@ -422,10 +413,9 @@ impl OpsAggregator {
         self.wal_window_count += view.wal_appends.saturating_sub(self.wal_prev);
         self.wal_prev = view.wal_appends;
         self.scheduler.wal_appends = view.wal_appends;
-        view.missed
     }
 
-    fn ingest_trace_event(&mut self, event: &TraceEvent) {
+    fn ingest_trace_event(&mut self, event: TraceLine) {
         let widx = event.sim_time.as_millis() / self.window_ms;
         match event.kind {
             TraceKind::GridSubmit => {
@@ -593,7 +583,6 @@ impl OpsAggregator {
         snap.window_ms = self.window_ms;
         snap.ticks = self.ticks;
         snap.events_seen = self.cursor;
-        snap.events_missed = self.missed_total;
         snap.alerts_total = self.alerts_total;
         snap.scheduler = self.scheduler;
         snap.sites.clear();
@@ -708,7 +697,7 @@ fn push_alert(
 mod tests {
     use super::*;
     use sphinx_data::SiteId;
-    use sphinx_telemetry::{Event, GridStep, InMemorySink};
+    use sphinx_telemetry::{Event, GridStep};
 
     fn grid(tel: &Telemetry, step: GridStep, site: u32, job: u64, at: SimTime) {
         let site = SiteId(site);
@@ -863,18 +852,15 @@ mod tests {
     #[test]
     fn alerts_are_traced_and_counted() {
         let tel = Telemetry::new();
-        let (sink, events) = InMemorySink::new();
-        tel.add_sink(Box::new(sink));
         let mut agg = OpsAggregator::new(quick_config());
         grid(&tel, GridStep::Submit, 0, 1, mins(2));
         grid(&tel, GridStep::Submit, 0, 2, mins(3));
         agg.tick(mins(8), &tel);
         assert_eq!(tel.counter("ops.alerts"), 1);
-        let traced: Vec<_> = events
-            .lock()
-            .iter()
+        let traced: Vec<_> = tel
+            .trace_events()
+            .into_iter()
             .filter(|e| e.kind == TraceKind::OpsAlert)
-            .cloned()
             .collect();
         assert_eq!(traced.len(), 1);
         assert_eq!(traced[0].site, Some(0));
@@ -908,21 +894,6 @@ mod tests {
         let json = serde_json::to_string(&a_snap).unwrap();
         let back: OpsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a_snap);
-    }
-
-    #[test]
-    fn missed_ring_events_are_surfaced_not_silent() {
-        let tel = Telemetry::with_config(sphinx_telemetry::TelemetryConfig {
-            trace_capacity: 4,
-            ..sphinx_telemetry::TelemetryConfig::default()
-        });
-        let mut agg = OpsAggregator::new(quick_config());
-        for i in 0..10u64 {
-            grid(&tel, GridStep::Submit, 0, i, mins(0));
-        }
-        agg.tick(mins(1), &tel);
-        assert_eq!(agg.snapshot_at(mins(1)).events_missed, 6);
-        assert_eq!(tel.counter("ops.poll.missed"), 6);
     }
 
     #[test]

@@ -7,30 +7,29 @@
 //! links to the job span whose completion made it ready, and a replan
 //! `attempt` span links to the attempt it replaces.
 //!
-//! [`SpanGraph`] walks that forest to answer the question the flat
-//! trace cannot: *why did DAG N finish when it did?* The critical path
-//! of a DAG is recovered by starting from its last-finishing job and
-//! following ready-cause links backwards to a root job; the chain's
-//! state spans tile the makespan, each attributed to planner wait,
-//! queue wait, execution, or fault recovery.
+//! The analysis answers the question the flat trace cannot: *why did
+//! DAG N finish when it did?* The critical path of a DAG is recovered by
+//! starting from its last-finishing job and following ready-cause links
+//! backwards to a root job; the chain's state spans tile the makespan,
+//! each attributed to planner wait, queue wait, execution, or fault
+//! recovery.
 //!
-//! Everything here is pure post-processing over an immutable span list:
-//! deterministic input (same seed) gives identical [`TraceAnalysis`]
-//! output, which `RunReport` carries and the determinism suite asserts.
-//!
-//! The list is indexed **once**, in [`SpanGraph::new`], whether the graph
-//! owns its spans or borrows them where they are stored
-//! (`Telemetry::analyze` indexes the hub's span store in place): id →
-//! position, the spans of each job and the `dag` / `job` spans of each
-//! DAG, every group in list order. Each query then reads only the groups of the
-//! jobs it chains, so a whole [`SpanGraph::analyze`] costs
-//! O(spans · log spans) to index plus O(Σ chained jobs' spans) to walk,
-//! where a scan per query cost O(DAGs × chain × spans). The scanning
-//! implementation survives as the test oracle at the bottom of this file.
+//! `Telemetry::analyze` never builds that forest. It replays the hub's
+//! event log into [`Histories`] — per job, its state steps, first
+//! ready-cause, last attempt and lifetime; per DAG, its root span — and
+//! walks those. Deterministic input (same seed) gives identical
+//! [`TraceAnalysis`] output, which `RunReport` carries and the
+//! determinism suite asserts. [`SpanGraph`] indexes a materialized span
+//! list by id to check its structure; the scan-per-query implementation
+//! over such a list survives as the test oracle at the bottom of this
+//! file.
 
+use crate::replay::{Chunks, Sink};
 use crate::span::{Span, SpanId};
 use serde::{Deserialize, Serialize};
+use sphinx_sim::SimTime;
 use std::borrow::Borrow;
+use std::collections::BTreeMap;
 
 /// The dense key of job `index` of DAG `dag` (`sphinx_dag::JobId::as_key`).
 pub fn job_key(dag: u64, index: u64) -> u64 {
@@ -63,15 +62,13 @@ impl DwellBreakdown {
     /// "fault-recovery" or "dependencies"); ties break toward the
     /// earlier pipeline stage.
     pub fn blame(&self) -> &'static str {
-        let cats: [(&'static str, u64); 5] = [
-            ("dependencies", self.dependency_ms),
+        let mut best = ("dependencies", self.dependency_ms);
+        for c in [
             ("planner", self.planner_ms),
             ("queue", self.queue_ms),
             ("execution", self.execution_ms),
             ("fault-recovery", self.fault_ms),
-        ];
-        let mut best = cats[0];
-        for c in cats {
+        ] {
             if c.1 > best.1 {
                 best = c;
             }
@@ -149,95 +146,299 @@ pub struct TraceAnalysis {
     pub spans_total: u64,
     /// Spans still live when the analysis ran.
     pub spans_live: u64,
-    /// Finished spans evicted from the bounded store.
+    /// Spans lost before the analysis ran: always 0, the log keeps every
+    /// record.
     pub spans_dropped: u64,
 }
 
-/// Positions into a span list grouped by a `u64` key (span id, job key
-/// or DAG id), sorted by `(key, position)`: one key's group is a
-/// contiguous run that keeps list order, which is what every tie-break
-/// below relies on.
-struct Groups(Vec<(u64, usize)>);
+/// The replay sink behind [`crate::Telemetry::analyze`]: per-job
+/// histories, not a span forest. It keeps every `state:*` step, `job`
+/// span and `dag` span compactly, each job key's first ready-cause link,
+/// and where each span id went, so a close finds its span without a
+/// search. Attempt, slot, phase and WAL spans leave an empty entry.
+#[derive(Default)]
+pub(crate) struct Histories {
+    /// Where each span id's history lives.
+    index: Chunks<Entry>,
+    /// `state:*` spans, in id order.
+    steps: Chunks<Step>,
+    /// `job` spans (`key` is the job key), in id order.
+    jobs: Chunks<Interval>,
+    /// `dag` spans (`key` is the DAG), in id order.
+    dags: Vec<Interval>,
+    /// Each job key's first `state:ready` link.
+    first_ready: BTreeMap<u64, Option<SpanId>>,
+}
 
-impl Groups {
-    fn new(mut entries: Vec<(u64, usize)>) -> Self {
-        entries.sort_unstable();
-        Groups(entries)
+/// A span id's place in [`Histories`]: an index into its list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Untracked,
+    Step(u32),
+    Job(u32),
+    Dag(u32),
+}
+
+/// The `state:*` span names, by [`Step::state`].
+const STATES: [&str; 5] = ["unready", "ready", "submitted", "queued", "running"];
+
+/// One `state:*` span.
+struct Step {
+    job: u64,
+    start: SimTime,
+    /// Meaningful once `closed`.
+    end: SimTime,
+    site: Option<u32>,
+    attempt: u64,
+    /// Index into [`STATES`].
+    state: u8,
+    closed: bool,
+}
+
+/// One `job` or `dag` span.
+struct Interval {
+    key: u64,
+    start: SimTime,
+    end: Option<SimTime>,
+}
+
+fn ms_between(start: SimTime, end: SimTime) -> u64 {
+    end.as_millis().saturating_sub(start.as_millis())
+}
+
+impl Sink for Histories {
+    fn open(&mut self, span: Span) {
+        let (start, end) = (span.start, None);
+        let state = span.name.strip_prefix("state:");
+        let entry = match (span.name, span.job, span.dag) {
+            ("dag", _, Some(key)) => {
+                self.dags.push(Interval { key, start, end });
+                Entry::Dag(self.dags.len() as u32 - 1)
+            }
+            ("job", Some(key), _) => {
+                Entry::Job(self.jobs.push(Interval { key, start, end }) as u32)
+            }
+            (_, Some(job), _) => match STATES.iter().position(|&s| Some(s) == state) {
+                Some(state) => {
+                    if state == 1 {
+                        self.first_ready.entry(job).or_insert(span.link);
+                    }
+                    Entry::Step(self.steps.push(Step {
+                        job,
+                        start,
+                        end: start,
+                        site: span.site,
+                        attempt: span.attempt.unwrap_or(0),
+                        state: state as u8,
+                        closed: false,
+                    }) as u32)
+                }
+                None => Entry::Untracked,
+            },
+            _ => Entry::Untracked,
+        };
+        // Ids ascend from 0 with no gaps in a replay.
+        while self.index.len() < span.id.0 as usize {
+            self.index.push(Entry::Untracked);
+        }
+        self.index.push(entry);
     }
 
-    /// Positions filed under `key`, ascending.
-    fn of(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.0.partition_point(|e| e.0 < key);
-        self.0
-            .iter()
-            .skip(lo)
-            .take_while(move |e| e.0 == key)
-            .map(|e| e.1)
+    fn close(&mut self, id: SpanId, end: SimTime) {
+        let span = match self.index.get(id.0 as usize).copied() {
+            Some(Entry::Step(i)) => {
+                if let Some(step) = self.steps.get_mut(i as usize) {
+                    (step.end, step.closed) = (end.max(step.start), true);
+                }
+                return;
+            }
+            Some(Entry::Job(i)) => self.jobs.get_mut(i as usize),
+            Some(Entry::Dag(i)) => self.dags.get_mut(i as usize),
+            _ => None,
+        };
+        if let Some(span) = span {
+            span.end = Some(end.max(span.start));
+        }
     }
 }
 
-/// An indexed, immutable view over a span forest: over owned spans
-/// (`SpanGraph<Span>`) or spans borrowed from where they are stored
-/// (`SpanGraph<&Span>`).
+/// [`Histories`] grouped for the walk: each job key's steps, in id order
+/// (a job's states never overlap, so that is also end order).
+struct ByJob<'a> {
+    histories: &'a Histories,
+    /// `(job key, step index)` of every step, sorted.
+    steps: Vec<(u64, u32)>,
+}
+
+impl ByJob<'_> {
+    /// Every step of `job`, finished or not.
+    fn steps(&self, job: u64) -> impl Iterator<Item = &Step> {
+        let from = self.steps.partition_point(|e| e.0 < job);
+        let of_job = self.steps.iter().skip(from).take_while(move |e| e.0 == job);
+        of_job.filter_map(|e| self.histories.steps.get(e.1 as usize))
+    }
+
+    /// The highest attempt of `job`: each attempt opens with its
+    /// `state:submitted` step.
+    fn final_attempt(&self, job: u64) -> u64 {
+        self.steps(job).map(|s| s.attempt).max().unwrap_or(0)
+    }
+
+    /// The critical path of `dag`: from its last-finishing job span,
+    /// follow each job's first ready-cause link upstream to a root job.
+    fn critical_path(&self, dag: u64, last: &Interval, bound: u64) -> Option<CriticalPath> {
+        let h = self.histories;
+        // A DAG's root spans never overlap, so its first is the first to
+        // have ended, or the live one.
+        let dag_span = h.dags.iter().find(|d| d.key == dag);
+        let mut chain = vec![last];
+        // Bounded walk: a link cycle is impossible by construction (links
+        // point at earlier ids) but guard anyway.
+        for _ in 0..bound {
+            let link = chain
+                .last()
+                .and_then(|s| h.first_ready.get(&s.key))
+                .copied();
+            let parent = match link.flatten().and_then(|id| h.index.get(id.0 as usize)) {
+                Some(Entry::Job(i)) => h.jobs.get(*i as usize),
+                _ => None,
+            };
+            let Some(parent) = parent else { break };
+            chain.push(parent);
+        }
+        chain.reverse();
+        let jobs: Vec<u64> = chain.iter().map(|s| s.key).collect();
+        let mut steps = Vec::new();
+        for (pos, &job) in jobs.iter().enumerate() {
+            // A chained job's `state:unready` dwell overlaps its upstream's
+            // whole lifetime (it ends exactly when the linked parent
+            // completes), so only the chain root contributes it — the
+            // remaining steps tile the makespan without double counting.
+            let mut own: Vec<CriticalStep> = self
+                .steps(job)
+                .filter(|s| s.closed && (pos == 0 || s.state != 0))
+                .map(|s| CriticalStep {
+                    name: format!("state:{}", STATES.get(usize::from(s.state)).unwrap_or(&"")),
+                    job,
+                    site: s.site,
+                    attempt: s.attempt,
+                    start_ms: s.start.as_millis(),
+                    end_ms: s.end.as_millis(),
+                })
+                .collect();
+            own.sort_by_key(|s| (s.start_ms, s.end_ms));
+            steps.append(&mut own);
+        }
+        let path_ms = steps.iter().map(CriticalStep::duration_ms).sum();
+        let dag_start = dag_span.or(chain.first().copied()).map(|s| s.start)?;
+        let dag_end = dag_span.and_then(|s| s.end).or(last.end);
+        Some(CriticalPath {
+            dag,
+            makespan_ms: ms_between(dag_start, dag_end.unwrap_or(dag_start)),
+            path_ms,
+            jobs,
+            steps,
+        })
+    }
+
+    /// Classify every finished dwell-state step of `job` into the
+    /// breakdown categories, plus the number of planning attempts.
+    fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
+        let final_attempt = self.final_attempt(job);
+        let mut dwell = DwellBreakdown::default();
+        for s in self.steps(job).filter(|s| s.closed) {
+            let bucket = match (s.state, s.attempt) {
+                (0, _) => &mut dwell.dependency_ms,
+                (1, 0) => &mut dwell.planner_ms,
+                (2 | 3, a) if a == final_attempt => &mut dwell.queue_ms,
+                (4, a) if a == final_attempt => &mut dwell.execution_ms,
+                _ => &mut dwell.fault_ms,
+            };
+            *bucket += ms_between(s.start, s.end);
+        }
+        (dwell, final_attempt)
+    }
+}
+
+impl Histories {
+    /// A critical path per DAG (ascending id), the `top_n` slowest jobs,
+    /// and the replay's span counts.
+    pub(crate) fn analyze(self, top_n: usize, total: u64, live: u64) -> TraceAnalysis {
+        let mut steps: Vec<(u64, u32)> = (0..)
+            .zip(self.steps.since(0))
+            .map(|(i, s)| (s.job, i))
+            .collect();
+        steps.sort_unstable();
+        let by_job = ByJob {
+            histories: &self,
+            steps,
+        };
+        // Each DAG's last-finishing job span; ties go to the lower id.
+        let finished = || self.jobs.since(0).filter(|j| j.end.is_some());
+        let mut last: BTreeMap<u64, &Interval> = BTreeMap::new();
+        for span in finished() {
+            let entry = last.entry(job_key_dag(span.key)).or_insert(span);
+            if span.end > entry.end {
+                *entry = span;
+            }
+        }
+        let mut dags: Vec<u64> = self.dags.iter().map(|d| d.key).collect();
+        dags.sort_unstable();
+        dags.dedup();
+        let critical_paths = dags
+            .into_iter()
+            .filter_map(|dag| by_job.critical_path(dag, last.get(&dag)?, total))
+            .collect();
+        // The `top_n` longest-lived finished jobs, slowest first; equal
+        // entries blame alike, so their order does not matter.
+        let mut slowest: Vec<(u64, u64)> = finished()
+            .map(|j| (ms_between(j.start, j.end.unwrap_or(j.start)), j.key))
+            .collect();
+        slowest.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        slowest.truncate(top_n);
+        let slowest_jobs = slowest.into_iter().map(|(total_ms, job)| {
+            let (dwell, attempts) = by_job.job_dwell(job);
+            let blame = dwell.blame().to_owned();
+            let dag = job_key_dag(job);
+            JobBlame {
+                job,
+                dag,
+                total_ms,
+                attempts,
+                dwell,
+                blame,
+            }
+        });
+        TraceAnalysis {
+            critical_paths,
+            slowest_jobs: slowest_jobs.collect(),
+            spans_total: total,
+            spans_live: live,
+            spans_dropped: 0,
+        }
+    }
+}
+
+/// An indexed, immutable view over a span forest, for checking its
+/// structure: over owned spans (`SpanGraph<Span>`) or spans borrowed from
+/// where they are stored (`SpanGraph<&Span>`).
 pub struct SpanGraph<S = Span> {
     spans: Vec<S>,
-    /// Every span, under its id.
-    by_id: Groups,
-    /// Every span that names a job, grouped by job key.
-    by_job: Groups,
-    /// The `dag` and `job` spans of each DAG, grouped by DAG id.
-    by_dag: Groups,
+    /// Position of every span, by id.
+    by_id: BTreeMap<SpanId, usize>,
 }
 
 impl<S: Borrow<Span>> SpanGraph<S> {
-    /// Index a span list (as returned by `Telemetry::spans`, or borrowed
-    /// from a [`crate::SpanStore`]).
+    /// Index a span list (as returned by `Telemetry::spans`).
     pub fn new(spans: impl IntoIterator<Item = S>) -> Self {
         let spans: Vec<S> = spans.into_iter().collect();
-        let mut by_id = Vec::with_capacity(spans.len());
-        let mut by_job = Vec::new();
-        let mut by_dag = Vec::new();
-        for (i, span) in spans.iter().map(Borrow::borrow).enumerate() {
-            by_id.push((span.id.0, i));
-            if let Some(job) = span.job {
-                by_job.push((job, i));
-            }
-            if let (Some(dag), "dag" | "job") = (span.dag, span.name) {
-                by_dag.push((dag, i));
-            }
-        }
-        SpanGraph {
-            spans,
-            by_id: Groups::new(by_id),
-            by_job: Groups::new(by_job),
-            by_dag: Groups::new(by_dag),
-        }
-    }
-
-    /// The spans `groups` files under `key`, in list order.
-    fn group<'a>(&'a self, groups: &'a Groups, key: u64) -> impl Iterator<Item = &'a Span> + 'a {
-        groups.of(key).map(|i| self.spans[i].borrow())
+        let by_id = (0..).zip(&spans).map(|(i, s)| (s.borrow().id, i)).collect();
+        SpanGraph { spans, by_id }
     }
 
     /// Lookup by id.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.group(&self.by_id, id.0).next()
-    }
-
-    /// Every span naming `job`, in list order.
-    fn job_spans(&self, job: u64) -> impl Iterator<Item = &Span> + '_ {
-        self.group(&self.by_job, job)
-    }
-
-    /// The finished `state:*` spans of `job`, in list order.
-    fn dwell_spans(&self, job: u64) -> impl Iterator<Item = &Span> + '_ {
-        self.job_spans(job)
-            .filter(|s| s.end.is_some() && s.name.starts_with("state:"))
-    }
-
-    /// The `dag` and `job` spans of `dag`, in list order.
-    fn dag_spans(&self, dag: u64) -> impl Iterator<Item = &Span> + '_ {
-        self.group(&self.by_dag, dag)
+        self.spans.get(*self.by_id.get(&id)?).map(Borrow::borrow)
     }
 
     /// Structural invariant check. Returns one message per violation:
@@ -247,222 +448,48 @@ impl<S: Borrow<Span>> SpanGraph<S> {
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for span in self.spans.iter().map(Borrow::borrow) {
+            let mut flag = |what: std::fmt::Arguments<'_>| {
+                problems.push(format!("span {} ({}) {what}", span.id.0, span.name));
+            };
             if let Some(end) = span.end.filter(|&end| end < span.start) {
-                problems.push(format!(
-                    "span {} ({}) ends at {}ms before it starts at {}ms",
-                    span.id.0,
-                    span.name,
-                    end.as_millis(),
-                    span.start.as_millis()
+                let (end, start) = (end.as_millis(), span.start.as_millis());
+                flag(format_args!(
+                    "ends at {end}ms before it starts at {start}ms"
                 ));
             }
-            if let Some(pid) = span.parent {
-                match self.get(pid) {
-                    None => problems.push(format!(
-                        "span {} ({}) has dangling parent {}",
-                        span.id.0, span.name, pid.0
-                    )),
-                    Some(parent) => {
-                        if span.start < parent.start {
-                            problems.push(format!(
-                                "span {} ({}) starts before its parent {} ({})",
-                                span.id.0, span.name, parent.id.0, parent.name
-                            ));
-                        }
-                        if let (Some(pend), Some(cend)) = (parent.end, span.end) {
-                            if cend > pend {
-                                problems.push(format!(
-                                    "span {} ({}) outlives its parent {} ({})",
-                                    span.id.0, span.name, parent.id.0, parent.name
-                                ));
-                            }
-                        }
-                    }
-                }
+            let parent = span.parent.map(|id| (id, self.get(id)));
+            if let Some((id, None)) = parent {
+                flag(format_args!("has dangling parent {}", id.0));
             }
-            if span.name == "job" {
-                let under_dag = span
-                    .parent
-                    .and_then(|p| self.get(p))
-                    .map(|p| p.name == "dag" && p.dag == span.dag)
-                    .unwrap_or(false);
-                if !under_dag {
-                    problems.push(format!(
-                        "job span {} (job {:?}) is not rooted at its dag span",
-                        span.id.0, span.job
+            if let Some((_, Some(p))) = parent {
+                if span.start < p.start {
+                    flag(format_args!(
+                        "starts before its parent {} ({})",
+                        p.id.0, p.name
                     ));
                 }
+                if matches!((p.end, span.end), (Some(pend), Some(end)) if end > pend) {
+                    flag(format_args!("outlives its parent {} ({})", p.id.0, p.name));
+                }
+            }
+            let rooted = parent
+                .and_then(|p| p.1)
+                .is_some_and(|p| p.name == "dag" && p.dag == span.dag);
+            if span.name == "job" && !rooted {
+                flag(format_args!(
+                    "is a job span (job {:?}) not rooted at its dag span",
+                    span.job
+                ));
             }
         }
         problems
     }
-
-    fn first_ready_span(&self, job: u64) -> Option<&Span> {
-        self.job_spans(job)
-            .filter(|s| s.name == "state:ready")
-            .min_by_key(|s| s.id)
-    }
-
-    fn state_steps(&self, job: u64) -> Vec<CriticalStep> {
-        let mut steps: Vec<CriticalStep> = self
-            .dwell_spans(job)
-            .map(|s| CriticalStep {
-                name: s.name.to_owned(),
-                job,
-                site: s.site,
-                attempt: s.attempt.unwrap_or(0),
-                start_ms: s.start.as_millis(),
-                end_ms: s.end.map(|e| e.as_millis()).unwrap_or(0),
-            })
-            .collect();
-        steps.sort_by_key(|s| (s.start_ms, s.end_ms));
-        steps
-    }
-
-    /// Recover the critical path of one DAG: start from its
-    /// last-finishing job span and follow each job's first ready-cause
-    /// link upstream to a root job. `None` when the DAG has no finished
-    /// job spans in the graph.
-    pub fn critical_path(&self, dag: u64) -> Option<CriticalPath> {
-        let dag_span = self.dag_spans(dag).find(|s| s.name == "dag");
-        let last = self
-            .dag_spans(dag)
-            .filter(|s| s.name == "job" && s.end.is_some())
-            .max_by(|a, b| a.end.cmp(&b.end).then(b.id.cmp(&a.id)))?;
-        let mut chain = vec![last];
-        let mut cur = last;
-        // Bounded walk: a link cycle is impossible by construction (links
-        // point at earlier ids) but guard anyway.
-        for _ in 0..self.spans.len() {
-            let link = self
-                .first_ready_span(cur.job.unwrap_or(u64::MAX))
-                .and_then(|s| s.link);
-            let Some(parent) = link.and_then(|id| self.get(id)) else {
-                break;
-            };
-            chain.push(parent);
-            cur = parent;
-        }
-        chain.reverse();
-        let jobs: Vec<u64> = chain.iter().filter_map(|s| s.job).collect();
-        let mut steps = Vec::new();
-        for (pos, job) in jobs.iter().enumerate() {
-            // A chained job's `state:unready` dwell overlaps its upstream's
-            // whole lifetime (it ends exactly when the linked parent
-            // completes), so only the chain root contributes it — the
-            // remaining steps tile the makespan without double counting.
-            steps.extend(
-                self.state_steps(*job)
-                    .into_iter()
-                    .filter(|s| pos == 0 || s.name != "state:unready"),
-            );
-        }
-        let path_ms = steps.iter().map(CriticalStep::duration_ms).sum();
-        let dag_start = dag_span.map(|s| s.start).unwrap_or(chain[0].start);
-        let dag_end = dag_span
-            .and_then(|s| s.end)
-            .or(last.end)
-            .unwrap_or(dag_start);
-        Some(CriticalPath {
-            dag,
-            makespan_ms: dag_end.as_millis().saturating_sub(dag_start.as_millis()),
-            path_ms,
-            jobs,
-            steps,
-        })
-    }
-
-    fn final_attempt(&self, job: u64) -> u64 {
-        self.job_spans(job)
-            .filter(|s| s.name == "attempt")
-            .filter_map(|s| s.attempt)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Classify every finished dwell-state span of `job` into the
-    /// breakdown categories, plus the number of planning attempts.
-    pub fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
-        let final_attempt = self.final_attempt(job);
-        let mut dwell = DwellBreakdown::default();
-        for s in self.dwell_spans(job) {
-            let attempt = s.attempt.unwrap_or(0);
-            let bucket = match s.name {
-                "state:unready" => &mut dwell.dependency_ms,
-                "state:ready" if attempt == 0 => &mut dwell.planner_ms,
-                "state:submitted" | "state:queued" if attempt == final_attempt => {
-                    &mut dwell.queue_ms
-                }
-                "state:running" if attempt == final_attempt => &mut dwell.execution_ms,
-                _ => &mut dwell.fault_ms,
-            };
-            *bucket += s.duration_ms();
-        }
-        (dwell, final_attempt)
-    }
-
-    /// The `n` longest-lived finished jobs, slowest first, each with its
-    /// dwell breakdown and dominant blame category.
-    pub fn slowest_jobs(&self, n: usize) -> Vec<JobBlame> {
-        let mut jobs: Vec<&Span> = self
-            .spans
-            .iter()
-            .map(Borrow::borrow)
-            .filter(|s| s.name == "job" && s.end.is_some())
-            .collect();
-        jobs.sort_by(|a, b| {
-            b.duration_ms()
-                .cmp(&a.duration_ms())
-                .then(a.job.cmp(&b.job))
-        });
-        jobs.truncate(n);
-        jobs.into_iter()
-            .map(|s| {
-                let key = s.job.unwrap_or(0);
-                let (dwell, attempts) = self.job_dwell(key);
-                JobBlame {
-                    job: key,
-                    dag: s.dag.unwrap_or_else(|| job_key_dag(key)),
-                    total_ms: s.duration_ms(),
-                    attempts,
-                    dwell,
-                    blame: dwell.blame().to_owned(),
-                }
-            })
-            .collect()
-    }
-
-    /// Full report: a critical path per DAG (ascending id) and the
-    /// top-`top_n` slowest jobs. Span-store counters are filled in by
-    /// `Telemetry::analyze`.
-    pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
-        let mut dag_ids: Vec<u64> = self
-            .spans
-            .iter()
-            .map(Borrow::borrow)
-            .filter(|s| s.name == "dag")
-            .filter_map(|s| s.dag)
-            .collect();
-        dag_ids.sort_unstable();
-        dag_ids.dedup();
-        TraceAnalysis {
-            critical_paths: dag_ids
-                .into_iter()
-                .filter_map(|d| self.critical_path(d))
-                .collect(),
-            slowest_jobs: self.slowest_jobs(top_n),
-            spans_total: 0,
-            spans_live: 0,
-            spans_dropped: 0,
-        }
-    }
 }
 
-/// The scan-per-query implementation [`SpanGraph`] replaced, kept as the
-/// oracle the indexed one is compared against: every query walks the
-/// whole span list, O(DAGs × chain × spans) for a full analysis.
+/// The analysis over a materialized span list, one scan of the whole
+/// list per query: the oracle `Telemetry::analyze` is compared against.
 #[cfg(test)]
-mod oracle {
+pub(crate) mod oracle {
     use super::*;
 
     pub struct ScanGraph<'a>(pub &'a [Span]);
@@ -603,6 +630,7 @@ mod oracle {
                 .collect()
         }
 
+        /// Everything `Telemetry::analyze` reports about the list.
         pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
             let mut dag_ids: Vec<u64> = self
                 .0
@@ -618,8 +646,8 @@ mod oracle {
                     .filter_map(|d| self.critical_path(d))
                     .collect(),
                 slowest_jobs: self.slowest_jobs(top_n),
-                spans_total: 0,
-                spans_live: 0,
+                spans_total: self.0.len() as u64,
+                spans_live: self.0.iter().filter(|s| s.end.is_none()).count() as u64,
                 spans_dropped: 0,
             }
         }
@@ -630,133 +658,120 @@ mod oracle {
 mod tests {
     use super::oracle::ScanGraph;
     use super::*;
-    use crate::span::{SpanAttrs, SpanStore};
-    use crate::{Event, JobStep, Telemetry, TelemetryConfig};
-    use proptest::prelude::*;
-    use sphinx_data::SiteId;
-    use sphinx_sim::{Duration, SimTime};
+    use crate::span::SpanStore;
+
+    /// `spans` through the replay sink — opened in id order, then closed —
+    /// checked against the oracle's reading of the list.
+    fn analyzed(spans: &[Span]) -> ScanGraph<'_> {
+        let mut by_id: Vec<&Span> = spans.iter().collect();
+        by_id.sort_by_key(|s| s.id);
+        let mut histories = Histories::default();
+        for span in &by_id {
+            histories.open((*span).clone());
+        }
+        for span in &by_id {
+            if let Some(end) = span.end {
+                histories.close(span.id, end);
+            }
+        }
+        let live = spans.iter().filter(|s| s.end.is_none()).count() as u64;
+        let oracle = ScanGraph(spans);
+        let got = histories.analyze(usize::MAX, spans.len() as u64, live);
+        assert_eq!(got, oracle.analyze(usize::MAX));
+        oracle
+    }
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
     }
 
+    /// Jobs 0 and 1 of DAG 1.
+    const A: u64 = 1 << 24;
+    const B: u64 = (1 << 24) | 1;
+
+    /// Open `name` at `at` s under `parent`, in DAG 1.
+    fn open(
+        store: &mut SpanStore,
+        (name, at): (&'static str, u64),
+        parent: Option<SpanId>,
+        job: Option<u64>,
+        attempt: Option<u64>,
+        link: Option<SpanId>,
+    ) -> SpanId {
+        let (dag, span) = (Some(1), Span::default());
+        let span = Span {
+            parent,
+            job,
+            dag,
+            attempt,
+            link,
+            ..span
+        };
+        store.start(name, t(at), span)
+    }
+
     /// Two-job chain: A runs 0–10s, B becomes ready at 10s (cause A),
     /// runs to 30s.
-    fn chain_graph() -> SpanGraph {
-        let mut store = SpanStore::new(1024);
-        let dag = store.start(
-            "dag",
-            t(0),
-            SpanAttrs {
-                dag: Some(1),
-                ..SpanAttrs::default()
-            },
+    fn chain_spans() -> Vec<Span> {
+        let mut store = SpanStore::default();
+        let s = &mut store;
+        let dag = open(s, ("dag", 0), None, None, None, None);
+        let a = open(s, ("job", 0), Some(dag), Some(A), None, None);
+        let a_try = open(s, ("attempt", 0), Some(a), Some(A), Some(1), None);
+        let a_run = open(s, ("state:running", 0), Some(a_try), Some(A), Some(1), None);
+        let b = open(s, ("job", 0), Some(dag), Some(B), None, None);
+        let b_wait = open(s, ("state:unready", 0), Some(b), Some(B), None, None);
+        for id in [a_run, a_try, a, b_wait] {
+            s.end(id, t(10));
+        }
+        let b_ready = open(s, ("state:ready", 10), Some(b), Some(B), Some(0), Some(a));
+        s.end(b_ready, t(12));
+        let b_try = open(s, ("attempt", 12), Some(b), Some(B), Some(1), None);
+        let b_run = open(
+            s,
+            ("state:running", 12),
+            Some(b_try),
+            Some(B),
+            Some(1),
+            None,
         );
-        let a = store.start(
-            "job",
-            t(0),
-            SpanAttrs {
-                parent: Some(dag),
-                job: Some(10),
-                dag: Some(1),
-                ..SpanAttrs::default()
-            },
-        );
-        let a_run = store.start(
-            "state:running",
-            t(0),
-            SpanAttrs {
-                parent: Some(a),
-                job: Some(10),
-                dag: Some(1),
-                attempt: Some(1),
-                ..SpanAttrs::default()
-            },
-        );
-        let b = store.start(
-            "job",
-            t(0),
-            SpanAttrs {
-                parent: Some(dag),
-                job: Some(11),
-                dag: Some(1),
-                ..SpanAttrs::default()
-            },
-        );
-        let b_wait = store.start(
-            "state:unready",
-            t(0),
-            SpanAttrs {
-                parent: Some(b),
-                job: Some(11),
-                dag: Some(1),
-                ..SpanAttrs::default()
-            },
-        );
-        store.end(a_run, t(10));
-        store.end(a, t(10));
-        store.end(b_wait, t(10));
-        let b_ready = store.start(
-            "state:ready",
-            t(10),
-            SpanAttrs {
-                parent: Some(b),
-                job: Some(11),
-                dag: Some(1),
-                attempt: Some(0),
-                link: Some(a),
-                ..SpanAttrs::default()
-            },
-        );
-        store.end(b_ready, t(12));
-        let b_run = store.start(
-            "state:running",
-            t(12),
-            SpanAttrs {
-                parent: Some(b),
-                job: Some(11),
-                dag: Some(1),
-                attempt: Some(1),
-                ..SpanAttrs::default()
-            },
-        );
-        store.end(b_run, t(30));
-        store.end(b, t(30));
-        store.end(dag, t(30));
-        SpanGraph::new(store.spans())
+        for id in [b_run, b_try, b, dag] {
+            s.end(id, t(30));
+        }
+        store.into_spans()
     }
 
     #[test]
     fn critical_path_follows_ready_links() {
-        let g = chain_graph();
-        let path = g.critical_path(1).expect("path exists");
-        assert_eq!(path.jobs, vec![10, 11]);
+        let spans = chain_spans();
+        let path = analyzed(&spans).critical_path(1).expect("path exists");
+        assert_eq!(path.jobs, vec![A, B]);
         assert_eq!(path.makespan_ms, 30_000);
         // A's running (10s) + B's ready (2s) + running (18s); B's unready
         // overlaps A entirely and is excluded from the tally.
         assert_eq!(path.path_ms, 30_000);
         assert_eq!(path.steps.len(), 3);
         assert_eq!(path.steps[0].name, "state:running");
-        assert_eq!(path.steps[0].job, 10);
+        assert_eq!(path.steps[0].job, A);
     }
 
     #[test]
     fn validate_accepts_sound_graph_and_flags_violations() {
-        let g = chain_graph();
+        let g = SpanGraph::new(chain_spans());
         assert!(g.validate().is_empty(), "{:?}", g.validate());
 
-        let mut store = SpanStore::new(8);
+        let mut store = SpanStore::default();
         let orphan = store.start(
             "job",
             t(1),
-            SpanAttrs {
+            Span {
                 parent: Some(SpanId(999)),
                 job: Some(1),
-                ..SpanAttrs::default()
+                ..Span::default()
             },
         );
         store.end(orphan, t(2));
-        let bad = SpanGraph::new(store.spans());
+        let bad = SpanGraph::new(store.into_spans());
         let problems = bad.validate();
         assert_eq!(problems.len(), 2); // dangling parent + not rooted at dag
         assert!(problems[0].contains("dangling parent"));
@@ -764,14 +779,14 @@ mod tests {
 
     #[test]
     fn dwell_classifies_fault_attempts() {
-        let mut store = SpanStore::new(64);
+        let mut store = SpanStore::default();
         let job = store.start(
             "job",
             t(0),
-            SpanAttrs {
+            Span {
                 job: Some(5),
                 dag: Some(0),
-                ..SpanAttrs::default()
+                ..Span::default()
             },
         );
         // Attempt 1 fails after 10s of running.
@@ -786,11 +801,11 @@ mod tests {
             let id = store.start(
                 name,
                 t(s),
-                SpanAttrs {
+                Span {
                     parent: Some(job),
                     job: Some(5),
                     attempt: Some(attempt),
-                    ..SpanAttrs::default()
+                    ..Span::default()
                 },
             );
             store.end(id, t(e));
@@ -799,16 +814,18 @@ mod tests {
             let id = store.start(
                 "attempt",
                 t(0),
-                SpanAttrs {
+                Span {
+                    parent: Some(job),
                     job: Some(5),
                     attempt: Some(attempt),
-                    ..SpanAttrs::default()
+                    ..Span::default()
                 },
             );
             store.end(id, t(20));
         }
-        let g = SpanGraph::new(store.spans());
-        let (dwell, attempts) = g.job_dwell(5);
+        store.end(job, t(20));
+        let spans = store.into_spans();
+        let (dwell, attempts) = analyzed(&spans).job_dwell(5);
         assert_eq!(attempts, 2);
         assert_eq!(dwell.planner_ms, 1_000);
         // Failed attempt 1: submitted (1s) + running (10s) + re-ready (1s).
@@ -820,12 +837,12 @@ mod tests {
 
     #[test]
     fn slowest_jobs_orders_by_duration() {
-        let g = chain_graph();
-        let slow = g.slowest_jobs(5);
+        let spans = chain_spans();
+        let slow = analyzed(&spans).slowest_jobs(5);
         assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].job, 11);
+        assert_eq!(slow[0].job, B);
         assert_eq!(slow[0].total_ms, 30_000);
-        assert_eq!(slow[1].job, 10);
+        assert_eq!(slow[1].job, A);
     }
 
     #[test]
@@ -833,120 +850,5 @@ mod tests {
         let key = job_key(17, 42);
         assert_eq!(key, (17u64 << 24) | 42);
         assert_eq!(job_key_dag(key), 17);
-    }
-
-    /// Drive the hub's own span bookkeeping (so the forest is built
-    /// through `SpanStore` with the real taxonomy and links) with a random
-    /// walk: each op moves one job of one DAG. Mostly a job advances along
-    /// its lifecycle (unready, ready, submitted, queued, running,
-    /// finished), readied by a random lower-numbered sibling; sometimes it
-    /// faults back to `ready` (a replan, so `attempt` spans chain), jumps
-    /// to an arbitrary stage — `unready` re-submits its whole DAG — or its
-    /// DAG's root span closes or reopens. Time moves 0–1 s per op, so end
-    /// times collide; whatever is open at the end stays live; `capacity`
-    /// is small enough to evict `dag` spans, first `state:ready` spans and
-    /// chain heads.
-    fn random_forest(
-        capacity: usize,
-        dags: u64,
-        jobs: u64,
-        ops: &[(u8, u64, u64, u64)],
-    ) -> Vec<Span> {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            span_capacity: capacity,
-            ..TelemetryConfig::default()
-        });
-        let jobs_per_dag = jobs as usize;
-        for dag in 0..dags {
-            tel.record(
-                t(0),
-                Event::DagRestored {
-                    dag,
-                    jobs: jobs_per_dag,
-                },
-            );
-        }
-        let mut stage = std::collections::BTreeMap::new();
-        let mut now = 0;
-        for &(kind, pick, aux, dt) in ops {
-            now += dt;
-            let dag = pick % dags;
-            let index = pick / dags % jobs;
-            let job = job_key(dag, index);
-            let at = stage.entry(job).or_insert(0u64);
-            match kind {
-                0..=6 => *at = (*at + 1) % 6,
-                7 => *at = 1,
-                8 => *at = aux % 6,
-                _ if aux % 3 == 0 => {
-                    tel.record(
-                        t(now),
-                        Event::DagRestored {
-                            dag,
-                            jobs: jobs_per_dag,
-                        },
-                    );
-                    continue;
-                }
-                _ => {
-                    tel.record(t(now), Event::DagFinished { dag });
-                    continue;
-                }
-            }
-            // Causes point at lower indices, as a DAG's edges do.
-            let cause = (index > 0 && aux % 4 != 0).then(|| job_key(dag, aux % index));
-            let site = SiteId((aux % 5) as u32);
-            let step = match *at {
-                0 => {
-                    tel.record(
-                        t(now),
-                        Event::DagSubmitted {
-                            dag,
-                            jobs: jobs_per_dag,
-                        },
-                    );
-                    continue;
-                }
-                1 => JobStep::Ready { cause },
-                2 => JobStep::Submitted { site },
-                3 => JobStep::Queued { site },
-                4 => JobStep::Running { site },
-                _ => JobStep::Completed {
-                    site,
-                    total: Duration::ZERO,
-                },
-            };
-            tel.record(t(now), Event::Job { job, step });
-        }
-        tel.spans()
-    }
-
-    proptest! {
-        #[test]
-        fn indexed_queries_equal_the_scan_oracle(
-            capacity in 4usize..200,
-            dags in 1u64..5,
-            jobs in 2u64..7,
-            ops in proptest::collection::vec((0u8..10, 0u64..1000, 0u64..1000, 0u64..2), 40..500),
-        ) {
-            let spans = random_forest(capacity, dags, jobs, &ops);
-            let graph = SpanGraph::new(spans.clone());
-            let oracle = ScanGraph(&spans);
-            for n in [0, 3, usize::MAX] {
-                prop_assert_eq!(graph.analyze(n), oracle.analyze(n));
-                prop_assert_eq!(graph.slowest_jobs(n), oracle.slowest_jobs(n));
-            }
-            // One DAG and one job past the generated range: absent keys.
-            for dag in 0..=dags {
-                prop_assert_eq!(graph.critical_path(dag), oracle.critical_path(dag));
-                for index in 0..=jobs {
-                    let job = (dag << 24) | index;
-                    prop_assert_eq!(graph.job_dwell(job), oracle.job_dwell(job));
-                }
-            }
-            for span in &spans {
-                prop_assert_eq!(graph.get(span.id), Some(span));
-            }
-        }
     }
 }

@@ -18,7 +18,7 @@
 use crate::span::Span;
 use crate::TelemetrySnapshot;
 use serde::value::write_escaped;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Process ids used in the Chrome trace (thread ids are per-process).
@@ -73,13 +73,8 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
     }
     if !site_tids.is_empty() {
         meta(PID_SITES, 0, "process_name", "grid sites");
-        for site in &site_tids {
-            meta(
-                PID_SITES,
-                u64::from(*site),
-                "thread_name",
-                &format!("site {site}"),
-            );
+        for site in site_tids.iter().map(|&s| u64::from(s)) {
+            meta(PID_SITES, site, "thread_name", &format!("site {site}"));
         }
     }
     if !dag_tids.is_empty() {
@@ -114,23 +109,18 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
             ",\"ts\":{ts_us},\"dur\":{dur_us},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"span\":{}",
             span.id.0
         );
-        if let Some(p) = span.parent {
-            let _ = write!(line, ",\"parent\":{}", p.0);
-        }
-        if let Some(j) = span.job {
-            let _ = write!(line, ",\"job\":{j}");
-        }
-        if let Some(d) = span.dag {
-            let _ = write!(line, ",\"dag\":{d}");
-        }
-        if let Some(s) = span.site {
-            let _ = write!(line, ",\"site\":{s}");
-        }
-        if let Some(a) = span.attempt {
-            let _ = write!(line, ",\"attempt\":{a}");
-        }
-        if let Some(l) = span.link {
-            let _ = write!(line, ",\"link\":{}", l.0);
+        let ids = [
+            ("parent", span.parent.map(|p| p.0)),
+            ("job", span.job),
+            ("dag", span.dag),
+            ("site", span.site.map(u64::from)),
+            ("attempt", span.attempt),
+            ("link", span.link.map(|l| l.0)),
+        ];
+        for (key, id) in ids {
+            if let Some(id) = id {
+                let _ = write!(line, ",\"{key}\":{id}");
+            }
         }
         if !span.detail.is_empty() {
             line.push_str(",\"detail\":");
@@ -140,16 +130,10 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
         events.push(line);
     }
 
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(e);
-    }
-    out.push_str("\n]}\n");
-    out
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        events.join(",\n")
+    )
 }
 
 /// Sanitize a metric name into the Prometheus charset with the `sphinx_`
@@ -238,79 +222,70 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
     out
 }
 
-fn valid_metric_name(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+/// Whether `s` is a metric name (`colon`) or a label name.
+fn valid_name(s: &str, colon: bool) -> bool {
+    let ok = |c: char| c.is_ascii_alphanumeric() || c == '_' || (colon && c == ':');
+    s.chars().next().is_some_and(|c| !c.is_ascii_digit()) && s.chars().all(ok)
 }
 
-fn valid_label_name(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Parse one `name{labels}` sample head. Returns (metric name, labels).
-fn parse_sample_head(head: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let (name, labels) = match head.find('{') {
-        None => (head.trim(), Vec::new()),
-        Some(open) => {
-            let name = head[..open].trim();
-            let rest = &head[open + 1..];
-            let close = rest
-                .rfind('}')
-                .ok_or_else(|| format!("unclosed label braces in `{head}`"))?;
-            if !rest[close + 1..].trim().is_empty() {
-                return Err(format!("garbage after labels in `{head}`"));
-            }
-            let body = &rest[..close];
-            let mut labels = Vec::new();
-            let mut cursor = body;
-            while !cursor.trim().is_empty() {
-                let eq = cursor
-                    .find('=')
-                    .ok_or_else(|| format!("label without `=` in `{head}`"))?;
-                let lname = cursor[..eq].trim().to_owned();
-                let after = cursor[eq + 1..].trim_start();
-                if !after.starts_with('"') {
-                    return Err(format!("unquoted label value in `{head}`"));
-                }
-                // Find the closing quote, honouring backslash escapes.
-                let bytes = after.as_bytes();
-                let mut end = None;
-                let mut i = 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 2,
-                        b'"' => {
-                            end = Some(i);
-                            break;
-                        }
-                        _ => i += 1,
-                    }
-                }
-                let end = end.ok_or_else(|| format!("unterminated label value in `{head}`"))?;
-                labels.push((lname, after[1..end].to_owned()));
-                cursor = after[end + 1..].trim_start().trim_start_matches(',');
-            }
-            (name, labels)
+/// Split `s`, which starts just past an opening quote, at its closing
+/// quote, honouring `\` escapes: the quoted value and what follows it.
+fn quoted(s: &str) -> Option<(&str, &str)> {
+    let mut escaped = false;
+    for (i, c) in s.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '"' => return Some((s.get(..i)?, s.get(i + 1..)?)),
+            _ => {}
         }
-    };
-    if !valid_metric_name(name) {
+    }
+    None
+}
+
+/// A parsed sample line: its name, its `(label, value)` pairs and its
+/// value.
+type Sample<'a> = (&'a str, Vec<(&'a str, &'a str)>, f64);
+
+/// Parse one sample line, `name{labels} value [timestamp]`.
+fn parse_sample(line: &str) -> Result<Sample<'_>, String> {
+    let name_end = line.find(|c: char| c == '{' || c.is_whitespace());
+    let (name, mut rest) = line.split_at(name_end.unwrap_or(line.len()));
+    if !valid_name(name, true) {
         return Err(format!("invalid metric name `{name}`"));
     }
-    for (lname, _) in &labels {
-        if !valid_label_name(lname) {
-            return Err(format!("invalid label name `{lname}`"));
+    let mut labels = Vec::new();
+    if let Some(body) = rest.strip_prefix('{') {
+        rest = body.trim_start();
+        // Scan past each quoted value, so a `}` inside one is text.
+        while let Some((label, after)) = rest.split_once('=').filter(|_| !rest.starts_with('}')) {
+            let label = label.trim();
+            if !valid_name(label, false) {
+                return Err(format!("invalid label name `{label}` in `{line}`"));
+            }
+            let after = after.trim_start().strip_prefix('"');
+            let after = after.ok_or_else(|| format!("unquoted label value in `{line}`"))?;
+            let (value, after) =
+                quoted(after).ok_or_else(|| format!("unterminated label value in `{line}`"))?;
+            labels.push((label, value));
+            let after = after.trim_start();
+            rest = after.strip_prefix(',').unwrap_or(after).trim_start();
         }
+        rest = rest
+            .strip_prefix('}')
+            .ok_or_else(|| format!("unclosed label braces in `{line}`"))?;
     }
-    Ok((name.to_owned(), labels))
+    let mut fields = rest.split_whitespace();
+    let value = fields
+        .next()
+        .ok_or_else(|| format!("sample without value: `{line}`"))?;
+    if let Some(ts) = fields.next().filter(|ts| ts.parse::<i64>().is_err()) {
+        return Err(format!("invalid timestamp `{ts}`"));
+    }
+    if fields.next().is_some() {
+        return Err(format!("trailing fields on `{line}`"));
+    }
+    Ok((name, labels, parse_sample_value(value)?))
 }
 
 fn parse_sample_value(s: &str) -> Result<f64, String> {
@@ -326,12 +301,10 @@ fn parse_sample_value(s: &str) -> Result<f64, String> {
 
 /// Base family name for a sample (strips histogram suffixes).
 fn family_of(name: &str) -> &str {
-    for suffix in ["_bucket", "_sum", "_count"] {
-        if let Some(stripped) = name.strip_suffix(suffix) {
-            return stripped;
-        }
-    }
-    name
+    ["_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| name.strip_suffix(suffix))
+        .unwrap_or(name)
 }
 
 /// Validate a Prometheus text-exposition v0.0.4 document: line syntax,
@@ -339,24 +312,21 @@ fn family_of(name: &str) -> &str {
 /// at most once and before its samples, and for every histogram family a
 /// `+Inf` bucket with non-decreasing cumulative bucket counts.
 pub fn validate_prometheus(text: &str) -> Result<(), String> {
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
-    let mut sampled: BTreeMap<String, bool> = BTreeMap::new();
-    // Histogram family → (ordered (le, count) samples, has +Inf, count value).
-    let mut hist_buckets: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut hist_counts: BTreeMap<String, f64> = BTreeMap::new();
+    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut sampled: BTreeSet<&str> = BTreeSet::new();
+    // Histogram family → its (le, count) buckets in order, and its count.
+    let mut hist_buckets: BTreeMap<&str, Vec<(f64, f64)>> = BTreeMap::new();
+    let mut hist_counts: BTreeMap<&str, f64> = BTreeMap::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim_end();
         let fail = |msg: String| Err(format!("line {}: {msg}", lineno + 1));
-        if line.is_empty() {
-            continue;
-        }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
             let (Some(name), Some(ty)) = (parts.next(), parts.next()) else {
                 return fail("malformed TYPE line".to_owned());
             };
-            if !valid_metric_name(name) {
+            if !valid_name(name, true) {
                 return fail(format!("invalid metric name `{name}` in TYPE"));
             }
             if !matches!(
@@ -365,76 +335,47 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
             ) {
                 return fail(format!("unknown metric type `{ty}`"));
             }
-            if types.insert(name.to_owned(), ty.to_owned()).is_some() {
+            if types.insert(name, ty).is_some() {
                 return fail(format!("duplicate TYPE for `{name}`"));
             }
-            if sampled.contains_key(name) {
+            if sampled.contains(name) {
                 return fail(format!("TYPE for `{name}` after its samples"));
             }
             continue;
         }
-        if line.starts_with('#') {
+        if line.is_empty() || line.starts_with('#') {
             continue; // HELP or comment
         }
-        // Sample line: head value [timestamp]
-        let head_end = match line.find('}') {
-            Some(i) => i + 1,
-            None => line.find(char::is_whitespace).unwrap_or(line.len()),
-        };
-        let (head, tail) = line.split_at(head_end);
-        let mut fields = tail.split_whitespace();
-        let Some(value_text) = fields.next() else {
-            return fail(format!("sample without value: `{line}`"));
-        };
-        if let Some(ts) = fields.next() {
-            if ts.parse::<i64>().is_err() {
-                return fail(format!("invalid timestamp `{ts}`"));
-            }
-        }
-        if fields.next().is_some() {
-            return fail(format!("trailing fields on `{line}`"));
-        }
-        let (name, labels) = match parse_sample_head(head) {
-            Ok(parsed) => parsed,
+        let (name, labels, value) = match parse_sample(line) {
+            Ok(sample) => sample,
             Err(e) => return fail(e),
         };
-        let value = match parse_sample_value(value_text) {
-            Ok(v) => v,
-            Err(e) => return fail(e),
-        };
-        sampled.insert(family_of(&name).to_owned(), true);
-        sampled.insert(name.clone(), true);
-        if types.get(family_of(&name)).map(String::as_str) == Some("histogram") {
-            let family = family_of(&name).to_owned();
-            if name.ends_with("_bucket") {
-                let le = labels
-                    .iter()
-                    .find(|(l, _)| l == "le")
-                    .map(|(_, v)| v.as_str());
-                let Some(le) = le else {
-                    return fail(format!("histogram bucket `{name}` without le label"));
-                };
-                let le = match parse_sample_value(le) {
-                    Ok(v) => v,
-                    Err(e) => return fail(e),
-                };
-                hist_buckets.entry(family).or_default().push((le, value));
-            } else if name.ends_with("_count") {
-                hist_counts.insert(family, value);
-            }
+        let family = family_of(name);
+        sampled.extend([family, name]);
+        if types.get(family) != Some(&"histogram") {
+            continue;
+        }
+        if name.ends_with("_bucket") {
+            let Some(&(_, le)) = labels.iter().find(|(l, _)| *l == "le") else {
+                return fail(format!("histogram bucket `{name}` without le label"));
+            };
+            let le = match parse_sample_value(le) {
+                Ok(v) => v,
+                Err(e) => return fail(e),
+            };
+            hist_buckets.entry(family).or_default().push((le, value));
+        } else if name.ends_with("_count") {
+            hist_counts.insert(family, value);
         }
     }
 
-    for (family, ty) in &types {
-        if *ty != "histogram" {
-            continue;
-        }
+    for (family, _) in types.iter().filter(|(_, ty)| **ty == "histogram") {
         let Some(buckets) = hist_buckets.get(family) else {
             return Err(format!("histogram `{family}` has no buckets"));
         };
-        if !buckets.iter().any(|(le, _)| le.is_infinite()) {
+        let Some(&(_, inf_count)) = buckets.iter().find(|(le, _)| le.is_infinite()) else {
             return Err(format!("histogram `{family}` lacks a +Inf bucket"));
-        }
+        };
         let mut prev = (f64::NEG_INFINITY, 0.0f64);
         for &(le, count) in buckets {
             if le < prev.0 || count < prev.1 {
@@ -444,14 +385,10 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
             }
             prev = (le, count);
         }
-        if let Some(total) = hist_counts.get(family) {
-            if let Some((_, inf_count)) = buckets.iter().find(|(le, _)| le.is_infinite()) {
-                if inf_count != total {
-                    return Err(format!(
-                        "histogram `{family}` +Inf bucket {inf_count} != count {total}"
-                    ));
-                }
-            }
+        if let Some(total) = hist_counts.get(family).filter(|t| **t != inf_count) {
+            return Err(format!(
+                "histogram `{family}` +Inf bucket {inf_count} != count {total}"
+            ));
         }
     }
     Ok(())
@@ -460,7 +397,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanAttrs, SpanStore};
+    use crate::span::SpanStore;
     use crate::{Event, GridStep, JobStep, Telemetry, TraceKind};
     use sphinx_data::SiteId;
     use sphinx_sim::{Duration, SimTime};
@@ -474,30 +411,30 @@ mod tests {
     }
 
     fn sample_spans() -> Vec<crate::Span> {
-        let mut store = SpanStore::new(64);
-        let phase = store.start("phase:plan", t(1), SpanAttrs::default());
+        let mut store = SpanStore::default();
+        let phase = store.start("phase:plan", t(1), Span::default());
         store.end(phase, t(1));
         let dag = store.start(
             "dag",
             t(0),
-            SpanAttrs {
+            Span {
                 dag: Some(2),
-                ..SpanAttrs::default()
+                ..Span::default()
             },
         );
         let slot = store.start(
             "slot:run",
             t(3),
-            SpanAttrs {
+            Span {
                 job: Some(9),
                 site: Some(4),
                 attempt: Some(1),
-                ..SpanAttrs::default()
+                ..Span::default()
             },
         );
         store.end(slot, t(8));
         store.end(dag, t(9));
-        store.spans()
+        store.into_spans()
     }
 
     #[test]
@@ -598,6 +535,8 @@ mod tests {
         assert!(validate_prometheus("m{le=\"x} 1\n").is_err());
         assert!(validate_prometheus("m 1 2 3\n").is_err());
         assert!(validate_prometheus("m{l=bare} 1\n").is_err());
+        assert!(validate_prometheus("m{l=\"a\" 1\n").is_err());
+        assert!(validate_prometheus("m{l=\"a\"}x 1\n").is_err());
         assert!(
             validate_prometheus("# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n")
                 .is_err(),
@@ -612,7 +551,9 @@ mod tests {
 
     #[test]
     fn validator_accepts_value_forms() {
-        let doc = "a 1\nb 1.5\nc +Inf\nd NaN\ne 3 1700000000\n";
+        // A `}` or an escaped quote inside a label value is text.
+        let doc = "a 1\nb 1.5\nc +Inf\nd NaN\ne 3 1700000000\nf{path=\"/a}b\"} 1\n\
+                   g{a=\"x\\\"}\",b=\"{\"} 2 1700000000\n";
         validate_prometheus(doc).unwrap();
     }
 }

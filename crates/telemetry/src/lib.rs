@@ -3,26 +3,33 @@
 //!
 //! Every layer of the SPHINX stack reports into one shared [`Telemetry`]
 //! hub, and what it reports is a *fact*: [`Telemetry::record`] takes one
-//! typed [`Event`] and, under one acquisition of the hub lock, does all the
-//! fact implies — counter, per-site tally, histogram, span and ring line.
-//! Only this crate knows which metric, span and [`TraceKind`] a fact means.
+//! typed [`Event`] and appends it, stamped with its sim time, to the hub's
+//! event log — one fixed-size record under one lock acquisition, nothing
+//! else. Only this crate knows which metric, span and [`TraceKind`] a fact
+//! means, and it works that out when the log is read:
 //!
 //! * **Metrics** — counters, gauges and fixed-bucket [`Histogram`]s keyed
-//!   by `&'static str` names, plus per-site grid tallies.
-//! * **Trace events** — a bounded ring of [`TraceEvent`]s stamped with
-//!   **simulation time only**, fanned out to pluggable [`TraceSink`]s.
-//!   Free-text infrastructure lines (monitor rounds, leases, adoption, ops
-//!   alerts, recovery) go to the ring through [`Telemetry::trace`].
+//!   by `&'static str` names, plus per-site grid tallies. The hub keeps
+//!   one fold of them and advances it over the records appended since the
+//!   last read, so [`Telemetry::snapshot`], [`Telemetry::counter`] and
+//!   [`Telemetry::ops_poll`] cost O(new records). [`Telemetry::counter_add`]
+//!   and [`Telemetry::gauge_set`] write the fold directly.
+//! * **Trace lines** — [`TraceEvent`]s stamped with **simulation time
+//!   only**: [`Telemetry::trace_jsonl`] and [`Telemetry::trace_events`]
+//!   render the log's lines; free-text infrastructure lines (monitor
+//!   rounds, leases, adoption, ops alerts, recovery) enter it through
+//!   [`Telemetry::trace`].
 //! * **Causal spans** (see [`span`]) — sim-time intervals for DAGs, jobs,
 //!   attempts, dwell states, batch slots, planner phases and the WAL, with
-//!   parent and cause links. A job's open `state:*` span is also its dwell
-//!   clock. [`analysis`] turns the graph into critical paths and dwell
-//!   blame; [`export`] renders Chrome trace JSON and Prometheus text.
+//!   parent and cause links, replayed from the log by [`Telemetry::spans`].
+//!   [`analysis`] turns the replay into critical paths and dwell blame;
+//!   [`export`] renders Chrome trace JSON and Prometheus text.
 //!
-//! Determinism is a hard requirement: nothing here reads the wall clock,
-//! so same-seed runs produce byte-identical traces and snapshots. The one
-//! wall-clock metric (`wall.plan_cycle_us`) is gated by
-//! [`TelemetryConfig::wall_clock`], **off** by default.
+//! Nothing is dropped: the log keeps every record for the hub's lifetime,
+//! about 40 bytes a fact. Determinism is a hard requirement: nothing here
+//! reads the wall clock, so same-seed runs produce byte-identical traces
+//! and snapshots. The one wall-clock metric (`wall.plan_cycle_us`) is
+//! gated by [`TelemetryConfig::wall_clock`], **off** by default.
 //!
 //! Metric name inventory (see DESIGN.md §Telemetry for semantics):
 //!
@@ -34,7 +41,7 @@
 //! | `reliability.flagged`, `reliability.unflagged` | counter | [`Event::SiteFlag`] |
 //! | `grid.{submits,queues,starts,completions,holds,cancels}` | counter | [`Event::Grid`] |
 //! | `wal.replays`, `wal.rewrites` | counter | [`Event::WalReplay`], [`Event::WalCheckpoint`] |
-//! | `wal.appends`, `db.rows.read`, `monitor.samples{,_lost}`, `ops.alerts`, `ops.poll.missed` | counter | [`Telemetry::counter_add`] |
+//! | `wal.appends`, `db.rows.read`, `monitor.samples{,_lost}`, `ops.alerts` | counter | [`Telemetry::counter_add`] |
 //! | `telemetry.trace.{recorded,dropped}`, `telemetry.spans.{total,live,dropped}` | counter | snapshot-synthesized |
 //! | `monitor.staleness`, `monitor.queue_depth` | per-site gauge | [`Event::SiteReport`] |
 //! | `fsa.dwell_ms.{unready,ready,submitted,queued,running}`, `job.completion_ms` | histogram | [`Event::Job`] |
@@ -43,20 +50,22 @@
 
 pub mod analysis;
 pub mod export;
+mod replay;
 pub mod span;
 
 pub use analysis::{
     CriticalPath, CriticalStep, DwellBreakdown, JobBlame, SpanGraph, TraceAnalysis,
 };
 pub use export::{chrome_trace_json, prometheus_text, validate_prometheus};
-pub use span::{Span, SpanAttrs, SpanId, SpanStore};
+pub use span::{Span, SpanId, SpanStore};
 
+use analysis::Histories;
 use parking_lot::Mutex;
+use replay::{Fact, Log, Machine, Note, Record, Sink};
 use serde::{Deserialize, Serialize};
 use sphinx_data::SiteId;
 use sphinx_sim::{Duration, SimTime};
-use std::collections::{vec_deque, BTreeMap, VecDeque};
-use std::io::Write;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What a [`TraceEvent`] describes. Kinds cover every FSA transition plus
@@ -153,12 +162,13 @@ pub enum Event {
     },
     /// A plan cycle ended: score-cache hits and misses, jobs that reused
     /// the candidate buffer, and its host-clock µs when
-    /// [`TelemetryConfig::wall_clock`] is on.
+    /// [`TelemetryConfig::wall_clock`] is on. 32-bit tallies keep every
+    /// event, and so every log record, at 40 bytes.
     PlanCycleDone {
-        hits: u64,
-        misses: u64,
-        reused: u64,
-        wall_us: Option<u64>,
+        hits: u32,
+        misses: u32,
+        reused: u32,
+        wall_us: Option<u32>,
     },
     /// A recovered database replayed `lines` committed WAL lines.
     WalReplay { lines: u64 },
@@ -187,10 +197,10 @@ pub enum JobStep {
     Held { site: SiteId },
     /// Tracker: the submission to `site` timed out; back to `Ready`.
     TimedOut { site: SiteId },
-    /// The restore path put the row back to `Ready` (no ring line).
+    /// The restore path put the row back to `Ready` (no trace line).
     Reset,
     /// The restore path re-advanced a row the tracker follows at `site`
-    /// to `Submitted` (no ring line).
+    /// to `Submitted` (no trace line).
     Resumed { site: SiteId },
 }
 
@@ -214,11 +224,9 @@ pub enum GridStep {
 /// What [`Telemetry::ops_poll`] lends the live ops aggregator for one
 /// tick, in place under the hub lock.
 pub struct OpsView<'a> {
-    /// Ring events at sequence ≥ the poll cursor, oldest first.
-    pub events: vec_deque::Iter<'a, TraceEvent>,
-    /// Events that left the ring before this poll could see them.
-    pub missed: u64,
-    /// The cursor for the next poll: every event recorded so far.
+    /// The trace lines recorded since the poll cursor, oldest first.
+    pub events: &'a mut dyn Iterator<Item = TraceLine>,
+    /// The cursor for the next poll: every record appended so far.
     pub cursor: u64,
     /// Lifetime `wal.appends`.
     pub wal_appends: u64,
@@ -226,6 +234,19 @@ pub struct OpsView<'a> {
     pub queue_depth: Option<&'a BTreeMap<u32, f64>>,
     /// Latest `monitor.staleness` (ms) per site.
     pub staleness: Option<&'a BTreeMap<u32, f64>>,
+}
+
+/// A trace line without its free-text detail: what [`OpsView`] lends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceLine {
+    /// Simulation time of the event.
+    pub sim_time: SimTime,
+    /// Event kind.
+    pub kind: TraceKind,
+    /// Dense job key if the event concerns one job.
+    pub job: Option<u64>,
+    /// Site involved, if any.
+    pub site: Option<u32>,
 }
 
 /// One structured trace record, stamped with simulation time only.
@@ -245,134 +266,27 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Canonical single-line JSON encoding (what [`JsonlSink`] writes).
-    /// Canonical-JSON stability is what makes same-seed traces
-    /// byte-comparable. Hand-rendered — byte-identical to the serde
-    /// encoding (key-sorted object) but infallible.
+    /// Canonical single-line JSON encoding (one line of
+    /// [`Telemetry::trace_jsonl`]): a key-sorted object, so same-seed
+    /// traces are byte-comparable.
     pub fn to_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"detail\":");
-        let _ = serde::value::write_escaped(&mut out, &self.detail);
-        match self.job {
-            Some(job) => {
-                let _ = write!(out, ",\"job\":{job}");
-            }
-            None => out.push_str(",\"job\":null"),
-        }
-        let _ = write!(out, ",\"kind\":\"{:?}\"", self.kind);
-        let _ = write!(out, ",\"sim_time\":{}", self.sim_time.as_millis());
-        match self.site {
-            Some(site) => {
-                let _ = write!(out, ",\"site\":{site}}}");
-            }
-            None => out.push_str(",\"site\":null}"),
-        }
-        out
-    }
-}
-
-/// Receives every trace event as it is recorded.
-pub trait TraceSink: Send {
-    /// Observe one event.
-    fn record(&mut self, event: &TraceEvent);
-    /// Flush any buffered output (end of run).
-    fn flush(&mut self) {}
-}
-
-/// Sink that collects events into a shared vector (tests).
-pub struct InMemorySink {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl InMemorySink {
-    /// A fresh sink plus the handle its events can be read through.
-    pub fn new() -> (Self, Arc<Mutex<Vec<TraceEvent>>>) {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        (
-            InMemorySink {
-                events: Arc::clone(&events),
-            },
-            events,
-        )
-    }
-}
-
-impl TraceSink for InMemorySink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.lock().push(event.clone());
-    }
-}
-
-/// Sink that writes one JSON object per line to any writer (the figure
-/// harness points it at `results/telemetry_trace.jsonl`).
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        let _ = writeln!(self.writer, "{}", event.to_json_line());
-    }
-
-    /// Flushes the *underlying writer*, so `Telemetry::flush_sinks`
-    /// pushes buffered lines all the way to their destination.
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-/// A run that ends without an explicit `flush_sinks` call must not
-/// truncate the trace file: flush when the sink is dropped (the hub
-/// drops its sinks when it is itself dropped).
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = self.writer.flush();
+        serde_json::to_string(self).unwrap_or_default()
     }
 }
 
 /// Millisecond-scale latency buckets: 10 ms … 12 h, then overflow. One
 /// fixed layout for every histogram keeps snapshots comparable across
 /// metrics and runs.
-const BUCKET_BOUNDS_MS: [f64; 10] = [
-    10.0,
-    100.0,
-    1_000.0,
-    10_000.0,
-    60_000.0,
-    300_000.0,
-    900_000.0,
-    3_600_000.0,
-    14_400_000.0,
-    43_200_000.0,
-];
+const BUCKET_BOUNDS_MS: [f64; 10] = [1e1, 1e2, 1e3, 1e4, 6e4, 3e5, 9e5, 3.6e6, 1.44e7, 4.32e7];
 
-/// A fixed-bucket histogram (allocation only at construction).
-#[derive(Debug, Clone, PartialEq)]
+/// A fixed-bucket histogram.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    /// One overflow bucket past the last bound.
+    counts: [u64; BUCKET_BOUNDS_MS.len() + 1],
     sum: f64,
     count: u64,
     max: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            // One overflow bucket past the last bound.
-            counts: vec![0; BUCKET_BOUNDS_MS.len() + 1],
-            sum: 0.0,
-            count: 0,
-            max: 0.0,
-        }
-    }
 }
 
 impl Histogram {
@@ -381,7 +295,9 @@ impl Histogram {
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(BUCKET_BOUNDS_MS.len());
-        self.counts[idx] += 1;
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += 1;
+        }
         self.sum += value;
         self.count += 1;
         if value > self.max {
@@ -392,7 +308,7 @@ impl Histogram {
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: BUCKET_BOUNDS_MS.to_vec(),
-            counts: self.counts.clone(),
+            counts: self.counts.to_vec(),
             sum: self.sum,
             count: self.count,
             max: self.max,
@@ -442,78 +358,16 @@ pub struct SiteTally {
 }
 
 /// Tuning for one [`Telemetry`] instance.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryConfig {
-    /// Ring-buffer capacity; older events are dropped (and counted) past
-    /// it. Sinks still see every event.
-    pub trace_capacity: usize,
-    /// Finished-span store capacity; older finished spans are dropped
-    /// (and counted) past it. Live spans are never evicted.
-    pub span_capacity: usize,
     /// Allow wall-clock (`wall.*`) metrics. **Off by default** so that
     /// same-seed runs produce identical snapshots.
     pub wall_clock: bool,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            trace_capacity: 65_536,
-            span_capacity: 65_536,
-            wall_clock: false,
-        }
-    }
-}
-
-/// A job's live automaton state, with what entering it knows: the site
-/// of a placed job, the upstream job whose completion made it ready.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Unready,
-    Ready(Option<u64>),
-    Submitted(SiteId),
-    Queued(SiteId),
-    Running(SiteId),
-}
-
-impl Stage {
-    /// The `state:*` span a job holds open in this stage, and the
-    /// histogram that span's length feeds when it closes.
-    fn names(self) -> (&'static str, &'static str) {
-        match self {
-            Stage::Unready => ("state:unready", "fsa.dwell_ms.unready"),
-            Stage::Ready(_) => ("state:ready", "fsa.dwell_ms.ready"),
-            Stage::Submitted(_) => ("state:submitted", "fsa.dwell_ms.submitted"),
-            Stage::Queued(_) => ("state:queued", "fsa.dwell_ms.queued"),
-            Stage::Running(_) => ("state:running", "fsa.dwell_ms.running"),
-        }
-    }
-}
-
-/// The free-text detail of a ring line or span: per DAG, plan cycle or WAL
-/// event, never per job transition, so it stays off the per-job path.
-fn detail(args: std::fmt::Arguments<'_>) -> String {
-    // sphinx-lint: allow(hot-alloc)
-    format!("{args}")
-}
-
-/// Live span bookkeeping for one in-flight job.
+/// The hub's metric fold: a replay sink that counts.
 #[derive(Default)]
-struct JobTrack {
-    /// The job's whole-lifetime span.
-    job_span: SpanId,
-    /// Its stage and open `state:*` span, whose start is the dwell clock.
-    state: Option<(Stage, SpanId)>,
-    /// The currently open `attempt` span (submit → finish/replanned).
-    attempt_span: Option<SpanId>,
-    /// The most recent closed attempt (linked from the next one).
-    last_attempt: Option<SpanId>,
-    /// Planning attempts so far (1-based after the first submit).
-    attempts: u64,
-}
-
-#[derive(Default)]
-struct Inner {
+struct Metrics {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     /// Per-site labelled gauge families (`monitor.staleness{site="3"}`),
@@ -521,27 +375,11 @@ struct Inner {
     site_gauges: BTreeMap<&'static str, BTreeMap<u32, f64>>,
     histograms: BTreeMap<&'static str, Histogram>,
     sites: BTreeMap<u32, SiteTally>,
-    ring: VecDeque<TraceEvent>,
-    ring_capacity: usize,
-    recorded: u64,
-    dropped: u64,
-    sinks: Vec<Box<dyn TraceSink>>,
-    /// Causal span store (live + bounded finished).
-    spans: SpanStore,
-    /// Open root span per DAG id.
-    dag_spans: BTreeMap<u64, SpanId>,
-    /// Span bookkeeping per in-flight job key.
-    job_tracks: BTreeMap<u64, JobTrack>,
-    /// Job-span id per job key, kept after the job finishes so later
-    /// ready-cause links can resolve (one small entry per job).
-    job_span_ids: BTreeMap<u64, SpanId>,
-    /// Open `slot:queued`/`slot:run` span per job key (grid substrate).
-    slot_spans: BTreeMap<u64, SpanId>,
-    /// Latest sim time of any event: what the clockless WAL is stamped with.
-    last_sim: SimTime,
+    /// Trace lines folded.
+    lines: u64,
 }
 
-impl Inner {
+impl Metrics {
     fn count(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
     }
@@ -549,85 +387,51 @@ impl Inner {
     fn observe(&mut self, name: &'static str, value: f64) {
         self.histograms.entry(name).or_default().record(value);
     }
+}
 
-    /// Append one line to the ring (every sink sees it first), evicting
-    /// the oldest past capacity.
-    fn line(
-        &mut self,
-        kind: TraceKind,
-        at: SimTime,
-        job: Option<u64>,
-        site: Option<SiteId>,
-        detail: String,
-    ) {
-        let site = site.map(|s| s.0);
-        let event = TraceEvent {
-            sim_time: at,
-            kind,
-            job,
-            site,
-            detail,
+impl Sink for Metrics {
+    fn fact(&mut self, record: &Record, notes: &[Note]) {
+        let (line, counter) = record.show(notes);
+        self.lines += u64::from(line.is_some());
+        if let Some(counter) = counter {
+            self.count(counter, 1);
+        }
+        let Fact::Event(event) = record.fact else {
+            return;
         };
-        self.recorded += 1;
-        for sink in self.sinks.iter_mut() {
-            sink.record(&event);
-        }
-        self.ring.push_back(event);
-        if self.ring.len() > self.ring_capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-    }
-
-    /// Everything one fact implies.
-    fn record(&mut self, at: SimTime, event: Event) {
         match event {
-            Event::DagSubmitted { dag, jobs } => {
-                let text = detail(format_args!("dag={dag} jobs={jobs}"));
-                self.count("dag.submitted", 1);
-                self.line(TraceKind::DagSubmitted, at, None, None, text);
-                self.open_dag(dag, jobs, at);
-                for index in 0..jobs as u64 {
-                    self.enter(analysis::job_key(dag, index), Stage::Unready, at);
-                }
-            }
-            Event::DagRestored { dag, jobs } => self.open_dag(dag, jobs, at),
-            Event::DagFinished { dag } => {
-                let text = detail(format_args!("dag={dag}"));
-                self.count("dag.finished", 1);
-                self.line(TraceKind::DagFinished, at, None, None, text);
-                if let Some(id) = self.dag_spans.remove(&dag) {
-                    self.spans.end(id, at);
-                }
-            }
-            Event::Job { job, step } => self.job(at, job, step),
-            Event::Grid { site, job, step } => self.grid(at, site, job, step),
-            Event::SiteFlag { site, flagged } => {
-                let (counter, kind) = if flagged {
-                    ("reliability.flagged", TraceKind::SiteFlagged)
-                } else {
-                    ("reliability.unflagged", TraceKind::SiteUnflagged)
+            Event::Job {
+                step: JobStep::Completed { total, .. },
+                ..
+            } => self.observe("job.completion_ms", total.as_millis() as f64),
+            Event::Grid { site, step, .. } => {
+                type Column = fn(&mut SiteTally) -> &mut u64;
+                let column: Column = match step {
+                    GridStep::Queued => return,
+                    GridStep::Submit => |t| &mut t.submits,
+                    GridStep::Start => |t| &mut t.starts,
+                    GridStep::Complete => |t| &mut t.completions,
+                    GridStep::Hold => |t| &mut t.holds,
+                    GridStep::Cancel => |t| &mut t.cancels,
                 };
-                self.count(counter, 1);
-                self.line(kind, at, None, Some(site), String::new());
+                *column(self.sites.entry(site.0).or_default()) += 1;
             }
             Event::SiteReport { site, age, queued } => {
-                let (age, gauges) = (age.as_millis() as f64, &mut self.site_gauges);
-                gauges
-                    .entry("monitor.staleness")
-                    .or_default()
-                    .insert(site.0, age);
-                let depth = gauges.entry("monitor.queue_depth").or_default();
-                depth.insert(site.0, queued as f64);
+                let age = age.as_millis() as f64;
+                let gauges = [
+                    ("monitor.staleness", age),
+                    ("monitor.queue_depth", queued as f64),
+                ];
+                for (family, value) in gauges {
+                    self.site_gauges
+                        .entry(family)
+                        .or_default()
+                        .insert(site.0, value);
+                }
                 self.observe("monitor.sample_age_ms", age);
             }
-            Event::PlanCycle { reports, gap } => {
-                if let Some(gap) = gap {
-                    self.observe("plan.cycle_gap_ms", gap.as_millis() as f64);
-                }
-                let text = detail(format_args!("reports={reports}"));
-                self.count("plan.cycles", 1);
-                self.line(TraceKind::PlanCycle, at, None, None, text);
+            Event::PlanCycle { gap: Some(gap), .. } => {
+                self.observe("plan.cycle_gap_ms", gap.as_millis() as f64)
             }
             Event::PlanCycleDone {
                 hits,
@@ -640,248 +444,53 @@ impl Inner {
                     ("plan.score_cache.misses", misses),
                     ("plan.scratch.reused", reused),
                 ];
-                for (counter, n) in tallies {
-                    if n > 0 {
-                        self.count(counter, n);
-                    }
+                for (counter, n) in tallies.into_iter().filter(|t| t.1 > 0) {
+                    self.count(counter, u64::from(n));
                 }
                 if let Some(us) = wall_us {
-                    self.observe("wall.plan_cycle_us", us as f64);
+                    self.observe("wall.plan_cycle_us", f64::from(us));
                 }
             }
-            Event::WalReplay { lines } => {
-                self.count("wal.replays", lines);
-                self.instant("wal:replay", detail(format_args!("{lines} lines replayed")));
-            }
-            Event::WalCheckpoint => {
-                self.count("wal.rewrites", 1);
-                let text = detail(format_args!("log compacted to snapshot"));
-                self.instant("wal:checkpoint", text);
-            }
+            Event::WalReplay { lines } => self.count("wal.replays", lines),
+            _ => {}
         }
     }
 
-    fn job(&mut self, at: SimTime, job: u64, step: JobStep) {
-        let (kind, site, cause) = match step {
-            JobStep::Ready { cause } => {
-                self.enter(job, Stage::Ready(cause), at);
-                (TraceKind::JobReady, None, "")
-            }
-            JobStep::Eliminated => {
-                self.count("job.eliminated", 1);
-                self.finish(job, at);
-                (TraceKind::JobEliminated, None, "")
-            }
-            JobStep::Submitted { site } => {
-                self.count("plan.jobs_submitted", 1);
-                self.enter(job, Stage::Submitted(site), at);
-                (TraceKind::JobSubmitted, Some(site), "")
-            }
-            JobStep::Queued { site } => {
-                self.enter(job, Stage::Queued(site), at);
-                (TraceKind::JobQueued, Some(site), "")
-            }
-            JobStep::Running { site } => {
-                self.enter(job, Stage::Running(site), at);
-                (TraceKind::JobRunning, Some(site), "")
-            }
-            JobStep::Completed { site, total } => {
-                self.finish(job, at);
-                self.observe("job.completion_ms", total.as_millis() as f64);
-                (TraceKind::JobCompleted, Some(site), "")
-            }
-            JobStep::Held { site } => {
-                self.enter(job, Stage::Ready(None), at);
-                self.count("plan.reschedules_held", 1);
-                (TraceKind::JobCancelled, Some(site), "held")
-            }
-            JobStep::TimedOut { site } => {
-                self.enter(job, Stage::Ready(None), at);
-                self.count("plan.reschedules_timeout", 1);
-                (TraceKind::JobCancelled, Some(site), "timeout")
-            }
-            JobStep::Reset => return self.enter(job, Stage::Ready(None), at),
-            JobStep::Resumed { site } => return self.enter(job, Stage::Submitted(site), at),
-        };
-        // Allocates only for a cancellation's cause; every other step's
-        // line has an empty detail.
-        // sphinx-lint: allow(hot-alloc)
-        self.line(kind, at, Some(job), site, cause.to_owned());
-    }
-
-    /// The span machine of the job lifecycle. The first stage opens the
-    /// job span (under its DAG root); every stage closes the previous
-    /// `state:*` span (its length is that stage's dwell) and opens its
-    /// own; `Submitted` opens an `attempt` span linked to the previous
-    /// failed attempt; a `Ready` caused by an upstream completion links to
-    /// the cause's job span (the edge critical-path extraction walks).
-    fn enter(&mut self, job: u64, stage: Stage, now: SimTime) {
-        let dag = analysis::job_key_dag(job);
-        let track = self.job_tracks.entry(job).or_insert_with(|| {
-            let parent = self.dag_spans.get(&dag).copied();
-            let attrs = SpanAttrs {
-                parent,
-                job: Some(job),
-                dag: Some(dag),
-                ..SpanAttrs::default()
-            };
-            let job_span = self.spans.start("job", now, attrs);
-            self.job_span_ids.insert(job, job_span);
-            JobTrack {
-                job_span,
-                ..JobTrack::default()
-            }
-        });
-        let closed = close_state(&mut self.spans, track, now);
-        // The job's other spans also carry its site; they differ in
-        // parent, attempt number and causal link.
-        let site = match stage {
-            Stage::Submitted(site) | Stage::Queued(site) | Stage::Running(site) => Some(site.0),
-            Stage::Unready | Stage::Ready(_) => None,
-        };
-        let attrs = |parent, attempt, link| SpanAttrs {
-            parent: Some(parent),
-            job: Some(job),
-            dag: Some(dag),
-            site,
-            attempt,
-            link,
-            detail: String::new(),
-        };
-        let attrs = match stage {
-            Stage::Unready => attrs(track.job_span, None, None),
-            Stage::Ready(cause) => {
-                // A live attempt span here means the attempt failed and
-                // the job came back for replanning.
-                if let Some(a) = track.attempt_span.take() {
-                    self.spans.end(a, now);
-                    track.last_attempt = Some(a);
-                }
-                let link = cause.and_then(|c| self.job_span_ids.get(&c).copied());
-                attrs(track.job_span, Some(track.attempts), link)
-            }
-            Stage::Submitted(_) => {
-                track.attempts += 1;
-                let attempt = Some(track.attempts);
-                let opened = attrs(track.job_span, attempt, track.last_attempt);
-                let id = self.spans.start("attempt", now, opened);
-                track.attempt_span = Some(id);
-                attrs(id, attempt, None)
-            }
-            Stage::Queued(_) | Stage::Running(_) => {
-                let parent = track.attempt_span.unwrap_or(track.job_span);
-                attrs(parent, Some(track.attempts), None)
-            }
-        };
-        track.state = Some((stage, self.spans.start(stage.names().0, now, attrs)));
-        if let Some((was, ms)) = closed {
-            self.observe(was.names().1, ms as f64);
-        }
-    }
-
-    /// The job finished or was eliminated: close every span it holds and
-    /// drop its bookkeeping.
-    fn finish(&mut self, job: u64, now: SimTime) {
-        if let Some(mut track) = self.job_tracks.remove(&job) {
-            if let Some((stage, ms)) = close_state(&mut self.spans, &mut track, now) {
-                self.observe(stage.names().1, ms as f64);
-            }
-            for id in track.attempt_span.into_iter().chain([track.job_span]) {
-                self.spans.end(id, now);
-            }
-        }
-        self.move_slot(job, None, now);
-    }
-
-    fn grid(&mut self, at: SimTime, site: SiteId, job: u64, step: GridStep) {
-        type Column = fn(&mut SiteTally) -> &mut u64;
-        let (counter, kind, column): (&'static str, TraceKind, Column) = match step {
-            GridStep::Queued => {
-                self.count("grid.queues", 1);
-                return self.move_slot(job, Some(("slot:queued", site)), at);
-            }
-            GridStep::Submit => ("grid.submits", TraceKind::GridSubmit, |t| &mut t.submits),
-            GridStep::Start => {
-                self.move_slot(job, Some(("slot:run", site)), at);
-                ("grid.starts", TraceKind::GridStart, |t| &mut t.starts)
-            }
-            GridStep::Complete => ("grid.completions", TraceKind::GridComplete, |t| {
-                &mut t.completions
-            }),
-            GridStep::Hold => ("grid.holds", TraceKind::GridHold, |t| &mut t.holds),
-            GridStep::Cancel => ("grid.cancels", TraceKind::GridCancel, |t| &mut t.cancels),
-        };
-        // Leaving the batch system closes the slot.
-        if matches!(step, GridStep::Complete | GridStep::Hold | GridStep::Cancel) {
-            self.move_slot(job, None, at);
-        }
-        self.count(counter, 1);
-        *column(self.sites.entry(site.0).or_default()) += 1;
-        self.line(kind, at, Some(job), Some(site), String::new());
-    }
-
-    /// Close `job`'s open batch-slot span, if any, and open `next` (a slot
-    /// name and its site) in its place, under the job's live attempt span
-    /// when it has one (a tag the server never planned — grid unit tests
-    /// feed those — gets a root slot span).
-    fn move_slot(&mut self, job: u64, next: Option<(&'static str, SiteId)>, now: SimTime) {
-        if let Some(id) = self.slot_spans.remove(&job) {
-            self.spans.end(id, now);
-        }
-        let Some((name, site)) = next else { return };
-        let track = self.job_tracks.get(&job);
-        let attrs = SpanAttrs {
-            parent: track.map(|t| t.attempt_span.unwrap_or(t.job_span)),
-            job: Some(job),
-            dag: track.map(|_| analysis::job_key_dag(job)),
-            site: Some(site.0),
-            attempt: track.map(|t| t.attempts),
-            ..SpanAttrs::default()
-        };
-        let id = self.spans.start(name, now, attrs);
-        self.slot_spans.insert(job, id);
-    }
-
-    /// Open DAG `dag`'s root span, unless one is live already: a hub that
-    /// survived a crash (the sharded adopter's) keeps its original.
-    fn open_dag(&mut self, dag: u64, jobs: usize, now: SimTime) {
-        if !self.dag_spans.contains_key(&dag) {
-            let text = detail(format_args!("jobs={jobs}"));
-            let id = self.spans.start(
-                "dag",
-                now,
-                SpanAttrs {
-                    dag: Some(dag),
-                    detail: text,
-                    ..SpanAttrs::default()
-                },
-            );
-            self.dag_spans.insert(dag, id);
-        }
-    }
-
-    /// A zero-duration root span at the latest sim time the hub has seen,
-    /// for the WAL, which keeps no sim clock.
-    fn instant(&mut self, name: &'static str, detail: String) {
-        let now = self.last_sim;
-        let id = self.spans.start(
-            name,
-            now,
-            SpanAttrs {
-                detail,
-                ..SpanAttrs::default()
-            },
-        );
-        self.spans.end(id, now);
+    fn dwell(&mut self, histogram: &'static str, ms: u64) {
+        self.observe(histogram, ms as f64);
     }
 }
 
-/// Close `track`'s open `state:*` span: the stage it timed and its length
-/// in ms, the stage's dwell.
-fn close_state(spans: &mut SpanStore, track: &mut JobTrack, now: SimTime) -> Option<(Stage, u64)> {
-    let (stage, id) = track.state.take()?;
-    Some((stage, spans.end(id, now)?))
+#[derive(Default)]
+struct Inner {
+    log: Log,
+    /// The metric fold, advanced to the end of the log on every read.
+    fold: Machine<Metrics>,
 }
+
+impl Inner {
+    fn append(&mut self, at: SimTime, fact: Fact) {
+        self.log.records.push(Record { at, fact });
+    }
+
+    /// The metric fold, caught up with the log.
+    fn fold(&mut self) -> &Machine<Metrics> {
+        self.fold.advance(&self.log);
+        &self.fold
+    }
+
+    /// A fresh replay of the whole log into `sink`.
+    fn replay<S: Sink + Default>(&self) -> Machine<S> {
+        let mut machine = Machine::default();
+        machine.advance(&self.log);
+        machine
+    }
+}
+
+/// A phase span opened by [`Telemetry::span_start`], for
+/// [`Telemetry::span_end`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSpan(u32);
 
 /// The shared telemetry hub. Cheap to clone behind an [`Arc`]; every
 /// method takes `&self` (interior mutex).
@@ -898,11 +507,7 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("Telemetry")
-            .field("counters", &inner.counters.len())
-            .field("trace_events", &inner.recorded)
-            .finish()
+        f.debug_struct("Telemetry").finish_non_exhaustive()
     }
 }
 
@@ -914,14 +519,9 @@ impl Telemetry {
 
     /// Hub with explicit tuning.
     pub fn with_config(config: TelemetryConfig) -> Self {
-        let inner = Inner {
-            ring_capacity: config.trace_capacity,
-            spans: SpanStore::new(config.span_capacity),
-            ..Inner::default()
-        };
         Telemetry {
             config,
-            inner: Mutex::new(inner),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -935,47 +535,14 @@ impl Telemetry {
         self.config.wall_clock
     }
 
-    /// Attach a sink; it receives every event recorded from now on.
-    pub fn add_sink(&self, sink: Box<dyn TraceSink>) {
-        self.inner.lock().sinks.push(sink);
-    }
-
-    /// Flush all attached sinks.
-    pub fn flush_sinks(&self) {
-        for sink in self.inner.lock().sinks.iter_mut() {
-            sink.flush();
-        }
-    }
-
     // ---- facts ----
 
-    /// Record one fact at sim time `at`, and everything it implies, under
-    /// one lock acquisition. The WAL keeps no sim clock: it passes
-    /// `SimTime::default()` and is stamped with the latest time seen.
+    /// Record one fact at sim time `at`: one append to the log. The WAL
+    /// keeps no sim clock: it passes `SimTime::default()`, and its spans
+    /// are stamped with the latest time seen before it.
     pub fn record(&self, at: SimTime, event: Event) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(at);
-        inner.record(at, event);
+        self.inner.lock().append(at, Fact::Event(event));
     }
-
-    // ---- metrics ----
-
-    /// Add to a monotonic counter.
-    pub fn counter_add(&self, name: &'static str, n: u64) {
-        self.inner.lock().count(name, n);
-    }
-
-    /// Set a gauge.
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        self.inner.lock().gauges.insert(name, value);
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    // ---- tracing ----
 
     /// Record one free-text trace line: the infrastructure events that are
     /// no [`Event`] (monitor rounds, leases, adoption, ops alerts, recovery).
@@ -988,87 +555,101 @@ impl Telemetry {
         detail: String,
     ) {
         let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(sim_time);
-        inner.line(kind, sim_time, job, site, detail);
+        let note = inner.log.notes.len() as u32;
+        inner.log.notes.push((kind, job, site.map(|s| s.0), detail));
+        inner.append(sim_time, Fact::Note(note));
+    }
+
+    /// Open a root span (planner phases: `phase:reduce`, `phase:plan`,
+    /// …) at `now`.
+    pub fn span_start(&self, name: &'static str, now: SimTime) -> PhaseSpan {
+        let inner = &mut *self.inner.lock();
+        let handle = PhaseSpan(inner.log.phases);
+        inner.log.phases += 1;
+        inner.append(now, Fact::Open(name));
+        handle
+    }
+
+    /// Close a span opened with [`Telemetry::span_start`].
+    pub fn span_end(&self, span: PhaseSpan, now: SimTime) {
+        self.inner.lock().append(now, Fact::Close(span.0));
+    }
+
+    // ---- metrics ----
+
+    /// Add to a monotonic counter.
+    pub fn counter_add(&self, name: &'static str, n: u64) {
+        self.inner.lock().fold.spans.sink.count(name, n);
+    }
+
+    /// Set a gauge.
+    pub fn gauge_set(&self, name: &'static str, value: f64) {
+        self.inner.lock().fold.spans.sink.gauges.insert(name, value);
+    }
+
+    /// Current value of a counter (0 if never touched).
+    pub fn counter(&self, name: &str) -> u64 {
+        let mut inner = self.inner.lock();
+        let counters = &inner.fold().spans.sink.counters;
+        counters.get(name).copied().unwrap_or(0)
     }
 
     /// Incremental poll for the live ops aggregator: under **one** lock
-    /// acquisition, lend `read` the ring events from absolute sequence
+    /// acquisition, lend `read` the trace lines recorded from log position
     /// `cursor` on, `wal.appends` and the monitor gauges, in place (see
-    /// [`OpsView`]; events already gone are counted, not skipped).
+    /// [`OpsView`]).
     pub fn ops_poll<R>(&self, cursor: u64, read: impl FnOnce(OpsView<'_>) -> R) -> R {
-        let inner = self.inner.lock();
-        // Sequence number of the oldest event still in the ring.
-        let start = inner.recorded - inner.ring.len() as u64;
-        let skip = (cursor.saturating_sub(start) as usize).min(inner.ring.len());
+        let inner = &mut *self.inner.lock();
+        inner.fold.advance(&inner.log);
+        let metrics = &inner.fold.spans.sink;
+        let mut lines = inner.log.lines(cursor as usize).map(|(line, _)| line);
         read(OpsView {
-            events: inner.ring.range(skip..),
-            missed: start.saturating_sub(cursor),
-            cursor: inner.recorded,
-            wal_appends: inner.counters.get("wal.appends").copied().unwrap_or(0),
-            queue_depth: inner.site_gauges.get("monitor.queue_depth"),
-            staleness: inner.site_gauges.get("monitor.staleness"),
+            events: &mut lines,
+            cursor: inner.log.records.len() as u64,
+            wal_appends: metrics.counters.get("wal.appends").copied().unwrap_or(0),
+            queue_depth: metrics.site_gauges.get("monitor.queue_depth"),
+            staleness: metrics.site_gauges.get("monitor.staleness"),
         })
     }
 
-    /// Number of events currently buffered.
-    pub fn trace_len(&self) -> usize {
-        self.inner.lock().ring.len()
-    }
+    // ---- projections of the whole log ----
 
-    /// Take every buffered event, oldest first (the buffer empties).
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        self.inner.lock().ring.drain(..).collect()
-    }
-
-    /// Render the buffered trace as JSONL without draining it.
-    pub fn trace_jsonl(&self) -> String {
+    /// Every trace line recorded so far, oldest first.
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
         let inner = self.inner.lock();
+        let lines = inner.log.lines(0).map(|(line, detail)| TraceEvent {
+            sim_time: line.sim_time,
+            kind: line.kind,
+            job: line.job,
+            site: line.site,
+            detail: detail.to_string(),
+        });
+        lines.collect()
+    }
+
+    /// Render every trace line as JSONL.
+    pub fn trace_jsonl(&self) -> String {
         let mut out = String::new();
-        for event in &inner.ring {
+        for event in self.trace_events() {
             out.push_str(&event.to_json_line());
             out.push('\n');
         }
         out
     }
 
-    // ---- phase spans ----
-
-    /// Open a root span (planner phases: `phase:reduce`, `phase:plan`,
-    /// …) at `now`.
-    pub fn span_start(&self, name: &'static str, now: SimTime) -> SpanId {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        inner.spans.start(name, now, SpanAttrs::default())
-    }
-
-    /// Close a span opened with [`Telemetry::span_start`].
-    pub fn span_end(&self, id: SpanId, now: SimTime) {
-        let inner = &mut *self.inner.lock();
-        inner.last_sim = inner.last_sim.max(now);
-        inner.spans.end(id, now);
-    }
-
-    /// Every span recorded so far: finished spans in end order, then
-    /// live spans by id (deterministic for a deterministic run).
+    /// Every span the log implies: finished spans in end order, then live
+    /// spans by id (deterministic for a deterministic run).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.lock().spans.iter().cloned().collect()
+        let machine = self.inner.lock().replay::<SpanStore>();
+        machine.spans.sink.into_spans()
     }
 
-    /// Analyze the span graph where the store holds it (nothing copied):
-    /// a critical path per DAG, the `top_n` slowest jobs, and the store's
-    /// self-accounting counters.
+    /// Analyze the run without building its span forest: a critical path
+    /// per DAG, the `top_n` slowest jobs, and the span counts.
     pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
-        let inner = self.inner.lock();
-        let store = &inner.spans;
-        let graph = SpanGraph::new(store.iter());
-        // Qualified, so the lock lint's name-based call graph does not
-        // also wire this call to `Telemetry::analyze`.
-        let mut out = SpanGraph::analyze(&graph, top_n);
-        out.spans_total = store.total();
-        out.spans_live = store.live();
-        out.spans_dropped = store.dropped();
-        out
+        let machine = self.inner.lock().replay::<Histories>();
+        let (total, live) = (machine.spans.next_id, machine.spans.live);
+        machine.spans.sink.analyze(top_n, total, live)
     }
 
     // ---- snapshot ----
@@ -1076,42 +657,35 @@ impl Telemetry {
     /// Copy out every metric. Two same-seed runs produce equal snapshots
     /// (wall-clock metrics are opt-in and default off).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.inner.lock();
-        let mut counters: BTreeMap<String, u64> = inner
-            .counters
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), *v))
-            .collect();
-        // Self-accounting: surface ring and span-store health as
-        // ordinary counters so every exporter carries them.
-        counters.insert("telemetry.trace.recorded".to_owned(), inner.recorded);
-        counters.insert("telemetry.trace.dropped".to_owned(), inner.dropped);
-        counters.insert("telemetry.spans.total".to_owned(), inner.spans.total());
-        counters.insert("telemetry.spans.live".to_owned(), inner.spans.live());
-        counters.insert("telemetry.spans.dropped".to_owned(), inner.spans.dropped());
+        fn owned<V, W>(map: &BTreeMap<&str, V>, f: impl Fn(&V) -> W) -> BTreeMap<String, W> {
+            map.iter().map(|(k, v)| ((*k).to_owned(), f(v))).collect()
+        }
+        let mut inner = self.inner.lock();
+        let fold = inner.fold();
+        let (metrics, total, live) = (&fold.spans.sink, fold.spans.next_id, fold.spans.live);
+        let mut counters = owned(&metrics.counters, |v| *v);
+        // Self-accounting, as ordinary counters so every exporter
+        // carries it.
+        for (name, value) in [
+            ("telemetry.trace.recorded", metrics.lines),
+            ("telemetry.trace.dropped", 0),
+            ("telemetry.spans.total", total),
+            ("telemetry.spans.live", live),
+            ("telemetry.spans.dropped", 0),
+        ] {
+            counters.insert(name.to_owned(), value);
+        }
         TelemetrySnapshot {
             counters,
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), *v))
-                .collect(),
-            site_gauges: inner
-                .site_gauges
-                .iter()
-                .map(|(k, per_site)| ((*k).to_owned(), per_site.clone()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| ((*k).to_owned(), h.snapshot()))
-                .collect(),
-            sites: inner.sites.clone(),
-            trace_recorded: inner.recorded,
-            trace_dropped: inner.dropped,
-            spans_total: inner.spans.total(),
-            spans_live: inner.spans.live(),
-            spans_dropped: inner.spans.dropped(),
+            gauges: owned(&metrics.gauges, |v| *v),
+            site_gauges: owned(&metrics.site_gauges, BTreeMap::clone),
+            histograms: owned(&metrics.histograms, Histogram::snapshot),
+            sites: metrics.sites.clone(),
+            trace_recorded: metrics.lines,
+            trace_dropped: 0,
+            spans_total: total,
+            spans_live: live,
+            spans_dropped: 0,
         }
     }
 }
@@ -1132,10 +706,9 @@ pub struct TelemetrySnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Per-site grid tallies, keyed by site id.
     pub sites: BTreeMap<u32, SiteTally>,
-    /// Trace events recorded over the run (including any dropped from the
-    /// ring).
+    /// Trace lines recorded over the run.
     pub trace_recorded: u64,
-    /// Trace events dropped from the ring buffer (capacity overflow).
+    /// Trace lines lost: always 0, the log keeps every record.
     pub trace_dropped: u64,
     /// Spans ever started.
     #[serde(default)]
@@ -1143,7 +716,7 @@ pub struct TelemetrySnapshot {
     /// Spans still live at snapshot time.
     #[serde(default)]
     pub spans_live: u64,
-    /// Finished spans evicted from the bounded span store.
+    /// Spans lost: always 0, the log keeps every record.
     #[serde(default)]
     pub spans_dropped: u64,
 }
@@ -1162,9 +735,502 @@ impl TelemetrySnapshot {
     }
 }
 
+/// The hub as it was before the log: every fact applied when recorded,
+/// into a ring of trace lines, a span store and the metric maps. Kept as
+/// the oracle every projection of the log is compared against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::analysis::oracle::ScanGraph;
+
+    /// A job's live automaton state, with what entering it knows: the site
+    /// of a placed job, the upstream job whose completion made it ready.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Stage {
+        Unready,
+        Ready(Option<u64>),
+        Submitted(SiteId),
+        Queued(SiteId),
+        Running(SiteId),
+    }
+
+    impl Stage {
+        /// The `state:*` span a job holds open in this stage, and the
+        /// histogram that span's length feeds when it closes.
+        fn names(self) -> (&'static str, &'static str) {
+            match self {
+                Stage::Unready => ("state:unready", "fsa.dwell_ms.unready"),
+                Stage::Ready(_) => ("state:ready", "fsa.dwell_ms.ready"),
+                Stage::Submitted(_) => ("state:submitted", "fsa.dwell_ms.submitted"),
+                Stage::Queued(_) => ("state:queued", "fsa.dwell_ms.queued"),
+                Stage::Running(_) => ("state:running", "fsa.dwell_ms.running"),
+            }
+        }
+    }
+
+    /// The free-text detail of a ring line or span: per DAG, plan cycle or WAL
+    /// event, never per job transition, so it stays off the per-job path.
+    fn detail(args: std::fmt::Arguments<'_>) -> String {
+        // sphinx-lint: allow(hot-alloc)
+        format!("{args}")
+    }
+
+    /// Live span bookkeeping for one in-flight job.
+    #[derive(Default)]
+    struct JobTrack {
+        /// The job's whole-lifetime span.
+        job_span: SpanId,
+        /// Its stage and open `state:*` span, whose start is the dwell clock.
+        state: Option<(Stage, SpanId)>,
+        /// The currently open `attempt` span (submit → finish/replanned).
+        attempt_span: Option<SpanId>,
+        /// The most recent closed attempt (linked from the next one).
+        last_attempt: Option<SpanId>,
+        /// Planning attempts so far (1-based after the first submit).
+        attempts: u64,
+    }
+
+    #[derive(Default)]
+    pub struct Inner {
+        counters: BTreeMap<&'static str, u64>,
+        /// Per-site labelled gauge families (`monitor.staleness{site="3"}`),
+        /// keyed family → site → value.
+        site_gauges: BTreeMap<&'static str, BTreeMap<u32, f64>>,
+        histograms: BTreeMap<&'static str, Histogram>,
+        sites: BTreeMap<u32, SiteTally>,
+        ring: Vec<TraceEvent>,
+        /// Causal span store (live + finished).
+        spans: SpanStore,
+        /// Open root span per DAG id.
+        dag_spans: BTreeMap<u64, SpanId>,
+        /// Span bookkeeping per in-flight job key.
+        job_tracks: BTreeMap<u64, JobTrack>,
+        /// Job-span id per job key, kept after the job finishes so later
+        /// ready-cause links can resolve (one small entry per job).
+        job_span_ids: BTreeMap<u64, SpanId>,
+        /// Open `slot:queued`/`slot:run` span per job key (grid substrate).
+        slot_spans: BTreeMap<u64, SpanId>,
+        /// Latest sim time of any event: what the clockless WAL is stamped with.
+        last_sim: SimTime,
+    }
+
+    impl Inner {
+        pub fn count(&mut self, name: &'static str, n: u64) {
+            *self.counters.entry(name).or_insert(0) += n;
+        }
+
+        fn observe(&mut self, name: &'static str, value: f64) {
+            self.histograms.entry(name).or_default().record(value);
+        }
+
+        /// Append one line to the ring.
+        fn line(
+            &mut self,
+            kind: TraceKind,
+            at: SimTime,
+            job: Option<u64>,
+            site: Option<SiteId>,
+            detail: String,
+        ) {
+            let site = site.map(|s| s.0);
+            let event = TraceEvent {
+                sim_time: at,
+                kind,
+                job,
+                site,
+                detail,
+            };
+            self.ring.push(event);
+        }
+
+        /// Everything one fact implies.
+        fn record(&mut self, at: SimTime, event: Event) {
+            match event {
+                Event::DagSubmitted { dag, jobs } => {
+                    let text = detail(format_args!("dag={dag} jobs={jobs}"));
+                    self.count("dag.submitted", 1);
+                    self.line(TraceKind::DagSubmitted, at, None, None, text);
+                    self.open_dag(dag, jobs, at);
+                    for index in 0..jobs as u64 {
+                        self.enter(analysis::job_key(dag, index), Stage::Unready, at);
+                    }
+                }
+                Event::DagRestored { dag, jobs } => self.open_dag(dag, jobs, at),
+                Event::DagFinished { dag } => {
+                    let text = detail(format_args!("dag={dag}"));
+                    self.count("dag.finished", 1);
+                    self.line(TraceKind::DagFinished, at, None, None, text);
+                    if let Some(id) = self.dag_spans.remove(&dag) {
+                        self.spans.end(id, at);
+                    }
+                }
+                Event::Job { job, step } => self.job(at, job, step),
+                Event::Grid { site, job, step } => self.grid(at, site, job, step),
+                Event::SiteFlag { site, flagged } => {
+                    let (counter, kind) = if flagged {
+                        ("reliability.flagged", TraceKind::SiteFlagged)
+                    } else {
+                        ("reliability.unflagged", TraceKind::SiteUnflagged)
+                    };
+                    self.count(counter, 1);
+                    self.line(kind, at, None, Some(site), String::new());
+                }
+                Event::SiteReport { site, age, queued } => {
+                    let (age, gauges) = (age.as_millis() as f64, &mut self.site_gauges);
+                    gauges
+                        .entry("monitor.staleness")
+                        .or_default()
+                        .insert(site.0, age);
+                    let depth = gauges.entry("monitor.queue_depth").or_default();
+                    depth.insert(site.0, queued as f64);
+                    self.observe("monitor.sample_age_ms", age);
+                }
+                Event::PlanCycle { reports, gap } => {
+                    if let Some(gap) = gap {
+                        self.observe("plan.cycle_gap_ms", gap.as_millis() as f64);
+                    }
+                    let text = detail(format_args!("reports={reports}"));
+                    self.count("plan.cycles", 1);
+                    self.line(TraceKind::PlanCycle, at, None, None, text);
+                }
+                Event::PlanCycleDone {
+                    hits,
+                    misses,
+                    reused,
+                    wall_us,
+                } => {
+                    let tallies = [
+                        ("plan.score_cache.hits", hits),
+                        ("plan.score_cache.misses", misses),
+                        ("plan.scratch.reused", reused),
+                    ];
+                    for (counter, n) in tallies {
+                        if n > 0 {
+                            self.count(counter, u64::from(n));
+                        }
+                    }
+                    if let Some(us) = wall_us {
+                        self.observe("wall.plan_cycle_us", f64::from(us));
+                    }
+                }
+                Event::WalReplay { lines } => {
+                    self.count("wal.replays", lines);
+                    self.instant("wal:replay", detail(format_args!("{lines} lines replayed")));
+                }
+                Event::WalCheckpoint => {
+                    self.count("wal.rewrites", 1);
+                    let text = detail(format_args!("log compacted to snapshot"));
+                    self.instant("wal:checkpoint", text);
+                }
+            }
+        }
+
+        fn job(&mut self, at: SimTime, job: u64, step: JobStep) {
+            let (kind, site, cause) = match step {
+                JobStep::Ready { cause } => {
+                    self.enter(job, Stage::Ready(cause), at);
+                    (TraceKind::JobReady, None, "")
+                }
+                JobStep::Eliminated => {
+                    self.count("job.eliminated", 1);
+                    self.finish(job, at);
+                    (TraceKind::JobEliminated, None, "")
+                }
+                JobStep::Submitted { site } => {
+                    self.count("plan.jobs_submitted", 1);
+                    self.enter(job, Stage::Submitted(site), at);
+                    (TraceKind::JobSubmitted, Some(site), "")
+                }
+                JobStep::Queued { site } => {
+                    self.enter(job, Stage::Queued(site), at);
+                    (TraceKind::JobQueued, Some(site), "")
+                }
+                JobStep::Running { site } => {
+                    self.enter(job, Stage::Running(site), at);
+                    (TraceKind::JobRunning, Some(site), "")
+                }
+                JobStep::Completed { site, total } => {
+                    self.finish(job, at);
+                    self.observe("job.completion_ms", total.as_millis() as f64);
+                    (TraceKind::JobCompleted, Some(site), "")
+                }
+                JobStep::Held { site } => {
+                    self.enter(job, Stage::Ready(None), at);
+                    self.count("plan.reschedules_held", 1);
+                    (TraceKind::JobCancelled, Some(site), "held")
+                }
+                JobStep::TimedOut { site } => {
+                    self.enter(job, Stage::Ready(None), at);
+                    self.count("plan.reschedules_timeout", 1);
+                    (TraceKind::JobCancelled, Some(site), "timeout")
+                }
+                JobStep::Reset => return self.enter(job, Stage::Ready(None), at),
+                JobStep::Resumed { site } => return self.enter(job, Stage::Submitted(site), at),
+            };
+            // Allocates only for a cancellation's cause; every other step's
+            // line has an empty detail.
+            // sphinx-lint: allow(hot-alloc)
+            self.line(kind, at, Some(job), site, cause.to_owned());
+        }
+
+        /// The span machine of the job lifecycle. The first stage opens the
+        /// job span (under its DAG root); every stage closes the previous
+        /// `state:*` span (its length is that stage's dwell) and opens its
+        /// own; `Submitted` opens an `attempt` span linked to the previous
+        /// failed attempt; a `Ready` caused by an upstream completion links to
+        /// the cause's job span (the edge critical-path extraction walks).
+        fn enter(&mut self, job: u64, stage: Stage, now: SimTime) {
+            let dag = analysis::job_key_dag(job);
+            let track = self.job_tracks.entry(job).or_insert_with(|| {
+                let parent = self.dag_spans.get(&dag).copied();
+                let attrs = Span {
+                    parent,
+                    job: Some(job),
+                    dag: Some(dag),
+                    ..Span::default()
+                };
+                let job_span = self.spans.start("job", now, attrs);
+                self.job_span_ids.insert(job, job_span);
+                JobTrack {
+                    job_span,
+                    ..JobTrack::default()
+                }
+            });
+            let closed = close_state(&mut self.spans, track, now);
+            // The job's other spans also carry its site; they differ in
+            // parent, attempt number and causal link.
+            let site = match stage {
+                Stage::Submitted(site) | Stage::Queued(site) | Stage::Running(site) => Some(site.0),
+                Stage::Unready | Stage::Ready(_) => None,
+            };
+            let attrs = |parent, attempt, link| Span {
+                parent: Some(parent),
+                job: Some(job),
+                dag: Some(dag),
+                site,
+                attempt,
+                link,
+                ..Span::default()
+            };
+            let attrs = match stage {
+                Stage::Unready => attrs(track.job_span, None, None),
+                Stage::Ready(cause) => {
+                    // A live attempt span here means the attempt failed and
+                    // the job came back for replanning.
+                    if let Some(a) = track.attempt_span.take() {
+                        self.spans.end(a, now);
+                        track.last_attempt = Some(a);
+                    }
+                    let link = cause.and_then(|c| self.job_span_ids.get(&c).copied());
+                    attrs(track.job_span, Some(track.attempts), link)
+                }
+                Stage::Submitted(_) => {
+                    track.attempts += 1;
+                    let attempt = Some(track.attempts);
+                    let opened = attrs(track.job_span, attempt, track.last_attempt);
+                    let id = self.spans.start("attempt", now, opened);
+                    track.attempt_span = Some(id);
+                    attrs(id, attempt, None)
+                }
+                Stage::Queued(_) | Stage::Running(_) => {
+                    let parent = track.attempt_span.unwrap_or(track.job_span);
+                    attrs(parent, Some(track.attempts), None)
+                }
+            };
+            track.state = Some((stage, self.spans.start(stage.names().0, now, attrs)));
+            if let Some((was, ms)) = closed {
+                self.observe(was.names().1, ms as f64);
+            }
+        }
+
+        /// The job finished or was eliminated: close every span it holds and
+        /// drop its bookkeeping.
+        fn finish(&mut self, job: u64, now: SimTime) {
+            if let Some(mut track) = self.job_tracks.remove(&job) {
+                if let Some((stage, ms)) = close_state(&mut self.spans, &mut track, now) {
+                    self.observe(stage.names().1, ms as f64);
+                }
+                for id in track.attempt_span.into_iter().chain([track.job_span]) {
+                    self.spans.end(id, now);
+                }
+            }
+            self.move_slot(job, None, now);
+        }
+
+        fn grid(&mut self, at: SimTime, site: SiteId, job: u64, step: GridStep) {
+            type Column = fn(&mut SiteTally) -> &mut u64;
+            let (counter, kind, column): (&'static str, TraceKind, Column) = match step {
+                GridStep::Queued => {
+                    self.count("grid.queues", 1);
+                    return self.move_slot(job, Some(("slot:queued", site)), at);
+                }
+                GridStep::Submit => ("grid.submits", TraceKind::GridSubmit, |t| &mut t.submits),
+                GridStep::Start => {
+                    self.move_slot(job, Some(("slot:run", site)), at);
+                    ("grid.starts", TraceKind::GridStart, |t| &mut t.starts)
+                }
+                GridStep::Complete => ("grid.completions", TraceKind::GridComplete, |t| {
+                    &mut t.completions
+                }),
+                GridStep::Hold => ("grid.holds", TraceKind::GridHold, |t| &mut t.holds),
+                GridStep::Cancel => ("grid.cancels", TraceKind::GridCancel, |t| &mut t.cancels),
+            };
+            // Leaving the batch system closes the slot.
+            if matches!(step, GridStep::Complete | GridStep::Hold | GridStep::Cancel) {
+                self.move_slot(job, None, at);
+            }
+            self.count(counter, 1);
+            *column(self.sites.entry(site.0).or_default()) += 1;
+            self.line(kind, at, Some(job), Some(site), String::new());
+        }
+
+        /// Close `job`'s open batch-slot span, if any, and open `next` (a slot
+        /// name and its site) in its place, under the job's live attempt span
+        /// when it has one (a tag the server never planned — grid unit tests
+        /// feed those — gets a root slot span).
+        fn move_slot(&mut self, job: u64, next: Option<(&'static str, SiteId)>, now: SimTime) {
+            if let Some(id) = self.slot_spans.remove(&job) {
+                self.spans.end(id, now);
+            }
+            let Some((name, site)) = next else { return };
+            let track = self.job_tracks.get(&job);
+            let attrs = Span {
+                parent: track.map(|t| t.attempt_span.unwrap_or(t.job_span)),
+                job: Some(job),
+                dag: track.map(|_| analysis::job_key_dag(job)),
+                site: Some(site.0),
+                attempt: track.map(|t| t.attempts),
+                ..Span::default()
+            };
+            let id = self.spans.start(name, now, attrs);
+            self.slot_spans.insert(job, id);
+        }
+
+        /// Open DAG `dag`'s root span, unless one is live already: a hub that
+        /// survived a crash (the sharded adopter's) keeps its original.
+        fn open_dag(&mut self, dag: u64, jobs: usize, now: SimTime) {
+            if !self.dag_spans.contains_key(&dag) {
+                let text = detail(format_args!("jobs={jobs}"));
+                let id = self.spans.start(
+                    "dag",
+                    now,
+                    Span {
+                        dag: Some(dag),
+                        detail: text,
+                        ..Span::default()
+                    },
+                );
+                self.dag_spans.insert(dag, id);
+            }
+        }
+
+        /// A zero-duration root span at the latest sim time the hub has seen,
+        /// for the WAL, which keeps no sim clock.
+        fn instant(&mut self, name: &'static str, detail: String) {
+            let now = self.last_sim;
+            let id = self.spans.start(
+                name,
+                now,
+                Span {
+                    detail,
+                    ..Span::default()
+                },
+            );
+            self.spans.end(id, now);
+        }
+    }
+
+    /// Close `track`'s open `state:*` span: the stage it timed and its length
+    /// in ms, the stage's dwell.
+    fn close_state(
+        spans: &mut SpanStore,
+        track: &mut JobTrack,
+        now: SimTime,
+    ) -> Option<(Stage, u64)> {
+        let (stage, id) = track.state.take()?;
+        Some((stage, spans.end(id, now)?))
+    }
+
+    impl Inner {
+        /// `Telemetry::record`.
+        pub fn fact(&mut self, at: SimTime, event: Event) {
+            self.last_sim = self.last_sim.max(at);
+            self.record(at, event);
+        }
+
+        /// `Telemetry::trace`.
+        pub fn note(&mut self, kind: TraceKind, at: SimTime, site: Option<SiteId>, text: &str) {
+            self.last_sim = self.last_sim.max(at);
+            self.line(kind, at, None, site, text.to_owned());
+        }
+
+        /// `Telemetry::span_start`.
+        pub fn phase_start(&mut self, name: &'static str, at: SimTime) -> SpanId {
+            self.last_sim = self.last_sim.max(at);
+            self.spans.start(name, at, Span::default())
+        }
+
+        /// `Telemetry::span_end`.
+        pub fn phase_end(&mut self, id: SpanId, at: SimTime) {
+            self.last_sim = self.last_sim.max(at);
+            self.spans.end(id, at);
+        }
+
+        pub fn spans(&self) -> Vec<Span> {
+            self.spans.iter().cloned().collect()
+        }
+
+        pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
+            ScanGraph(&self.spans()).analyze(top_n)
+        }
+
+        pub fn trace_jsonl(&self) -> String {
+            self.ring.iter().map(|e| e.to_json_line() + "\n").collect()
+        }
+
+        pub fn snapshot(&self) -> TelemetrySnapshot {
+            let spans = self.spans();
+            let total = spans.len() as u64;
+            let live = spans.iter().filter(|s| s.end.is_none()).count() as u64;
+            let recorded = self.ring.len() as u64;
+            let mut counters: BTreeMap<String, u64> = self
+                .counters
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), *v))
+                .collect();
+            counters.insert("telemetry.trace.recorded".to_owned(), recorded);
+            counters.insert("telemetry.trace.dropped".to_owned(), 0);
+            counters.insert("telemetry.spans.total".to_owned(), total);
+            counters.insert("telemetry.spans.live".to_owned(), live);
+            counters.insert("telemetry.spans.dropped".to_owned(), 0);
+            TelemetrySnapshot {
+                counters,
+                gauges: BTreeMap::new(),
+                site_gauges: self
+                    .site_gauges
+                    .iter()
+                    .map(|(k, per_site)| ((*k).to_owned(), per_site.clone()))
+                    .collect(),
+                histograms: self
+                    .histograms
+                    .iter()
+                    .map(|(k, h)| ((*k).to_owned(), h.snapshot()))
+                    .collect(),
+                sites: self.sites.clone(),
+                trace_recorded: recorded,
+                trace_dropped: 0,
+                spans_total: total,
+                spans_live: live,
+                spans_dropped: 0,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -1230,8 +1296,8 @@ mod tests {
         assert_eq!(snap.histograms["fsa.dwell_ms.queued"].sum, 28_000.0);
         assert_eq!(snap.histograms["fsa.dwell_ms.running"].sum, 60_000.0);
         assert_eq!(snap.histograms["job.completion_ms"].sum, 90_000.0);
-        // The terminal state dropped the job's bookkeeping.
-        assert_eq!(tel.inner.lock().job_tracks.len(), 0);
+        // The terminal state closed every span the job held.
+        assert_eq!(snap.spans_live, 0);
     }
 
     #[test]
@@ -1258,10 +1324,10 @@ mod tests {
         let site = SiteId(1);
         job(&tel, t(0), 9, JobStep::Ready { cause: None });
         job(&tel, t(1), 9, JobStep::Submitted { site });
-        let lines = tel.trace_len();
+        let lines = tel.trace_events().len();
         job(&tel, t(2), 9, JobStep::Reset);
         job(&tel, t(3), 9, JobStep::Resumed { site });
-        assert_eq!(tel.trace_len(), lines);
+        assert_eq!(tel.trace_events().len(), lines);
         let spans = tel.spans();
         let attempts = spans.iter().filter(|s| s.name == "attempt").count();
         assert_eq!(attempts, 2, "a resumed job gets a new attempt");
@@ -1342,11 +1408,7 @@ mod tests {
 
     #[test]
     fn snapshot_carries_span_accounting_counters() {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            trace_capacity: 8,
-            span_capacity: 2,
-            wall_clock: false,
-        });
+        let tel = Telemetry::new();
         for i in 0..4 {
             let id = tel.span_start("phase:plan", t(i));
             tel.span_end(id, t(i));
@@ -1355,12 +1417,16 @@ mod tests {
         let snap = tel.snapshot();
         assert_eq!(snap.spans_total, 5);
         assert_eq!(snap.spans_live, 1);
-        assert_eq!(snap.spans_dropped, 2);
+        assert_eq!(snap.spans_dropped, 0);
         assert_eq!(snap.counter("telemetry.spans.total"), 5);
         assert_eq!(snap.counter("telemetry.spans.live"), 1);
-        assert_eq!(snap.counter("telemetry.spans.dropped"), 2);
+        assert_eq!(snap.counter("telemetry.spans.dropped"), 0);
         assert_eq!(snap.counter("telemetry.trace.dropped"), 0);
         tel.span_end(open, t(10));
+        // Closing a closed phase span is a no-op.
+        tel.span_end(open, t(11));
+        assert_eq!(tel.snapshot().spans_live, 0);
+        assert_eq!(tel.spans().last().and_then(|s| s.end), Some(t(10)));
     }
 
     #[test]
@@ -1381,105 +1447,6 @@ mod tests {
         );
         assert_eq!(tel.counter("wal.rewrites"), 1);
         assert_eq!(tel.counter("wal.replays"), 12);
-    }
-
-    #[test]
-    fn ring_buffer_caps_and_counts_drops() {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            trace_capacity: 2,
-            ..TelemetryConfig::default()
-        });
-        for i in 0..5u64 {
-            tel.trace(TraceKind::PlanCycle, t(i), None, None, String::new());
-        }
-        assert_eq!(tel.trace_len(), 2);
-        let snap = tel.snapshot();
-        assert_eq!(snap.trace_recorded, 5);
-        assert_eq!(snap.trace_dropped, 3);
-        let events = tel.drain_trace();
-        assert_eq!(events[0].sim_time, t(3));
-        assert_eq!(events[1].sim_time, t(4));
-        assert_eq!(tel.trace_len(), 0);
-    }
-
-    #[test]
-    fn ring_capacity_zero_retains_nothing_and_counts_every_drop() {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            trace_capacity: 0,
-            ..TelemetryConfig::default()
-        });
-        let (sink, handle) = InMemorySink::new();
-        tel.add_sink(Box::new(sink));
-        for i in 0..3u64 {
-            tel.trace(TraceKind::PlanCycle, t(i), None, None, String::new());
-        }
-        let snap = tel.snapshot();
-        assert_eq!(tel.trace_len(), 0);
-        assert_eq!(snap.trace_dropped, 3);
-        // Recorded = retained + dropped.
-        assert_eq!(
-            snap.trace_recorded,
-            tel.trace_len() as u64 + snap.trace_dropped
-        );
-        assert_eq!(handle.lock().len(), 3, "sinks still see every event");
-    }
-
-    #[test]
-    fn sinks_see_every_event_even_past_capacity() {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            trace_capacity: 1,
-            ..TelemetryConfig::default()
-        });
-        let (sink, handle) = InMemorySink::new();
-        tel.add_sink(Box::new(sink));
-        for i in 0..4u64 {
-            tel.trace(
-                TraceKind::GridSubmit,
-                t(i),
-                Some(i),
-                Some(SiteId(0)),
-                String::new(),
-            );
-        }
-        assert_eq!(handle.lock().len(), 4);
-        assert_eq!(handle.lock()[0].job, Some(0));
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let tel = Telemetry::new();
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        tel.add_sink(Box::new(JsonlSink::new(SharedBuf(Arc::clone(&buf)))));
-        tel.trace(
-            TraceKind::JobQueued,
-            t(1),
-            Some(9),
-            Some(SiteId(3)),
-            String::new(),
-        );
-        tel.trace(
-            TraceKind::JobRunning,
-            t(2),
-            Some(9),
-            Some(SiteId(3)),
-            String::new(),
-        );
-        tel.flush_sinks();
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"JobQueued\""));
-        assert!(lines[1].contains("\"site\":3"));
     }
 
     #[test]
@@ -1540,33 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn hand_rolled_json_line_matches_serde_encoding() {
-        let events = [
-            TraceEvent {
-                sim_time: t(0),
-                kind: TraceKind::MonitorSample,
-                job: None,
-                site: None,
-                detail: "sampled=3 lost=1".to_owned(),
-            },
-            TraceEvent {
-                sim_time: t(77),
-                kind: TraceKind::JobQueued,
-                job: Some(u64::MAX),
-                site: Some(14),
-                detail: "quote\" slash\\ ctrl\n".to_owned(),
-            },
-        ];
-        for event in events {
-            let hand = event.to_json_line();
-            let serde = serde_json::to_string(&event).unwrap();
-            assert_eq!(hand, serde, "hand-rolled encoding drifted from serde");
-            let back: TraceEvent = serde_json::from_str(&hand).unwrap();
-            assert_eq!(back, event);
-        }
-    }
-
-    #[test]
     fn site_reports_round_trip_snapshot() {
         let tel = Telemetry::new();
         let report = |site: u32, age_secs: u64, queued: usize| {
@@ -1595,12 +1535,12 @@ mod tests {
     }
 
     /// The lent view, copied out so assertions can run after the lock.
-    fn poll(tel: &Telemetry, cursor: u64) -> (Vec<TraceEvent>, u64, u64, u64, Vec<(u32, f64)>) {
+    /// The lent view, copied out so assertions can run after the lock.
+    fn poll(tel: &Telemetry, cursor: u64) -> (Vec<TraceLine>, u64, u64, Vec<(u32, f64)>) {
         tel.ops_poll(cursor, |view| {
             let depth = view.queue_depth.into_iter().flatten();
             (
-                view.events.cloned().collect(),
-                view.missed,
+                view.events.collect(),
                 view.cursor,
                 view.wal_appends,
                 depth.map(|(s, v)| (*s, *v)).collect(),
@@ -1624,100 +1564,148 @@ mod tests {
         for i in 0..3u64 {
             grid(&tel, t(i), 1, i, GridStep::Submit);
         }
-        let (events, missed, cursor, wal, depth) = poll(&tel, 0);
-        assert_eq!((cursor, missed, wal), (3, 0, 4));
+        // Four records, three of them trace lines.
+        let (events, cursor, wal, depth) = poll(&tel, 0);
+        assert_eq!((cursor, wal), (4, 4));
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, TraceKind::GridSubmit);
         assert_eq!(events[2].job, Some(2));
         assert_eq!(depth, vec![(1, 3.0)]);
         // Nothing new → empty poll, same cursor.
-        let (events, _, cursor2, _, _) = poll(&tel, cursor);
-        assert_eq!(cursor2, 3);
+        let (events, cursor2, _, _) = poll(&tel, cursor);
+        assert_eq!(cursor2, 4);
         assert!(events.is_empty());
         // New events since the cursor are seen exactly once.
         grid(&tel, t(5), 1, 0, GridStep::Start);
-        let (events, _, cursor3, _, _) = poll(&tel, cursor2);
-        assert_eq!(cursor3, 4);
+        let (events, cursor3, _, _) = poll(&tel, cursor2);
+        assert_eq!(cursor3, 5);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, TraceKind::GridStart);
     }
 
-    #[test]
-    fn ops_poll_counts_events_lost_to_ring_overflow() {
-        let tel = Telemetry::with_config(TelemetryConfig {
-            trace_capacity: 2,
-            ..TelemetryConfig::default()
-        });
-        for i in 0..5u64 {
-            tel.trace(TraceKind::PlanCycle, t(i), None, None, String::new());
+    /// One generated sequence driven through a hub and through the
+    /// record-time oracle alike. Each op is `(kind, a, b, dt)`: `dt` moves
+    /// the clock 0, 1 or 2 s (so times collide), and an odd `b` stamps the op a second early, so
+    /// spans may end before they start. Job ops pick one of 4 jobs of one
+    /// of 3 DAGs (grid ops sometimes a tag no DAG owns); ready causes are
+    /// lower-numbered siblings.
+    fn drive(ops: &[(u8, u64, u64, u64)]) -> (Telemetry, oracle::Inner, TelemetrySnapshot) {
+        let (tel, mut old) = (Telemetry::new(), oracle::Inner::default());
+        let mut phases: Vec<(PhaseSpan, SpanId)> = Vec::new();
+        let mut now = 0u64;
+        let mut midway = None;
+        for (i, &(kind, a, b, dt)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                let snap = tel.snapshot();
+                assert_eq!(snap, old.snapshot(), "fold at op {i}");
+                midway = Some(snap);
+            }
+            now += 1_000 * (dt % 3);
+            let at = SimTime::from_millis(now.saturating_sub(1_000 * (b % 2)));
+            let (dag, index) = (a % 3, a / 3 % 4);
+            let key = analysis::job_key(dag, index);
+            let site = SiteId((b % 5) as u32);
+            let event = match kind {
+                0 => Event::DagSubmitted { dag, jobs: 4 },
+                1 => Event::DagRestored { dag, jobs: 4 },
+                2 => Event::DagFinished { dag },
+                3..=12 => {
+                    let cause =
+                        (index > 0 && b % 4 != 0).then(|| analysis::job_key(dag, b % index));
+                    let total = Duration::from_millis(b);
+                    let step = match kind {
+                        3 => JobStep::Ready { cause },
+                        4 => JobStep::Eliminated,
+                        5 => JobStep::Submitted { site },
+                        6 => JobStep::Queued { site },
+                        7 => JobStep::Running { site },
+                        8 => JobStep::Completed { site, total },
+                        9 => JobStep::Held { site },
+                        10 => JobStep::TimedOut { site },
+                        11 => JobStep::Reset,
+                        _ => JobStep::Resumed { site },
+                    };
+                    Event::Job { job: key, step }
+                }
+                13 => {
+                    let steps = [GridStep::Submit, GridStep::Queued, GridStep::Start];
+                    let ends = [GridStep::Complete, GridStep::Hold, GridStep::Cancel];
+                    let step = *steps.iter().chain(&ends).nth((b % 6) as usize).unwrap();
+                    let job = if b % 7 == 0 { 1 << 40 } else { key };
+                    Event::Grid { site, job, step }
+                }
+                14 => Event::SiteFlag {
+                    site,
+                    flagged: b % 2 == 0,
+                },
+                15 => Event::SiteReport {
+                    site,
+                    age: Duration::from_millis(a),
+                    queued: b as usize,
+                },
+                16 => Event::PlanCycle {
+                    reports: a as usize,
+                    gap: (b % 3 != 0).then(|| Duration::from_millis(b)),
+                },
+                17 => Event::PlanCycleDone {
+                    hits: a as u32,
+                    misses: b as u32,
+                    reused: (a % 2) as u32,
+                    wall_us: (b % 2 == 0).then_some(a as u32),
+                },
+                18 => Event::WalReplay { lines: a },
+                19 => Event::WalCheckpoint,
+                20 => {
+                    let kind = [TraceKind::MonitorSample, TraceKind::OpsAlert][(a % 2) as usize];
+                    let site = (b % 3 != 0).then_some(site);
+                    let text = format!("note \"{a}\"\\{b}");
+                    tel.trace(kind, at, None, site, text.clone());
+                    old.note(kind, at, site, &text);
+                    continue;
+                }
+                21 => {
+                    let name = ["phase:plan", "phase:track"][(a % 2) as usize];
+                    phases.push((tel.span_start(name, at), old.phase_start(name, at)));
+                    continue;
+                }
+                22 => {
+                    if let Some(&(new, id)) = phases.get((b as usize) % phases.len().max(1)) {
+                        tel.span_end(new, at);
+                        old.phase_end(id, at);
+                    }
+                    continue;
+                }
+                _ => {
+                    tel.counter_add("wal.appends", b);
+                    old.count("wal.appends", b);
+                    continue;
+                }
+            };
+            // The WAL keeps no sim clock.
+            let at = match event {
+                Event::WalReplay { .. } | Event::WalCheckpoint => SimTime::default(),
+                _ => at,
+            };
+            tel.record(at, event);
+            old.fact(at, event);
         }
-        // Cursor 1, but the ring only holds sequences 3..5 → 2 missed.
-        let (events, missed, cursor, _, _) = poll(&tel, 1);
-        assert_eq!((cursor, missed), (5, 2));
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].sim_time, t(3));
+        let midway = midway.unwrap_or_default();
+        (tel, old, midway)
     }
 
-    #[test]
-    fn jsonl_sink_flushes_buffered_writer_on_flush_and_drop() {
-        // A writer that only publishes on flush — unlike BufWriter it
-        // does NOT flush itself on drop, so the sink's own Drop impl is
-        // what is under test.
-        struct FlushGated {
-            pending: Vec<u8>,
-            out: Arc<Mutex<Vec<u8>>>,
-        }
-        impl Write for FlushGated {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.pending.extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                self.out.lock().extend_from_slice(&self.pending);
-                self.pending.clear();
-                Ok(())
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+        #[test]
+        fn every_projection_equals_the_record_time_oracle(
+            ops in proptest::collection::vec((0u8..24, 0u64..1000, 0u64..1000, 0u64..4000), 1..400),
+        ) {
+            let (tel, old, _) = drive(&ops);
+            prop_assert_eq!(tel.spans(), old.spans());
+            prop_assert_eq!(tel.snapshot(), old.snapshot());
+            prop_assert_eq!(tel.trace_jsonl(), old.trace_jsonl());
+            for n in [0, 3, usize::MAX] {
+                prop_assert_eq!(tel.analyze(n), old.analyze(n));
             }
         }
-
-        // flush_sinks must reach the underlying writer through a small
-        // BufWriter.
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let gated = FlushGated {
-            pending: Vec::new(),
-            out: Arc::clone(&out),
-        };
-        let tel = Telemetry::new();
-        tel.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::with_capacity(
-            16, gated,
-        ))));
-        tel.trace(TraceKind::PlanCycle, t(1), None, None, String::new());
-        assert!(out.lock().is_empty(), "nothing published before flush");
-        tel.flush_sinks();
-        assert_eq!(
-            String::from_utf8(out.lock().clone())
-                .unwrap()
-                .lines()
-                .count(),
-            1,
-            "flush_sinks flushes through BufWriter to the device"
-        );
-
-        // Dropping the hub (without flush_sinks) must not truncate.
-        let out2 = Arc::new(Mutex::new(Vec::new()));
-        let gated2 = FlushGated {
-            pending: Vec::new(),
-            out: Arc::clone(&out2),
-        };
-        {
-            let tel = Telemetry::new();
-            tel.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::with_capacity(
-                16, gated2,
-            ))));
-            tel.trace(TraceKind::PlanCycle, t(2), None, None, String::new());
-            tel.trace(TraceKind::PlanCycle, t(3), None, None, String::new());
-            assert!(out2.lock().is_empty());
-        }
-        let text = String::from_utf8(out2.lock().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2, "drop flushed every buffered line");
     }
 }

@@ -6,14 +6,14 @@
 //! * `fsa.dwell_ms.<s>.sum` equal to the summed lengths of the finished
 //!   `state:<s>` spans, for every state `s`;
 //! * a sound span graph (`SpanGraph::validate()` is empty);
-//! * `spans_total == retained + live + dropped`, and the same accounting
-//!   for the trace ring, whatever the capacities.
+//! * every span and trace line kept: `spans_total` is the number of spans
+//!   and `trace_recorded` the number of trace lines, nothing dropped.
 
 use proptest::prelude::*;
 use sphinx_data::SiteId;
 use sphinx_sim::{Duration, SimTime};
 use sphinx_telemetry::analysis::job_key;
-use sphinx_telemetry::{Event, GridStep, JobStep, SpanGraph, Telemetry, TelemetryConfig};
+use sphinx_telemetry::{Event, GridStep, JobStep, SpanGraph, Telemetry};
 
 const STATES: [&str; 5] = ["unready", "ready", "submitted", "queued", "running"];
 
@@ -44,12 +44,10 @@ struct Run {
     site: Vec<SiteId>,
     finished: Vec<bool>,
     now: u64,
-    span_capacity: usize,
-    trace_capacity: usize,
 }
 
 impl Run {
-    fn new(dags: u64, jobs: u64, span_capacity: usize, trace_capacity: usize) -> Self {
+    fn new(dags: u64, jobs: u64) -> Self {
         let mut run = Run {
             hubs: Vec::new(),
             dags,
@@ -58,10 +56,8 @@ impl Run {
             site: vec![SiteId(0); (dags * jobs) as usize],
             finished: vec![false; dags as usize],
             now: 0,
-            span_capacity,
-            trace_capacity,
         };
-        run.hubs.push(run.hub());
+        run.hubs.push(Telemetry::new());
         for dag in 0..dags {
             run.record(Event::DagSubmitted {
                 dag,
@@ -69,14 +65,6 @@ impl Run {
             });
         }
         run
-    }
-
-    fn hub(&self) -> Telemetry {
-        Telemetry::with_config(TelemetryConfig {
-            trace_capacity: self.trace_capacity,
-            span_capacity: self.span_capacity,
-            wall_clock: false,
-        })
     }
 
     fn record(&self, event: Event) {
@@ -194,7 +182,7 @@ impl Run {
     /// unfinished DAG from its submission time, and every job in flight
     /// is back to `Ready` (the tracker died with it).
     fn crash(&mut self) {
-        self.hubs.push(self.hub());
+        self.hubs.push(Telemetry::new());
         for dag in 0..self.dags {
             if !self.finished[dag as usize] {
                 let at = SimTime::ZERO;
@@ -230,21 +218,10 @@ impl Run {
 fn check(hub: &Telemetry) {
     let snap = hub.snapshot();
     let spans = hub.spans();
-    prop_assert_eq!(
-        snap.spans_total,
-        spans.len() as u64 + snap.spans_dropped,
-        "spans: total = retained + live + dropped"
-    );
-    prop_assert_eq!(
-        snap.trace_recorded,
-        hub.trace_len() as u64 + snap.trace_dropped,
-        "ring: recorded = retained + dropped"
-    );
-    if snap.spans_dropped > 0 {
-        // Evicted parents leave the graph open-ended; the identities
-        // above are what a bounded store still owes.
-        return;
-    }
+    prop_assert_eq!(snap.spans_total, spans.len() as u64, "every span kept");
+    let lines = hub.trace_events().len() as u64;
+    prop_assert_eq!(snap.trace_recorded, lines, "every trace line kept");
+    prop_assert_eq!((snap.spans_dropped, snap.trace_dropped), (0, 0));
     let problems = SpanGraph::new(&spans).validate();
     prop_assert!(problems.is_empty(), "{:?}", problems);
     for state in STATES {
@@ -267,11 +244,9 @@ proptest! {
     fn prop_dwell_histograms_sum_the_state_spans(
         dags in 1u64..4,
         jobs in 1u64..6,
-        small in any::<bool>(),
         ops in proptest::collection::vec((0u8..20, 0u64..1000, 0u64..1000, 0u64..3000), 1..400),
     ) {
-        let (span_capacity, trace_capacity) = if small { (16, 8) } else { (1 << 20, 1 << 20) };
-        let mut run = Run::new(dags, jobs, span_capacity, trace_capacity);
+        let mut run = Run::new(dags, jobs);
         for &(kind, pick, aux, dt) in &ops {
             run.now += dt;
             match kind {

@@ -21,15 +21,6 @@ use sphinx_sim::{Duration, SimRng};
 use std::ops::DerefMut;
 use std::sync::Arc;
 
-/// Spans one admitted job is budgeted in the hub's finished-span store. A
-/// clean job leaves 9 (`job`, five `state:*`, `attempt`, two `slot:*`) and
-/// every replan about 7 more; the reference workloads measure 9.1–9.7 per
-/// job with everything else included.
-const SPANS_PER_JOB: usize = 16;
-/// Headroom for the spans no job owns: one `dag` root per workflow, five
-/// `phase:*` per planner cycle, `wal:*` instants.
-const SPAN_SLACK: usize = 8_192;
-
 /// Which sites misbehave, and how.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultPlan {
@@ -112,11 +103,6 @@ pub struct Scenario {
     /// Record `wall.*` host-clock metrics (planner-cycle latency). Off by
     /// default: the deterministic profile never touches the host clock.
     pub wall_clock_telemetry: bool,
-    /// Override the telemetry trace-ring / finished-span capacities;
-    /// tests use tiny values to exercise the overflow accounting. `None`
-    /// keeps the default ring and lets the span store follow the admitted
-    /// job count (never below its default).
-    pub telemetry_capacities: Option<(usize, usize)>,
     /// Live ops plane: run the streaming aggregator + online anomaly
     /// detectors each planner cycle (`None` = off).
     #[serde(default)]
@@ -212,22 +198,6 @@ impl Scenario {
             ..RuntimeConfig::default()
         };
         config.telemetry.wall_clock = self.wall_clock_telemetry;
-        match self.telemetry_capacities {
-            Some((trace, span)) => {
-                config.telemetry.trace_capacity = trace;
-                config.telemetry.span_capacity = span;
-            }
-            // Size the span store from what is about to be admitted, so
-            // the oldest-first eviction never eats the head of a critical
-            // path: the post-run analysis wants every job's whole history.
-            None => {
-                let jobs: usize = dags.iter().map(|d| d.jobs.len()).sum();
-                config.telemetry.span_capacity = config
-                    .telemetry
-                    .span_capacity
-                    .max(SPANS_PER_JOB * jobs + SPAN_SLACK);
-            }
-        }
         let mut rt = deploy(grid, config);
         if let Some(quota) = self.quota {
             let policy = rt.policy_mut();
@@ -302,7 +272,6 @@ impl Default for ScenarioBuilder {
                 archive_site: None,
                 deadline_last: None,
                 wall_clock_telemetry: false,
-                telemetry_capacities: None,
                 ops: None,
                 ops_fast_path: false,
             },
@@ -395,13 +364,6 @@ impl ScenarioBuilder {
     /// planner-cycle latency histogram). Leave off for deterministic runs.
     pub fn wall_clock_telemetry(mut self, enabled: bool) -> Self {
         self.scenario.wall_clock_telemetry = enabled;
-        self
-    }
-
-    /// Cap the telemetry trace ring and finished-span store (tests use
-    /// tiny values to force overflow and check the drop accounting).
-    pub fn telemetry_capacities(mut self, trace: usize, span: usize) -> Self {
-        self.scenario.telemetry_capacities = Some((trace, span));
         self
     }
 

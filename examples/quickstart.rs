@@ -5,11 +5,10 @@
 //! ```
 //!
 //! This is the smallest end-to-end use of the public API: build a
-//! scenario (grid + workload + SPHINX configuration), attach a JSONL
-//! trace sink, run it, inspect the report and the telemetry counters.
+//! scenario (grid + workload + SPHINX configuration), run it, inspect the
+//! report and the telemetry counters, and write the run's JSONL trace.
 
 use sphinx::core::strategy::StrategyKind;
-use sphinx::telemetry::JsonlSink;
 use sphinx::workloads::{grid3, Scenario};
 
 fn main() {
@@ -23,16 +22,11 @@ fn main() {
     println!("Scheduling 2 DAGs × 20 jobs on a 4-site grid…\n");
     let mut rt = scenario.build_runtime();
 
-    // Stream every trace event (FSA transitions, plan cycles, grid
-    // lifecycle, …) to a JSONL file as the run progresses.
-    let trace_file = std::fs::File::create("quickstart_trace.jsonl").expect("create trace file");
-    rt.telemetry()
-        .add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(
-            trace_file,
-        ))));
-
     let report = rt.run();
-    rt.telemetry().flush_sinks();
+    // Every trace event of the run (FSA transitions, plan cycles, grid
+    // lifecycle, …), one JSON object a line.
+    std::fs::write("quickstart_trace.jsonl", rt.telemetry().trace_jsonl())
+        .expect("write trace file");
 
     println!("strategy:            {}", report.strategy);
     println!("finished:            {}", report.finished);

@@ -224,7 +224,7 @@ fn every_declared_job_edge_is_exercised_through_the_server() {
     let mut sequences: BTreeMap<u64, Vec<JobState>> = (0..dag.len() as u32)
         .map(|i| (JobId::new(dag.id, i).as_key(), vec![JobState::Unready]))
         .collect();
-    for event in server.telemetry().drain_trace() {
+    for event in server.telemetry().trace_events() {
         let (Some(state), Some(job)) = (entered_state(event.kind), event.job) else {
             continue;
         };

@@ -16,7 +16,7 @@ use sphinx_core::shard::ShardConfig;
 use sphinx_core::{Driver, RunReport, StrategyKind};
 use sphinx_ops::OpsConfig;
 use sphinx_sim::Duration;
-use sphinx_telemetry::{InMemorySink, TraceEvent, TraceKind};
+use sphinx_telemetry::{TraceEvent, TraceKind};
 use sphinx_workloads::{FaultPlan, Scenario, ScenarioBuilder};
 use std::ops::DerefMut;
 
@@ -41,15 +41,12 @@ fn black_hole_scenario() -> ScenarioBuilder {
         .horizon(Duration::from_secs(24 * 3600))
 }
 
-/// Run a scenario on a deployment capturing every trace event, returning
-/// the report and the captured events.
+/// Run a scenario on a deployment, returning the report and every trace
+/// event of the run.
 fn run_traced(scenario: &Scenario, shards: Option<usize>) -> (RunReport, Vec<TraceEvent>) {
     fn drive(mut rt: impl DerefMut<Target = Driver>) -> (RunReport, Vec<TraceEvent>) {
-        let (sink, events) = InMemorySink::new();
-        rt.telemetry().add_sink(Box::new(sink));
         let report = rt.try_run().expect("in-memory run");
-        let captured = events.lock().clone();
-        (report, captured)
+        (report, rt.telemetry().trace_events())
     }
     match shards {
         None => drive(scenario.build_runtime()),

@@ -14,7 +14,7 @@ use sphinx::db::{CheckpointPolicy, Database, MemWal};
 use sphinx::ops::OpsConfig;
 use sphinx::sim::{Duration, SimTime};
 use sphinx::telemetry::{
-    chrome_trace_json, prometheus_text, validate_prometheus, InMemorySink, SpanGraph, Telemetry,
+    chrome_trace_json, prometheus_text, validate_prometheus, SpanGraph, Telemetry,
     TelemetrySnapshot, TraceEvent, TraceKind,
 };
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
@@ -150,8 +150,7 @@ fn span_graph_is_structurally_sound() {
             span.name
         );
     }
-    // ISSUE acceptance: nothing dropped at default capacity, and the
-    // analysis carries the same accounting.
+    // Nothing dropped, and the analysis carries the same accounting.
     assert_eq!(report.telemetry.spans_dropped, 0);
     assert_eq!(report.analysis.spans_dropped, 0);
     assert_eq!(report.analysis.spans_total, spans.len() as u64);
@@ -232,40 +231,6 @@ fn prometheus_export_validates() {
     assert!(text.contains("# TYPE sphinx_plan_cycles counter"));
     assert!(text.contains("sphinx_site_completions{site="));
     assert!(text.contains("_bucket{le=\"+Inf\"}"));
-}
-
-#[test]
-fn tiny_capacities_overflow_and_are_counted() {
-    let scenario = Scenario::builder()
-        .seed(7)
-        .faults(FaultPlan::grid3_typical())
-        .dags(2, 8)
-        .telemetry_capacities(8, 8)
-        .build();
-    let mut rt = scenario.build_runtime();
-    let report = rt.run();
-    assert!(report.finished);
-    assert!(
-        report.telemetry.trace_dropped > 0,
-        "an 8-slot ring must overflow"
-    );
-    assert!(
-        report.telemetry.spans_dropped > 0,
-        "an 8-slot span store must overflow"
-    );
-    assert_eq!(
-        report.analysis.spans_dropped, report.telemetry.spans_dropped,
-        "snapshot and analysis must agree on the drop count"
-    );
-    // The synthesized self-accounting counters agree too.
-    assert_eq!(
-        report.telemetry.counter("telemetry.spans.dropped"),
-        report.telemetry.spans_dropped
-    );
-    assert_eq!(
-        report.telemetry.counter("telemetry.trace.dropped"),
-        report.telemetry.trace_dropped
-    );
 }
 
 /// FNV-1a over `bytes`.
@@ -382,13 +347,12 @@ fn crashed_sharded() -> Vec<(String, u64)> {
         }],
         ..ShardConfig::default()
     });
-    let (sink, events) = InMemorySink::new();
-    rt.telemetry().add_sink(Box::new(sink));
     let report = rt.try_run().expect("sharded run with a crash");
     assert!(report.finished, "{}", report.summary());
     assert_eq!(rt.adoptions().len(), 1);
-    let alerts: Vec<String> = events
-        .lock()
+    let alerts: Vec<String> = rt
+        .telemetry()
+        .trace_events()
         .iter()
         .filter(|e| e.kind == TraceKind::OpsAlert)
         .map(TraceEvent::to_json_line)
