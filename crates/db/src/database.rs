@@ -142,16 +142,17 @@ impl Database {
     /// Rebuild the committed state from an existing log, with the default
     /// [`CheckpointPolicy`].
     ///
-    /// Each line is read whole and checked byte by byte, but no row is
-    /// decoded and no JSON tree is built: each put row is kept as its
-    /// text until the first typed access to its table decodes it. A torn
-    /// *final* line is treated as an interrupted commit: it is dropped
-    /// AND truncated out of the log (otherwise the next append would
-    /// merge with the torn bytes and corrupt a later recovery). A
-    /// malformed line anywhere else is corruption and fails recovery as
-    /// [`DbError::Corrupt`] naming it. A row that is JSON but not its
-    /// table's row type fails, as [`DbError::Codec`], the typed reads
-    /// that cover it.
+    /// The log is read where it lies ([`Wal::for_each_line`]), one line at
+    /// a time, and each line is checked byte by byte, UTF-8 included, but
+    /// no row is decoded and no JSON tree is built: each put row is kept
+    /// as its text until the first typed access to its table decodes it.
+    /// A torn *final* line is treated as an interrupted commit: it is
+    /// dropped AND cut out of the log ([`Wal::truncate`]; otherwise the
+    /// next append would merge with the torn bytes and corrupt a later
+    /// recovery). A malformed line anywhere else is corruption and fails
+    /// recovery as [`DbError::Corrupt`] naming it. A row that is JSON but
+    /// not its table's row type fails, as [`DbError::Codec`], the typed
+    /// reads that cover it.
     pub fn recover(wal: Box<dyn Wal>) -> Result<Self, DbError> {
         Self::recover_with_config(wal, CheckpointPolicy::default())
     }
@@ -161,26 +162,37 @@ impl Database {
         mut wal: Box<dyn Wal>,
         checkpoint: CheckpointPolicy,
     ) -> Result<Self, DbError> {
-        let mut lines = wal.read_all()?;
         let mut store = Store::default();
-        let last = lines.len().saturating_sub(1);
         let mut valid = 0usize;
-        for (i, line) in lines.iter().enumerate() {
-            match store.replay(line) {
-                Ok(()) => valid = i + 1,
-                // Interrupted final commit: discard, recovery succeeds.
-                Err(_) if i == last => break,
-                Err(err) => {
-                    return Err(DbError::Corrupt {
-                        line: i + 1,
-                        message: err.to_string(),
-                    })
-                }
+        // Why line `valid + 1` did not replay, and whether a line follows
+        // it: only the final line may be torn.
+        let mut failed: Option<String> = None;
+        let mut followed = false;
+        wal.for_each_line(&mut |line| {
+            if failed.is_some() {
+                followed = true;
+                return false;
             }
-        }
-        if valid < lines.len() {
-            lines.truncate(valid);
-            wal.rewrite(&lines)?;
+            let replayed = match std::str::from_utf8(line) {
+                Ok(line) => store.replay(line).map_err(|err| err.to_string()),
+                Err(err) => Err(err.to_string()),
+            };
+            match replayed {
+                Ok(()) => valid += 1,
+                Err(message) => failed = Some(message),
+            }
+            true
+        })?;
+        match failed {
+            Some(message) if followed => {
+                return Err(DbError::Corrupt {
+                    line: valid + 1,
+                    message,
+                })
+            }
+            // Interrupted final commit: discard, recovery succeeds.
+            Some(_) => wal.truncate(valid)?,
+            None => {}
         }
         Ok(Self::over(store, wal, checkpoint, valid as u64))
     }
@@ -1152,7 +1164,7 @@ mod tests {
 mod byte_offsets {
     use super::*;
     use crate::txn::{oracle, wal_of, Model};
-    use crate::wal::MemWal;
+    use crate::wal::{temp_path, FileWal, FsyncPolicy, MemWal};
     use serde::Deserialize;
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1350,6 +1362,21 @@ mod byte_offsets {
         ));
     }
 
+    /// `lines` as the file log holds them: each followed by its `\n`.
+    fn text_of(lines: &[String]) -> Vec<u8> {
+        lines
+            .iter()
+            .flat_map(|l| l.bytes().chain([b'\n']))
+            .collect()
+    }
+
+    /// A file log holding `bytes`.
+    fn file_of(name: &str, bytes: &[u8]) -> FileWal {
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).unwrap();
+        FileWal::open_with(&path, FsyncPolicy::Never).unwrap()
+    }
+
     #[test]
     fn every_byte_prefix_of_the_final_line_recovers_without_it() {
         let lines = seeded_log();
@@ -1357,24 +1384,48 @@ mod byte_offsets {
         let without = Database::recover(Box::new(wal_of(kept)))
             .unwrap()
             .snapshot_line();
-        for at in (0..last.len()).filter(|&at| last.is_char_boundary(at)) {
-            let log = wal_of(&lines);
-            let fault = Fault::Cut {
-                line: kept.len(),
-                at,
-            };
-            let db = Database::recover(Box::new(Faulty {
-                log: log.clone(),
-                fault,
-            }))
-            .unwrap();
+        let holds = |db: Database, at: usize| {
             assert_eq!(db.replayed(), kept.len() as u64, "cut at {at}");
             assert_eq!(db.snapshot_line(), without, "cut at {at}");
-            assert_eq!(
-                log.read_all().unwrap(),
-                kept,
-                "cut at {at}: the torn line is truncated out of the log"
-            );
+        };
+        for at in 0..last.len() {
+            if last.is_char_boundary(at) {
+                // Through the copy-out defaults, and read in place.
+                let copied = wal_of(&lines);
+                let fault = Fault::Cut {
+                    line: kept.len(),
+                    at,
+                };
+                let mut cut = lines.clone();
+                cut[kept.len()].truncate(at);
+                let in_place = wal_of(&cut);
+                let paths: [(&MemWal, Box<dyn Wal>); 2] = [
+                    (
+                        &copied,
+                        Box::new(Faulty {
+                            log: copied.clone(),
+                            fault,
+                        }),
+                    ),
+                    (&in_place, Box::new(in_place.clone())),
+                ];
+                for (log, wal) in paths {
+                    holds(Database::recover(wal).unwrap(), at);
+                    assert_eq!(
+                        log.read_all().unwrap(),
+                        kept,
+                        "cut at {at}: the torn line is truncated out of the log"
+                    );
+                }
+            }
+            // On disk the cut may land inside a character.
+            let mut text = text_of(kept);
+            text.extend_from_slice(&last.as_bytes()[..at]);
+            let file = file_of("byte-offsets-cut", &text);
+            let path = file.path().to_owned();
+            holds(Database::recover(Box::new(file)).unwrap(), at);
+            assert_eq!(std::fs::read(&path).unwrap(), text_of(kept), "cut at {at}");
+            std::fs::remove_file(&path).unwrap();
         }
     }
 
@@ -1386,18 +1437,43 @@ mod byte_offsets {
             let (mut corrupt, mut codec) = (0, 0);
             for at in 0..lines[line].len() {
                 let mask = 1 << (at % 7);
-                let fault = Fault::Flip { line, at, mask };
-                let faulty = Faulty {
-                    log: wal_of(&lines),
-                    fault,
+                let mut bytes = lines[line].clone().into_bytes();
+                bytes[at] ^= mask;
+                // On disk, where the flipped line need not be UTF-8. (A
+                // flip to a line end is not damage inside a line.)
+                let got = if ![b'\n', b'\r'].contains(&bytes[at]) {
+                    let mut text = text_of(&lines[..line]);
+                    text.extend(bytes.iter().chain(b"\n"));
+                    text.extend(text_of(&lines[line + 1..]));
+                    let file = file_of("byte-offsets-flip", &text);
+                    let path = file.path().to_owned();
+                    let got = recovered(Box::new(file));
+                    std::fs::remove_file(&path).unwrap();
+                    Some(got)
+                } else {
+                    None
                 };
-                let Ok(flipped) = faulty.read_all() else {
-                    // Not UTF-8: the log does not read at all.
+                let Ok(text) = String::from_utf8(bytes) else {
+                    // Not UTF-8: only the file can hold it, and it is corrupt.
+                    assert_eq!(
+                        got,
+                        Some(Outcome::Corrupt(line + 1)),
+                        "line {line}, byte {at}"
+                    );
                     continue;
                 };
-                let got = recovered(Box::new(faulty));
-                assert_eq!(got, expected(&flipped), "line {line}, byte {at}");
-                match got {
+                let mut flipped = lines.clone();
+                flipped[line] = text;
+                let want = expected(&flipped);
+                // Through the copy-out defaults, and read in place.
+                let fault = Fault::Flip { line, at, mask };
+                let log = wal_of(&lines);
+                assert_eq!(recovered(Box::new(Faulty { log, fault })), want);
+                assert_eq!(recovered(Box::new(wal_of(&flipped))), want);
+                if let Some(got) = got {
+                    assert_eq!(got, want, "line {line}, byte {at} on disk");
+                }
+                match want {
                     Outcome::Corrupt(n) => {
                         assert_eq!(n, line + 1, "byte {at} names its line");
                         corrupt += 1;

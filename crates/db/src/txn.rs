@@ -676,11 +676,13 @@ pub(crate) use replay_oracle::{oracle, wal_of, Model};
 /// and that decoder (compiled for tests only) is what it is held to, over logs that use every freedom JSON allows:
 /// members in any order, whitespace between tokens, repeated members (the
 /// last one wins), unknown members, escapes and surrogate pairs, damaged
-/// lines and a torn tail.
+/// lines and a torn tail. Recovery is held to it on both of its read
+/// paths: a backend that reads in place, and a `Wal` that implements only
+/// the required methods and is read through the copy-out defaults.
 #[cfg(test)]
 mod replay_oracle {
     use super::{LogEntry, Op, SnapshotTable};
-    use crate::wal::{MemWal, Wal};
+    use crate::wal::{lines_oracle, temp_path, FileWal, FsyncPolicy, MemWal, Wal};
     use crate::{Database, DbError};
     use proptest::prelude::*;
     use serde_json::Value;
@@ -740,6 +742,52 @@ mod replay_oracle {
             wal.append(line).unwrap();
         }
         wal
+    }
+
+    /// A `Wal` that implements only the required methods, as a wrapper
+    /// outside this crate does: recovery reads it through the provided
+    /// `for_each_line` and `truncate`, a copy of the log from `read_all`.
+    struct CopyOut(MemWal);
+
+    impl Wal for CopyOut {
+        fn append(&mut self, line: &str) -> Result<(), DbError> {
+            self.0.append(line)
+        }
+
+        fn read_all(&self) -> Result<Vec<String>, DbError> {
+            self.0.read_all()
+        }
+
+        fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
+            self.0.rewrite(lines)
+        }
+
+        fn appended(&self) -> u64 {
+            self.0.appended()
+        }
+
+        fn rewrites(&self) -> u64 {
+            self.0.rewrites()
+        }
+    }
+
+    /// What recovering `wal` gives: the lines replayed, the live rows and
+    /// the snapshot line before any typed access (rows never typed print
+    /// canonically), or the corrupt line.
+    fn recovered(wal: Box<dyn Wal>) -> Result<(u64, u64, String), usize> {
+        match Database::recover(wal) {
+            Ok(db) => Ok((db.replayed(), db.live_rows(), db.snapshot_line())),
+            Err(DbError::Corrupt { line, .. }) => Err(line),
+            Err(other) => panic!("recovery failed with {other}"),
+        }
+    }
+
+    /// What the oracle says recovering `lines` gives, as [`recovered`].
+    fn expected(lines: &[String]) -> Result<(u64, u64, String), usize> {
+        oracle(lines).map(|(model, replayed)| {
+            let rows: usize = model.values().map(BTreeMap::len).sum();
+            (replayed, rows as u64, snapshot_of(&model))
+        })
     }
 
     /// A seeded generator of noisy log text.
@@ -1034,24 +1082,49 @@ mod replay_oracle {
         #[test]
         fn replay_agrees_with_the_derived_decoder(seed in any::<u64>()) {
             let lines = Gen(seed).log();
-            let wal = wal_of(&lines);
-            match (Database::recover(Box::new(wal.clone())), oracle(&lines)) {
-                (Ok(db), Ok((model, replayed))) => {
-                    prop_assert_eq!(db.replayed(), replayed);
+            let (in_place, copied) = (wal_of(&lines), wal_of(&lines));
+            let paths: [(&MemWal, Box<dyn Wal>); 2] = [
+                (&in_place, Box::new(in_place.clone())),
+                (&copied, Box::new(CopyOut(copied.clone()))),
+            ];
+            for (log, wal) in paths {
+                let got = recovered(wal);
+                prop_assert_eq!(&got, &expected(&lines), "{:#?}", lines);
+                if let Ok((replayed, ..)) = got {
                     // A torn tail is cut out of the log.
-                    prop_assert_eq!(wal.len() as u64, replayed);
-                    let rows: usize = model.values().map(BTreeMap::len).sum();
-                    prop_assert_eq!(db.live_rows(), rows as u64);
-                    // Rows never typed print canonically.
-                    prop_assert_eq!(db.snapshot_line(), snapshot_of(&model));
-                }
-                (Err(DbError::Corrupt { line, .. }), Err(expected)) => {
-                    prop_assert_eq!(line, expected);
-                }
-                (got, expected) => {
-                    panic!("{lines:#?}\nrecovered {got:?}, the oracle says {expected:?}")
+                    prop_assert_eq!(log.len() as u64, replayed);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// The same generated logs on disk, with and without a final line
+        /// end: streamed from the file, a log recovers as the lines the
+        /// whole-file reader cuts from it do.
+        #[test]
+        fn a_file_log_replays_as_its_lines_do(seed in any::<u64>(), ended in any::<bool>()) {
+            let mut text = Gen(seed).log().join("\n");
+            if ended {
+                text.push('\n');
+            }
+            let path = temp_path("replay-oracle");
+            std::fs::write(&path, &text).unwrap();
+            let lines = lines_oracle(&path).unwrap();
+            let file = FileWal::open_with(&path, FsyncPolicy::Never).unwrap();
+            let got = recovered(Box::new(file));
+            prop_assert_eq!(&got, &expected(&lines));
+            if let Ok((replayed, ..)) = got {
+                let after = lines_oracle(&path).unwrap();
+                prop_assert_eq!(&after[..], &lines[..replayed as usize]);
+                if after.len() < lines.len() {
+                    let bytes = std::fs::read(&path).unwrap();
+                    prop_assert!(bytes.is_empty() || bytes.ends_with(b"\n"));
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
         }
     }
 

@@ -2,23 +2,31 @@
 //!
 //! The log is a sequence of UTF-8 lines, one committed transaction (or
 //! snapshot) per line. Line-granularity commits give atomicity: a crash can
-//! only ever tear the *final* line, which recovery discards as an
-//! uncommitted transaction.
+//! only ever tear the *final* line — at any byte, so inside a character
+//! too — which recovery discards as an uncommitted transaction.
 
 use crate::error::DbError;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A write-ahead log backend.
+///
+/// Recovery reads the log through [`Wal::for_each_line`] and cuts a torn
+/// tail with [`Wal::truncate`]. Both are provided on top of the required
+/// methods (a copy of the log from `read_all`; `read_all` then `rewrite`),
+/// so a wrapper that implements only those — a timing or fault-injecting
+/// `Wal` around a backend — behaves as it always did. The backends here
+/// override both to read the log where it lies and cut it in place.
 pub trait Wal: Send {
     /// Append one committed entry (no trailing newline).
     fn append(&mut self, line: &str) -> Result<(), DbError>;
 
-    /// Read every line currently in the log, in append order. The final
-    /// line may be torn (interrupted commit); callers must tolerate it.
+    /// A copy of every line currently in the log, in append order. The
+    /// final line may be torn (interrupted commit); callers must tolerate
+    /// it. Fails if a line is not UTF-8.
     fn read_all(&self) -> Result<Vec<String>, DbError>;
 
     /// Atomically replace the whole log with the given lines (checkpoint
@@ -32,6 +40,27 @@ pub trait Wal: Send {
     /// Number of checkpoint compactions (`rewrite` calls) since this handle
     /// was created (for instrumentation).
     fn rewrites(&self) -> u64;
+
+    /// Hand each line's bytes (without its line end) to `f`, in append
+    /// order, until `f` returns `false`. The bytes are the log's: the
+    /// final line may be torn, inside a character too, so they need not
+    /// be UTF-8.
+    fn for_each_line(&self, f: &mut dyn FnMut(&[u8]) -> bool) -> Result<(), DbError> {
+        for line in self.read_all()? {
+            if !f(line.as_bytes()) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Keep the first `n` lines and cut the rest (recovery dropping a
+    /// torn tail).
+    fn truncate(&mut self, n: usize) -> Result<(), DbError> {
+        let mut lines = self.read_all()?;
+        lines.truncate(n);
+        self.rewrite(&lines)
+    }
 }
 
 /// In-memory WAL. Cloning shares the underlying buffer, so a "crashed"
@@ -50,12 +79,16 @@ impl MemWal {
         MemWal::default()
     }
 
-    /// Simulate a torn final line: truncate the last entry mid-way, as an
-    /// OS crash during a write would. No-op on an empty log.
+    /// Simulate a torn final line: truncate the last entry mid-way (at the
+    /// last character boundary at or before its middle byte), as an OS
+    /// crash during a write would. No-op on an empty log.
     pub fn tear_last_line(&self) {
         let mut lines = self.lines.lock();
         if let Some(last) = lines.last_mut() {
-            let keep = last.len() / 2;
+            let keep = (0..=last.len() / 2)
+                .rev()
+                .find(|&at| last.is_char_boundary(at))
+                .unwrap_or(0);
             last.truncate(keep);
             last.push_str("...TORN");
         }
@@ -100,6 +133,20 @@ impl Wal for MemWal {
     fn rewrites(&self) -> u64 {
         self.rewrites
     }
+
+    fn for_each_line(&self, f: &mut dyn FnMut(&[u8]) -> bool) -> Result<(), DbError> {
+        for line in self.lines.lock().iter() {
+            if !f(line.as_bytes()) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn truncate(&mut self, n: usize) -> Result<(), DbError> {
+        self.lines.lock().truncate(n);
+        Ok(())
+    }
 }
 
 /// When the file-backed log forces bytes to stable storage.
@@ -124,6 +171,9 @@ pub struct FileWal {
     path: PathBuf,
     writer: BufWriter<File>,
     fsync: FsyncPolicy,
+    /// The file ends inside a line: a crash kept a whole final line but
+    /// not its `\n`. The next append ends that line first.
+    open_line: bool,
     appended: u64,
     rewrites: u64,
 }
@@ -138,11 +188,21 @@ impl FileWal {
     /// [`FileWal::open`] with an explicit durability policy.
     pub fn open_with(path: impl AsRef<Path>, fsync: FsyncPolicy) -> Result<Self, DbError> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut last = [b'\n'];
+        if file.seek(SeekFrom::End(0))? > 0 {
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+        }
         Ok(FileWal {
             path,
             writer: BufWriter::new(file),
             fsync,
+            open_line: last != [b'\n'],
             appended: 0,
             rewrites: 0,
         })
@@ -175,11 +235,41 @@ impl FileWal {
         File::open(parent)?.sync_all()?; // sphinx-lint: allow(fs-read)
         Ok(())
     }
+
+    /// Stream the log through one reused buffer: `f` gets each line's
+    /// bytes, as `str::lines` would cut them (without the `\n`, and the
+    /// `\r` before it), and the file offset just past the line, until it
+    /// returns `false`.
+    fn scan(&self, f: &mut dyn FnMut(&[u8], u64) -> bool) -> Result<(), DbError> {
+        // The WAL *is* the durability layer, so this is the one sanctioned
+        // filesystem read in a sim-facing crate.
+        let mut file = BufReader::new(File::open(&self.path)?); // sphinx-lint: allow(fs-read)
+        let mut buf = Vec::new();
+        let mut end = 0;
+        loop {
+            buf.clear();
+            let n = file.read_until(b'\n', &mut buf)?;
+            if n == 0 {
+                return Ok(());
+            }
+            end += n as u64;
+            let line = match buf.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => &buf,
+            };
+            if !f(line, end) {
+                return Ok(());
+            }
+        }
+    }
 }
 
 impl Wal for FileWal {
     // sphinx-hot
     fn append(&mut self, line: &str) -> Result<(), DbError> {
+        if std::mem::take(&mut self.open_line) {
+            self.writer.write_all(b"\n")?;
+        }
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         // Flush per commit: commit durability is the whole point of a WAL.
@@ -191,12 +281,29 @@ impl Wal for FileWal {
         Ok(())
     }
 
+    /// Every line [`Wal::for_each_line`] yields, copied out as text.
     fn read_all(&self) -> Result<Vec<String>, DbError> {
-        let mut content = String::new();
-        // The WAL *is* the durability layer, so this is the one sanctioned
-        // filesystem read in a sim-facing crate.
-        File::open(&self.path)?.read_to_string(&mut content)?; // sphinx-lint: allow(fs-read)
-        Ok(content.lines().map(str::to_owned).collect())
+        let mut lines = Vec::new();
+        let mut text = true;
+        self.for_each_line(&mut |line| match std::str::from_utf8(line) {
+            Ok(line) => {
+                lines.push(line.to_owned());
+                true
+            }
+            Err(_) => {
+                text = false;
+                false
+            }
+        })?;
+        match text {
+            true => Ok(lines),
+            // Worded as `read_to_string` words it.
+            false => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+            .into()),
+        }
     }
 
     fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
@@ -222,6 +329,7 @@ impl Wal for FileWal {
         }
         let file = OpenOptions::new().append(true).open(&self.path)?;
         self.writer = BufWriter::new(file);
+        self.open_line = false;
         self.rewrites += 1;
         Ok(())
     }
@@ -233,21 +341,278 @@ impl Wal for FileWal {
     fn rewrites(&self) -> u64 {
         self.rewrites
     }
+
+    fn for_each_line(&self, f: &mut dyn FnMut(&[u8]) -> bool) -> Result<(), DbError> {
+        self.scan(&mut |line, _| f(line))
+    }
+
+    /// Cut the file after its `n`-th line ending, in place: nothing before
+    /// the cut is rewritten, and the appends that follow land after it.
+    fn truncate(&mut self, n: usize) -> Result<(), DbError> {
+        let (mut keep, mut left) = (0, n);
+        if left > 0 {
+            self.scan(&mut |_, end| {
+                keep = end;
+                left -= 1;
+                left > 0
+            })?;
+        }
+        self.writer.flush()?;
+        let file = self.writer.get_ref();
+        if file.metadata()?.len() > keep {
+            file.set_len(keep)?;
+            if self.fsync == FsyncPolicy::Always {
+                file.sync_all()?;
+            }
+            // The file now ends with a line end, or is empty.
+            self.open_line = false;
+        }
+        Ok(())
+    }
+}
+
+/// A fresh path in the temp directory for a test's log.
+#[cfg(test)]
+pub(crate) fn temp_path(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!(
+        "sphinx-db-test-{}-{}.wal",
+        name,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&p);
+    p
+}
+
+/// The reader `FileWal::read_all` was before the log was streamed: the
+/// whole file read into one `String`, cut by `str::lines`. The oracle the
+/// streaming reader is held to.
+#[cfg(test)]
+pub(crate) fn lines_oracle(path: &Path) -> io::Result<Vec<String>> {
+    let content = std::fs::read_to_string(path)?;
+    Ok(content.lines().map(str::to_owned).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "sphinx-db-test-{}-{}.wal",
-            name,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// Every line `wal.for_each_line` yields, as bytes.
+    fn yielded(wal: &dyn Wal) -> Vec<Vec<u8>> {
+        let mut lines = Vec::new();
+        wal.for_each_line(&mut |line| {
+            lines.push(line.to_vec());
+            true
+        })
+        .unwrap();
+        lines
+    }
+
+    /// Logs on disk of every shape a crash or an editor can leave.
+    const SHAPES: [&[u8]; 13] = [
+        b"",
+        b"a\nb\n",
+        b"a\nb",
+        b"\n\n",
+        b"a\r\nb\r\n",
+        b"a\r\nb\r",
+        b"a\rb\n\r\n",
+        b"{\"k\":1}\n{\"k\"",
+        b"Z\xc3\xbcrich \xe2\x9c\x93\n\xf0\x9f\x98\x80\n",
+        b"a\nZ\xc3",
+        b"a\nZ\xc3\n",
+        b"a\n\xff\nb\n",
+        b"\xc3\xa9\xc3",
+    ];
+
+    #[test]
+    fn both_readers_agree_on_every_shape() {
+        let path = temp_path("shapes");
+        for shape in SHAPES {
+            std::fs::write(&path, shape).unwrap();
+            let file = FileWal::open_with(&path, FsyncPolicy::Never).unwrap();
+            let got = yielded(&file);
+            match lines_oracle(&path) {
+                Ok(lines) => {
+                    let want: Vec<&[u8]> = lines.iter().map(|l| l.as_bytes()).collect();
+                    assert_eq!(got, want, "{shape:?}");
+                    assert_eq!(file.read_all().unwrap(), lines, "{shape:?}");
+                    // The same log held in memory reads the same way.
+                    let mut mem = MemWal::shared();
+                    for line in &lines {
+                        mem.append(line).unwrap();
+                    }
+                    assert_eq!(yielded(&mem), got, "{shape:?}");
+                    assert_eq!(mem.read_all().unwrap(), lines, "{shape:?}");
+                }
+                Err(oracle) => {
+                    let Err(DbError::Wal(read)) = file.read_all() else {
+                        panic!("{shape:?}: read_all reads a log the oracle refuses");
+                    };
+                    assert_eq!(read.kind(), oracle.kind(), "{shape:?}");
+                    assert_eq!(read.to_string(), oracle.to_string(), "{shape:?}");
+                    assert!(got.iter().any(|l| std::str::from_utf8(l).is_err()));
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncate_keeps_the_first_lines_in_place() {
+        let path = temp_path("truncate");
+        for shape in SHAPES {
+            std::fs::write(&path, shape).unwrap();
+            let all = yielded(&FileWal::open(&path).unwrap());
+            for n in 0..=all.len() + 1 {
+                std::fs::write(&path, shape).unwrap();
+                let mut file = FileWal::open(&path).unwrap();
+                file.truncate(n).unwrap();
+                let kept = all.len().min(n);
+                assert_eq!(yielded(&file), all[..kept], "{shape:?} to {n}");
+                let bytes = std::fs::read(&path).unwrap();
+                assert!(shape.starts_with(&bytes), "{shape:?} to {n}");
+                if kept < all.len() {
+                    assert!(bytes.is_empty() || bytes.ends_with(b"\n"));
+                }
+                // The next append starts a line of its own, also after a
+                // kept final line that lost its `\n`.
+                file.append("next").unwrap();
+                let mut want = bytes;
+                if !want.is_empty() && !want.ends_with(b"\n") {
+                    want.push(b'\n');
+                }
+                want.extend_from_slice(b"next\n");
+                assert_eq!(std::fs::read(&path).unwrap(), want, "{shape:?} to {n}");
+            }
+            let lines: Vec<String> = all
+                .iter()
+                .map(|l| String::from_utf8_lossy(l).into())
+                .collect();
+            for n in 0..=lines.len() {
+                let mut mem = MemWal::shared();
+                for line in &lines {
+                    mem.append(line).unwrap();
+                }
+                mem.truncate(n).unwrap();
+                assert_eq!(mem.read_all().unwrap(), lines[..n]);
+                assert_eq!(mem.rewrites(), 0, "cut in place, not rewritten");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_byte_prefix_of_a_non_ascii_final_line_on_disk_recovers() {
+        use crate::{Database, Record};
+        use serde::{Deserialize, Serialize};
+
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        struct City {
+            id: u64,
+            name: String,
+        }
+        impl Record for City {
+            const TABLE: &'static str = "cities";
+            fn key(&self) -> u64 {
+                self.id
+            }
+        }
+        let city = |id: u64, name: &str| City {
+            id,
+            name: name.to_owned(),
+        };
+
+        let path = temp_path("torn-char");
+        {
+            let db = Database::with_wal(Box::new(FileWal::open(&path).unwrap()));
+            db.put(&city(1, "Genève")).unwrap();
+            db.put(&city(2, "Zürich ✓ 😀")).unwrap();
+        }
+        let log = std::fs::read(&path).unwrap();
+        let body = log.strip_suffix(b"\n").unwrap();
+        let first = body.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let last = &body[first..];
+        assert!(std::str::from_utf8(last).unwrap().contains("Zürich"));
+        let mut mid_char = 0;
+        // Every cut of the final line, and the whole line without its `\n`
+        // (a commit that is all there, and kept).
+        for at in 0..=last.len() {
+            mid_char += usize::from(std::str::from_utf8(&last[..at]).is_err());
+            std::fs::write(&path, &log[..first + at]).unwrap();
+            let db = Database::recover(Box::new(FileWal::open(&path).unwrap())).unwrap();
+            let mut want = vec![city(1, "Genève")];
+            if at == last.len() {
+                want.push(city(2, "Zürich ✓ 😀"));
+            } else {
+                assert_eq!(std::fs::read(&path).unwrap(), &log[..first], "cut at {at}");
+            }
+            assert_eq!(db.replayed(), want.len() as u64, "cut at {at}");
+            assert_eq!(db.scan::<City>().unwrap(), want, "cut at {at}");
+            // The next commit lands on a line of its own.
+            db.put(&city(3, "Köln")).unwrap();
+            drop(db);
+            let db = Database::recover(Box::new(FileWal::open(&path).unwrap())).unwrap();
+            want.push(city(3, "Köln"));
+            assert_eq!(db.replayed(), want.len() as u64, "cut at {at}");
+            assert_eq!(db.scan::<City>().unwrap(), want, "cut at {at}");
+        }
+        assert!(mid_char > 0, "some cut lands inside a character");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_line_before_the_last_is_corrupt() {
+        let path = temp_path("non-utf8");
+        std::fs::write(&path, b"{\"kind\":\"txn\",\"ops\":[]}\n\xff\n{}\n").unwrap();
+        let wal = FileWal::open(&path).unwrap();
+        let Err(DbError::Corrupt { line, .. }) = crate::Database::recover(Box::new(wal)) else {
+            panic!("a line that is not UTF-8 before the last is corruption");
+        };
+        assert_eq!(line, 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn recovery_drops_a_torn_non_ascii_last_line() {
+        use crate::{Database, Record};
+        use serde::{Deserialize, Serialize};
+
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        struct Note {
+            id: u64,
+            text: String,
+        }
+        impl Record for Note {
+            const TABLE: &'static str = "notes";
+            fn key(&self) -> u64 {
+                self.id
+            }
+        }
+
+        let mut mid_char = 0;
+        for n in 1..8 {
+            let wal = MemWal::shared();
+            let db = Database::with_wal(Box::new(wal.clone()));
+            let kept = Note {
+                id: 1,
+                text: "plain".to_owned(),
+            };
+            db.put(&kept).unwrap();
+            db.put(&Note {
+                id: 2,
+                text: "é".repeat(20 * n),
+            })
+            .unwrap();
+            let last = wal.read_all().unwrap().pop().unwrap();
+            mid_char += usize::from(!last.is_char_boundary(last.len() / 2));
+            wal.tear_last_line();
+            let db = Database::recover(Box::new(wal.clone())).unwrap();
+            assert_eq!(db.replayed(), 1);
+            assert_eq!(db.scan::<Note>().unwrap(), vec![kept]);
+            assert_eq!(wal.len(), 1, "the torn line is cut out of the log");
+        }
+        assert!(mid_char > 0, "some tear falls inside a character");
     }
 
     #[test]
@@ -278,6 +643,10 @@ mod tests {
         let lines = w.read_all().unwrap();
         assert_eq!(lines[0], "{\"first\":1}");
         assert!(lines[1].ends_with("...TORN"));
+        // The middle of "éa" falls inside the "é": the cut is before it.
+        w.append("éa").unwrap();
+        w.tear_last_line();
+        assert_eq!(w.read_all().unwrap()[2], "...TORN");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Allocations per replayed line and per hydrated row: counts that do not
-//! depend on the machine.
+//! Allocations per replayed line and per hydrated row, and the bytes
+//! recovery holds: counts that do not depend on the machine.
 //!
-//! Recovery reads each log line without building a tree and keeps each put
-//! row as its text, so a warm one-put `txn` line allocates for that text
-//! and for the table's map growing, and for nothing per member name, per
-//! table name or per JSON node. The first typed read decodes that text
-//! straight into the row, so it allocates for the rows' owned members (a
-//! `String`, say) and for the typed map, and for nothing else.
+//! Recovery reads the log where it lies, makes no copy of it, reads each
+//! line without building a tree and keeps each put row as its text, so a
+//! warm one-put `txn` line allocates for that text and for the table's map
+//! growing, and for nothing per line read, per member name, per table name
+//! or per JSON node. The first typed read decodes that text straight into
+//! the row, so it allocates for the rows' owned members (a `String`, say)
+//! and for the typed map, and for nothing else.
 
 use serde::{Deserialize, Serialize};
 use sphinx_db::{CheckpointPolicy, Database, MemWal, Record, Wal};
@@ -15,15 +16,27 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Counts the allocations (and reallocations) of the thread making them,
-/// so tests running side by side do not see each other's.
+/// and the bytes it holds, so tests running side by side do not see each
+/// other's.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed, and the most that
+    /// has been since the last [`peak_bytes`] started.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn hold(bytes: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -32,17 +45,20 @@ fn count() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        hold(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        hold(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System` through this allocator, and
         // the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -56,6 +72,15 @@ fn allocations(op: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     op();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The most bytes this thread held at once during `op`, beyond what it
+/// held when `op` began.
+fn peak_bytes(op: impl FnOnce()) -> usize {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    op();
+    (PEAK.with(Cell::get) - before) as usize
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,12 +164,10 @@ fn wal_of(lines: &[String]) -> MemWal {
     wal
 }
 
-/// What recovering `lines` allocates, less the log's copy of them that
-/// `Wal::read_all` hands over.
+/// Everything recovering `lines` allocates.
 fn recovery(lines: &[String]) -> usize {
     let wal = wal_of(lines);
-    let copy = allocations(|| drop(wal.read_all().unwrap()));
-    allocations(|| drop(Database::recover(Box::new(wal)).unwrap())) - copy
+    allocations(|| drop(Database::recover(Box::new(wal)).unwrap()))
 }
 
 /// The most that replaying one more line allocated, over the lines after
@@ -172,6 +195,22 @@ fn replaying_a_put_over_a_live_row_allocates_only_its_text() {
     }));
     let most = most_per_line(&lines);
     assert!(most <= 1, "a one-put line allocated {most} times");
+}
+
+#[test]
+fn recovery_holds_the_live_rows_not_a_copy_of_the_log() {
+    // 64 rows, each put 64 times: the log is ~64 times the live rows.
+    let lines = log_of((0..4096).map(|i| Job {
+        attempts: i / 64,
+        ..job(i % 64)
+    }));
+    let log: usize = lines.iter().map(|l| l.len() + 1).sum();
+    let wal = wal_of(&lines);
+    let peak = peak_bytes(|| drop(Database::recover(Box::new(wal)).unwrap()));
+    assert!(
+        peak < log / 2,
+        "recovering a {log}-byte log held {peak} bytes at once"
+    );
 }
 
 /// What inserting `rows` into a map one by one allocates: the typed
