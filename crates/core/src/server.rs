@@ -21,7 +21,7 @@ use crate::reliability::{FlagTransition, Reliability};
 use crate::state::{DagRow, DagState, JobRow, JobState, SiteStatsRow};
 use crate::strategy::{PlanningView, ScoreCache, SiteInfo, StrategyKind, StrategyState};
 use sphinx_dag::{reduce, Dag, DagId, Frontier, JobId};
-use sphinx_data::{LogicalFile, ReplicaService, SiteId, TransferModel};
+use sphinx_data::{ReplicaService, SiteId, TransferModel};
 use sphinx_db::Database;
 use sphinx_grid::StagedInput;
 use sphinx_monitor::Report;
@@ -193,8 +193,23 @@ struct DagMeta {
     submitted_at: SimTime,
     deadline: Option<SimTime>,
     /// `sinks[i]`: job `i` has no children (its output is final and gets
-    /// archived). Precomputed once — `Dag::children()` allocates O(V+E).
+    /// archived).
     sinks: Vec<bool>,
+    /// The sizes of every job's inputs, job after job; job `i`'s are
+    /// `input_mb[inputs_at[i]..inputs_at[i + 1]]`. Precomputed once, like
+    /// `sinks`: both come from `Dag::producers()`, a map over every
+    /// output name.
+    input_mb: Vec<u64>,
+    inputs_at: Vec<u32>,
+}
+
+impl DagMeta {
+    /// The sizes of job `index`'s inputs, in input order.
+    fn input_mb(&self, index: u32) -> &[u64] {
+        let at = |i: usize| self.inputs_at.get(i).map_or(0, |&n| n as usize);
+        let i = index as usize;
+        self.input_mb.get(at(i)..at(i + 1)).unwrap_or(&[])
+    }
 }
 
 /// The SPHINX server.
@@ -236,7 +251,27 @@ impl SphinxServer {
 
     /// Mirror one active DAG into the planner's in-memory metadata.
     fn remember_dag(&mut self, row: &DagRow) {
-        let sinks = row.dag.children().iter().map(|c| c.is_empty()).collect();
+        let dag = &row.dag;
+        // One pass over every input through the producer map gives the
+        // staging sizes (a sibling's output carries its spec'd size, an
+        // external dataset a nominal analysis-input size) and the sinks
+        // (jobs whose output no job consumes).
+        let producers = dag.producers();
+        let mut sinks = vec![true; dag.jobs.len()];
+        let mut input_mb = Vec::new();
+        let mut inputs_at = Vec::with_capacity(dag.jobs.len() + 1);
+        inputs_at.push(0);
+        for job in &dag.jobs {
+            for file in &job.inputs {
+                let producer = producers.get(file).copied();
+                if let Some(sink) = producer.and_then(|p| sinks.get_mut(p as usize)) {
+                    *sink = false;
+                }
+                let sibling = producer.and_then(|p| dag.jobs.get(p as usize));
+                input_mb.push(sibling.map_or(100, |j| j.output.size_mb));
+            }
+            inputs_at.push(input_mb.len() as u32);
+        }
         self.dag_meta.insert(
             row.id,
             DagMeta {
@@ -245,6 +280,8 @@ impl SphinxServer {
                 submitted_at: row.submitted_at,
                 deadline: row.deadline,
                 sinks,
+                input_mb,
+                inputs_at,
             },
         );
     }
@@ -795,17 +832,25 @@ impl SphinxServer {
         now: SimTime,
     ) -> CoreResult<()> {
         {
-            let outputs: Vec<LogicalFile> = dag_row
-                .dag
-                .jobs
-                .iter()
-                .map(|j| j.output.file.clone())
-                .collect();
-            // One clubbed RLS call for the whole DAG (§3.4).
-            let existing = rls.exists_batch(&outputs);
-            let exists_of: BTreeMap<&LogicalFile, bool> =
-                outputs.iter().zip(existing.iter().copied()).collect();
-            let reduction = reduce(&dag_row.dag, |f| exists_of.get(f).copied().unwrap_or(false));
+            // One clubbed RLS call for the whole DAG (§3.4), asking after
+            // each job's output in job order. `reduce` is answered from it
+            // only while it asks in that order too; anything else is an
+            // error, not a silently shifted answer.
+            let outputs = || dag_row.dag.jobs.iter().map(|j| &j.output.file);
+            let mut answers = outputs().zip(rls.exists_batch(outputs()));
+            let mut in_step = true;
+            let reduction = reduce(&dag_row.dag, |file| match answers.next() {
+                Some((asked, exists)) if asked == file => exists,
+                _ => {
+                    in_step = false;
+                    false
+                }
+            });
+            if !in_step || answers.next().is_some() {
+                return Err(CoreError::Invariant(
+                    "reducer asked after outputs out of job order",
+                ));
+            }
             let mut txn = self.db.txn();
             for &idx in &reduction.eliminated {
                 let mut row = JobRow::new(JobId::new(dag_row.id, idx));
@@ -847,46 +892,44 @@ impl SphinxServer {
     /// Choose transfer sources for a job's inputs ("choose the optimal
     /// transfer source": the replica whose site has the fattest access
     /// link; ties to the lowest id for determinism).
+    /// `input_mb` holds the size of each input, in input order. `None`
+    /// when an input has no replica yet.
     fn plan_staging(
-        dag: &Dag,
         job: &sphinx_dag::JobSpec,
+        input_mb: &[u64],
         exec_site: SiteId,
         rls: &mut ReplicaService,
         transfers: &TransferModel,
-    ) -> Option<Vec<StagedInput>> {
-        let producers = dag.producers();
+    ) -> CoreResult<Option<Vec<StagedInput>>> {
         // One clubbed locate call for all inputs (§3.4).
         let located = rls.locate_batch(&job.inputs);
+        if located.len() != input_mb.len() {
+            return Err(CoreError::Invariant("input sizes out of step with inputs"));
+        }
         let mut staging = Vec::with_capacity(located.len());
-        for (file, sites) in located {
-            if sites.contains(&exec_site) {
-                staging.push(StagedInput {
-                    file,
-                    size_mb: 0,
-                    source: None,
+        for ((file, sites), &size_mb) in job.inputs.iter().zip(located).zip(input_mb) {
+            let (size_mb, source) = if sites.contains(&exec_site) {
+                (0, None)
+            } else {
+                let best = sites.iter().copied().max_by(|a, b| {
+                    transfers
+                        .bandwidth(*a)
+                        .partial_cmp(&transfers.bandwidth(*b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.cmp(a)) // ties: prefer lower id
                 });
-                continue;
-            }
-            // Size: sibling outputs carry their spec'd size; external
-            // datasets use a nominal analysis-input size.
-            let size_mb = producers
-                .get(&file)
-                .and_then(|&p| dag.jobs.get(p as usize))
-                .map_or(100, |j| j.output.size_mb);
-            let best = sites.iter().copied().max_by(|a, b| {
-                transfers
-                    .bandwidth(*a)
-                    .partial_cmp(&transfers.bandwidth(*b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(a)) // ties: prefer lower id
-            })?;
+                let Some(best) = best else {
+                    return Ok(None);
+                };
+                (size_mb, Some(best))
+            };
             staging.push(StagedInput {
-                file,
+                file: file.clone(),
                 size_mb,
-                source: Some(best),
+                source,
             });
         }
-        Some(staging)
+        Ok(Some(staging))
     }
 
     /// One planner pass: reduce received DAGs, then plan every ready job.
@@ -1037,7 +1080,8 @@ impl SphinxServer {
         let Some(site) = chosen else {
             return Ok(None); // no feasible site now; stays Ready
         };
-        let Some(staging) = Self::plan_staging(&dag, spec, site, rls, transfers) else {
+        let input_mb = meta.input_mb(job_id.index);
+        let Some(staging) = Self::plan_staging(spec, input_mb, site, rls, transfers)? else {
             return Ok(None); // an input has no replica yet; stays Ready
         };
         // Reserve quota for the attempt.

@@ -54,6 +54,16 @@ impl From<String> for LogicalFile {
     }
 }
 
+/// A logical file name interned by a [`ReplicaService`](crate::ReplicaService):
+/// a dense index into its name table, so the data plane keys replicas and
+/// stored files by four bytes instead of by a copy of the name.
+///
+/// Ids are handed out in first-seen order, which depends on the order of
+/// requests; nothing may observe that order (listings sort by name or by
+/// site).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FileId(pub u32);
+
 /// A logical file plus the size it will have once materialised.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileSpec {

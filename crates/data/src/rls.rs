@@ -1,16 +1,20 @@
 //! Replica Location Service.
 //!
-//! Modelled on Globus RLS/Giggle: each site keeps a Local Replica Catalog
-//! (LRC) of the files it physically stores; a Replica Location Index (RLI)
-//! maps every logical file to the set of sites holding a replica. SPHINX
+//! Modelled on Globus RLS/Giggle: a Replica Location Index (RLI) maps
+//! every logical file to the set of sites holding a replica. SPHINX
 //! performs **batched** lookups — "SPHINX makes efficient use of the RLS by
 //! clubbing all its requests in a single call to the RLS server" (§3.4) —
 //! so the service counts round-trips separately from individual lookups,
 //! letting the benchmarks quantify the batching win.
+//!
+//! The service also owns the run's one name table: each logical name is
+//! stored once and interned as a dense [`FileId`], and the index is a
+//! vector of site sets indexed by id. Sites' storage elements
+//! ([`crate::SiteStore`]) key their files by the same ids.
 
-use crate::file::{LogicalFile, SiteId};
+use crate::file::{FileId, LogicalFile, SiteId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Round-trip and lookup counters (instrumentation for the RLS bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,13 +27,13 @@ pub struct RlsStats {
     pub replicas: u64,
 }
 
-/// The replica location service: LRCs + RLI.
+/// The replica location service: a name table plus the RLI.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaService {
-    /// LRC: site → files it stores.
-    by_site: BTreeMap<SiteId, BTreeSet<LogicalFile>>,
-    /// RLI: file → sites storing it.
-    by_file: BTreeMap<LogicalFile, BTreeSet<SiteId>>,
+    /// Name → id, holding the one owned copy of every interned name.
+    ids: BTreeMap<Box<str>, FileId>,
+    /// RLI: `sites[id]` holds the sites storing file `id`, ascending.
+    sites: Vec<Vec<SiteId>>,
     stats: RlsStats,
 }
 
@@ -39,97 +43,82 @@ impl ReplicaService {
         ReplicaService::default()
     }
 
+    /// The id of `file`, interning it (one copy of the name) if it is new.
+    pub fn intern(&mut self, file: &LogicalFile) -> FileId {
+        match self.ids.get(file.name()) {
+            Some(&id) => id,
+            None => self.insert_name(file.name().into()),
+        }
+    }
+
+    /// Give `name` the next id; the caller has checked it is new.
+    fn insert_name(&mut self, name: Box<str>) -> FileId {
+        let id = FileId(self.sites.len() as u32);
+        self.ids.insert(name, id);
+        self.sites.push(Vec::new());
+        id
+    }
+
     /// Register a replica of `file` at `site`. Idempotent.
     pub fn register(&mut self, file: LogicalFile, site: SiteId) {
-        let newly_indexed = self.by_file.entry(file.clone()).or_default().insert(site);
-        self.by_site.entry(site).or_default().insert(file);
-        if newly_indexed {
+        let id = match self.ids.get(file.name()) {
+            Some(&id) => id,
+            None => self.insert_name(file.0.into_boxed_str()),
+        };
+        self.register_id(id, site);
+    }
+
+    /// Register a replica of the interned file `id` at `site`. Idempotent;
+    /// re-registering an existing replica allocates nothing.
+    pub fn register_id(&mut self, id: FileId, site: SiteId) {
+        let Some(sites) = self.sites.get_mut(id.0 as usize) else {
+            return; // not an id of this service
+        };
+        if let Err(at) = sites.binary_search(&site) {
+            sites.insert(at, site);
             self.stats.replicas += 1;
         }
     }
 
-    /// Remove the replica of `file` at `site`; returns whether it existed.
-    pub fn unregister(&mut self, file: &LogicalFile, site: SiteId) -> bool {
-        let removed = self
-            .by_file
-            .get_mut(file)
-            .is_some_and(|sites| sites.remove(&site));
-        if removed {
-            if self.by_file[file].is_empty() {
-                self.by_file.remove(file);
-            }
-            if let Some(files) = self.by_site.get_mut(&site) {
-                files.remove(file);
-            }
-            self.stats.replicas -= 1;
-        }
-        removed
-    }
-
-    /// Remove every replica registered at `site` (the site's storage was
-    /// lost). Returns the number of replicas dropped.
-    pub fn drop_site(&mut self, site: SiteId) -> usize {
-        let Some(files) = self.by_site.remove(&site) else {
-            return 0;
-        };
-        let n = files.len();
-        for file in files {
-            if let Some(sites) = self.by_file.get_mut(&file) {
-                sites.remove(&site);
-                if sites.is_empty() {
-                    self.by_file.remove(&file);
-                }
-            }
-        }
-        self.stats.replicas -= n as u64;
-        n
+    /// The sites holding `file`, ascending; empty when it has no replica.
+    fn sites_of(&self, file: &LogicalFile) -> &[SiteId] {
+        sites_in(&self.ids, &self.sites, file)
     }
 
     /// Locate every replica of one file (one round-trip).
     pub fn locate(&mut self, file: &LogicalFile) -> Vec<SiteId> {
         self.stats.lookups += 1;
         self.stats.round_trips += 1;
-        self.locate_silent(file)
+        self.sites_of(file).to_vec()
     }
 
-    /// Locate without touching the counters (internal helper).
-    fn locate_silent(&self, file: &LogicalFile) -> Vec<SiteId> {
-        self.by_file
-            .get(file)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Resolve many files in **one** round-trip (the "clubbed" call).
-    pub fn locate_batch(&mut self, files: &[LogicalFile]) -> Vec<(LogicalFile, Vec<SiteId>)> {
-        self.stats.lookups += files.len() as u64;
+    /// Resolve many files in **one** round-trip (the "clubbed" call): the
+    /// sites of each, in the order asked.
+    pub fn locate_batch<'f>(
+        &mut self,
+        files: impl IntoIterator<Item = &'f LogicalFile>,
+    ) -> Vec<&[SiteId]> {
+        let located: Vec<&[SiteId]> = files
+            .into_iter()
+            .map(|f| sites_in(&self.ids, &self.sites, f))
+            .collect();
+        self.stats.lookups += located.len() as u64;
         self.stats.round_trips += 1;
-        files
-            .iter()
-            .map(|f| (f.clone(), self.locate_silent(f)))
-            .collect()
-    }
-
-    /// Existence check for one file (one round-trip).
-    pub fn exists(&mut self, file: &LogicalFile) -> bool {
-        self.stats.lookups += 1;
-        self.stats.round_trips += 1;
-        self.by_file.contains_key(file)
+        located
     }
 
     /// Batched existence check (one round-trip); used by the DAG reducer.
-    pub fn exists_batch(&mut self, files: &[LogicalFile]) -> Vec<bool> {
-        self.stats.lookups += files.len() as u64;
+    pub fn exists_batch<'f>(
+        &mut self,
+        files: impl IntoIterator<Item = &'f LogicalFile>,
+    ) -> Vec<bool> {
+        let found: Vec<bool> = files
+            .into_iter()
+            .map(|f| !self.sites_of(f).is_empty())
+            .collect();
+        self.stats.lookups += found.len() as u64;
         self.stats.round_trips += 1;
-        files.iter().map(|f| self.by_file.contains_key(f)).collect()
-    }
-
-    /// Files registered at a site, in name order.
-    pub fn files_at(&self, site: SiteId) -> Vec<LogicalFile> {
-        self.by_site
-            .get(&site)
-            .map(|f| f.iter().cloned().collect())
-            .unwrap_or_default()
+        found
     }
 
     /// Instrumentation counters.
@@ -138,10 +127,20 @@ impl ReplicaService {
     }
 }
 
+/// The sites holding `file` in the index `sites`, by way of `ids`.
+fn sites_in<'s>(
+    ids: &BTreeMap<Box<str>, FileId>,
+    sites: &'s [Vec<SiteId>],
+    file: &LogicalFile,
+) -> &'s [SiteId] {
+    ids.get(file.name())
+        .and_then(|id| sites.get(id.0 as usize))
+        .map_or(&[], Vec::as_slice)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn f(name: &str) -> LogicalFile {
         LogicalFile::from(name)
@@ -150,13 +149,12 @@ mod tests {
     #[test]
     fn register_locate_round_trip() {
         let mut rls = ReplicaService::new();
-        rls.register(f("a"), SiteId(1));
         rls.register(f("a"), SiteId(2));
+        rls.register(f("a"), SiteId(1));
         rls.register(f("b"), SiteId(1));
         assert_eq!(rls.locate(&f("a")), vec![SiteId(1), SiteId(2)]);
         assert_eq!(rls.locate(&f("missing")), Vec::<SiteId>::new());
-        assert!(rls.exists(&f("b")));
-        assert_eq!(rls.files_at(SiteId(1)), vec![f("a"), f("b")]);
+        assert_eq!(rls.exists_batch([&f("b")]), vec![true]);
     }
 
     #[test]
@@ -169,26 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn unregister_removes_only_that_replica() {
+    fn an_interned_name_without_a_replica_does_not_exist() {
         let mut rls = ReplicaService::new();
-        rls.register(f("a"), SiteId(1));
-        rls.register(f("a"), SiteId(2));
-        assert!(rls.unregister(&f("a"), SiteId(1)));
-        assert!(!rls.unregister(&f("a"), SiteId(1)));
-        assert_eq!(rls.locate(&f("a")), vec![SiteId(2)]);
+        let id = rls.intern(&f("out"));
+        assert_eq!(rls.intern(&f("out")), id);
+        assert_eq!(rls.exists_batch([&f("out")]), vec![false]);
+        assert_eq!(rls.stats().replicas, 0);
+        rls.register_id(id, SiteId(4));
+        assert_eq!(rls.locate(&f("out")), vec![SiteId(4)]);
+        // An id this service never handed out registers nothing.
+        rls.register_id(FileId(7), SiteId(4));
         assert_eq!(rls.stats().replicas, 1);
-    }
-
-    #[test]
-    fn drop_site_clears_everything_there() {
-        let mut rls = ReplicaService::new();
-        rls.register(f("a"), SiteId(1));
-        rls.register(f("b"), SiteId(1));
-        rls.register(f("a"), SiteId(2));
-        assert_eq!(rls.drop_site(SiteId(1)), 2);
-        assert!(!rls.exists(&f("b")));
-        assert_eq!(rls.locate(&f("a")), vec![SiteId(2)]);
-        assert_eq!(rls.drop_site(SiteId(9)), 0);
     }
 
     #[test]
@@ -200,6 +189,7 @@ mod tests {
         let files: Vec<LogicalFile> = (0..10).map(|i| f(&format!("f{i}"))).collect();
         let results = rls.locate_batch(&files);
         assert_eq!(results.len(), 10);
+        assert_eq!(results[3], &[SiteId(3)]);
         assert_eq!(rls.stats().round_trips, 1);
         assert_eq!(rls.stats().lookups, 10);
         // The unbatched equivalent costs ten round-trips.
@@ -211,41 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn exists_batch_matches_individual_exists() {
+    fn exists_batch_answers_each_file_in_order() {
         let mut rls = ReplicaService::new();
         rls.register(f("x"), SiteId(0));
         let probe = vec![f("x"), f("y")];
         assert_eq!(rls.exists_batch(&probe), vec![true, false]);
-    }
-
-    proptest! {
-        /// RLI and LRC views stay consistent under arbitrary operations.
-        #[test]
-        fn prop_index_consistency(ops in proptest::collection::vec((0u8..3, 0u32..8, 0u32..4), 0..200)) {
-            let mut rls = ReplicaService::new();
-            for (op, file_i, site_i) in ops {
-                let file = f(&format!("f{file_i}"));
-                let site = SiteId(site_i);
-                match op {
-                    0 | 1 => rls.register(file, site),
-                    _ => { rls.unregister(&file, site); }
-                }
-            }
-            // Every (site, file) in LRCs appears in the RLI and vice versa.
-            let mut count = 0u64;
-            for (&site, files) in &rls.by_site {
-                for file in files {
-                    prop_assert!(rls.by_file[file].contains(&site));
-                }
-            }
-            for (file, sites) in &rls.by_file {
-                prop_assert!(!sites.is_empty(), "empty entry not pruned");
-                for &site in sites {
-                    prop_assert!(rls.by_site[&site].contains(file));
-                    count += 1;
-                }
-            }
-            prop_assert_eq!(count, rls.stats().replicas);
-        }
     }
 }

@@ -4,20 +4,19 @@
 //! VO; the paper's policy discussion (§2, §4.4) includes "hard disk quota"
 //! among the constraints a scheduler must respect. [`SiteStore`] models one
 //! site's storage: files with sizes, a capacity, and failure on overflow.
+//! Files are keyed by the [`FileId`] the replica service interned their
+//! names as, so a stored file costs its id and size, not a copy of its name.
 
-use crate::file::{FileSpec, LogicalFile};
-use serde::{Deserialize, Serialize};
+use crate::file::FileId;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// Writing `file` (`need_mb`) would exceed the remaining `free_mb`.
+    /// Writing a file of `need_mb` would exceed the remaining `free_mb`.
     Full {
-        /// File that did not fit.
-        file: LogicalFile,
-        /// Its size.
+        /// The file's size.
         need_mb: u64,
         /// Space actually available.
         free_mb: u64,
@@ -27,14 +26,9 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Full {
-                file,
-                need_mb,
-                free_mb,
-            } => write!(
-                f,
-                "store full: `{file}` needs {need_mb} MB, only {free_mb} MB free"
-            ),
+            StoreError::Full { need_mb, free_mb } => {
+                write!(f, "store full: needs {need_mb} MB, only {free_mb} MB free")
+            }
         }
     }
 }
@@ -42,10 +36,10 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// One site's storage element.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteStore {
     capacity_mb: u64,
-    files: BTreeMap<LogicalFile, u64>,
+    files: BTreeMap<FileId, u64>,
     used_mb: u64,
 }
 
@@ -59,29 +53,9 @@ impl SiteStore {
         }
     }
 
-    /// Total capacity in MB.
-    pub fn capacity_mb(&self) -> u64 {
-        self.capacity_mb
-    }
-
-    /// Bytes... MB currently used.
+    /// MB currently used.
     pub fn used_mb(&self) -> u64 {
         self.used_mb
-    }
-
-    /// MB still free.
-    pub fn free_mb(&self) -> u64 {
-        self.capacity_mb - self.used_mb
-    }
-
-    /// True if `file` is present.
-    pub fn contains(&self, file: &LogicalFile) -> bool {
-        self.files.contains_key(file)
-    }
-
-    /// Size of a stored file.
-    pub fn size_of(&self, file: &LogicalFile) -> Option<u64> {
-        self.files.get(file).copied()
     }
 
     /// Number of stored files.
@@ -94,125 +68,64 @@ impl SiteStore {
         self.files.is_empty()
     }
 
-    /// Write a file. Overwriting an existing replica of the same logical
-    /// file first releases its old space.
-    pub fn put(&mut self, spec: &FileSpec) -> Result<(), StoreError> {
-        let released = self.files.get(&spec.file).copied().unwrap_or(0);
+    /// Write `size_mb` of file `file`. Overwriting an existing replica of
+    /// the same file first releases its old space.
+    pub fn put(&mut self, file: FileId, size_mb: u64) -> Result<(), StoreError> {
+        let released = self.files.get(&file).copied().unwrap_or(0);
         let free = self.capacity_mb - self.used_mb + released;
-        if spec.size_mb > free {
+        if size_mb > free {
             return Err(StoreError::Full {
-                file: spec.file.clone(),
-                need_mb: spec.size_mb,
+                need_mb: size_mb,
                 free_mb: free,
             });
         }
-        self.used_mb = self.used_mb - released + spec.size_mb;
-        self.files.insert(spec.file.clone(), spec.size_mb);
+        self.used_mb = self.used_mb - released + size_mb;
+        self.files.insert(file, size_mb);
         Ok(())
-    }
-
-    /// Delete a file; returns whether it existed.
-    pub fn delete(&mut self, file: &LogicalFile) -> bool {
-        if let Some(size) = self.files.remove(file) {
-            self.used_mb -= size;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Wipe the store (site storage lost in a crash).
-    pub fn clear(&mut self) {
-        self.files.clear();
-        self.used_mb = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn spec(name: &str, mb: u64) -> FileSpec {
-        FileSpec::new(name, mb)
-    }
 
     #[test]
     fn put_and_accounting() {
         let mut s = SiteStore::new(1000);
-        s.put(&spec("a", 300)).unwrap();
-        s.put(&spec("b", 200)).unwrap();
+        s.put(FileId(0), 300).unwrap();
+        s.put(FileId(1), 200).unwrap();
         assert_eq!(s.used_mb(), 500);
-        assert_eq!(s.free_mb(), 500);
         assert_eq!(s.len(), 2);
-        assert!(s.contains(&LogicalFile::from("a")));
-        assert_eq!(s.size_of(&LogicalFile::from("b")), Some(200));
+        // 500 MB are left, not 501.
+        assert!(s.put(FileId(2), 501).is_err());
+        s.put(FileId(2), 500).unwrap();
     }
 
     #[test]
     fn overflow_is_rejected_without_side_effects() {
         let mut s = SiteStore::new(100);
-        s.put(&spec("a", 80)).unwrap();
-        let err = s.put(&spec("big", 50)).unwrap_err();
+        s.put(FileId(0), 80).unwrap();
+        let err = s.put(FileId(1), 50).unwrap_err();
         assert_eq!(
             err,
             StoreError::Full {
-                file: LogicalFile::from("big"),
                 need_mb: 50,
                 free_mb: 20,
             }
         );
+        assert_eq!(err.to_string(), "store full: needs 50 MB, only 20 MB free");
         assert_eq!(s.used_mb(), 80);
-        assert!(!s.contains(&LogicalFile::from("big")));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn overwrite_releases_old_space_first() {
         let mut s = SiteStore::new(100);
-        s.put(&spec("a", 90)).unwrap();
+        s.put(FileId(0), 90).unwrap();
         // Replacing the 90 MB version with a 95 MB version fits because the
         // old copy's space is reclaimed.
-        s.put(&spec("a", 95)).unwrap();
+        s.put(FileId(0), 95).unwrap();
         assert_eq!(s.used_mb(), 95);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn delete_frees_space() {
-        let mut s = SiteStore::new(100);
-        s.put(&spec("a", 60)).unwrap();
-        assert!(s.delete(&LogicalFile::from("a")));
-        assert!(!s.delete(&LogicalFile::from("a")));
-        assert_eq!(s.used_mb(), 0);
-        s.put(&spec("b", 100)).unwrap();
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = SiteStore::new(100);
-        s.put(&spec("a", 60)).unwrap();
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.free_mb(), 100);
-    }
-
-    proptest! {
-        /// used == sum(sizes) and used <= capacity under arbitrary ops.
-        #[test]
-        fn prop_accounting_invariant(ops in proptest::collection::vec((0u8..2, 0u32..6, 1u64..50), 0..100)) {
-            let mut s = SiteStore::new(120);
-            for (op, file_i, mb) in ops {
-                let name = format!("f{file_i}");
-                match op {
-                    0 => { let _ = s.put(&spec(&name, mb)); }
-                    _ => { s.delete(&LogicalFile::from(name.as_str())); }
-                }
-                let sum: u64 = (0..6)
-                    .filter_map(|i| s.size_of(&LogicalFile::from(format!("f{i}").as_str())))
-                    .sum();
-                prop_assert_eq!(s.used_mb(), sum);
-                prop_assert!(s.used_mb() <= s.capacity_mb());
-            }
-        }
     }
 }

@@ -24,7 +24,7 @@ pub enum JobOwner {
 }
 
 /// One job inside a site's batch system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchJob {
     /// Site-local batch id.
     pub id: u64,
@@ -81,7 +81,7 @@ impl BatchQueue {
             let Some(job) = self.queue.pop_front() else {
                 break;
             };
-            self.running.insert(job.id, job.clone());
+            self.running.insert(job.id, job);
             started.push(job);
         }
         self.dispatched_total += started.len() as u64;

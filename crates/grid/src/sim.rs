@@ -12,7 +12,7 @@ use crate::batch::{BatchQueue, JobOwner};
 use crate::request::{JobHandle, JobRequest};
 use crate::site::SiteSpec;
 use serde::{Deserialize, Serialize};
-use sphinx_data::{FileSpec, ReplicaService, SiteId, SiteStore, TransferModel, TransferTracker};
+use sphinx_data::{FileId, ReplicaService, SiteId, SiteStore, TransferModel, TransferTracker};
 use sphinx_sim::{Duration, EventQueue, SimRng, SimTime};
 use sphinx_telemetry::{GridStep, Telemetry};
 use std::collections::BTreeMap;
@@ -145,7 +145,7 @@ enum Event {
     ArchiveDone {
         src: SiteId,
         dst: SiteId,
-        file: sphinx_data::LogicalFile,
+        file: FileId,
         size_mb: u64,
     },
     /// Client-scheduled wakeup.
@@ -173,8 +173,8 @@ struct SiteRuntime {
     in_batch: BTreeMap<JobHandle, (u64, u64, SimTime)>,
     /// Reverse map: batch id → handle.
     by_batch: BTreeMap<u64, JobHandle>,
-    /// Outputs of sphinx jobs currently in the batch system.
-    outputs: BTreeMap<JobHandle, FileSpec>,
+    /// Outputs (file, MB) of sphinx jobs currently in the batch system.
+    outputs: BTreeMap<JobHandle, (FileId, u64)>,
     /// Dispatch time of running batch jobs.
     started_at: BTreeMap<u64, SimTime>,
     counters: SiteCounters,
@@ -407,6 +407,7 @@ impl GridSim {
     }
 
     /// Process the next event. Returns `false` when no events remain.
+    // sphinx-hot
     pub fn step(&mut self) -> bool {
         let Some((_, event)) = self.events.pop() else {
             return false;
@@ -475,21 +476,15 @@ impl GridSim {
         }
         // Start the input transfers the plan calls for.
         let dst = rt.spec.id;
-        let transfers: Vec<(SiteId, u64)> = staging
-            .request
-            .inputs
-            .iter()
-            .filter_map(|inp| inp.source.map(|s| (s, inp.size_mb)))
-            .collect();
-        staging.remaining = transfers.len();
-        if transfers.is_empty() {
-            self.enqueue_ready(i, handle, now);
-            return;
-        }
-        for (src, size_mb) in transfers {
+        staging.remaining = 0;
+        for inp in &staging.request.inputs {
+            let Some(src) = inp.source else {
+                continue;
+            };
+            staging.remaining += 1;
             let d = self
                 .transfers
-                .begin(&self.transfer_model, src, dst, size_mb);
+                .begin(&self.transfer_model, src, dst, inp.size_mb);
             self.events.push(
                 now + d,
                 Event::StageDone {
@@ -498,6 +493,9 @@ impl GridSim {
                     src,
                 },
             );
+        }
+        if staging.remaining == 0 {
+            self.enqueue_ready(i, handle, now);
         }
     }
 
@@ -523,16 +521,13 @@ impl GridSim {
         };
         let req = staging.request;
         let site = rt.spec.id;
-        // Cache staged inputs at the site (best effort: a full storage
-        // element just doesn't cache; the job still ran with its data).
-        for inp in &req.inputs {
-            if inp.source.is_some()
-                && rt
-                    .store
-                    .put(&FileSpec::new(inp.file.clone(), inp.size_mb))
-                    .is_ok()
-            {
-                self.rls.register(inp.file.clone(), site);
+        // Intern the request's file names, once. Cache staged inputs at
+        // the site (best effort: a full storage element just doesn't
+        // cache; the job still ran with its data).
+        for inp in req.inputs.iter().filter(|inp| inp.source.is_some()) {
+            let file = self.rls.intern(&inp.file);
+            if rt.store.put(file, inp.size_mb).is_ok() {
+                self.rls.register_id(file, site);
             }
         }
         if let Some(dst) = req.archive_to {
@@ -545,7 +540,8 @@ impl GridSim {
             .enqueue(JobOwner::Sphinx { handle: handle.0 }, runtime);
         rt.in_batch.insert(handle, (batch_id, req.tag, now));
         rt.by_batch.insert(batch_id, handle);
-        rt.outputs.insert(handle, req.output.clone());
+        let output = self.rls.intern(&req.output.file);
+        rt.outputs.insert(handle, (output, req.output.size_mb));
         note_slot(&self.telemetry, site, req.tag, GridStep::Queued, now);
         self.out.push(Notification::JobQueued {
             handle,
@@ -614,24 +610,21 @@ impl GridSim {
                     // Materialise and register the output; kick off the
                     // archival copy if the plan asked for one (step 4).
                     let archive_to = rt.archive.remove(&handle);
-                    if let Some(output) = rt.outputs.remove(&handle) {
-                        if rt.store.put(&output).is_ok() {
-                            self.rls.register(output.file.clone(), site);
+                    if let Some((file, size_mb)) = rt.outputs.remove(&handle) {
+                        if rt.store.put(file, size_mb).is_ok() {
+                            self.rls.register_id(file, site);
                         }
                         if let Some(dst) = archive_to.filter(|&d| d != site) {
-                            let d = self.transfers.begin(
-                                &self.transfer_model,
-                                site,
-                                dst,
-                                output.size_mb,
-                            );
+                            let d = self
+                                .transfers
+                                .begin(&self.transfer_model, site, dst, size_mb);
                             self.events.push(
                                 now + d,
                                 Event::ArchiveDone {
                                     src: site,
                                     dst,
-                                    file: output.file.clone(),
-                                    size_mb: output.size_mb,
+                                    file,
+                                    size_mb,
                                 },
                             );
                         }
@@ -680,18 +673,11 @@ impl GridSim {
         self.after_dispatch(i, started_jobs);
     }
 
-    fn on_archive_done(
-        &mut self,
-        src: SiteId,
-        dst: SiteId,
-        file: sphinx_data::LogicalFile,
-        size_mb: u64,
-    ) {
+    fn on_archive_done(&mut self, src: SiteId, dst: SiteId, file: FileId, size_mb: u64) {
         self.transfers.end(src, dst);
         if let Some(&i) = self.site_index.get(&dst) {
-            let rt = &mut self.sites[i];
-            if rt.store.put(&FileSpec::new(file.clone(), size_mb)).is_ok() {
-                self.rls.register(file, dst);
+            if self.sites[i].store.put(file, size_mb).is_ok() {
+                self.rls.register_id(file, dst);
             }
         }
     }
@@ -722,7 +708,7 @@ impl GridSim {
     fn on_burst_flip(&mut self, i: usize) {
         let now = self.now();
         let rt = &mut self.sites[i];
-        let Some(burst) = rt.spec.background.burst.clone() else {
+        let Some(burst) = &rt.spec.background.burst else {
             return;
         };
         rt.burst_on = !rt.burst_on;
@@ -765,9 +751,9 @@ impl GridSim {
             }
             // Staging jobs are lost silently (their gatekeeper session
             // died); release transfer slots.
-            let staging: Vec<(JobHandle, Staging)> =
-                std::mem::take(&mut rt.staging).into_iter().collect();
-            for (_, staging) in &staging {
+            let staging = std::mem::take(&mut rt.staging);
+            rt.counters.submissions_lost += staging.len() as u64;
+            for staging in staging.values() {
                 for inp in &staging.request.inputs {
                     if let Some(src) = inp.source {
                         self.transfers.end(src, site);
@@ -775,10 +761,6 @@ impl GridSim {
                 }
             }
             let rt = &mut self.sites[i];
-            for (handle, st) in staging {
-                rt.counters.submissions_lost += 1;
-                let _ = (handle, st);
-            }
             // Schedule the repair.
             let mttr = rt.spec.faults.mttr;
             let at = now + rt.fault_rng.exp_duration(mttr);
@@ -813,7 +795,7 @@ mod tests {
     use super::*;
     use crate::request::StagedInput;
     use crate::site::{BackgroundLoad, FaultProfile};
-    use sphinx_data::LogicalFile;
+    use sphinx_data::{FileSpec, LogicalFile};
 
     fn one_site_grid(cpus: u32) -> GridSim {
         let site = SiteSpec::new(SiteId(0), "solo", cpus);

@@ -159,3 +159,30 @@ fn generated_file_names_are_unique_across_dags() {
     let f = generate::internal_file(dags[0].id, 0);
     assert_eq!(f, dags[0].jobs[0].output.file);
 }
+
+#[test]
+fn seeded_run_keeps_the_pinned_rls_accounting() {
+    use sphinx::data::RlsStats;
+    use sphinx::workloads::{grid3, Scenario};
+    // §3.4's clubbed calls: one round-trip per reduced DAG and per
+    // placement, one lookup per file asked about. Recorded on the
+    // name-keyed catalog; interning names as ids must not move it.
+    let scenario = Scenario::builder()
+        .sites(grid3::catalog_small())
+        .dags(4, 12)
+        .seed(21)
+        .archive_site(SiteId(3))
+        .horizon(Duration::from_secs(24 * 3600))
+        .build();
+    let mut rt = scenario.build_runtime();
+    let report = rt.run();
+    assert!(report.finished);
+    assert_eq!(
+        rt.grid_mut().rls().stats(),
+        RlsStats {
+            lookups: 160,
+            round_trips: 52,
+            replicas: 234,
+        }
+    );
+}
