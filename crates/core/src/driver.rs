@@ -503,39 +503,49 @@ impl Driver {
     /// id before any floating-point accumulation, per-site tallies merge
     /// integers, and per-site completion averages come from the grid-wide
     /// prediction ledger (global report order; the number eq. 3 planned
-    /// with), never from per-server float sums. Job tallies are one
-    /// filtered pass over each job table that clones only terminal rows.
+    /// with), never from per-server float sums. Every table is read in
+    /// place, one pass each, and no row is cloned: only the fields the
+    /// report reads are kept, `(id, submitted, finished, deadline)` of
+    /// every DAG and `(key, exec, idle)` of every finished job.
     pub fn build_report(&self) -> CoreResult<RunReport> {
-        let mut dags: Vec<DagRow> = Vec::new();
-        let mut finished_jobs: Vec<JobRow> = Vec::new();
+        let mut dags = Vec::new();
+        let mut finished_jobs = Vec::new();
         let mut eliminated = 0usize;
         let mut tallies: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         for server in self.servers.iter().flatten() {
             let db = server.database();
-            dags.extend(db.scan::<DagRow>()?);
-            for job in db.scan_filter::<JobRow>(|j| j.state.is_terminal())? {
-                match job.state {
-                    JobState::Finished => finished_jobs.push(job),
-                    _ => eliminated += 1,
+            db.visit(.., |d: &DagRow| {
+                dags.push((d.id, d.submitted_at, d.finished_at, d.deadline));
+                true
+            })?;
+            db.visit(.., |j: &JobRow| {
+                match j.state {
+                    JobState::Finished => {
+                        finished_jobs.push((j.id.as_key(), j.exec_secs, j.idle_secs))
+                    }
+                    state if state.is_terminal() => eliminated += 1,
+                    _ => return false,
                 }
-            }
-            for row in db.scan::<SiteStatsRow>()? {
+                true
+            })?;
+            db.visit(.., |row: &SiteStatsRow| {
                 let tally = tallies.entry(row.site).or_default();
                 tally.0 += row.completed;
                 tally.1 += row.cancelled;
-            }
+                true
+            })?;
         }
-        dags.sort_by_key(|d| d.id);
-        finished_jobs.sort_by_key(|j| j.id.as_key());
+        dags.sort_by_key(|d| d.0);
+        finished_jobs.sort_by_key(|j| j.0);
         let mut dag_completion_secs = Vec::new();
         let mut deadlines_met = 0usize;
         let mut deadlines_missed = 0usize;
-        for d in &dags {
-            if let Some(fin) = d.finished_at {
-                dag_completion_secs.push(fin.since(d.submitted_at).as_secs_f64());
+        for &(_, submitted_at, finished_at, deadline) in &dags {
+            if let Some(fin) = finished_at {
+                dag_completion_secs.push(fin.since(submitted_at).as_secs_f64());
             }
-            if let Some(deadline) = d.deadline {
-                match d.finished_at {
+            if let Some(deadline) = deadline {
+                match finished_at {
                     Some(fin) if fin <= deadline => deadlines_met += 1,
                     _ => deadlines_missed += 1,
                 }
@@ -543,8 +553,8 @@ impl Driver {
         }
         let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { 0.0 };
         let completed = finished_jobs.len();
-        let exec_sum: f64 = finished_jobs.iter().filter_map(|j| j.exec_secs).sum();
-        let idle_sum: f64 = finished_jobs.iter().filter_map(|j| j.idle_secs).sum();
+        let exec_sum: f64 = finished_jobs.iter().filter_map(|j| j.1).sum();
+        let idle_sum: f64 = finished_jobs.iter().filter_map(|j| j.2).sum();
         let names: BTreeMap<SiteId, &str> = self
             .grid
             .site_specs()

@@ -57,6 +57,9 @@ struct SiteHistory {
     lifetime: SiteRecord,
     /// Recent outcomes: `true` = completed.
     recent: VecDeque<bool>,
+    /// Completions in `recent`, kept as outcomes enter and leave it, so a
+    /// verdict does not rescan the window.
+    recent_completed: usize,
     last_cancelled: Option<SimTime>,
     /// Live ops fast-path: the site is held unreliable until this time
     /// (or until a completion clears it), regardless of the window
@@ -107,8 +110,11 @@ impl Reliability {
         let window = self.config.window;
         let h = self.sites.entry(site).or_default();
         h.recent.push_back(completed);
+        h.recent_completed += usize::from(completed);
         while h.recent.len() > window {
-            h.recent.pop_front();
+            if h.recent.pop_front() == Some(true) {
+                h.recent_completed -= 1;
+            }
         }
     }
 
@@ -199,7 +205,7 @@ impl Reliability {
                 return false;
             }
         }
-        let completed = h.recent.iter().filter(|&&c| c).count();
+        let completed = h.recent_completed;
         let cancelled = h.recent.len() - completed;
         if cancelled <= completed {
             return true;
@@ -251,6 +257,64 @@ impl Reliability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The verdict as it was before the window kept a running count: the
+    /// window rescanned on every call. The oracle `is_reliable` is held to.
+    fn rescanned(r: &Reliability, site: SiteId, now: SimTime) -> bool {
+        let Some(h) = r.sites.get(&site) else {
+            return true;
+        };
+        if h.ops_flag_until.is_some_and(|until| now < until) {
+            return false;
+        }
+        let completed = h.recent.iter().filter(|&&c| c).count();
+        if h.recent.len() - completed <= completed {
+            return true;
+        }
+        h.last_cancelled
+            .is_none_or(|t| now.since(t) >= r.config.probation)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+        #[test]
+        fn running_count_verdicts_equal_the_rescanning_oracle(
+            window in 0usize..6,
+            ops in proptest::collection::vec((0u8..5, 0u32..3, 0u64..40), 1..200),
+        ) {
+            let probation = Duration::from_mins(30);
+            let mut r = Reliability::with_config(ReliabilityConfig { window, probation });
+            let mut clock = 0;
+            for (op, site, dt) in ops {
+                clock += dt;
+                let (site, now) = (SiteId(site), at(clock));
+                let before = rescanned(&r, site, now);
+                let edge = match op {
+                    0 => r.record_completed_at(site, now),
+                    1 => r.record_cancelled_at(site, now),
+                    2 => r.ops_flag(site, now),
+                    3 => {
+                        r.restore(site, dt, clock);
+                        FlagTransition::Unchanged
+                    }
+                    // A verdict at a later time, unrecorded.
+                    _ => {
+                        let later = at(clock + dt);
+                        prop_assert_eq!(r.is_reliable(site, later), rescanned(&r, site, later));
+                        continue;
+                    }
+                };
+                let after = rescanned(&r, site, now);
+                if op != 3 {
+                    prop_assert_eq!(edge, Reliability::transition(before, after));
+                }
+                for s in (0..3).map(SiteId) {
+                    prop_assert_eq!(r.is_reliable(s, now), rescanned(&r, s, now));
+                }
+            }
+        }
+    }
 
     const T0: SimTime = SimTime::ZERO;
 

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use serde_json::{from_str, to_string, Value};
+use serde_json::{from_str, to_string, Number, Value};
 use sphinx_core::messages::{CancelCause, PlanNotice, StatusReport};
 use sphinx_core::state::{DagRow, DagState, JobRow, JobState, SiteStatsRow};
 use sphinx_core::{RuntimeConfig, SiteLeaseRow, SphinxRuntime};
@@ -221,8 +221,55 @@ fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {
     out
 }
 
+/// `n` prints as `{}` prints it, as every integer type that holds it, and
+/// as a `Value` number.
+fn prints_as_display(n: i128) {
+    let shown = format!("{n}");
+    let mut printed = Vec::new();
+    macro_rules! each_type {
+        ($($t:ty),*) => {$(
+            if let Ok(n) = <$t>::try_from(n) {
+                printed.push(to_string(&n).unwrap());
+            }
+        )*};
+    }
+    each_type!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    let value = match (u64::try_from(n), i64::try_from(n)) {
+        (Ok(u), _) => Value::Number(Number::U(u)),
+        (_, Ok(i)) => Value::Number(Number::I(i)),
+        _ => unreachable!("{n} fits neither u64 nor i64"),
+    };
+    printed.push(value.to_string());
+    assert!(printed.len() > 1, "{n}");
+    for text in printed {
+        assert_eq!(text, shown);
+    }
+}
+
+#[test]
+fn integers_print_their_digits_at_every_length_and_at_the_extremes() {
+    let mut edges: Vec<i128> = vec![0, 9, 10, 99, 100];
+    edges.extend([u64::MAX, i64::MAX as u64].map(i128::from));
+    edges.extend([i64::MIN, i32::MIN.into(), -1].map(i128::from));
+    for k in 0..20 {
+        let p = 10i128.pow(k);
+        edges.extend([p - 1, p, p + 1, -p - 1, -p, 1 - p]);
+    }
+    for n in edges.into_iter().filter(|&n| n >= i128::from(i64::MIN)) {
+        prints_as_display(n);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
+
+    #[test]
+    fn integers_print_as_display_prints_them(
+        (u, i, shift) in (any::<u64>(), any::<i64>(), 0u32..64)
+    ) {
+        prints_as_display(i128::from(u >> shift));
+        prints_as_display(i128::from(i >> shift));
+    }
 
     #[test]
     fn derived_shapes_print_canonically(

@@ -14,7 +14,7 @@
 
 use crate::file::{FileId, LogicalFile, SiteId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use sphinx_sim::Chunks;
 
 /// Round-trip and lookup counters (instrumentation for the RLS bench).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,11 +27,69 @@ pub struct RlsStats {
     pub replicas: u64,
 }
 
+/// The name table: every interned name once, indexed by its id, and an
+/// open-addressing index over them, probed linearly from the FNV-1a hash
+/// of the name. Nothing iterates the index.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    /// `names[id]` is file `id`'s name.
+    names: Chunks<Box<str>>,
+    /// `id + 1` of the name hashed near each slot, or 0 for an empty slot.
+    /// A power of two long and at most three quarters full, so a probe
+    /// always meets an empty slot.
+    slots: Vec<u32>,
+}
+
+impl Names {
+    /// The id of `name`, or the empty slot where it would go.
+    fn find(&self, name: &str) -> Result<FileId, usize> {
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = (hash ^ hash >> 32) as usize & mask;
+        while let Some(&slot) = self.slots.get(at).filter(|&&slot| slot > 0) {
+            let id = FileId(slot - 1);
+            if self.names.get(id.0 as usize).is_some_and(|n| **n == *name) {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    fn get(&self, name: &str) -> Option<FileId> {
+        self.find(name).ok()
+    }
+
+    /// Give `name` the next id; the caller has checked it is new.
+    fn insert(&mut self, name: Box<str>) -> FileId {
+        let id = self.names.push(name) as u32;
+        if 4 * self.names.len() > 3 * self.slots.len() {
+            // Amortised: the index doubles, so a name is re-placed O(1)
+            // times on average.
+            // sphinx-lint: allow(hot-alloc)
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            (0..id).for_each(|old| self.place(old));
+        }
+        self.place(id);
+        FileId(id)
+    }
+
+    /// Index name `id` at the first empty slot of its probe.
+    fn place(&mut self, id: u32) {
+        let at = self.names.get(id as usize).and_then(|n| self.find(n).err());
+        if let Some(slot) = at.and_then(|at| self.slots.get_mut(at)) {
+            *slot = id + 1;
+        }
+    }
+}
+
 /// The replica location service: a name table plus the RLI.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaService {
     /// Name → id, holding the one owned copy of every interned name.
-    ids: BTreeMap<Box<str>, FileId>,
+    ids: Names,
     /// RLI: `sites[id]` holds the sites storing file `id`, ascending.
     sites: Vec<Vec<SiteId>>,
     stats: RlsStats,
@@ -46,23 +104,21 @@ impl ReplicaService {
     /// The id of `file`, interning it (one copy of the name) if it is new.
     pub fn intern(&mut self, file: &LogicalFile) -> FileId {
         match self.ids.get(file.name()) {
-            Some(&id) => id,
+            Some(id) => id,
             None => self.insert_name(file.name().into()),
         }
     }
 
     /// Give `name` the next id; the caller has checked it is new.
     fn insert_name(&mut self, name: Box<str>) -> FileId {
-        let id = FileId(self.sites.len() as u32);
-        self.ids.insert(name, id);
         self.sites.push(Vec::new());
-        id
+        self.ids.insert(name)
     }
 
     /// Register a replica of `file` at `site`. Idempotent.
     pub fn register(&mut self, file: LogicalFile, site: SiteId) {
         let id = match self.ids.get(file.name()) {
-            Some(&id) => id,
+            Some(id) => id,
             None => self.insert_name(file.0.into_boxed_str()),
         };
         self.register_id(id, site);
@@ -128,11 +184,7 @@ impl ReplicaService {
 }
 
 /// The sites holding `file` in the index `sites`, by way of `ids`.
-fn sites_in<'s>(
-    ids: &BTreeMap<Box<str>, FileId>,
-    sites: &'s [Vec<SiteId>],
-    file: &LogicalFile,
-) -> &'s [SiteId] {
+fn sites_in<'s>(ids: &Names, sites: &'s [Vec<SiteId>], file: &LogicalFile) -> &'s [SiteId] {
     ids.get(file.name())
         .and_then(|id| sites.get(id.0 as usize))
         .map_or(&[], Vec::as_slice)

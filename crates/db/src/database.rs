@@ -439,17 +439,47 @@ impl Database {
         range: impl RangeBounds<u64> + Clone,
         mut keep: impl FnMut(&T) -> bool,
     ) -> Result<Vec<T>, DbError> {
-        let rows: Vec<T> = {
+        let mut rows = Vec::new();
+        self.visit_at(table, range, |row: &T| {
+            let kept = keep(row);
+            if kept {
+                rows.push(row.clone());
+            }
+            kept
+        })?;
+        Ok(rows)
+    }
+
+    /// Lend every row of `R`'s table within `range` to `read`, in key
+    /// order, under the table lock, so nothing is cloned (`read` must not
+    /// call back into the database). The rows `read` answers `true` for
+    /// count as read: they are credited to `db.rows.read`, as a scan that
+    /// kept them would credit them. A row in `range` that does not decode
+    /// aborts with [`DbError::Codec`] before any row is lent.
+    pub fn visit<R: Record>(
+        &self,
+        range: impl RangeBounds<u64> + Clone,
+        read: impl FnMut(&R) -> bool,
+    ) -> Result<(), DbError> {
+        self.visit_at(R::TABLE, range, read)
+    }
+
+    fn visit_at<T: Row>(
+        &self,
+        table: &str,
+        range: impl RangeBounds<u64> + Clone,
+        mut read: impl FnMut(&T) -> bool,
+    ) -> Result<(), DbError> {
+        let rows = {
             let mut store = self.tables.lock();
             let Some(t) = store.typed::<T>(table)? else {
-                return Ok(Vec::new());
+                return Ok(());
             };
             t.check_decodable(table, range.clone())?;
-            let rows = t.rows().range(range).filter(|(_, row)| keep(row));
-            rows.map(|(_, row)| row.clone()).collect()
+            t.rows().range(range).filter(|(_, row)| read(row)).count()
         };
-        self.note_reads(rows.len() as u64);
-        Ok(rows)
+        self.note_reads(rows as u64);
+        Ok(())
     }
 
     /// All rows of a table, in key order.

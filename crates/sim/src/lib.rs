@@ -14,11 +14,13 @@
 //!   grid substrate, monitoring service and SPHINX server each define their
 //!   own event enums and share one queue through a top-level enum.
 
+pub mod chunks;
 pub mod events;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use chunks::Chunks;
 pub use events::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Accumulator, SampleSet, TimeWeighted};

@@ -14,31 +14,43 @@
 //! each attributed to planner wait, queue wait, execution, or fault
 //! recovery.
 //!
-//! `Telemetry::analyze` never builds that forest. It replays the hub's
-//! event log into [`Histories`] — per job, its state steps, first
-//! ready-cause, last attempt and lifetime; per DAG, its root span — and
-//! walks those. Deterministic input (same seed) gives identical
-//! [`TraceAnalysis`] output, which `RunReport` carries and the
-//! determinism suite asserts. [`SpanGraph`] indexes a materialized span
-//! list by id to check its structure; the scan-per-query implementation
-//! over such a list survives as the test oracle at the bottom of this
-//! file.
+//! `Telemetry::analyze` builds neither that forest nor the span machine's
+//! replay of it: it folds the log's job and DAG events, moving each job
+//! through the machine's [`Stage`]s, in two passes. The first keeps, per
+//! job key, its job spans (one per lifetime) and its first ready-cause
+//! link, and per DAG its root spans and its last-finishing job span:
+//! enough to walk every critical path and rank the slowest jobs. The
+//! second collects the `state:*` steps of only the jobs those name.
+//! Deterministic input (same seed) gives identical [`TraceAnalysis`]
+//! output, which `RunReport` carries and the determinism suite asserts.
+//! [`SpanGraph`] indexes a materialized span list by id to check its
+//! structure; the scan-per-query implementation over such a list survives
+//! as the test oracle at the bottom of this file.
 
-use crate::replay::{Chunks, Sink};
+use crate::replay::{Fact, Log, Stage};
 use crate::span::{Span, SpanId};
+use crate::Event;
 use serde::{Deserialize, Serialize};
-use sphinx_sim::SimTime;
+use sphinx_sim::{Chunks, SimTime};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
+/// Bits of a job key below its DAG id.
+const INDEX_BITS: u32 = 24;
+
 /// The dense key of job `index` of DAG `dag` (`sphinx_dag::JobId::as_key`).
 pub fn job_key(dag: u64, index: u64) -> u64 {
-    (dag << 24) | index
+    (dag << INDEX_BITS) | index
 }
 
 /// DAG id component of a dense job key (see `sphinx_dag::JobId::as_key`).
 pub fn job_key_dag(key: u64) -> u64 {
-    key >> 24
+    key >> INDEX_BITS
+}
+
+/// Job index component of a dense job key.
+fn job_key_index(key: u64) -> usize {
+    (key & ((1 << INDEX_BITS) - 1)) as usize
 }
 
 /// Where one job's lifetime went, in sim-milliseconds.
@@ -151,271 +163,350 @@ pub struct TraceAnalysis {
     pub spans_dropped: u64,
 }
 
-/// The replay sink behind [`crate::Telemetry::analyze`]: per-job
-/// histories, not a span forest. It keeps every `state:*` step, `job`
-/// span and `dag` span compactly, each job key's first ready-cause link,
-/// and where each span id went, so a close finds its span without a
-/// search. Attempt, slot, phase and WAL spans leave an empty entry.
-#[derive(Default)]
-pub(crate) struct Histories {
-    /// Where each span id's history lives.
-    index: Chunks<Entry>,
-    /// `state:*` spans, in id order.
-    steps: Chunks<Step>,
-    /// `job` spans (`key` is the job key), in id order.
-    jobs: Chunks<Interval>,
-    /// `dag` spans (`key` is the DAG), in id order.
-    dags: Vec<Interval>,
-    /// Each job key's first `state:ready` link.
-    first_ready: BTreeMap<u64, Option<SpanId>>,
-}
-
-/// A span id's place in [`Histories`]: an index into its list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Entry {
-    Untracked,
-    Step(u32),
-    Job(u32),
-    Dag(u32),
-}
-
-/// The `state:*` span names, by [`Step::state`].
-const STATES: [&str; 5] = ["unready", "ready", "submitted", "queued", "running"];
-
-/// One `state:*` span.
-struct Step {
-    job: u64,
-    start: SimTime,
-    /// Meaningful once `closed`.
-    end: SimTime,
-    site: Option<u32>,
-    attempt: u64,
-    /// Index into [`STATES`].
-    state: u8,
-    closed: bool,
-}
-
-/// One `job` or `dag` span.
-struct Interval {
-    key: u64,
-    start: SimTime,
-    end: Option<SimTime>,
-}
-
 fn ms_between(start: SimTime, end: SimTime) -> u64 {
     end.as_millis().saturating_sub(start.as_millis())
 }
 
-impl Sink for Histories {
-    fn open(&mut self, span: Span) {
-        let (start, end) = (span.start, None);
-        let state = span.name.strip_prefix("state:");
-        let entry = match (span.name, span.job, span.dag) {
-            ("dag", _, Some(key)) => {
-                self.dags.push(Interval { key, start, end });
-                Entry::Dag(self.dags.len() as u32 - 1)
-            }
-            ("job", Some(key), _) => {
-                Entry::Job(self.jobs.push(Interval { key, start, end }) as u32)
-            }
-            (_, Some(job), _) => match STATES.iter().position(|&s| Some(s) == state) {
-                Some(state) => {
-                    if state == 1 {
-                        self.first_ready.entry(job).or_insert(span.link);
-                    }
-                    Entry::Step(self.steps.push(Step {
-                        job,
-                        start,
-                        end: start,
-                        site: span.site,
-                        attempt: span.attempt.unwrap_or(0),
-                        state: state as u8,
-                        closed: false,
-                    }) as u32)
-                }
-                None => Entry::Untracked,
-            },
-            _ => Entry::Untracked,
+/// What one record does to the job and DAG spans.
+#[derive(Clone, Copy)]
+enum Move {
+    /// A DAG's root span opens, unless one is live.
+    OpenDag(u64),
+    /// The DAG's live root span closes.
+    CloseDag(u64),
+    /// A job enters a stage.
+    Enter(u64, Stage),
+    /// A job finishes.
+    Finish(u64),
+}
+
+/// Hand `apply` every move the job and DAG events of `log` make, in order,
+/// with its sim time.
+fn replay(log: &Log, mut apply: impl FnMut(SimTime, Move)) {
+    for record in log.records.since(0) {
+        let (at, Fact::Event(event)) = (record.at, record.fact) else {
+            continue;
         };
-        // Ids ascend from 0 with no gaps in a replay.
-        while self.index.len() < span.id.0 as usize {
-            self.index.push(Entry::Untracked);
+        match event {
+            Event::DagSubmitted { dag, jobs } => {
+                apply(at, Move::OpenDag(dag));
+                for index in 0..jobs as u64 {
+                    apply(at, Move::Enter(job_key(dag, index), Stage::Unready));
+                }
+            }
+            Event::DagRestored { dag, .. } => apply(at, Move::OpenDag(dag)),
+            Event::DagFinished { dag } => apply(at, Move::CloseDag(dag)),
+            Event::Job { job, step } => match Stage::of(step) {
+                Some(stage) => apply(at, Move::Enter(job, stage)),
+                None => apply(at, Move::Finish(job)),
+            },
+            _ => {}
         }
-        self.index.push(entry);
+    }
+}
+
+/// One job span: one lifetime of a job key, from the first stage it
+/// enters to its finish.
+struct Life {
+    key: u64,
+    start: SimTime,
+    /// `None` while live.
+    end: Option<SimTime>,
+}
+
+/// One job key, in pass one.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Its latest job span, by index into [`Lives::spans`]: live while it
+    /// has no end.
+    latest: Option<u32>,
+    /// Once it has been ready: the link of its first `state:ready` span,
+    /// the job span whose completion made it ready.
+    first_ready: Option<Option<u32>>,
+}
+
+/// One DAG, in pass one.
+#[derive(Default)]
+struct Dag {
+    /// Its jobs, by index.
+    jobs: Vec<Slot>,
+    /// Its root spans, `(start, end)`: a path measures the first.
+    roots: Vec<(SimTime, Option<SimTime>)>,
+    /// Its last-finishing job span, `(end, index into spans)`; ties go to
+    /// the earlier span.
+    last: Option<(SimTime, u32)>,
+}
+
+/// Pass one: every job span, and what a critical path walks per job key
+/// and DAG.
+#[derive(Default)]
+struct Lives {
+    /// Every job span, in id order.
+    spans: Chunks<Life>,
+    dags: BTreeMap<u64, Dag>,
+}
+
+impl Lives {
+    fn slot(&self, key: u64) -> Option<&Slot> {
+        let dag = self.dags.get(&job_key_dag(key))?;
+        dag.jobs.get(job_key_index(key))
     }
 
-    fn close(&mut self, id: SpanId, end: SimTime) {
-        let span = match self.index.get(id.0 as usize).copied() {
-            Some(Entry::Step(i)) => {
-                if let Some(step) = self.steps.get_mut(i as usize) {
-                    (step.end, step.closed) = (end.max(step.start), true);
+    fn apply(&mut self, at: SimTime, next: Move) {
+        match next {
+            Move::OpenDag(dag) => {
+                let roots = &mut self.dags.entry(dag).or_default().roots;
+                if roots.last().is_none_or(|root| root.1.is_some()) {
+                    roots.push((at, None));
                 }
-                return;
             }
-            Some(Entry::Job(i)) => self.jobs.get_mut(i as usize),
-            Some(Entry::Dag(i)) => self.dags.get_mut(i as usize),
+            Move::CloseDag(dag) => {
+                let roots = self.dags.get_mut(&dag).map(|d| &mut d.roots);
+                if let Some((start, end @ None)) = roots.and_then(|r| r.last_mut()) {
+                    *end = Some(at.max(*start));
+                }
+            }
+            Move::Enter(key, stage) => self.enter(key, stage, at),
+            Move::Finish(key) => self.finish(key, at),
+        }
+    }
+
+    /// The first stage of a lifetime opens a job span; a `Ready` links to
+    /// its cause's latest job span (a job readied by itself, to its own).
+    fn enter(&mut self, key: u64, stage: Stage, at: SimTime) {
+        let cause = match stage {
+            Stage::Ready(Some(cause)) if cause != key => self.slot(cause).and_then(|s| s.latest),
             _ => None,
         };
-        if let Some(span) = span {
-            span.end = Some(end.max(span.start));
+        let jobs = &mut self.dags.entry(job_key_dag(key)).or_default().jobs;
+        let index = job_key_index(key);
+        if jobs.len() <= index {
+            jobs.resize(index + 1, Slot::default());
+        }
+        let Some(slot) = jobs.get_mut(index) else {
+            return;
+        };
+        let latest = slot.latest.and_then(|i| self.spans.get(i as usize));
+        if latest.is_none_or(|life| life.end.is_some()) {
+            let life = Life {
+                key,
+                start: at,
+                end: None,
+            };
+            slot.latest = Some(self.spans.push(life) as u32);
+        }
+        if let Stage::Ready(own) = stage {
+            let link = if own == Some(key) { slot.latest } else { cause };
+            slot.first_ready.get_or_insert(link);
         }
     }
-}
 
-/// [`Histories`] grouped for the walk: each job key's steps, in id order
-/// (a job's states never overlap, so that is also end order).
-struct ByJob<'a> {
-    histories: &'a Histories,
-    /// `(job key, step index)` of every step, sorted.
-    steps: Vec<(u64, u32)>,
-}
-
-impl ByJob<'_> {
-    /// Every step of `job`, finished or not.
-    fn steps(&self, job: u64) -> impl Iterator<Item = &Step> {
-        let from = self.steps.partition_point(|e| e.0 < job);
-        let of_job = self.steps.iter().skip(from).take_while(move |e| e.0 == job);
-        of_job.filter_map(|e| self.histories.steps.get(e.1 as usize))
+    /// A finish closes the key's live job span.
+    fn finish(&mut self, key: u64, at: SimTime) {
+        let Some(dag) = self.dags.get_mut(&job_key_dag(key)) else {
+            return;
+        };
+        let Some(i) = dag.jobs.get(job_key_index(key)).and_then(|s| s.latest) else {
+            return;
+        };
+        let Some(life) = self.spans.get_mut(i as usize).filter(|l| l.end.is_none()) else {
+            return;
+        };
+        let end = at.max(life.start);
+        life.end = Some(end);
+        if dag.last.is_none_or(|(e, j)| end > e || (end == e && i < j)) {
+            dag.last = Some((end, i));
+        }
     }
 
-    /// The highest attempt of `job`: each attempt opens with its
-    /// `state:submitted` step.
-    fn final_attempt(&self, job: u64) -> u64 {
-        self.steps(job).map(|s| s.attempt).max().unwrap_or(0)
-    }
-
-    /// The critical path of `dag`: from its last-finishing job span,
-    /// follow each job's first ready-cause link upstream to a root job.
-    fn critical_path(&self, dag: u64, last: &Interval, bound: u64) -> Option<CriticalPath> {
-        let h = self.histories;
-        // A DAG's root spans never overlap, so its first is the first to
-        // have ended, or the live one.
-        let dag_span = h.dags.iter().find(|d| d.key == dag);
-        let mut chain = vec![last];
-        // Bounded walk: a link cycle is impossible by construction (links
-        // point at earlier ids) but guard anyway.
+    /// The job keys of the critical path that ends with job span `last`,
+    /// upstream first: each job's first ready-cause link, followed to a
+    /// root job. Bounded by `bound` links, against a link cycle.
+    fn chain(&self, last: u32, bound: u64) -> Vec<u64> {
+        let key = |i: u32| self.spans.get(i as usize).map(|l| l.key);
+        let mut chain: Vec<u64> = key(last).into_iter().collect();
         for _ in 0..bound {
             let link = chain
                 .last()
-                .and_then(|s| h.first_ready.get(&s.key))
-                .copied();
-            let parent = match link.flatten().and_then(|id| h.index.get(id.0 as usize)) {
-                Some(Entry::Job(i)) => h.jobs.get(*i as usize),
-                _ => None,
+                .and_then(|&k| self.slot(k)?.first_ready.flatten());
+            let Some(parent) = link.and_then(key) else {
+                break;
             };
-            let Some(parent) = parent else { break };
             chain.push(parent);
         }
         chain.reverse();
-        let jobs: Vec<u64> = chain.iter().map(|s| s.key).collect();
-        let mut steps = Vec::new();
-        for (pos, &job) in jobs.iter().enumerate() {
-            // A chained job's `state:unready` dwell overlaps its upstream's
-            // whole lifetime (it ends exactly when the linked parent
-            // completes), so only the chain root contributes it — the
-            // remaining steps tile the makespan without double counting.
-            let mut own: Vec<CriticalStep> = self
-                .steps(job)
-                .filter(|s| s.closed && (pos == 0 || s.state != 0))
-                .map(|s| CriticalStep {
-                    name: format!("state:{}", STATES.get(usize::from(s.state)).unwrap_or(&"")),
-                    job,
-                    site: s.site,
-                    attempt: s.attempt,
-                    start_ms: s.start.as_millis(),
-                    end_ms: s.end.as_millis(),
-                })
-                .collect();
-            own.sort_by_key(|s| (s.start_ms, s.end_ms));
-            steps.append(&mut own);
+        chain
+    }
+}
+
+/// One `state:*` step of a job the analysis reports on.
+struct Step {
+    stage: Stage,
+    attempt: u64,
+    start: SimTime,
+    /// `None` while open.
+    end: Option<SimTime>,
+}
+
+/// Pass two: the steps of one job the analysis reports on, over all its
+/// lifetimes, in id order (a job's states never overlap, so that is also
+/// end order).
+#[derive(Default)]
+struct Steps {
+    /// The live lifetime's planning attempts (1-based after its first
+    /// submit).
+    attempts: u64,
+    /// While a lifetime is live, the last step is open.
+    steps: Vec<Step>,
+}
+
+impl Steps {
+    /// The job enters `next`, or finishes (`None`).
+    fn apply(&mut self, at: SimTime, next: Option<Stage>) {
+        match self.steps.last_mut().filter(|s| s.end.is_none()) {
+            Some(open) => open.end = Some(at.max(open.start)),
+            None => self.attempts = 0,
         }
-        let path_ms = steps.iter().map(CriticalStep::duration_ms).sum();
-        let dag_start = dag_span.or(chain.first().copied()).map(|s| s.start)?;
-        let dag_end = dag_span.and_then(|s| s.end).or(last.end);
-        Some(CriticalPath {
-            dag,
-            makespan_ms: ms_between(dag_start, dag_end.unwrap_or(dag_start)),
-            path_ms,
-            jobs,
-            steps,
-        })
+        let Some(stage) = next else { return };
+        if let Stage::Submitted(_) = stage {
+            self.attempts += 1;
+        }
+        let attempt = if stage == Stage::Unready {
+            0
+        } else {
+            self.attempts
+        };
+        let (start, end) = (at, None);
+        self.steps.push(Step {
+            stage,
+            attempt,
+            start,
+            end,
+        });
     }
 
-    /// Classify every finished dwell-state step of `job` into the
-    /// breakdown categories, plus the number of planning attempts.
-    fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
-        let final_attempt = self.final_attempt(job);
+    /// Every finished step, with its end.
+    fn finished(&self) -> impl Iterator<Item = (&Step, SimTime)> {
+        self.steps.iter().filter_map(|s| Some((s, s.end?)))
+    }
+
+    /// Its finished steps as path steps of `job`, in time order. Only the
+    /// chain root contributes its `state:unready` dwell: a chained job's
+    /// overlaps its upstream's whole lifetime (it ends exactly when the
+    /// linked parent completes), so the remaining steps tile the makespan
+    /// without double counting.
+    fn path_steps(&self, job: u64, root: bool) -> Vec<CriticalStep> {
+        let mut steps: Vec<CriticalStep> = self
+            .finished()
+            .filter(|(s, _)| root || s.stage != Stage::Unready)
+            .map(|(s, end)| CriticalStep {
+                name: s.stage.names().0.to_owned(),
+                job,
+                site: s.stage.site().map(|site| site.0),
+                attempt: s.attempt,
+                start_ms: s.start.as_millis(),
+                end_ms: end.as_millis(),
+            })
+            .collect();
+        steps.sort_by_key(|s| (s.start_ms, s.end_ms));
+        steps
+    }
+
+    /// Every finished step classified into the breakdown categories, and
+    /// the number of planning attempts.
+    fn dwell(&self) -> (DwellBreakdown, u64) {
+        let final_attempt = self.steps.iter().map(|s| s.attempt).max().unwrap_or(0);
         let mut dwell = DwellBreakdown::default();
-        for s in self.steps(job).filter(|s| s.closed) {
-            let bucket = match (s.state, s.attempt) {
-                (0, _) => &mut dwell.dependency_ms,
-                (1, 0) => &mut dwell.planner_ms,
-                (2 | 3, a) if a == final_attempt => &mut dwell.queue_ms,
-                (4, a) if a == final_attempt => &mut dwell.execution_ms,
+        for (s, end) in self.finished() {
+            let bucket = match (s.stage, s.attempt) {
+                (Stage::Unready, _) => &mut dwell.dependency_ms,
+                (Stage::Ready(_), 0) => &mut dwell.planner_ms,
+                (Stage::Submitted(_) | Stage::Queued(_), a) if a == final_attempt => {
+                    &mut dwell.queue_ms
+                }
+                (Stage::Running(_), a) if a == final_attempt => &mut dwell.execution_ms,
                 _ => &mut dwell.fault_ms,
             };
-            *bucket += ms_between(s.start, s.end);
+            *bucket += ms_between(s.start, end);
         }
         (dwell, final_attempt)
     }
 }
 
-impl Histories {
-    /// A critical path per DAG (ascending id), the `top_n` slowest jobs,
-    /// and the replay's span counts.
-    pub(crate) fn analyze(self, top_n: usize, total: u64, live: u64) -> TraceAnalysis {
-        let mut steps: Vec<(u64, u32)> = (0..)
-            .zip(self.steps.since(0))
-            .map(|(i, s)| (s.job, i))
-            .collect();
-        steps.sort_unstable();
-        let by_job = ByJob {
-            histories: &self,
-            steps,
-        };
-        // Each DAG's last-finishing job span; ties go to the lower id.
-        let finished = || self.jobs.since(0).filter(|j| j.end.is_some());
-        let mut last: BTreeMap<u64, &Interval> = BTreeMap::new();
-        for span in finished() {
-            let entry = last.entry(job_key_dag(span.key)).or_insert(span);
-            if span.end > entry.end {
-                *entry = span;
-            }
-        }
-        let mut dags: Vec<u64> = self.dags.iter().map(|d| d.key).collect();
-        dags.sort_unstable();
-        dags.dedup();
-        let critical_paths = dags
-            .into_iter()
-            .filter_map(|dag| by_job.critical_path(dag, last.get(&dag)?, total))
+/// A critical path per DAG (ascending id), the `top_n` slowest jobs and
+/// the span counts `total` and `live`, from the job and DAG events of
+/// `log`.
+pub(crate) fn analyze(log: &Log, top_n: usize, total: u64, live: u64) -> TraceAnalysis {
+    let (paths, slowest) = {
+        let mut lives = Lives::default();
+        replay(log, |at, next| lives.apply(at, next));
+        // Every DAG that has a root span and a finished job: its makespan
+        // and its chain.
+        let dags = lives.dags.iter();
+        let paths: Vec<(u64, u64, Vec<u64>)> = dags
+            .filter_map(|(&dag, d)| {
+                let (&(start, end), (last_end, last)) = (d.roots.first()?, d.last?);
+                let makespan = ms_between(start, end.unwrap_or(last_end));
+                Some((dag, makespan, lives.chain(last, total)))
+            })
             .collect();
         // The `top_n` longest-lived finished jobs, slowest first; equal
         // entries blame alike, so their order does not matter.
-        let mut slowest: Vec<(u64, u64)> = finished()
-            .map(|j| (ms_between(j.start, j.end.unwrap_or(j.start)), j.key))
+        let finished = lives.spans.since(0);
+        let mut slowest: Vec<(u64, u64)> = finished
+            .filter_map(|l| Some((ms_between(l.start, l.end?), l.key)))
             .collect();
         slowest.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         slowest.truncate(top_n);
-        let slowest_jobs = slowest.into_iter().map(|(total_ms, job)| {
-            let (dwell, attempts) = by_job.job_dwell(job);
-            let blame = dwell.blame().to_owned();
-            let dag = job_key_dag(job);
-            JobBlame {
-                job,
-                dag,
-                total_ms,
-                attempts,
-                dwell,
-                blame,
-            }
-        });
-        TraceAnalysis {
-            critical_paths,
-            slowest_jobs: slowest_jobs.collect(),
-            spans_total: total,
-            spans_live: live,
-            spans_dropped: 0,
+        slowest.shrink_to_fit();
+        (paths, slowest)
+    };
+    // Pass two: the steps of every job named.
+    let chained = paths.iter().flat_map(|p| &p.2).copied();
+    let named = chained.chain(slowest.iter().map(|s| s.1));
+    let mut jobs: BTreeMap<u64, Steps> = named.map(|key| (key, Steps::default())).collect();
+    replay(log, |at, next| {
+        let (key, next) = match next {
+            Move::Enter(key, stage) => (key, Some(stage)),
+            Move::Finish(key) => (key, None),
+            Move::OpenDag(_) | Move::CloseDag(_) => return,
+        };
+        if let Some(steps) = jobs.get_mut(&key) {
+            steps.apply(at, next);
         }
+    });
+    let critical_paths = paths.into_iter().map(|(dag, makespan_ms, chain)| {
+        let mut steps = Vec::new();
+        for (pos, job) in chain.iter().enumerate() {
+            if let Some(own) = jobs.get(job) {
+                steps.append(&mut own.path_steps(*job, pos == 0));
+            }
+        }
+        CriticalPath {
+            dag,
+            makespan_ms,
+            path_ms: steps.iter().map(CriticalStep::duration_ms).sum(),
+            jobs: chain,
+            steps,
+        }
+    });
+    let slowest_jobs = slowest.into_iter().map(|(total_ms, job)| {
+        let (dwell, attempts) = jobs.get(&job).map(Steps::dwell).unwrap_or_default();
+        JobBlame {
+            job,
+            dag: job_key_dag(job),
+            total_ms,
+            attempts,
+            dwell,
+            blame: dwell.blame().to_owned(),
+        }
+    });
+    TraceAnalysis {
+        critical_paths: critical_paths.collect(),
+        slowest_jobs: slowest_jobs.collect(),
+        spans_total: total,
+        spans_live: live,
+        spans_dropped: 0,
     }
 }
 
@@ -659,26 +750,16 @@ mod tests {
     use super::oracle::ScanGraph;
     use super::*;
     use crate::span::SpanStore;
+    use crate::{JobStep, Telemetry};
+    use sphinx_data::SiteId;
+    use sphinx_sim::Duration;
 
-    /// `spans` through the replay sink — opened in id order, then closed —
-    /// checked against the oracle's reading of the list.
-    fn analyzed(spans: &[Span]) -> ScanGraph<'_> {
-        let mut by_id: Vec<&Span> = spans.iter().collect();
-        by_id.sort_by_key(|s| s.id);
-        let mut histories = Histories::default();
-        for span in &by_id {
-            histories.open((*span).clone());
-        }
-        for span in &by_id {
-            if let Some(end) = span.end {
-                histories.close(span.id, end);
-            }
-        }
-        let live = spans.iter().filter(|s| s.end.is_none()).count() as u64;
-        let oracle = ScanGraph(spans);
-        let got = histories.analyze(usize::MAX, spans.len() as u64, live);
-        assert_eq!(got, oracle.analyze(usize::MAX));
-        oracle
+    /// The hub's analysis of its log, checked against the oracle's reading
+    /// of the spans the log implies.
+    fn analyzed(tel: &Telemetry) -> TraceAnalysis {
+        let analysis = tel.analyze(usize::MAX);
+        assert_eq!(analysis, ScanGraph(&tel.spans()).analyze(usize::MAX));
+        analysis
     }
 
     fn t(secs: u64) -> SimTime {
@@ -689,75 +770,65 @@ mod tests {
     const A: u64 = 1 << 24;
     const B: u64 = (1 << 24) | 1;
 
-    /// Open `name` at `at` s under `parent`, in DAG 1.
-    fn open(
-        store: &mut SpanStore,
-        (name, at): (&'static str, u64),
-        parent: Option<SpanId>,
-        job: Option<u64>,
-        attempt: Option<u64>,
-        link: Option<SpanId>,
-    ) -> SpanId {
-        let (dag, span) = (Some(1), Span::default());
-        let span = Span {
-            parent,
-            job,
-            dag,
-            attempt,
-            link,
-            ..span
-        };
-        store.start(name, t(at), span)
+    /// `steps` of `job`, each at its second.
+    fn record(tel: &Telemetry, job: u64, steps: &[(u64, JobStep)]) {
+        for &(at, step) in steps {
+            tel.record(t(at), Event::Job { job, step });
+        }
     }
 
     /// Two-job chain: A runs 0–10s, B becomes ready at 10s (cause A),
-    /// runs to 30s.
-    fn chain_spans() -> Vec<Span> {
-        let mut store = SpanStore::default();
-        let s = &mut store;
-        let dag = open(s, ("dag", 0), None, None, None, None);
-        let a = open(s, ("job", 0), Some(dag), Some(A), None, None);
-        let a_try = open(s, ("attempt", 0), Some(a), Some(A), Some(1), None);
-        let a_run = open(s, ("state:running", 0), Some(a_try), Some(A), Some(1), None);
-        let b = open(s, ("job", 0), Some(dag), Some(B), None, None);
-        let b_wait = open(s, ("state:unready", 0), Some(b), Some(B), None, None);
-        for id in [a_run, a_try, a, b_wait] {
-            s.end(id, t(10));
-        }
-        let b_ready = open(s, ("state:ready", 10), Some(b), Some(B), Some(0), Some(a));
-        s.end(b_ready, t(12));
-        let b_try = open(s, ("attempt", 12), Some(b), Some(B), Some(1), None);
-        let b_run = open(
-            s,
-            ("state:running", 12),
-            Some(b_try),
-            Some(B),
-            Some(1),
-            None,
-        );
-        for id in [b_run, b_try, b, dag] {
-            s.end(id, t(30));
-        }
-        store.into_spans()
+    /// runs 12–30s.
+    fn chain() -> Telemetry {
+        let (tel, site) = (Telemetry::new(), SiteId(0));
+        let total = Duration::from_secs(10);
+        tel.record(t(0), Event::DagSubmitted { dag: 1, jobs: 2 });
+        let a = [
+            (0, JobStep::Ready { cause: None }),
+            (0, JobStep::Submitted { site }),
+            (0, JobStep::Running { site }),
+            (10, JobStep::Completed { site, total }),
+        ];
+        record(&tel, A, &a);
+        let b = [
+            (10, JobStep::Ready { cause: Some(A) }),
+            (12, JobStep::Submitted { site }),
+            (12, JobStep::Running { site }),
+            (30, JobStep::Completed { site, total }),
+        ];
+        record(&tel, B, &b);
+        tel.record(t(30), Event::DagFinished { dag: 1 });
+        tel
     }
 
     #[test]
     fn critical_path_follows_ready_links() {
-        let spans = chain_spans();
-        let path = analyzed(&spans).critical_path(1).expect("path exists");
-        assert_eq!(path.jobs, vec![A, B]);
+        let analysis = analyzed(&chain());
+        let path = &analysis.critical_paths[0];
+        assert_eq!((path.dag, path.jobs.as_slice()), (1, [A, B].as_slice()));
         assert_eq!(path.makespan_ms, 30_000);
         // A's running (10s) + B's ready (2s) + running (18s); B's unready
-        // overlaps A entirely and is excluded from the tally.
+        // overlaps A entirely and is left out.
         assert_eq!(path.path_ms, 30_000);
-        assert_eq!(path.steps.len(), 3);
-        assert_eq!(path.steps[0].name, "state:running");
-        assert_eq!(path.steps[0].job, A);
+        let names: Vec<(&str, u64)> = path
+            .steps
+            .iter()
+            .map(|s| (s.name.as_str(), s.job))
+            .collect();
+        let a = [
+            "state:unready",
+            "state:ready",
+            "state:submitted",
+            "state:running",
+        ];
+        let b = ["state:ready", "state:submitted", "state:running"];
+        let expected = a.map(|n| (n, A)).into_iter().chain(b.map(|n| (n, B)));
+        assert_eq!(names, expected.collect::<Vec<_>>());
     }
 
     #[test]
     fn validate_accepts_sound_graph_and_flags_violations() {
-        let g = SpanGraph::new(chain_spans());
+        let g = SpanGraph::new(chain().spans());
         assert!(g.validate().is_empty(), "{:?}", g.validate());
 
         let mut store = SpanStore::default();
@@ -779,54 +850,27 @@ mod tests {
 
     #[test]
     fn dwell_classifies_fault_attempts() {
-        let mut store = SpanStore::default();
-        let job = store.start(
-            "job",
-            t(0),
-            Span {
-                job: Some(5),
-                dag: Some(0),
-                ..Span::default()
-            },
-        );
+        let (tel, site) = (Telemetry::new(), SiteId(3));
         // Attempt 1 fails after 10s of running.
-        for (name, s, e, attempt) in [
-            ("state:ready", 0, 1, 0),
-            ("state:submitted", 1, 2, 1),
-            ("state:running", 2, 12, 1),
-            ("state:ready", 12, 13, 1), // re-ready after fault
-            ("state:submitted", 13, 14, 2),
-            ("state:running", 14, 20, 2),
-        ] {
-            let id = store.start(
-                name,
-                t(s),
-                Span {
-                    parent: Some(job),
-                    job: Some(5),
-                    attempt: Some(attempt),
-                    ..Span::default()
+        let steps = [
+            (0, JobStep::Ready { cause: None }),
+            (1, JobStep::Submitted { site }),
+            (2, JobStep::Running { site }),
+            (12, JobStep::Held { site }), // re-ready after fault
+            (13, JobStep::Submitted { site }),
+            (14, JobStep::Running { site }),
+            (
+                20,
+                JobStep::Completed {
+                    site,
+                    total: Duration::from_secs(7),
                 },
-            );
-            store.end(id, t(e));
-        }
-        for attempt in [1u64, 2] {
-            let id = store.start(
-                "attempt",
-                t(0),
-                Span {
-                    parent: Some(job),
-                    job: Some(5),
-                    attempt: Some(attempt),
-                    ..Span::default()
-                },
-            );
-            store.end(id, t(20));
-        }
-        store.end(job, t(20));
-        let spans = store.into_spans();
-        let (dwell, attempts) = analyzed(&spans).job_dwell(5);
-        assert_eq!(attempts, 2);
+            ),
+        ];
+        record(&tel, 5, &steps);
+        let blame = &analyzed(&tel).slowest_jobs[0];
+        let dwell = blame.dwell;
+        assert_eq!((blame.job, blame.attempts), (5, 2));
         assert_eq!(dwell.planner_ms, 1_000);
         // Failed attempt 1: submitted (1s) + running (10s) + re-ready (1s).
         assert_eq!(dwell.fault_ms, 12_000);
@@ -837,8 +881,7 @@ mod tests {
 
     #[test]
     fn slowest_jobs_orders_by_duration() {
-        let spans = chain_spans();
-        let slow = analyzed(&spans).slowest_jobs(5);
+        let slow = analyzed(&chain()).slowest_jobs;
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0].job, B);
         assert_eq!(slow[0].total_ms, 30_000);
@@ -850,5 +893,6 @@ mod tests {
         let key = job_key(17, 42);
         assert_eq!(key, (17u64 << 24) | 42);
         assert_eq!(job_key_dag(key), 17);
+        assert_eq!(job_key_index(key), 42);
     }
 }

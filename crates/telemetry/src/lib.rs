@@ -22,8 +22,8 @@
 //! * **Causal spans** (see [`span`]) — sim-time intervals for DAGs, jobs,
 //!   attempts, dwell states, batch slots, planner phases and the WAL, with
 //!   parent and cause links, replayed from the log by [`Telemetry::spans`].
-//!   [`analysis`] turns the replay into critical paths and dwell blame;
-//!   [`export`] renders Chrome trace JSON and Prometheus text.
+//!   [`analysis`] folds the log's job events into critical paths and
+//!   dwell blame; [`export`] renders Chrome trace JSON and Prometheus text.
 //!
 //! Nothing is dropped: the log keeps every record for the hub's lifetime,
 //! about 40 bytes a fact. Determinism is a hard requirement: nothing here
@@ -59,7 +59,6 @@ pub use analysis::{
 pub use export::{chrome_trace_json, prometheus_text, validate_prometheus};
 pub use span::{Span, SpanId, SpanStore};
 
-use analysis::Histories;
 use parking_lot::Mutex;
 use replay::{Fact, Log, Machine, Note, Record, Sink};
 use serde::{Deserialize, Serialize};
@@ -478,13 +477,6 @@ impl Inner {
         self.fold.advance(&self.log);
         &self.fold
     }
-
-    /// A fresh replay of the whole log into `sink`.
-    fn replay<S: Sink + Default>(&self) -> Machine<S> {
-        let mut machine = Machine::default();
-        machine.advance(&self.log);
-        machine
-    }
 }
 
 /// A phase span opened by [`Telemetry::span_start`], for
@@ -640,16 +632,19 @@ impl Telemetry {
     /// Every span the log implies: finished spans in end order, then live
     /// spans by id (deterministic for a deterministic run).
     pub fn spans(&self) -> Vec<Span> {
-        let machine = self.inner.lock().replay::<SpanStore>();
+        let mut machine = Machine::<SpanStore>::default();
+        machine.advance(&self.inner.lock().log);
         machine.spans.sink.into_spans()
     }
 
     /// Analyze the run without building its span forest: a critical path
-    /// per DAG, the `top_n` slowest jobs, and the span counts.
+    /// per DAG, the `top_n` slowest jobs, and the span counts (the metric
+    /// fold's, caught up with the log).
     pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
-        let machine = self.inner.lock().replay::<Histories>();
-        let (total, live) = (machine.spans.next_id, machine.spans.live);
-        machine.spans.sink.analyze(top_n, total, live)
+        let mut inner = self.inner.lock();
+        let spans = &inner.fold().spans;
+        let (total, live) = (spans.next_id, spans.live);
+        analysis::analyze(&inner.log, top_n, total, live)
     }
 
     // ---- snapshot ----

@@ -11,7 +11,7 @@
 use crate::span::{Span, SpanId};
 use crate::{analysis, Event, GridStep, JobStep, TraceKind, TraceLine};
 use sphinx_data::SiteId;
-use sphinx_sim::SimTime;
+use sphinx_sim::{Chunks, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -36,63 +36,6 @@ pub(crate) struct Record {
 
 // Every fact costs one fixed-size record; the largest event sets it.
 const _: () = assert!(std::mem::size_of::<Record>() <= 40);
-
-/// Items per chunk of a [`Chunks`] list.
-const CHUNK: usize = 2048;
-
-/// An append-only list that grows one fixed-size chunk at a time and
-/// never moves what it holds. One vector growing by reallocation leaves a
-/// trail of ever larger holes behind it (megabytes at 10^5 records) that
-/// nothing else in the process fits, and they land on the run's peak RSS;
-/// equal chunks fit each other's holes.
-#[derive(Debug)]
-pub(crate) struct Chunks<T> {
-    chunks: Vec<Vec<T>>,
-    len: usize,
-}
-
-impl<T> Default for Chunks<T> {
-    fn default() -> Self {
-        Chunks {
-            chunks: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> Chunks<T> {
-    /// Append `item`; its index.
-    pub fn push(&mut self, item: T) -> usize {
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(item),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(item);
-                self.chunks.push(chunk);
-            }
-        }
-        self.len += 1;
-        self.len - 1
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn get(&self, at: usize) -> Option<&T> {
-        self.chunks.get(at / CHUNK)?.get(at % CHUNK)
-    }
-
-    pub fn get_mut(&mut self, at: usize) -> Option<&mut T> {
-        self.chunks.get_mut(at / CHUNK)?.get_mut(at % CHUNK)
-    }
-
-    /// The items from index `from` on.
-    pub fn since(&self, from: usize) -> impl Iterator<Item = &T> {
-        let chunks = self.chunks.get(from / CHUNK..).unwrap_or_default();
-        chunks.iter().flatten().skip(from % CHUNK)
-    }
-}
 
 /// A free-text trace line: its kind, job, site and text.
 pub(crate) type Note = (TraceKind, Option<u64>, Option<u32>, String);
@@ -261,7 +204,7 @@ pub(crate) trait Sink {
 /// A job's live automaton state, with what entering it knows: the site
 /// of a placed job, the upstream job whose completion made it ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
+pub(crate) enum Stage {
     Unready,
     Ready(Option<u64>),
     Submitted(SiteId),
@@ -270,9 +213,29 @@ enum Stage {
 }
 
 impl Stage {
+    /// The stage `step` moves its job into; `None` when the job finishes.
+    pub fn of(step: JobStep) -> Option<Stage> {
+        Some(match step {
+            JobStep::Ready { cause } => Stage::Ready(cause),
+            JobStep::Eliminated | JobStep::Completed { .. } => return None,
+            JobStep::Submitted { site } | JobStep::Resumed { site } => Stage::Submitted(site),
+            JobStep::Queued { site } => Stage::Queued(site),
+            JobStep::Running { site } => Stage::Running(site),
+            JobStep::Held { .. } | JobStep::TimedOut { .. } | JobStep::Reset => Stage::Ready(None),
+        })
+    }
+
+    /// The site of a placed job.
+    pub fn site(self) -> Option<SiteId> {
+        match self {
+            Stage::Submitted(site) | Stage::Queued(site) | Stage::Running(site) => Some(site),
+            Stage::Unready | Stage::Ready(_) => None,
+        }
+    }
+
     /// The `state:*` span a job holds open in this stage, and the
     /// histogram that span's length feeds when it closes.
-    fn names(self) -> (&'static str, &'static str) {
+    pub fn names(self) -> (&'static str, &'static str) {
         match self {
             Stage::Unready => ("state:unready", "fsa.dwell_ms.unready"),
             Stage::Ready(_) => ("state:ready", "fsa.dwell_ms.ready"),
@@ -417,17 +380,9 @@ impl<S: Sink> Machine<S> {
                     self.spans.close(id, at);
                 }
             }
-            Event::Job { job, step } => match step {
-                JobStep::Ready { cause } => self.enter(job, Stage::Ready(cause), at),
-                JobStep::Eliminated | JobStep::Completed { .. } => self.finish(job, at),
-                JobStep::Submitted { site } | JobStep::Resumed { site } => {
-                    self.enter(job, Stage::Submitted(site), at)
-                }
-                JobStep::Queued { site } => self.enter(job, Stage::Queued(site), at),
-                JobStep::Running { site } => self.enter(job, Stage::Running(site), at),
-                JobStep::Held { .. } | JobStep::TimedOut { .. } | JobStep::Reset => {
-                    self.enter(job, Stage::Ready(None), at)
-                }
+            Event::Job { job, step } => match Stage::of(step) {
+                Some(stage) => self.enter(job, stage, at),
+                None => self.finish(job, at),
             },
             Event::Grid { site, job, step } => match step {
                 GridStep::Submit => {}
@@ -484,10 +439,7 @@ impl<S: Sink> Machine<S> {
         close_state(spans, track, now);
         // The job's other spans also carry its site; they differ in
         // parent, attempt number and causal link.
-        let site = match stage {
-            Stage::Submitted(site) | Stage::Queued(site) | Stage::Running(site) => Some(site.0),
-            Stage::Unready | Stage::Ready(_) => None,
-        };
+        let site = stage.site().map(|s| s.0);
         let attrs = |parent, attempt, link| Span {
             parent: Some(parent),
             job: Some(job),

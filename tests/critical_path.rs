@@ -145,6 +145,21 @@ fn every_path_tiles_when_a_run_outgrows_the_default_span_store() {
     for path in &analysis.critical_paths {
         assert_eq!(path.path_ms, path.makespan_ms, "dag {}", path.dag);
     }
+    // Every path and blame of the run, byte for byte: recorded before the
+    // analysis stopped replaying the span machine.
+    let json = serde_json::to_string(analysis).expect("the analysis encodes");
+    let digest = fnv1a(json.as_bytes());
+    assert_eq!(
+        digest, 0xb0f6_32d0_8d73_633c,
+        "analysis digest {digest:#018x}"
+    );
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
