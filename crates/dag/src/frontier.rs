@@ -5,7 +5,7 @@
 //! the per-job count of unfinished parents and yields jobs the instant they
 //! become schedulable.
 
-use crate::spec::Dag;
+use crate::spec::{children_of, Dag};
 use std::collections::BTreeSet;
 
 /// Incremental ready-set tracker over one DAG.
@@ -35,7 +35,7 @@ impl Frontier {
             .map(|(i, _)| i as u32)
             .collect();
         Frontier {
-            children: dag.children(),
+            children: children_of(&parents),
             completed: vec![false; dag.len()],
             total: dag.len(),
             done: 0,
@@ -290,6 +290,24 @@ mod tests {
                 prop_assert!(steps <= dag.len());
             }
             prop_assert_eq!(f.completed_count(), dag.len());
+        }
+
+        /// The children a walk derives from the parents it holds are
+        /// `Dag::children`, and by definition the jobs that read each
+        /// job's output.
+        #[test]
+        fn prop_children_derive_from_parents(dag in arb_dag()) {
+            let children = children_of(&dag.parents());
+            prop_assert_eq!(&children, &dag.children());
+            for (job, kids) in dag.jobs.iter().zip(&children) {
+                let readers: Vec<u32> = dag
+                    .jobs
+                    .iter()
+                    .filter(|c| c.inputs.contains(&job.output.file))
+                    .map(|c| c.id.index)
+                    .collect();
+                prop_assert_eq!(kids, &readers);
+            }
         }
     }
 }

@@ -174,13 +174,7 @@ impl Dag {
 
     /// For each job, the indices of the jobs depending on it (children).
     pub fn children(&self) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.jobs.len()];
-        for (child, ps) in self.parents().iter().enumerate() {
-            for &p in ps {
-                out[p as usize].push(child as u32);
-            }
-        }
-        out
+        children_of(&self.parents())
     }
 
     /// Inputs that no job of this DAG produces — they must pre-exist in a
@@ -198,38 +192,18 @@ impl Dag {
     /// A topological order of job indices (parents before children).
     /// `None` if the DAG is cyclic.
     pub fn topo_order(&self) -> Option<Vec<u32>> {
-        let parents = self.parents();
-        let mut indegree: Vec<usize> = parents.iter().map(Vec::len).collect();
-        let children = self.children();
-        let mut queue: Vec<u32> = indegree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut order = Vec::with_capacity(self.jobs.len());
-        let mut head = 0;
-        while head < queue.len() {
-            let j = queue[head];
-            head += 1;
-            order.push(j);
-            for &c in &children[j as usize] {
-                indegree[c as usize] -= 1;
-                if indegree[c as usize] == 0 {
-                    queue.push(c);
-                }
-            }
-        }
+        let (order, _) = kahn(&self.parents());
         (order.len() == self.jobs.len()).then_some(order)
     }
 
     /// Longest path length in jobs (the critical-path depth); 0 for an
     /// empty DAG.
     pub fn depth(&self) -> usize {
-        let Some(order) = self.topo_order() else {
-            return 0;
-        };
         let parents = self.parents();
+        let (order, _) = kahn(&parents);
+        if order.len() < self.jobs.len() {
+            return 0;
+        }
         let mut level = vec![0usize; self.jobs.len()];
         let mut max = 0;
         for j in order {
@@ -262,31 +236,12 @@ impl Dag {
                 return Err(DagValidationError::DuplicateOutput(job.output.file.clone()));
             }
         }
-        if self.topo_order().is_none() {
-            // Identify some file on a cycle for the error message: any input
-            // of a job that is in a cycle. Cheap heuristic: report the
-            // output of the first job whose dependencies never resolve.
-            let parents = self.parents();
-            let mut indegree: Vec<usize> = parents.iter().map(Vec::len).collect();
-            let children = self.children();
-            let mut queue: Vec<u32> = indegree
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d == 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let mut head = 0;
-            while head < queue.len() {
-                let j = queue[head];
-                head += 1;
-                for &c in &children[j as usize] {
-                    indegree[c as usize] -= 1;
-                    if indegree[c as usize] == 0 {
-                        queue.push(c);
-                    }
-                }
-            }
-            let stuck = indegree.iter().position(|&d| d > 0).unwrap_or(0);
+        let (order, unmet) = kahn(&self.parents());
+        if order.len() < self.jobs.len() {
+            // Identify some file on a cycle for the error message. Cheap
+            // heuristic: report the output of the first job whose
+            // dependencies never resolve.
+            let stuck = unmet.iter().position(|&d| d > 0).unwrap_or(0);
             return Err(DagValidationError::Cycle(
                 self.jobs[stuck].output.file.clone(),
             ));
@@ -322,6 +277,44 @@ impl Dag {
             .iter()
             .fold(Duration::ZERO, |acc, j| acc + j.compute)
     }
+}
+
+/// For each job, the jobs that list it among their `parents` (as
+/// [`Dag::parents`] gives them), in index order: the children, derived
+/// without building the producer map again.
+pub(crate) fn children_of(parents: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let mut out = vec![Vec::new(); parents.len()];
+    for (child, ps) in parents.iter().enumerate() {
+        for &p in ps {
+            out[p as usize].push(child as u32);
+        }
+    }
+    out
+}
+
+/// Kahn's walk over `parents`: the jobs in a topological order, and for
+/// each job how many of its parents the walk never reached (all zero
+/// unless the DAG has a cycle, when the order is short).
+fn kahn(parents: &[Vec<u32>]) -> (Vec<u32>, Vec<usize>) {
+    let children = children_of(parents);
+    let mut unmet: Vec<usize> = parents.iter().map(Vec::len).collect();
+    let mut order: Vec<u32> = unmet
+        .iter()
+        .enumerate()
+        .filter(|(_, &d)| d == 0)
+        .map(|(i, _)| i as u32)
+        .collect();
+    let mut head = 0;
+    while let Some(&j) = order.get(head) {
+        head += 1;
+        for &c in &children[j as usize] {
+            unmet[c as usize] -= 1;
+            if unmet[c as usize] == 0 {
+                order.push(c);
+            }
+        }
+    }
+    (order, unmet)
 }
 
 #[cfg(test)]

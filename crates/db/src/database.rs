@@ -146,6 +146,9 @@ impl Database {
     /// a time, and each line is checked byte by byte, UTF-8 included, but
     /// no row is decoded and no JSON tree is built: each put row is kept
     /// as its text until the first typed access to its table decodes it.
+    /// A line in the shape this crate prints is matched against that shape
+    /// and its rows stepped over without recursion; any other line is read
+    /// member by member ([`Database::replay_fallbacks`] counts those).
     /// A torn *final* line is treated as an interrupted commit: it is
     /// dropped AND cut out of the log ([`Wal::truncate`]; otherwise the
     /// next append would merge with the torn bytes and corrupt a later
@@ -206,6 +209,14 @@ impl Database {
     /// Log lines replayed when this database was built by [`Database::recover`].
     pub fn replayed(&self) -> u64 {
         self.replayed
+    }
+
+    /// Lines of the log that [`Database::recover`] could not match byte for
+    /// byte against the shape this crate prints them in, and read through
+    /// its general member loop instead (a torn final line among them): 0
+    /// for a log this crate wrote whole.
+    pub fn replay_fallbacks(&self) -> u64 {
+        self.tables.lock().fallbacks
     }
 
     /// Lines currently in the write-ahead log.
@@ -436,7 +447,7 @@ impl Database {
     pub(crate) fn scan_at<T: Row>(
         &self,
         table: &str,
-        range: impl RangeBounds<u64> + Clone,
+        range: impl RangeBounds<u64>,
         mut keep: impl FnMut(&T) -> bool,
     ) -> Result<Vec<T>, DbError> {
         let mut rows = Vec::new();
@@ -458,7 +469,7 @@ impl Database {
     /// aborts with [`DbError::Codec`] before any row is lent.
     pub fn visit<R: Record>(
         &self,
-        range: impl RangeBounds<u64> + Clone,
+        range: impl RangeBounds<u64>,
         read: impl FnMut(&R) -> bool,
     ) -> Result<(), DbError> {
         self.visit_at(R::TABLE, range, read)
@@ -467,7 +478,7 @@ impl Database {
     fn visit_at<T: Row>(
         &self,
         table: &str,
-        range: impl RangeBounds<u64> + Clone,
+        range: impl RangeBounds<u64>,
         mut read: impl FnMut(&T) -> bool,
     ) -> Result<(), DbError> {
         let rows = {
@@ -475,7 +486,7 @@ impl Database {
             let Some(t) = store.typed::<T>(table)? else {
                 return Ok(());
             };
-            t.check_decodable(table, range.clone())?;
+            t.check_decodable(table, (range.start_bound(), range.end_bound()))?;
             t.rows().range(range).filter(|(_, row)| read(row)).count()
         };
         self.note_reads(rows as u64);
@@ -494,10 +505,7 @@ impl Database {
 
     /// Rows whose key lies in `range`, in key order. Where a key leads with
     /// its owner (a job's with its DAG id) this is "all rows of that owner".
-    pub fn scan_range<R: Record>(
-        &self,
-        range: impl RangeBounds<u64> + Clone,
-    ) -> Result<Vec<R>, DbError> {
+    pub fn scan_range<R: Record>(&self, range: impl RangeBounds<u64>) -> Result<Vec<R>, DbError> {
         self.scan_at(R::TABLE, range, |_| true)
     }
 
@@ -1008,6 +1016,33 @@ mod tests {
         assert!(matches!(err, DbError::Corrupt { line: 1, .. }), "{err}");
     }
 
+    /// A row nested far deeper than any row type is a fault like any
+    /// other: corruption in the middle of the log, an interrupted commit
+    /// at its end. It must not overflow the recovering thread's stack.
+    #[test]
+    fn a_deeply_nested_row_is_a_fault_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let line =
+            format!(r#"{{"kind":"txn","ops":[{{"key":1,"op":"put","row":{deep},"table":"t"}}]}}"#);
+        let empty = r#"{"kind":"txn","ops":[]}"#;
+        let mut wal = MemWal::shared();
+        for line in [empty, &line, empty] {
+            wal.append(line).unwrap();
+        }
+        let err = Database::recover(Box::new(wal)).unwrap_err();
+        let DbError::Corrupt { line: 2, message } = &err else {
+            panic!("{err}");
+        };
+        assert!(message.starts_with("recursion limit exceeded"), "{err}");
+        // The same line, torn off the end of the log, is cut.
+        let mut wal = MemWal::shared();
+        for line in [empty, &line] {
+            wal.append(line).unwrap();
+        }
+        let db = Database::recover(Box::new(wal.clone())).unwrap();
+        assert_eq!((db.replayed(), wal.len()), (1, 1));
+    }
+
     #[test]
     fn checkpoint_compacts_and_preserves_state() {
         let wal = MemWal::shared();
@@ -1390,6 +1425,23 @@ mod byte_offsets {
             recovered(Box::new(wal_of(&lines))),
             Outcome::Read { items: Ok(items), tasks: Ok(tasks) } if !items.is_empty() && !tasks.is_empty()
         ));
+    }
+
+    /// Every line the store writes, the checkpoint's among them, is read
+    /// by recovery's byte match. A printer that drifted from the shape it
+    /// matches would still recover, through the member loop and slowly;
+    /// this is what notices.
+    #[test]
+    fn every_line_of_the_seeded_log_takes_the_byte_match() {
+        let lines = seeded_log();
+        let db = Database::recover(Box::new(wal_of(&lines))).unwrap();
+        let read = (db.replayed(), db.replay_fallbacks());
+        assert_eq!(read, (lines.len() as u64, 0));
+        // A torn tail is read, and refused, by the member loop.
+        let mut lines = lines.clone();
+        lines.push(r#"{"kind":"txn","ops":[{"key":1"#.to_owned());
+        let db = Database::recover(Box::new(wal_of(&lines))).unwrap();
+        assert_eq!(db.replay_fallbacks(), 1);
     }
 
     /// `lines` as the file log holds them: each followed by its `\n`.

@@ -44,6 +44,7 @@
 mod database;
 mod error;
 mod queue;
+mod scan;
 mod table;
 mod txn;
 mod wal;

@@ -9,11 +9,12 @@
 //! exists only in the log line a commit prints.
 
 use crate::error::DbError;
-use crate::txn::{read_line, OpAt, Replayed};
+use crate::txn::{read_members, read_printed, OpAt, Replayed};
 use serde::de::DeserializeOwned;
 use serde::read::{write_canonical, Reader};
 use serde::Serialize;
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
@@ -89,6 +90,12 @@ impl Table {
     /// A table of rows as replayed, each as its text.
     pub(crate) fn replayed(raw: BTreeMap<u64, Box<str>>) -> Self {
         Table { raw, typed: None }
+    }
+
+    /// The rows still kept as their text.
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> &BTreeMap<u64, Box<str>> {
+        &self.raw
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -190,14 +197,26 @@ pub(crate) struct Store {
     pub(crate) line: String,
     /// The ops of the line being replayed, kept for the next line's.
     replay_ops: Vec<OpAt>,
+    /// Lines replayed through the member loop: not in the printed shape.
+    pub(crate) fallbacks: u64,
 }
 
 impl Store {
     /// Replay one log line (nothing is typed yet), keeping each put row as
-    /// its text. The whole line is read before the store changes, so a
-    /// line that does not read (`Err`) leaves the store as it was.
+    /// its text. A line in the shape the store prints is matched byte for
+    /// byte ([`read_printed`]); any other is read by the member loop
+    /// ([`read_members`]), which gives every verdict. The whole line is
+    /// read before the store changes, so a line that does not read
+    /// (`Err`) leaves the store as it was.
     pub(crate) fn replay(&mut self, line: &str) -> Result<(), serde::de::Error> {
-        match read_line(line, &mut self.replay_ops)? {
+        let read = match read_printed(line, &mut self.replay_ops) {
+            Some(read) => read,
+            None => {
+                self.fallbacks += 1;
+                read_members(line, &mut self.replay_ops)?
+            }
+        };
+        match read {
             Replayed::Txn => {
                 let ops = std::mem::take(&mut self.replay_ops);
                 let applied = ops.iter().try_for_each(|op| self.replay_op(line, op));
@@ -213,9 +232,13 @@ impl Store {
     }
 
     /// Apply one op of a `txn` line that has been read whole (so reading
-    /// its table name again cannot fail).
+    /// an escaped table name again cannot fail).
     fn replay_op(&mut self, line: &str, op: &OpAt) -> Result<(), serde::de::Error> {
-        let name = Reader::at(line, op.table).string()?;
+        let (from, to) = op.table;
+        let name = match line.get(from + 1..to - 1) {
+            Some(name) if !name.contains('\\') => Cow::Borrowed(name),
+            _ => Reader::at(line, from).string()?,
+        };
         let Some((from, to)) = op.row else {
             self.apply_del(&name, op.key);
             return Ok(());

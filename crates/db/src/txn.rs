@@ -2,20 +2,24 @@
 //!
 //! The log is the one place rows exist as JSON. Each put row prints itself
 //! once, straight into a hand-framed line ([`TxnLine`], [`snapshot_line`]),
-//! and recovery reads lines back by hand as well ([`read_line`]): it checks
-//! every byte of the line but builds no tree, and hands each put row on as
-//! its own text, for the table to decode when a typed access first needs
-//! it. The bytes are what serializing a `LogEntry` gives, and what replays
-//! is what the derived `LogEntry` decoder gives (the test build holds both
-//! derives as the oracles), so logs written before rows were typed replay
-//! and any JSON tool can audit the log.
+//! and recovery reads lines back by hand as well: it checks every byte of
+//! the line but builds no tree, and hands each put row on as its own text,
+//! for the table to decode when a typed access first needs it. A line in
+//! the shape printed here is matched byte for byte ([`read_printed`]);
+//! any other goes to the member loop ([`read_members`]), which defines
+//! what the log accepts. The bytes are what serializing a `LogEntry`
+//! gives, and what replays is what the derived `LogEntry` decoder gives
+//! (the test build holds both derives as the oracles), so logs written
+//! before rows were typed replay and any JSON tool can audit the log.
 
 use crate::database::{Database, Record};
 use crate::error::DbError;
+use crate::scan::Printed;
 use crate::table::{Store, Table};
 use serde::de::Error;
 use serde::read::Reader;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
@@ -59,18 +63,19 @@ pub(crate) enum LogEntry {
 // ---------------------------------------------------------------------------
 
 /// One op of a replayed `txn` line, its text left in the line.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OpAt {
     pub(crate) key: u64,
-    /// Where the table name's string literal starts.
-    pub(crate) table: usize,
+    /// Where the table name's string literal starts and ends, quotes
+    /// included.
+    pub(crate) table: (usize, usize),
     /// Where a put's row starts and ends; `None` for a delete.
     pub(crate) row: Option<(usize, usize)>,
 }
 
 /// What one line of the log holds, read whole.
 pub(crate) enum Replayed {
-    /// A `txn` line, its ops in the list [`read_line`] was given.
+    /// A `txn` line, its ops in the list the reader was given.
     Txn,
     /// A `snapshot` line: every table, each row as its text.
     Snapshot(BTreeMap<String, Table>),
@@ -83,15 +88,69 @@ enum Kind {
     Snapshot,
 }
 
-/// Read one log line: the mirror image of [`TxnLine`] and
-/// [`snapshot_line`], accepting exactly what the derived `LogEntry`
-/// decoder accepts of it. That decoder takes members in any order, lets a
-/// repeated one replace the last, and ignores unknown ones, so this
-/// reader allows all of that too. A line printed here
-/// names its kind first, and then its `ops` (or `tables`) are read as they
-/// come; otherwise they are checked as they come and read once the kind is
-/// known. `ops` is cleared and refilled.
-pub(crate) fn read_line(line: &str, ops: &mut Vec<OpAt>) -> Result<Replayed, Error> {
+/// Read one log line as [`TxnLine`] and [`snapshot_line`] print it,
+/// byte for byte, each row stepped over by the scanner
+/// ([`crate::scan::value_end`]): `None` at the first byte that differs,
+/// for [`read_members`] to read the line from its start. `ops` is cleared
+/// and refilled.
+pub(crate) fn read_printed(line: &str, ops: &mut Vec<OpAt>) -> Option<Replayed> {
+    let mut p = Printed::new(line);
+    let read = if p.eat(r#"{"kind":"txn","ops":["#) {
+        ops.clear();
+        let mut more = !p.eat("]");
+        while more {
+            p.step(r#"{"key":"#)?;
+            let key = p.key()?;
+            let row = match p.eat(r#","op":"put","row":"#) {
+                true => Some(p.row()?),
+                false => p.step(r#","op":"del""#).map(|()| None)?,
+            };
+            p.step(r#","table":"#)?;
+            let table = p.name()?;
+            p.step("}")?;
+            ops.push(OpAt { key, table, row });
+            more = p.more()?;
+        }
+        Replayed::Txn
+    } else {
+        p.step(r#"{"kind":"snapshot","tables":["#)?;
+        let mut tables = BTreeMap::new();
+        let mut more = !p.eat("]");
+        while more {
+            p.step(r#"{"name":"#)?;
+            let (from, to) = p.name()?;
+            p.step(r#","rows":["#)?;
+            let mut rows = BTreeMap::new();
+            let mut more_rows = !p.eat("]");
+            while more_rows {
+                p.step("[")?;
+                let key = p.key()?;
+                p.step(",")?;
+                let (from, to) = p.row()?;
+                p.step("]")?;
+                rows.insert(key, Box::from(line.get(from..to)?));
+                more_rows = p.more()?;
+            }
+            p.step("}")?;
+            // Recovery runs once, at start-up.
+            let name = line.get(from + 1..to - 1)?.to_owned(); // sphinx-lint: allow(hot-alloc)
+            tables.insert(name, Table::replayed(rows));
+            more = p.more()?;
+        }
+        Replayed::Snapshot(tables)
+    };
+    p.step("}")?;
+    p.at_end().then_some(read)
+}
+
+/// Read one log line member by member, accepting exactly what the derived
+/// `LogEntry` decoder accepts of it. That decoder takes members in any
+/// order, lets a repeated one replace the last, and ignores unknown ones,
+/// so this reader allows all of that too. A line that names its kind
+/// first has its `ops` (or `tables`) read as they come; otherwise they are
+/// checked as they come and read once the kind is known. `ops` is cleared
+/// and refilled.
+pub(crate) fn read_members(line: &str, ops: &mut Vec<OpAt>) -> Result<Replayed, Error> {
     let mut r = Reader::new(line);
     let mut kind = None;
     // Where the last `ops` / `tables` member starts, and what it read as
@@ -172,7 +231,7 @@ fn read_op(r: &mut Reader<'_>) -> Result<OpAt, Error> {
         match &*name {
             "op" => put = Some(r.member(read_op_tag)?),
             "key" => key = Some(r.member(u64::read_json)?),
-            "table" => table = Some(r.member(Reader::string)?.map(|_| at)),
+            "table" => table = Some(r.member(string_range)?),
             "row" => row = Some((at, at + r.skip()?.len())),
             _ => {
                 r.skip()?;
@@ -188,6 +247,17 @@ fn read_op(r: &mut Reader<'_>) -> Result<OpAt, Error> {
         None
     };
     Ok(OpAt { key, table, row })
+}
+
+/// A string: where its literal starts and ends, quotes included.
+fn string_range(r: &mut Reader<'_>) -> Result<(usize, usize), Error> {
+    let from = r.pos();
+    let mut again = r.clone();
+    Ok(match r.string()? {
+        Cow::Borrowed(name) => (from, from + 1 + name.len() + 1),
+        // Escapes make the literal longer than the name.
+        Cow::Owned(_) => (from, from + again.skip()?.len()),
+    })
 }
 
 /// True for a put, false for a delete.
@@ -603,10 +673,10 @@ mod tests {
             // And what replays from it is what was framed: through the
             // hand reader recovery uses, and through the oracle decoder.
             let mut read = Vec::new();
-            prop_assert!(matches!(read_line(&line, &mut read), Ok(Replayed::Txn)));
+            prop_assert!(matches!(read_members(&line, &mut read), Ok(Replayed::Txn)));
             prop_assert_eq!(read.len(), ops.len());
             for (at, (is_put, table, key, row)) in read.iter().zip(&ops) {
-                let name = Reader::at(&line, at.table).string().unwrap();
+                let name = Reader::at(&line, at.table.0).string().unwrap();
                 prop_assert_eq!((at.key, &*name), (*key, TABLES[*table]));
                 let text = at.row.map(|(from, to)| &line[from..to]);
                 let printed = is_put.then(|| serde_json::to_string(row).unwrap());
@@ -670,7 +740,8 @@ mod tests {
 #[cfg(test)]
 pub(crate) use replay_oracle::{oracle, wal_of, Model};
 
-/// The replay oracle. Recovery reads each line by hand ([`read_line`]);
+/// The replay oracle. Recovery reads each line by hand ([`read_printed`],
+/// else [`read_members`]);
 /// before it did, it decoded the line with the derived `LogEntry` decoder
 /// (an internally tagged enum, which finds its `kind` by reading ahead),
 /// and that decoder (compiled for tests only) is what it is held to, over logs that use every freedom JSON allows:
@@ -791,7 +862,7 @@ mod replay_oracle {
     }
 
     /// A seeded generator of noisy log text.
-    struct Gen(u64);
+    pub(super) struct Gen(pub(super) u64);
 
     const TABLES: [&str; 5] = ["t", "shard0/jobs", "inbox.seq", "odd \"name\"\\", "é✓"];
     const NAMES: [&str; 6] = ["a", "b", "id", "x\"y", "é", "😀"];
@@ -1013,7 +1084,7 @@ mod replay_oracle {
             self.object(members, &["7", "{}", "[[1]]", "[[\"k\",1]]"])
         }
 
-        fn line(&mut self) -> String {
+        pub(super) fn line(&mut self) -> String {
             let snapshot = self.one_in(5);
             let (kind, body, items) = match snapshot {
                 true => {
@@ -1144,5 +1215,168 @@ mod replay_oracle {
             clean > 100 && torn > 50 && corrupt > 20,
             "{clean} {torn} {corrupt}"
         );
+    }
+}
+
+/// The byte match held to the member loop behind it: where
+/// [`read_printed`] reads a line, [`read_members`] reads it alike, and
+/// where it gives up the member loop decides, so recovery reads every line
+/// as the member loop alone would, error text included.
+#[cfg(test)]
+mod byte_match {
+    use super::replay_oracle::Gen;
+    use super::*;
+    use crate::scan::tests::Values;
+    use proptest::prelude::*;
+    use serde_json::Value;
+
+    /// What a line reads as, in a form that compares.
+    #[derive(Debug, PartialEq)]
+    enum Read {
+        Txn(Vec<OpAt>),
+        Snapshot(Vec<(String, BTreeMap<u64, Box<str>>)>),
+    }
+
+    fn read(replayed: Replayed, ops: &[OpAt]) -> Read {
+        match replayed {
+            Replayed::Txn => Read::Txn(ops.to_vec()),
+            Replayed::Snapshot(tables) => {
+                let tables = tables.into_iter().map(|(name, t)| (name, t.raw().clone()));
+                Read::Snapshot(tables.collect())
+            }
+        }
+    }
+
+    /// Read `line` both ways and hold the byte match to the member loop;
+    /// true if the byte match read it.
+    fn agrees(line: &str) -> bool {
+        let mut ops = Vec::new();
+        let fast = read_printed(line, &mut ops).map(|r| read(r, &ops));
+        let slow = read_members(line, &mut ops).map(|r| read(r, &ops));
+        if let Some(fast) = &fast {
+            assert_eq!(Ok(fast), slow.as_ref().map_err(|e| e.to_string()), "{line}");
+        }
+        fast.is_some()
+    }
+
+    const TABLES: [&str; 3] = ["t", "shard0/jobs", "inbox.seq"];
+
+    /// A row the generator drew that is JSON, as a tree to print.
+    fn row(g: &mut Values) -> Value {
+        loop {
+            if let Ok(row) = serde_json::from_str(&g.value()) {
+                return row;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Every line the commit path and a checkpoint print takes the
+        /// byte match, rows with escapes, exponents or deep nesting too.
+        #[test]
+        fn printed_lines_take_the_byte_match(seed in any::<u64>()) {
+            let mut g = Values::new(seed);
+            let mut store = Store::default();
+            for _ in 0..1 + g.below(6) {
+                let mut line = TxnLine::reusing(String::new());
+                for _ in 0..1 + g.below(4) {
+                    let (table, key) = (TABLES[g.below(3)], g.below(4) as u64 * 0x1_0000_0001);
+                    match g.below(4) {
+                        0 => line.del(table, key),
+                        _ => line.put(table, key, &row(&mut g)),
+                    }
+                }
+                let line = line.finish();
+                assert!(agrees(&line), "{line}");
+                store.replay(&line).unwrap();
+            }
+            let snapshot = snapshot_line(&store);
+            assert!(agrees(&snapshot), "{snapshot}");
+            store.replay(&snapshot).unwrap();
+            assert_eq!(store.fallbacks, 0);
+        }
+
+        /// Lines in every shape the derived decoder takes: members
+        /// shuffled and repeated, whitespace, escapes, exponents, damage.
+        #[test]
+        fn lines_in_other_shapes_read_as_the_member_loop_reads_them(seed in any::<u64>()) {
+            agrees(&Gen(seed).line());
+        }
+    }
+
+    #[test]
+    fn a_perturbed_line_reads_as_the_member_loop_reads_it() {
+        let txn = concat!(
+            r#"{"kind":"txn","ops":[{"key":7,"op":"put","row":{"a":[1,-2.5,null],"b":"x","#,
+            r#""c":{"d":true}},"table":"jobs"},{"key":18,"op":"del","table":"t"}]}"#
+        );
+        let snapshot = concat!(
+            r#"{"kind":"snapshot","tables":[{"name":"jobs","rows":[[7,{"a":[1,-2.5,null]}],"#,
+            r#"[9,"x"]]},{"name":"t","rows":[]}]}"#
+        );
+        let junk = [
+            "\"", "\\", "[", "]", "{", "}", ",", ":", "0", "e", "-", ".", " ", "x",
+        ];
+        for line in [txn, snapshot] {
+            assert!(agrees(line));
+            for at in 0..=line.len() {
+                let (head, tail) = line.split_at(at);
+                // Torn, and with whitespace added.
+                agrees(head);
+                agrees(&format!("{head} {tail}"));
+                agrees(&format!("{head}\r\n{tail}"));
+                let Some(rest) = tail.get(1..) else {
+                    continue;
+                };
+                // One byte cut or flipped.
+                agrees(&format!("{head}{rest}"));
+                for with in junk {
+                    agrees(&format!("{head}{with}{rest}"));
+                }
+            }
+        }
+        let deep = |n: usize| {
+            let row = "[".repeat(n) + &"]".repeat(n);
+            format!(r#"{{"kind":"txn","ops":[{{"key":1,"op":"put","row":{row},"table":"t"}}]}}"#)
+        };
+        for (line, fast) in [
+            // Members in another order.
+            (r#"{"ops":[],"kind":"txn"}"#.to_owned(), false),
+            (
+                r#"{"kind":"txn","ops":[{"op":"del","key":1,"table":"t"}]}"#.to_owned(),
+                false,
+            ),
+            (r#"{"tables":[],"kind":"snapshot"}"#.to_owned(), false),
+            // An escaped table name.
+            (
+                r#"{"kind":"txn","ops":[{"key":1,"op":"del","table":"\u0074"}]}"#.to_owned(),
+                false,
+            ),
+            (
+                r#"{"kind":"snapshot","tables":[{"name":"\"t","rows":[]}]}"#.to_owned(),
+                false,
+            ),
+            // Exponents: in a row the reader steps over them; a key is
+            // read only by the member loop.
+            (
+                r#"{"kind":"txn","ops":[{"key":1,"op":"put","row":[1e2],"table":"t"}]}"#.to_owned(),
+                true,
+            ),
+            (
+                r#"{"kind":"txn","ops":[{"key":1,"op":"put","row":1e999,"table":"t"}]}"#.to_owned(),
+                false,
+            ),
+            (
+                r#"{"kind":"txn","ops":[{"key":1e0,"op":"del","table":"t"}]}"#.to_owned(),
+                false,
+            ),
+            // Nested past the scanner's stack, and past the reader's limit.
+            (deep(65), true),
+            (deep(serde::read::NESTING as usize + 1), false),
+        ] {
+            assert_eq!(agrees(&line), fast, "{line}");
+        }
     }
 }

@@ -321,3 +321,32 @@ fn seeded_run_writes_the_pinned_log() {
     );
     assert_eq!(digest, 0x4e1b_00d9_1004_bf75, "log digest {digest:#018x}");
 }
+
+#[test]
+fn every_logged_line_replays_through_the_byte_match() {
+    // Recovery matches each line against the bytes the store prints and
+    // leaves any other shape to its general member loop. A printer that
+    // drifted from that shape would still recover, every line through the
+    // loop and slowly: a seeded run with a black hole and automatic
+    // checkpoints, crashed and recovered, then run to its end, must write
+    // no line the byte match does not read.
+    let policy = CheckpointPolicy {
+        enabled: true,
+        ratio: 4,
+        min_log_lines: 64,
+    };
+    let scenario = faulty()
+        .faults(FaultPlan {
+            black_holes: 1,
+            flaky: 0,
+            ..FaultPlan::default()
+        })
+        .build();
+    let mut recovered = WalRun::start(&scenario, policy).until(12).crash();
+    assert!(recovered.rt.run().finished);
+    let lines = recovered.wal.read_all().unwrap();
+    assert!(lines.iter().any(|l| l.starts_with(r#"{"kind":"snapshot""#)));
+    let db = Database::recover(Box::new(recovered.wal)).unwrap();
+    assert_eq!(db.replayed(), lines.len() as u64);
+    assert_eq!(db.replay_fallbacks(), 0);
+}
