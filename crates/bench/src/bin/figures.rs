@@ -580,7 +580,6 @@ fn main() {
                 // executed twice to prove the alert stream is
                 // byte-identical (the aggregator lives inside the sim
                 // loop, so any nondeterminism would show up here first).
-                let ops_config = OpsConfig::default();
                 let mut regressions = Vec::new();
                 let (stream_a, events) = run_ops_traced(&ops_scenario(false));
                 let (stream_b, _) = run_ops_traced(&ops_scenario(false));
@@ -613,8 +612,8 @@ fn main() {
                         let alerts_total = stream_a.lines().count();
                         let bench = OpsBench {
                             seed: 1905,
-                            window_ms: ops_config.window.as_millis(),
-                            k_windows: ops_config.k_windows,
+                            window_ms: sphinx_ops::WINDOW.as_millis(),
+                            k_windows: sphinx_ops::K_WINDOWS,
                             alerts_total,
                             first_alert_ms: alert.sim_time.as_millis(),
                             first_flag_ms: flag.sim_time.as_millis(),
@@ -652,12 +651,10 @@ fn main() {
                 let report = rt.run();
                 println!("\n== Ops endpoint smoke: serving on http://{addr}");
                 println!("run finished: {}", report.summary());
-                let fetch = |path: &str| -> std::io::Result<(String, String)> {
+                let exchange = |request: &[u8]| -> std::io::Result<(String, String)> {
                     let mut stream = std::net::TcpStream::connect(addr)?;
-                    write!(
-                        stream,
-                        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-                    )?;
+                    stream.write_all(request)?;
+                    stream.shutdown(std::net::Shutdown::Write)?;
                     let mut raw = Vec::new();
                     stream.read_to_end(&mut raw)?;
                     let text = String::from_utf8_lossy(&raw);
@@ -665,7 +662,37 @@ fn main() {
                     let status = head.lines().next().unwrap_or("").to_owned();
                     Ok((status, body.to_owned()))
                 };
+                let fetch = |path: &str| {
+                    let get = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+                    exchange(get.as_bytes())
+                };
                 let mut failures = Vec::new();
+                // Requests no route takes get a status, not a dropped
+                // connection.
+                let pad = "x".repeat(17 * 1024);
+                let refused = [
+                    (
+                        "POST /snapshot",
+                        "POST /snapshot HTTP/1.1\r\n\r\n".to_owned(),
+                        "405",
+                    ),
+                    (
+                        "17 KiB head",
+                        format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+                        "431",
+                    ),
+                ];
+                for (what, request, want) in refused {
+                    match exchange(request.as_bytes()) {
+                        Ok((status, _)) if status.split_whitespace().nth(1) == Some(want) => {
+                            println!("{what:<14} {status}");
+                        }
+                        Ok((status, _)) => {
+                            failures.push(format!("{what} returned `{status}`, not {want}"));
+                        }
+                        Err(e) => failures.push(format!("{what} failed: {e}")),
+                    }
+                }
                 match fetch("/health") {
                     Ok((status, body)) if status.contains("200") && body == "ok\n" => {
                         println!("/health   {status}");

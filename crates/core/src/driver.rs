@@ -400,12 +400,14 @@ impl Driver {
             self.client.submit_plan(&mut self.grid, &plan, now);
         }
         self.hub.span_end(submit_span, now);
-        // 5. Live ops plane: fold this cycle's trace and metrics into the
-        // rolling windows, run the online detectors, publish the snapshot
-        // for the HTTP endpoint, and (fast path only) feed black-hole
-        // verdicts into the grid-wide reliability index.
+        // 5. Live ops plane: fold this cycle's events and the scheduler
+        // counters of the coordination hub (the run hub without a plane)
+        // into the rolling windows, run the online detectors, publish the
+        // snapshot for the HTTP endpoint, and (fast path only) feed
+        // black-hole verdicts into the grid-wide reliability index.
         if let Some(ops) = self.ops.as_mut() {
-            for alert in ops.tick(now, &self.hub) {
+            let coordination = self.plane.as_ref().map_or(&self.hub, |p| &p.hub);
+            for alert in ops.tick_on(now, &self.hub, coordination) {
                 if alert.detector == OpsDetector::BlackHole {
                     if let Some(server) = self.servers.iter().flatten().next() {
                         server.apply_ops_flag_shared(sched, SiteId(alert.site), now);

@@ -23,7 +23,7 @@ use crate::OpsSnapshot;
 use parking_lot::Mutex;
 use sphinx_telemetry::{export::prometheus_text, Telemetry};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -115,73 +115,99 @@ fn handle_connection(
     telemetry: &Telemetry,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let path = match read_request_path(&mut stream)? {
-        Some(path) => path,
-        None => return Ok(()),
-    };
-    let (status, content_type, body) = match path.as_str() {
-        "/" | "/index.html" => ("200 OK", "text/html; charset=utf-8", DASHBOARD.to_owned()),
-        "/health" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_owned()),
-        "/snapshot" => {
-            let json = {
-                let snap = shared.lock();
-                serde_json::to_string(&*snap)
-            };
-            match json {
-                Ok(body) => ("200 OK", "application/json", body),
-                Err(e) => (
-                    "500 Internal Server Error",
-                    "text/plain; charset=utf-8",
-                    format!("snapshot serialization failed: {e}\n"),
-                ),
+    let text = "text/plain; charset=utf-8";
+    let (status, content_type, body) = match read_request_path(&mut stream) {
+        Err(e) => (e.status(), text, format!("{}\n", e.status())),
+        Ok(path) => match path.as_str() {
+            "/" | "/index.html" => ("200 OK", "text/html; charset=utf-8", DASHBOARD.to_owned()),
+            "/health" => ("200 OK", text, "ok\n".to_owned()),
+            "/snapshot" => {
+                let json = {
+                    let snap = shared.lock();
+                    serde_json::to_string(&*snap)
+                };
+                match json {
+                    Ok(body) => ("200 OK", "application/json", body),
+                    Err(e) => (
+                        "500 Internal Server Error",
+                        text,
+                        format!("snapshot serialization failed: {e}\n"),
+                    ),
+                }
             }
-        }
-        "/metrics" => {
-            let snap = telemetry.snapshot();
-            (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                prometheus_text(&snap),
-            )
-        }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".to_owned(),
-        ),
+            "/metrics" => {
+                let snap = telemetry.snapshot();
+                (
+                    "200 OK",
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    prometheus_text(&snap),
+                )
+            }
+            _ => ("404 Not Found", text, "not found\n".to_owned()),
+        },
     };
-    write_response(&mut stream, status, content_type, body.as_bytes())
+    write_response(&mut stream, status, content_type, body.as_bytes())?;
+    // Close only after the client has: closing with its unread bytes
+    // still queued would reset the connection under the response.
+    stream.shutdown(Shutdown::Write)?;
+    io::copy(&mut stream.take(MAX_REQUEST as u64), &mut io::sink()).map(drop)
 }
 
-/// Read the request head and return the path of the request line, or
-/// `None` for connections that say nothing parseable (including the
-/// empty self-connect used for shutdown).
-fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => break,
-            Err(e) => return Err(e),
-        };
-        buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > MAX_REQUEST {
-            break;
+/// Why a request head gets no route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RequestError {
+    /// Not a `GET`: every route is read-only.
+    Method,
+    /// No blank line within [`MAX_REQUEST`] bytes.
+    TooLarge,
+    /// Cut off (EOF, read timeout) before its blank line, or a request
+    /// line that is not UTF-8 or names no path.
+    Malformed,
+}
+
+impl RequestError {
+    fn status(self) -> &'static str {
+        match self {
+            RequestError::Method => "405 Method Not Allowed",
+            RequestError::TooLarge => "431 Request Header Fields Too Large",
+            RequestError::Malformed => "400 Bad Request",
         }
     }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or_default().split_whitespace();
-    let method = parts.next().unwrap_or_default();
-    let path = parts.next().unwrap_or_default();
-    if method != "GET" || path.is_empty() {
-        return Ok(None);
+}
+
+/// Read the request head and return the path of its request line, query
+/// string stripped. Bytes after the head (a pipelined request) are left
+/// unanswered.
+fn read_request_path(stream: &mut impl Read) -> Result<String, RequestError> {
+    let mut buf = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 1024];
+    let head_len = loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break end;
+        }
+        if buf.len() > MAX_REQUEST {
+            return Err(RequestError::TooLarge);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return Err(RequestError::Malformed),
+            Ok(n) => buf.extend_from_slice(chunk.get(..n).unwrap_or_default()),
+        }
+    };
+    if head_len > MAX_REQUEST {
+        return Err(RequestError::TooLarge);
     }
+    let head = buf.get(..head_len).unwrap_or_default();
+    let line = head.split(|&b| b == b'\r').next().unwrap_or_default();
+    let line = std::str::from_utf8(line).map_err(|_| RequestError::Malformed)?;
+    let mut parts = line.split_whitespace();
+    let path = match (parts.next(), parts.next()) {
+        (Some("GET"), Some(path)) => path,
+        (Some("GET"), None) | (None, _) => return Err(RequestError::Malformed),
+        (Some(_), _) => return Err(RequestError::Method),
+    };
     // Strip any query string; the routes take no parameters.
     let path = path.split('?').next().unwrap_or(path);
-    Ok(Some(path.to_owned()))
+    Ok(path.to_owned())
 }
 
 fn write_response(
@@ -360,6 +386,50 @@ mod tests {
             "{body}"
         );
         sphinx_telemetry::export::validate_prometheus(&body).unwrap();
+    }
+
+    #[test]
+    fn bad_requests_get_a_status_and_one_response_per_connection() {
+        let (server, _shared, _tel) = test_server();
+        let pad = "x".repeat(MAX_REQUEST + 1024);
+        let cases: [(&str, Vec<u8>, &str); 5] = [
+            ("POST", b"POST /snapshot HTTP/1.1\r\n\r\n".to_vec(), "405"),
+            (
+                "oversized head",
+                format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n").into(),
+                "431",
+            ),
+            (
+                "head cut off by EOF",
+                b"GET /health HTTP/1.1\r\nHost: t\r\n".to_vec(),
+                "400",
+            ),
+            (
+                "non-UTF-8 request line",
+                b"GET /\xff\xfe HTTP/1.1\r\n\r\n".to_vec(),
+                "400",
+            ),
+            (
+                "pipelined pair",
+                b"GET /health HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n".to_vec(),
+                "200",
+            ),
+        ];
+        for (what, request, status) in cases {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(&request).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            let want = format!("HTTP/1.1 {status} ");
+            assert!(response.starts_with(&want), "{what}: {response}");
+            // The connection closes after the one response.
+            assert_eq!(
+                response.matches("HTTP/1.1 ").count(),
+                1,
+                "{what}: {response}"
+            );
+        }
     }
 
     #[test]

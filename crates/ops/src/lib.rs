@@ -8,16 +8,18 @@
 //! cancellation report arrives: tens of minutes of wasted submissions.
 //! This crate watches the run *while it happens*:
 //!
-//! * [`OpsAggregator`] reads the telemetry event log and the few metrics
-//!   it needs in place, incrementally (cursor-based, one lock acquisition
-//!   per planner cycle, nothing copied out of the hub) and maintains rolling
-//!   sim-time-windowed per-site health views — queue depth, submit→start
-//!   latency, completion/cancel rates, monitor-report staleness — plus
-//!   per-scheduler health (plan-cycle cadence, WAL append rate, lease
-//!   churn).
+//! * [`OpsAggregator`] is a fold of the telemetry hubs. Each planner
+//!   cycle it reads, in place and from a cursor, the typed grid and
+//!   plan-cycle events the run hub recorded since the last tick, the
+//!   monitor gauges, and the counters the hubs already keep. It maintains
+//!   rolling sim-time-windowed per-site health views — pending
+//!   submissions, submit→start latency, completion/cancel rates, queue
+//!   depth, monitor-report staleness — plus per-scheduler health
+//!   (plan-cycle cadence, WAL append rate, lease churn, adoptions), read
+//!   from the coordination hub on a sharded run.
 //! * Three **online detectors** run over those windows: a black-hole
-//!   detector (submits with no starts or completions within
-//!   `k_windows`), a queue-anomaly detector (windowed z-score against a
+//!   detector (pending submissions with no starts or completions within
+//!   [`K_WINDOWS`]), a queue-anomaly detector (windowed z-score against a
 //!   rolling baseline) and a staleness detector (monitor-report age vs.
 //!   the update period). Each fires a typed [`OpsAlert`], recorded as a
 //!   [`TraceKind::OpsAlert`] trace event, and can optionally feed the
@@ -42,63 +44,58 @@ pub mod http;
 
 use serde::{Deserialize, Serialize};
 use sphinx_sim::{Duration, SimTime};
-use sphinx_telemetry::{OpsView, Telemetry, TraceKind, TraceLine};
+use sphinx_telemetry::{Event, GridStep, OpsView, Telemetry, TraceKind};
 use std::collections::BTreeMap;
 
 /// Window slots retained per site. Bounds both memory and how far back
-/// detectors may look; `OpsConfig` clamps its window counts under it.
+/// detectors may look.
 pub const HISTORY: usize = 32;
+/// Width of one aggregation window (sim time).
+pub const WINDOW: Duration = Duration::from_mins(2);
+/// Closed windows the black-hole detector looks back over.
+pub const K_WINDOWS: u32 = 3;
+/// Pending submissions needed before a black-hole verdict (one unlucky
+/// submit is not evidence).
+const MIN_SUBMITS: u32 = 2;
+/// Z-score at which the queue-anomaly detector fires.
+const Z_THRESHOLD: f64 = 4.0;
+/// Closed windows forming the queue-depth baseline.
+const BASELINE_WINDOWS: u32 = 12;
+/// Baseline samples required before z-scores are trusted.
+const MIN_BASELINE: u32 = 6;
+/// A monitor report older than `STALENESS_FACTOR × UPDATE_PERIOD` is
+/// stale; `UPDATE_PERIOD` is the monitor's default sampling period.
+const STALENESS_FACTOR: f64 = 3.0;
+const UPDATE_PERIOD: Duration = Duration::from_mins(2);
+/// Alerts kept in the published snapshot's recent ring.
+const RECENT_ALERTS: usize = 64;
 
-/// Tuning for the live ops plane. All quantities are simulation-time;
-/// nothing here touches the wall clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpsConfig {
-    /// Width of one aggregation window.
-    pub window: Duration,
-    /// Closed windows the black-hole detector looks back over.
-    pub k_windows: u32,
-    /// Minimum submits inside those windows before a black-hole verdict
-    /// (one unlucky submit is not evidence).
-    pub min_submits: u32,
-    /// Z-score at which the queue-anomaly detector fires.
-    pub z_threshold: f64,
-    /// Closed windows forming the queue-depth baseline.
-    pub baseline_windows: u32,
-    /// Baseline samples required before z-scores are trusted.
-    pub min_baseline: u32,
-    /// The staleness detector fires when a monitor report is older than
-    /// `staleness_factor × update_period`.
-    pub staleness_factor: f64,
-    /// The monitor's sampling period (staleness reference).
-    pub update_period: Duration,
-    /// Alerts kept in the published snapshot's recent ring.
-    pub recent_alerts: usize,
-}
+// Every lookback (the current window, then up to this many closed ones)
+// fits the per-site slot ring, and a window is never empty.
+const _: () = assert!(
+    WINDOW.as_millis() > 0
+        && K_WINDOWS >= 1
+        && K_WINDOWS as usize + 2 <= HISTORY
+        && MIN_BASELINE >= 1
+        && MIN_BASELINE <= BASELINE_WINDOWS
+        && BASELINE_WINDOWS as usize + 2 <= HISTORY
+);
 
-impl Default for OpsConfig {
-    fn default() -> Self {
-        OpsConfig {
-            window: Duration::from_mins(2),
-            k_windows: 3,
-            min_submits: 2,
-            z_threshold: 4.0,
-            baseline_windows: 12,
-            min_baseline: 6,
-            staleness_factor: 3.0,
-            update_period: Duration::from_mins(2),
-            recent_alerts: 64,
-        }
-    }
-}
+/// Switches the live ops plane on (`RuntimeConfig::ops`). It carries no
+/// settings: the plane's windows and thresholds are this crate's
+/// constants.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct OpsConfig {}
 
 /// Which online detector fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum OpsDetector {
-    /// Submits with no starts or completions within `k_windows`.
+    /// Pending submissions with no starts or completions within
+    /// [`K_WINDOWS`].
     BlackHole,
     /// Queue depth z-score against the rolling baseline.
     QueueAnomaly,
-    /// Monitor report age exceeded `staleness_factor × update_period`.
+    /// Monitor report age exceeded three monitor update periods.
     Staleness,
 }
 
@@ -123,14 +120,14 @@ pub struct OpsAlert {
     pub detector: OpsDetector,
     /// The site concerned.
     pub site: u32,
-    /// The evidence value (submit count, z-score, staleness ms).
+    /// The evidence value (pending count, z-score, staleness ms).
     pub value: f64,
     /// The threshold it crossed.
     pub threshold: f64,
 }
 
 /// Rolling health view of one site, as published in [`OpsSnapshot`].
-/// `*_recent` fields sum the last `k_windows` closed windows.
+/// `*_recent` fields sum the last [`K_WINDOWS`] closed windows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SiteHealth {
     /// Site id.
@@ -161,19 +158,19 @@ pub struct SiteHealth {
 /// Scheduler-side health: plan cadence, WAL pressure, lease churn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerHealth {
-    /// Planner cycles seen in the trace stream.
+    /// Planner cycles so far (`plan.cycles` of the run hub).
     pub plan_cycles: u64,
     /// Sim-time gap between the two most recent plan cycles (ms).
     pub last_cycle_gap_ms: u64,
-    /// Lifetime WAL appends (from the metrics registry).
+    /// Lifetime WAL appends (`wal.appends`).
     pub wal_appends: u64,
     /// WAL appends inside the last closed window.
     pub wal_appends_last_window: u64,
-    /// Shard leases granted.
+    /// Shard leases granted (`shard.leases.granted`).
     pub lease_grants: u64,
-    /// Shard leases expired.
+    /// Shard leases expired (`shard.leases.expired`).
     pub lease_expiries: u64,
-    /// Dead-shard partitions adopted.
+    /// Dead-shard partitions adopted (`shard.adoptions`).
     pub shard_adoptions: u64,
 }
 
@@ -217,17 +214,15 @@ struct WindowSlot {
 }
 
 /// Aggregation state for one site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SiteState {
     slots: [WindowSlot; HISTORY],
-    /// Lifetime tallies; `submits_total - starts_total - cancels_total`
-    /// is the number of submissions sitting unstarted at the site.
-    submits_total: u64,
-    starts_total: u64,
-    completions_total: u64,
-    cancels_total: u64,
-    /// Window of the oldest submission still pending (`None` when
-    /// nothing is pending) — the black-hole detector's evidence clock.
+    /// The site's entries in the aggregator's submit map: submissions
+    /// neither started nor ended.
+    pending: u32,
+    /// Window of the first submission since `pending` was last zero
+    /// (`None` while nothing is pending) — the black-hole detector's
+    /// evidence clock.
     first_pending_w: Option<u64>,
     queue_depth: f64,
     staleness_ms: f64,
@@ -235,40 +230,6 @@ struct SiteState {
     black_hole: bool,
     queue_anomaly: bool,
     stale: bool,
-}
-
-impl Default for SiteState {
-    fn default() -> Self {
-        SiteState {
-            slots: [WindowSlot::default(); HISTORY],
-            submits_total: 0,
-            starts_total: 0,
-            completions_total: 0,
-            cancels_total: 0,
-            first_pending_w: None,
-            queue_depth: 0.0,
-            staleness_ms: 0.0,
-            gauges_seen: false,
-            black_hole: false,
-            queue_anomaly: false,
-            stale: false,
-        }
-    }
-}
-
-impl SiteState {
-    /// Submissions accepted but never started or cancelled.
-    fn pending(&self) -> u64 {
-        self.submits_total
-            .saturating_sub(self.starts_total + self.cancels_total)
-    }
-
-    /// Keep the pending-evidence clock consistent after an event.
-    fn settle_pending(&mut self) {
-        if self.pending() == 0 {
-            self.first_pending_w = None;
-        }
-    }
 }
 
 impl SiteState {
@@ -294,26 +255,32 @@ impl SiteState {
             .get((widx as usize) % HISTORY)
             .filter(|s| s.stamp == widx + 1)
     }
+
+    /// The closed windows `back` windows before `cur`, oldest last.
+    fn closed(
+        &self,
+        cur: u64,
+        back: std::ops::RangeInclusive<u64>,
+    ) -> impl Iterator<Item = &WindowSlot> {
+        back.filter_map(move |b| cur.checked_sub(b).and_then(|w| self.slot(w)))
+    }
 }
 
-/// The streaming aggregator. Owned by the runtime; `tick` runs at the
+/// The streaming aggregator. Owned by the runtime; `tick_on` runs at the
 /// end of every planner cycle on the sim thread, and `publish_into`
 /// hands a rebuilt [`OpsSnapshot`] to whatever shares it (the HTTP
 /// server, the figure harness).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OpsAggregator {
-    config: OpsConfig,
-    window_ms: u64,
     cursor: u64,
     ticks: u64,
     alerts_total: u64,
     sites: BTreeMap<u32, SiteState>,
-    /// Submit sim time per in-flight job key (latency pairing). Entries
-    /// leave on start, completion or cancellation — bounded by in-flight
-    /// jobs.
-    submit_times: BTreeMap<u64, SimTime>,
+    /// Submit time and site per job key until the job starts or leaves
+    /// the site (latency pairing); each site's entries are its pending
+    /// submissions. Bounded by in-flight jobs.
+    submitted: BTreeMap<u64, (SimTime, u32)>,
     scheduler: SchedulerHealth,
-    last_plan_cycle: Option<SimTime>,
     /// WAL-append counter value at the previous tick, plus the window
     /// accumulating the delta.
     wal_prev: u64,
@@ -326,52 +293,40 @@ pub struct OpsAggregator {
 }
 
 impl OpsAggregator {
-    /// A fresh aggregator. Window counts are clamped under [`HISTORY`]
-    /// so detector lookbacks always fit the per-site slot ring.
-    pub fn new(config: OpsConfig) -> Self {
-        let mut config = config;
-        let cap = (HISTORY as u32).saturating_sub(2);
-        config.k_windows = config.k_windows.clamp(1, cap);
-        config.baseline_windows = config.baseline_windows.clamp(1, cap);
-        config.min_baseline = config.min_baseline.clamp(1, config.baseline_windows);
-        let window_ms = config.window.as_millis().max(1);
-        OpsAggregator {
-            window_ms,
-            cursor: 0,
-            ticks: 0,
-            alerts_total: 0,
-            sites: BTreeMap::new(),
-            submit_times: BTreeMap::new(),
-            scheduler: SchedulerHealth::default(),
-            last_plan_cycle: None,
-            wal_prev: 0,
-            wal_window: 0,
-            wal_window_count: 0,
-            fired: Vec::new(),
-            recent: Vec::new(),
-            config,
-        }
+    /// A fresh aggregator.
+    pub fn new(_: OpsConfig) -> Self {
+        OpsAggregator::default()
     }
 
-    /// The configuration in force (post-clamping).
-    pub fn config(&self) -> &OpsConfig {
-        &self.config
+    /// [`Self::tick_on`] with one hub in both roles: a run without a
+    /// coordination plane.
+    pub fn tick(&mut self, now: SimTime, hub: &Telemetry) -> &[OpsAlert] {
+        self.tick_on(now, hub, hub)
     }
 
-    /// Consume everything recorded since the last tick, roll the
-    /// windows, run the detectors, and return the alerts that fired this
-    /// tick. Called from the runtime at the end of each planner cycle;
-    /// steady-state ticks allocate nothing.
+    /// Consume everything the run hub recorded since the last tick and
+    /// the scheduler counters of the coordination hub (the plane's hub on
+    /// a sharded run, else the run hub), roll the windows, run the
+    /// detectors, and return the alerts that fired this tick; they are
+    /// recorded on the run hub. Called from the runtime at the end of
+    /// each planner cycle; steady-state ticks allocate nothing.
     // sphinx-hot
-    pub fn tick(&mut self, now: SimTime, telemetry: &Telemetry) -> &[OpsAlert] {
+    pub fn tick_on(
+        &mut self,
+        now: SimTime,
+        run_hub: &Telemetry,
+        coordination_hub: &Telemetry,
+    ) -> &[OpsAlert] {
         self.ticks += 1;
         self.fired.clear();
-        telemetry.ops_poll(self.cursor, |view| self.ingest(view, now));
-        self.run_detectors(now, telemetry);
-        telemetry.counter_add("ops.alerts", self.fired.len() as u64);
+        run_hub.ops_poll(self.cursor, |view| self.ingest(view, now));
+        // Past the end of the log: counters only, no events.
+        coordination_hub.ops_poll(u64::MAX, |view| self.read_coordination(&view, now));
+        self.run_detectors(now, run_hub);
+        run_hub.counter_add("ops.alerts", self.fired.len() as u64);
         self.alerts_total += self.fired.len() as u64;
         for alert in self.fired.iter() {
-            if self.recent.len() >= self.config.recent_alerts.max(1) {
+            if self.recent.len() >= RECENT_ALERTS {
                 self.recent.remove(0);
             }
             self.recent.push(*alert);
@@ -379,18 +334,25 @@ impl OpsAggregator {
         &self.fired
     }
 
-    fn window_of(&self, t: SimTime) -> u64 {
-        t.as_millis() / self.window_ms
+    fn window_of(t: SimTime) -> u64 {
+        t.as_millis() / WINDOW.as_millis()
     }
 
-    /// Fold what the hub lends into the windows. Runs under the hub
+    /// Fold what the run hub lends into the windows. Runs under the hub
     /// lock, so it must not call back into the hub.
     fn ingest(&mut self, view: OpsView<'_>, now: SimTime) {
         self.cursor = view.cursor;
-        for event in view.events {
-            self.ingest_trace_event(event);
+        self.scheduler.plan_cycles = counter(&view, "plan.cycles");
+        for (at, event) in view.events {
+            match event {
+                Event::Grid { site, job, step } => self.ingest_grid(at, site.0, job, step),
+                Event::PlanCycle { gap: Some(gap), .. } => {
+                    self.scheduler.last_cycle_gap_ms = gap.as_millis();
+                }
+                _ => {}
+            }
         }
-        let widx = self.window_of(now);
+        let widx = Self::window_of(now);
         for (site, depth) in view.queue_depth.into_iter().flatten() {
             let state = self.sites.entry(*site).or_default();
             state.queue_depth = *depth;
@@ -405,173 +367,115 @@ impl OpsAggregator {
             state.staleness_ms = *staleness;
             state.gauges_seen = true;
         }
+    }
+
+    /// Fold one grid step at `site` into its window and the submit map.
+    fn ingest_grid(&mut self, at: SimTime, site: u32, job: u64, step: GridStep) {
+        if step == GridStep::Queued {
+            return;
+        }
+        // Every other step ends the job's pending submission, if any; a
+        // submit then opens a new one.
+        let ended = self.submitted.remove(&job);
+        if let Some(state) = ended.and_then(|(_, from)| self.sites.get_mut(&from)) {
+            state.pending = state.pending.saturating_sub(1);
+            if state.pending == 0 {
+                state.first_pending_w = None;
+            }
+        }
+        let widx = Self::window_of(at);
+        let state = self.sites.entry(site).or_default();
+        if step == GridStep::Submit {
+            self.submitted.insert(job, (at, site));
+            state.pending += 1;
+            state.first_pending_w.get_or_insert(widx);
+        }
+        let Some(slot) = state.slot_entry(widx) else {
+            return;
+        };
+        match step {
+            GridStep::Submit => slot.submits += 1,
+            GridStep::Start => {
+                slot.starts += 1;
+                if let Some((submitted, _)) = ended {
+                    slot.latency_sum_ms += at.since(submitted).as_millis();
+                    slot.latency_count += 1;
+                }
+            }
+            GridStep::Complete => slot.completions += 1,
+            GridStep::Hold | GridStep::Cancel => slot.cancels += 1,
+            GridStep::Queued => {}
+        }
+    }
+
+    /// Read the scheduler counters the coordination hub keeps.
+    fn read_coordination(&mut self, view: &OpsView<'_>, now: SimTime) {
+        let widx = Self::window_of(now);
         if widx != self.wal_window {
             self.scheduler.wal_appends_last_window = self.wal_window_count;
             self.wal_window = widx;
             self.wal_window_count = 0;
         }
-        self.wal_window_count += view.wal_appends.saturating_sub(self.wal_prev);
-        self.wal_prev = view.wal_appends;
-        self.scheduler.wal_appends = view.wal_appends;
-    }
-
-    fn ingest_trace_event(&mut self, event: TraceLine) {
-        let widx = event.sim_time.as_millis() / self.window_ms;
-        match event.kind {
-            TraceKind::GridSubmit => {
-                if let Some(job) = event.job {
-                    self.submit_times.insert(job, event.sim_time);
-                }
-                if let Some(site) = event.site {
-                    let state = self.sites.entry(site).or_default();
-                    state.submits_total += 1;
-                    if state.first_pending_w.is_none() {
-                        state.first_pending_w = Some(widx);
-                    }
-                    if let Some(slot) = state.slot_entry(widx) {
-                        slot.submits += 1;
-                    }
-                }
-            }
-            TraceKind::GridStart => {
-                let latency = event
-                    .job
-                    .and_then(|job| self.submit_times.remove(&job))
-                    .map(|submitted| event.sim_time.since(submitted).as_millis());
-                if let Some(site) = event.site {
-                    let state = self.sites.entry(site).or_default();
-                    state.starts_total += 1;
-                    state.settle_pending();
-                    if let Some(slot) = state.slot_entry(widx) {
-                        slot.starts += 1;
-                        if let Some(ms) = latency {
-                            slot.latency_sum_ms += ms;
-                            slot.latency_count += 1;
-                        }
-                    }
-                }
-            }
-            TraceKind::GridComplete => {
-                if let Some(job) = event.job {
-                    self.submit_times.remove(&job);
-                }
-                if let Some(site) = event.site {
-                    let state = self.sites.entry(site).or_default();
-                    state.completions_total += 1;
-                    if let Some(slot) = state.slot_entry(widx) {
-                        slot.completions += 1;
-                    }
-                }
-            }
-            TraceKind::GridHold | TraceKind::GridCancel => {
-                if let Some(job) = event.job {
-                    self.submit_times.remove(&job);
-                }
-                if let Some(site) = event.site {
-                    let state = self.sites.entry(site).or_default();
-                    state.cancels_total += 1;
-                    state.settle_pending();
-                    if let Some(slot) = state.slot_entry(widx) {
-                        slot.cancels += 1;
-                    }
-                }
-            }
-            TraceKind::PlanCycle => {
-                self.scheduler.plan_cycles += 1;
-                if let Some(prev) = self.last_plan_cycle {
-                    self.scheduler.last_cycle_gap_ms = event.sim_time.since(prev).as_millis();
-                }
-                self.last_plan_cycle = Some(event.sim_time);
-            }
-            TraceKind::LeaseGranted => self.scheduler.lease_grants += 1,
-            TraceKind::LeaseExpired => self.scheduler.lease_expiries += 1,
-            TraceKind::ShardAdoption => self.scheduler.shard_adoptions += 1,
-            // Never re-ingest our own alerts.
-            _ => {}
-        }
+        let wal_appends = counter(view, "wal.appends");
+        self.wal_window_count += wal_appends.saturating_sub(self.wal_prev);
+        self.wal_prev = wal_appends;
+        let health = &mut self.scheduler;
+        health.wal_appends = wal_appends;
+        health.lease_grants = counter(view, "shard.leases.granted");
+        health.lease_expiries = counter(view, "shard.leases.expired");
+        health.shard_adoptions = counter(view, "shard.adoptions");
     }
 
     /// Evaluate every detector over closed windows. Each detector is
     /// edge-triggered: it fires once when its condition becomes true and
     /// re-arms when the condition clears.
     fn run_detectors(&mut self, now: SimTime, telemetry: &Telemetry) {
-        let cur = self.window_of(now);
-        let config = &self.config;
+        let cur = Self::window_of(now);
         let fired = &mut self.fired;
-        let stale_limit = config.staleness_factor * config.update_period.as_millis() as f64;
-        for (site, state) in self.sites.iter_mut() {
+        let stale_limit = STALENESS_FACTOR * UPDATE_PERIOD.as_millis() as f64;
+        for (&site, state) in self.sites.iter_mut() {
+            let mut fire = |detector, value, threshold| {
+                let alert = OpsAlert {
+                    at: now,
+                    detector,
+                    site,
+                    value,
+                    threshold,
+                };
+                push_alert(fired, telemetry, alert);
+            };
             // Black hole: submissions sitting unstarted while the site
             // shows no starts or completions across the last k closed
-            // windows — and the oldest pending submission is itself at
-            // least k windows old, so silence is evidence, not recency.
-            let (mut starts, mut completions) = (0u32, 0u32);
-            for back in 1..=u64::from(config.k_windows) {
-                if let Some(slot) = cur.checked_sub(back).and_then(|w| state.slot(w)) {
-                    starts += slot.starts;
-                    completions += slot.completions;
-                }
-            }
-            let pending = state.pending();
+            // windows — and the first of them is itself at least k
+            // windows old, so silence is evidence, not recency.
+            let silent = state
+                .closed(cur, 1..=u64::from(K_WINDOWS))
+                .all(|slot| slot.starts == 0 && slot.completions == 0);
             let ripe = state
                 .first_pending_w
-                .is_some_and(|w| cur >= w + u64::from(config.k_windows));
-            let black =
-                ripe && pending >= u64::from(config.min_submits) && starts == 0 && completions == 0;
+                .is_some_and(|w| cur >= w + u64::from(K_WINDOWS));
+            let black = ripe && state.pending >= MIN_SUBMITS && silent;
             if black && !state.black_hole {
-                push_alert(
-                    fired,
-                    telemetry,
-                    now,
-                    OpsDetector::BlackHole,
-                    *site,
-                    pending as f64,
-                    f64::from(config.min_submits),
-                );
+                let pending = f64::from(state.pending);
+                fire(OpsDetector::BlackHole, pending, f64::from(MIN_SUBMITS));
             }
             state.black_hole = black;
 
             // Queue anomaly: last closed window's depth against the
-            // baseline of the windows before it.
-            let anomalous = cur
-                .checked_sub(1)
-                .and_then(|w| state.slot(w))
-                .filter(|slot| slot.queue_seen)
-                .and_then(|slot| {
-                    let z = queue_z_score(state, cur, config)?;
-                    Some((slot.queue_depth, z))
-                });
-            match anomalous {
-                Some((_, z)) if z >= config.z_threshold => {
-                    if !state.queue_anomaly {
-                        push_alert(
-                            fired,
-                            telemetry,
-                            now,
-                            OpsDetector::QueueAnomaly,
-                            *site,
-                            z,
-                            config.z_threshold,
-                        );
-                    }
-                    state.queue_anomaly = true;
+            // baseline of the windows before it. No sample or no
+            // baseline keeps the previous verdict.
+            if let Some(z) = queue_z_score(state, cur) {
+                let anomalous = z >= Z_THRESHOLD;
+                if anomalous && !state.queue_anomaly {
+                    fire(OpsDetector::QueueAnomaly, z, Z_THRESHOLD);
                 }
-                Some(_) => state.queue_anomaly = false,
-                // No sample / no baseline: keep the previous verdict.
-                None => {}
+                state.queue_anomaly = anomalous;
             }
 
             // Staleness: the report the planner is using is too old.
             let stale = state.gauges_seen && state.staleness_ms > stale_limit;
             if stale && !state.stale {
-                push_alert(
-                    fired,
-                    telemetry,
-                    now,
-                    OpsDetector::Staleness,
-                    *site,
-                    state.staleness_ms,
-                    stale_limit,
-                );
+                fire(OpsDetector::Staleness, state.staleness_ms, stale_limit);
             }
             state.stale = stale;
         }
@@ -580,13 +484,13 @@ impl OpsAggregator {
     /// Rebuild `snap` from current state, reusing its vectors.
     pub fn publish_into(&self, now: SimTime, snap: &mut OpsSnapshot) {
         snap.now_ms = now.as_millis();
-        snap.window_ms = self.window_ms;
+        snap.window_ms = WINDOW.as_millis();
         snap.ticks = self.ticks;
         snap.events_seen = self.cursor;
         snap.alerts_total = self.alerts_total;
         snap.scheduler = self.scheduler;
         snap.sites.clear();
-        let cur = self.window_of(now);
+        let cur = Self::window_of(now);
         for (site, state) in self.sites.iter() {
             let mut health = SiteHealth {
                 site: *site,
@@ -599,15 +503,13 @@ impl OpsAggregator {
             };
             let mut latency_sum = 0u64;
             let mut latency_count = 0u32;
-            for back in 1..=u64::from(self.config.k_windows) {
-                if let Some(slot) = cur.checked_sub(back).and_then(|w| state.slot(w)) {
-                    health.submits_recent += slot.submits;
-                    health.starts_recent += slot.starts;
-                    health.completions_recent += slot.completions;
-                    health.cancels_recent += slot.cancels;
-                    latency_sum += slot.latency_sum_ms;
-                    latency_count += slot.latency_count;
-                }
+            for slot in state.closed(cur, 1..=u64::from(K_WINDOWS)) {
+                health.submits_recent += slot.submits;
+                health.starts_recent += slot.starts;
+                health.completions_recent += slot.completions;
+                health.cancels_recent += slot.cancels;
+                latency_sum += slot.latency_sum_ms;
+                latency_count += slot.latency_count;
             }
             if latency_count > 0 {
                 health.latency_mean_ms = latency_sum as f64 / f64::from(latency_count);
@@ -626,38 +528,30 @@ impl OpsAggregator {
     }
 }
 
+/// The lent hub's counter `name` (0 if never touched).
+fn counter(view: &OpsView<'_>, name: &str) -> u64 {
+    view.counters.get(name).copied().unwrap_or(0)
+}
+
 /// Z-score of the last closed window's queue depth against the baseline
-/// windows before it. `None` until `min_baseline` sampled windows exist.
-/// The deviation floor of 1 job keeps a flat baseline (σ ≈ 0) from
-/// turning any activity at all into an anomaly.
-fn queue_z_score(state: &SiteState, cur: u64, config: &OpsConfig) -> Option<f64> {
-    let last = cur.checked_sub(1).and_then(|w| state.slot(w))?;
-    if !last.queue_seen {
+/// windows before it. `None` until the last closed window has a sample
+/// and `MIN_BASELINE` sampled windows precede it. The deviation floor of
+/// 1 job keeps a flat baseline (σ ≈ 0) from turning any activity at all
+/// into an anomaly.
+fn queue_z_score(state: &SiteState, cur: u64) -> Option<f64> {
+    let last = state.closed(cur, 1..=1).find(|slot| slot.queue_seen)?;
+    let baseline = || {
+        let windows = state.closed(cur, 2..=u64::from(BASELINE_WINDOWS) + 1);
+        windows
+            .filter(|slot| slot.queue_seen)
+            .map(|slot| slot.queue_depth)
+    };
+    let count = baseline().count() as u32;
+    if count < MIN_BASELINE {
         return None;
     }
-    let mut sum = 0.0;
-    let mut count = 0u32;
-    for back in 2..=u64::from(config.baseline_windows) + 1 {
-        if let Some(slot) = cur.checked_sub(back).and_then(|w| state.slot(w)) {
-            if slot.queue_seen {
-                sum += slot.queue_depth;
-                count += 1;
-            }
-        }
-    }
-    if count < config.min_baseline {
-        return None;
-    }
-    let mean = sum / f64::from(count);
-    let mut var = 0.0;
-    for back in 2..=u64::from(config.baseline_windows) + 1 {
-        if let Some(slot) = cur.checked_sub(back).and_then(|w| state.slot(w)) {
-            if slot.queue_seen {
-                let d = slot.queue_depth - mean;
-                var += d * d;
-            }
-        }
-    }
+    let mean = baseline().sum::<f64>() / f64::from(count);
+    let var: f64 = baseline().map(|d| (d - mean) * (d - mean)).sum();
     let std = (var / f64::from(count)).sqrt().max(1.0);
     Some((last.queue_depth - mean) / std)
 }
@@ -666,31 +560,18 @@ fn queue_z_score(state: &SiteState, cur: u64, config: &OpsConfig) -> Option<f64>
 /// the metrics registry. The detail string is the one allocation on the
 /// alert path — alerts are edge-triggered and rare, so it stays off the
 /// steady-state tick.
-fn push_alert(
-    fired: &mut Vec<OpsAlert>,
-    telemetry: &Telemetry,
-    now: SimTime,
-    detector: OpsDetector,
-    site: u32,
-    value: f64,
-    threshold: f64,
-) {
-    fired.push(OpsAlert {
-        at: now,
+fn push_alert(fired: &mut Vec<OpsAlert>, telemetry: &Telemetry, alert: OpsAlert) {
+    fired.push(alert);
+    let OpsAlert {
         detector,
-        site,
         value,
         threshold,
-    });
+        ..
+    } = alert;
     // sphinx-lint: allow(hot-alloc)
     let detail = format!("{} value={value} threshold={threshold}", detector.label());
-    telemetry.trace(
-        TraceKind::OpsAlert,
-        now,
-        None,
-        Some(sphinx_data::SiteId(site)),
-        detail,
-    );
+    let site = Some(sphinx_data::SiteId(alert.site));
+    telemetry.trace(TraceKind::OpsAlert, alert.at, None, site, detail);
 }
 
 #[cfg(test)]
@@ -714,19 +595,14 @@ mod tests {
         SimTime::from_secs(m * 60)
     }
 
-    fn quick_config() -> OpsConfig {
-        OpsConfig {
-            window: Duration::from_mins(2),
-            k_windows: 3,
-            min_submits: 2,
-            ..OpsConfig::default()
-        }
+    fn aggregator() -> OpsAggregator {
+        OpsAggregator::new(OpsConfig::default())
     }
 
     #[test]
     fn black_hole_detector_fires_once_on_silent_submits() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
+        let mut agg = aggregator();
         // Site 0: submits that never start. Site 1: healthy.
         for i in 0..4u64 {
             grid(&tel, GridStep::Submit, 0, i, mins(i));
@@ -750,7 +626,7 @@ mod tests {
     #[test]
     fn black_hole_rearms_after_recovery() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
+        let mut agg = aggregator();
         // Windows are 2 min wide; at t=8min the lookback covers windows
         // 1..=3 (sim minutes 2..8).
         grid(&tel, GridStep::Submit, 0, 1, mins(2));
@@ -772,10 +648,7 @@ mod tests {
     #[test]
     fn queue_anomaly_needs_baseline_then_fires_on_spike() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(OpsConfig {
-            z_threshold: 3.0,
-            ..quick_config()
-        });
+        let mut agg = aggregator();
         // Flat baseline: depth ~4 for 10 windows.
         for w in 0..10u64 {
             report(&tel, 0, 0, 4, mins(w * 2));
@@ -788,13 +661,13 @@ mod tests {
         let fired = agg.tick(mins(22), &tel).to_vec();
         assert_eq!(fired.len(), 1, "{fired:?}");
         assert_eq!(fired[0].detector, OpsDetector::QueueAnomaly);
-        assert!(fired[0].value >= 3.0);
+        assert!(fired[0].value >= Z_THRESHOLD);
     }
 
     #[test]
     fn staleness_detector_tracks_monitor_gauge() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
+        let mut agg = aggregator();
         report(&tel, 3, 30_000, 0, mins(1));
         assert!(agg.tick(mins(1), &tel).is_empty());
         // Update period 2min, factor 3 → limit 6min. 10min is stale.
@@ -812,7 +685,7 @@ mod tests {
     #[test]
     fn latency_and_rates_aggregate_per_window() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
+        let mut agg = aggregator();
         grid(&tel, GridStep::Submit, 2, 7, mins(2));
         grid(&tel, GridStep::Start, 2, 7, mins(3));
         grid(&tel, GridStep::Complete, 2, 7, mins(4));
@@ -830,29 +703,58 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_health_counts_cycles_and_leases() {
+    fn black_hole_counts_a_started_then_held_job_once() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
-        tel.trace(TraceKind::PlanCycle, mins(1), None, None, String::new());
-        tel.trace(TraceKind::PlanCycle, mins(2), None, None, String::new());
-        tel.trace(TraceKind::LeaseGranted, mins(2), None, None, String::new());
-        tel.trace(TraceKind::LeaseExpired, mins(3), None, None, String::new());
-        tel.trace(TraceKind::ShardAdoption, mins(3), None, None, String::new());
-        tel.counter_add("wal.appends", 17);
-        agg.tick(mins(4), &tel);
-        let snap = agg.snapshot_at(mins(4));
-        assert_eq!(snap.scheduler.plan_cycles, 2);
-        assert_eq!(snap.scheduler.last_cycle_gap_ms, 60_000);
-        assert_eq!(snap.scheduler.lease_grants, 1);
-        assert_eq!(snap.scheduler.lease_expiries, 1);
-        assert_eq!(snap.scheduler.shard_adoptions, 1);
-        assert_eq!(snap.scheduler.wal_appends, 17);
+        let mut agg = aggregator();
+        // Job 1 starts and is then held: it left the site's pending
+        // submissions when it started, so the hold takes nothing more.
+        grid(&tel, GridStep::Submit, 0, 1, mins(0));
+        grid(&tel, GridStep::Start, 0, 1, mins(1));
+        grid(&tel, GridStep::Hold, 0, 1, mins(2));
+        grid(&tel, GridStep::Submit, 0, 2, mins(3));
+        grid(&tel, GridStep::Submit, 0, 3, mins(3));
+        let fired = agg.tick(mins(10), &tel).to_vec();
+        assert_eq!(fired.len(), 1, "{fired:?}");
+        assert_eq!(fired[0].detector, OpsDetector::BlackHole);
+        assert_eq!(fired[0].value, 2.0);
+    }
+
+    #[test]
+    fn scheduler_health_reads_both_hubs_counters() {
+        let (run, coordination) = (Telemetry::new(), Telemetry::new());
+        let mut agg = aggregator();
+        let cycle = |at, gap| run.record(at, Event::PlanCycle { reports: 0, gap });
+        cycle(mins(1), None);
+        cycle(mins(2), Some(Duration::from_mins(1)));
+        coordination.counter_add("shard.leases.granted", 4);
+        coordination.counter_add("shard.leases.expired", 1);
+        coordination.counter_add("shard.adoptions", 1);
+        coordination.counter_add("wal.appends", 17);
+        // Counters of the run hub that belong to the coordination hub
+        // are not read.
+        run.counter_add("wal.appends", 99);
+        agg.tick_on(mins(4), &run, &coordination);
+        let health = agg.snapshot_at(mins(4)).scheduler;
+        assert_eq!(health.plan_cycles, 2);
+        assert_eq!(health.last_cycle_gap_ms, 60_000);
+        assert_eq!(health.lease_grants, 4);
+        assert_eq!(health.lease_expiries, 1);
+        assert_eq!(health.shard_adoptions, 1);
+        assert_eq!(health.wal_appends, 17);
+        // A window later, the closed window's WAL appends are reported.
+        coordination.counter_add("wal.appends", 3);
+        agg.tick_on(mins(6), &run, &coordination);
+        let health = agg.snapshot_at(mins(6)).scheduler;
+        assert_eq!(
+            (health.wal_appends, health.wal_appends_last_window),
+            (20, 17)
+        );
     }
 
     #[test]
     fn alerts_are_traced_and_counted() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(quick_config());
+        let mut agg = aggregator();
         grid(&tel, GridStep::Submit, 0, 1, mins(2));
         grid(&tel, GridStep::Submit, 0, 2, mins(3));
         agg.tick(mins(8), &tel);
@@ -874,7 +776,7 @@ mod tests {
     fn same_event_sequence_gives_identical_alert_stream_and_snapshot() {
         let run = || {
             let tel = Telemetry::new();
-            let mut agg = OpsAggregator::new(quick_config());
+            let mut agg = aggregator();
             let mut alerts = Vec::new();
             for m in 0..30u64 {
                 if m % 3 == 0 {
@@ -899,22 +801,20 @@ mod tests {
     #[test]
     fn recent_alert_ring_is_bounded() {
         let tel = Telemetry::new();
-        let mut agg = OpsAggregator::new(OpsConfig {
-            recent_alerts: 2,
-            staleness_factor: 1.0,
-            update_period: Duration::from_secs(1),
-            ..quick_config()
-        });
-        // Alternate stale / fresh on three sites to generate >2 alerts.
-        for (i, site) in [0u32, 1, 2, 0, 1].into_iter().enumerate() {
-            let at = mins(i as u64 + 1);
-            report(&tel, site, 1_000_000_000, 0, at);
+        let mut agg = aggregator();
+        // Alternate stale / fresh reports to fire more alerts than the
+        // ring holds.
+        let alerts = RECENT_ALERTS as u64 + 6;
+        for i in 0..alerts {
+            let at = mins(i + 1);
+            report(&tel, (i % 3) as u32, 1_000_000_000, 0, at);
             agg.tick(at, &tel);
-            report(&tel, site, 0, 0, at);
+            report(&tel, (i % 3) as u32, 0, 0, at);
             agg.tick(at, &tel);
         }
-        let snap = agg.snapshot_at(mins(10));
-        assert!(snap.alerts_total >= 3);
-        assert_eq!(snap.recent_alerts.len(), 2);
+        let snap = agg.snapshot_at(mins(alerts + 1));
+        assert_eq!(snap.alerts_total, alerts);
+        assert_eq!(snap.recent_alerts.len(), RECENT_ALERTS);
+        assert_eq!(snap.recent_alerts.last().map(|a| a.at), Some(mins(alerts)));
     }
 }

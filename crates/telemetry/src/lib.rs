@@ -13,7 +13,10 @@
 //!   one fold of them and advances it over the records appended since the
 //!   last read, so [`Telemetry::snapshot`], [`Telemetry::counter`] and
 //!   [`Telemetry::ops_poll`] cost O(new records). [`Telemetry::counter_add`]
-//!   and [`Telemetry::gauge_set`] write the fold directly.
+//!   and [`Telemetry::gauge_set`] write the fold directly. The live ops
+//!   plane reads no copy of its own: [`Telemetry::ops_poll`] lends it the
+//!   typed events since its cursor and the folded counters and gauges in
+//!   place, as an [`OpsView`].
 //! * **Trace lines** — [`TraceEvent`]s stamped with **simulation time
 //!   only**: [`Telemetry::trace_jsonl`] and [`Telemetry::trace_events`]
 //!   render the log's lines; free-text infrastructure lines (monitor
@@ -223,21 +226,21 @@ pub enum GridStep {
 /// What [`Telemetry::ops_poll`] lends the live ops aggregator for one
 /// tick, in place under the hub lock.
 pub struct OpsView<'a> {
-    /// The trace lines recorded since the poll cursor, oldest first.
-    pub events: &'a mut dyn Iterator<Item = TraceLine>,
+    /// The typed events recorded since the poll cursor, oldest first.
+    pub events: &'a mut dyn Iterator<Item = (SimTime, Event)>,
     /// The cursor for the next poll: every record appended so far.
     pub cursor: u64,
-    /// Lifetime `wal.appends`.
-    pub wal_appends: u64,
     /// Latest `monitor.queue_depth` per site.
     pub queue_depth: Option<&'a BTreeMap<u32, f64>>,
     /// Latest `monitor.staleness` (ms) per site.
     pub staleness: Option<&'a BTreeMap<u32, f64>>,
+    /// The hub's folded counters.
+    pub counters: &'a BTreeMap<&'static str, u64>,
 }
 
-/// A trace line without its free-text detail: what [`OpsView`] lends.
+/// A trace line without its free-text detail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceLine {
+pub(crate) struct TraceLine {
     /// Simulation time of the event.
     pub sim_time: SimTime,
     /// Event kind.
@@ -587,20 +590,24 @@ impl Telemetry {
     }
 
     /// Incremental poll for the live ops aggregator: under **one** lock
-    /// acquisition, lend `read` the trace lines recorded from log position
-    /// `cursor` on, `wal.appends` and the monitor gauges, in place (see
-    /// [`OpsView`]).
+    /// acquisition, lend `read` the typed events recorded from log
+    /// position `cursor` on, the folded counters and the monitor gauges,
+    /// in place (see [`OpsView`]).
     pub fn ops_poll<R>(&self, cursor: u64, read: impl FnOnce(OpsView<'_>) -> R) -> R {
         let inner = &mut *self.inner.lock();
         inner.fold.advance(&inner.log);
         let metrics = &inner.fold.spans.sink;
-        let mut lines = inner.log.lines(cursor as usize).map(|(line, _)| line);
+        let since = inner.log.records.since(cursor as usize);
+        let mut events = since.filter_map(|r| match r.fact {
+            Fact::Event(event) => Some((r.at, event)),
+            _ => None,
+        });
         read(OpsView {
-            events: &mut lines,
+            events: &mut events,
             cursor: inner.log.records.len() as u64,
-            wal_appends: metrics.counters.get("wal.appends").copied().unwrap_or(0),
             queue_depth: metrics.site_gauges.get("monitor.queue_depth"),
             staleness: metrics.site_gauges.get("monitor.staleness"),
+            counters: &metrics.counters,
         })
     }
 
@@ -1529,18 +1536,10 @@ mod tests {
         assert!(legacy.site_gauges.is_empty());
     }
 
-    /// The lent view, copied out so assertions can run after the lock.
-    /// The lent view, copied out so assertions can run after the lock.
-    fn poll(tel: &Telemetry, cursor: u64) -> (Vec<TraceLine>, u64, u64, Vec<(u32, f64)>) {
-        tel.ops_poll(cursor, |view| {
-            let depth = view.queue_depth.into_iter().flatten();
-            (
-                view.events.collect(),
-                view.cursor,
-                view.wal_appends,
-                depth.map(|(s, v)| (*s, *v)).collect(),
-            )
-        })
+    /// The lent events and cursor, copied out so assertions can run after
+    /// the lock.
+    fn poll(tel: &Telemetry, cursor: u64) -> (Vec<(SimTime, Event)>, u64) {
+        tel.ops_poll(cursor, |view| (view.events.collect(), view.cursor))
     }
 
     #[test]
@@ -1548,34 +1547,40 @@ mod tests {
         let tel = Telemetry::new();
         tel.counter_add("wal.appends", 4);
         let (site, age) = (SiteId(1), Duration::ZERO);
-        tel.record(
-            t(0),
-            Event::SiteReport {
-                site,
-                age,
-                queued: 3,
-            },
-        );
+        let report = Event::SiteReport {
+            site,
+            age,
+            queued: 3,
+        };
+        tel.record(t(0), report);
         for i in 0..3u64 {
             grid(&tel, t(i), 1, i, GridStep::Submit);
         }
-        // Four records, three of them trace lines.
-        let (events, cursor, wal, depth) = poll(&tel, 0);
-        assert_eq!((cursor, wal), (4, 4));
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, TraceKind::GridSubmit);
-        assert_eq!(events[2].job, Some(2));
-        assert_eq!(depth, vec![(1, 3.0)]);
-        // Nothing new → empty poll, same cursor.
-        let (events, cursor2, _, _) = poll(&tel, cursor);
-        assert_eq!(cursor2, 4);
+        tel.trace(TraceKind::LeaseGranted, t(3), None, None, String::new());
+        // Five records, four of them typed events; the free-text line is
+        // not one.
+        let (wal, depth) = tel.ops_poll(0, |view| {
+            let wal = view.counters.get("wal.appends").copied();
+            (wal, view.queue_depth.cloned())
+        });
+        assert_eq!((wal, depth), (Some(4), Some(BTreeMap::from([(1, 3.0)]))));
+        let (events, cursor) = poll(&tel, 0);
+        assert_eq!(cursor, 5);
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[0], (t(0), report));
+        let step = GridStep::Submit;
+        assert_eq!(events[3], (t(2), Event::Grid { site, job: 2, step }));
+        // Nothing new → empty poll, same cursor; past the end likewise.
+        let (events, cursor2) = poll(&tel, cursor);
+        assert_eq!(cursor2, 5);
         assert!(events.is_empty());
+        assert!(poll(&tel, u64::MAX).0.is_empty());
         // New events since the cursor are seen exactly once.
         grid(&tel, t(5), 1, 0, GridStep::Start);
-        let (events, cursor3, _, _) = poll(&tel, cursor2);
-        assert_eq!(cursor3, 5);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, TraceKind::GridStart);
+        let (events, cursor3) = poll(&tel, cursor2);
+        assert_eq!(cursor3, 6);
+        let step = GridStep::Start;
+        assert_eq!(events, vec![(t(5), Event::Grid { site, job: 0, step })]);
     }
 
     /// One generated sequence driven through a hub and through the

@@ -12,7 +12,7 @@
 //! deployment as an input: the single scheduler, and the sharded
 //! deployment at 1 and 4 shards, must all behave alike.
 
-use sphinx_core::shard::ShardConfig;
+use sphinx_core::shard::{CrashPoint, ShardConfig, ShardCrash};
 use sphinx_core::{Driver, RunReport, StrategyKind};
 use sphinx_ops::OpsConfig;
 use sphinx_sim::Duration;
@@ -106,8 +106,7 @@ fn aggregator_is_a_pure_observer_without_the_fast_path() {
 
 #[test]
 fn black_hole_alert_beats_the_post_hoc_reliability_flag() {
-    let ops_config = OpsConfig::default();
-    let scenario = black_hole_scenario().ops(ops_config.clone()).build();
+    let scenario = black_hole_scenario().ops(OpsConfig::default()).build();
     for shards in DEPLOYMENTS {
         let (report, events) = run_traced(&scenario, shards);
         assert!(report.finished, "{shards:?}: {}", report.summary());
@@ -128,7 +127,7 @@ fn black_hole_alert_beats_the_post_hoc_reliability_flag() {
         let planner_period = Duration::from_secs(15); // RuntimeConfig default
         let head_start = first_flag.sim_time.since(first_alert.sim_time);
         let k_cycles =
-            Duration::from_millis(planner_period.as_millis() * u64::from(ops_config.k_windows));
+            Duration::from_millis(planner_period.as_millis() * u64::from(sphinx_ops::K_WINDOWS));
         assert!(
             head_start >= k_cycles,
             "{shards:?}: alert at {}, flag at {}: head start {} < {}",
@@ -167,4 +166,30 @@ fn fast_path_excludes_the_hole_without_changing_completion() {
             .expect("fast-path flag");
         assert_eq!(flag.sim_time, first_alert.sim_time, "{shards:?}");
     }
+}
+
+#[test]
+fn sharded_scheduler_health_reads_the_coordination_hub() {
+    // On a sharded deployment the WAL, lease and adoption facts land on
+    // the plane's hub, not the run hub; the scheduler-health view must
+    // still see them.
+    let scenario = black_hole_scenario().ops(OpsConfig::default()).build();
+    let mut rt = scenario.build_sharded_runtime(ShardConfig {
+        shards: 4,
+        crashes: vec![ShardCrash {
+            shard: 1,
+            at_cycle: 2,
+            point: CrashPoint::TornWal,
+        }],
+        ..ShardConfig::default()
+    });
+    let report = rt.try_run().expect("in-memory run");
+    assert!(report.finished, "{}", report.summary());
+    let snapshot = rt.ops_snapshot_handle().expect("ops plane on");
+    let health = snapshot.lock().scheduler;
+    assert!(health.plan_cycles > 0, "{health:?}");
+    assert!(health.wal_appends > 0, "{health:?}");
+    assert!(health.lease_grants > 0, "{health:?}");
+    assert!(health.lease_expiries >= 1, "{health:?}");
+    assert_eq!(health.shard_adoptions, 1, "{health:?}");
 }
