@@ -8,7 +8,9 @@ use sphinx::db::{CheckpointPolicy, Database, MemWal, Wal};
 use sphinx::sim::{Duration, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
+use std::fs;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn faulty() -> sphinx::workloads::ScenarioBuilder {
@@ -18,6 +20,33 @@ fn faulty() -> sphinx::workloads::ScenarioBuilder {
         .seed(21)
         .timeout(Duration::from_mins(10))
         .horizon(Duration::from_secs(24 * 3600))
+}
+
+/// Checkpoints as often as the policy allows, so a short run's log holds
+/// snapshot lines.
+const AGGRESSIVE: CheckpointPolicy = CheckpointPolicy {
+    enabled: true,
+    ratio: 2,
+    min_log_lines: 8,
+};
+
+/// The seeded run with a black hole (timeouts, replans) whose log
+/// `seeded_run_writes_the_pinned_log` pins, and its checkpoint policy.
+fn black_hole() -> (Scenario, CheckpointPolicy) {
+    let scenario = faulty()
+        .strategy(StrategyKind::CompletionTime)
+        .faults(FaultPlan {
+            black_holes: 1,
+            flaky: 0,
+            ..FaultPlan::default()
+        })
+        .build();
+    let policy = CheckpointPolicy {
+        enabled: true,
+        ratio: 4,
+        min_log_lines: 64,
+    };
+    (scenario, policy)
 }
 
 /// The crash experiment every recovery test runs: a seeded scenario on a
@@ -153,11 +182,6 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
     // the same place whether the log was never compacted or compacted
     // automatically many times along the way — and the automatic policy
     // must keep the recovery replay bounded by its ratio.
-    let aggressive = CheckpointPolicy {
-        enabled: true,
-        ratio: 2,
-        min_log_lines: 8,
-    };
     let run = |checkpoint: CheckpointPolicy| {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
         let mut recovered = WalRun::start(&scenario, checkpoint).until(4).crash();
@@ -177,7 +201,7 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
     };
 
     let (base_report, base_replayed, _) = run(CheckpointPolicy::disabled());
-    let (auto_report, auto_replayed, auto_live) = run(aggressive);
+    let (auto_report, auto_replayed, auto_live) = run(AGGRESSIVE);
 
     assert!(auto_report.finished, "{}", auto_report.summary());
     assert_eq!(
@@ -186,7 +210,7 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
     );
     // Post-commit invariant of the policy: the log was either still below
     // min_log_lines or within ratio × live rows when the crash hit.
-    let bound = (aggressive.ratio * auto_live).max(aggressive.min_log_lines);
+    let bound = (AGGRESSIVE.ratio * auto_live).max(AGGRESSIVE.min_log_lines);
     assert!(
         auto_replayed <= bound,
         "replay {auto_replayed} exceeds policy bound {bound}"
@@ -231,12 +255,7 @@ fn every_line_boundary_of_a_crash_log_recovers() {
     // Debug builds arm the FSA guard, so an unrepaired torn row panics.
     // With checkpoints off the crash-time log has 237 lines; with them on,
     // 11, snapshot lines among them.
-    let aggressive = CheckpointPolicy {
-        enabled: true,
-        ratio: 2,
-        min_log_lines: 8,
-    };
-    for policy in [CheckpointPolicy::disabled(), aggressive] {
+    for policy in [CheckpointPolicy::disabled(), AGGRESSIVE] {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
         // `GridSim` is not `Clone`: every cut re-runs the crash.
         let crashed = || WalRun::start(&scenario, policy).until(12);
@@ -272,6 +291,9 @@ fn every_line_boundary_of_a_crash_log_recovers() {
     }
 }
 
+/// FNV-1a's offset basis: the hash of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over `lines`, newline-terminated, continuing from `hash`.
 fn fnv1a(hash: u64, lines: &[String]) -> u64 {
     let bytes = lines.iter().flat_map(|l| l.bytes().chain([b'\n']));
@@ -289,20 +311,9 @@ fn seeded_run_writes_the_pinned_log() {
     // the digest covers every line of the log as the crash left it and as
     // the recovered run ended it. The constant was recorded from the last
     // commit that stored rows as JSON values (PR 16): whatever the store
-    // holds in memory, it writes these bytes.
-    let policy = CheckpointPolicy {
-        enabled: true,
-        ratio: 4,
-        min_log_lines: 64,
-    };
-    let scenario = faulty()
-        .strategy(StrategyKind::CompletionTime)
-        .faults(FaultPlan {
-            black_holes: 1,
-            flaky: 0,
-            ..FaultPlan::default()
-        })
-        .build();
+    // holds in memory, it writes these bytes. The log as the crash left
+    // it is `tests/golden/logs/era1/black_hole_torn.log` of the corpus.
+    let (scenario, policy) = black_hole();
     let run = WalRun::start(&scenario, policy).until(12);
     run.wal.tear_last_line(); // crash, mid-append
     let at_crash = run.wal.read_all().unwrap();
@@ -316,7 +327,7 @@ fn seeded_run_writes_the_pinned_log() {
     assert!(report.timeouts > 0, "the black hole must have cost replans");
 
     let digest = fnv1a(
-        fnv1a(0xcbf2_9ce4_8422_2325, &at_crash),
+        fnv1a(FNV_BASIS, &at_crash),
         &recovered.wal.read_all().unwrap(),
     );
     assert_eq!(digest, 0x4e1b_00d9_1004_bf75, "log digest {digest:#018x}");
@@ -349,4 +360,105 @@ fn every_logged_line_replays_through_the_byte_match() {
     let db = Database::recover(Box::new(recovered.wal)).unwrap();
     assert_eq!(db.replayed(), lines.len() as u64);
     assert_eq!(db.replay_fallbacks(), 0);
+}
+
+/// The log corpus: one directory per era of the log format, each holding
+/// the crash-time logs of [`corpus_runs`] as one binary wrote them and a
+/// `digests` file pinning what they recover to ([`corpus_digests`]). An
+/// era is never rewritten: every later reader must recover it alike.
+fn corpus() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/logs")
+}
+
+/// The simulated minute at which every corpus run's server is killed.
+const CORPUS_CRASH_MINS: u64 = 12;
+
+/// The runs whose crash-time logs make up an era: the file's name, the
+/// scenario, its checkpoint policy, and whether the crash tore the final
+/// line. Without checkpoints the log has 237 lines; with them 11, snapshot
+/// lines among them; the black-hole log has 91, the last one torn.
+fn corpus_runs() -> Vec<(&'static str, Scenario, CheckpointPolicy, bool)> {
+    let completion = || faulty().strategy(StrategyKind::CompletionTime).build();
+    let (black_hole, policy) = black_hole();
+    let off = CheckpointPolicy::disabled();
+    vec![
+        ("completion_time.log", completion(), off, false),
+        ("completion_time_ckpt.log", completion(), AGGRESSIVE, false),
+        ("black_hole_torn.log", black_hole, policy, true),
+    ]
+}
+
+/// What a corpus log recovers to, as `digests` stores it: the FNV-1a of the
+/// snapshot line a checkpoint prints right after `Database::recover` of
+/// the log (every table's rows, canonically), and of the JSON `RunReport`
+/// of the run re-driven to the crash and finished by a server recovered
+/// from the log. Both newline-terminated, printed in hex.
+fn corpus_digests(lines: &[String], scenario: &Scenario, policy: CheckpointPolicy) -> String {
+    let log = wal_of(lines);
+    let db = Database::recover(Box::new(log.clone())).expect("a corpus log replays");
+    // A torn tail is cut out of the log, and nothing else is.
+    let replayed = db.replayed() as usize;
+    assert_eq!(log.read_all().unwrap(), lines[..replayed]);
+    db.checkpoint().unwrap();
+    let snapshot = fnv1a(FNV_BASIS, &log.read_all().unwrap());
+    let run = WalRun::start(scenario, policy).until(CORPUS_CRASH_MINS);
+    let report = run.crash_onto(wal_of(lines)).rt.run();
+    assert!(report.finished, "{}", report.summary());
+    let report = fnv1a(FNV_BASIS, &[serde_json::to_string(&report).unwrap()]);
+    format!("{snapshot:#018x} {report:#018x}")
+}
+
+/// A log holding `lines`.
+fn wal_of(lines: &[String]) -> MemWal {
+    let mut wal = MemWal::shared();
+    for line in lines {
+        wal.append(line).unwrap();
+    }
+    wal
+}
+
+#[test]
+fn every_corpus_log_recovers_to_its_pinned_digests() {
+    let runs = corpus_runs();
+    let mut checked = 0;
+    for era in fs::read_dir(corpus()).unwrap() {
+        let era = era.unwrap().path();
+        let digests = fs::read_to_string(era.join("digests")).unwrap();
+        for entry in digests.lines() {
+            let (file, pinned) = entry.split_once(' ').unwrap();
+            let (_, scenario, policy, _) = runs.iter().find(|run| run.0 == file).unwrap();
+            let text = fs::read_to_string(era.join(file)).unwrap();
+            let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            let got = corpus_digests(&lines, scenario, *policy);
+            assert_eq!(got, pinned, "{}", era.join(file).display());
+            checked += 1;
+        }
+    }
+    assert!(checked >= runs.len(), "{checked} corpus logs");
+}
+
+/// Writes the next era of the corpus (`eraN`, one past the eras there
+/// are) from this binary's crash-time logs, digests included. Run it with
+/// `cargo test --test fault_tolerance -- --ignored` after changing the log
+/// format on purpose; it refuses to write into an era that exists.
+#[test]
+#[ignore]
+fn write_a_new_corpus_era() {
+    fs::create_dir_all(corpus()).unwrap();
+    let eras = fs::read_dir(corpus()).unwrap().count();
+    let era = corpus().join(format!("era{}", eras + 1));
+    fs::create_dir(&era).expect("a new era directory");
+    let mut digests = String::new();
+    for (file, scenario, policy, torn) in corpus_runs() {
+        let run = WalRun::start(&scenario, policy).until(CORPUS_CRASH_MINS);
+        if torn {
+            run.wal.tear_last_line();
+        }
+        let lines = run.wal.read_all().unwrap();
+        let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        fs::write(era.join(file), text).unwrap();
+        let pinned = corpus_digests(&lines, &scenario, policy);
+        digests.push_str(&format!("{file} {pinned}\n"));
+    }
+    fs::write(era.join("digests"), digests).unwrap();
 }
