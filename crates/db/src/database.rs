@@ -80,7 +80,6 @@ pub struct Database {
     tables: Mutex<Store>,
     wal: Mutex<Box<dyn Wal>>,
     checkpoint: CheckpointPolicy,
-    commits: AtomicU64,
     /// Lines currently in the log (replayed + appended − compacted away).
     log_lines: AtomicU64,
     /// Log lines replayed by `recover` (0 for a fresh database).
@@ -95,7 +94,7 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("tables", &self.tables.lock().tables().len())
-            .field("commits", &self.commits.load(Ordering::Relaxed))
+            .field("log_lines", &self.log_lines())
             .finish()
     }
 }
@@ -125,7 +124,6 @@ impl Database {
             tables: Mutex::new(store),
             wal: Mutex::new(wal),
             checkpoint,
-            commits: AtomicU64::new(0),
             log_lines: AtomicU64::new(replayed),
             replayed,
             decode_failures: AtomicU64::new(0),
@@ -146,13 +144,12 @@ impl Database {
     /// a time, and each line is checked byte by byte, UTF-8 included, but
     /// no row is decoded and no JSON tree is built: each put row is kept
     /// as its text until the first typed access to its table decodes it.
-    /// A line in the shape this crate prints is matched against that shape
-    /// and its rows stepped over without recursion; any other line is read
-    /// member by member ([`Database::replay_fallbacks`] counts those).
-    /// A torn *final* line is treated as an interrupted commit: it is
-    /// dropped AND cut out of the log ([`Wal::truncate`]; otherwise the
-    /// next append would merge with the torn bytes and corrupt a later
-    /// recovery). A malformed line anywhere else is corruption and fails
+    /// Every line is matched against the shape this crate prints it in,
+    /// its rows stepped over without recursion; a line in any other shape
+    /// does not replay. Such a *final* line is treated as an interrupted
+    /// commit: it is dropped AND cut out of the log ([`Wal::truncate`];
+    /// otherwise the next append would merge with the torn bytes and
+    /// corrupt a later recovery). Anywhere else it is corruption and fails
     /// recovery as [`DbError::Corrupt`] naming it. A row that is JSON but
     /// not its table's row type fails, as [`DbError::Codec`], the typed
     /// reads that cover it.
@@ -209,14 +206,6 @@ impl Database {
     /// Log lines replayed when this database was built by [`Database::recover`].
     pub fn replayed(&self) -> u64 {
         self.replayed
-    }
-
-    /// Lines of the log that [`Database::recover`] could not match byte for
-    /// byte against the shape this crate prints them in, and read through
-    /// its general member loop instead (a torn final line among them): 0
-    /// for a log this crate wrote whole.
-    pub fn replay_fallbacks(&self) -> u64 {
-        self.tables.lock().fallbacks
     }
 
     /// Lines currently in the write-ahead log.
@@ -292,7 +281,6 @@ impl Database {
         self.log_lines.fetch_add(1, Ordering::Relaxed);
         self.with_hub(|t| t.counter_add("wal.appends", 1));
         let out = apply(&mut store, prepared)?;
-        self.commits.fetch_add(1, Ordering::Relaxed);
         // Deterministic: the decision depends only on log length and
         // live-row count.
         let policy = self.checkpoint;
@@ -536,11 +524,6 @@ impl Database {
             .collect()
     }
 
-    /// Number of committed transactions on this handle.
-    pub fn commit_count(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
     /// Compact the log to one snapshot entry describing the current state.
     pub fn checkpoint(&self) -> Result<(), DbError> {
         self.checkpoint_locked(&self.tables.lock())
@@ -597,11 +580,6 @@ impl<'a> Ns<'a> {
     /// The namespace prefix this handle addresses.
     pub fn prefix(&self) -> &str {
         &self.prefix
-    }
-
-    /// The full table name used for record type `R`.
-    pub fn table_of<R: Record>(&self) -> String {
-        self.at::<R, _>(|_, table| table.to_owned())
     }
 
     /// Run `f` against the database and `R`'s table name in this namespace.
@@ -865,7 +843,7 @@ mod tests {
         let tel = Telemetry::shared();
         db.attach_telemetry(Arc::clone(&tel));
         db.insert(&item(1, "a", 10)).unwrap();
-        // Declined: the row, the log and the commit count stay put.
+        // Declined: the row and the log stay put.
         let out = db
             .update_if::<Item, u32>(1, |r| {
                 r.weight = 99;
@@ -873,7 +851,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, None);
-        assert_eq!((wal.len(), db.commit_count()), (1, 1));
+        assert_eq!((wal.len(), db.log_lines()), (1, 1));
         assert_eq!(db.get::<Item>(1).unwrap().weight, 10);
         // Accepted: the closure's value comes back, the row is committed.
         let prior = db
@@ -1183,7 +1161,8 @@ mod tests {
         let ns = db.namespace("s0");
         let rows = ns.scan::<Item>().unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(ns.table_of::<Item>(), "s0/items");
+        let names: Vec<String> = db.stats().into_iter().map(|t| t.name).collect();
+        assert_eq!(names, ["s0/items", "s1/items"]);
     }
 
     #[test]
@@ -1202,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_commit_count() {
+    fn stats_and_log_lines() {
         let db = Database::in_memory();
         db.insert(&item(1, "a", 1)).unwrap();
         db.insert(&item(2, "b", 2)).unwrap();
@@ -1214,7 +1193,7 @@ mod tests {
                 rows: 2
             }]
         );
-        assert_eq!(db.commit_count(), 2);
+        assert_eq!(db.log_lines(), 2);
     }
 }
 
@@ -1224,11 +1203,12 @@ mod tests {
 /// final line is dropped and cut out of the log; damage anywhere else is
 /// `Corrupt` naming its line, or, where the line still reads as a log
 /// line, rows that fail the first typed read of them as `Codec`. Never a
-/// panic, and always what the derived `LogEntry` decoder says.
+/// panic, and always what the derived `LogEntry` decoder says, or, for a
+/// damaged line the decoder reads but the store never prints, `Corrupt`.
 #[cfg(test)]
 mod byte_offsets {
     use super::*;
-    use crate::txn::{oracle, wal_of, Model};
+    use crate::txn::{oracle, verdict, wal_of, Model, Verdict};
     use crate::wal::{temp_path, FileWal, FsyncPolicy, MemWal};
     use serde::Deserialize;
 
@@ -1391,7 +1371,8 @@ mod byte_offsets {
         }
     }
 
-    /// The outcome the derived decoder gives: rows decoded from its values.
+    /// The outcome the derived decoder gives, rows decoded from its values,
+    /// each line held to [`verdict`] and the ones replay refuses refused.
     fn expected(lines: &[String]) -> Outcome {
         fn rows<R: Record>(model: &Model) -> Result<Vec<R>, ()> {
             let Some(rows) = model.get(R::TABLE) else {
@@ -1401,7 +1382,7 @@ mod byte_offsets {
                 .map(|v| serde_json::from_value(v.clone()).map_err(drop))
                 .collect()
         }
-        match oracle(lines) {
+        match oracle(lines, |line| verdict(line) == Verdict::Stricter) {
             Err(line) => Outcome::Corrupt(line),
             Ok((model, _)) => Outcome::Read {
                 items: rows(&model),
@@ -1428,20 +1409,16 @@ mod byte_offsets {
     }
 
     /// Every line the store writes, the checkpoint's among them, is read
-    /// by recovery's byte match. A printer that drifted from the shape it
-    /// matches would still recover, through the member loop and slowly;
-    /// this is what notices.
+    /// by recovery's byte match, and a torn tail after them is refused.
     #[test]
     fn every_line_of_the_seeded_log_takes_the_byte_match() {
-        let lines = seeded_log();
+        let mut lines = seeded_log();
+        let whole = lines.len() as u64;
         let db = Database::recover(Box::new(wal_of(&lines))).unwrap();
-        let read = (db.replayed(), db.replay_fallbacks());
-        assert_eq!(read, (lines.len() as u64, 0));
-        // A torn tail is read, and refused, by the member loop.
-        let mut lines = lines.clone();
+        assert_eq!(db.replayed(), whole);
         lines.push(r#"{"kind":"txn","ops":[{"key":1"#.to_owned());
         let db = Database::recover(Box::new(wal_of(&lines))).unwrap();
-        assert_eq!(db.replay_fallbacks(), 1);
+        assert_eq!(db.replayed(), whole);
     }
 
     /// `lines` as the file log holds them: each followed by its `\n`.
@@ -1511,12 +1488,15 @@ mod byte_offsets {
         }
     }
 
+    /// Flipped bytes the decoder reads but replay refuses, which a member
+    /// loop behind the byte match once read, are counted per line.
     #[test]
-    fn a_flipped_byte_anywhere_in_a_line_gives_the_oracles_outcome() {
+    fn a_flipped_byte_anywhere_in_a_line_gives_the_oracles_outcome_or_corrupt() {
         let lines = seeded_log();
+        let mut stricter = Vec::new();
         // The snapshot, and a txn line from the middle of the log.
         for line in [0, lines.len() / 2] {
-            let (mut corrupt, mut codec) = (0, 0);
+            let (mut corrupt, mut codec, mut refused) = (0, 0, 0);
             for at in 0..lines[line].len() {
                 let mask = 1 << (at % 7);
                 let mut bytes = lines[line].clone().into_bytes();
@@ -1544,6 +1524,7 @@ mod byte_offsets {
                     );
                     continue;
                 };
+                refused += usize::from(verdict(&text) == Verdict::Stricter);
                 let mut flipped = lines.clone();
                 flipped[line] = text;
                 let want = expected(&flipped);
@@ -1569,6 +1550,9 @@ mod byte_offsets {
                 corrupt > 0 && codec > 0,
                 "line {line}: {corrupt} corrupt, {codec} codec"
             );
+            stricter.push((line, refused));
         }
+        // No flip this sweep makes leaves a line the decoder reads.
+        assert_eq!(stricter, [(0, 0), (lines.len() / 2, 0)]);
     }
 }

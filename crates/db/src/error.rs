@@ -10,9 +10,10 @@ pub enum DbError {
     Codec { table: String, message: String },
     /// The write-ahead log could not be read or written.
     Wal(std::io::Error),
-    /// The write-ahead log contains an entry that is not valid JSON and is
-    /// not the final line (a torn final line is tolerated as an
-    /// interrupted commit; a torn middle line means real corruption).
+    /// The write-ahead log contains an entry that is not a line in the
+    /// printed shape and is not the final line (a torn final line is
+    /// tolerated as an interrupted commit; a torn middle line means real
+    /// corruption).
     Corrupt { line: usize, message: String },
     /// A duplicate primary key on `insert` (use `put` to overwrite).
     DuplicateKey { table: String, key: u64 },

@@ -3,13 +3,15 @@
 //! Recovery reads back lines that [`crate::txn::TxnLine`] and
 //! [`crate::txn::snapshot_line`] printed, and those come in one shape:
 //! members in one order, no whitespace, and rows printed canonically. A
-//! [`Printed`] cursor matches a line against that shape byte for byte,
-//! and [`value_end`] steps over a row without recursion and without
-//! parsing its numbers. Neither ever refuses text: where a line leaves the
-//! shape, or a row holds something the scanner is not sure of, they give
-//! up (`None`), and the general reader (`serde::read::Reader`) reads it and
+//! [`Printed`] cursor matches a line against that shape byte for byte and
+//! refuses it at the first byte that differs, naming the offset and what
+//! the printer writes there. [`value_end`] steps over a row without
+//! recursion and without parsing its numbers; it never refuses text: where
+//! a row holds something it is not sure of, it gives up (`None`), and the
+//! general reader (`serde::read::Reader::skip`) steps over that row and
 //! gives the verdict, error message included.
 
+use serde::de::Error;
 use serde::read::Reader;
 
 /// How many arrays and objects [`value_end`] follows, one bit of its stack
@@ -150,7 +152,7 @@ fn quote_or_backslash(bytes: &[u8], mut at: usize) -> Option<usize> {
 }
 
 /// A cursor matching a line against the bytes this program prints for it.
-/// Every step answers `None` at the first byte that differs.
+/// Every step refuses the line at the first byte that differs.
 pub(crate) struct Printed<'a> {
     line: &'a str,
     at: usize,
@@ -165,6 +167,14 @@ impl<'a> Printed<'a> {
         self.line.as_bytes().get(self.at..).unwrap_or_default()
     }
 
+    /// The line leaves the printed shape here, where the printer writes
+    /// `expected`.
+    fn refuse(&self, expected: impl std::fmt::Display) -> Error {
+        // Once per recovery at most: a refused line ends the replay.
+        let message = format!("expected {expected} at offset {}", self.at); // sphinx-lint: allow(hot-alloc)
+        Error::custom(message)
+    }
+
     /// Step over `text` if the line has it here.
     pub(crate) fn eat(&mut self, text: &str) -> bool {
         let hit = self.rest().starts_with(text.as_bytes());
@@ -172,60 +182,71 @@ impl<'a> Printed<'a> {
         hit
     }
 
-    /// Step over `text`, or give up.
-    pub(crate) fn step(&mut self, text: &str) -> Option<()> {
-        self.eat(text).then_some(())
+    /// Step over `text`, or refuse the line.
+    pub(crate) fn step(&mut self, text: &str) -> Result<(), Error> {
+        match self.eat(text) {
+            true => Ok(()),
+            false => Err(self.refuse(format_args!("`{text}`"))),
+        }
     }
 
-    /// After an element of a list: `Some(true)` past the `,` before
-    /// another, `Some(false)` past the `]` that closes it.
-    pub(crate) fn more(&mut self) -> Option<bool> {
-        match self.rest().first()? {
-            b',' => Some(true),
-            b']' => Some(false),
-            _ => None,
-        }
-        .inspect(|_| self.at += 1)
+    /// After an element of a list: `true` past the `,` before another,
+    /// `false` past the `]` that closes it.
+    pub(crate) fn more(&mut self) -> Result<bool, Error> {
+        let more = match self.rest().first() {
+            Some(b',') => true,
+            Some(b']') => false,
+            _ => return Err(self.refuse("`,` or `]`")),
+        };
+        self.at += 1;
+        Ok(more)
     }
 
     /// The whole line has been matched.
-    pub(crate) fn at_end(&self) -> bool {
-        self.at == self.line.len()
+    pub(crate) fn end(&self) -> Result<(), Error> {
+        match self.at == self.line.len() {
+            true => Ok(()),
+            false => Err(self.refuse("the end of the line")),
+        }
     }
 
     /// A key as `u64::write_json` prints it: digits that fit.
-    pub(crate) fn key(&mut self) -> Option<u64> {
+    pub(crate) fn key(&mut self) -> Result<u64, Error> {
         let n = digits(self.rest(), 0);
-        let text = self.rest().get(..n).filter(|text| !text.is_empty())?;
+        let text = self.rest().get(..n).unwrap_or_default();
         let key = text.iter().try_fold(0u64, |key, &d| {
             key.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        })?;
+        });
+        let key = key.filter(|_| n > 0).ok_or_else(|| self.refuse("a key"))?;
         self.at += n;
-        Some(key)
+        Ok(key)
     }
 
-    /// A name literal without escapes: the range of the literal, quotes
-    /// included.
-    pub(crate) fn name(&mut self) -> Option<(usize, usize)> {
-        let end = string_end(self.line.as_bytes(), self.at)?;
+    /// A name literal without escapes: the range of the name, quotes
+    /// excluded.
+    pub(crate) fn name(&mut self) -> Result<(usize, usize), Error> {
+        let end = string_end(self.line.as_bytes(), self.at)
+            .ok_or_else(|| self.refuse("a name without escapes"))?;
         let at = std::mem::replace(&mut self.at, end);
-        Some((at, end))
+        Ok((at + 1, end - 1))
     }
 
     /// A row: the range of its text. What the scanner is not sure of,
-    /// `Reader::skip` steps over, and text that is not JSON gives up.
-    pub(crate) fn row(&mut self) -> Option<(usize, usize)> {
+    /// `Reader::skip` steps over, and text that is not JSON gets its error.
+    pub(crate) fn row(&mut self) -> Result<(usize, usize), Error> {
         let from = self.at;
         self.at = match value_end(self.line.as_bytes(), from) {
             Some(end) => end,
             None => {
                 let mut r = Reader::at(self.line, from);
                 // Whitespace before the row is not the printed shape.
-                (r.pos() == from).then_some(())?;
-                from + r.skip().ok()?.len()
+                if r.pos() != from {
+                    return Err(self.refuse("a row"));
+                }
+                from + r.skip()?.len()
             }
         };
-        Some((from, self.at))
+        Ok((from, self.at))
     }
 }
 

@@ -9,12 +9,11 @@
 //! exists only in the log line a commit prints.
 
 use crate::error::DbError;
-use crate::txn::{read_members, read_printed, OpAt, Replayed};
+use crate::txn::{read_printed, OpAt, Replayed};
 use serde::de::DeserializeOwned;
 use serde::read::{write_canonical, Reader};
 use serde::Serialize;
 use std::any::Any;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
@@ -197,31 +196,22 @@ pub(crate) struct Store {
     pub(crate) line: String,
     /// The ops of the line being replayed, kept for the next line's.
     replay_ops: Vec<OpAt>,
-    /// Lines replayed through the member loop: not in the printed shape.
-    pub(crate) fallbacks: u64,
 }
 
 impl Store {
     /// Replay one log line (nothing is typed yet), keeping each put row as
-    /// its text. A line in the shape the store prints is matched byte for
-    /// byte ([`read_printed`]); any other is read by the member loop
-    /// ([`read_members`]), which gives every verdict. The whole line is
-    /// read before the store changes, so a line that does not read
-    /// (`Err`) leaves the store as it was.
+    /// its text. The line is matched byte for byte against the shape the
+    /// store prints ([`read_printed`]), which gives every verdict. The
+    /// whole line is read before the store changes, so a line that does
+    /// not read (`Err`) leaves the store as it was.
     pub(crate) fn replay(&mut self, line: &str) -> Result<(), serde::de::Error> {
-        let read = match read_printed(line, &mut self.replay_ops) {
-            Some(read) => read,
-            None => {
-                self.fallbacks += 1;
-                read_members(line, &mut self.replay_ops)?
-            }
-        };
-        match read {
+        match read_printed(line, &mut self.replay_ops)? {
             Replayed::Txn => {
                 let ops = std::mem::take(&mut self.replay_ops);
-                let applied = ops.iter().try_for_each(|op| self.replay_op(line, op));
+                for op in &ops {
+                    self.replay_op(line, op);
+                }
                 self.replay_ops = ops;
-                applied?;
             }
             Replayed::Snapshot(tables) => {
                 self.live_rows = tables.values().map(|t| t.len() as u64).sum();
@@ -231,29 +221,25 @@ impl Store {
         Ok(())
     }
 
-    /// Apply one op of a `txn` line that has been read whole (so reading
-    /// an escaped table name again cannot fail).
-    fn replay_op(&mut self, line: &str, op: &OpAt) -> Result<(), serde::de::Error> {
+    /// Apply one op of a `txn` line that has been read whole.
+    fn replay_op(&mut self, line: &str, op: &OpAt) {
         let (from, to) = op.table;
-        let name = match line.get(from + 1..to - 1) {
-            Some(name) if !name.contains('\\') => Cow::Borrowed(name),
-            _ => Reader::at(line, from).string()?,
-        };
+        let name = line.get(from..to).unwrap_or_default();
         let Some((from, to)) = op.row else {
-            self.apply_del(&name, op.key);
-            return Ok(());
+            self.apply_del(name, op.key);
+            return;
         };
         let text = Box::from(line.get(from..to).unwrap_or_default());
-        let fresh = match self.tables.get_mut(&*name) {
+        let fresh = match self.tables.get_mut(name) {
             Some(table) => table.raw.insert(op.key, text).is_none(),
             None => {
                 let table = Table::replayed(BTreeMap::from([(op.key, text)]));
-                self.tables.insert(name.into_owned(), table);
+                // Recovery runs once, at start-up; a table is named once.
+                self.tables.insert(name.to_owned(), table); // sphinx-lint: allow(hot-alloc)
                 true
             }
         };
         self.live_rows += u64::from(fresh);
-        Ok(())
     }
 
     pub(crate) fn row_count(&self) -> u64 {

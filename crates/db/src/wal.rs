@@ -213,11 +213,6 @@ impl FileWal {
         &self.path
     }
 
-    /// The durability policy this log was opened with.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.fsync
-    }
-
     /// Fsync the directory holding the log so a just-renamed file's
     /// directory entry is durable too (rename is only atomic *and*
     /// persistent once the parent directory has been synced).
@@ -743,7 +738,6 @@ mod tests {
         let path = temp_path("nofsync");
         {
             let mut w = FileWal::open_with(&path, FsyncPolicy::Never).unwrap();
-            assert_eq!(w.fsync_policy(), FsyncPolicy::Never);
             w.append("a").unwrap();
             w.rewrite(&["snap".to_owned()]).unwrap();
             w.append("b").unwrap();
