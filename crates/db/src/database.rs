@@ -94,7 +94,6 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("tables", &self.tables.lock().tables().len())
-            .field("log_lines", &self.log_lines())
             .finish()
     }
 }

@@ -640,7 +640,7 @@ mod replay_oracle {
         Stricter,
     }
 
-    /// What one line holds, as the decoder reads it, rows as `Value`s.
+    /// What one line holds, rows as `Value`s.
     #[derive(Debug, PartialEq)]
     enum Read {
         Txn(Vec<(String, u64, Option<Value>)>),
