@@ -17,6 +17,10 @@ pub enum DbError {
     Corrupt { line: usize, message: String },
     /// A duplicate primary key on `insert` (use `put` to overwrite).
     DuplicateKey { table: String, key: u64 },
+    /// A table name that needs a JSON escape (`"`, `\` or a control
+    /// character). The log prints names without escapes, so a commit to
+    /// such a table is refused before anything is logged.
+    TableName { table: String },
     /// The table already holds rows of another type (two record types
     /// sharing a table name, or a queue attached with a second message type).
     TableType { table: String },
@@ -34,6 +38,9 @@ impl fmt::Display for DbError {
             }
             DbError::DuplicateKey { table, key } => {
                 write!(f, "duplicate key {key} in table `{table}`")
+            }
+            DbError::TableName { table } => {
+                write!(f, "table name {table:?} needs an escape in the log")
             }
             DbError::TableType { table } => {
                 write!(f, "table `{table}` is open as another row type")

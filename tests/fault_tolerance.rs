@@ -361,9 +361,13 @@ fn every_logged_line_replays_through_the_byte_match() {
 }
 
 /// The log corpus: one directory per era of the log format, each holding
-/// the crash-time logs of [`corpus_runs`] as one binary wrote them and a
-/// `digests` file pinning what they recover to ([`corpus_digests`]). An
-/// era is never rewritten: every later reader must recover it alike.
+/// the crash-time logs of [`corpus_runs`] as one binary wrote them, a
+/// `digests` file pinning the tables each recovers to and a `reports` file
+/// pinning the run a server recovered from each finishes
+/// ([`corpus_digests`]). The logs and `digests` are never rewritten: every
+/// later reader must recover them alike. `reports` also depends on the
+/// scheduler that finishes the run, so a change that moves schedules on
+/// purpose re-pins it.
 fn corpus() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/logs")
 }
@@ -386,12 +390,16 @@ fn corpus_runs() -> Vec<(&'static str, Scenario, CheckpointPolicy, bool)> {
     ]
 }
 
-/// What a corpus log recovers to, as `digests` stores it: the FNV-1a of the
-/// snapshot line a checkpoint prints right after `Database::recover` of
-/// the log (every table's rows, canonically), and of the JSON `RunReport`
-/// of the run re-driven to the crash and finished by a server recovered
-/// from the log. Both newline-terminated, printed in hex.
-fn corpus_digests(lines: &[String], scenario: &Scenario, policy: CheckpointPolicy) -> String {
+/// What a corpus log recovers to: the FNV-1a of the snapshot line a
+/// checkpoint prints right after `Database::recover` of the log (every
+/// table's rows, canonically), as `digests` stores it, and of the JSON
+/// `RunReport` of the run re-driven to the crash and finished by a server
+/// recovered from the log, as `reports` stores it. Both in hex.
+fn corpus_digests(
+    lines: &[String],
+    scenario: &Scenario,
+    policy: CheckpointPolicy,
+) -> (String, String) {
     let log = wal_of(lines);
     let db = Database::recover(Box::new(log.clone())).expect("a corpus log replays");
     // A torn tail is cut out of the log, and nothing else is.
@@ -403,7 +411,7 @@ fn corpus_digests(lines: &[String], scenario: &Scenario, policy: CheckpointPolic
     let report = run.crash_onto(wal_of(lines)).rt.run();
     assert!(report.finished, "{}", report.summary());
     let report = fnv1a(FNV_BASIS, &[serde_json::to_string(&report).unwrap()]);
-    format!("{snapshot:#018x} {report:#018x}")
+    (format!("{snapshot:#018x}"), format!("{report:#018x}"))
 }
 
 /// A log holding `lines`.
@@ -415,6 +423,15 @@ fn wal_of(lines: &[String]) -> MemWal {
     wal
 }
 
+/// The digest a `digests` or `reports` file pins for `file`.
+fn pinned<'a>(pins: &'a str, file: &str) -> &'a str {
+    let mut pin = pins.lines().filter_map(|pin| pin.split_once(' '));
+    let pin = pin
+        .find(|(name, _)| *name == file)
+        .map(|(_, digest)| digest);
+    pin.unwrap_or_else(|| panic!("no pin for {file}"))
+}
+
 #[test]
 fn every_corpus_log_recovers_to_its_pinned_digests() {
     let runs = corpus_runs();
@@ -422,13 +439,28 @@ fn every_corpus_log_recovers_to_its_pinned_digests() {
     for era in fs::read_dir(corpus()).unwrap() {
         let era = era.unwrap().path();
         let digests = fs::read_to_string(era.join("digests")).unwrap();
+        let reports = fs::read_to_string(era.join("reports")).unwrap();
         for entry in digests.lines() {
-            let (file, pinned) = entry.split_once(' ').unwrap();
+            let (file, tables) = entry.split_once(' ').unwrap();
             let (_, scenario, policy, _) = runs.iter().find(|run| run.0 == file).unwrap();
-            let text = fs::read_to_string(era.join(file)).unwrap();
+            let path = era.join(file);
+            let text = fs::read_to_string(&path).unwrap();
             let lines: Vec<String> = text.lines().map(str::to_owned).collect();
-            let got = corpus_digests(&lines, scenario, *policy);
-            assert_eq!(got, pinned, "{}", era.join(file).display());
+            let (got_tables, got_report) = corpus_digests(&lines, scenario, *policy);
+            assert_eq!(
+                got_tables,
+                tables,
+                "{} recovers other tables",
+                path.display()
+            );
+            assert_eq!(
+                got_report,
+                pinned(&reports, file),
+                "{} finishes another run: if schedules moved on purpose, \
+                 re-pin `{file} {got_report}` in {}",
+                path.display(),
+                era.join("reports").display(),
+            );
             checked += 1;
         }
     }
@@ -446,7 +478,7 @@ fn write_a_new_corpus_era() {
     let eras = fs::read_dir(corpus()).unwrap().count();
     let era = corpus().join(format!("era{}", eras + 1));
     fs::create_dir(&era).expect("a new era directory");
-    let mut digests = String::new();
+    let (mut digests, mut reports) = (String::new(), String::new());
     for (file, scenario, policy, torn) in corpus_runs() {
         let run = WalRun::start(&scenario, policy).until(CORPUS_CRASH_MINS);
         if torn {
@@ -455,8 +487,10 @@ fn write_a_new_corpus_era() {
         let lines = run.wal.read_all().unwrap();
         let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
         fs::write(era.join(file), text).unwrap();
-        let pinned = corpus_digests(&lines, &scenario, policy);
-        digests.push_str(&format!("{file} {pinned}\n"));
+        let (tables, report) = corpus_digests(&lines, &scenario, policy);
+        digests.push_str(&format!("{file} {tables}\n"));
+        reports.push_str(&format!("{file} {report}\n"));
     }
     fs::write(era.join("digests"), digests).unwrap();
+    fs::write(era.join("reports"), reports).unwrap();
 }
