@@ -5,7 +5,7 @@
 //! reachable from a `// sphinx-hot` root (see [`crate::callgraph`]) are
 //! scanned for allocation-shaped constructs:
 //!
-//! - `.clone()`, `.to_vec()`, `.to_owned()`, `.collect(...)`
+//! - `.clone()`, `.to_vec()`, `.to_owned()`, `.into_owned()`, `.collect(...)`
 //! - `format!(...)`, `String::from(...)`, `Box::new(...)`
 //! - `Vec::new()` inside a loop body
 //!
@@ -24,7 +24,14 @@ use std::collections::BTreeMap;
 pub const HOT_ALLOC: &str = "hot-alloc";
 
 /// Methods whose call allocates (or clones) the receiver's contents.
-const ALLOC_METHODS: &[&str] = &["clone", "cloned", "to_vec", "to_owned", "collect"];
+const ALLOC_METHODS: &[&str] = &[
+    "clone",
+    "cloned",
+    "to_vec",
+    "to_owned",
+    "into_owned",
+    "collect",
+];
 
 /// The hot-path scan result: findings plus per-crate budget counts.
 pub struct HotReport {
@@ -148,6 +155,16 @@ mod tests {
         let src = "// sphinx-hot\nfn hot() { helper(); }\nfn helper(v: &[u8]) { v.to_vec(); }\n";
         let r = report(src);
         assert_eq!(r.findings.len(), 1);
+        assert_eq!(r.findings[0].line, 3);
+        assert_eq!(r.counts["crates/x"], 1);
+    }
+
+    #[test]
+    fn cow_into_owned_is_an_allocation() {
+        let src = "// sphinx-hot\nfn hot(name: Cow<str>) {\n    let _ = name.into_owned();\n}\n";
+        let r = report(src);
+        assert_eq!(r.findings.len(), 1);
+        assert_eq!(r.findings[0].rule, HOT_ALLOC);
         assert_eq!(r.findings[0].line, 3);
         assert_eq!(r.counts["crates/x"], 1);
     }

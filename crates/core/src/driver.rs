@@ -453,14 +453,14 @@ impl Driver {
         self.schedule_initial_wakeups()?;
         let horizon = SimTime::ZERO + self.config.horizon;
         let stop = stop.min(horizon);
+        let mailbox = Arc::clone(&self.mailbox);
+        let inbox: Queue<StatusReport> = Queue::new(&mailbox, INBOX);
         while !self.all_finished() && self.grid.now() < stop {
             if !self.grid.step() {
                 break; // grid drained (no recurring processes configured)
             }
             let now = self.grid.now();
             let notifications = self.grid.poll();
-            let mailbox = Arc::clone(&self.mailbox);
-            let inbox: Queue<StatusReport> = Queue::new(&mailbox, INBOX);
             for n in notifications {
                 match n {
                     Notification::Wakeup {

@@ -57,7 +57,7 @@ use crate::state::JobRow;
 use crate::strategy::SiteInfo;
 use serde::{Deserialize, Serialize};
 use sphinx_dag::{Dag, DagId};
-use sphinx_db::{CheckpointPolicy, Database, MemWal, Queue, Record};
+use sphinx_db::{CheckpointPolicy, Database, MemWal, Queue, QueueName, Record};
 use sphinx_grid::GridSim;
 use sphinx_policy::UserId;
 use sphinx_sim::{Duration, SimTime};
@@ -277,6 +277,9 @@ pub(crate) struct Plane {
     /// Precomputed `shard{i}` namespace names, so per-plan ledger writes
     /// address the coordination db without formatting a fresh String.
     ns_names: Vec<String>,
+    /// Precomputed names of each shard's inbox queue (`shard{i}/inbox`),
+    /// so a delivered report attaches to it without formatting any.
+    inbox_names: Vec<QueueName>,
 }
 
 impl Plane {
@@ -291,6 +294,7 @@ impl Plane {
         let hub = Arc::new(Telemetry::with_config(runtime.telemetry.clone()));
         let db = Arc::new(Database::in_memory());
         db.attach_telemetry(Arc::clone(&hub));
+        let ns_names: Vec<String> = (0..n).map(|i| format!("shard{i}")).collect();
         let segments: Vec<MemWal> = (0..n).map(|_| MemWal::shared()).collect();
         let servers = segments
             .iter()
@@ -310,7 +314,11 @@ impl Plane {
             remap: (0..n).collect(),
             orphans: Vec::new(),
             adoptions: Vec::new(),
-            ns_names: (0..n).map(|i| format!("shard{i}")).collect(),
+            inbox_names: ns_names
+                .iter()
+                .map(|ns| QueueName::namespaced(ns, "inbox"))
+                .collect(),
+            ns_names,
         };
         (plane, servers)
     }
@@ -334,6 +342,15 @@ impl Plane {
     /// future refactor breaking that invariant without a panic path.
     pub(crate) fn shard_ns(&self, i: usize) -> &str {
         self.ns_names.get(i).map_or("shard-invalid", String::as_str)
+    }
+
+    /// Shard `i`'s inbox queue on `db`, attached through its precomputed
+    /// name (the fallback, as in [`Self::shard_ns`], only guards the index).
+    fn shard_inbox<'a>(&'a self, db: &'a Database, i: usize) -> Queue<'a, StatusReport> {
+        match self.inbox_names.get(i) {
+            Some(name) => Queue::at(db, name),
+            None => Queue::namespaced(db, self.shard_ns(i), "inbox"),
+        }
     }
 
     /// Open the epoch and grant every live shard its first lease.
@@ -417,7 +434,7 @@ impl Plane {
         now: SimTime,
     ) -> CoreResult<()> {
         let db = Arc::clone(server.database());
-        let inbox: Queue<StatusReport> = Queue::namespaced(&db, self.shard_ns(owner), "inbox");
+        let inbox = self.shard_inbox(&db, owner);
         inbox.push(report)?;
         server.handle_report_shared(sched, report.clone(), now)?;
         inbox.pop()?;
@@ -511,7 +528,7 @@ impl Plane {
         // Un-acked reports the dead shard pushed to its local inbox but
         // crashed before acknowledging (at-least-once delivery; the FSA
         // guards make re-handling idempotent).
-        let pending: Queue<StatusReport> = Queue::namespaced(&donor, self.shard_ns(dead), "inbox");
+        let pending = self.shard_inbox(&donor, dead);
         for report in pending.peek_all()? {
             self.deliver(adopter, server, sched, &report, now)?;
             redelivered += 1;

@@ -2,7 +2,7 @@
 
 use crate::error::DbError;
 use crate::table::{Row, Store, Table};
-use crate::txn::{snapshot_line, Txn, TxnLine};
+use crate::txn::{write_snapshot, Txn, TxnLine};
 use crate::wal::Wal;
 use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
@@ -199,7 +199,7 @@ impl Database {
     /// The snapshot line a checkpoint would write now.
     #[cfg(test)]
     pub(crate) fn snapshot_line(&self) -> String {
-        snapshot_line(&self.tables.lock())
+        crate::txn::snapshot_line(&self.tables.lock())
     }
 
     /// Log lines replayed when this database was built by [`Database::recover`].
@@ -534,7 +534,8 @@ impl Database {
     /// guard keeps every committer out until the log holds the snapshot,
     /// so no line can land between the two and be erased by the rewrite.
     fn checkpoint_locked(&self, store: &Store) -> Result<(), DbError> {
-        self.wal.lock().rewrite(&[snapshot_line(store)])?;
+        let print = &mut |out: &mut String| write_snapshot(store, out);
+        self.wal.lock().rewrite_printed(print)?;
         self.log_lines.store(1, Ordering::Relaxed);
         self.with_hub(|t| t.record(Default::default(), Event::WalCheckpoint));
         Ok(())

@@ -51,6 +51,6 @@ mod wal;
 
 pub use database::{CheckpointPolicy, Database, Ns, Record, TableStats};
 pub use error::DbError;
-pub use queue::Queue;
+pub use queue::{Queue, QueueName};
 pub use txn::Txn;
 pub use wal::{FileWal, FsyncPolicy, MemWal, Wal};

@@ -11,8 +11,33 @@ use crate::database::Database;
 use crate::error::DbError;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::ops::{Bound, ControlFlow};
+
+/// The two tables a queue lives in: its messages' (`name`) and its
+/// sequence counter's (`"<name>.seq"`). A caller that attaches to one
+/// queue often makes its name once and lends it to [`Queue::at`].
+#[derive(Debug, Clone)]
+pub struct QueueName {
+    table: String,
+    seq_table: String,
+}
+
+impl QueueName {
+    /// The queue stored in table `name`.
+    pub(crate) fn new(name: impl Into<String>) -> Self {
+        let table = name.into();
+        let seq_table = format!("{table}.seq");
+        QueueName { table, seq_table }
+    }
+
+    /// The queue `name` inside namespace `ns`: both its tables live under
+    /// `"{ns}/"`.
+    pub fn namespaced(ns: &str, name: &str) -> Self {
+        QueueName::new(format!("{ns}/{name}"))
+    }
+}
 
 /// A durable FIFO queue of messages of type `M`, stored in its own table.
 ///
@@ -22,22 +47,14 @@ use std::ops::{Bound, ControlFlow};
 /// span a drain/refill (or a crash) stay meaningful.
 pub struct Queue<'a, M> {
     db: &'a Database,
-    table: String,
-    seq_table: String,
+    name: Cow<'a, QueueName>,
     _marker: PhantomData<M>,
 }
 
 impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> {
     /// Attach to (or create) the queue stored in table `name`.
     pub fn new(db: &'a Database, name: impl Into<String>) -> Self {
-        let table = name.into();
-        let seq_table = format!("{table}.seq");
-        Queue {
-            db,
-            table,
-            seq_table,
-            _marker: PhantomData,
-        }
+        Queue::with(db, Cow::Owned(QueueName::new(name)))
     }
 
     /// Attach to (or create) the queue `name` inside namespace `ns`.
@@ -47,7 +64,20 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
     /// FIFO and their own monotonic sequence space — pushes in one
     /// namespace never advance (or read) the other's counter.
     pub fn namespaced(db: &'a Database, ns: &str, name: &str) -> Self {
-        Queue::new(db, format!("{ns}/{name}"))
+        Queue::with(db, Cow::Owned(QueueName::namespaced(ns, name)))
+    }
+
+    /// Attach to (or create) the queue `name` names, borrowing the name.
+    pub fn at(db: &'a Database, name: &'a QueueName) -> Self {
+        Queue::with(db, Cow::Borrowed(name))
+    }
+
+    fn with(db: &'a Database, name: Cow<'a, QueueName>) -> Self {
+        Queue {
+            db,
+            name,
+            _marker: PhantomData,
+        }
     }
 
     /// Append a message; returns its sequence number. Reading the counter
@@ -56,26 +86,26 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
     pub fn push(&self, msg: &M) -> Result<u64, DbError> {
         self.db.commit(
             |store, line| {
-                let counter = store.typed::<u64>(&self.seq_table)?;
+                let counter = store.typed::<u64>(&self.name.seq_table)?;
                 let counter = counter.and_then(|t| t.rows().get(&0).copied());
-                store.typed::<M>(&self.table)?;
+                store.typed::<M>(&self.name.table)?;
                 let seq = match counter {
                     Some(n) => n,
                     // Logs written before the counter existed: resume after
                     // the highest sequence still in the table (best effort
                     // — the old scheme could not do better either).
                     None => {
-                        let messages = store.tables().get(&self.table);
+                        let messages = store.tables().get(&self.name.table);
                         messages.and_then(|t| t.max_key()).map_or(0, |k| k + 1)
                     }
                 };
-                line.put(&self.table, seq, msg);
-                line.put(&self.seq_table, 0, &(seq + 1));
+                line.put(&self.name.table, seq, msg);
+                line.put(&self.name.seq_table, 0, &(seq + 1));
                 Ok(ControlFlow::Continue(seq))
             },
             |store, seq| {
-                store.apply_put(&self.table, seq, msg.clone())?;
-                store.apply_put(&self.seq_table, 0, seq + 1)?;
+                store.apply_put(&self.name.table, seq, msg.clone())?;
+                store.apply_put(&self.name.seq_table, 0, seq + 1)?;
                 Ok(seq)
             },
         )
@@ -85,22 +115,22 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
     pub fn pop(&self) -> Result<Option<M>, DbError> {
         self.db.commit(
             |store, line| {
-                let Some(t) = store.typed::<M>(&self.table)? else {
+                let Some(t) = store.typed::<M>(&self.name.table)? else {
                     return Ok(ControlFlow::Break(None));
                 };
                 let head = t.rows().iter().next();
                 // An older message that does not decode blocks the queue
                 // rather than being skipped.
                 let older = head.map_or(Bound::Unbounded, |(&key, _)| Bound::Excluded(key));
-                t.check_decodable(&self.table, (Bound::Unbounded, older))?;
+                t.check_decodable(&self.name.table, (Bound::Unbounded, older))?;
                 let Some((&key, msg)) = head else {
                     return Ok(ControlFlow::Break(None));
                 };
-                line.del(&self.table, key);
+                line.del(&self.name.table, key);
                 Ok(ControlFlow::Continue((key, msg.clone())))
             },
             |store, (key, msg)| {
-                store.apply_del(&self.table, key);
+                store.apply_del(&self.name.table, key);
                 Ok(Some(msg))
             },
         )
@@ -111,30 +141,30 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
     pub fn drain(&self) -> Result<Vec<M>, DbError> {
         self.db.commit(
             |store, line| {
-                let Some(t) = store.typed::<M>(&self.table)? else {
+                let Some(t) = store.typed::<M>(&self.name.table)? else {
                     return Ok(ControlFlow::Break(Vec::new()));
                 };
-                t.check_decodable(&self.table, ..)?;
+                t.check_decodable(&self.name.table, ..)?;
                 if t.rows().is_empty() {
                     return Ok(ControlFlow::Break(Vec::new()));
                 }
                 for &key in t.rows().keys() {
-                    line.del(&self.table, key);
+                    line.del(&self.name.table, key);
                 }
                 Ok(ControlFlow::Continue(()))
             },
-            |store, ()| store.take_rows(&self.table),
+            |store, ()| store.take_rows(&self.name.table),
         )
     }
 
     /// Read every pending message without removing them, oldest first.
     pub fn peek_all(&self) -> Result<Vec<M>, DbError> {
-        self.db.scan_at(&self.table, .., |_| true)
+        self.db.scan_at(&self.name.table, .., |_| true)
     }
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        self.db.count_at(&self.table)
+        self.db.count_at(&self.name.table)
     }
 
     /// True if no messages are pending.

@@ -1,7 +1,7 @@
 //! Reading log text in the shape this program prints it.
 //!
 //! Recovery reads back lines that [`crate::txn::TxnLine`] and
-//! [`crate::txn::snapshot_line`] printed, and those come in one shape:
+//! [`crate::txn::write_snapshot`] printed, and those come in one shape:
 //! members in one order, no whitespace, and rows printed canonically. A
 //! [`Printed`] cursor matches a line against that shape byte for byte and
 //! refuses it at the first byte that differs, naming the offset and what

@@ -1,7 +1,7 @@
 //! Transactions and log entries.
 //!
 //! The log is the one place rows exist as JSON. Each put row prints itself
-//! once, straight into a hand-framed line ([`TxnLine`], [`snapshot_line`]),
+//! once, straight into a hand-framed line ([`TxnLine`], [`write_snapshot`]),
 //! and recovery reads lines back by hand as well ([`read_printed`]): it
 //! matches every byte of the line against the shape printed here, builds
 //! no tree, and hands each put row on as its own text, for the table to
@@ -80,7 +80,7 @@ pub(crate) enum Replayed {
     Snapshot(BTreeMap<String, Table>),
 }
 
-/// Read one log line as [`TxnLine`] and [`snapshot_line`] print it, byte
+/// Read one log line as [`TxnLine`] and [`write_snapshot`] print it, byte
 /// for byte, each row stepped over by the scanner
 /// ([`crate::scan::value_end`]), or refuse it at the first byte that
 /// differs. `ops` is cleared and refilled.
@@ -205,19 +205,26 @@ impl TxnLine {
     }
 }
 
-/// The `snapshot` line describing `store`, printed table by table:
-/// `{"kind":"snapshot","tables":[{"name":"T","rows":[[K,…],…]},…]}`.
-pub(crate) fn snapshot_line(store: &Store) -> String {
-    let mut out = String::from(r#"{"kind":"snapshot","tables":["#);
+/// Print the `snapshot` line describing `store` onto `out`, table by
+/// table: `{"kind":"snapshot","tables":[{"name":"T","rows":[[K,…],…]},…]}`.
+pub(crate) fn write_snapshot(store: &Store, out: &mut String) {
+    out.push_str(r#"{"kind":"snapshot","tables":["#);
     for (name, table) in store.tables() {
         out.push_str(if out.ends_with('[') { "" } else { "," });
         out.push_str(r#"{"name":"#);
-        name.write_json(&mut out);
+        name.write_json(out);
         out.push_str(r#","rows":["#);
-        table.write_rows(&mut out);
+        table.write_rows(out);
         out.push_str("]}");
     }
     out.push_str("]}");
+}
+
+/// The `snapshot` line describing `store`.
+#[cfg(test)]
+pub(crate) fn snapshot_line(store: &Store) -> String {
+    let mut out = String::new();
+    write_snapshot(store, &mut out);
     out
 }
 

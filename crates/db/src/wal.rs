@@ -15,11 +15,14 @@ use std::sync::Arc;
 /// A write-ahead log backend.
 ///
 /// Recovery reads the log through [`Wal::for_each_line`] and cuts a torn
-/// tail with [`Wal::truncate`]. Both are provided on top of the required
-/// methods (a copy of the log from `read_all`; `read_all` then `rewrite`),
-/// so a wrapper that implements only those — a timing or fault-injecting
-/// `Wal` around a backend — behaves as it always did. The backends here
-/// override both to read the log where it lies and cut it in place.
+/// tail with [`Wal::truncate`]; a checkpoint compacts it through
+/// [`Wal::rewrite_printed`]. All three are provided on top of the required
+/// methods (a copy of the log from `read_all`; `read_all` then `rewrite`;
+/// print, then `rewrite`), so a wrapper that implements only those — a
+/// timing or fault-injecting `Wal` around a backend — behaves as it always
+/// did. The backends here override the first two to read the log where it
+/// lies and cut it in place, and `MemWal` the third to drop its old log
+/// before the new line is printed.
 pub trait Wal: Send {
     /// Append one committed entry (no trailing newline).
     fn append(&mut self, line: &str) -> Result<(), DbError>;
@@ -32,6 +35,16 @@ pub trait Wal: Send {
     /// Atomically replace the whole log with the given lines (checkpoint
     /// compaction).
     fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError>;
+
+    /// Atomically replace the whole log with the one line `print` writes
+    /// into an empty `String` (checkpoint compaction). The default prints
+    /// the line, then hands it to [`Wal::rewrite`]; [`MemWal`] frees the
+    /// old log before it prints.
+    fn rewrite_printed(&mut self, print: &mut dyn FnMut(&mut String)) -> Result<(), DbError> {
+        let mut line = String::new();
+        print(&mut line);
+        self.rewrite(std::slice::from_ref(&line))
+    }
 
     /// Number of entries appended since this handle was created (for
     /// instrumentation).
@@ -63,14 +76,76 @@ pub trait Wal: Send {
     }
 }
 
+/// Bytes of text a fresh [`MemWal`] block holds; a longer line gets a
+/// block of its own length.
+const BLOCK: usize = 1 << 18;
+
+/// Line slots the index gains when a block opens and it is short of them.
+const SPANS: usize = BLOCK / 128;
+
 /// In-memory WAL. Cloning shares the underlying buffer, so a "crashed"
 /// database's log can be handed to a recovering database — which is exactly
 /// how the fault-tolerance experiments simulate server restarts.
 #[derive(Debug, Clone, Default)]
 pub struct MemWal {
-    lines: Arc<Mutex<Vec<String>>>,
+    lines: Arc<Mutex<Packed>>,
     appended: u64,
     rewrites: u64,
+}
+
+/// The in-memory log's bytes, each held once: lines are packed end to end
+/// into large text blocks, a line never spanning two, and `spans` holds
+/// each line's `(block, start, end)`. A line lands in the last block while
+/// that block and `spans` both have room for it, and opens a block
+/// otherwise, so only a line that opens a block allocates.
+#[derive(Debug, Default)]
+struct Packed {
+    blocks: Vec<String>,
+    spans: Vec<(u32, u32, u32)>,
+}
+
+/// `n` as a span offset: a block past 4 GiB is refused.
+fn offset(n: usize) -> Result<u32, DbError> {
+    u32::try_from(n)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "log line past 4 GiB").into())
+}
+
+impl Packed {
+    fn push(&mut self, line: &str) -> Result<(), DbError> {
+        let room = |block: &String| block.capacity() - block.len() >= line.len();
+        if self.spans.len() == self.spans.capacity() || !self.blocks.last().is_some_and(room) {
+            self.blocks
+                .push(String::with_capacity(line.len().max(BLOCK)));
+            self.spans.reserve(SPANS);
+        }
+        let block = offset(self.blocks.len() - 1)?;
+        let Some(text) = self.blocks.last_mut() else {
+            return Ok(());
+        };
+        let span = (block, offset(text.len())?, offset(text.len() + line.len())?);
+        text.push_str(line);
+        self.spans.push(span);
+        Ok(())
+    }
+
+    /// Line `span`'s text. Every span lies inside its block.
+    fn text(&self, &(block, start, end): &(u32, u32, u32)) -> &str {
+        let block = self.blocks.get(block as usize).map_or("", String::as_str);
+        block.get(start as usize..end as usize).unwrap_or_default()
+    }
+
+    /// Keep the first `n` lines, and only the blocks holding them.
+    fn truncate(&mut self, n: usize) {
+        self.spans.truncate(n);
+        let Some(&(block, _, end)) = self.spans.last() else {
+            self.blocks.clear();
+            return;
+        };
+        self.blocks.truncate(block as usize + 1);
+        if let Some(text) = self.blocks.last_mut() {
+            text.truncate(end as usize);
+        }
+    }
 }
 
 impl MemWal {
@@ -83,45 +158,78 @@ impl MemWal {
     /// last character boundary at or before its middle byte), as an OS
     /// crash during a write would. No-op on an empty log.
     pub fn tear_last_line(&self) {
-        let mut lines = self.lines.lock();
-        if let Some(last) = lines.last_mut() {
-            let keep = (0..=last.len() / 2)
-                .rev()
-                .find(|&at| last.is_char_boundary(at))
-                .unwrap_or(0);
-            last.truncate(keep);
-            last.push_str("...TORN");
-        }
+        let mut log = self.lines.lock();
+        let log = &mut *log;
+        let Some((block, start, end)) = log.spans.last_mut() else {
+            return;
+        };
+        let Some(text) = log.blocks.get_mut(*block as usize) else {
+            return;
+        };
+        let (from, to) = (*start as usize, *end as usize);
+        let keep = (from..=from + (to - from) / 2)
+            .rev()
+            .find(|&at| text.is_char_boundary(at))
+            .unwrap_or(from);
+        text.truncate(keep);
+        text.push_str("...TORN");
+        *end = offset(text.len()).unwrap_or(*end);
     }
 
     /// Number of entries currently in the log.
     pub fn len(&self) -> usize {
-        self.lines.lock().len()
+        self.lines.lock().spans.len()
     }
 
     /// True if the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.lines.lock().is_empty()
+        self.lines.lock().spans.is_empty()
+    }
+
+    /// Number of text blocks holding the log (for instrumentation: an
+    /// append allocates only when it opens one).
+    pub fn blocks(&self) -> usize {
+        self.lines.lock().blocks.len()
     }
 }
 
 impl Wal for MemWal {
     // sphinx-hot
     fn append(&mut self, line: &str) -> Result<(), DbError> {
-        self.lines.lock().push(line.to_owned());
+        self.lines.lock().push(line)?;
         self.appended += 1;
         Ok(())
     }
 
     fn read_all(&self) -> Result<Vec<String>, DbError> {
-        Ok(self.lines.lock().clone())
+        let log = self.lines.lock();
+        Ok(log
+            .spans
+            .iter()
+            .map(|span| log.text(span).to_owned())
+            .collect())
     }
 
     fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
-        // Free the old log first: the copy can take its place in the heap.
+        // Free the old blocks first, then pack the new lines as appends do.
         let mut log = self.lines.lock();
-        log.clear();
-        log.extend_from_slice(lines);
+        log.truncate(0);
+        for line in lines {
+            log.push(line)?;
+        }
+        self.rewrites += 1;
+        Ok(())
+    }
+
+    /// Free the old blocks, then print the line into a block of its own:
+    /// the old log and the new line are never held at once.
+    fn rewrite_printed(&mut self, print: &mut dyn FnMut(&mut String)) -> Result<(), DbError> {
+        let mut log = self.lines.lock();
+        log.truncate(0);
+        let mut line = String::new();
+        print(&mut line);
+        log.spans.push((0, 0, offset(line.len())?));
+        log.blocks.push(line);
         self.rewrites += 1;
         Ok(())
     }
@@ -135,8 +243,9 @@ impl Wal for MemWal {
     }
 
     fn for_each_line(&self, f: &mut dyn FnMut(&[u8]) -> bool) -> Result<(), DbError> {
-        for line in self.lines.lock().iter() {
-            if !f(line.as_bytes()) {
+        let log = self.lines.lock();
+        for span in &log.spans {
+            if !f(log.text(span).as_bytes()) {
                 break;
             }
         }
@@ -391,6 +500,170 @@ pub(crate) fn lines_oracle(path: &Path) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::Rng;
+
+    /// The in-memory log before its lines were packed: one `String` per
+    /// line. The model [`MemWal`] is held to.
+    #[derive(Debug, Clone, Default)]
+    struct Listed {
+        lines: Arc<Mutex<Vec<String>>>,
+        appended: u64,
+        rewrites: u64,
+    }
+
+    impl Listed {
+        fn tear_last_line(&self) {
+            let mut lines = self.lines.lock();
+            if let Some(last) = lines.last_mut() {
+                let keep = (0..=last.len() / 2)
+                    .rev()
+                    .find(|&at| last.is_char_boundary(at))
+                    .unwrap_or(0);
+                last.truncate(keep);
+                last.push_str("...TORN");
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.lines.lock().len()
+        }
+    }
+
+    impl Wal for Listed {
+        fn append(&mut self, line: &str) -> Result<(), DbError> {
+            self.lines.lock().push(line.to_owned());
+            self.appended += 1;
+            Ok(())
+        }
+
+        fn read_all(&self) -> Result<Vec<String>, DbError> {
+            Ok(self.lines.lock().clone())
+        }
+
+        fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
+            *self.lines.lock() = lines.to_vec();
+            self.rewrites += 1;
+            Ok(())
+        }
+
+        fn appended(&self) -> u64 {
+            self.appended
+        }
+
+        fn rewrites(&self) -> u64 {
+            self.rewrites
+        }
+
+        fn for_each_line(&self, f: &mut dyn FnMut(&[u8]) -> bool) -> Result<(), DbError> {
+            for line in self.lines.lock().iter() {
+                if !f(line.as_bytes()) {
+                    break;
+                }
+            }
+            Ok(())
+        }
+
+        fn truncate(&mut self, n: usize) -> Result<(), DbError> {
+            self.lines.lock().truncate(n);
+            Ok(())
+        }
+    }
+
+    /// A line of `g`'s choosing: empty, short, a good part of a block,
+    /// or longer than a block, in characters of one to four bytes.
+    fn line(g: &mut Rng) -> String {
+        const CHARS: [&str; 6] = ["a", "{", "\"", "é", "✓", "😀"];
+        let short: String = (0..1 + g.below(12))
+            .map(|_| CHARS[g.below(6) as usize])
+            .collect();
+        match g.below(16) {
+            0..=1 => String::new(),
+            2..=10 => short,
+            11..=14 => short.repeat(g.below(BLOCK as u64 / 2) as usize / short.len()),
+            _ => short.repeat((BLOCK + g.below(BLOCK as u64) as usize) / short.len() + 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+
+        /// Two handles on one packed log (the second a clone sharing the
+        /// buffer) and two on one model log take the same random steps:
+        /// appends (empty lines, bursts of short ones that fill the line
+        /// index, lines longer than a block), both rewrites, truncates and
+        /// tears, and read the same lines, counts and copies back.
+        #[test]
+        fn the_packed_log_reads_as_the_line_list_it_replaced(seed in any::<u64>()) {
+            let mut g = Rng::from_seed(seed);
+            let packed = MemWal::shared();
+            let mut packed = [packed.clone(), packed];
+            let model = Listed::default();
+            let mut model = [model.clone(), model];
+            for _ in 0..48 {
+                let h = g.below(2) as usize;
+                let (wal, list) = (&mut packed[h], &mut model[h]);
+                match g.below(12) {
+                    0..=3 => {
+                        let line = line(&mut g);
+                        wal.append(&line).unwrap();
+                        list.append(&line).unwrap();
+                    }
+                    4 => {
+                        let line = ["", "a", "é"][g.below(3) as usize];
+                        for _ in 0..g.below(2 * SPANS as u64) {
+                            wal.append(line).unwrap();
+                            list.append(line).unwrap();
+                        }
+                    }
+                    5 => {
+                        let lines: Vec<String> = (0..g.below(3)).map(|_| line(&mut g)).collect();
+                        wal.rewrite(&lines).unwrap();
+                        list.rewrite(&lines).unwrap();
+                    }
+                    6 => {
+                        let line = line(&mut g);
+                        wal.rewrite_printed(&mut |out| out.push_str(&line)).unwrap();
+                        list.rewrite_printed(&mut |out| out.push_str(&line)).unwrap();
+                    }
+                    7 => {
+                        let n = g.below(list.len() as u64 + 2) as usize;
+                        wal.truncate(n).unwrap();
+                        list.truncate(n).unwrap();
+                    }
+                    8 => {
+                        wal.tear_last_line();
+                        list.tear_last_line();
+                    }
+                    9 => {
+                        let stop = g.below(list.len() as u64 + 1) as usize;
+                        let mut got = Vec::new();
+                        let mut want = Vec::new();
+                        wal.for_each_line(&mut |l| {
+                            got.push(l.to_vec());
+                            got.len() < stop
+                        })
+                        .unwrap();
+                        list.for_each_line(&mut |l| {
+                            want.push(l.to_vec());
+                            want.len() < stop
+                        })
+                        .unwrap();
+                        prop_assert_eq!(got, want);
+                    }
+                    10 => prop_assert_eq!(wal.read_all().unwrap(), list.read_all().unwrap()),
+                    _ => {
+                        prop_assert_eq!(wal.len(), list.len());
+                        prop_assert_eq!(wal.is_empty(), list.len() == 0);
+                    }
+                }
+                prop_assert_eq!(wal.appended(), list.appended());
+                prop_assert_eq!(wal.rewrites(), list.rewrites());
+            }
+            prop_assert_eq!(yielded(&packed[0]), yielded(&model[0]));
+            prop_assert_eq!(packed[1].read_all().unwrap(), model[1].read_all().unwrap());
+        }
+    }
 
     /// Every line `wal.for_each_line` yields, as bytes.
     fn yielded(wal: &dyn Wal) -> Vec<Vec<u8>> {

@@ -1,9 +1,11 @@
 //! Allocations per commit: a count that does not depend on the machine.
 //!
-//! Once warm, a commit that puts one row allocates for the log and nothing
-//! else: the row prints itself into a line buffer kept from the last
-//! commit, and `MemWal` copies the finished line into its list. So each
-//! commit below may allocate at most twice.
+//! Once warm, a commit that puts one row allocates nothing for the log:
+//! the row prints itself into a line buffer kept from the last commit,
+//! and `MemWal` packs the finished line into the text block it has open.
+//! Only a line that opens a block allocates, once for the many lines the
+//! block holds. So a warm put or update below allocates nothing at all,
+//! and a queue push only its table's node.
 
 use serde::{Deserialize, Serialize};
 use sphinx_db::{CheckpointPolicy, Database, MemWal, Queue, Record};
@@ -55,19 +57,25 @@ fn allocations(op: impl FnOnce()) -> usize {
 }
 
 /// The most that one `commit` allocated, over its runs after a warm-up
-/// that found room in the log. `MemWal` keeps its lines in a `Vec`, which
-/// grows when its length reaches a power of two: a cost amortised over
-/// the lines, not one of the commit. `between` runs uncounted after each.
+/// that opened no block of the log (`MemWal::blocks`): a block is a cost
+/// amortised over its lines, not one of the commit. `between` runs
+/// uncounted after each.
 fn most_per_commit(wal: &MemWal, mut commit: impl FnMut(), mut between: impl FnMut()) -> usize {
-    let mut most = 0;
+    let (mut most, mut counted) = (0, 0);
     for run in 0..40 {
-        let room = !wal.len().is_power_of_two();
+        let blocks = wal.blocks();
         let n = allocations(&mut commit);
+        let room = wal.blocks() == blocks;
         between();
         if run >= 8 && room {
             most = most.max(n);
+            counted += 1;
         }
     }
+    assert!(
+        counted >= 24,
+        "only {counted} commits landed in an open block"
+    );
     most
 }
 
@@ -155,7 +163,7 @@ fn database() -> (Database, MemWal) {
 }
 
 #[test]
-fn putting_a_job_row_allocates_only_for_the_log() {
+fn putting_a_job_row_allocates_nothing() {
     let (db, wal) = database();
     let mut row = job();
     let most = most_per_commit(
@@ -167,11 +175,11 @@ fn putting_a_job_row_allocates_only_for_the_log() {
         },
         || {},
     );
-    assert!(most <= 2, "a put allocated {most} times");
+    assert_eq!(most, 0, "a put allocated {most} times");
 }
 
 #[test]
-fn updating_a_job_row_allocates_only_for_the_log() {
+fn updating_a_job_row_allocates_nothing() {
     let (db, wal) = database();
     db.insert(&job()).unwrap();
     let key = job().key();
@@ -186,11 +194,11 @@ fn updating_a_job_row_allocates_only_for_the_log() {
         },
         || {},
     );
-    assert!(most <= 2, "an update allocated {most} times");
+    assert_eq!(most, 0, "an update allocated {most} times");
 }
 
 #[test]
-fn updating_site_stats_allocates_only_for_the_log() {
+fn updating_site_stats_allocates_nothing() {
     let (db, wal) = database();
     db.insert(&SiteStats {
         site: 9,
@@ -209,14 +217,13 @@ fn updating_site_stats_allocates_only_for_the_log() {
         },
         || {},
     );
-    assert!(most <= 2, "an update allocated {most} times");
+    assert_eq!(most, 0, "an update allocated {most} times");
 }
 
 /// The server drains its inbox every tick, so a push usually lands in a
-/// table just emptied (and allocates its first node, the second of the
-/// two).
+/// table just emptied, and allocates its first node.
 #[test]
-fn a_queue_push_allocates_only_for_the_log_and_its_table() {
+fn a_queue_push_allocates_only_its_table_node() {
     let (db, wal) = database();
     let inbox: Queue<Report> = Queue::new(&db, "messages_in");
     let report = Report::Completed {
@@ -235,5 +242,5 @@ fn a_queue_push_allocates_only_for_the_log_and_its_table() {
             inbox.drain().unwrap();
         },
     );
-    assert!(most <= 2, "a push allocated {most} times");
+    assert!(most <= 1, "a push allocated {most} times");
 }

@@ -1,5 +1,6 @@
 //! Allocations per replayed line and per hydrated row, and the bytes
-//! recovery holds: counts that do not depend on the machine.
+//! recovery and checkpoints hold: counts that do not depend on the
+//! machine.
 //!
 //! Recovery reads the log where it lies, makes no copy of it, reads each
 //! line without building a tree and keeps each put row as its text, so a
@@ -210,6 +211,36 @@ fn recovery_holds_the_live_rows_not_a_copy_of_the_log() {
     assert!(
         peak < log / 2,
         "recovering a {log}-byte log held {peak} bytes at once"
+    );
+}
+
+#[test]
+fn a_checkpoint_holds_the_log_or_the_snapshot_not_both() {
+    // 1 024 rows, each put four times: the log is about five times the
+    // snapshot that replaces it.
+    let wal = MemWal::shared();
+    let db = Database::with_wal_and_config(Box::new(wal.clone()), CheckpointPolicy::disabled());
+    for i in 0..4096 {
+        db.put(&Job {
+            attempts: i / 1024,
+            ..job(i % 1024)
+        })
+        .unwrap();
+    }
+    let log: usize = wal.read_all().unwrap().iter().map(|l| l.len()).sum();
+    let peak = peak_bytes(|| db.checkpoint().unwrap());
+    let snapshot: usize = wal.read_all().unwrap().iter().map(|l| l.len()).sum();
+    assert_eq!(wal.len(), 1);
+    assert!(
+        snapshot < log / 2,
+        "a {snapshot}-byte snapshot of a {log}-byte log"
+    );
+    // The old log is freed before the snapshot is printed, so the most held
+    // at once is the larger of the two, plus a little.
+    assert!(
+        peak <= snapshot.saturating_sub(log) + 4096,
+        "checkpointing a {log}-byte log into a {snapshot}-byte snapshot \
+         held {peak} bytes beyond the log"
     );
 }
 
