@@ -104,7 +104,8 @@ struct Packed {
     spans: Vec<(u32, u32, u32)>,
 }
 
-/// `n` as a span offset: a block past 4 GiB is refused.
+/// `n` as a span field (a block number or a byte offset in a block); a
+/// value past `u32::MAX`, a line of 4 GiB or more, is refused.
 fn offset(n: usize) -> Result<u32, DbError> {
     u32::try_from(n)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "log line past 4 GiB").into())
