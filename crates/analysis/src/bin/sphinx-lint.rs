@@ -1,5 +1,6 @@
-//! Command-line front end: `cargo run -p sphinx-analysis -- check`, or
-//! `-- lines` for each crate's non-test line count.
+//! Command-line front end: `cargo run -p sphinx-analysis -- check`,
+//! `-- lines` for each crate's non-test line count, or `-- unused` for the
+//! `pub fn`s no non-test code calls.
 //!
 //! Exit status 0 means no errors (warnings are printed but tolerated);
 //! 1 means at least one error; 2 means the tool itself could not run.
@@ -10,6 +11,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: sphinx-lint check [--update-ratchet] [--json]");
     eprintln!("       sphinx-lint lines");
+    eprintln!("       sphinx-lint unused");
     eprintln!("       sphinx-lint validate-prom <file>");
     eprintln!();
     eprintln!("Runs the workspace static-analysis pass:");
@@ -22,13 +24,15 @@ fn usage() -> ExitCode {
     eprintln!("  - call-graph hot-path allocation lint (// sphinx-hot roots)");
     eprintln!("  - interprocedural lock-order / lock-reentry lint");
     eprintln!("  - the ratchets.toml budgets (panics, hot-alloc, hot-lock-acquisitions, and the");
-    eprintln!("    non-test lines of the vendored stand-ins)");
+    eprintln!("    non-test lines of the vendored stand-ins, unused pub fns)");
     eprintln!();
     eprintln!("  --update-ratchet   re-record all budgets at the observed counts");
     eprintln!("  --json             emit a machine-readable report on stdout");
     eprintln!();
     eprintln!("`lines` prints each crate's non-test line count: lines of code under its");
     eprintln!("src/, outside #[cfg(test)] items, comments and blank lines excluded.");
+    eprintln!();
+    eprintln!("`unused` lists the pub fns whose names no non-test code spells (by name).");
     eprintln!();
     eprintln!("`validate-prom` parses a Prometheus text-exposition file with the");
     eprintln!("telemetry exporter's own validator (CI runs it on results/metrics.prom).");
@@ -121,7 +125,7 @@ fn main() -> ExitCode {
     let mut command = None;
     for arg in &args {
         match arg.as_str() {
-            "check" | "lines" if command.is_none() => command = Some(arg.as_str()),
+            "check" | "lines" | "unused" if command.is_none() => command = Some(arg.as_str()),
             "--update-ratchet" => update_ratchet = true,
             "--json" => json = true,
             "--help" | "-h" => return usage(),
@@ -134,8 +138,8 @@ fn main() -> ExitCode {
     let Some(command) = command else {
         return usage();
     };
-    if command == "lines" && (update_ratchet || json) {
-        eprintln!("sphinx-lint: lines takes no flags");
+    if command != "check" && (update_ratchet || json) {
+        eprintln!("sphinx-lint: {command} takes no flags");
         return usage();
     }
 
@@ -162,6 +166,21 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         };
+    }
+
+    if command == "unused" {
+        let found = match sphinx_analysis::unused::find(&root) {
+            Ok(found) => found.into_values().flatten().collect::<Vec<_>>(),
+            Err(e) => {
+                eprintln!("sphinx-lint: cannot scan for unused pub fns: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        for (file, line, name) in &found {
+            println!("{file}:{line}: pub fn {name}");
+        }
+        println!("sphinx-lint: {} unused pub fn(s)", found.len());
+        return ExitCode::SUCCESS;
     }
 
     let findings = match run_check(&root, update_ratchet) {

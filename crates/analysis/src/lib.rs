@@ -18,7 +18,8 @@
 //!
 //! Panic, hot-alloc and hot-lock counts feed the one-way budget file
 //! `ratchets.toml` enforced by [`ratchet`], and so do the non-test line
-//! counts ([`lines`]) of the vendored stand-ins.
+//! counts ([`lines`]) of the vendored stand-ins and each crate's count of
+//! `pub fn`s no non-test code calls ([`unused`]).
 //!
 //! Run it as `cargo run -p sphinx-analysis -- check` (CI does).
 
@@ -31,6 +32,7 @@ pub mod lines;
 pub mod locks;
 pub mod panics;
 pub mod ratchet;
+pub mod unused;
 
 use lexer::SourceFile;
 use std::fmt;
@@ -208,7 +210,7 @@ pub fn run_check(root: &Path, update_ratchet: bool) -> io::Result<Vec<Finding>> 
     findings.extend(lock_report.findings);
 
     // 5. The unified ratchet: panics, hot-alloc, hot-lock-acquisitions,
-    // and the size of the vendored stand-ins.
+    // the size of the vendored stand-ins and the unused `pub fn`s.
     // Every sim crate is recorded (zeros included) so the committed file
     // never churns on key presence.
     let mut observed = ratchet::Budgets::default();
@@ -241,6 +243,9 @@ pub fn run_check(root: &Path, update_ratchet: bool) -> io::Result<Vec<Finding>> 
         if dir.starts_with("crates/vendor/") {
             observed.set("lines", &dir, lines::count_crate(root, &dir)?);
         }
+    }
+    for (crate_dir, found) in unused::find(root)? {
+        observed.set("unused-pub", &crate_dir, found.len() as u64);
     }
     let ratchet_file = root.join(RATCHET_PATH);
     if update_ratchet {

@@ -50,8 +50,8 @@ pub struct LockSpec {
 }
 
 /// The canonical lock order for this workspace (see DESIGN.md). The
-/// shard runtime's lease/ledger tables are rows in the coordination
-/// `Database`, so they are covered transitively by the `db.*` classes.
+/// shard runtime's lease table is rows in the coordination `Database`,
+/// so it is covered transitively by the `db.*` classes.
 pub fn default_spec() -> LockSpec {
     LockSpec {
         classes: vec![

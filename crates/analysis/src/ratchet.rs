@@ -2,7 +2,7 @@
 //!
 //! Every count the analyzers produce — panic-capable sites, hot-path
 //! allocations, lock acquisitions on hot paths, the vendored stand-ins'
-//! non-test lines — is
+//! non-test lines, unused `pub fn`s — is
 //! compared per crate against a committed baseline that may only go
 //! DOWN. Raising a count fails the build; lowering one produces a
 //! reminder to re-record with `sphinx-lint check --update-ratchet`.
@@ -69,7 +69,8 @@ pub fn render(budgets: &Budgets) -> String {
          # [panics]                panic-capable sites (unwrap/expect/panic!/indexing)\n\
          # [hot-alloc]             allocation sites reachable from a `// sphinx-hot` root\n\
          # [hot-lock-acquisitions] lock acquisitions reachable from a hot root\n\
-         # [lines]                 non-test lines of a vendored stand-in (`sphinx-lint lines`)\n",
+         # [lines]                 non-test lines of a vendored stand-in (`sphinx-lint lines`)\n\
+         # [unused-pub]            pub fns that no non-test code calls (`sphinx-lint unused`)\n",
     );
     for (section, counts) in &budgets.sections {
         out.push_str(&format!("\n[{section}]\n"));

@@ -20,8 +20,9 @@
 //! ([`crate::runtime::SphinxRuntime`]) is this driver with one server; the
 //! sharded deployment ([`crate::shard::ShardedRuntime`]) is the same driver
 //! with N servers and the [`crate::shard`] coordination plane attached,
-//! which contributes four steps to the planner tick and nothing anywhere
-//! else. Which deployment has a plane is fixed by the constructor called.
+//! which contributes three steps to the planner tick (crash injection,
+//! report routing, heartbeat-and-adopt) and nothing anywhere else. Which
+//! deployment has a plane is fixed by the constructor called.
 
 use crate::client::{ClientConfig, SphinxClient};
 use crate::error::{CoreError, CoreResult};
@@ -29,7 +30,7 @@ use crate::messages::{PlanNotice, StatusReport, INBOX, OUTBOX};
 use crate::report::{RunReport, SiteOutcome};
 use crate::runtime::RuntimeConfig;
 use crate::server::{plan_cycle_over, SchedulerState, ServerConfig, SphinxServer};
-use crate::shard::{AdoptionRecord, CrashPoint, Plane, SiteLeaseRow};
+use crate::shard::{AdoptionRecord, CrashPoint, Plane};
 use crate::state::{DagRow, JobRow, JobState, SiteStatsRow};
 use crate::strategy::SiteInfo;
 use parking_lot::Mutex;
@@ -270,20 +271,6 @@ impl Driver {
         self.plane.as_ref().map_or(0, |p| p.epoch)
     }
 
-    /// The global quota-lease ledger rows, in site order.
-    pub fn site_ledger(&self) -> CoreResult<Vec<SiteLeaseRow>> {
-        Ok(self.mailbox.scan::<SiteLeaseRow>()?)
-    }
-
-    /// One shard's quota-lease ledger rows, in site order.
-    pub fn site_ledger_of(&self, shard: usize) -> CoreResult<Vec<SiteLeaseRow>> {
-        let Some(plane) = &self.plane else {
-            return Ok(Vec::new());
-        };
-        let ns = self.mailbox.namespace_ref(plane.shard_ns(shard));
-        Ok(ns.scan::<SiteLeaseRow>()?)
-    }
-
     /// Submit a DAG on behalf of a user, routed to its partition owner,
     /// optionally with a QoS deadline `within` from now (the §6
     /// future-work extension): its ready jobs are planned
@@ -386,14 +373,10 @@ impl Driver {
             )?
         };
         // 4. Submission: plans travel through the outbox table in planning
-        // order (debiting the quota-lease ledger on the way), and the
-        // client consumes the outbox and submits.
+        // order, and the client consumes the outbox and submits.
         let submit_span = self.hub.span_start("phase:submit", now);
         let outbox: Queue<PlanNotice> = Queue::new(&mailbox, OUTBOX);
-        for (owner, plan) in &plans {
-            if let Some(plane) = &self.plane {
-                plane.debit_ledger(*owner, plan)?;
-            }
+        for (_, plan) in &plans {
             outbox.push(plan)?;
         }
         for plan in outbox.drain()? {

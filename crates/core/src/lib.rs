@@ -28,7 +28,7 @@
 //!   simulator + monitor + servers + client, with planner/monitor/timeout
 //!   cycles, producing the [`report::RunReport`] every figure is built
 //!   from. [`runtime`] names its single-scheduler deployment; [`shard`] is
-//!   the coordination plane (leases, epochs, ledger, adoption) that turns
+//!   the coordination plane (leases, epochs, adoption) that turns
 //!   it into N schedulers over a partitioned DAG space.
 
 pub mod client;
@@ -50,7 +50,5 @@ pub use error::{CoreError, CoreResult};
 pub use report::RunReport;
 pub use runtime::{RuntimeConfig, SphinxRuntime};
 pub use server::{ServerConfig, SphinxServer};
-pub use shard::{
-    AdoptionRecord, CrashPoint, ShardConfig, ShardCrash, ShardedRuntime, SiteLeaseRow,
-};
+pub use shard::{AdoptionRecord, CrashPoint, ShardConfig, ShardCrash, ShardedRuntime};
 pub use strategy::StrategyKind;

@@ -80,11 +80,6 @@ impl RunReport {
         self.timeouts + self.holds
     }
 
-    /// The site outcome with the most completed jobs.
-    pub fn busiest_site(&self) -> Option<&SiteOutcome> {
-        self.sites.iter().max_by_key(|s| s.completed)
-    }
-
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -152,7 +147,6 @@ mod tests {
     fn derived_quantities() {
         let r = report();
         assert_eq!(r.reschedules(), 30);
-        assert_eq!(r.busiest_site().unwrap().name, "acdc");
     }
 
     #[test]

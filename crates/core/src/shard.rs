@@ -3,32 +3,25 @@
 //! The paper's §3.1 describes SPHINX as "a system of agents communicating
 //! exclusively through database tables", and observes that this makes the
 //! scheduling tier horizontally scalable: several server processes can
-//! divide the DAG space between them as long as every coordination fact —
-//! liveness, epoch, grid-quota accounting — is itself a table. The event
-//! loop is the one the single scheduler runs ([`crate::driver`]); this
-//! module is the [`Plane`] attached to it. [`ShardedRuntime`] runs N
+//! divide the DAG space between them as long as every coordination fact
+//! is itself a table. The event loop is the one the single scheduler runs
+//! ([`crate::driver`]); this module is the [`Plane`] attached to it. [`ShardedRuntime`] runs N
 //! [`SphinxServer`]s over a deterministic hash partition of DAG ids, each
 //! with its **own WAL-backed database**, all planning against one shared
 //! [`SchedulerState`] (grid truth must be global — see that type's docs)
 //! and coordinating only through tables on a coordination database, which
-//! also carries the INBOX / OUTBOX queues:
-//!
-//! * **Lease table** ([`LeaseRow`]) — every shard heartbeats a sim-time
-//!   row each planner cycle. A row whose heartbeat is older than
-//!   [`ShardConfig::lease_ttl`] marks a dead shard.
-//! * **Epoch table** ([`EpochRow`]) — a single monotone counter bumped at
-//!   every adoption, so late messages from a previous epoch are
-//!   distinguishable in the trace.
-//! * **Quota-lease ledger** ([`SiteLeaseRow`]) — per-site grid capacity
-//!   debited at submission, once under the owning shard's namespace and
-//!   once in a global accounting row; the invariant `global == Σ shards`
-//!   is what the fairness tests check, and folding a dead shard's rows
-//!   into its adopter's keeps it through failover.
+//! also carries the INBOX / OUTBOX queues. Its one table of its own is the
+//! **lease table** ([`LeaseRow`]): every shard heartbeats a sim-time row
+//! each planner cycle, and a row whose heartbeat is older than
+//! [`LEASE_TTL`] marks a dead shard. Grid quota needs no table here: eq. 4
+//! is enforced once, by the policy engine of the shared
+//! [`SchedulerState`]. The deployment epoch, bumped at every adoption, is
+//! kept in memory and written into the trace.
 //!
 //! **What the plane adds to a planner tick:** crash injection; routing
 //! each report to the shard owning its DAG through that shard's
-//! at-least-once inbox; heartbeat-and-adopt between tracking and planning;
-//! the ledger debit of every plan bound for the outbox. Nothing else.
+//! at-least-once inbox; heartbeat-and-adopt between tracking and planning.
+//! Nothing else.
 //!
 //! **Failover.** When a lease expires, the lowest-numbered surviving shard
 //! adopts the dead shard's DAGs by recovering the dead shard's WAL
@@ -50,7 +43,7 @@
 use crate::client::SphinxClient;
 use crate::driver::{catalog, Driver};
 use crate::error::CoreResult;
-use crate::messages::{PlanNotice, StatusReport};
+use crate::messages::StatusReport;
 use crate::runtime::RuntimeConfig;
 use crate::server::{SchedulerState, ServerConfig, SphinxServer};
 use crate::state::JobRow;
@@ -77,21 +70,19 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Heartbeat lease time-to-live: a shard whose lease row is older than
+/// this is declared dead and its DAGs are adopted.
+const LEASE_TTL: Duration = Duration::from_secs(60);
+
 /// Configuration of the coordination plane (on top of a [`RuntimeConfig`]).
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of scheduler shards.
     pub shards: usize,
-    /// Salt mixed into the partition hash (vary to test partition
-    /// independence without changing anything else).
-    pub partition_salt: u64,
     /// Explicit DAG-id → slot overrides (tests use this to prove results
     /// are invariant to the partition map). Slots are taken modulo the
     /// shard count.
     pub assignments: Option<BTreeMap<u64, usize>>,
-    /// Heartbeat lease time-to-live: a shard whose lease row is older
-    /// than this is declared dead and its DAGs are adopted.
-    pub lease_ttl: Duration,
     /// Crash schedule for fault-injection experiments.
     pub crashes: Vec<ShardCrash>,
     /// Checkpoint policy of every per-shard store (bounds adoption
@@ -103,9 +94,7 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 2,
-            partition_salt: 0,
             assignments: None,
-            lease_ttl: Duration::from_secs(60),
             crashes: Vec::new(),
             checkpoint: CheckpointPolicy::default(),
         }
@@ -161,12 +150,11 @@ impl ShardWalSet {
     }
 }
 
-/// Liveness lease of one shard: heartbeat + epoch, stored on the shared
-/// coordination database (the only channel shards may share).
+/// Liveness lease of one shard, stored on the shared coordination
+/// database (the only channel shards may share).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LeaseRow {
     shard: u64,
-    epoch: u64,
     last_heartbeat: SimTime,
     alive: bool,
 }
@@ -175,54 +163,6 @@ impl Record for LeaseRow {
     const TABLE: &'static str = "shard_leases";
     fn key(&self) -> u64 {
         self.shard
-    }
-}
-
-/// The deployment-wide epoch, bumped at every adoption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EpochRow {
-    id: u64,
-    epoch: u64,
-}
-
-impl Record for EpochRow {
-    const TABLE: &'static str = "shard_epoch";
-    fn key(&self) -> u64 {
-        self.id
-    }
-}
-
-/// Per-site quota-lease accounting: grid capacity a shard has debited at
-/// submission time. Written twice per plan — once under the owning
-/// shard's namespace, once to the global (un-namespaced) row — so the
-/// cross-shard fairness invariant `global == Σ shards` is checkable from
-/// the tables alone.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SiteLeaseRow {
-    /// The grid site.
-    pub site: u32,
-    /// CPU-seconds debited against this site.
-    pub cpu_seconds: u64,
-    /// Jobs planned onto this site.
-    pub jobs: u64,
-}
-
-impl SiteLeaseRow {
-    /// `row` (or the site's empty row, on first use) with a debit added.
-    fn credited(row: Option<Self>, site: u32, cpu_seconds: u64, jobs: u64) -> Self {
-        let row = row.unwrap_or_default();
-        SiteLeaseRow {
-            site,
-            cpu_seconds: row.cpu_seconds + cpu_seconds,
-            jobs: row.jobs + jobs,
-        }
-    }
-}
-
-impl Record for SiteLeaseRow {
-    const TABLE: &'static str = "site_leases";
-    fn key(&self) -> u64 {
-        self.site as u64
     }
 }
 
@@ -252,9 +192,10 @@ pub struct AdoptionRecord {
 
 /// The coordination state a sharded deployment attaches to the [`Driver`].
 pub(crate) struct Plane {
-    /// Coordination database: the deployment's message queues, lease/epoch
-    /// tables and quota-lease ledger. *Not* WAL-backed — it stands in for
-    /// the paper's central DBMS, which is assumed durable.
+    /// Coordination database: the deployment's message queues and the
+    /// lease table. It stands in for the paper's central DBMS, which is
+    /// assumed durable: it logs to its own in-memory WAL like any
+    /// [`Database::in_memory`] store, but no failover ever recovers it.
     db: Arc<Database>,
     /// Coordination telemetry: WAL/db activity of every shard, leases,
     /// heartbeats, adoptions. Varies with the shard count by construction,
@@ -274,9 +215,6 @@ pub(crate) struct Plane {
     /// adoption.
     pub(crate) orphans: Vec<StatusReport>,
     pub(crate) adoptions: Vec<AdoptionRecord>,
-    /// Precomputed `shard{i}` namespace names, so per-plan ledger writes
-    /// address the coordination db without formatting a fresh String.
-    ns_names: Vec<String>,
     /// Precomputed names of each shard's inbox queue (`shard{i}/inbox`),
     /// so a delivered report attaches to it without formatting any.
     inbox_names: Vec<QueueName>,
@@ -294,7 +232,6 @@ impl Plane {
         let hub = Arc::new(Telemetry::with_config(runtime.telemetry.clone()));
         let db = Arc::new(Database::in_memory());
         db.attach_telemetry(Arc::clone(&hub));
-        let ns_names: Vec<String> = (0..n).map(|i| format!("shard{i}")).collect();
         let segments: Vec<MemWal> = (0..n).map(|_| MemWal::shared()).collect();
         let servers = segments
             .iter()
@@ -314,57 +251,48 @@ impl Plane {
             remap: (0..n).collect(),
             orphans: Vec::new(),
             adoptions: Vec::new(),
-            inbox_names: ns_names
-                .iter()
-                .map(|ns| QueueName::namespaced(ns, "inbox"))
+            inbox_names: (0..n)
+                .map(|i| QueueName::namespaced(&format!("shard{i}"), "inbox"))
                 .collect(),
-            ns_names,
         };
         (plane, servers)
     }
 
     /// The shard currently owning a DAG id: its partition slot — an
-    /// explicit assignment if the config has one, else the salted
-    /// SplitMix64 hash; a pure function of (id, config) that every run and
+    /// explicit assignment if the config has one, else the SplitMix64
+    /// hash; a pure function of (id, config) that every run and
     /// every shard agrees on — remapped through any completed failovers.
     pub(crate) fn owner_of(&self, dag: DagId) -> usize {
         let n = self.remap.len().max(1);
         let assigned = self.config.assignments.as_ref().and_then(|a| a.get(&dag.0));
         let slot = match assigned {
             Some(&s) => s % n,
-            None => (splitmix64(dag.0 ^ self.config.partition_salt) % n as u64) as usize,
+            None => (splitmix64(dag.0) % n as u64) as usize,
         };
         self.remap.get(slot).copied().unwrap_or(0)
     }
 
-    /// The precomputed `shard{i}` namespace name. Shard indices are
-    /// internal and always in range; the fallback only guards against a
-    /// future refactor breaking that invariant without a panic path.
-    pub(crate) fn shard_ns(&self, i: usize) -> &str {
-        self.ns_names.get(i).map_or("shard-invalid", String::as_str)
-    }
-
     /// Shard `i`'s inbox queue on `db`, attached through its precomputed
-    /// name (the fallback, as in [`Self::shard_ns`], only guards the index).
+    /// name. Shard indices are internal and always in range; the fallback
+    /// only guards against a future refactor breaking that invariant
+    /// without a panic path.
     fn shard_inbox<'a>(&'a self, db: &'a Database, i: usize) -> Queue<'a, StatusReport> {
         match self.inbox_names.get(i) {
             Some(name) => Queue::at(db, name),
-            None => Queue::namespaced(db, self.shard_ns(i), "inbox"),
+            None => Queue::namespaced(db, "shard-invalid", "inbox"),
         }
     }
 
-    /// Open the epoch and grant every live shard its first lease.
+    /// Grant every live shard its first lease, in epoch 0.
     pub(crate) fn grant_leases(
         &self,
         servers: &[Option<SphinxServer>],
         now: SimTime,
     ) -> CoreResult<()> {
-        self.db.put(&EpochRow { id: 0, epoch: 0 })?;
         for (i, server) in servers.iter().enumerate() {
             if server.is_some() {
                 self.db.put(&LeaseRow {
                     shard: i as u64,
-                    epoch: 0,
                     last_heartbeat: now,
                     alive: true,
                 })?;
@@ -452,22 +380,18 @@ impl Plane {
         client: &SphinxClient,
         now: SimTime,
     ) -> CoreResult<()> {
-        let epoch = self.epoch;
         let mut alive = 0;
         for (i, _) in servers.iter().enumerate().filter(|(_, s)| s.is_some()) {
-            self.db.update::<LeaseRow>(i as u64, |l| {
-                l.last_heartbeat = now;
-                l.epoch = epoch;
-            })?;
+            self.db
+                .update::<LeaseRow>(i as u64, |l| l.last_heartbeat = now)?;
             alive += 1;
         }
         self.hub.counter_add("shard.heartbeats", alive);
-        let ttl = self.config.lease_ttl;
         let expired: Vec<u64> = self
             .db
             .scan::<LeaseRow>()?
             .into_iter()
-            .filter(|l| l.alive && now > l.last_heartbeat + ttl)
+            .filter(|l| l.alive && now > l.last_heartbeat + LEASE_TTL)
             .map(|l| l.shard)
             .collect();
         for dead in expired {
@@ -499,8 +423,7 @@ impl Plane {
     ///    as planned-but-never-submitted and double-submit the job.
     /// 3. Re-read the adopted DAGs' job rows and reconcile them against
     ///    the tracker ([`SphinxServer::reconcile_inflight`]).
-    /// 4. Fold the dead shard's quota-lease ledger into the adopter's and
-    ///    remap the dead partition slots.
+    /// 4. Remap the dead partition slots to the adopter.
     fn adopt(
         &mut self,
         servers: &mut [Option<SphinxServer>],
@@ -521,7 +444,6 @@ impl Plane {
         let replayed = donor.replayed();
         self.epoch += 1;
         let epoch = self.epoch;
-        self.db.update::<EpochRow>(0, |e| e.epoch = epoch)?;
         let dags = server.adopt_from(&donor, now)?;
         let adopted: BTreeSet<DagId> = dags.iter().copied().collect();
         let mut redelivered = 0;
@@ -547,7 +469,6 @@ impl Plane {
         }
         let (reset, repaired) =
             server.reconcile_inflight(sched, &jobs, &client.tracked_jobs(), now)?;
-        self.fold_ledger(dead, adopter)?;
         for slot in self.remap.iter_mut() {
             if *slot == dead {
                 *slot = adopter;
@@ -574,32 +495,6 @@ impl Plane {
             repaired,
             redelivered,
         });
-        Ok(())
-    }
-
-    /// Debit one plan against the quota-lease ledger: the owning shard's
-    /// namespaced row and the global accounting row move together.
-    pub(crate) fn debit_ledger(&self, owner: usize, plan: &PlanNotice) -> CoreResult<()> {
-        let (site, key) = (plan.site.0, plan.site.0 as u64);
-        let cpu = plan.compute.as_secs_f64().ceil() as u64;
-        let ns = self.db.namespace_ref(self.shard_ns(owner));
-        ns.put(&SiteLeaseRow::credited(ns.get(key), site, cpu, 1))?;
-        self.db
-            .put(&SiteLeaseRow::credited(self.db.get(key), site, cpu, 1))?;
-        Ok(())
-    }
-
-    /// Fold a dead shard's ledger rows into its adopter's (merge-add,
-    /// then delete), preserving `global == Σ shards` through failover.
-    fn fold_ledger(&self, dead: usize, adopter: usize) -> CoreResult<()> {
-        let from = self.db.namespace_ref(self.shard_ns(dead));
-        let to = self.db.namespace_ref(self.shard_ns(adopter));
-        for row in from.scan::<SiteLeaseRow>()? {
-            let key = row.site as u64;
-            let merged = SiteLeaseRow::credited(to.get(key), row.site, row.cpu_seconds, row.jobs);
-            to.put(&merged)?;
-            from.delete::<SiteLeaseRow>(key)?;
-        }
         Ok(())
     }
 }
@@ -679,7 +574,6 @@ mod tests {
         let db = Database::in_memory();
         db.put(&LeaseRow {
             shard: 1,
-            epoch: 0,
             last_heartbeat: SimTime::ZERO,
             alive: true,
         })
@@ -690,7 +584,7 @@ mod tests {
         assert!(!rows[0].alive);
     }
 
-    /// The encoder's checks of `tests/json_encoder.rs`, for the rows
+    /// The encoder's checks of `tests/json_encoder.rs`, for the row
     /// private to this module: the text is canonical (read as a `Value`,
     /// it prints the same bytes) and reads back as a row that prints it
     /// again.
@@ -703,31 +597,14 @@ mod tests {
             let back = serde_json::from_str::<T>(&out).and_then(|row| serde_json::to_string(&row));
             canonical.ok().as_ref() == Some(&out) && back.ok() == Some(out)
         }
-        for (shard, epoch, last_heartbeat) in [(0, 0, SimTime::ZERO), (7, u64::MAX, SimTime::MAX)] {
+        for (shard, last_heartbeat) in [(0, SimTime::ZERO), (u64::MAX, SimTime::MAX)] {
             let alive = shard == 0;
             let lease = LeaseRow {
                 shard,
-                epoch,
                 last_heartbeat,
                 alive,
             };
             assert!(round_trips(&lease));
-            assert!(round_trips(&EpochRow { id: shard, epoch }));
         }
-    }
-
-    #[test]
-    fn ledger_rows_are_namespaced_per_shard() {
-        let db = Database::in_memory();
-        db.namespace("shard0")
-            .put(&SiteLeaseRow {
-                site: 7,
-                cpu_seconds: 10,
-                jobs: 1,
-            })
-            .unwrap();
-        assert!(db.scan::<SiteLeaseRow>().unwrap().is_empty());
-        assert_eq!(db.namespace("shard0").count::<SiteLeaseRow>(), 1);
-        assert_eq!(db.namespace("shard1").count::<SiteLeaseRow>(), 0);
     }
 }

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use serde_json::{from_str, to_string, Number, Value};
 use sphinx_core::messages::{CancelCause, PlanNotice, StatusReport};
 use sphinx_core::state::{DagRow, DagState, JobRow, JobState, SiteStatsRow};
-use sphinx_core::SiteLeaseRow;
 use sphinx_dag::{DagId, JobId, WorkloadSpec};
 use sphinx_data::{FileSpec, LogicalFile, SiteId};
 use sphinx_grid::StagedInput;
@@ -157,7 +156,17 @@ struct Doc {
     maybe: Option<i16>,
 }
 
-/// Shaped like the sharded deployment's (private) lease row.
+/// Shaped like the per-site quota-lease row the sharded deployment logged
+/// when the golden table was written (the row has since been deleted).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SiteLeaseRow {
+    site: u32,
+    cpu_seconds: u64,
+    jobs: u64,
+}
+
+/// Shaped like the sharded deployment's lease row when the golden table
+/// was written (it has since lost `epoch`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LeaseRow {
     shard: u64,
@@ -166,7 +175,8 @@ struct LeaseRow {
     alive: bool,
 }
 
-/// Shaped like the sharded deployment's (private) epoch row.
+/// Shaped like the sharded deployment's epoch row when the golden table
+/// was written (the row has since been deleted).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct EpochRow {
     id: u64,

@@ -12,11 +12,11 @@
 
 use proptest::prelude::*;
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::{from_str, to_string, Number, Value};
 use sphinx_core::messages::{CancelCause, PlanNotice, StatusReport};
 use sphinx_core::state::{DagRow, DagState, JobRow, JobState, SiteStatsRow};
-use sphinx_core::{RuntimeConfig, SiteLeaseRow, SphinxRuntime};
+use sphinx_core::{RuntimeConfig, SphinxRuntime};
 use sphinx_dag::{DagId, JobId, WorkloadSpec};
 use sphinx_data::{FileSpec, LogicalFile, SiteId, TransferModel};
 use sphinx_grid::{GridSim, SiteSpec, StagedInput};
@@ -138,6 +138,15 @@ fn doc((s, n, i, bits): (usize, u64, i64, usize)) -> Doc {
 }
 
 // ---- the rows and messages the log holds ----
+
+/// Shaped like the per-site quota-lease row the sharded deployment logged
+/// when the golden table was written (the row has since been deleted).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SiteLeaseRow {
+    site: u32,
+    cpu_seconds: u64,
+    jobs: u64,
+}
 
 /// The text of every row and message the log holds, for one seed.
 fn log_rows((k, n, bits): (usize, u64, usize)) -> Vec<String> {

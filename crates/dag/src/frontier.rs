@@ -69,11 +69,6 @@ impl Frontier {
         self.ready.iter().copied()
     }
 
-    /// Number of jobs ready right now.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Remove a job from the ready set (it is being planned). Returns
     /// whether it was actually ready.
     pub fn take(&mut self, job: u32) -> bool {
@@ -201,7 +196,6 @@ mod tests {
         let mut f = Frontier::new(&diamond());
         f.complete(0);
         assert_eq!(f.ready_iter().collect::<Vec<_>>(), f.ready());
-        assert_eq!(f.ready_len(), 2);
     }
 
     #[test]

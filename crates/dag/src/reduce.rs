@@ -25,13 +25,6 @@ pub struct Reduction {
     pub remaining: Vec<u32>,
 }
 
-impl Reduction {
-    /// Number of jobs that do not need to run.
-    pub fn eliminated_count(&self) -> usize {
-        self.eliminated.len()
-    }
-}
-
 /// Reduce `dag` against an existence oracle (typically a batched replica
 /// location service lookup).
 ///
@@ -53,28 +46,6 @@ pub fn reduce(dag: &Dag, mut exists: impl FnMut(&LogicalFile) -> bool) -> Reduct
         eliminated,
         remaining,
     }
-}
-
-/// The inputs that surviving jobs consume from *eliminated or external*
-/// producers — i.e. every file the executor must be able to stage from a
-/// replica catalog rather than receive from a parent job at the same site.
-pub fn staged_inputs(dag: &Dag, reduction: &Reduction) -> Vec<LogicalFile> {
-    let producers = dag.producers();
-    let eliminated: std::collections::BTreeSet<u32> =
-        reduction.eliminated.iter().copied().collect();
-    let mut out = Vec::new();
-    for &idx in &reduction.remaining {
-        let job = &dag.jobs[idx as usize];
-        for input in &job.inputs {
-            let from_surviving_parent = producers
-                .get(input)
-                .is_some_and(|&p| !eliminated.contains(&p));
-            if !from_surviving_parent && !out.contains(input) {
-                out.push(input.clone());
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -121,7 +92,6 @@ mod tests {
         let r = reduce(&dag, |_| true);
         assert_eq!(r.eliminated, vec![0, 1, 2]);
         assert!(r.remaining.is_empty());
-        assert_eq!(r.eliminated_count(), 3);
     }
 
     #[test]
@@ -132,8 +102,6 @@ mod tests {
         let r = reduce(&dag, |f| f.name() == "f0" || f.name() == "f1");
         assert_eq!(r.eliminated, vec![0, 1]);
         assert_eq!(r.remaining, vec![2]);
-        let staged = staged_inputs(&dag, &r);
-        assert_eq!(staged, vec![LogicalFile::from("f1")]);
     }
 
     #[test]
@@ -148,19 +116,6 @@ mod tests {
         let r = reduce(&dag, |f| f.name() == "f1");
         assert_eq!(r.eliminated, vec![1]);
         assert_eq!(r.remaining, vec![0, 2]);
-        // j2 stages f1 from the catalog, not from j1.
-        let staged = staged_inputs(&dag, &r);
-        assert!(staged.contains(&LogicalFile::from("f1")));
-        // j0's external input is staged too.
-        assert!(staged.contains(&LogicalFile::from("ext")));
-    }
-
-    #[test]
-    fn staged_inputs_empty_when_all_parents_survive() {
-        let d = DagId(2);
-        let dag = Dag::new(d, vec![job(d, 0, &[], "a"), job(d, 1, &["a"], "b")]).unwrap();
-        let r = reduce(&dag, |_| false);
-        assert!(staged_inputs(&dag, &r).is_empty());
     }
 
     #[test]

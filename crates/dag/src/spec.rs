@@ -248,35 +248,6 @@ impl Dag {
         }
         Ok(())
     }
-
-    /// Render the DAG in Graphviz DOT format: one node per job (labelled
-    /// with its name and output), one edge per file dependency. Useful
-    /// for eyeballing generated workflows (`dot -Tsvg`).
-    pub fn to_dot(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("digraph \"{}\" {{\n", self.id));
-        out.push_str("  rankdir=TB;\n  node [shape=box, fontsize=10];\n");
-        for job in &self.jobs {
-            out.push_str(&format!(
-                "  j{} [label=\"{}\\n→ {}\"];\n",
-                job.id.index, job.name, job.output.file
-            ));
-        }
-        for (child, parents) in self.parents().iter().enumerate() {
-            for &p in parents {
-                out.push_str(&format!("  j{p} -> j{child};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Total nominal compute across all jobs.
-    pub fn total_compute(&self) -> Duration {
-        self.jobs
-            .iter()
-            .fold(Duration::ZERO, |acc, j| acc + j.compute)
-    }
 }
 
 /// For each job, the jobs that list it among their `parents` (as
@@ -447,29 +418,9 @@ mod tests {
     }
 
     #[test]
-    fn total_compute_sums() {
-        assert_eq!(diamond().total_compute(), Duration::from_mins(4));
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", JobId::new(DagId(3), 7)), "dag3/j7");
         assert_eq!(format!("{}", LogicalFile::from("f.dat")), "f.dat");
-    }
-
-    #[test]
-    fn dot_export_contains_all_nodes_and_edges() {
-        let dag = diamond();
-        let dot = dag.to_dot();
-        assert!(dot.starts_with("digraph"));
-        for i in 0..4 {
-            assert!(dot.contains(&format!("j{i} [label=")), "node j{i}");
-        }
-        // The diamond's four edges.
-        for edge in ["j0 -> j1", "j0 -> j2", "j1 -> j3", "j2 -> j3"] {
-            assert!(dot.contains(edge), "{edge} missing:\n{dot}");
-        }
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl JobRequest {
             archive_to: None,
         }
     }
-
-    /// Total bytes (MB) that must move across the WAN for this plan.
-    pub fn staged_mb(&self) -> u64 {
-        self.inputs
-            .iter()
-            .filter(|i| i.source.is_some())
-            .map(|i| i.size_mb)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -79,33 +70,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn staged_mb_counts_only_remote_inputs() {
-        let req = JobRequest {
-            tag: 1,
-            compute: Duration::from_mins(1),
-            inputs: vec![
-                StagedInput {
-                    file: "a".into(),
-                    size_mb: 100,
-                    source: Some(SiteId(2)),
-                },
-                StagedInput {
-                    file: "b".into(),
-                    size_mb: 50,
-                    source: None, // already local
-                },
-            ],
-            output: FileSpec::new("out", 10),
-            archive_to: None,
-        };
-        assert_eq!(req.staged_mb(), 100);
-    }
-
-    #[test]
     fn compute_only_has_no_staging() {
         let req = JobRequest::compute_only(7, Duration::from_mins(2), FileSpec::new("o", 1));
         assert!(req.inputs.is_empty());
-        assert_eq!(req.staged_mb(), 0);
         assert_eq!(req.tag, 7);
     }
 

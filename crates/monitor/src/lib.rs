@@ -106,7 +106,6 @@ pub struct Monitor {
     config: MonitorConfig,
     visible: BTreeMap<SiteId, Report>,
     pending: Vec<PendingRound>,
-    last_sample: Option<SimTime>,
     rounds: u64,
     samples_lost: u64,
     rng: SimRng,
@@ -120,7 +119,6 @@ impl Monitor {
             config,
             visible: BTreeMap::new(),
             pending: Vec::new(),
-            last_sample: None,
             rounds: 0,
             samples_lost: 0,
             rng: SimRng::new(seed).derive("monitor"),
@@ -139,14 +137,6 @@ impl Monitor {
         &self.config
     }
 
-    /// When the next sampling round is due (`ZERO` before the first).
-    pub fn next_sample_due(&self) -> SimTime {
-        match self.last_sample {
-            None => SimTime::ZERO,
-            Some(t) => t + self.config.update_period,
-        }
-    }
-
     /// Run one sampling round against ground truth. The caller (the
     /// runtime's monitor wakeup) decides the cadence; this method records
     /// the round unconditionally.
@@ -154,7 +144,6 @@ impl Monitor {
     /// Down sites and dropped samples leave the previous report in place.
     pub fn sample(&mut self, now: SimTime, truth: &[SiteSnapshot]) {
         self.rounds += 1;
-        self.last_sample = Some(now);
         let mut reports = Vec::with_capacity(truth.len());
         let mut lost_this_round = 0u64;
         for snap in truth {
@@ -367,14 +356,6 @@ mod tests {
         );
         let rs = m.reports(SimTime::from_secs(0));
         assert_eq!(rs.len(), 2, "down site has no report yet");
-    }
-
-    #[test]
-    fn next_sample_due_follows_period() {
-        let mut m = perfect();
-        assert_eq!(m.next_sample_due(), SimTime::ZERO);
-        m.sample(SimTime::from_secs(30), &[]);
-        assert_eq!(m.next_sample_due(), SimTime::from_secs(90));
     }
 
     #[test]

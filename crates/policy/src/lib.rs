@@ -216,11 +216,6 @@ impl PolicyEngine {
         }
     }
 
-    /// The user's VO, if registered.
-    pub fn vo_of(&self, user: UserId) -> Option<VoId> {
-        self.users.get(&user).map(|u| u.vo)
-    }
-
     /// The user's priority, if registered.
     pub fn priority_of(&self, user: UserId) -> Option<u32> {
         self.users.get(&user).map(|u| u.priority)
@@ -229,19 +224,6 @@ impl PolicyEngine {
     /// The user's account at a site.
     pub fn account(&self, user: UserId, site: SiteId) -> Option<QuotaAccount> {
         self.users.get(&user)?.quotas.get(&site).copied()
-    }
-
-    /// Total charged usage (used + reserved) across every user at `site`.
-    /// The sharded coordinator debits this against its per-site
-    /// quota-lease ledger so cross-shard fairness is auditable from the
-    /// database alone.
-    pub fn site_usage(&self, site: SiteId) -> Requirement {
-        self.users
-            .values()
-            .filter_map(|u| u.quotas.get(&site))
-            .fold(Requirement::default(), |acc, q| {
-                acc.plus(q.used).plus(q.reserved)
-            })
     }
 
     /// Eq. 4: the subset of `sites` where the user's remaining quota
@@ -399,25 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn site_usage_sums_used_and_reserved_across_users() {
-        let mut e = engine_with_user();
-        e.add_user(UserId(2), VoId(0), 5);
-        e.grant(UserId(2), SiteId(0), Requirement::new(500, 200));
-        let r1 = e
-            .reserve(UserId(1), SiteId(0), Requirement::new(100, 50))
-            .unwrap();
-        let _r2 = e
-            .reserve(UserId(2), SiteId(0), Requirement::new(30, 10))
-            .unwrap();
-        e.commit(r1, Requirement::new(80, 50)).unwrap();
-        // User 1 contributes 80/50 used; user 2 contributes 30/10 reserved.
-        assert_eq!(e.site_usage(SiteId(0)), Requirement::new(110, 60));
-        // Other sites are untouched; unknown sites read as zero.
-        assert_eq!(e.site_usage(SiteId(1)), Requirement::default());
-        assert_eq!(e.site_usage(SiteId(9)), Requirement::default());
-    }
-
-    #[test]
     fn release_refunds_everything() {
         let mut e = engine_with_user();
         let before = e.account(UserId(1), SiteId(0)).unwrap();
@@ -461,9 +424,8 @@ mod tests {
     #[test]
     fn metadata_lookups() {
         let e = engine_with_user();
-        assert_eq!(e.vo_of(UserId(1)), Some(VoId(0)));
         assert_eq!(e.priority_of(UserId(1)), Some(10));
-        assert_eq!(e.vo_of(UserId(2)), None);
+        assert_eq!(e.priority_of(UserId(2)), None);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Accumulator {
         (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -244,7 +239,7 @@ mod tests {
         }
         assert_eq!(a.count(), 8);
         assert!((a.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((a.std_dev().unwrap() - 2.0).abs() < 1e-12);
+        assert!((a.variance().unwrap() - 4.0).abs() < 1e-12);
         assert_eq!(a.min(), Some(2.0));
         assert_eq!(a.max(), Some(9.0));
     }

@@ -1,7 +1,7 @@
 //! Sharded determinism: a crash-free sharded deployment is an
 //! implementation detail, not a behaviour change. The aggregate
 //! [`RunReport`] and the merged report-hub trace must be invariant to
-//! the shard count, the partition salt and the partition map itself.
+//! the shard count and the partition map itself.
 
 use proptest::prelude::*;
 use sphinx::core::shard::ShardConfig;
@@ -81,8 +81,9 @@ fn sharded_single_shard_matches_the_unsharded_runtime_outcome() {
 
 #[test]
 fn report_is_invariant_under_policy_and_deadlines() {
-    // Quota debits and deadline-ordered planning exercise the ledger and
-    // the EDF fast lane; both must still be partition-independent.
+    // Quota reservations and deadline-ordered planning exercise the shared
+    // policy engine and the EDF fast lane; both must still be
+    // partition-independent.
     let with_extras = || {
         quick()
             .quota(Requirement::new(10_000_000, 10_000_000))
@@ -106,29 +107,6 @@ fn report_is_invariant_under_policy_and_deadlines() {
         );
         assert_eq!(report, base, "{shards} shards with policy + deadline");
         assert_eq!(trace, base_trace);
-    }
-}
-
-#[test]
-fn partition_salt_does_not_change_the_report() {
-    let (base, base_trace) = run_with(
-        quick(),
-        ShardConfig {
-            shards: 4,
-            ..ShardConfig::default()
-        },
-    );
-    for salt in [1, 0xDEAD_BEEF, u64::MAX] {
-        let (report, trace) = run_with(
-            quick(),
-            ShardConfig {
-                shards: 4,
-                partition_salt: salt,
-                ..ShardConfig::default()
-            },
-        );
-        assert_eq!(report, base, "salt {salt:#x} changed the report");
-        assert_eq!(trace, base_trace, "salt {salt:#x} changed the trace");
     }
 }
 

@@ -392,7 +392,7 @@ fn seeded_runs_export_the_pinned_bytes() {
         ("sharded.report_hub.prometheus", 0x76fc_17db_43b2_0e5e),
         ("sharded.coord_hub.jsonl", 0xc013_ea3a_6942_4418),
         ("sharded.coord_hub.chrome", 0x2d25_b7e7_43f5_83e2),
-        ("sharded.coord_hub.prometheus", 0x0df8_a69b_a62e_0950),
+        ("sharded.coord_hub.prometheus", 0x46f5_b15d_2ae6_f702),
         ("sharded.report.telemetry", 0x8af9_cd7b_8fe0_7608),
         ("sharded.report.analysis", 0x76a8_6af1_10a3_b0a0),
         ("sharded.ops_alerts", 0xb8d4_a5c3_2262_e4d9),
