@@ -33,28 +33,33 @@ pub struct TableStats {
 
 /// When the commit path compacts the log automatically.
 ///
-/// The trigger is purely a function of committed state — log length vs.
-/// live rows — never the wall clock, so two runs with the same seed
-/// checkpoint at exactly the same commits and recovery traces stay
-/// byte-identical.
+/// After each commit the log is compacted to one snapshot line once the
+/// bytes logged since the last snapshot exceed both `min_log_bytes` and
+/// `ratio ×` the bytes the live rows print to, so a recovery replays at
+/// most about `(1 + ratio)` times the state it rebuilds, however the
+/// commits group their ops into lines. Both sides of the test are
+/// committed state, never the wall clock, and a recovered database
+/// rebuilds both exactly, so two runs with the same seed checkpoint at the
+/// same commits, crashed or not, and recovery traces stay byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Master switch; `false` restores explicit-only checkpointing.
     pub enabled: bool,
-    /// Compact once `log_lines > ratio × live_rows` (live rows floored at
-    /// 1 so a fully-deleted database still compacts).
+    /// Compact once the bytes logged since the last snapshot exceed
+    /// `ratio ×` the live rows' printed bytes.
     pub ratio: u64,
-    /// Never compact before the log has this many lines — keeps tiny
-    /// databases from churning through rewrites.
-    pub min_log_lines: u64,
+    /// Never compact before this many bytes were logged since the last
+    /// snapshot: keeps near-empty databases from churning through
+    /// rewrites.
+    pub min_log_bytes: u64,
 }
 
 impl Default for CheckpointPolicy {
     fn default() -> Self {
         CheckpointPolicy {
             enabled: true,
-            ratio: 4,
-            min_log_lines: 1024,
+            ratio: 2,
+            min_log_bytes: 1 << 20,
         }
     }
 }
@@ -66,6 +71,12 @@ impl CheckpointPolicy {
             enabled: false,
             ..CheckpointPolicy::default()
         }
+    }
+
+    /// Whether a log holding `logged` bytes since its last snapshot, over
+    /// live rows that print to `state` bytes, is due for compaction.
+    fn due(&self, logged: u64, state: u64) -> bool {
+        self.enabled && logged > self.min_log_bytes.max(self.ratio.saturating_mul(state))
     }
 }
 
@@ -212,9 +223,12 @@ impl Database {
         self.log_lines.load(Ordering::Relaxed)
     }
 
-    /// Live rows across every table.
-    pub fn live_rows(&self) -> u64 {
-        self.tables.lock().row_count()
+    /// The bytes the live rows print to: the rows of the snapshot line a
+    /// checkpoint would write now, which the checkpoint policy weighs the
+    /// log against.
+    #[cfg(test)]
+    pub(crate) fn state_bytes(&self) -> u64 {
+        self.tables.lock().live_bytes()
     }
 
     /// Rows that failed to decode on the `Option`-returning read path.
@@ -280,17 +294,13 @@ impl Database {
         printable?;
         self.wal.lock().append(&store.line)?;
         self.log_lines.fetch_add(1, Ordering::Relaxed);
+        store.logged += store.line.len() as u64;
         self.with_hub(|t| t.counter_add("wal.appends", 1));
         let out = apply(&mut store, prepared)?;
-        // Deterministic: the decision depends only on log length and
-        // live-row count.
-        let policy = self.checkpoint;
-        let log = self.log_lines.load(Ordering::Relaxed);
-        if policy.enabled
-            && log >= policy.min_log_lines
-            && log > policy.ratio.saturating_mul(store.row_count().max(1))
-        {
-            self.checkpoint_locked(&store)?;
+        // Deterministic: the decision depends only on the bytes logged
+        // and the bytes of the state they left.
+        if self.checkpoint.due(store.logged, store.live_bytes()) {
+            self.checkpoint_locked(&mut store)?;
         }
         Ok(out)
     }
@@ -322,10 +332,9 @@ impl Database {
                         key,
                     });
                 }
-                line.put(table, key, row);
-                Ok(ControlFlow::Continue(()))
+                Ok(ControlFlow::Continue(line.put(table, key, row)))
             },
-            |store, ()| store.apply_put(table, key, row.clone()),
+            |store, len| store.apply_put(table, key, row.clone(), len),
         )
     }
 
@@ -407,7 +416,7 @@ impl Database {
                 let Some(t) = store.typed::<R>(table)? else {
                     return Ok(ControlFlow::Break(None));
                 };
-                let Some(mut row) = t.rows().get(&key).cloned() else {
+                let Some(mut row) = t.rows().get(&key).map(|(row, _)| row.clone()) else {
                     if t.check_decodable(table, key..=key).is_err() {
                         self.decode_failures.fetch_add(1, Ordering::Relaxed);
                     }
@@ -419,11 +428,11 @@ impl Database {
                     return Ok(ControlFlow::Break(None));
                 };
                 debug_assert_eq!(row.key(), key, "update must not change the key");
-                line.put(table, key, &row);
-                Ok(ControlFlow::Continue((row, out)))
+                let len = line.put(table, key, &row);
+                Ok(ControlFlow::Continue((row, out, len)))
             },
-            |store, (row, out)| {
-                store.apply_put(table, key, row)?;
+            |store, (row, out, len)| {
+                store.apply_put(table, key, row, len)?;
                 Ok(Some(out))
             },
         )
@@ -476,7 +485,10 @@ impl Database {
                 return Ok(());
             };
             t.check_decodable(table, (range.start_bound(), range.end_bound()))?;
-            t.rows().range(range).filter(|(_, row)| read(row)).count()
+            t.rows()
+                .range(range)
+                .filter(|(_, (row, _))| read(row))
+                .count()
         };
         self.note_reads(rows as u64);
         Ok(())
@@ -527,15 +539,16 @@ impl Database {
 
     /// Compact the log to one snapshot entry describing the current state.
     pub fn checkpoint(&self) -> Result<(), DbError> {
-        self.checkpoint_locked(&self.tables.lock())
+        self.checkpoint_locked(&mut self.tables.lock())
     }
 
     /// Snapshot and rewrite as one critical section: the caller's `tables`
     /// guard keeps every committer out until the log holds the snapshot,
     /// so no line can land between the two and be erased by the rewrite.
-    fn checkpoint_locked(&self, store: &Store) -> Result<(), DbError> {
+    fn checkpoint_locked(&self, store: &mut Store) -> Result<(), DbError> {
         let print = &mut |out: &mut String| write_snapshot(store, out);
         self.wal.lock().rewrite_printed(print)?;
+        store.logged = 0;
         self.log_lines.store(1, Ordering::Relaxed);
         self.with_hub(|t| t.record(Default::default(), Event::WalCheckpoint));
         Ok(())
@@ -770,7 +783,19 @@ mod tests {
         // Overwriting or deleting the row is how an operator repairs it.
         again.put(&item(2, "repaired", 2)).unwrap();
         assert_eq!(again.scan::<Item>().unwrap().len(), 3);
-        assert_eq!(again.live_rows(), 3);
+        // The repair displaced the undecodable row's bytes, not a typed row's.
+        assert_eq!(again.state_bytes(), row_bytes(&again.snapshot_line()));
+    }
+
+    /// The bytes of the rows of `snapshot`, a snapshot line.
+    pub(super) fn row_bytes(snapshot: &str) -> u64 {
+        let Ok(crate::txn::Replayed::Snapshot(tables)) =
+            crate::txn::read_printed(snapshot, &mut Vec::new())
+        else {
+            panic!("not a snapshot line: {snapshot}");
+        };
+        let rows = tables.values().flat_map(|t| t.raw().values());
+        rows.map(|text| text.len() as u64).sum()
     }
 
     #[test]
@@ -889,7 +914,7 @@ mod tests {
             wal.read_all().unwrap(),
             vec![r#"{"kind":"snapshot","tables":[{"name":"items","rows":[]}]}"#]
         );
-        assert_eq!(db.live_rows(), 0);
+        assert_eq!(db.state_bytes(), 0);
     }
 
     #[test]
@@ -1053,51 +1078,61 @@ mod tests {
         assert_eq!(recovered.count::<Item>(), 2);
     }
 
+    /// The bytes of the lines of `wal` after its last snapshot line.
+    pub(super) fn logged_bytes(wal: &MemWal) -> u64 {
+        let lines = wal.read_all().unwrap();
+        let snapshot = lines
+            .iter()
+            .rposition(|l| l.starts_with(r#"{"kind":"snapshot""#));
+        let after = snapshot.map_or(0, |at| at + 1);
+        lines[after..].iter().map(|l| l.len() as u64).sum()
+    }
+
     #[test]
-    fn auto_checkpoint_fires_on_log_to_live_ratio() {
+    fn auto_checkpoint_fires_on_log_to_state_ratio() {
         let wal = MemWal::shared();
         let policy = CheckpointPolicy {
             enabled: true,
             ratio: 4,
-            min_log_lines: 16,
+            min_log_bytes: 256,
         };
         let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
-        // One live row rewritten repeatedly: the log grows while live
-        // rows stay at 1, so the ratio trigger must fire.
+        // One live row rewritten repeatedly: the log grows while the
+        // state stays one row, so the ratio trigger must fire.
         for i in 0..64u32 {
             db.put(&item(1, "v", i)).unwrap();
         }
         assert!(
-            wal.len() < 32,
+            wal.len() < 8,
             "auto-checkpoint kept the log bounded, got {} lines",
             wal.len()
         );
         // The compacted log still recovers the latest state.
         let recovered = Database::recover(Box::new(wal.clone())).unwrap();
         assert_eq!(recovered.get::<Item>(1).unwrap().weight, 63);
-        // Bound: ratio (4) × one live row, plus the snapshot line itself.
-        assert!(
-            recovered.replayed() <= 5,
-            "replay bounded by policy, got {}",
-            recovered.replayed()
-        );
+        // Bound: what follows the snapshot is within the floor, here
+        // above ratio (4) × the one row.
+        let state = recovered.state_bytes();
+        assert!(policy.ratio * state < policy.min_log_bytes, "{state}");
+        let logged = logged_bytes(&wal);
+        assert!(logged <= policy.min_log_bytes, "replayed {logged} bytes");
     }
 
     #[test]
-    fn auto_checkpoint_respects_min_log_lines() {
+    fn auto_checkpoint_respects_min_log_bytes() {
         let wal = MemWal::shared();
         let db = Database::with_wal_and_config(
             Box::new(wal.clone()),
             CheckpointPolicy {
                 enabled: true,
                 ratio: 1,
-                min_log_lines: 1000,
+                min_log_bytes: 1 << 20,
             },
         );
         for i in 0..50u32 {
             db.put(&item(1, "v", i)).unwrap();
         }
-        assert_eq!(wal.len(), 50, "below min_log_lines nothing compacts");
+        assert_eq!(wal.len(), 50, "below min_log_bytes nothing compacts");
     }
 
     #[test]
@@ -1109,7 +1144,7 @@ mod tests {
                 CheckpointPolicy {
                     enabled: true,
                     ratio: 2,
-                    min_log_lines: 8,
+                    min_log_bytes: 256,
                 },
             );
             for i in 0..40u64 {
@@ -1212,7 +1247,7 @@ mod tests {
         txn.put(&item(1, "x", 1)).unwrap();
         txn.delete::<Quoted>(1);
         refused(txn.commit());
-        assert_eq!((wal.len(), db.live_rows()), (0, 0));
+        assert_eq!((wal.len(), db.state_bytes()), (0, 0));
         assert!(db.stats().is_empty());
         // A name outside ASCII needs no escape.
         db.namespace("é✓").put(&item(1, "x", 1)).unwrap();
@@ -1234,6 +1269,205 @@ mod tests {
             }]
         );
         assert_eq!(db.log_lines(), 2);
+    }
+}
+
+/// The checkpoint trigger's two numbers held to what they stand for,
+/// over random commits of every kind: the bytes logged since the last
+/// snapshot are the bytes of the log's lines after its snapshot line and
+/// stay within `max(min_log_bytes, ratio × state bytes)` after every
+/// commit; the state bytes are the row bytes of the snapshot line printed
+/// at that moment, so the bookkeeping cannot drift; a recovered database
+/// holds the same two numbers; and grouping ops into fewer lines never
+/// moves a checkpoint later.
+#[cfg(test)]
+mod checkpoint_bytes {
+    use super::tests::{logged_bytes, row_bytes};
+    use super::*;
+    use crate::wal::MemWal;
+    use crate::Queue;
+    use proptest::prelude::*;
+    use serde::Deserialize;
+
+    #[derive(Clone, Serialize, Deserialize)]
+    struct Note {
+        id: u64,
+        text: String,
+    }
+    impl Record for Note {
+        const TABLE: &'static str = "notes";
+        fn key(&self) -> u64 {
+            self.id
+        }
+    }
+
+    #[derive(Clone, Serialize, Deserialize)]
+    struct Flag {
+        id: u64,
+        on: bool,
+    }
+    impl Record for Flag {
+        const TABLE: &'static str = "flags";
+        fn key(&self) -> u64 {
+            self.id
+        }
+    }
+
+    /// One op a transaction can carry: a put of a row whose length varies,
+    /// a put to a second table, or a delete (logged whether or not the
+    /// row exists).
+    #[derive(Debug, Clone)]
+    enum Op {
+        Put(u64, usize),
+        Flag(u64, bool),
+        Del(u64),
+    }
+
+    impl Op {
+        fn buffer(&self, txn: &mut Txn<'_>) {
+            match *self {
+                Op::Put(id, len) => {
+                    let text = "é\"".repeat(len);
+                    txn.put(&Note { id, text }).unwrap();
+                }
+                Op::Flag(id, on) => {
+                    txn.put(&Flag { id, on }).unwrap();
+                }
+                Op::Del(id) => {
+                    txn.delete::<Note>(id);
+                }
+            }
+        }
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0u64..16, 0usize..40).prop_map(|(id, len)| Op::Put(id, len)),
+            1 => (0u64..4, any::<bool>()).prop_map(|(id, on)| Op::Flag(id, on)),
+            2 => (0u64..16).prop_map(Op::Del),
+        ]
+    }
+
+    /// A commit: one line of ops, a `put`, an `update` that resizes a row
+    /// or a `delete` of one, or a queue push (two puts) or drain (a delete
+    /// per message).
+    #[derive(Debug, Clone)]
+    enum Commit {
+        Line(Vec<Op>),
+        Put(u64, usize),
+        Update(u64, usize),
+        Delete(u64),
+        Push(usize),
+        Drain,
+    }
+
+    fn commit() -> impl Strategy<Value = Commit> {
+        let note = || (0u64..16, 0usize..40);
+        prop_oneof![
+            6 => proptest::collection::vec(op(), 1..5).prop_map(Commit::Line),
+            2 => note().prop_map(|(id, len)| Commit::Put(id, len)),
+            2 => note().prop_map(|(id, len)| Commit::Update(id, len)),
+            1 => (0u64..16).prop_map(Commit::Delete),
+            2 => (0usize..30).prop_map(Commit::Push),
+            1 => Just(Commit::Drain),
+        ]
+    }
+
+    const POLICY: CheckpointPolicy = CheckpointPolicy {
+        enabled: true,
+        ratio: 2,
+        min_log_bytes: 512,
+    };
+
+    fn line(db: &Database, ops: &[Op]) {
+        let mut txn = db.txn();
+        ops.iter().for_each(|op| op.buffer(&mut txn));
+        txn.commit().unwrap();
+    }
+
+    /// The database's own count of the bytes logged since its snapshot.
+    fn logged(db: &Database) -> u64 {
+        db.tables.lock().logged
+    }
+
+    /// A database over a fresh log, and a hub counting its checkpoints.
+    fn fresh() -> (Database, MemWal, Arc<Telemetry>) {
+        let wal = MemWal::shared();
+        let db = Database::with_wal_and_config(Box::new(wal.clone()), POLICY);
+        let hub = Telemetry::shared();
+        db.attach_telemetry(Arc::clone(&hub));
+        (db, wal, hub)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+
+        #[test]
+        fn the_log_stays_bounded_by_the_state_it_rebuilds(
+            commits in proptest::collection::vec(commit(), 1..120)
+        ) {
+            let (db, wal, hub) = fresh();
+            let queue = Queue::<String>::new(&db, "inbox");
+            for commit in &commits {
+                match *commit {
+                    Commit::Line(ref ops) => line(&db, ops),
+                    Commit::Put(id, len) => {
+                        db.put(&Note { id, text: "x".repeat(len) }).unwrap();
+                    }
+                    Commit::Update(id, len) => {
+                        db.update::<Note>(id, |n| n.text = "y".repeat(len)).unwrap();
+                    }
+                    Commit::Delete(id) => {
+                        db.delete::<Note>(id).unwrap();
+                    }
+                    Commit::Push(len) => {
+                        queue.push(&"x".repeat(len)).unwrap();
+                    }
+                    Commit::Drain => {
+                        queue.drain().unwrap();
+                    }
+                }
+                let state = db.state_bytes();
+                prop_assert_eq!(state, row_bytes(&db.snapshot_line()));
+                prop_assert_eq!(logged(&db), logged_bytes(&wal));
+                let bound = POLICY.min_log_bytes.max(POLICY.ratio * state);
+                prop_assert!(logged(&db) <= bound, "{} > {}", logged(&db), bound);
+            }
+            // Recovery rebuilds both numbers, so the next commit decides
+            // as it would have without the crash.
+            let again = Database::recover_with_config(Box::new(wal.clone()), POLICY).unwrap();
+            prop_assert_eq!(again.state_bytes(), db.state_bytes());
+            prop_assert_eq!(logged(&again), logged(&db));
+            if commits.len() > 60 {
+                prop_assert!(hub.counter("wal.rewrites") > 0);
+            }
+        }
+
+        #[test]
+        fn one_line_of_n_ops_checkpoints_no_later_than_n_lines_of_one(
+            prefix in proptest::collection::vec(op(), 0..40),
+            batch in proptest::collection::vec(op(), 1..12),
+        ) {
+            let (grouped, _, grouped_hub) = fresh();
+            let (split, _, split_hub) = fresh();
+            for op in &prefix {
+                line(&grouped, std::slice::from_ref(op));
+                line(&split, std::slice::from_ref(op));
+            }
+            let before = grouped_hub.counter("wal.rewrites");
+            prop_assert_eq!(split_hub.counter("wal.rewrites"), before);
+            line(&grouped, &batch);
+            for op in &batch {
+                line(&split, std::slice::from_ref(op));
+            }
+            prop_assert_eq!(grouped.state_bytes(), split.state_bytes());
+            prop_assert_eq!(grouped.state_bytes(), row_bytes(&grouped.snapshot_line()));
+            // The N lines log every byte the one line does and a frame
+            // per extra line, so wherever the one line is due, one of
+            // them was too.
+            let checkpointed = |hub: &Telemetry| hub.counter("wal.rewrites") > before;
+            prop_assert!(!checkpointed(&grouped_hub) || checkpointed(&split_hub));
+        }
     }
 }
 

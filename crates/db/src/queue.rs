@@ -87,7 +87,7 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
         self.db.commit(
             |store, line| {
                 let counter = store.typed::<u64>(&self.name.seq_table)?;
-                let counter = counter.and_then(|t| t.rows().get(&0).copied());
+                let counter = counter.and_then(|t| t.rows().get(&0).map(|&(n, _)| n));
                 store.typed::<M>(&self.name.table)?;
                 let seq = match counter {
                     Some(n) => n,
@@ -99,13 +99,13 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
                         messages.and_then(|t| t.max_key()).map_or(0, |k| k + 1)
                     }
                 };
-                line.put(&self.name.table, seq, msg);
-                line.put(&self.name.seq_table, 0, &(seq + 1));
-                Ok(ControlFlow::Continue(seq))
+                let msg_len = line.put(&self.name.table, seq, msg);
+                let seq_len = line.put(&self.name.seq_table, 0, &(seq + 1));
+                Ok(ControlFlow::Continue((seq, msg_len, seq_len)))
             },
-            |store, seq| {
-                store.apply_put(&self.name.table, seq, msg.clone())?;
-                store.apply_put(&self.name.seq_table, 0, seq + 1)?;
+            |store, (seq, msg_len, seq_len)| {
+                store.apply_put(&self.name.table, seq, msg.clone(), msg_len)?;
+                store.apply_put(&self.name.seq_table, 0, seq + 1, seq_len)?;
                 Ok(seq)
             },
         )
@@ -123,7 +123,7 @@ impl<'a, M: Serialize + DeserializeOwned + Clone + Send + 'static> Queue<'a, M> 
                 // rather than being skipped.
                 let older = head.map_or(Bound::Unbounded, |(&key, _)| Bound::Excluded(key));
                 t.check_decodable(&self.name.table, (Bound::Unbounded, older))?;
-                let Some((&key, msg)) = head else {
+                let Some((&key, (msg, _))) = head else {
                     return Ok(ControlFlow::Break(None));
                 };
                 line.del(&self.name.table, key);

@@ -4,9 +4,14 @@
 //! put row as its JSON text, checked but not decoded ([`Store::replay`]):
 //! a row that a later line replaces or deletes is never decoded at all.
 //! The first typed access to a table names the row type and decodes the
-//! text of every row that decodes, straight into a `BTreeMap<u64, T>`;
-//! from then on reads clone typed rows out, writes move them in, and JSON
-//! exists only in the log line a commit prints.
+//! text of every row that decodes, straight into a `BTreeMap` of
+//! `(row, len)`; from then on reads clone typed rows out, writes move them
+//! in, and JSON exists only in the log line a commit prints.
+//!
+//! Each live row keeps its printed length beside it (a raw row's is its
+//! text's), so the store knows the row bytes a snapshot would print
+//! without printing one ([`Store::live_bytes`]): the checkpoint policy
+//! reads it on every commit.
 
 use crate::error::DbError;
 use crate::txn::{read_printed, OpAt, Replayed};
@@ -25,7 +30,8 @@ impl<T: Serialize + DeserializeOwned + Clone + Send + 'static> Row for T {}
 trait Rows: Any + Send {
     fn len(&self) -> usize;
     fn contains(&self, key: u64) -> bool;
-    fn remove(&mut self, key: u64) -> bool;
+    /// Remove the row at `key`; its printed length, if there was one.
+    fn remove(&mut self, key: u64) -> Option<usize>;
     fn max_key(&self) -> Option<u64>;
     /// Print the snapshot's `[key,row]` pairs of these rows and the table's
     /// `raw` ones, in key order across both (their key sets are disjoint).
@@ -41,7 +47,10 @@ fn pair(out: &mut String, key: u64, row: impl FnOnce(&mut String)) {
     out.push(']');
 }
 
-impl<T: Row> Rows for BTreeMap<u64, T> {
+/// A typed row and the length it printed to.
+pub(crate) type Kept<T> = (T, usize);
+
+impl<T: Row> Rows for BTreeMap<u64, Kept<T>> {
     fn len(&self) -> usize {
         BTreeMap::len(self)
     }
@@ -50,8 +59,8 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
         self.contains_key(&key)
     }
 
-    fn remove(&mut self, key: u64) -> bool {
-        BTreeMap::remove(self, &key).is_some()
+    fn remove(&mut self, key: u64) -> Option<usize> {
+        BTreeMap::remove(self, &key).map(|(_, len)| len)
     }
 
     fn max_key(&self) -> Option<u64> {
@@ -61,7 +70,7 @@ impl<T: Row> Rows for BTreeMap<u64, T> {
     fn write_rows(&self, raw: &BTreeMap<u64, Box<str>>, out: &mut String) {
         // A row never typed prints canonically.
         let mut raw = raw.iter().peekable();
-        for (&key, row) in self {
+        for (&key, (row, _)) in self {
             while let Some((&k, text)) = raw.next_if(|(&k, _)| k < key) {
                 pair(out, k, |out| write_canonical(text, out));
             }
@@ -110,8 +119,12 @@ impl Table {
         raw.max(self.typed.as_ref().and_then(|t| t.max_key()))
     }
 
-    fn remove(&mut self, key: u64) -> bool {
-        self.raw.remove(&key).is_some() || self.typed.as_mut().is_some_and(|t| t.remove(key))
+    /// Remove the row at `key`; its printed length, if there was one.
+    fn remove(&mut self, key: u64) -> Option<usize> {
+        match self.raw.remove(&key) {
+            Some(text) => Some(text.len()),
+            None => self.typed.as_mut().and_then(|t| t.remove(key)),
+        }
     }
 
     /// The snapshot form of this table's rows (see [`Rows::write_rows`]).
@@ -130,11 +143,11 @@ impl Table {
     /// opened as another type is an error, never a panic.
     fn open<T: Row>(&mut self, name: &str) -> Result<Typed<'_, T>, DbError> {
         let typed = self.typed.get_or_insert_with(|| {
-            let mut rows = BTreeMap::<u64, T>::new();
+            let mut rows = BTreeMap::<u64, Kept<T>>::new();
             self.raw
                 .retain(|&key, text| match T::read_json(&mut Reader::new(text)) {
                     Ok(row) => {
-                        rows.insert(key, row);
+                        rows.insert(key, (row, text.len()));
                         false
                     }
                     Err(_) => true,
@@ -142,7 +155,7 @@ impl Table {
             Box::new(rows) // sphinx-lint: allow(hot-alloc)
         });
         let any: &mut dyn Any = &mut **typed;
-        match any.downcast_mut::<BTreeMap<u64, T>>() {
+        match any.downcast_mut::<BTreeMap<u64, Kept<T>>>() {
             Some(rows) => Ok(Typed {
                 rows,
                 undecodable: &mut self.raw,
@@ -156,13 +169,13 @@ impl Table {
 
 /// One table opened as its row type, for the length of a critical section.
 pub(crate) struct Typed<'s, T> {
-    rows: &'s mut BTreeMap<u64, T>,
+    rows: &'s mut BTreeMap<u64, Kept<T>>,
     /// What hydration could not decode as `T`.
     undecodable: &'s mut BTreeMap<u64, Box<str>>,
 }
 
 impl<T: Row> Typed<'_, T> {
-    pub(crate) fn rows(&self) -> &BTreeMap<u64, T> {
+    pub(crate) fn rows(&self) -> &BTreeMap<u64, Kept<T>> {
         self.rows
     }
 
@@ -189,9 +202,12 @@ impl<T: Row> Typed<'_, T> {
 #[derive(Default)]
 pub(crate) struct Store {
     tables: BTreeMap<String, Table>,
-    /// Live rows across every table, kept current by each apply: the
-    /// checkpoint policy reads it on every commit.
-    live_rows: u64,
+    /// The printed lengths of every live row, summed, kept current by each
+    /// apply and each replayed line.
+    live_bytes: u64,
+    /// Bytes of the lines logged since the last snapshot line (or since
+    /// the log began), the snapshot's own not counted.
+    pub(crate) logged: u64,
     /// The last commit's line, its buffer kept for the next one's.
     pub(crate) line: String,
     /// The ops of the line being replayed, kept for the next line's.
@@ -212,10 +228,13 @@ impl Store {
                     self.replay_op(line, op);
                 }
                 self.replay_ops = ops;
+                self.logged += line.len() as u64;
             }
             Replayed::Snapshot(tables) => {
-                self.live_rows = tables.values().map(|t| t.len() as u64).sum();
+                let rows = tables.values().flat_map(|t| t.raw.values());
+                self.live_bytes = rows.map(|text| text.len() as u64).sum();
                 self.tables = tables;
+                self.logged = 0;
             }
         }
         Ok(())
@@ -229,21 +248,36 @@ impl Store {
             self.apply_del(name, op.key);
             return;
         };
-        let text = Box::from(line.get(from..to).unwrap_or_default());
-        let fresh = match self.tables.get_mut(name) {
-            Some(table) => table.raw.insert(op.key, text).is_none(),
+        let text: Box<str> = Box::from(line.get(from..to).unwrap_or_default());
+        self.live_bytes += text.len() as u64;
+        match self.tables.get_mut(name) {
+            Some(table) => {
+                if let Some(old) = table.raw.insert(op.key, text) {
+                    self.live_bytes -= old.len() as u64;
+                }
+            }
             None => {
                 let table = Table::replayed(BTreeMap::from([(op.key, text)]));
                 // Recovery runs once, at start-up; a table is named once.
                 self.tables.insert(name.to_owned(), table); // sphinx-lint: allow(hot-alloc)
-                true
             }
-        };
-        self.live_rows += u64::from(fresh);
+        }
     }
 
-    pub(crate) fn row_count(&self) -> u64 {
-        self.live_rows
+    /// The bytes every live row prints to: what the row members of a
+    /// snapshot line printed now would hold. (A row replayed from a log
+    /// that another version wrote counts as the text it was logged as,
+    /// which a snapshot reprints canonically, so it may differ there.)
+    pub(crate) fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
+    /// At least the length of the snapshot line printed now: the rows'
+    /// bytes, and the most their frame can take (a key prints to at most
+    /// 20 digits, so a `[K,row]` pair and its comma to 24 bytes more).
+    pub(crate) fn snapshot_bound(&self) -> usize {
+        let frame = |(name, table): (&String, &Table)| name.len() + 22 + 24 * table.len();
+        31 + self.live_bytes as usize + self.tables.iter().map(frame).sum::<usize>()
     }
 
     pub(crate) fn tables(&self) -> &BTreeMap<String, Table> {
@@ -256,33 +290,37 @@ impl Store {
         self.tables.get_mut(name).map(|t| t.open(name)).transpose()
     }
 
-    /// Apply a logged put.
+    /// Apply a logged put of a row that printed to `len` bytes.
     pub(crate) fn apply_put<T: Row>(
         &mut self,
         name: &str,
         key: u64,
         row: T,
+        len: usize,
     ) -> Result<(), DbError> {
         let Some(table) = self.tables.get_mut(name) else {
             let table = Table {
                 raw: BTreeMap::new(),
-                typed: Some(Box::new(BTreeMap::from([(key, row)]))),
+                typed: Some(Box::new(BTreeMap::from([(key, (row, len))]))),
             };
             self.tables.insert(name.to_owned(), table);
-            self.live_rows += 1;
+            self.live_bytes += len as u64;
             return Ok(());
         };
         let table = table.open::<T>(name)?;
-        let displaced =
-            table.rows.insert(key, row).is_some() || table.undecodable.remove(&key).is_some();
-        self.live_rows += u64::from(!displaced);
+        let displaced = match table.rows.insert(key, (row, len)) {
+            Some((_, old)) => old,
+            None => table.undecodable.remove(&key).map_or(0, |text| text.len()),
+        };
+        self.live_bytes += len as u64;
+        self.live_bytes -= displaced as u64;
         Ok(())
     }
 
     /// Apply a logged delete.
     pub(crate) fn apply_del(&mut self, name: &str, key: u64) {
-        if self.tables.get_mut(name).is_some_and(|t| t.remove(key)) {
-            self.live_rows -= 1;
+        if let Some(len) = self.tables.get_mut(name).and_then(|t| t.remove(key)) {
+            self.live_bytes -= len as u64;
         }
     }
 
@@ -291,8 +329,15 @@ impl Store {
         let Some(table) = self.typed::<T>(name)? else {
             return Ok(Vec::new());
         };
-        let rows: Vec<T> = std::mem::take(table.rows).into_values().collect();
-        self.live_rows -= rows.len() as u64;
+        let mut freed = 0;
+        let rows: Vec<T> = std::mem::take(table.rows)
+            .into_values()
+            .map(|(row, len)| {
+                freed += len as u64;
+                row
+            })
+            .collect();
+        self.live_bytes -= freed;
         Ok(rows)
     }
 }

@@ -156,16 +156,19 @@ impl TxnLine {
         }
     }
 
-    /// Add `{"key":K,<op>,"table":"T"}`, a put's row printed after its op.
-    fn op(&mut self, table: &str, key: u64, op: &str, row: Option<&dyn Serialize>) {
+    /// Add `{"key":K,<op>,"table":"T"}`, a put's row printed after its op;
+    /// the bytes the row printed to.
+    fn op(&mut self, table: &str, key: u64, op: &str, row: Option<&dyn Serialize>) -> usize {
         let out = &mut self.out;
         out.push_str(if out.ends_with('[') { "" } else { "," });
         out.push_str(r#"{"key":"#);
         key.write_json(out);
         out.push_str(op);
+        let start = out.len();
         if let Some(row) = row {
             row.write_json(out);
         }
+        let printed = out.len() - start;
         out.push_str(r#","table":"#);
         let name = out.len();
         table.write_json(out);
@@ -177,6 +180,7 @@ impl TxnLine {
             self.escaped = Some(table.to_owned()); // sphinx-lint: allow(hot-alloc)
         }
         out.push('}');
+        printed
     }
 
     /// Refuse the line if a table name in it needs an escape: the reader
@@ -188,9 +192,10 @@ impl TxnLine {
         }
     }
 
-    /// Add a put: where a committed row is turned into JSON.
-    pub(crate) fn put<T: Serialize>(&mut self, table: &str, key: u64, row: &T) {
-        self.op(table, key, r#","op":"put","row":"#, Some(row));
+    /// Add a put: where a committed row is turned into JSON. Returns the
+    /// bytes the row printed to, which the store keeps beside the row.
+    pub(crate) fn put<T: Serialize>(&mut self, table: &str, key: u64, row: &T) -> usize {
+        self.op(table, key, r#","op":"put","row":"#, Some(row))
     }
 
     /// Add a delete.
@@ -206,8 +211,11 @@ impl TxnLine {
 }
 
 /// Print the `snapshot` line describing `store` onto `out`, table by
-/// table: `{"kind":"snapshot","tables":[{"name":"T","rows":[[K,…],…]},…]}`.
+/// table: `{"kind":"snapshot","tables":[{"name":"T","rows":[[K,…],…]},…]}`,
+/// into room reserved for the whole line at once, so a snapshot of
+/// megabytes is not copied as it grows.
 pub(crate) fn write_snapshot(store: &Store, out: &mut String) {
+    out.reserve_exact(store.snapshot_bound());
     out.push_str(r#"{"kind":"snapshot","tables":["#);
     for (name, table) in store.tables() {
         out.push_str(if out.ends_with('[') { "" } else { "," });
@@ -231,21 +239,22 @@ pub(crate) fn snapshot_line(store: &Store) -> String {
 /// A buffered operation, erased so one transaction can span row types.
 trait Pending: Send {
     /// Frame the operation, first opening the table of a put as its row
-    /// type so that `apply` cannot fail once the line is in the log.
-    fn prepare(&self, store: &mut Store, line: &mut TxnLine) -> Result<(), DbError>;
-    fn apply(self: Box<Self>, store: &mut Store) -> Result<(), DbError>;
+    /// type so that `apply` cannot fail once the line is in the log; the
+    /// bytes a put's row printed to.
+    fn prepare(&self, store: &mut Store, line: &mut TxnLine) -> Result<usize, DbError>;
+    /// Apply the operation; `len` is what `prepare` returned.
+    fn apply(self: Box<Self>, store: &mut Store, len: usize) -> Result<(), DbError>;
 }
 
 /// A put: the row itself is the pending operation.
 impl<R: Record> Pending for R {
-    fn prepare(&self, store: &mut Store, line: &mut TxnLine) -> Result<(), DbError> {
+    fn prepare(&self, store: &mut Store, line: &mut TxnLine) -> Result<usize, DbError> {
         store.typed::<R>(R::TABLE)?;
-        line.put(R::TABLE, self.key(), self);
-        Ok(())
+        Ok(line.put(R::TABLE, self.key(), self))
     }
 
-    fn apply(self: Box<Self>, store: &mut Store) -> Result<(), DbError> {
-        store.apply_put(R::TABLE, self.key(), *self)
+    fn apply(self: Box<Self>, store: &mut Store, len: usize) -> Result<(), DbError> {
+        store.apply_put(R::TABLE, self.key(), *self, len)
     }
 }
 
@@ -253,12 +262,12 @@ impl<R: Record> Pending for R {
 struct Del(&'static str, u64);
 
 impl Pending for Del {
-    fn prepare(&self, _: &mut Store, line: &mut TxnLine) -> Result<(), DbError> {
+    fn prepare(&self, _: &mut Store, line: &mut TxnLine) -> Result<usize, DbError> {
         line.del(self.0, self.1);
-        Ok(())
+        Ok(0)
     }
 
-    fn apply(self: Box<Self>, store: &mut Store) -> Result<(), DbError> {
+    fn apply(self: Box<Self>, store: &mut Store, _: usize) -> Result<(), DbError> {
         store.apply_del(self.0, self.1);
         Ok(())
     }
@@ -275,7 +284,9 @@ impl Pending for Del {
 #[must_use = "a transaction does nothing until committed"]
 pub struct Txn<'a> {
     db: &'a Database,
-    ops: Vec<Box<dyn Pending>>,
+    /// Each buffered operation, and the bytes its row printed to once
+    /// the line is framed.
+    ops: Vec<(Box<dyn Pending>, usize)>,
 }
 
 impl<'a> Txn<'a> {
@@ -288,13 +299,13 @@ impl<'a> Txn<'a> {
 
     /// Buffer an upsert.
     pub fn put<R: Record>(&mut self, row: &R) -> Result<&mut Self, DbError> {
-        self.ops.push(Box::new(row.clone()));
+        self.ops.push((Box::new(row.clone()), 0));
         Ok(self)
     }
 
     /// Buffer a delete.
     pub fn delete<R: Record>(&mut self, key: u64) -> &mut Self {
-        self.ops.push(Box::new(Del(R::TABLE, key)));
+        self.ops.push((Box::new(Del(R::TABLE, key)), 0));
         self
     }
 
@@ -313,13 +324,18 @@ impl<'a> Txn<'a> {
         if self.ops.is_empty() {
             return Ok(());
         }
-        let Txn { db, ops } = self;
+        let Txn { db, mut ops } = self;
         db.commit(
             |store, line| {
-                ops.iter().try_for_each(|op| op.prepare(store, line))?;
+                for (op, len) in &mut ops {
+                    *len = op.prepare(store, line)?;
+                }
                 Ok(ControlFlow::Continue(ops))
             },
-            |store, ops| ops.into_iter().try_for_each(|op| op.apply(store)),
+            |store, ops| {
+                ops.into_iter()
+                    .try_for_each(|(op, len)| op.apply(store, len))
+            },
         )
     }
 }
@@ -822,7 +838,10 @@ mod replay_oracle {
     /// canonically), or the corrupt line.
     fn recovered(wal: Box<dyn Wal>) -> Result<(u64, u64, String), usize> {
         match Database::recover(wal) {
-            Ok(db) => Ok((db.replayed(), db.live_rows(), db.snapshot_line())),
+            Ok(db) => {
+                let rows = db.stats().iter().map(|t| t.rows as u64).sum();
+                Ok((db.replayed(), rows, db.snapshot_line()))
+            }
             Err(DbError::Corrupt { line, .. }) => Err(line),
             Err(other) => panic!("recovery failed with {other}"),
         }
@@ -1252,7 +1271,9 @@ mod byte_match {
                     let (table, key) = (TABLES[g.below(3)], g.below(4) as u64 * 0x1_0000_0001);
                     match g.below(4) {
                         0 => line.del(table, key),
-                        _ => line.put(table, key, &row(&mut g)),
+                        _ => {
+                            line.put(table, key, &row(&mut g));
+                        }
                     }
                 }
                 let line = line.finish();

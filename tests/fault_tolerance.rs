@@ -4,14 +4,15 @@
 use sphinx::core::runtime::SphinxRuntime;
 use sphinx::core::state::DagRow;
 use sphinx::core::strategy::StrategyKind;
-use sphinx::db::{CheckpointPolicy, Database, MemWal, Wal};
+use sphinx::db::{CheckpointPolicy, Database, DbError, MemWal, Wal};
 use sphinx::sim::{Duration, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
+use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn faulty() -> sphinx::workloads::ScenarioBuilder {
     Scenario::builder()
@@ -26,8 +27,8 @@ fn faulty() -> sphinx::workloads::ScenarioBuilder {
 /// snapshot lines.
 const AGGRESSIVE: CheckpointPolicy = CheckpointPolicy {
     enabled: true,
-    ratio: 2,
-    min_log_lines: 8,
+    ratio: 1,
+    min_log_bytes: 1024,
 };
 
 /// The seeded run with a black hole (timeouts, replans) whose log
@@ -43,8 +44,8 @@ fn black_hole() -> (Scenario, CheckpointPolicy) {
         .build();
     let policy = CheckpointPolicy {
         enabled: true,
-        ratio: 4,
-        min_log_lines: 64,
+        ratio: 2,
+        min_log_bytes: 16 << 10,
     };
     (scenario, policy)
 }
@@ -184,11 +185,14 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
     // must keep the recovery replay bounded by its ratio.
     let run = |checkpoint: CheckpointPolicy| {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
-        let mut recovered = WalRun::start(&scenario, checkpoint).until(4).crash();
-        // Recovery only updates rows, so the live-row count is the one
-        // the replay left.
-        let db = recovered.rt.server().database();
-        let (replayed, live) = (db.replayed(), db.live_rows());
+        let crashed = WalRun::start(&scenario, checkpoint).until(4);
+        // The log the crash left: the bytes after its snapshot line, and
+        // the bytes of the state it rebuilds.
+        let lines = crashed.wal.read_all().unwrap();
+        let logged = logged_since_snapshot(&lines);
+        let state = state_bytes(&lines);
+        let mut recovered = crashed.crash();
+        let replayed = recovered.rt.server().database().replayed();
         let mut report = recovered.rt.run();
         // WAL/cache counter values legitimately differ between the two
         // configurations (auto-checkpointing emits extra `wal:*` spans);
@@ -197,28 +201,200 @@ fn auto_checkpoint_interleaves_with_crash_recovery() {
         report.analysis.spans_total = 0;
         report.analysis.spans_live = 0;
         report.analysis.spans_dropped = 0;
-        (report, replayed, live)
+        (report, replayed, logged, state)
     };
 
-    let (base_report, base_replayed, _) = run(CheckpointPolicy::disabled());
-    let (auto_report, auto_replayed, auto_live) = run(AGGRESSIVE);
+    let (base_report, base_replayed, ..) = run(CheckpointPolicy::disabled());
+    let (auto_report, auto_replayed, auto_logged, auto_state) = run(AGGRESSIVE);
 
     assert!(auto_report.finished, "{}", auto_report.summary());
     assert_eq!(
         auto_report, base_report,
         "auto-checkpointing must not change the scheduling outcome"
     );
-    // Post-commit invariant of the policy: the log was either still below
-    // min_log_lines or within ratio × live rows when the crash hit.
-    let bound = (AGGRESSIVE.ratio * auto_live).max(AGGRESSIVE.min_log_lines);
+    // Post-commit invariant of the policy: the bytes logged since the
+    // snapshot were either still below min_log_bytes or within ratio × the
+    // state's bytes when the crash hit.
+    let bound = (AGGRESSIVE.ratio * auto_state).max(AGGRESSIVE.min_log_bytes);
     assert!(
-        auto_replayed <= bound,
-        "replay {auto_replayed} exceeds policy bound {bound}"
+        auto_logged <= bound,
+        "{auto_logged} bytes after the snapshot exceed the policy bound {bound}"
     );
     assert!(
         auto_replayed < base_replayed,
         "auto-checkpointing must shrink replay ({auto_replayed} vs {base_replayed})"
     );
+}
+
+/// The bytes of `lines` after the last snapshot line among them.
+fn logged_since_snapshot(lines: &[String]) -> u64 {
+    let snapshot = lines
+        .iter()
+        .rposition(|l| l.starts_with(r#"{"kind":"snapshot""#));
+    let after = snapshot.map_or(0, |at| at + 1);
+    lines[after..].iter().map(|l| l.len() as u64).sum()
+}
+
+/// The bytes the rows of the state `lines` rebuild print to: the rows of
+/// the snapshot line a checkpoint of it writes.
+fn state_bytes(lines: &[String]) -> u64 {
+    let log = wal_of(lines);
+    let db = Database::recover(Box::new(log.clone())).unwrap();
+    db.checkpoint().unwrap();
+    let snapshot: serde_json::Value = serde_json::from_str(&log.read_all().unwrap()[0]).unwrap();
+    let mut bytes = 0;
+    for table in list(&snapshot, "tables") {
+        for pair in list(table, "rows") {
+            let row = &pair.as_array().unwrap()[1];
+            bytes += serde_json::to_string(row).unwrap().len() as u64;
+        }
+    }
+    bytes
+}
+
+/// The list `value` holds as its member `name`.
+fn list<'v>(value: &'v serde_json::Value, name: &str) -> &'v [serde_json::Value] {
+    value.get(name).and_then(|list| list.as_array()).unwrap()
+}
+
+/// What happened to a [`Taped`] log, in order.
+enum Entry {
+    Append(String),
+    Checkpoint,
+}
+
+/// A log that keeps a history of every line appended to it and every
+/// checkpoint, across every database that writes it.
+#[derive(Clone, Default)]
+struct Taped {
+    log: MemWal,
+    history: Arc<Mutex<Vec<Entry>>>,
+}
+
+impl Taped {
+    fn note(&self, entry: Entry) {
+        self.history.lock().unwrap().push(entry);
+    }
+
+    /// The lines appended, and after how many of them each checkpoint
+    /// came.
+    fn history(&self) -> (Vec<String>, Vec<usize>) {
+        let (mut lines, mut checkpoints) = (Vec::new(), Vec::new());
+        for entry in self.history.lock().unwrap().iter() {
+            match entry {
+                Entry::Append(line) => lines.push(line.clone()),
+                Entry::Checkpoint => checkpoints.push(lines.len()),
+            }
+        }
+        (lines, checkpoints)
+    }
+}
+
+impl Wal for Taped {
+    fn append(&mut self, line: &str) -> Result<(), DbError> {
+        self.note(Entry::Append(line.to_owned()));
+        self.log.append(line)
+    }
+
+    fn read_all(&self) -> Result<Vec<String>, DbError> {
+        self.log.read_all()
+    }
+
+    fn rewrite(&mut self, lines: &[String]) -> Result<(), DbError> {
+        self.note(Entry::Checkpoint);
+        self.log.rewrite(lines)
+    }
+
+    fn appended(&self) -> u64 {
+        self.log.appended()
+    }
+
+    fn rewrites(&self) -> u64 {
+        self.log.rewrites()
+    }
+
+    fn truncate(&mut self, n: usize) -> Result<(), DbError> {
+        self.log.truncate(n)
+    }
+}
+
+/// After which of `lines` a database that commits them all, and never
+/// crashes, checkpoints under `policy`: a model of the byte trigger that
+/// reads each row's printed length from the line.
+fn checkpoints_over(lines: &[String], policy: CheckpointPolicy) -> Vec<usize> {
+    let mut rows = BTreeMap::<(String, u64), u64>::new();
+    let (mut logged, mut state, mut checkpoints) = (0, 0, Vec::new());
+    for (n, line) in lines.iter().enumerate() {
+        let entry: serde_json::Value = serde_json::from_str(line).unwrap();
+        for op in list(&entry, "ops") {
+            let field = |name| op.get(name).unwrap();
+            let key = (
+                field("table").as_str().unwrap().to_owned(),
+                field("key").as_u64().unwrap(),
+            );
+            state -= rows.remove(&key).unwrap_or(0);
+            if let Some(row) = op.get("row") {
+                let len = serde_json::to_string(row).unwrap().len() as u64;
+                state += len;
+                rows.insert(key, len);
+            }
+        }
+        logged += line.len() as u64;
+        if policy.enabled && logged > policy.min_log_bytes.max(policy.ratio * state) {
+            checkpoints.push(n + 1);
+            logged = 0;
+        }
+    }
+    checkpoints
+}
+
+#[test]
+fn a_recovered_run_checkpoints_where_a_run_that_never_crashed_would() {
+    // The trigger weighs the bytes logged since the snapshot against the
+    // bytes of the live rows, and recovery rebuilds both exactly, so a
+    // recovered database compacts its log at the same commits as one that
+    // saw the same commits without a crash. Crash a seeded run at several
+    // points and finish it; its commits, read back from the history of
+    // the log, must checkpoint where the model says, and the log at the
+    // end must be that database's: the snapshot of the state at the last
+    // checkpoint, then every line after it.
+    let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
+    for crash_mins in [1, 3, 5] {
+        let taped = Taped::default();
+        let db = Database::with_wal_and_config(Box::new(taped.clone()), AGGRESSIVE);
+        let mut rt = scenario.build_runtime_with_db(Arc::new(db));
+        rt.run_until(SimTime::ZERO + Duration::from_mins(crash_mins));
+        let crashed_at = taped.history().0.len();
+        let config = rt.config().clone();
+        let db = Database::recover_with_config(Box::new(taped.clone()), AGGRESSIVE).unwrap();
+        let mut rt = SphinxRuntime::with_recovered_database(rt.into_grid(), config, Arc::new(db))
+            .expect("server recovers");
+        assert!(rt.run().finished);
+
+        let (lines, checkpoints) = taped.history();
+        assert_eq!(
+            checkpoints,
+            checkpoints_over(&lines, AGGRESSIVE),
+            "crash at {crash_mins} min"
+        );
+        assert!(
+            checkpoints.iter().any(|&n| n > crashed_at),
+            "crash at {crash_mins} min: no checkpoint after it"
+        );
+        let last = *checkpoints.last().unwrap();
+        let reference = wal_of(&lines[..last]);
+        Database::recover(Box::new(reference.clone()))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        let mut at_end = reference.read_all().unwrap();
+        at_end.extend_from_slice(&lines[last..]);
+        assert_eq!(
+            taped.log.read_all().unwrap(),
+            at_end,
+            "crash at {crash_mins} min"
+        );
+    }
 }
 
 #[test]
@@ -254,7 +430,7 @@ fn every_line_boundary_of_a_crash_log_recovers() {
     // from every such cut with every job of the DAGs the cut holds done.
     // Debug builds arm the FSA guard, so an unrepaired torn row panics.
     // With checkpoints off the crash-time log has 237 lines; with them on,
-    // 11, snapshot lines among them.
+    // 18, a snapshot line first.
     for policy in [CheckpointPolicy::disabled(), AGGRESSIVE] {
         let scenario = faulty().strategy(StrategyKind::CompletionTime).build();
         // `GridSim` is not `Clone`: every cut re-runs the crash.
@@ -309,10 +485,12 @@ fn seeded_run_writes_the_pinned_log() {
     // seeded run with a black hole (timeouts, replans), automatic
     // checkpoints (snapshot lines) and a torn-tail crash in the middle;
     // the digest covers every line of the log as the crash left it and as
-    // the recovered run ended it. The constant was recorded from the last
-    // commit that stored rows as JSON values (PR 16): whatever the store
-    // holds in memory, it writes these bytes. The log as the crash left
-    // it is `tests/golden/logs/era1/black_hole_torn.log` of the corpus.
+    // the recovered run ended it. Its txn lines are the ones the store
+    // has printed since it stopped storing rows as JSON values: whatever
+    // it holds in memory, it writes these bytes. The constant moved only
+    // when the checkpoint trigger began to weigh bytes, not lines, which
+    // moved the snapshot lines. The log as the crash left it is
+    // `tests/golden/logs/era2/black_hole_torn.log` of the corpus.
     let (scenario, policy) = black_hole();
     let run = WalRun::start(&scenario, policy).until(12);
     run.wal.tear_last_line(); // crash, mid-append
@@ -330,7 +508,7 @@ fn seeded_run_writes_the_pinned_log() {
         fnv1a(FNV_BASIS, &at_crash),
         &recovered.wal.read_all().unwrap(),
     );
-    assert_eq!(digest, 0x4e1b_00d9_1004_bf75, "log digest {digest:#018x}");
+    assert_eq!(digest, 0xa56b_5be6_0bd6_5ea9, "log digest {digest:#018x}");
 }
 
 #[test]
@@ -342,8 +520,8 @@ fn every_logged_line_replays_through_the_byte_match() {
     // its end, must write no line the byte match does not read.
     let policy = CheckpointPolicy {
         enabled: true,
-        ratio: 4,
-        min_log_lines: 64,
+        ratio: 2,
+        min_log_bytes: 16 << 10,
     };
     let scenario = faulty()
         .faults(FaultPlan {
@@ -377,8 +555,9 @@ const CORPUS_CRASH_MINS: u64 = 12;
 
 /// The runs whose crash-time logs make up an era: the file's name, the
 /// scenario, its checkpoint policy, and whether the crash tore the final
-/// line. Without checkpoints the log has 237 lines; with them 11, snapshot
-/// lines among them; the black-hole log has 91, the last one torn.
+/// line. Without checkpoints the log has 237 lines; with them 18, a
+/// snapshot line first; the black-hole log has 17, the last one torn.
+/// (Era 1 was written while the trigger counted lines: 11 and 91 lines.)
 fn corpus_runs() -> Vec<(&'static str, Scenario, CheckpointPolicy, bool)> {
     let completion = || faulty().strategy(StrategyKind::CompletionTime).build();
     let (black_hole, policy) = black_hole();

@@ -188,8 +188,8 @@ fn checkpoint_policy_bounds_adoption_replay() {
     let (unbounded_report, unbounded) = with_policy(CheckpointPolicy::disabled());
     let (bounded_report, bounded) = with_policy(CheckpointPolicy {
         enabled: true,
-        ratio: 2,
-        min_log_lines: 16,
+        ratio: 1,
+        min_log_bytes: 1024,
     });
     assert_eq!(
         bounded_report, unbounded_report,

@@ -285,8 +285,8 @@ fn crashed_single_scheduler() -> Vec<(String, u64)> {
         .build();
     let policy = CheckpointPolicy {
         enabled: true,
-        ratio: 4,
-        min_log_lines: 64,
+        ratio: 2,
+        min_log_bytes: 16 << 10,
     };
     let wal = MemWal::shared();
     let db = Database::with_wal_and_config(Box::new(wal.clone()), policy);
@@ -375,17 +375,21 @@ fn seeded_runs_export_the_pinned_bytes() {
     // and recovered single scheduler and on a sharded deployment that
     // fails over. The constants were recorded before telemetry hooks were
     // folded into one typed event per fact; however the hub records a
-    // fact, it exports these bytes.
+    // fact, it exports these bytes. The `single.*` ones were re-recorded
+    // when the checkpoint trigger began to weigh bytes: the run before
+    // the crash checkpoints 4 times, not once (`wal.rewrites`, its
+    // `wal:checkpoint` spans), and the recovery replays 17 lines, not 141
+    // (`wal.replays`, the `Recovery` detail).
     let mut got = crashed_single_scheduler();
     got.extend(crashed_sharded());
     let pinned = [
         ("single.before.jsonl", 0xfbbf_c9d8_9edd_7933),
-        ("single.before.chrome", 0x1ac5_57d3_17b1_4710),
-        ("single.before.prometheus", 0xc3f3_43fc_9305_1eb2),
-        ("single.after.jsonl", 0x35f5_6a18_1eac_5aae),
-        ("single.after.chrome", 0x6bca_0fc0_6d37_6b1d),
-        ("single.after.prometheus", 0x06a4_0291_cb6a_5002),
-        ("single.report.telemetry", 0xf7da_bc20_01cf_8265),
+        ("single.before.chrome", 0x5ca6_5384_4f0f_b0fd),
+        ("single.before.prometheus", 0xd520_1d34_2738_61e4),
+        ("single.after.jsonl", 0xd23d_5146_fc21_631e),
+        ("single.after.chrome", 0xbd0c_be26_7d82_1d96),
+        ("single.after.prometheus", 0x0125_6dcb_dad5_21e8),
+        ("single.report.telemetry", 0x2b46_1990_b0d7_9b95),
         ("single.report.analysis", 0xf509_2b50_4572_e776),
         ("sharded.report_hub.jsonl", 0xe1dd_6f94_2729_8910),
         ("sharded.report_hub.chrome", 0x5be5_d10f_2f80_5b9e),
